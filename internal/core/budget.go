@@ -36,12 +36,6 @@ type elision struct {
 	valid      bool
 	budget     float64 // remaining movement radius (L2, on x)
 	grad       []float64
-
-	// mnorm caches the Gershgorin bound on ‖H∓‖₂ for the ADCD-E matrix
-	// identified by mnormFor; the matrix is shipped once per node, so the
-	// cache hits on every refresh after the first.
-	mnorm    float64
-	mnormFor *linalg.Mat
 }
 
 // EnableElision turns on safe-zone check elision for this node. It reports
@@ -153,7 +147,8 @@ func (n *Node) refreshBudget() {
 			lin += z.GradF0[i] * (v[i] - z.X0[i])
 		}
 		// q is the quadratic term of containsWithQuadratic at v — exact for
-		// ADCD-X, and for ADCD-E the upper bound q̄ = ½‖H∓‖·dist² (all four
+		// ADCD-X, and for ADCD-E the upper bound q̄ = ½‖H∓‖₂·dist², with
+		// ‖H∓‖₂ = max|λⱼ| read off the zone's eigen-factor (all four
 		// constraint margins shrink as q grows, so an overstated q is
 		// conservative). qa/qb bound q's growth: moving the point by t gives
 		// q(v') ≤ q + qa·t + ½·qb·t².
@@ -161,15 +156,7 @@ func (n *Node) refreshBudget() {
 		if z.Method == MethodX {
 			qb = z.Lam
 		} else {
-			m := z.HMinus
-			if z.Kind == ConcaveDiff {
-				m = z.HPlus
-			}
-			if m != e.mnormFor {
-				e.mnorm = gershgorinAbs(m)
-				e.mnormFor = m
-			}
-			qb = e.mnorm
+			qb = z.H.Norm2()
 		}
 		qa = qb * dist
 		q = 0.5 * qb * dist * dist
@@ -237,20 +224,4 @@ func boxMargin(v, lo, hi []float64) float64 {
 		return 0
 	}
 	return m
-}
-
-// gershgorinAbs bounds the spectral norm of a symmetric matrix by its
-// largest absolute row sum.
-func gershgorinAbs(m *linalg.Mat) float64 {
-	var bound float64
-	for i := 0; i < m.Rows; i++ {
-		var row float64
-		for j := 0; j < m.Cols; j++ {
-			row += math.Abs(m.At(i, j))
-		}
-		if row > bound {
-			bound = row
-		}
-	}
-	return bound
 }

@@ -423,32 +423,9 @@ func (o *flatOwner) Distribute(tmpl *Sync, zone *SafeZone) {
 		} else {
 			linalg.Sub(o.slacks[i], tmpl.X0, o.lastX[i])
 		}
-		msg := &Sync{
-			NodeID: i,
-			Method: tmpl.Method,
-			Kind:   tmpl.Kind,
-			X0:     linalg.Clone(tmpl.X0),
-			F0:     tmpl.F0,
-			GradF0: linalg.Clone(tmpl.GradF0),
-			L:      tmpl.L,
-			U:      tmpl.U,
-			Lam:    tmpl.Lam,
-			R:      tmpl.R,
-			Slack:  linalg.Clone(o.slacks[i]),
-		}
-		if o.m.Method() == MethodE && !o.matrixSent[i] {
-			msg.WithMatrix = true
-			if zone.Kind == ConvexDiff {
-				msg.Matrix = zone.HMinus
-			} else {
-				msg.Matrix = zone.HPlus
-			}
-			o.matrixSent[i] = true
-		}
-		if o.m.Method() == MethodCustom {
-			msg.Zone = zone
-		}
-		o.comm.SendSync(i, msg)
+		withFactor := tmpl.Method == MethodE && !o.matrixSent[i]
+		o.matrixSent[i] = true
+		o.comm.SendSync(i, tmpl.ForNode(i, o.slacks[i], zone, withFactor))
 	}
 }
 

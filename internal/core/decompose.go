@@ -72,9 +72,11 @@ func (o *DecompOptions) defaults() {
 }
 
 // EDecomposition holds the one-time ADCD-E artifacts for a constant-Hessian
-// function: the split H = H⁻ + H⁺ and the extreme eigenvalues.
+// function: the extreme eigenvalues, the DC kind they select, and the part
+// of the split H = H⁻ + H⁺ that kind uses (H⁻ for ConvexDiff, H⁺ for
+// ConcaveDiff), as eigenpairs.
 type EDecomposition struct {
-	HMinus, HPlus  *linalg.Mat
+	H              *linalg.EigFactor
 	LamMin, LamMax float64
 	Kind           DCKind
 }
@@ -86,21 +88,18 @@ func DecomposeE(f *Function, x0 []float64) (*EDecomposition, error) {
 	d := f.Dim()
 	h := linalg.NewMat(d, d)
 	f.Hessian(x0, h)
-	minus, plus, err := linalg.SplitPSD(h)
+	values, vecs, err := linalg.EigenSym(h, true)
 	if err != nil {
 		return nil, fmt.Errorf("core: ADCD-E eigendecomposition: %w", err)
 	}
-	lamMin, lamMax, err := linalg.ExtremeEigenvalues(h)
-	if err != nil {
-		return nil, err
+	dec := &EDecomposition{LamMin: values[0], LamMax: values[d-1]}
+	dec.Kind = chooseKindE(dec.LamMin, dec.LamMax)
+	minus, plus := linalg.SplitEig(values, vecs)
+	dec.H = minus
+	if dec.Kind == ConcaveDiff {
+		dec.H = plus
 	}
-	return &EDecomposition{
-		HMinus: minus,
-		HPlus:  plus,
-		LamMin: lamMin,
-		LamMax: lamMax,
-		Kind:   chooseKindE(lamMin, lamMax),
-	}, nil
+	return dec, nil
 }
 
 // eigsAtFunc returns the extreme-eigenpair evaluator selected by opts (dense
@@ -482,8 +481,7 @@ func BuildZoneE(f *Function, dec *EDecomposition, x0 []float64, l, u float64) *S
 		GradF0: grad,
 		L:      l,
 		U:      u,
-		HMinus: dec.HMinus,
-		HPlus:  dec.HPlus,
+		H:      dec.H,
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"automon/internal/linalg"
 )
 
 // FuzzDecode hardens the wire codec against malformed input: whatever the
@@ -16,6 +18,20 @@ func FuzzDecode(f *testing.F) {
 		NodeID: 0, Method: MethodX, Kind: ConvexDiff,
 		X0: []float64{1}, GradF0: []float64{2}, Slack: []float64{3},
 	}).Encode())
+	// First ADCD-E syncs: a rank-1 factor, a rank-0 factor, and the hostile
+	// headers the decoder must refuse (k > d, d ≠ len(X0), body missing).
+	withFactor := (&Sync{
+		NodeID: 1, Method: MethodE, Kind: ConvexDiff,
+		X0: []float64{1, 2}, GradF0: []float64{0, 0}, Slack: []float64{0, 0},
+		WithMatrix: true,
+		Matrix:     &linalg.EigFactor{Lam: []float64{-2}, V: &linalg.Mat{Rows: 1, Cols: 2, Data: []float64{0.6, 0.8}}},
+	}).Encode()
+	f.Add(withFactor)
+	f.Add(withFactor[:len(withFactor)-4])
+	f.Add(syncFactorPrefix(0, 2))
+	f.Add(syncFactorPrefix(3, 2))
+	f.Add(syncFactorPrefix(1, 3))
+	f.Add(syncFactorPrefix(0xFFFFFFFF, 0xFFFFFFFF))
 	f.Add((&Slack{NodeID: 4, Slack: []float64{0.5}}).Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})

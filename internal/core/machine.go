@@ -47,9 +47,9 @@ type Ownership interface {
 	// Distribute fans a full sync out to every live node: assign slack
 	// sᵢ = x0 − xᵢ (or zero under DisableSlack), clear dead nodes' slack, and
 	// send each node its Sync built from the template (per-node NodeID,
-	// Slack, and ADCD-E matrix bookkeeping).
+	// Slack, and ADCD-E factor bookkeeping).
 	Distribute(tmpl *Sync, zone *SafeZone)
-	// Forget drops per-node delivery state (the ADCD-E matrix-sent flag) when
+	// Forget drops per-node delivery state (the ADCD-E factor-sent flag) when
 	// a node dies or rejoins: it may have restarted as a fresh process.
 	Forget(id int)
 	// Snapshot clones the last-known vectors of all nodes, in global node
@@ -706,7 +706,7 @@ func (m *Machine) fullSync(fresh map[int]bool) error {
 	m.obs.tracer.Record(obs.EventFullSync, -1, float64(m.liveCount), zone.Method.String())
 
 	m.own.Distribute(&Sync{
-		Method: zone.Method,
+		Method: m.method,
 		Kind:   zone.Kind,
 		X0:     m.x0,
 		F0:     zone.F0,

@@ -98,8 +98,9 @@ type DataResponse struct {
 }
 
 // Sync distributes a new safe zone (and this node's slack vector) after a
-// full sync. For ADCD-E the H⁻/H⁺ matrix is constant and only shipped when
-// WithMatrix is set (the first sync); later syncs reuse the node's copy.
+// full sync. For ADCD-E the H⁻/H⁺ part is constant and only shipped, as its
+// eigenpairs, when WithMatrix is set (the first sync); later syncs reuse the
+// node's copy.
 type Sync struct {
 	NodeID     int
 	Method     Method
@@ -112,7 +113,7 @@ type Sync struct {
 	R          float64 // ADCD-X neighborhood radius (box rebuilt node-side)
 	Slack      []float64
 	WithMatrix bool
-	Matrix     *linalg.Mat // H⁻ (convex kind) or H⁺ (concave kind)
+	Matrix     *linalg.EigFactor // H⁻ (convex kind) or H⁺ (concave kind)
 
 	// Zone carries a hand-crafted (MethodCustom) safe zone to in-process
 	// nodes. It is never serialized: Encode ignores it and the field is nil
@@ -120,6 +121,25 @@ type Sync struct {
 	// the shared parameters, which is the correct comparison for the CB
 	// baseline (its nodes rebuild the zone from x0 and the thresholds).
 	Zone *SafeZone
+}
+
+// ForNode builds node id's message from a full sync's template: the node's
+// own copies of the shared vectors and of its slack, the zone's ADCD-E
+// eigen-factor when withFactor asks for it (the first sync to that node),
+// and the in-memory zone itself for hand-crafted methods.
+func (tmpl *Sync) ForNode(id int, slack []float64, zone *SafeZone, withFactor bool) *Sync {
+	msg := *tmpl
+	msg.NodeID = id
+	msg.X0 = linalg.Clone(tmpl.X0)
+	msg.GradF0 = linalg.Clone(tmpl.GradF0)
+	msg.Slack = linalg.Clone(slack)
+	if withFactor {
+		msg.WithMatrix, msg.Matrix = true, zone.H
+	}
+	if tmpl.Method == MethodCustom {
+		msg.Zone = zone
+	}
+	return &msg
 }
 
 // Slack rebalances a node's slack vector during lazy sync, leaving the safe
@@ -165,6 +185,23 @@ func (*Rejoin) Type() MsgType { return MsgRejoin }
 
 type encoder struct{ buf []byte }
 
+// newEncoder presizes the buffer to the message's known encoded length, so
+// the appends below never reallocate.
+func newEncoder(size int) *encoder { return &encoder{buf: make([]byte, 0, size)} }
+
+// vecSize is the encoded length of a vector: length prefix plus floats.
+func vecSize(v []float64) int { return 4 + 8*len(v) }
+
+// encodeIDVec is the shared layout of the messages that carry one vector
+// for one node: type, node ID, vector.
+func encodeIDVec(t MsgType, id int, v []float64) []byte {
+	e := newEncoder(3 + vecSize(v))
+	e.u8(uint8(t))
+	e.u16(uint16(id))
+	e.vec(v)
+	return e.buf
+}
+
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *encoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -172,11 +209,14 @@ func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf
 func (e *encoder) f64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
-func (e *encoder) vec(v []float64) {
-	e.u32(uint32(len(v)))
+func (e *encoder) floats(v []float64) {
 	for _, x := range v {
 		e.f64(x)
 	}
+}
+func (e *encoder) vec(v []float64) {
+	e.u32(uint32(len(v)))
+	e.floats(v)
 }
 
 type decoder struct {
@@ -242,7 +282,10 @@ func (d *decoder) vec() []float64 {
 		d.fail()
 		return nil
 	}
-	v := make([]float64, n)
+	return d.floats(make([]float64, n))
+}
+
+func (d *decoder) floats(v []float64) []float64 {
 	for i := range v {
 		v[i] = d.f64()
 	}
@@ -257,7 +300,7 @@ func (d *decoder) fail() {
 
 // Encode implements Message.
 func (m *Violation) Encode() []byte {
-	e := &encoder{}
+	e := newEncoder(4 + vecSize(m.X))
 	e.u8(uint8(MsgViolation))
 	e.u16(uint16(m.NodeID))
 	e.u8(uint8(m.Kind))
@@ -267,24 +310,23 @@ func (m *Violation) Encode() []byte {
 
 // Encode implements Message.
 func (m *DataRequest) Encode() []byte {
-	e := &encoder{}
+	e := newEncoder(3)
 	e.u8(uint8(MsgDataRequest))
 	e.u16(uint16(m.NodeID))
 	return e.buf
 }
 
 // Encode implements Message.
-func (m *DataResponse) Encode() []byte {
-	e := &encoder{}
-	e.u8(uint8(MsgDataResponse))
-	e.u16(uint16(m.NodeID))
-	e.vec(m.X)
-	return e.buf
-}
+func (m *DataResponse) Encode() []byte { return encodeIDVec(MsgDataResponse, m.NodeID, m.X) }
 
 // Encode implements Message.
 func (m *Sync) Encode() []byte {
-	e := &encoder{}
+	size := 46 + vecSize(m.X0) + vecSize(m.GradF0) + vecSize(m.Slack)
+	withMatrix := m.WithMatrix && m.Matrix != nil
+	if withMatrix {
+		size += 8 + 8*(len(m.Matrix.Lam)+len(m.Matrix.V.Data))
+	}
+	e := newEncoder(size)
 	e.u8(uint8(MsgSync))
 	e.u16(uint16(m.NodeID))
 	e.u8(uint8(m.Method))
@@ -297,12 +339,13 @@ func (m *Sync) Encode() []byte {
 	e.f64(m.Lam)
 	e.f64(m.R)
 	e.vec(m.Slack)
-	if m.WithMatrix && m.Matrix != nil {
+	if withMatrix {
+		// The factor as k, d, λ[k], V[k·d]: k·(d+1) floats, none at rank 0.
 		e.u8(1)
-		e.u32(uint32(m.Matrix.Rows))
-		for _, v := range m.Matrix.Data {
-			e.f64(v)
-		}
+		e.u32(uint32(len(m.Matrix.Lam)))
+		e.u32(uint32(m.Matrix.V.Cols))
+		e.floats(m.Matrix.Lam)
+		e.floats(m.Matrix.V.Data)
 	} else {
 		e.u8(0)
 	}
@@ -310,22 +353,10 @@ func (m *Sync) Encode() []byte {
 }
 
 // Encode implements Message.
-func (m *Slack) Encode() []byte {
-	e := &encoder{}
-	e.u8(uint8(MsgSlack))
-	e.u16(uint16(m.NodeID))
-	e.vec(m.Slack)
-	return e.buf
-}
+func (m *Slack) Encode() []byte { return encodeIDVec(MsgSlack, m.NodeID, m.Slack) }
 
 // Encode implements Message.
-func (m *Rejoin) Encode() []byte {
-	e := &encoder{}
-	e.u8(uint8(MsgRejoin))
-	e.u16(uint16(m.NodeID))
-	e.vec(m.X)
-	return e.buf
-}
+func (m *Rejoin) Encode() []byte { return encodeIDVec(MsgRejoin, m.NodeID, m.X) }
 
 // Decode parses one encoded message.
 func Decode(buf []byte) (Message, error) {
@@ -354,18 +385,17 @@ func Decode(buf []byte) (Message, error) {
 		m.R = d.f64()
 		m.Slack = d.vec()
 		if d.u8() == 1 {
-			n := uint64(d.u32())
-			// The matrix body must actually be present: guards against
-			// hostile size prefixes forcing an n² allocation.
-			if d.err != nil || uint64(len(d.buf)) < 8*n*n {
+			k, n := uint64(d.u32()), uint64(d.u32())
+			// A rank above the dimension or a dimension other than X0's is
+			// malformed, and the k·(n+1) floats must actually be present:
+			// guards against hostile prefixes forcing a huge allocation.
+			if d.err != nil || k > n || n != uint64(len(m.X0)) || uint64(len(d.buf))/8 < k*(n+1) {
 				d.fail()
 				return nil, d.err
 			}
 			m.WithMatrix = true
-			m.Matrix = linalg.NewMat(int(n), int(n))
-			for i := range m.Matrix.Data {
-				m.Matrix.Data[i] = d.f64()
-			}
+			m.Matrix = &linalg.EigFactor{Lam: d.floats(make([]float64, k)), V: linalg.NewMat(int(k), int(n))}
+			d.floats(m.Matrix.V.Data)
 		}
 		return m, d.err
 	case MsgSlack:

@@ -6,9 +6,12 @@ package core
 // survive bit-exactly.
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"automon/internal/linalg"
@@ -71,11 +74,16 @@ var messageGenerators = map[string]func(*rand.Rand) Message{
 			Slack:  randVec(rng, 16),
 		}
 		if rng.Intn(2) == 1 {
-			n := 1 + rng.Intn(4)
+			// Any rank 0..d, rank 0 (no floats at all) included.
+			d := len(m.X0)
+			k := rng.Intn(d + 1)
 			m.WithMatrix = true
-			m.Matrix = linalg.NewMat(n, n)
-			for i := range m.Matrix.Data {
-				m.Matrix.Data[i] = rng.NormFloat64()
+			m.Matrix = &linalg.EigFactor{Lam: make([]float64, k), V: linalg.NewMat(k, d)}
+			for i := range m.Matrix.Lam {
+				m.Matrix.Lam[i] = rng.NormFloat64()
+			}
+			for i := range m.Matrix.V.Data {
+				m.Matrix.V.Data[i] = rng.NormFloat64()
 			}
 		}
 		return m
@@ -167,5 +175,95 @@ func TestViolationMessageSizeScalesWithDim(t *testing.T) {
 	big := (&Violation{NodeID: 1, Kind: ViolationSafeZone, X: make([]float64, 100)}).Encode()
 	if len(big)-len(small) != 90*8 {
 		t.Fatalf("payload scaling wrong: %d vs %d bytes", len(small), len(big))
+	}
+}
+
+// goldenMessages pins the wire bytes of every message that does not carry an
+// eigen-factor: the hex strings were produced by the append-per-float
+// encoder, so presizing the buffer provably changed no byte.
+var goldenMessages = []struct {
+	m   Message
+	hex string
+}{
+	{&Violation{NodeID: 513, Kind: ViolationSafeZone, X: []float64{1.5, -2}},
+		"0101020202000000000000000000f83f00000000000000c0"},
+	{&DataRequest{NodeID: 9}, "020900"},
+	{&DataResponse{NodeID: 2, X: []float64{3, 0.25}},
+		"030200020000000000000000000840000000000000d03f"},
+	{&Sync{NodeID: 7, Method: MethodE, Kind: ConcaveDiff, X0: []float64{1, 2}, F0: 0.5,
+		GradF0: []float64{-1, 4}, L: -0.125, U: 8, Lam: 3, R: 0.75, Slack: []float64{0.5, -0.5}},
+		"040700010102000000000000000000f03f0000000000000040000000000000e03f02000000000000000000f0bf0000000000001040000000000000c0bf00000000000020400000000000000840000000000000e83f02000000000000000000e03f000000000000e0bf00"},
+	{&Slack{NodeID: 4, Slack: []float64{0.5}}, "05040001000000000000000000e03f"},
+	{&Rejoin{NodeID: 65535, X: []float64{}}, "06ffff00000000"},
+}
+
+func TestEncodeGoldenBytes(t *testing.T) {
+	for _, g := range goldenMessages {
+		got := g.m.Encode()
+		if h := hex.EncodeToString(got); h != g.hex {
+			t.Errorf("%v: encoded %s, want %s", g.m.Type(), h, g.hex)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%v: buffer presized to %d for %d bytes", g.m.Type(), cap(got), len(got))
+		}
+	}
+	// A Sync with its factor: flag, k, d, λ[k], V[k·d] after the shared body.
+	withFactor := *goldenMessages[3].m.(*Sync)
+	withFactor.WithMatrix = true
+	withFactor.Matrix = &linalg.EigFactor{Lam: []float64{-2}, V: &linalg.Mat{Rows: 1, Cols: 2, Data: []float64{0.6, 0.8}}}
+	body := goldenMessages[3].hex
+	want := body[:len(body)-2] + "01" + "01000000" + "02000000" +
+		"00000000000000c0" + "333333333333e33f" + "9a9999999999e93f"
+	got := withFactor.Encode()
+	if h := hex.EncodeToString(got); h != want {
+		t.Errorf("sync with factor: encoded %s, want %s", h, want)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("sync with factor: buffer presized to %d for %d bytes", cap(got), len(got))
+	}
+}
+
+// syncFactorPrefix encodes a valid d=2 Sync up to and including the factor
+// header (flag, k, d), leaving the caller to append whatever body it wants.
+func syncFactorPrefix(k, d uint32) []byte {
+	base := (&Sync{NodeID: 1, Method: MethodE, X0: []float64{1, 2}, GradF0: []float64{0, 0}, Slack: []float64{0, 0}}).Encode()
+	buf := append([]byte(nil), base[:len(base)-1]...)
+	buf = append(buf, 1)
+	buf = binary.LittleEndian.AppendUint32(buf, k)
+	return binary.LittleEndian.AppendUint32(buf, d)
+}
+
+func TestDecodeRejectsHostileFactorHeaders(t *testing.T) {
+	floats := func(n int) []byte { return make([]byte, 8*n) }
+	cases := []struct {
+		name string
+		buf  []byte
+		ok   bool
+	}{
+		{"rank 0", syncFactorPrefix(0, 2), true},
+		{"rank 1", append(syncFactorPrefix(1, 2), floats(3)...), true},
+		{"full rank", append(syncFactorPrefix(2, 2), floats(6)...), true},
+		{"k > d", append(syncFactorPrefix(3, 2), floats(9)...), false},
+		{"d != len(X0)", append(syncFactorPrefix(1, 3), floats(4)...), false},
+		{"d != len(X0) at rank 0", syncFactorPrefix(0, 3), false},
+		{"truncated body", append(syncFactorPrefix(2, 2), floats(5)...), false},
+		{"body one byte short", append(syncFactorPrefix(1, 2), floats(3)[1:]...), false},
+		{"huge k and d, no body", syncFactorPrefix(math.MaxUint32, math.MaxUint32), false},
+		{"huge k, small d", syncFactorPrefix(math.MaxUint32, 2), false},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Decode(c.buf)
+		runtime.ReadMemStats(&after)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+		}
+		if c.ok && !m.(*Sync).WithMatrix {
+			t.Errorf("%s: factor dropped", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: decoding %d bytes allocated %d", c.name, len(c.buf), grew)
+		}
 	}
 }

@@ -21,8 +21,9 @@ type Node struct {
 	zone     *SafeZone
 	haveZone bool
 
-	// matrix retained across syncs for ADCD-E (shipped once).
-	eMatrix *linalg.Mat
+	// eFactor is the ADCD-E eigen-factor, retained across syncs (shipped
+	// once).
+	eFactor *linalg.EigFactor
 
 	// el is the safe-zone check-elision state (budget.go); inert until
 	// EnableElision.
@@ -95,24 +96,32 @@ func (n *Node) CurrentValue() float64 {
 	return n.zone.F0
 }
 
-// ApplySync installs a new safe zone and slack from the coordinator. The
-// elision budget is invalidated: it was derived from the previous zone.
-func (n *Node) ApplySync(m *Sync) {
+// ApplySync installs a new safe zone and slack from the coordinator and
+// reports whether it did: a sync this node cannot check — vectors or an
+// ADCD-E factor that do not fit F, or an ADCD-E zone whose factor never
+// arrived (a faulty fabric separated it from the first sync) — is refused
+// and the previous zone kept. The elision budget is invalidated: it was
+// derived from the previous zone.
+func (n *Node) ApplySync(m *Sync) bool {
 	n.resetBudget()
 	if m.Zone != nil { // hand-crafted (MethodCustom) zone, in-memory only
 		n.zone = m.Zone
 		n.haveZone = true
 		copy(n.slack, m.Slack)
-		return
+		return true
+	}
+	d := n.F.Dim()
+	if len(m.X0) != d || len(m.GradF0) != d {
+		return false
 	}
 	if m.WithMatrix {
-		n.eMatrix = m.Matrix
+		if m.Matrix == nil || m.Matrix.Check(d) != nil {
+			return false
+		}
+		n.eFactor = m.Matrix
 	}
-	if m.Method == MethodE && n.eMatrix == nil {
-		// An ADCD-E zone is unusable without its matrix (possible only if a
-		// faulty fabric separated this sync from the matrix delivery); keep
-		// the previous zone rather than installing one that cannot be checked.
-		return
+	if m.Method == MethodE && n.eFactor == nil {
+		return false
 	}
 	z := &SafeZone{
 		Method: m.Method,
@@ -128,15 +137,12 @@ func (n *Node) ApplySync(m *Sync) {
 	case MethodX:
 		z.BLo, z.BHi = NeighborhoodBox(n.F, m.X0, m.R)
 	case MethodE:
-		if m.Kind == ConvexDiff {
-			z.HMinus = n.eMatrix
-		} else {
-			z.HPlus = n.eMatrix
-		}
+		z.H = n.eFactor
 	}
 	n.zone = z
 	n.haveZone = true
 	copy(n.slack, m.Slack)
+	return true
 }
 
 // ApplySlack installs a rebalanced slack vector from a lazy sync. The

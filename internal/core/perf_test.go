@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"automon/internal/obs"
 	"automon/internal/testenv"
@@ -17,12 +18,7 @@ func syncForZone(zone *SafeZone, r float64, d int) *Sync {
 		X0: zone.X0, F0: zone.F0, GradF0: zone.GradF0, L: zone.L, U: zone.U,
 		Lam: zone.Lam, R: r, Slack: make([]float64, d)}
 	if zone.Method == MethodE {
-		m.WithMatrix = true
-		if zone.Kind == ConvexDiff {
-			m.Matrix = zone.HMinus
-		} else {
-			m.Matrix = zone.HPlus
-		}
+		m.WithMatrix, m.Matrix = true, zone.H
 	}
 	return m
 }
@@ -88,6 +84,49 @@ func TestNodeUpdateZeroAllocsE(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ADCD-E UpdateData allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestContainsEFactoredNeverWorse turns the k·d ≤ d² argument into checked
+// numbers at d = 256: the factored check allocates nothing at rank 0 or at
+// full rank, agrees with the dense form, costs a small fraction of it at
+// rank 0, and at full rank — the same d dot products — is no slower.
+func TestContainsEFactoredNeverWorse(t *testing.T) {
+	if testenv.RaceEnabled || testing.Short() {
+		t.Skip("timings and allocation counts are unstable under -race / -short")
+	}
+	fx := newContainsEFixture(t, 256)
+	rank0 := func() bool { return fx.rank0.ContainsScratch(fx.f, fx.v, fx.diff) }
+	full := func() bool { return fx.full.ContainsScratch(fx.f, fx.v, fx.diff) }
+	if !rank0() || !full() || !fx.dense() {
+		t.Fatal("fixture point must be inside all three zones")
+	}
+	for name, check := range map[string]func() bool{"rank-0": rank0, "full-rank": full} {
+		if allocs := testing.AllocsPerRun(100, func() { check() }); allocs != 0 {
+			t.Errorf("%s ContainsScratch allocates %.1f objects per run, want 0", name, allocs)
+		}
+	}
+	// Fastest of several interleaved rounds: what differs between rounds of
+	// the same loop is what disturbed them, and that only makes one slower.
+	perCall := func(check func() bool) time.Duration {
+		start := time.Now()
+		for i := 0; i < 300; i++ {
+			check()
+		}
+		return time.Since(start) / 300
+	}
+	tRank0, tFull, tDense := time.Hour, time.Hour, time.Hour
+	for round := 0; round < 9; round++ {
+		tDense = min(tDense, perCall(fx.dense))
+		tFull = min(tFull, perCall(full))
+		tRank0 = min(tRank0, perCall(rank0))
+	}
+	t.Logf("d=256 exact check: rank-0 %v, full-rank %v, dense reference %v", tRank0, tFull, tDense)
+	if float64(tFull) > 1.25*float64(tDense) {
+		t.Errorf("full-rank factored check %v is slower than the dense form %v", tFull, tDense)
+	}
+	if float64(tRank0) > 0.25*float64(tDense) {
+		t.Errorf("rank-0 check %v is not a small fraction of the dense form %v", tRank0, tDense)
 	}
 }
 

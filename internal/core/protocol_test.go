@@ -420,3 +420,75 @@ func TestADCDXOnRosenbrockKeepsErrorNearBound(t *testing.T) {
 		t.Fatalf("ADCD-X error %v far above bound %v", maxErr, eps)
 	}
 }
+
+// TestApplySyncRefusesUncheckableSyncs feeds a node the syncs a faulty or
+// hostile coordinator link can produce. Each used to install a zone whose
+// next Check panicked inside the quadratic form; now the node refuses them,
+// keeps the zone it had, and goes on checking against it.
+func TestApplySyncRefusesUncheckableSyncs(t *testing.T) {
+	f := saddleFunc() // H = diag(−2, 2): convex kind, H⁻ of rank 1
+	x0 := []float64{0.1, 0.2}
+	dec, err := DecomposeE(f, x0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0 := f.Value(x0)
+	zone := BuildZoneE(f, dec, x0, f0-1, f0+1)
+	good := func() *Sync {
+		m := syncForZone(zone, 0, 2)
+		m.Matrix = &linalg.EigFactor{Lam: linalg.Clone(dec.H.Lam), V: dec.H.V.Clone()}
+		return m
+	}
+	bad := map[string]func(*Sync){
+		"no factor yet":         func(m *Sync) { m.WithMatrix, m.Matrix = false, nil },
+		"flag without factor":   func(m *Sync) { m.Matrix = nil },
+		"factor of another dim": func(m *Sync) { m.Matrix = &linalg.EigFactor{Lam: []float64{-2}, V: linalg.NewMat(1, 3)} },
+		"rank above dim":        func(m *Sync) { m.Matrix = &linalg.EigFactor{Lam: make([]float64, 3), V: linalg.NewMat(3, 2)} },
+		"Lam shorter than V":    func(m *Sync) { m.Matrix.Lam = nil },
+		"NaN eigenvalue":        func(m *Sync) { m.Matrix.Lam[0] = math.NaN() },
+		"Inf eigenvector":       func(m *Sync) { m.Matrix.V.Data[1] = math.Inf(-1) },
+		"X0 of another dim":     func(m *Sync) { m.X0 = []float64{1, 2, 3} },
+		"GradF0 of another dim": func(m *Sync) { m.GradF0 = []float64{1} },
+	}
+	for name, breakIt := range bad {
+		// On a fresh node the refused sync must leave it silent, not armed.
+		fresh := NewNode(0, f)
+		m := good()
+		breakIt(m)
+		if fresh.ApplySync(m) {
+			t.Errorf("%s: installed on a fresh node", name)
+		}
+		if fresh.Zone() != nil || fresh.UpdateData([]float64{9, 9}) != nil {
+			t.Errorf("%s: fresh node armed by a refused sync", name)
+		}
+		if name == "no factor yet" {
+			continue // legitimate once the node holds the factor
+		}
+		// On a synced node the previous zone and slack stay in force.
+		node := NewNode(0, f)
+		if !node.ApplySync(good()) {
+			t.Fatal("well-formed sync refused")
+		}
+		before := node.Zone()
+		m = good()
+		m.Slack = []float64{5, 5}
+		breakIt(m)
+		if node.ApplySync(m) {
+			t.Errorf("%s: installed over a good zone", name)
+		}
+		if node.Zone() != before {
+			t.Errorf("%s: previous zone replaced", name)
+		}
+		if v := node.UpdateData(x0); v != nil {
+			t.Errorf("%s: x0 violates the kept zone (slack overwritten?): %+v", name, v)
+		}
+	}
+	// The factor rides only the first sync: a later one without it reuses
+	// the node's copy.
+	node := NewNode(0, f)
+	later := good()
+	later.WithMatrix, later.Matrix = false, nil
+	if !node.ApplySync(good()) || !node.ApplySync(later) || node.Zone().H == nil {
+		t.Fatal("sync without factor refused by a node that holds one")
+	}
+}

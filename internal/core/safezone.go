@@ -71,9 +71,9 @@ type SafeZone struct {
 	// λ⁺max over B for ConcaveDiff (Lemma 1).
 	Lam float64
 
-	// HMinus / HPlus are the ADCD-E split H = H⁻ + H⁺ (Lemma 2). Only the
-	// matrix matching Kind is used: H⁻ for ConvexDiff, H⁺ for ConcaveDiff.
-	HMinus, HPlus *linalg.Mat
+	// H is the Kind-matching part of the ADCD-E split H = H⁻ + H⁺ (Lemma 2),
+	// as eigenpairs: H⁻ for ConvexDiff, H⁺ for ConcaveDiff.
+	H *linalg.EigFactor
 
 	// BLo/BHi is the neighborhood box B ∩ D for ADCD-X. Empty for ADCD-E,
 	// whose constraints hold on all of D.
@@ -130,11 +130,9 @@ func (z *SafeZone) ContainsScratch(f *Function, v, diff []float64) bool {
 		// ĝ = f−q, ĥ = −q (concave kind). From Lemma 2:
 		//   convex:  g = f − ½dᵀH⁻d  ⇒ q = −½dᵀH⁻d  (≥ 0, H⁻ NSD)
 		//   concave: ĝ = f − ½dᵀH⁺d ⇒ q = +½dᵀH⁺d  (≥ 0, H⁺ PSD)
-		var q float64
+		q := 0.5 * z.H.QuadForm(diff)
 		if z.Kind == ConvexDiff {
-			q = -0.5 * z.HMinus.QuadForm(diff)
-		} else {
-			q = 0.5 * z.HPlus.QuadForm(diff)
+			q = -q
 		}
 		return z.containsWithQuadratic(f, v, q)
 	}

@@ -154,17 +154,50 @@ func TestDecomposeEExactness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// H⁻ + H⁺ must equal the true Hessian 2Q (f = xᵀQx with symmetric Q).
-		h := linalg.NewMat(d, d)
-		f.Hessian(x0, h)
-		sum := linalg.NewMat(d, d)
-		for i := range sum.Data {
-			sum.Data[i] = dec.HMinus.Data[i] + dec.HPlus.Data[i]
+		// dec.H must be the whole Kind-matching part of the true Hessian 2Q
+		// (f = xᵀQx with symmetric Q): every eigenvalue it keeps has that
+		// part's sign, and what is left of H after removing it is
+		// semidefinite of the other sign.
+		rest := linalg.NewMat(d, d)
+		f.Hessian(x0, rest)
+		for i, v := range denseOf(dec.H).Data {
+			rest.Data[i] -= v
 		}
-		if !linalg.Equalish(sum, h, 1e-8) {
-			t.Fatal("ADCD-E split does not reconstruct the Hessian")
+		left, err := linalg.EigenvaluesSym(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sign := 1.0 // concave kind keeps H⁺, leaving H⁻
+		if dec.Kind == ConvexDiff {
+			sign = -1
+		}
+		for _, lam := range dec.H.Lam {
+			if sign*lam <= 0 {
+				t.Fatalf("%v factor keeps eigenvalue %v", dec.Kind, lam)
+			}
+		}
+		for _, lam := range left {
+			if sign*lam > 1e-8 {
+				t.Fatalf("%v: H minus its factor still has eigenvalue %v", dec.Kind, lam)
+			}
 		}
 	}
+}
+
+// denseOf rebuilds the d×d matrix Σⱼ λⱼ·vⱼvⱼᵀ an eigen-factor stands for —
+// the dense form the tests use as the reference for the factored check.
+func denseOf(h *linalg.EigFactor) *linalg.Mat {
+	d := h.V.Cols
+	m := linalg.NewMat(d, d)
+	for j, lam := range h.Lam {
+		v := h.V.Row(j)
+		for r := 0; r < d; r++ {
+			for c := 0; c < d; c++ {
+				m.Data[r*d+c] += lam * v[r] * v[c]
+			}
+		}
+	}
+	return m
 }
 
 // TestSafeZoneSoundness is the central correctness property: for a true DC

@@ -315,36 +315,71 @@ func JacobiEigenSym(a *Mat) (values []float64, vecs *Mat, err error) {
 	return sorted, vecs, nil
 }
 
-// SplitPSD decomposes symmetric a into its NSD and PSD parts via
-// eigendecomposition: a = minus + plus where minus = QΛ⁻Qᵀ collects the
-// negative eigenvalues and plus = QΛ⁺Qᵀ the non-negative ones (Lemma 2 of
-// the AutoMon paper).
-func SplitPSD(a *Mat) (minus, plus *Mat, err error) {
-	values, q, err := EigenSym(a, true)
-	if err != nil {
-		return nil, nil, err
+// EigFactor is a symmetric d×d matrix held as k ≤ d eigenpairs instead of d²
+// entries: M = Σⱼ Lam[j]·vⱼvⱼᵀ, where vⱼ = V.Row(j) are orthonormal. A
+// semidefinite part of low rank costs k·(d+1) floats to store or ship and
+// k·d flops to apply; rank 0 (V has no rows) costs nothing.
+type EigFactor struct {
+	Lam []float64
+	V   *Mat // k×d
+}
+
+// QuadForm returns vᵀ·M·v = Σⱼ Lam[j]·(vⱼ·v)².
+func (f *EigFactor) QuadForm(v []float64) float64 {
+	var s float64
+	for j, lam := range f.Lam {
+		p := Dot(f.V.Row(j), v)
+		s += lam * p * p
 	}
-	n := a.Rows
-	minus = NewMat(n, n)
-	plus = NewMat(n, n)
-	for k := 0; k < n; k++ {
-		lam := values[k]
+	return s
+}
+
+// Norm2 returns the spectral norm ‖M‖₂ = maxⱼ |Lam[j]|.
+func (f *EigFactor) Norm2() float64 {
+	var mx float64
+	for _, lam := range f.Lam {
+		mx = math.Max(mx, math.Abs(lam))
+	}
+	return mx
+}
+
+// Check reports why f cannot act on vectors of length d: a shape that does
+// not fit (QuadForm would panic or read past a row) or a non-finite entry.
+func (f *EigFactor) Check(d int) error {
+	k := len(f.Lam)
+	if k > d || f.V == nil || f.V.Rows != k || f.V.Cols != d || len(f.V.Data) != k*d {
+		return errors.New("linalg: eigen-factor shape does not fit the dimension")
+	}
+	for _, vals := range [][]float64{f.Lam, f.V.Data} {
+		for _, x := range vals {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return errors.New("linalg: non-finite entry in eigen-factor")
+			}
+		}
+	}
+	return nil
+}
+
+// SplitEig partitions the eigenpairs of a symmetric matrix (values[j] with
+// column j of vecs, as EigenSym returns them) into its NSD part (λ < 0) and
+// its PSD part (λ > 0), so that a = minus + plus (Lemma 2 of the AutoMon
+// paper). Zero eigenvalues contribute to neither.
+func SplitEig(values []float64, vecs *Mat) (minus, plus *EigFactor) {
+	d := vecs.Rows
+	minus = &EigFactor{V: &Mat{Cols: d}}
+	plus = &EigFactor{V: &Mat{Cols: d}}
+	for j, lam := range values {
 		dst := plus
 		if lam < 0 {
 			dst = minus
+		} else if !(lam > 0) {
+			continue
 		}
-		for i := 0; i < n; i++ {
-			qik := q.At(i, k)
-			if qik == 0 {
-				continue
-			}
-			row := dst.Row(i)
-			for j := 0; j < n; j++ {
-				row[j] += lam * qik * q.At(j, k)
-			}
+		dst.Lam = append(dst.Lam, lam)
+		for i := 0; i < d; i++ {
+			dst.V.Data = append(dst.V.Data, vecs.At(i, j))
 		}
+		dst.V.Rows++
 	}
-	minus.Symmetrize()
-	plus.Symmetrize()
-	return minus, plus, nil
+	return minus, plus
 }

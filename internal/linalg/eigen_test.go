@@ -182,37 +182,167 @@ func TestEigenSymEmpty(t *testing.T) {
 	}
 }
 
-func TestSplitPSD(t *testing.T) {
+// denseOf rebuilds the matrix Σⱼ λⱼ·vⱼvⱼᵀ a factor stands for.
+func denseOf(f *EigFactor) *Mat {
+	d := f.V.Cols
+	m := NewMat(d, d)
+	for j, lam := range f.Lam {
+		v := f.V.Row(j)
+		for r := 0; r < d; r++ {
+			for c := 0; c < d; c++ {
+				m.Data[r*d+c] += lam * v[r] * v[c]
+			}
+		}
+	}
+	return m
+}
+
+// plantedSym builds Q·diag(lams)·Qᵀ for a random orthogonal Q, so the rank
+// and inertia of the result are known in advance.
+func plantedSym(t *testing.T, rng *rand.Rand, lams []float64) *Mat {
+	t.Helper()
+	_, q, err := EigenSym(randSym(rng, len(lams), 1), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return denseOf(&EigFactor{Lam: lams, V: transpose(q)})
+}
+
+func transpose(m *Mat) *Mat {
+	tr := NewMat(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			tr.Set(j, i, m.At(i, j))
+		}
+	}
+	return tr
+}
+
+func TestSplitEig(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
 		d := 1 + rng.Intn(10)
 		m := randSym(rng, d, 2)
-		minus, plus, err := SplitPSD(m)
+		values, vecs, err := EigenSym(m, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		minus, plus := SplitEig(values, vecs)
+		if err := minus.Check(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := plus.Check(d); err != nil {
+			t.Fatal(err)
+		}
 		// minus + plus == m
-		sum := NewMat(d, d)
-		for i := range sum.Data {
-			sum.Data[i] = minus.Data[i] + plus.Data[i]
+		sum := denseOf(minus)
+		for i, v := range denseOf(plus).Data {
+			sum.Data[i] += v
 		}
 		if !Equalish(sum, m, 1e-8) {
 			t.Fatal("H- + H+ != H")
 		}
-		// plus is PSD, minus is NSD
-		vp, err := EigenvaluesSym(plus)
+		// plus keeps exactly the positive eigenvalues, minus the negative.
+		for _, lam := range plus.Lam {
+			if lam <= 0 {
+				t.Fatalf("H+ keeps eigenvalue %v", lam)
+			}
+		}
+		for _, lam := range minus.Lam {
+			if lam >= 0 {
+				t.Fatalf("H- keeps eigenvalue %v", lam)
+			}
+		}
+		if len(minus.Lam)+len(plus.Lam) != d {
+			t.Fatalf("ranks %d + %d != %d for a generic matrix", len(minus.Lam), len(plus.Lam), d)
+		}
+	}
+}
+
+// TestEigFactorMatchesDense is the property the ADCD-E check rests on: for
+// matrices of planted rank and inertia, the factored quadratic form of each
+// part agrees with the dense form of that part within a roundoff bound
+// c·d·ε·‖H‖₂·‖v‖², the ranks are the planted ones, and the spectral norm is
+// the largest planted magnitude.
+func TestEigFactorMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const eps = 2.220446049250313e-16
+	for trial := 0; trial < 40; trial++ {
+		d := 1 + rng.Intn(24)
+		lams := make([]float64, d)
+		neg := rng.Intn(d + 1)
+		pos := rng.Intn(d - neg + 1)
+		for j := 0; j < neg; j++ {
+			lams[j] = -(0.1 + 3*rng.Float64())
+		}
+		for j := neg; j < neg+pos; j++ {
+			lams[j] = 0.1 + 3*rng.Float64()
+		}
+		m := plantedSym(t, rng, lams)
+		m.Symmetrize()
+		values, vecs, err := EigenSym(m, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vp[0] < -1e-8 {
-			t.Fatalf("H+ not PSD: min eig %v", vp[0])
+		// Planted zeros come back as ±O(d·ε·‖H‖₂): clip them, as any caller
+		// that wants an exact rank must.
+		for j, lam := range values {
+			if math.Abs(lam) < 1e-10 {
+				values[j] = 0
+			}
 		}
-		vm, err := EigenvaluesSym(minus)
-		if err != nil {
-			t.Fatal(err)
+		minus, plus := SplitEig(values, vecs)
+		if len(minus.Lam) != neg || len(plus.Lam) != pos {
+			t.Fatalf("d=%d: ranks (%d, %d), planted (%d, %d)", d, len(minus.Lam), len(plus.Lam), neg, pos)
 		}
-		if vm[len(vm)-1] > 1e-8 {
-			t.Fatalf("H- not NSD: max eig %v", vm[len(vm)-1])
+		norm := math.Max(minus.Norm2(), plus.Norm2())
+		var want float64
+		for _, lam := range lams {
+			want = math.Max(want, math.Abs(lam))
+		}
+		if math.Abs(norm-want) > 1e-10*(1+want) {
+			t.Fatalf("d=%d: Norm2 %v, planted %v", d, norm, want)
+		}
+		for _, part := range []*EigFactor{minus, plus} {
+			dense := denseOf(part)
+			for probe := 0; probe < 8; probe++ {
+				v := make([]float64, d)
+				for i := range v {
+					v[i] = rng.NormFloat64() * 5
+				}
+				got, ref := part.QuadForm(v), dense.QuadForm(v)
+				if tol := 16 * float64(d) * eps * norm * Dot(v, v); math.Abs(got-ref) > tol {
+					t.Fatalf("d=%d rank=%d: factored %v vs dense %v (tol %v)", d, len(part.Lam), got, ref, tol)
+				}
+			}
+		}
+	}
+}
+
+func TestEigFactorCheck(t *testing.T) {
+	good := func() *EigFactor {
+		return &EigFactor{Lam: []float64{-1, 2}, V: &Mat{Rows: 2, Cols: 3, Data: []float64{1, 0, 0, 0, 1, 0}}}
+	}
+	if err := good().Check(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&EigFactor{V: &Mat{Cols: 3}}).Check(3); err != nil {
+		t.Fatalf("rank 0: %v", err)
+	}
+	bad := map[string]func(*EigFactor){
+		"dimension":        func(f *EigFactor) { f.V.Cols = 2; f.V.Data = f.V.Data[:4] },
+		"rank > d":         func(f *EigFactor) { f.Lam = make([]float64, 4); f.V = NewMat(4, 3) },
+		"len(Lam) != rows": func(f *EigFactor) { f.Lam = f.Lam[:1] },
+		"short data":       func(f *EigFactor) { f.V.Data = f.V.Data[:5] },
+		"nil V":            func(f *EigFactor) { f.V = nil },
+		"NaN eigenvalue":   func(f *EigFactor) { f.Lam[0] = math.NaN() },
+		"Inf entry":        func(f *EigFactor) { f.V.Data[3] = math.Inf(1) },
+	}
+	for name, breakIt := range bad {
+		f := good()
+		breakIt(f)
+		if f.Check(3) == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -139,32 +139,9 @@ func (lf *leaf) distribute(tmpl *core.Sync, zone *core.SafeZone) {
 		} else {
 			linalg.Sub(lf.slacks[lid], tmpl.X0, lf.lastX[lid])
 		}
-		msg := &core.Sync{
-			NodeID: g,
-			Method: tmpl.Method,
-			Kind:   tmpl.Kind,
-			X0:     linalg.Clone(tmpl.X0),
-			F0:     tmpl.F0,
-			GradF0: linalg.Clone(tmpl.GradF0),
-			L:      tmpl.L,
-			U:      tmpl.U,
-			Lam:    tmpl.Lam,
-			R:      tmpl.R,
-			Slack:  linalg.Clone(lf.slacks[lid]),
-		}
-		if t.root.Method() == core.MethodE && !lf.matrixSent[lid] {
-			msg.WithMatrix = true
-			if zone.Kind == core.ConvexDiff {
-				msg.Matrix = zone.HMinus
-			} else {
-				msg.Matrix = zone.HPlus
-			}
-			lf.matrixSent[lid] = true
-		}
-		if t.root.Method() == core.MethodCustom {
-			msg.Zone = zone
-		}
-		t.comm.SendSync(g, msg)
+		withFactor := tmpl.Method == core.MethodE && !lf.matrixSent[lid]
+		lf.matrixSent[lid] = true
+		t.comm.SendSync(g, tmpl.ForNode(g, lf.slacks[lid], zone, withFactor))
 	}
 	if lf.absorb != nil {
 		lf.absorb.AdoptZone(zone)

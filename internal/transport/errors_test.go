@@ -2,11 +2,14 @@ package transport
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"automon/internal/core"
 	"automon/internal/funcs"
+	"automon/internal/linalg"
+	"automon/internal/obs"
 )
 
 func TestDialNodeRefusesDeadAddress(t *testing.T) {
@@ -126,5 +129,76 @@ func TestWaitReadyTimesOut(t *testing.T) {
 	defer node.Close()
 	if err := node.WaitReady(200 * time.Millisecond); err == nil {
 		t.Fatal("WaitReady should time out without a first sync")
+	}
+}
+
+// TestNodeSurvivesUncheckableSync plays a coordinator whose first sync is
+// well-framed but uncheckable (vectors of another dimension, which used to
+// panic the node inside the safe-zone check): the node counts it, stays
+// alive and un-armed, and installs the well-formed sync that follows.
+func TestNodeSurvivesUncheckableSync(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	good := &core.Sync{NodeID: 0, Method: core.MethodE, Kind: core.ConvexDiff,
+		X0: []float64{0, 0}, F0: 7, GradF0: []float64{0, 0}, L: 6, U: 8, Slack: []float64{0, 0},
+		WithMatrix: true,
+		Matrix:     &linalg.EigFactor{Lam: []float64{-1}, V: &linalg.Mat{Rows: 1, Cols: 2, Data: []float64{0.6, 0.8}}}}
+	bad := *good
+	bad.X0, bad.GradF0 = []float64{0, 0, 0}, []float64{0, 0, 0}
+	bad.Matrix = &linalg.EigFactor{Lam: []float64{-1}, V: linalg.NewMat(1, 3)}
+	release := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var stats TrafficStats
+		var mu sync.Mutex
+		if _, err := decodeFrame(conn, &stats); err != nil { // registration
+			return
+		}
+		if err := writeFrame(conn, &bad, 0, time.Second, &stats, &mu); err != nil {
+			return
+		}
+		<-release
+		if err := writeFrame(conn, good, 0, time.Second, &stats, &mu); err != nil {
+			return
+		}
+		<-release
+	}()
+	defer close(release)
+
+	reg := obs.NewRegistry()
+	f := funcs.InnerProduct(1)
+	node, err := DialNode(ln.Addr().String(), 0, f, []float64{0, 0},
+		Options{MaxReconnectAttempts: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	const metric = `automon_transport_rejected_syncs_total{node="0"}`
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot()[metric] != 1 {
+		if node.Err() != nil || time.Now().After(deadline) {
+			t.Fatalf("refused sync not counted: %v, err %v", reg.Snapshot()[metric], node.Err())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := node.Update([]float64{50, 50}); err != nil {
+		t.Fatalf("update after a refused sync: %v", err)
+	}
+	release <- struct{}{}
+	for node.CurrentValue() != good.F0 {
+		if node.Err() != nil || time.Now().After(deadline) {
+			t.Fatalf("well-formed sync after the refused one not installed, err %v", node.Err())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := reg.Snapshot()[metric]; got != 1 {
+		t.Fatalf("rejected syncs = %v, want 1", got)
 	}
 }

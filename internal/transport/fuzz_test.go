@@ -26,8 +26,7 @@ func frameOf(m core.Message) []byte {
 // failed frame in the traffic stats. The allocation bound for lying length
 // prefixes is asserted separately in TestLyingLengthPrefixBoundsAllocation.
 func FuzzReadFrame(f *testing.F) {
-	mat := linalg.NewMat(2, 2)
-	copy(mat.Data, []float64{1, 2, 2, 5})
+	mat := &linalg.EigFactor{Lam: []float64{-2}, V: &linalg.Mat{Rows: 1, Cols: 2, Data: []float64{0.6, 0.8}}}
 	seeds := []core.Message{
 		&core.DataRequest{NodeID: 0},
 		&core.DataResponse{NodeID: 1, X: []float64{1, 2, 3}},

@@ -60,6 +60,7 @@ type NodeClient struct {
 
 	reconnects     *obs.Counter   // successful rejoins after a connection loss
 	reconnectTries *obs.Counter   // dial attempts made by the reconnect loop
+	rejectedSyncs  *obs.Counter   // syncs the node refused (see core.Node.ApplySync)
 	backoffWait    *obs.Histogram // jittered backoff sleeps, in seconds
 	tracer         *obs.Tracer
 
@@ -107,6 +108,9 @@ func DialNode(addr string, id int, f *core.Function, initial []float64, opts Opt
 	c.reconnectTries = counterOr(opts.Metrics,
 		fmt.Sprintf("automon_transport_reconnect_attempts_total{%s}", nodeLabel),
 		"Dial attempts made by the reconnect loop.")
+	c.rejectedSyncs = counterOr(opts.Metrics,
+		fmt.Sprintf("automon_transport_rejected_syncs_total{%s}", nodeLabel),
+		"Syncs refused as uncheckable (malformed or missing ADCD-E factor); the previous zone was kept.")
 	c.backoffWait = histogramOr(opts.Metrics,
 		fmt.Sprintf("automon_transport_backoff_seconds{%s}", nodeLabel),
 		"Jittered reconnect backoff sleeps.",
@@ -228,7 +232,9 @@ func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 		_ = c.send(&core.DataResponse{NodeID: c.ID, X: x})
 	case *core.Sync:
 		c.mu.Lock()
-		c.node.ApplySync(msg)
+		if !c.node.ApplySync(msg) {
+			c.rejectedSyncs.Inc()
+		}
 		c.reported = false // this resolution consumes the outstanding report
 		c.mu.Unlock()
 		c.readyOne.Do(func() { close(c.ready) })
