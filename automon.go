@@ -36,6 +36,8 @@
 package automon
 
 import (
+	"errors"
+
 	"automon/internal/autodiff"
 	"automon/internal/core"
 )
@@ -116,6 +118,14 @@ func Tune(f *Function, data TuningData, n int, cfg Config) (TuneResult, error) {
 	return core.Tune(f, data, n, cfg)
 }
 
+// ErrSyncRefused is returned by HandleNodeMessage when the node refuses a
+// Sync it cannot check (vectors or an ADCD-E factor that do not fit its
+// function, or an ADCD-E zone whose factor never arrived). The node keeps its
+// previous zone while the coordinator believes the new one installed, so the
+// application must not drop this error: re-register the node (Rejoin) to be
+// sent a consistent zone.
+var ErrSyncRefused = errors.New("automon: node refused a sync it cannot check")
+
 // HandleNodeMessage applies one coordinator message to a node and returns
 // the encoded reply to send back, if any (data requests produce a
 // DataResponse; sync and slack messages produce no reply).
@@ -129,7 +139,9 @@ func HandleNodeMessage(n *Node, raw []byte) (reply []byte, err error) {
 		resp := &core.DataResponse{NodeID: msg.NodeID, X: n.LocalVector()}
 		return resp.Encode(), nil
 	case *core.Sync:
-		n.ApplySync(msg)
+		if !n.ApplySync(msg) {
+			return nil, ErrSyncRefused
+		}
 		return nil, nil
 	case *core.Slack:
 		n.ApplySlack(msg)

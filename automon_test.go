@@ -1,6 +1,7 @@
 package automon
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -95,5 +96,26 @@ func TestHandleNodeMessageRejectsViolation(t *testing.T) {
 	}
 	if _, err := HandleNodeMessage(node, []byte{0xFF}); err == nil {
 		t.Fatal("garbage must be rejected")
+	}
+}
+
+// TestHandleNodeMessageReportsRefusedSync: a well-formed Sync whose vectors
+// do not fit the node's function is refused by the node, and the refusal must
+// reach the application instead of vanishing.
+func TestHandleNodeMessageReportsRefusedSync(t *testing.T) {
+	f := NewFunction("norm2", 2, func(b *Builder, x []Ref) Ref {
+		return b.Add(b.Square(x[0]), b.Square(x[1]))
+	})
+	node := NewNode(0, f)
+	bad := &Sync{NodeID: 0, X0: make([]float64, 3), GradF0: make([]float64, 3), Slack: make([]float64, 3), L: -1, U: 1}
+	if _, err := HandleNodeMessage(node, bad.Encode()); !errors.Is(err, ErrSyncRefused) {
+		t.Fatalf("sync with len(X0) = 3 on a 2-dimensional node: err = %v, want ErrSyncRefused", err)
+	}
+	if node.Zone() != nil {
+		t.Fatal("the refused sync installed a zone")
+	}
+	good := &Sync{NodeID: 0, X0: make([]float64, 2), GradF0: make([]float64, 2), Slack: make([]float64, 2), L: -1, U: 1}
+	if _, err := HandleNodeMessage(node, good.Encode()); err != nil {
+		t.Fatalf("well-formed sync: %v", err)
 	}
 }

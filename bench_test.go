@@ -208,20 +208,16 @@ func BenchmarkFullSync(b *testing.B) {
 	cases := []struct {
 		name    string
 		f       *core.Function
-		power   bool
 		backend core.EigBackend
 	}{
-		{"adcd-e-inner-product-d40", funcs.InnerProduct(20), false, core.BackendLBFGS},
-		{"adcd-x-kld-d20", funcs.KLD(10, 1e-3), false, core.BackendLBFGS},
-		{"adcd-x-kld-d100", funcs.KLD(50, 1e-3), false, core.BackendLBFGS},
-		// §6 ablation: the power-iteration spectrum estimator replaces the
-		// dense Hessian + eigendecomposition inside the same sync.
-		{"adcd-x-kld-d100-power", funcs.KLD(50, 1e-3), true, core.BackendLBFGS},
+		{"adcd-e-inner-product-d40", funcs.InnerProduct(20), core.BackendLBFGS},
+		{"adcd-x-kld-d20", funcs.KLD(10, 1e-3), core.BackendLBFGS},
+		{"adcd-x-kld-d100", funcs.KLD(50, 1e-3), core.BackendLBFGS},
 		// Eigen-engine comparison on the same sync: the certified interval
 		// backend replaces the L-BFGS search; the hybrid may run both.
-		{"adcd-x-kld-d20-interval", funcs.KLD(10, 1e-3), false, core.BackendInterval},
-		{"adcd-x-kld-d20-hybrid", funcs.KLD(10, 1e-3), false, core.BackendHybrid},
-		{"adcd-x-kld-d100-interval", funcs.KLD(50, 1e-3), false, core.BackendInterval},
+		{"adcd-x-kld-d20-interval", funcs.KLD(10, 1e-3), core.BackendInterval},
+		{"adcd-x-kld-d20-hybrid", funcs.KLD(10, 1e-3), core.BackendHybrid},
+		{"adcd-x-kld-d100-interval", funcs.KLD(50, 1e-3), core.BackendInterval},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -240,9 +236,9 @@ func BenchmarkFullSync(b *testing.B) {
 				Epsilon: 0.1, R: 0.1,
 				Decomp: core.DecompOptions{
 					Seed: 1, OptStarts: 1, OptMaxIter: 20, OptMaxFunEvals: 100,
-					UsePowerIteration: c.power, Backend: c.backend,
+					Backend: c.backend,
 				},
-			}, benchComm{nodes})
+			}, &core.Fabric{Nodes: nodes})
 			if err := coord.Init(); err != nil {
 				b.Fatal(err)
 			}
@@ -295,12 +291,6 @@ func BenchmarkDecomposeX(b *testing.B) {
 		}
 	}
 }
-
-type benchComm struct{ nodes []*core.Node }
-
-func (c benchComm) RequestData(id int) []float64    { return c.nodes[id].LocalVector() }
-func (c benchComm) SendSync(id int, m *core.Sync)   { c.nodes[id].ApplySync(m) }
-func (c benchComm) SendSlack(id int, m *core.Slack) { c.nodes[id].ApplySlack(m) }
 
 // BenchmarkHVP measures one Hessian-vector product on the MLP-40 graph —
 // the inner loop of the ADCD-X eigenvalue search.

@@ -52,10 +52,7 @@ func main() {
 		fail(fmt.Errorf("node id %d out of range (workload has %d nodes)", *id, ds.Nodes))
 	}
 
-	window := ds.NewWindow()
-	for r := 0; r < ds.FillRounds(); r++ {
-		window.Push(ds.FillSample(r, *id))
-	}
+	window := ds.FilledWindow(*id)
 
 	if *group < 0 || *group >= transport.MaxGroups {
 		fail(fmt.Errorf("group id %d out of range [0, %d)", *group, transport.MaxGroups))

@@ -111,7 +111,11 @@ func main() {
 		fmt.Printf("violations:      %d neighborhood, %d safe-zone, %d faulty\n",
 			res.Stats.NeighborhoodViolations, res.Stats.SafeZoneViolations, res.Stats.FaultyViolations)
 		if res.TunedR > 0 {
-			fmt.Printf("neighborhood r:  %.6g (final %.6g)\n", res.TunedR, res.FinalR)
+			note := ""
+			if res.TuneUnconverged {
+				note = "; tuning bracket did not converge, r is the best grid point"
+			}
+			fmt.Printf("neighborhood r:  %.6g (final %.6g%s)\n", res.TunedR, res.FinalR, note)
 		}
 		if res.Stats.RDoublings+res.Stats.RSaturations > 0 || *adaptiveR {
 			fmt.Printf("radius events:   %d doublings, %d saturations, %d shrinks, %d grows, %d retunes\n",

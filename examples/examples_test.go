@@ -71,16 +71,6 @@ func TestSketchF2Smoke(t *testing.T) {
 	}
 }
 
-func TestSketchF2DirectSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess smoke test")
-	}
-	out := runExample(t, "examples/sketchf2", "-direct", "-rounds", "60")
-	if !strings.Contains(out, "max error") || !strings.Contains(out, "reduction") {
-		t.Fatalf("sketchf2 -direct did not print its summary:\n%s", out)
-	}
-}
-
 func TestMultitenantSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke test")

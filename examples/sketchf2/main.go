@@ -6,15 +6,13 @@
 // exact ADCD-E decomposition — a deterministic ε-guarantee on a sketched
 // statistic.
 //
-// The default path feeds raw turnstile events through the ingestion layer
-// (internal/ingest) with safe-zone check elision: almost every event costs
-// one sketch update plus one budget debit instead of a full safe-zone
-// check, with bit-identical protocol outcomes — demonstrated by running the
-// per-event pipeline on the same events alongside. The -direct flag keeps
-// the original round-windowed sim path. Run with:
+// Raw turnstile events go through the ingestion layer (internal/ingest) with
+// safe-zone check elision: almost every event costs one sketch update plus
+// one budget debit instead of a full safe-zone check, with bit-identical
+// protocol outcomes — demonstrated by running the per-event pipeline on the
+// same events alongside. Run with:
 //
 //	go run ./examples/sketchf2
-//	go run ./examples/sketchf2 -direct
 package main
 
 import (
@@ -26,7 +24,6 @@ import (
 	"automon/internal/core"
 	"automon/internal/funcs"
 	"automon/internal/ingest"
-	"automon/internal/sim"
 	"automon/internal/stream"
 )
 
@@ -37,21 +34,12 @@ func check(err error) {
 }
 
 func main() {
-	direct := flag.Bool("direct", false, "use the round-windowed sim path instead of the event-level ingestion pipeline")
-	events := flag.Int("events", 3000, "monitored events per node (ingestion path)")
-	rounds := flag.Int("rounds", 800, "monitored rounds (-direct path)")
+	eventsFlag := flag.Int("events", 3000, "monitored events per node")
 	flag.Parse()
-	if *direct {
-		runDirect(*rounds)
-		return
-	}
-	runIngest(*events)
-}
+	events := *eventsFlag
 
-// runIngest is the event-level path: sketch-backed sources, check elision on
-// the monitored pipeline, and a per-event twin run proving the elision is
-// protocol-invisible.
-func runIngest(events int) {
+	// Sketch-backed sources, check elision on the monitored pipeline, and a
+	// per-event twin run proving the elision is protocol-invisible.
 	const (
 		rows, cols = 4, 64
 		nodes      = 8
@@ -124,44 +112,4 @@ func runIngest(events int) {
 		math.Float64bits(elided.Estimate()) == math.Float64bits(perEvent.Estimate())
 	fmt.Printf("\nprotocol outcomes identical: %v\n", identical)
 	fmt.Printf("max error %.4f (bound %v, deterministic: ADCD-E on a quadratic query)\n", maxErr, eps)
-}
-
-// runDirect is the original round-windowed demo on the sim harness.
-func runDirect(rounds int) {
-	const (
-		rows, cols = 4, 64
-		nodes      = 8
-		eps        = 0.05
-	)
-	f := funcs.AMSF2(rows, cols)
-	ds := stream.ZipfTurnstile(nodes, rounds, rows, cols, 23)
-
-	fmt.Printf("monitoring sketched F2 over %d nodes (AMS %d×%d = %d-dim local state, ε = %v)\n\n",
-		nodes, rows, cols, f.Dim(), eps)
-
-	res, err := sim.Run(sim.Config{
-		F: f, Data: ds, Algorithm: sim.AutoMon,
-		Core: core.Config{Epsilon: eps}, Trace: true,
-	})
-	check(err)
-	central, err := sim.Run(sim.Config{
-		F: f, Data: ds, Algorithm: sim.Centralization, Core: core.Config{Epsilon: eps},
-	})
-	check(err)
-
-	fmt.Println("round   sketched F2   estimate")
-	stride := res.Rounds / 16
-	if stride == 0 {
-		stride = 1
-	}
-	for i := 0; i < res.Rounds; i += stride {
-		marker := ""
-		if res.TrueTrace[i] > 2*res.TrueTrace[0]+eps {
-			marker = "  << heavy-hitter burst"
-		}
-		fmt.Printf("%5d   %11.4f   %8.4f%s\n", i, res.TrueTrace[i], res.EstTrace[i], marker)
-	}
-	fmt.Printf("\nmax error %.4f (bound %v, deterministic: ADCD-E on a quadratic query)\n", res.MaxErr, eps)
-	fmt.Printf("messages: %d vs %d for centralizing every sketch update (%.1fx reduction)\n",
-		res.Messages, central.Messages, float64(central.Messages)/float64(res.Messages))
 }

@@ -23,7 +23,6 @@ import (
 	"automon/internal/experiments"
 	"automon/internal/linalg"
 	"automon/internal/obs"
-	"automon/internal/stream"
 	"automon/internal/transport"
 	"automon/internal/transport/chaos"
 )
@@ -83,13 +82,9 @@ func main() {
 	fmt.Printf("coordinator listening on %s (one-way latency %v)\n", coord.Addr(), *latency)
 
 	// Prepare each node's window and dial in.
-	windows := make([]stream.Windower, ds.Nodes)
+	windows := ds.FilledWindows()
 	nodes := make([]*transport.NodeClient, ds.Nodes)
 	for i := range nodes {
-		windows[i] = ds.NewWindow()
-		for r := 0; r < ds.FillRounds(); r++ {
-			windows[i].Push(ds.FillSample(r, i))
-		}
 		nodes[i], err = transport.DialNode(coord.Addr(), i, w.F, linalg.Clone(windows[i].Vector()), opts)
 		if err != nil {
 			panic(err)

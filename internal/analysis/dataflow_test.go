@@ -2,9 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -72,36 +69,14 @@ var statepureManifest = map[string]bool{
 }
 
 func TestStatepureAnnotationsMatchManifest(t *testing.T) {
-	fset := token.NewFileSet()
 	found := make(map[string]bool)
-	root := "../.."
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != root && skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
+	walkModule(t, func(f *ast.File) {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && hasDirective(fd, statepureMarker) {
 				found[f.Name.Name+"."+declName(fd)] = true
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for fn := range statepureManifest {
 		if !found[fn] {
 			t.Errorf("%s is in the statepure manifest but carries no //automon:statepure annotation", fn)

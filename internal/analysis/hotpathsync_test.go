@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,36 +58,14 @@ var hotpathManifest = map[string]bool{
 // the set of //automon:hotpath-marked functions as "pkgname.Type.Method".
 func annotatedHotpathFuncs(t *testing.T) map[string]bool {
 	t.Helper()
-	fset := token.NewFileSet()
 	found := make(map[string]bool)
-	root := "../.."
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != root && skipDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
+	walkModule(t, func(f *ast.File) {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && hasMarker(fd) {
 				found[f.Name.Name+"."+declName(fd)] = true
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return found
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 
-	"automon/internal/linalg"
 	"automon/internal/obs"
 )
 
@@ -308,14 +307,13 @@ func (o *coordObs) eigboundBuilds(b EigBackend) *obs.Counter {
 }
 
 // Coordinator is the flat (single-tier) AutoMon coordinator: the protocol
-// state machine (Machine) routed over a direct NodeComm fabric, with the
-// data plane — per-node vectors, slack assignments, ADCD-E matrix delivery
-// bookkeeping — held in a flatOwner. A sharded deployment replaces only the
-// ownership layer (internal/shard); the machine, and therefore the protocol,
-// is byte-for-byte the same code.
+// state machine (Machine) over one Partition holding all n nodes, routed over
+// a direct NodeComm fabric. A sharded deployment cuts the same table into one
+// Partition per leaf (internal/shard); the machine, and therefore the
+// protocol, is byte-for-byte the same code.
 type Coordinator struct {
 	*Machine
-	own *flatOwner
+	own Partition
 }
 
 // NewCoordinator creates a coordinator for n nodes over function f. The
@@ -323,120 +321,8 @@ type Coordinator struct {
 // graph proves a constant Hessian, otherwise ADCD-X (or the no-ADCD ablation
 // when configured).
 func NewCoordinator(f *Function, n int, cfg Config, comm NodeComm) *Coordinator {
-	o := &flatOwner{
-		comm:       comm,
-		lastX:      make([][]float64, n),
-		slacks:     make([][]float64, n),
-		matrixSent: make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		o.lastX[i] = make([]float64, f.Dim())
-		o.slacks[i] = make([]float64, f.Dim())
-	}
-	m := NewMachine(f, n, cfg, o)
-	o.m = m
-	return &Coordinator{Machine: m, own: o}
-}
-
-// flatOwner is the single-tier Ownership: all node vectors and slack live in
-// one process, and every fabric interaction goes straight through NodeComm.
-type flatOwner struct {
-	m    *Machine
-	comm NodeComm
-
-	lastX  [][]float64
-	slacks [][]float64
-	// matrixSent tracks per node whether the (constant) ADCD-E matrix has
-	// been delivered. It is cleared when a node dies or rejoins: the node may
-	// have restarted as a fresh process that never saw the matrix.
-	matrixSent []bool
-}
-
-// Store implements Ownership.
-func (o *flatOwner) Store(id int, x []float64) { copy(o.lastX[id], x) }
-
-// Refresh implements Ownership.
-func (o *flatOwner) Refresh(id int) bool {
-	x := o.comm.RequestData(id)
-	if x == nil {
-		return false
-	}
-	copy(o.lastX[id], x)
-	return true
-}
-
-// AddSlacked implements Ownership.
-func (o *flatOwner) AddSlacked(sum []float64, id int) {
-	for j := range sum {
-		sum[j] += o.lastX[id][j] + o.slacks[id][j]
-	}
-}
-
-// Rebalance implements Ownership.
-func (o *flatOwner) Rebalance(set []int, mean []float64) {
-	for _, j := range set {
-		linalg.Sub(o.slacks[j], mean, o.lastX[j])
-		o.comm.SendSlack(j, &Slack{NodeID: j, Slack: linalg.Clone(o.slacks[j])})
-	}
-}
-
-// Collect implements Ownership: the full-sync gather over the flat node set.
-// A nil RequestData response means the fabric just lost that node (and
-// marked it dead); the stale vector is kept and the live set below reflects
-// the death.
-func (o *flatOwner) Collect(fresh map[int]bool, accs []linalg.Acc) int {
-	for i := 0; i < o.m.N; i++ {
-		if fresh[i] || !o.m.Live(i) {
-			continue
-		}
-		if x := o.comm.RequestData(i); x != nil {
-			copy(o.lastX[i], x)
-		}
-	}
-	weight := 0
-	for i := 0; i < o.m.N; i++ {
-		if !o.m.Live(i) {
-			continue
-		}
-		linalg.AddVec(accs, o.lastX[i])
-		weight++
-	}
-	return weight
-}
-
-// Distribute implements Ownership: slack assignment and zone delivery for
-// one full sync.
-func (o *flatOwner) Distribute(tmpl *Sync, zone *SafeZone) {
-	for i := 0; i < o.m.N; i++ {
-		if !o.m.Live(i) {
-			// A dead node holds no slack: Σᵢ sᵢ = 0 must hold over the live
-			// set alone, and the node's own copy is rebuilt on rejoin.
-			for j := range o.slacks[i] {
-				o.slacks[i][j] = 0
-			}
-			continue
-		}
-		if o.m.Cfg.DisableSlack {
-			for j := range o.slacks[i] {
-				o.slacks[i][j] = 0
-			}
-		} else {
-			linalg.Sub(o.slacks[i], tmpl.X0, o.lastX[i])
-		}
-		withFactor := tmpl.Method == MethodE && !o.matrixSent[i]
-		o.matrixSent[i] = true
-		o.comm.SendSync(i, tmpl.ForNode(i, o.slacks[i], zone, withFactor))
-	}
-}
-
-// Forget implements Ownership.
-func (o *flatOwner) Forget(id int) { o.matrixSent[id] = false }
-
-// Snapshot implements Ownership.
-func (o *flatOwner) Snapshot() [][]float64 {
-	round := make([][]float64, len(o.lastX))
-	for i := range o.lastX {
-		round[i] = append([]float64(nil), o.lastX[i]...)
-	}
-	return round
+	c := &Coordinator{own: NewPartition(f.Dim(), 0, n, comm)}
+	c.Machine = NewMachine(f, n, cfg, &c.own)
+	c.own.Bind(c.Machine)
+	return c
 }

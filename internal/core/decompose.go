@@ -21,27 +21,15 @@ type DecompOptions struct {
 	OptMaxFunEvals int
 	// Seed makes the multi-start reproducible.
 	Seed int64
-	// UsePowerIteration estimates the extreme Hessian eigenvalues by
-	// shifted power iteration over Hessian-vector products instead of a
-	// dense eigendecomposition — the §6 scaling extension. Cheaper per
-	// evaluation at high dimension; slightly less accurate when the
-	// spectral gap is small (the §3.7 sanity check covers the slack).
-	UsePowerIteration bool
-	// PowerIters bounds the power-iteration count (default 100).
-	PowerIters int
 	// Workers bounds the goroutines running the λ̂min/λ̂max searches and
 	// their multi-starts. 0 means one worker per core (GOMAXPROCS); 1 runs
 	// sequentially. The start points are pre-drawn from Seed and the best
 	// result is selected in start order, so the outcome is bit-identical at
 	// every worker count.
 	Workers int
-	// DisableEvalMemo turns off the per-search eigensolve memoization that
-	// lets the objective and gradient closures share eigendecompositions at
-	// the same point. Only useful for measuring what the memo saves.
-	DisableEvalMemo bool
-	// EigsolveCounter, when non-nil, is incremented once per eigensolver
-	// evaluation (a dense eigendecomposition, or one power-iteration solve).
-	// Memo hits are not counted — the counter measures actual solver work.
+	// EigsolveCounter, when non-nil, is incremented once per dense
+	// eigendecomposition. Memo hits are not counted — the counter measures
+	// actual solver work.
 	EigsolveCounter *obs.Counter
 	// Backend selects the eigen-engine bounding the extreme eigenvalues over
 	// the neighborhood box: the default L-BFGS multi-start search, the
@@ -57,6 +45,11 @@ type DecompOptions struct {
 	// §3.4 heuristic is excluded). BackendInterval leaves it untouched —
 	// that zero is the "no optimizer work" claim, counter-verified.
 	OptEvalCounter *obs.Counter
+
+	// noEvalMemo is a test hook: it turns off the per-search eigensolve
+	// memoization (always on otherwise) so tests can measure what the memo
+	// saves.
+	noEvalMemo bool
 }
 
 func (o *DecompOptions) defaults() {
@@ -102,22 +95,12 @@ func DecomposeE(f *Function, x0 []float64) (*EDecomposition, error) {
 	return dec, nil
 }
 
-// eigsAtFunc returns the extreme-eigenpair evaluator selected by opts (dense
-// eigendecomposition or power iteration), wrapped so every actual solver
-// invocation bumps opts.EigsolveCounter. Memoization layers above call this
-// only on cache misses, which is exactly what the counter should measure.
+// eigsAtFunc returns the extreme-eigenpair evaluator (a dense
+// eigendecomposition), wrapped so every actual solver invocation bumps
+// opts.EigsolveCounter. Memoization layers above call this only on cache
+// misses, which is exactly what the counter should measure.
 func eigsAtFunc(f *Function, opts DecompOptions) func(x []float64) (float64, float64, []float64, []float64, error) {
 	counter := opts.EigsolveCounter
-	if opts.UsePowerIteration {
-		iters := opts.PowerIters
-		if iters <= 0 {
-			iters = 100
-		}
-		return func(x []float64) (float64, float64, []float64, []float64, error) {
-			counter.Inc()
-			return f.ExtremeEigsAtPower(x, iters, opts.Seed+2)
-		}
-	}
 	return func(x []float64) (float64, float64, []float64, []float64, error) {
 		counter.Inc()
 		return f.ExtremeEigsAt(x)
@@ -313,7 +296,7 @@ func extremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions, s
 	evals := make([]*eigEvaluator, 0, 2*nStarts)
 	tasks := make([]optimize.Task, 0, 2*nStarts)
 	addTask := func(start []float64, min bool) {
-		ev := &eigEvaluator{f: f, eigsAt: eigsAt, memo: !opts.DisableEvalMemo}
+		ev := &eigEvaluator{f: f, eigsAt: eigsAt, memo: !opts.noEvalMemo}
 		if seedAtX0 != nil {
 			ev.seed(x0, *seedAtX0)
 		}
@@ -397,17 +380,6 @@ func DecomposeX(f *Function, x0, bLo, bHi []float64, opts DecompOptions) (*XDeco
 		return nil, err
 	}
 	spec := X0Spectrum{LamMin: lm0, LamMax: lM0, VMin: vMin0, VMax: vMax0}
-	h0Min, h0Max := lm0, lM0
-	if opts.UsePowerIteration {
-		// The searches use the power-iteration estimates, but the heuristic
-		// keeps the exact H(x0) spectrum so the chosen DC kind matches the
-		// dense path (one extra dense solve, as before this refactor).
-		opts.EigsolveCounter.Inc()
-		h0Min, h0Max, _, _, err = f.ExtremeEigsAt(x0)
-		if err != nil {
-			return nil, err
-		}
-	}
 	res, err := BounderFor(opts.Backend).BoundEigs(f, x0, bLo, bHi, spec, opts)
 	if err != nil {
 		return nil, err
@@ -420,8 +392,8 @@ func DecomposeX(f *Function, x0, bLo, bHi []float64, opts DecompOptions) (*XDeco
 	return &XDecomposition{
 		LamAbsNeg: lamAbsNeg,
 		LamPosMax: math.Max(0, res.LamMax),
-		H0Min:     h0Min,
-		H0Max:     h0Max,
+		H0Min:     lm0,
+		H0Max:     lM0,
 		Backend:   opts.Backend,
 		Certified: res.Certified,
 		CertMin:   res.CertMin,

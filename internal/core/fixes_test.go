@@ -52,7 +52,7 @@ func TestThresholdsMultiplicativeFloor(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCoordinator(f, 2, tc.cfg, &directComm{})
+			c := NewCoordinator(f, 2, tc.cfg, &Fabric{})
 			l, u := c.Thresholds(tc.f0)
 			if math.Abs(l-tc.wantL) > 1e-12 || math.Abs(u-tc.wantU) > 1e-12 {
 				t.Fatalf("Thresholds(%v) = (%v, %v), want (%v, %v)", tc.f0, l, u, tc.wantL, tc.wantU)
@@ -107,7 +107,7 @@ func streakCoordinator(t *testing.T) *Coordinator {
 		nodes[i].SetData([]float64{0, 0})
 	}
 	cfg := Config{Epsilon: 5, R: 0.01, RDoubleAfter: 3, Decomp: DecompOptions{Seed: 1}}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"automon/internal/autodiff"
@@ -190,18 +189,6 @@ func (f *Function) ExtremeEigsAt(x []float64) (lamMin, lamMax float64, vMin, vMa
 		vMax[i] = vecs.At(i, d-1)
 	}
 	return values[0], values[d-1], vMin, vMax, nil
-}
-
-// ExtremeEigsAtPower estimates the extreme eigenvalues and eigenvectors of
-// H(x) via shifted power iteration on Hessian-vector products, without
-// materializing the Hessian. For dimension d it costs O(k) HVPs instead of
-// the d HVPs plus O(d³) eigensolve of ExtremeEigsAt — the §6 "Hessian
-// spectrum approximation" scaling path.
-func (f *Function) ExtremeEigsAtPower(x []float64, iters int, seed int64) (lamMin, lamMax float64, vMin, vMax []float64, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	return linalg.PowerExtremes(func(v, out []float64) {
-		f.Graph.HVP(x, v, out)
-	}, f.Dim(), iters, 1e-8, rng)
 }
 
 // EigGrad writes into out the gradient ∇ₓ(vᵀH(x)v) for a fixed unit vector

@@ -11,8 +11,9 @@ import (
 // Ownership is the data plane beneath a Machine. It stores the per-node
 // vectors and slack assignments, talks to the messaging fabric, and
 // aggregates partial averages; the Machine never touches a node vector
-// directly. The split is what lets one protocol state machine drive either a
-// flat node set (Coordinator) or a tree of sub-coordinators (internal/shard):
+// directly. Partition is the one implementation of the table; a shard tree
+// puts a router over one Partition per leaf (internal/shard). It stays an
+// interface because that is what lets one protocol state machine drive either:
 // every Ownership method is an interface call, opaque to the statepure
 // dataflow analyzer, so the Machine's transitions are machine-checked to be
 // free of I/O, clocks, spawns and global writes regardless of which data
@@ -110,9 +111,9 @@ type Machine struct {
 // NewMachine creates the protocol state machine for n nodes over function f,
 // with own as its data plane. The monitoring method is chosen automatically:
 // ADCD-E when the computational graph proves a constant Hessian, otherwise
-// ADCD-X (or the no-ADCD ablation when configured). Callers that need a
-// back-reference from their Ownership to the machine (every real data plane
-// does, for liveness) wire it after this returns.
+// ADCD-X (or the no-ADCD ablation when configured). A data plane reads
+// liveness back from the machine, so callers Bind their Partitions to it
+// after this returns.
 func NewMachine(f *Function, n int, cfg Config, own Ownership) *Machine {
 	if cfg.RDoubleAfter <= 0 {
 		cfg.RDoubleAfter = 5 * n

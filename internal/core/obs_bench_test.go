@@ -19,7 +19,7 @@ func benchCoordinator(b *testing.B, reg *obs.Registry, tracer *obs.Tracer) *Coor
 		nodes[i].SetData([]float64{0.1, 0.1})
 	}
 	cfg := Config{Epsilon: 5, R: 0.5, Decomp: DecompOptions{Seed: 1}, Metrics: reg, Tracer: tracer}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		b.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func BenchmarkExtremeEigsOverBox(b *testing.B) {
 		opts DecompOptions
 	}{
 		{"memo", DecompOptions{Seed: 1}},
-		{"nomemo", DecompOptions{Seed: 1, DisableEvalMemo: true}},
+		{"nomemo", DecompOptions{Seed: 1, noEvalMemo: true}},
 		{"memo-parallel", DecompOptions{Seed: 1, Workers: 0}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -145,7 +145,7 @@ func TestEvalMemoCutsEigsolves(t *testing.T) {
 
 	count := func(disable bool) int64 {
 		ctr := obs.NewCounter()
-		opts := DecompOptions{Seed: 1, DisableEvalMemo: disable, EigsolveCounter: ctr}
+		opts := DecompOptions{Seed: 1, noEvalMemo: disable, EigsolveCounter: ctr}
 		if _, err := DecomposeX(f, x0, bLo, bHi, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestEigsolvesPerZoneBuildDrop(t *testing.T) {
 			nodes[i] = NewNode(i, f)
 			nodes[i].SetData([]float64{0.1 * float64(i), 0.05})
 		}
-		coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+		coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 		if err := coord.Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestEigsolvesPerZoneBuildDrop(t *testing.T) {
 	}
 
 	baseline := run(Config{Epsilon: 0.25, R: 0.5,
-		Decomp: DecompOptions{Seed: 1, DisableEvalMemo: true}})
+		Decomp: DecompOptions{Seed: 1, noEvalMemo: true}})
 	cached := run(Config{Epsilon: 0.25, R: 0.5, ZoneCacheSize: 8,
 		Decomp: DecompOptions{Seed: 1}})
 	if baseline == 0 || cached == 0 {
@@ -357,7 +357,7 @@ func TestZoneCacheReusesDecompositions(t *testing.T) {
 		nodes[i].SetData([]float64{0.1 * float64(i), 0.05})
 	}
 	cfg := Config{Epsilon: 0.25, R: 0.5, ZoneCacheSize: 8}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}

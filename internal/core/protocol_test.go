@@ -16,25 +16,25 @@ func saddleFunc() *Function {
 	})
 }
 
-// countingComm wraps directComm and counts coordinator-side messages.
+// countingComm is the shared Fabric with coordinator-side message counts.
 type countingComm struct {
-	directComm
+	Fabric
 	requests, syncs, slacks int
 }
 
-func (c *countingComm) RequestData(id int) []float64 {
-	c.requests++
-	return c.directComm.RequestData(id)
-}
-
-func (c *countingComm) SendSync(id int, m *Sync) {
-	c.syncs++
-	c.directComm.SendSync(id, m)
-}
-
-func (c *countingComm) SendSlack(id int, m *Slack) {
-	c.slacks++
-	c.directComm.SendSlack(id, m)
+func newCountingComm(nodes []*Node) *countingComm {
+	c := &countingComm{Fabric: Fabric{Nodes: nodes}}
+	c.OnMessage = func(m Message) {
+		switch m.(type) {
+		case *DataRequest:
+			c.requests++
+		case *Sync:
+			c.syncs++
+		case *Slack:
+			c.slacks++
+		}
+	}
+	return c
 }
 
 // runProtocol drives a full in-memory monitoring run and returns the maximum
@@ -47,7 +47,7 @@ func runProtocol(t *testing.T, f *Function, data TuningData, cfg Config) (maxErr
 		nodes[i] = NewNode(i, f)
 		nodes[i].SetData(data[0][i])
 	}
-	comm = &countingComm{directComm: directComm{nodes}}
+	comm = newCountingComm(nodes)
 	coord = NewCoordinator(f, n, cfg, comm)
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestSlackSumsToZero(t *testing.T) {
 		nodes[i] = NewNode(i, f)
 		nodes[i].SetData(data[0][i])
 	}
-	coord := NewCoordinator(f, n, Config{Epsilon: 0.2}, &directComm{nodes})
+	coord := NewCoordinator(f, n, Config{Epsilon: 0.2}, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestSlackSumsToZero(t *testing.T) {
 
 func TestDisableSlackDisablesLazySync(t *testing.T) {
 	f := saddleFunc()
-	c := NewCoordinator(f, 4, Config{Epsilon: 0.1, DisableSlack: true}, &directComm{})
+	c := NewCoordinator(f, 4, Config{Epsilon: 0.1, DisableSlack: true}, &Fabric{})
 	if !c.Cfg.DisableLazySync {
 		t.Fatal("DisableSlack must imply DisableLazySync")
 	}
@@ -225,11 +225,11 @@ func TestDisableSlackDisablesLazySync(t *testing.T) {
 
 func TestThresholds(t *testing.T) {
 	f := saddleFunc()
-	c := NewCoordinator(f, 2, Config{Epsilon: 0.5}, &directComm{})
+	c := NewCoordinator(f, 2, Config{Epsilon: 0.5}, &Fabric{})
 	if l, u := c.Thresholds(2); l != 1.5 || u != 2.5 {
 		t.Fatalf("additive thresholds = (%v, %v)", l, u)
 	}
-	c = NewCoordinator(f, 2, Config{Epsilon: 0.1, ErrorType: Multiplicative}, &directComm{})
+	c = NewCoordinator(f, 2, Config{Epsilon: 0.1, ErrorType: Multiplicative}, &Fabric{})
 	if l, u := c.Thresholds(10); math.Abs(l-9) > 1e-12 || math.Abs(u-11) > 1e-12 {
 		t.Fatalf("multiplicative thresholds = (%v, %v)", l, u)
 	}
@@ -278,7 +278,7 @@ func TestFaultyViolationTriggersFullSync(t *testing.T) {
 		nodes[i] = NewNode(i, f)
 		nodes[i].SetData([]float64{0, 0})
 	}
-	comm := &countingComm{directComm: directComm{nodes}}
+	comm := newCountingComm(nodes)
 	coord := NewCoordinator(f, n, Config{Epsilon: 0.1}, comm)
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestRDoublingHeuristic(t *testing.T) {
 		nodes[i].SetData([]float64{0, 0})
 	}
 	cfg := Config{Epsilon: 5, R: 0.01, RDoubleAfter: 3, Decomp: DecompOptions{Seed: 1}}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestMultiplicativeMonitoringEndToEnd(t *testing.T) {
 		nodes[i].SetData([]float64{1, 1})
 	}
 	eps := 0.1
-	coord := NewCoordinator(f, n, Config{Epsilon: eps, ErrorType: Multiplicative}, &directComm{nodes})
+	coord := NewCoordinator(f, n, Config{Epsilon: eps, ErrorType: Multiplicative}, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestMultiplicativeMonitoringEndToEnd(t *testing.T) {
 
 func TestEstimateBeforeInitIsNaN(t *testing.T) {
 	f := saddleFunc()
-	c := NewCoordinator(f, 2, Config{Epsilon: 0.1}, &directComm{})
+	c := NewCoordinator(f, 2, Config{Epsilon: 0.1}, &Fabric{})
 	if !math.IsNaN(c.Estimate()) {
 		t.Fatal("estimate before init should be NaN")
 	}
@@ -385,7 +385,7 @@ func TestNodeSilentBeforeSync(t *testing.T) {
 
 func TestLRUOrdering(t *testing.T) {
 	f := saddleFunc()
-	c := NewCoordinator(f, 4, Config{Epsilon: 0.1}, &directComm{})
+	c := NewCoordinator(f, 4, Config{Epsilon: 0.1}, &Fabric{})
 	c.touchLRU(0)
 	// order now 1,2,3,0 — the LRU pick excluding {1} must be 2.
 	if got := c.pickLRU([]int{1}); got != 2 {

@@ -69,8 +69,8 @@ func TestQuickSyncCodecRoundTrip(t *testing.T) {
 // error types, including negative and zero reference values.
 func TestQuickThresholdsOrdered(t *testing.T) {
 	f := saddleFunc()
-	add := NewCoordinator(f, 2, Config{Epsilon: 0.25}, &directComm{})
-	mul := NewCoordinator(f, 2, Config{Epsilon: 0.25, ErrorType: Multiplicative}, &directComm{})
+	add := NewCoordinator(f, 2, Config{Epsilon: 0.25}, &Fabric{})
+	mul := NewCoordinator(f, 2, Config{Epsilon: 0.25, ErrorType: Multiplicative}, &Fabric{})
 	check := func(f0 float64) bool {
 		if math.IsNaN(f0) || math.IsInf(f0, 0) {
 			return true
@@ -153,7 +153,7 @@ func TestQuickSafeZoneADCDESound(t *testing.T) {
 func TestQuickLRUPermutationInvariant(t *testing.T) {
 	f := saddleFunc()
 	check := func(touches []uint8) bool {
-		c := NewCoordinator(f, 6, Config{Epsilon: 0.1}, &directComm{})
+		c := NewCoordinator(f, 6, Config{Epsilon: 0.1}, &Fabric{})
 		for _, id := range touches {
 			c.touchLRU(int(id) % 6)
 		}

@@ -52,7 +52,7 @@ func TestRMaxCapsViolationStorm(t *testing.T) {
 		nodes[i].SetData([]float64{0, 0})
 	}
 	cfg := Config{Epsilon: 5, R: 0.01, RDoubleAfter: 1, RMax: 0.04, Decomp: DecompOptions{Seed: 1}}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDefaultRMaxBoundsUncappedStorm(t *testing.T) {
 		nodes[i].SetData([]float64{0, 0})
 	}
 	cfg := Config{Epsilon: 5, R: 0.01, RDoubleAfter: 1, Decomp: DecompOptions{Seed: 1}}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFullSyncBypassesCacheOnUnquantizableKey(t *testing.T) {
 		Epsilon: 1, R: 1e300, ForceADCDX: true, ZoneCacheSize: 8,
 		Decomp: DecompOptions{Backend: BackendInterval},
 	}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestDoublingInvalidatesOwnScopeOnly(t *testing.T) {
 			SharedZoneCache: shared, ZoneCacheScope: scope,
 			Decomp: DecompOptions{Seed: 1},
 		}
-		c := NewCoordinator(f, n, cfg, &directComm{nodes})
+		c := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 		if err := c.Init(); err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestStreakRestoreAcrossRDoubleBoundaries(t *testing.T) {
 				nodes[i].SetData([]float64{0, 0})
 			}
 			cfg := Config{Epsilon: 5, R: 0.01, RDoubleAfter: tc.rDoubleAfter, Decomp: DecompOptions{Seed: 1}}
-			coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+			coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 			if err := coord.Init(); err != nil {
 				t.Fatal(err)
 			}
@@ -428,7 +428,7 @@ func adaptiveCoordinator(t *testing.T, cfg Config) *Coordinator {
 		nodes[i] = NewNode(i, f)
 		nodes[i].SetData([]float64{0, 0})
 	}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,14 +437,14 @@ func adaptiveCoordinator(t *testing.T, cfg Config) *Coordinator {
 
 func TestControllerOnlyForADCDXWhenEnabled(t *testing.T) {
 	saddle := saddleFunc() // constant Hessian → ADCD-E
-	if c := NewCoordinator(saddle, 2, Config{Epsilon: 1, AdaptiveR: true}, &directComm{}); c.radius != nil {
+	if c := NewCoordinator(saddle, 2, Config{Epsilon: 1, AdaptiveR: true}, &Fabric{}); c.radius != nil {
 		t.Fatal("controller attached to an ADCD-E coordinator")
 	}
 	rosen := rosenbrockFunc()
-	if c := NewCoordinator(rosen, 2, Config{Epsilon: 1, R: 0.1}, &directComm{}); c.radius != nil {
+	if c := NewCoordinator(rosen, 2, Config{Epsilon: 1, R: 0.1}, &Fabric{}); c.radius != nil {
 		t.Fatal("controller attached without AdaptiveR")
 	}
-	c := NewCoordinator(rosen, 2, Config{Epsilon: 1, R: 0.1, AdaptiveR: true}, &directComm{})
+	c := NewCoordinator(rosen, 2, Config{Epsilon: 1, R: 0.1, AdaptiveR: true}, &Fabric{})
 	if c.radius == nil {
 		t.Fatal("controller missing on an adaptive ADCD-X coordinator")
 	}
@@ -656,7 +656,7 @@ func TestAdaptiveDriftFreeRunIsBitIdentical(t *testing.T) {
 			nodes[i].SetData(data[0][i])
 		}
 		cfg := Config{Epsilon: 0.5, R: 0.4, AdaptiveR: adaptive, Decomp: DecompOptions{Seed: 3}}
-		coord := NewCoordinator(f, n, cfg, &directComm{nodes})
+		coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
 		if err := coord.Init(); err != nil {
 			t.Fatal(err)
 		}

@@ -29,16 +29,6 @@ func (t TuningData) Validate(f *Function, n int) error {
 	return nil
 }
 
-// directComm wires a coordinator straight to in-memory nodes; used for
-// tuning replays (and reused by the simulation driver via the same pattern).
-type directComm struct {
-	nodes []*Node
-}
-
-func (c *directComm) RequestData(id int) []float64 { return c.nodes[id].LocalVector() }
-func (c *directComm) SendSync(id int, m *Sync)     { c.nodes[id].ApplySync(m) }
-func (c *directComm) SendSlack(id int, m *Slack)   { c.nodes[id].ApplySlack(m) }
-
 // ReplayCounts reports the violations observed while replaying a dataset.
 type ReplayCounts struct {
 	Neighborhood int
@@ -55,27 +45,18 @@ func Replay(f *Function, data TuningData, n int, cfg Config) (ReplayCounts, erro
 	if err := data.Validate(f, n); err != nil {
 		return ReplayCounts{}, err
 	}
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		nodes[i] = NewNode(i, f)
-		nodes[i].SetData(data[0][i])
-	}
-	coord := NewCoordinator(f, n, cfg, &directComm{nodes})
-	if err := coord.Init(); err != nil {
+	g := NewGroup(f, data[0])
+	if err := g.Start(NewCoordinator(f, n, cfg, g)); err != nil {
 		return ReplayCounts{}, err
 	}
 	for _, round := range data[1:] {
 		for i, x := range round {
-			v := nodes[i].UpdateData(x)
-			if v == nil {
-				continue
-			}
-			if err := coord.HandleViolation(v); err != nil {
+			if err := g.Step(i, x); err != nil {
 				return ReplayCounts{}, err
 			}
 		}
 	}
-	stats := coord.Stats()
+	stats := g.Mon.Stats()
 	return ReplayCounts{
 		Neighborhood: stats.NeighborhoodViolations,
 		SafeZone:     stats.SafeZoneViolations,

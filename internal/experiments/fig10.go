@@ -8,7 +8,6 @@ import (
 	"automon/internal/core"
 	"automon/internal/linalg"
 	"automon/internal/sim"
-	"automon/internal/stream"
 	"automon/internal/transport"
 )
 
@@ -20,15 +19,7 @@ func wanRun(w *Workload, eps float64, latency time.Duration) (payload, wire, mes
 	ds := w.Data
 	n := ds.Nodes
 
-	windows := make([]stream.Windower, n)
-	for i := range windows {
-		windows[i] = ds.NewWindow()
-	}
-	for r := 0; r < ds.FillRounds(); r++ {
-		for i := 0; i < n; i++ {
-			windows[i].Push(ds.FillSample(r, i))
-		}
-	}
+	windows := ds.FilledWindows()
 
 	cfg := core.Config{Epsilon: eps, R: w.FixedR, Decomp: w.Decomp}
 	if cfg.R == 0 && !w.F.HasConstantHessian() {

@@ -112,35 +112,7 @@ func Fig3NeighborhoodSweep(o Options) (*Table, error) {
 // the windows forward (one snapshot per monitored round).
 func replayData(w *Workload) (core.TuningData, error) {
 	ds := w.Data
-	windows := make([]interface {
-		Push([]float64)
-		Vector() []float64
-	}, ds.Nodes)
-	for i := range windows {
-		windows[i] = ds.NewWindow()
-	}
-	for r := 0; r < ds.FillRounds(); r++ {
-		for i := range windows {
-			windows[i].Push(ds.FillSample(r, i))
-		}
-	}
-	snapshot := func() [][]float64 {
-		out := make([][]float64, ds.Nodes)
-		for i := range windows {
-			out[i] = linalg.Clone(windows[i].Vector())
-		}
-		return out
-	}
-	data := core.TuningData{snapshot()}
-	for r := 0; r < ds.Rounds; r++ {
-		for i := 0; i < ds.Nodes; i++ {
-			if s := ds.Sample(r, i); s != nil {
-				windows[i].Push(s)
-			}
-		}
-		data = append(data, snapshot())
-	}
-	return data, nil
+	return core.TuningData(ds.Snapshots(ds.FilledWindows(), 0, ds.Rounds)), nil
 }
 
 // Fig4Traces reproduces Figure 4: each monitored function's value over time

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"automon/internal/core"
-	"automon/internal/linalg"
 )
 
 // RuntimeTable reproduces the §4.4 runtime measurements: per-update node
@@ -47,46 +46,26 @@ func RuntimeTable(o Options) (*Table, error) {
 func measureRuntime(w *Workload, eps float64) (nodeUS, syncMS float64, method string, err error) {
 	ds := w.Data
 	n := ds.Nodes
-	windows := make([]struct{ v []float64 }, n)
-	win := make([]interface {
-		Push([]float64)
-		Vector() []float64
-	}, n)
-	for i := range win {
-		win[i] = ds.NewWindow()
-	}
-	for r := 0; r < ds.FillRounds(); r++ {
-		for i := range win {
-			win[i].Push(ds.FillSample(r, i))
-		}
-	}
-	for i := range windows {
-		windows[i].v = linalg.Clone(win[i].Vector())
-	}
+	vecs := ds.Snapshots(ds.FilledWindows(), 0, 0)[0] // the warmed-up local vectors
 
-	nodes := make([]*core.Node, n)
-	for i := range nodes {
-		nodes[i] = core.NewNode(i, w.F)
-		nodes[i].SetData(windows[i].v)
-	}
-	comm := &directNodeComm{nodes: nodes}
+	g := core.NewGroup(w.F, vecs)
 	r := w.FixedR
 	if r == 0 {
 		r = 0.05
 	}
-	coord := core.NewCoordinator(w.F, n, core.Config{Epsilon: eps, R: r, Decomp: w.Decomp}, comm)
+	coord := core.NewCoordinator(w.F, n, core.Config{Epsilon: eps, R: r, Decomp: w.Decomp}, g)
 
 	// Full-sync time: average over a few syncs (the first includes the
 	// one-time ADCD-E eigendecomposition, matching the paper's setup cost).
 	syncs := 3
 	//automon:allow determinism wall-clock runtime is this experiment's measured output (fig 10)
 	start := time.Now()
-	if err := coord.Init(); err != nil {
+	if err := g.Start(coord); err != nil {
 		return 0, 0, "", err
 	}
 	for k := 1; k < syncs; k++ {
-		if err := coord.HandleViolation(&core.Violation{
-			NodeID: 0, Kind: core.ViolationFaulty, X: windows[0].v,
+		if err := g.Resolve(&core.Violation{
+			NodeID: 0, Kind: core.ViolationFaulty, X: vecs[0],
 		}); err != nil {
 			return 0, 0, "", err
 		}
@@ -99,16 +78,9 @@ func measureRuntime(w *Workload, eps float64) (nodeUS, syncMS float64, method st
 	//automon:allow determinism wall-clock runtime is this experiment's measured output (fig 10)
 	start = time.Now()
 	for k := 0; k < checks; k++ {
-		nodes[1].UpdateData(windows[1].v)
+		g.Update(1, vecs[1])
 	}
 	//automon:allow determinism wall-clock runtime is this experiment's measured output (fig 10)
 	nodeUS = float64(time.Since(start).Nanoseconds()) / 1000 / checks
 	return nodeUS, syncMS, coord.Method().String(), nil
 }
-
-// directNodeComm is a zero-overhead in-memory NodeComm for timing runs.
-type directNodeComm struct{ nodes []*core.Node }
-
-func (c *directNodeComm) RequestData(id int) []float64    { return c.nodes[id].LocalVector() }
-func (c *directNodeComm) SendSync(id int, m *core.Sync)   { c.nodes[id].ApplySync(m) }
-func (c *directNodeComm) SendSlack(id int, m *core.Slack) { c.nodes[id].ApplySlack(m) }

@@ -51,6 +51,9 @@ func runGroup(t testing.TB, spec groupSpec, opts Options) *Pipeline {
 			}
 		}
 	}
+	if n := p.Traffic().RefusedSyncs; n != 0 {
+		t.Fatalf("%s: %d syncs refused by their node", spec.name, n)
+	}
 	return p
 }
 

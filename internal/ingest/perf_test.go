@@ -77,8 +77,8 @@ func TestIngestZeroAllocsPerEvent(t *testing.T) {
 
 // BenchmarkIngestEventsPerSec is the headline: per-node event throughput of
 // the elided path vs the per-event UpdateData baseline on the same
-// drift-within-zone stream. Recorded in BENCH_after.json; the acceptance
-// bar is ≥ 5×.
+// drift-within-zone stream. Recorded in EXPERIMENTS.md ("Sketch ingestion");
+// the acceptance bar is ≥ 5×.
 func BenchmarkIngestEventsPerSec(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

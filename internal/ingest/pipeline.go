@@ -32,51 +32,22 @@ type Config struct {
 type Traffic struct {
 	Messages     int
 	PayloadBytes int
+	// RefusedSyncs counts syncs a node could not check and refused; anything
+	// but zero voids the run (the coordinator believes the zone installed).
+	RefusedSyncs int
 }
 
-// Pipeline is the end-to-end in-process group: per-node ingestors, the
-// coordinator, and the comm fabric between them. It is the ingestion
+// Pipeline is the end-to-end in-process group: per-node ingestors and a
+// coordinator over the shared core.Group fabric. It is the ingestion
 // counterpart of sim.Run — events in, protocol actions and estimates out.
 type Pipeline struct {
-	f       *core.Function
 	coord   *core.Coordinator
+	group   *core.Group
 	ings    []*NodeIngestor
 	traffic Traffic
 
 	// Log accumulates every violation in arrival order.
 	Log []LogEntry
-}
-
-func (p *Pipeline) count(m core.Message) {
-	p.traffic.Messages++
-	p.traffic.PayloadBytes += len(m.Encode())
-}
-
-// pipeComm is the coordinator's view of the ingestors. A data pull
-// materializes the node's current sketch state first — between exact checks
-// the node's vector is stale by design, but the protocol must always read
-// fresh data.
-type pipeComm struct {
-	p *Pipeline
-}
-
-func (c *pipeComm) RequestData(id int) []float64 {
-	in := c.p.ings[id]
-	in.materialize()
-	x := in.node.LocalVector()
-	c.p.count(&core.DataRequest{NodeID: id})
-	c.p.count(&core.DataResponse{NodeID: id, X: x})
-	return x
-}
-
-func (c *pipeComm) SendSync(id int, m *core.Sync) {
-	c.p.count(m)
-	c.p.ings[id].node.ApplySync(m)
-}
-
-func (c *pipeComm) SendSlack(id int, m *core.Slack) {
-	c.p.count(m)
-	c.p.ings[id].node.ApplySlack(m)
 }
 
 // NewPipeline validates the group (source/function shapes, mutual sketch
@@ -95,20 +66,29 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 			return nil, err
 		}
 	}
-	p := &Pipeline{f: cfg.F}
+	p := &Pipeline{group: &core.Group{}}
 	for i, s := range cfg.Sources {
 		in, err := NewNodeIngestor(i, cfg.F, s, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
 		p.ings = append(p.ings, in)
+		p.group.Nodes = append(p.group.Nodes, in.node)
 	}
-	p.coord = core.NewCoordinator(cfg.F, len(cfg.Sources), cfg.Core, &pipeComm{p: p})
+	p.group.OnMessage = func(m core.Message) {
+		p.traffic.Messages++
+		p.traffic.PayloadBytes += len(m.Encode())
+	}
+	// A data pull materializes the node's current sketch state first: between
+	// exact checks the node's vector is stale by design, but the protocol
+	// must always read fresh data.
+	p.group.BeforePull = func(id int) { p.ings[id].materialize() }
+	p.coord = core.NewCoordinator(cfg.F, len(cfg.Sources), cfg.Core, p.group)
 	return p, nil
 }
 
 // Init performs the first full sync from the sources' current state.
-func (p *Pipeline) Init() error { return p.coord.Init() }
+func (p *Pipeline) Init() error { return p.group.Start(p.coord) }
 
 // Ingest feeds one event to one node and lets the coordinator resolve any
 // resulting violation.
@@ -119,12 +99,15 @@ func (p *Pipeline) Ingest(node int, u sketch.Update) error {
 		return nil
 	}
 	p.Log = append(p.Log, LogEntry{Node: node, Seq: in.stats.Events, Kind: v.Kind})
-	p.count(v)
-	return p.coord.HandleViolation(v)
+	return p.group.Resolve(v)
 }
 
 // Traffic returns the message/byte counters accumulated so far.
-func (p *Pipeline) Traffic() Traffic { return p.traffic }
+func (p *Pipeline) Traffic() Traffic {
+	t := p.traffic
+	t.RefusedSyncs = p.group.RefusedSyncs
+	return t
+}
 
 // Estimate returns the coordinator's current approximation of f(x̄).
 func (p *Pipeline) Estimate() float64 { return p.coord.Estimate() }

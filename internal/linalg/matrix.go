@@ -63,20 +63,6 @@ func (m *Mat) Symmetrize() {
 	}
 }
 
-// MaxAbs returns the largest absolute entry of m.
-func (m *Mat) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
 // Equalish reports whether all entries of a and b agree within tol.
 func Equalish(a, b *Mat, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {

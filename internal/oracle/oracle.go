@@ -67,14 +67,17 @@ type Report struct {
 	// TreeDepth is the shard-tree depth of a ReplayTree run (tiers from the
 	// root shard to the leaves); zero for the flat TCP replay.
 	TreeDepth int
+	// RefusedSyncs counts syncs a node could not check and refused (ReplayTree
+	// only; the TCP nodes count theirs in the transport metrics). A correct
+	// run produces none.
+	RefusedSyncs int
 }
 
-// Replay runs the spec and returns the per-round differential report. It
-// fails on any transport or protocol error; guarantee violations are not
-// errors — they are recorded in Report.Bad for the caller to judge.
-func Replay(sp Spec) (*Report, error) {
+// begin validates the spec and returns the protocol config to run it with
+// and the report to fill.
+func (sp Spec) begin() (core.Config, *Report, error) {
 	if sp.F == nil || sp.N <= 0 || sp.Gen == nil || sp.Rounds <= 0 {
-		return nil, fmt.Errorf("oracle: spec %q needs F, N, Gen and Rounds", sp.Name)
+		return core.Config{}, nil, fmt.Errorf("oracle: spec %q needs F, N, Gen and Rounds", sp.Name)
 	}
 	tol := sp.Tolerance
 	if tol == 0 {
@@ -82,7 +85,33 @@ func Replay(sp Spec) (*Report, error) {
 	}
 	cfg := sp.Core
 	cfg.Epsilon = sp.Eps
+	return cfg, &Report{Spec: sp.Name, Bound: tol * sp.Eps}, nil
+}
 
+// compare records one quiesced comparison point: the estimate against the
+// exact f(x̄) of the vectors the nodes hold.
+func (rep *Report) compare(f *core.Function, r int, est float64, vecs [][]float64) {
+	avg := make([]float64, f.Dim())
+	linalg.Mean(avg, vecs...)
+	truth := f.Value(avg)
+	e := math.Abs(est - truth)
+	rep.Rounds = append(rep.Rounds, Round{Round: r, Estimate: est, Truth: truth, Err: e})
+	if e > rep.MaxErr {
+		rep.MaxErr = e
+	}
+	if e > rep.Bound+1e-9 {
+		rep.Bad = append(rep.Bad, r)
+	}
+}
+
+// Replay runs the spec and returns the per-round differential report. It
+// fails on any transport or protocol error; guarantee violations are not
+// errors — they are recorded in Report.Bad for the caller to judge.
+func Replay(sp Spec) (*Report, error) {
+	cfg, rep, err := sp.begin()
+	if err != nil {
+		return nil, err
+	}
 	coord, err := transport.ListenCoordinator("127.0.0.1:0", sp.F, sp.N, cfg, sp.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s: listen: %w", sp.Name, err)
@@ -118,8 +147,6 @@ func Replay(sp Spec) (*Report, error) {
 		}
 	}
 
-	rep := &Report{Spec: sp.Name, Bound: tol * sp.Eps}
-	avg := make([]float64, sp.F.Dim())
 	for r := 1; r <= sp.Rounds; r++ {
 		for i, nd := range nodes {
 			x := sp.Gen(r, i)
@@ -132,17 +159,7 @@ func Replay(sp Spec) (*Report, error) {
 		if err := coord.Err(); err != nil {
 			return nil, fmt.Errorf("oracle: %s: round %d: coordinator: %w", sp.Name, r, err)
 		}
-		linalg.Mean(avg, vecs...)
-		truth := sp.F.Value(avg)
-		est := coord.Estimate()
-		e := math.Abs(est - truth)
-		rep.Rounds = append(rep.Rounds, Round{Round: r, Estimate: est, Truth: truth, Err: e})
-		if e > rep.MaxErr {
-			rep.MaxErr = e
-		}
-		if e > rep.Bound+1e-9 {
-			rep.Bad = append(rep.Bad, r)
-		}
+		rep.compare(sp.F, r, coord.Estimate(), vecs)
 	}
 	rep.Stats = coord.CoordStats()
 	return rep, nil

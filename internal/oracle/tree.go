@@ -2,79 +2,48 @@ package oracle
 
 import (
 	"fmt"
-	"math"
 
 	"automon/internal/core"
 	"automon/internal/linalg"
 	"automon/internal/shard"
 )
 
-// treeComm is the in-process fabric of the tree replay: synchronous delivery
-// straight into the node objects, no wire. The tree replay checks protocol
-// correctness through the shard topology; the TCP replay (Replay) already
-// covers the transport.
-type treeComm struct{ nodes []*core.Node }
-
-func (c *treeComm) RequestData(id int) []float64    { return c.nodes[id].LocalVector() }
-func (c *treeComm) SendSync(id int, m *core.Sync)   { c.nodes[id].ApplySync(m) }
-func (c *treeComm) SendSlack(id int, m *core.Slack) { c.nodes[id].ApplySlack(m) }
-
 // ReplayTree runs the spec through a hierarchical sharded coordinator
 // (internal/shard) instead of a flat one: the same drift schedule, the same
 // centralized oracle, but every gather and distribution flows through a tree
-// of sub-coordinators shaped by opt. The report's TreeDepth records the
+// of sub-coordinators shaped by opt, over the in-process fabric (the TCP
+// replay already covers the transport). The report's TreeDepth records the
 // shape actually built (shard counts clamp to N). Guarantee violations land
 // in Report.Bad exactly as in Replay.
 func ReplayTree(sp Spec, opt shard.Options) (*Report, error) {
-	if sp.F == nil || sp.N <= 0 || sp.Gen == nil || sp.Rounds <= 0 {
-		return nil, fmt.Errorf("oracle: spec %q needs F, N, Gen and Rounds", sp.Name)
+	cfg, rep, err := sp.begin()
+	if err != nil {
+		return nil, err
 	}
-	tol := sp.Tolerance
-	if tol == 0 {
-		tol = 1
-	}
-	cfg := sp.Core
-	cfg.Epsilon = sp.Eps
-
-	nodes := make([]*core.Node, sp.N)
 	vecs := make([][]float64, sp.N)
-	for i := 0; i < sp.N; i++ {
-		nodes[i] = core.NewNode(i, sp.F)
-		nodes[i].SetData(sp.Gen(0, i))
+	for i := range vecs {
 		vecs[i] = linalg.Clone(sp.Gen(0, i))
 	}
-	tree, err := shard.NewTree(sp.F, sp.N, cfg, &treeComm{nodes: nodes}, opt)
+	g := core.NewGroup(sp.F, vecs)
+	tree, err := shard.NewTree(sp.F, sp.N, cfg, g, opt)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: %s: tree: %w", sp.Name, err)
 	}
-	if err := tree.Init(); err != nil {
+	if err := g.Start(tree); err != nil {
 		return nil, fmt.Errorf("oracle: %s: init: %w", sp.Name, err)
 	}
+	rep.TreeDepth = tree.Depth()
 
-	rep := &Report{Spec: sp.Name, Bound: tol * sp.Eps, TreeDepth: tree.Depth()}
-	avg := make([]float64, sp.F.Dim())
 	for r := 1; r <= sp.Rounds; r++ {
-		for i, nd := range nodes {
-			x := sp.Gen(r, i)
-			copy(vecs[i], x)
-			if v := nd.UpdateData(x); v != nil {
-				if err := tree.HandleViolation(v); err != nil {
-					return nil, fmt.Errorf("oracle: %s: round %d node %d: %w", sp.Name, r, i, err)
-				}
+		for i := range vecs {
+			copy(vecs[i], sp.Gen(r, i))
+			if err := g.Step(i, vecs[i]); err != nil {
+				return nil, fmt.Errorf("oracle: %s: round %d node %d: %w", sp.Name, r, i, err)
 			}
 		}
-		linalg.Mean(avg, vecs...)
-		truth := sp.F.Value(avg)
-		est := tree.Estimate()
-		e := math.Abs(est - truth)
-		rep.Rounds = append(rep.Rounds, Round{Round: r, Estimate: est, Truth: truth, Err: e})
-		if e > rep.MaxErr {
-			rep.MaxErr = e
-		}
-		if e > rep.Bound+1e-9 {
-			rep.Bad = append(rep.Bad, r)
-		}
+		rep.compare(sp.F, r, tree.Estimate(), vecs)
 	}
 	rep.Stats = tree.Stats()
+	rep.RefusedSyncs = g.RefusedSyncs
 	return rep, nil
 }

@@ -58,6 +58,9 @@ func TestTreeReplayAcrossZoo(t *testing.T) {
 					if rep.Stats.FullSyncs == 0 {
 						t.Error("replay finished without a single full sync — the tree never initialized")
 					}
+					if rep.RefusedSyncs != 0 {
+						t.Errorf("%d syncs refused by their node", rep.RefusedSyncs)
+					}
 				})
 			}
 		}

@@ -73,16 +73,14 @@ type Tree struct {
 	f    *core.Function
 	n    int
 	mode Mode
-	comm core.NodeComm
 
 	// mu serializes every state-touching public method: the transport tier's
 	// SubtreeListener invokes the tree from per-connection goroutines, so the
 	// public surface must be safe for concurrent use. Internal flows (the
 	// root machine calling back into treeOwner and the topology) never
 	// re-enter the public surface, so a plain mutex at the boundary suffices.
-	// Shape getters (Depth, Leaves, Mode, Subtree) read only immutable
-	// post-construction state and stay lock-free; Root is an escape hatch
-	// whose caller takes over the serialization obligation.
+	// Shape getters (Depth, Leaves, Subtree) read only immutable
+	// post-construction state and stay lock-free.
 	mu sync.Mutex
 
 	root   *core.Machine
@@ -124,7 +122,6 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 		f:      f,
 		n:      n,
 		mode:   opt.Mode,
-		comm:   comm,
 		fanout: fanout,
 		byID:   make(map[int]treeNode),
 		obs:    newTreeObs(cfg.Metrics, cfg.MetricsLabels),
@@ -138,7 +135,7 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 	for s := 0; s < shards; s++ {
 		lo := s * n / shards
 		hi := (s + 1) * n / shards
-		lf := newLeaf(t, s, lo, hi, f.Dim())
+		lf := &leaf{Partition: core.NewPartition(f.Dim(), lo, hi, comm), t: t, id: s}
 		if absorbing {
 			lf.enableAbsorb(cfg)
 		}
@@ -181,6 +178,9 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 		rootCfg.DisableLazySync = true
 	}
 	t.root = core.NewMachine(f, n, rootCfg, &treeOwner{t: t})
+	for _, lf := range t.leaves {
+		lf.Bind(t.root)
+	}
 
 	t.obs.leaves.Set(float64(shards))
 	t.obs.depth.Set(float64(t.depth))
@@ -188,18 +188,12 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 	return t, nil
 }
 
-// Root exposes the root protocol machine (liveness queries, zone, radius).
-func (t *Tree) Root() *core.Machine { return t.root }
-
 // Depth returns the number of tiers from root shard to leaves (1 = a single
 // shard tier).
 func (t *Tree) Depth() int { return t.depth }
 
 // Leaves returns the number of leaf shards.
 func (t *Tree) Leaves() int { return len(t.leaves) }
-
-// Mode returns the tree's protocol mode.
-func (t *Tree) Mode() Mode { return t.mode }
 
 // Epoch returns the current full-sync generation; partial-aggregate frames
 // from older generations are rejected.
@@ -418,40 +412,21 @@ func (t *Tree) acceptPartial(p *core.Partial, maxWeight int) bool {
 }
 
 // treeOwner adapts the shard tree to core.Ownership: the root machine's data
-// plane. Single-node operations route straight to the owning leaf;
-// collective operations (Collect, Distribute) recurse the topology so
-// partial aggregates are built and merged tier by tier.
+// plane is a router over the leaves' partitions. Single-node operations go
+// straight to the owning leaf; collective operations (Collect, Distribute)
+// recurse the topology so partial aggregates are built and merged tier by
+// tier.
 type treeOwner struct{ t *Tree }
 
-func (o *treeOwner) Store(id int, x []float64) {
-	lf := o.t.leafOf[id]
-	copy(lf.lastX[id-lf.lo], x)
-}
+func (o *treeOwner) Store(id int, x []float64) { o.t.leafOf[id].Store(id, x) }
 
-func (o *treeOwner) Refresh(id int) bool {
-	x := o.t.comm.RequestData(id)
-	if x == nil {
-		return false
-	}
-	lf := o.t.leafOf[id]
-	copy(lf.lastX[id-lf.lo], x)
-	return true
-}
+func (o *treeOwner) Refresh(id int) bool { return o.t.leafOf[id].Refresh(id) }
 
-func (o *treeOwner) AddSlacked(sum []float64, id int) {
-	lf := o.t.leafOf[id]
-	lid := id - lf.lo
-	for j := range sum {
-		sum[j] += lf.lastX[lid][j] + lf.slacks[lid][j]
-	}
-}
+func (o *treeOwner) AddSlacked(sum []float64, id int) { o.t.leafOf[id].AddSlacked(sum, id) }
 
 func (o *treeOwner) Rebalance(set []int, mean []float64) {
-	for _, g := range set {
-		lf := o.t.leafOf[g]
-		lid := g - lf.lo
-		linalg.Sub(lf.slacks[lid], mean, lf.lastX[lid])
-		o.t.comm.SendSlack(g, &core.Slack{NodeID: g, Slack: linalg.Clone(lf.slacks[lid])})
+	for i, g := range set {
+		o.t.leafOf[g].Rebalance(set[i:i+1], mean)
 	}
 }
 
@@ -469,16 +444,12 @@ func (o *treeOwner) Distribute(tmpl *core.Sync, zone *core.SafeZone) {
 	o.t.topo.distribute(tmpl, zone)
 }
 
-func (o *treeOwner) Forget(id int) {
-	lf := o.t.leafOf[id]
-	lf.matrixSent[id-lf.lo] = false
-}
+func (o *treeOwner) Forget(id int) { o.t.leafOf[id].Forget(id) }
 
 func (o *treeOwner) Snapshot() [][]float64 {
-	round := make([][]float64, o.t.n)
-	for g := range round {
-		lf := o.t.leafOf[g]
-		round[g] = append([]float64(nil), lf.lastX[g-lf.lo]...)
+	round := make([][]float64, 0, o.t.n)
+	for _, lf := range o.t.leaves {
+		round = append(round, lf.Snapshot()...)
 	}
 	return round
 }

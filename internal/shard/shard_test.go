@@ -13,22 +13,14 @@ import (
 	"automon/internal/shard"
 )
 
-// memComm delivers synchronously into in-process nodes, like the sim and
-// oracle fabrics.
-type memComm struct{ nodes []*core.Node }
-
-func (c *memComm) RequestData(id int) []float64    { return c.nodes[id].LocalVector() }
-func (c *memComm) SendSync(id int, m *core.Sync)   { c.nodes[id].ApplySync(m) }
-func (c *memComm) SendSlack(id int, m *core.Slack) { c.nodes[id].ApplySlack(m) }
-
-func newCluster(t *testing.T, f *core.Function, n int, gen func(i int) []float64) ([]*core.Node, *memComm) {
+func newCluster(t *testing.T, f *core.Function, n int, gen func(i int) []float64) ([]*core.Node, *core.Fabric) {
 	t.Helper()
 	nodes := make([]*core.Node, n)
 	for i := range nodes {
 		nodes[i] = core.NewNode(i, f)
 		nodes[i].SetData(gen(i))
 	}
-	return nodes, &memComm{nodes: nodes}
+	return nodes, &core.Fabric{Nodes: nodes}
 }
 
 func TestTreeShapeAndSubtrees(t *testing.T) {

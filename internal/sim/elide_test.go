@@ -122,6 +122,9 @@ func TestElideDifferentialAcrossZoo(t *testing.T) {
 			if !reflect.DeepEqual(*ref, scrubbed) {
 				t.Fatalf("elided run diverges from per-round run:\nref    %+v\nelided %+v", *ref, scrubbed)
 			}
+			if ref.RefusedSyncs != 0 {
+				t.Fatalf("%d syncs refused by their node", ref.RefusedSyncs)
+			}
 		})
 	}
 	if !anyElided {

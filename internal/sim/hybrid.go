@@ -18,18 +18,11 @@ func runHybrid(cfg Config, res *Result, windows []stream.Windower) (*Result, err
 		k = 50
 	}
 
-	nodes := make([]*core.Node, n)
-	for i := range nodes {
-		nodes[i] = core.NewNode(i, cfg.F)
-		nodes[i].SetData(windows[i].Vector())
-	}
-	comm := newCountingComm(cfg, res, nodes)
-	coreCfg := cfg.Core
-	if coreCfg.Metrics == nil {
-		coreCfg.Metrics = cfg.Metrics
-	}
-	coord := core.NewCoordinator(cfg.F, n, coreCfg, comm)
-	if err := coord.Init(); err != nil {
+	g := core.NewGroup(cfg.F, vectors(windows))
+	comm := newCounter(cfg, res)
+	g.OnMessage = comm.count
+	coord := core.NewCoordinator(cfg.F, n, cfg.Core, g)
+	if err := g.Start(coord); err != nil {
 		return nil, err
 	}
 
@@ -65,12 +58,7 @@ func runHybrid(cfg Config, res *Result, windows []stream.Windower) (*Result, err
 				comm.count(&core.DataResponse{NodeID: i, X: windows[i].Vector()})
 				continue
 			}
-			v := nodes[i].UpdateData(windows[i].Vector())
-			if v == nil {
-				continue
-			}
-			comm.count(v)
-			if err := coord.HandleViolation(v); err != nil {
+			if err := g.Step(i, windows[i].Vector()); err != nil {
 				return nil, err
 			}
 		}
@@ -89,8 +77,8 @@ func runHybrid(cfg Config, res *Result, windows []stream.Windower) (*Result, err
 			spent := res.Messages - windowStartMsgs
 			if centralized {
 				// Fallback stretch over: try AutoMon again with fresh zones.
-				for i := range nodes {
-					nodes[i].SetData(windows[i].Vector())
+				for i := range windows {
+					g.SetData(i, windows[i].Vector())
 				}
 				if err := coord.Resync(); err != nil {
 					return nil, err
@@ -114,6 +102,7 @@ func runHybrid(cfg Config, res *Result, windows []stream.Windower) (*Result, err
 			activeInWindow = 0
 		}
 	}
+	res.RefusedSyncs = g.RefusedSyncs
 	res.Stats = coord.Stats()
 	res.TunedR = coord.R()
 	res.FinalR = coord.R()

@@ -55,7 +55,7 @@ func TestSimMetricsMatchResult(t *testing.T) {
 	}
 }
 
-// fakeMsg is a protocol message of a type countingComm was never told about.
+// fakeMsg is a protocol message of a type the counter was never told about.
 type fakeMsg struct{}
 
 func (fakeMsg) Type() core.MsgType { return core.MsgType(250) }
@@ -68,7 +68,7 @@ func (fakeMsg) Encode() []byte     { return make([]byte, 7) }
 func TestCountingCommCountsUnknownMessageTypes(t *testing.T) {
 	reg := obs.NewRegistry()
 	res := &Result{MessagesByType: make(map[core.MsgType]int)}
-	comm := newCountingComm(Config{Metrics: reg}, res, nil)
+	comm := newCounter(Config{Metrics: reg}, res)
 
 	comm.count(fakeMsg{})
 	comm.count(fakeMsg{})

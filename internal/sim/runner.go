@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -127,8 +128,17 @@ type Result struct {
 	// elision budget skipped (Elide runs only; zero otherwise).
 	ElidedChecks int
 
+	// RefusedSyncs counts syncs a node could not check and refused; anything
+	// but zero voids the run (the coordinator believes the zone installed).
+	RefusedSyncs int
+
 	Stats  core.CoordStats
 	TunedR float64
+	// TuneUnconverged reports that Algorithm 2's bracket converged at neither
+	// end (core.ErrBracketNotConverged), so TunedR is the best grid point of
+	// a degenerate bracket. r only affects communication, never ε-correctness,
+	// so the run proceeds with it.
+	TuneUnconverged bool
 	// FinalR is the coordinator's neighborhood radius when the run ended; it
 	// differs from TunedR when §3.6 doubling or the adaptive controller moved
 	// r during the run (AutoMon/Hybrid only).
@@ -139,63 +149,13 @@ type Result struct {
 	CumMessages                   []int
 }
 
-// Outcome is the protocol-visible footprint of a run: everything the
-// protocol determines and nothing the harness shape does. Differential
-// suites DeepEqual the Outcome of a sharded-tree run against a flat run to
-// prove the tree changes the topology, not the protocol.
-type Outcome struct {
-	Messages       int
-	MessagesByType map[core.MsgType]int
-	PayloadBytes   int
-
-	MaxErr, MeanErr, P99Err float64
-	MissedRounds            int
-	ElidedChecks            int
-
-	Stats          core.CoordStats
-	TunedR, FinalR float64
-
-	EstTrace    []float64
-	CumMessages []int
-}
-
-// Outcome extracts the comparable footprint of the result.
-func (r *Result) Outcome() Outcome {
-	byType := make(map[core.MsgType]int, len(r.MessagesByType))
-	for t, n := range r.MessagesByType {
-		byType[t] = n
-	}
-	return Outcome{
-		Messages:       r.Messages,
-		MessagesByType: byType,
-		PayloadBytes:   r.PayloadBytes,
-		MaxErr:         r.MaxErr,
-		MeanErr:        r.MeanErr,
-		P99Err:         r.P99Err,
-		MissedRounds:   r.MissedRounds,
-		ElidedChecks:   r.ElidedChecks,
-		Stats:          r.Stats,
-		TunedR:         r.TunedR,
-		FinalR:         r.FinalR,
-		EstTrace:       r.EstTrace,
-		CumMessages:    r.CumMessages,
-	}
-}
-
-// countingComm implements core.NodeComm over in-process nodes while
-// accounting for every message and its encoded payload size. The counts live
-// in obs counters; the Result fields are refreshed from them on every count,
-// so a registry scrape and the Result can never disagree. The baseline
-// algorithms (centralization, periodic, hybrid fallback) use count too, with
-// nodes unset.
-type countingComm struct {
-	nodes []*core.Node
-	res   *Result
-
-	// refresh, when set (elided runs), materializes node id's current window
-	// vector into the node before a coordinator data pull, since the elided
-	// path leaves node state stale on skipped rounds.
-	refresh func(id int)
+// counter accounts for every message and its encoded payload size. It hangs
+// on the group fabric's OnMessage hook; the baseline algorithms
+// (centralization, periodic, hybrid fallback) call count directly. The counts
+// live in obs counters and the Result fields are refreshed from them on every
+// count, so a registry scrape and the Result can never disagree.
+type counter struct {
+	res *Result
 
 	reg     *obs.Registry
 	lbl     func(extra string) string
@@ -204,9 +164,9 @@ type countingComm struct {
 	byType  map[core.MsgType]*obs.Counter
 }
 
-// newCountingComm wires the comm's counters, registering them when the run
-// has a registry.
-func newCountingComm(cfg Config, res *Result, nodes []*core.Node) *countingComm {
+// newCounter wires the counters, registering them when the run has a
+// registry.
+func newCounter(cfg Config, res *Result) *counter {
 	// Per-metric labels come first, run-wide MetricsLabels after — the same
 	// convention transport.Bind uses ({dir=...,side=...}).
 	lbl := func(extra string) string {
@@ -222,8 +182,7 @@ func newCountingComm(cfg Config, res *Result, nodes []*core.Node) *countingComm 
 		}
 		return "{" + set + "}"
 	}
-	c := &countingComm{
-		nodes:  nodes,
+	c := &counter{
 		res:    res,
 		reg:    cfg.Metrics,
 		lbl:    lbl,
@@ -248,7 +207,7 @@ func newCountingComm(cfg Config, res *Result, nodes []*core.Node) *countingComm 
 
 // typeCounter returns the per-message-type counter, creating (and, when the
 // run has a registry, registering) it on first use.
-func (c *countingComm) typeCounter(t core.MsgType) *obs.Counter {
+func (c *counter) typeCounter(t core.MsgType) *obs.Counter {
 	if ctr, ok := c.byType[t]; ok {
 		return ctr
 	}
@@ -267,27 +226,7 @@ func simCounter(reg *obs.Registry, name, help string) *obs.Counter {
 	return obs.NewCounter()
 }
 
-func (c *countingComm) RequestData(id int) []float64 {
-	if c.refresh != nil {
-		c.refresh(id)
-	}
-	x := c.nodes[id].LocalVector()
-	c.count(&core.DataRequest{NodeID: id})
-	c.count(&core.DataResponse{NodeID: id, X: x})
-	return x
-}
-
-func (c *countingComm) SendSync(id int, m *core.Sync) {
-	c.count(m)
-	c.nodes[id].ApplySync(m)
-}
-
-func (c *countingComm) SendSlack(id int, m *core.Slack) {
-	c.count(m)
-	c.nodes[id].ApplySlack(m)
-}
-
-func (c *countingComm) count(m core.Message) {
+func (c *counter) count(m core.Message) {
 	t := m.Type()
 	ctr := c.typeCounter(t)
 	c.msgs.Inc()
@@ -313,18 +252,10 @@ func Run(cfg Config) (*Result, error) {
 		res.Algorithm = fmt.Sprintf("periodic-%d", cfg.Period)
 	}
 
-	ds := cfg.Data
-	n := ds.Nodes
-	windows := make([]stream.Windower, n)
-	for i := range windows {
-		windows[i] = ds.NewWindow()
+	if cfg.Core.Metrics == nil {
+		cfg.Core.Metrics = cfg.Metrics
 	}
-	// Warm-up: fill every window before monitoring starts (§4.2).
-	for r := 0; r < ds.FillRounds(); r++ {
-		for i := 0; i < n; i++ {
-			windows[i].Push(ds.FillSample(r, i))
-		}
-	}
+	windows := cfg.Data.FilledWindows()
 	for i := range windows {
 		if !windows[i].Full() {
 			return nil, fmt.Errorf("sim: window %d not full after warm-up", i)
@@ -342,13 +273,18 @@ func Run(cfg Config) (*Result, error) {
 	return runAutoMon(cfg, res, windows)
 }
 
-// trueAverage computes the dataset-side ground truth x̄ from the windows.
-func trueAverage(dst []float64, windows []stream.Windower) {
+// vectors returns every window's current vector.
+func vectors(windows []stream.Windower) [][]float64 {
 	vecs := make([][]float64, len(windows))
 	for i, w := range windows {
 		vecs[i] = w.Vector()
 	}
-	linalg.Mean(dst, vecs...)
+	return vecs
+}
+
+// trueAverage computes the dataset-side ground truth x̄ from the windows.
+func trueAverage(dst []float64, windows []stream.Windower) {
+	linalg.Mean(dst, vectors(windows)...)
 }
 
 func (r *Result) observe(cfg Config, est, truth float64, trace bool) {
@@ -390,74 +326,38 @@ func (r *Result) finalize(trace bool) {
 func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, error) {
 	ds := cfg.Data
 	n := ds.Nodes
-	nodes := make([]*core.Node, n)
-	for i := range nodes {
-		nodes[i] = core.NewNode(i, cfg.F)
-		nodes[i].SetData(windows[i].Vector())
-	}
-	comm := newCountingComm(cfg, res, nodes)
-	if cfg.Elide {
-		for i := range nodes {
-			if !nodes[i].EnableElision() {
-				return nil, fmt.Errorf("sim: elision needs a curvature bound for %s (constant Hessian or WithCurvature)", cfg.F.Name)
-			}
-		}
-		// A skipped round leaves node state stale, so data pulls must
-		// materialize the current window vector first. SetData resets the
-		// elision budget, and every pulled node then receives a sync or slack
-		// (which reset it again), so budget soundness is preserved.
-		comm.refresh = func(id int) { nodes[id].SetData(windows[id].Vector()) }
+	g := core.NewGroup(cfg.F, vectors(windows))
+	g.OnMessage = newCounter(cfg, res).count
+	if cfg.Elide && !g.EnableElision() {
+		return nil, fmt.Errorf("sim: elision needs a curvature bound for %s (constant Hessian or WithCurvature)", cfg.F.Name)
 	}
 
 	startRound := 0
 	coreCfg := cfg.Core
-	if coreCfg.Metrics == nil {
-		coreCfg.Metrics = cfg.Metrics
-	}
 	needsTuning := cfg.TuneRounds > 0 && coreCfg.R == 0 &&
 		!coreCfg.DisableADCD && coreCfg.ZoneBuilder == nil && !cfg.F.HasConstantHessian()
 	if needsTuning {
-		// Build the tuning replay from the first TuneRounds monitored
-		// rounds, advancing the real windows as we go (the tuning prefix is
-		// consumed, as in §4.2).
-		tuneData := make(core.TuningData, 0, cfg.TuneRounds+1)
-		snapshot := func() [][]float64 {
-			vecs := make([][]float64, n)
-			for i := range vecs {
-				vecs[i] = linalg.Clone(windows[i].Vector())
-			}
-			return vecs
-		}
-		tuneData = append(tuneData, snapshot())
-		for r := 0; r < cfg.TuneRounds && r < ds.Rounds; r++ {
-			for i := 0; i < n; i++ {
-				if s := ds.Sample(r, i); s != nil {
-					windows[i].Push(s)
-				}
-			}
-			tuneData = append(tuneData, snapshot())
-			startRound++
-		}
+		// The tuning replay is the first TuneRounds monitored rounds; the real
+		// windows advance through it (the tuning prefix is consumed, as in
+		// §4.2).
+		startRound = min(cfg.TuneRounds, ds.Rounds)
+		tuneData := core.TuningData(ds.Snapshots(windows, 0, startRound))
 		tuned, err := core.Tune(cfg.F, tuneData, n, coreCfg)
-		if err != nil {
+		if errors.Is(err, core.ErrBracketNotConverged) {
+			res.TuneUnconverged = true
+		} else if err != nil {
 			return nil, fmt.Errorf("sim: neighborhood tuning: %w", err)
 		}
 		coreCfg.R = tuned.R
 		res.TunedR = tuned.R
-		for i := range nodes {
-			nodes[i].SetData(windows[i].Vector())
+		for i := range windows {
+			g.SetData(i, windows[i].Vector())
 		}
 	}
 
 	// The flat coordinator and the sharded tree expose the same monitor
 	// surface; which one runs is purely a topology choice.
-	var coord interface {
-		Init() error
-		HandleViolation(v *core.Violation) error
-		Estimate() float64
-		Stats() core.CoordStats
-		R() float64
-	}
+	var mon core.Monitor
 	var tree *shard.Tree
 	if cfg.Shards > 0 {
 		mode := shard.ModeRoute
@@ -465,7 +365,7 @@ func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, er
 			mode = shard.ModeAbsorb
 		}
 		var err error
-		tree, err = shard.NewTree(cfg.F, n, coreCfg, comm, shard.Options{
+		tree, err = shard.NewTree(cfg.F, n, coreCfg, g, shard.Options{
 			Shards: cfg.Shards,
 			Fanout: cfg.TreeFanout,
 			Mode:   mode,
@@ -473,22 +373,12 @@ func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, er
 		if err != nil {
 			return nil, err
 		}
-		coord = tree
+		mon = tree
 	} else {
-		coord = core.NewCoordinator(cfg.F, n, coreCfg, comm)
+		mon = core.NewCoordinator(cfg.F, n, coreCfg, g)
 	}
-	if err := coord.Init(); err != nil {
+	if err := g.Start(mon); err != nil {
 		return nil, err
-	}
-
-	// prev tracks each node's last-seen window vector so the elided path can
-	// spend the budget by the round's exact movement ‖x_r − x_{r−1}‖.
-	var prev [][]float64
-	if cfg.Elide {
-		prev = make([][]float64, n)
-		for i := range prev {
-			prev[i] = linalg.Clone(windows[i].Vector())
-		}
 	}
 
 	avg := make([]float64, cfg.F.Dim())
@@ -502,19 +392,7 @@ func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, er
 				continue
 			}
 			windows[i].Push(s)
-			var v *core.Violation
-			if cfg.Elide {
-				x := windows[i].Vector()
-				norm := math.Sqrt(linalg.SqDist(x, prev[i]))
-				copy(prev[i], x)
-				if !nodes[i].SpendBudget(norm) {
-					res.ElidedChecks++
-					continue // proven inside the safe zone: no exact check
-				}
-				v = nodes[i].UpdateDataRefresh(x)
-			} else {
-				v = nodes[i].UpdateData(windows[i].Vector())
-			}
+			v := g.Update(i, windows[i].Vector())
 			if v == nil {
 				continue
 			}
@@ -524,18 +402,19 @@ func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, er
 				// never reach the wire until the sub-tree rejoins.
 				continue
 			}
-			comm.count(v)
-			if err := coord.HandleViolation(v); err != nil {
+			if err := g.Resolve(v); err != nil {
 				return nil, err
 			}
 		}
 		trueAverage(avg, windows)
-		res.observe(cfg, coord.Estimate(), cfg.F.Value(avg), cfg.Trace)
+		res.observe(cfg, mon.Estimate(), cfg.F.Value(avg), cfg.Trace)
 	}
-	res.Stats = coord.Stats()
-	res.FinalR = coord.R()
+	res.ElidedChecks = g.Elided
+	res.RefusedSyncs = g.RefusedSyncs
+	res.Stats = mon.Stats()
+	res.FinalR = mon.R()
 	if res.TunedR == 0 {
-		res.TunedR = coord.R()
+		res.TunedR = mon.R()
 	}
 	res.finalize(cfg.Trace)
 	return res, nil
@@ -543,7 +422,7 @@ func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, er
 
 func runCentralization(cfg Config, res *Result, windows []stream.Windower) (*Result, error) {
 	ds := cfg.Data
-	comm := newCountingComm(cfg, res, nil)
+	comm := newCounter(cfg, res)
 	avg := make([]float64, cfg.F.Dim())
 	for r := 0; r < ds.Rounds; r++ {
 		for i := 0; i < ds.Nodes; i++ {
@@ -567,7 +446,7 @@ func runPeriodic(cfg Config, res *Result, windows []stream.Windower) (*Result, e
 		return nil, fmt.Errorf("sim: periodic baseline requires Period > 0")
 	}
 	ds := cfg.Data
-	comm := newCountingComm(cfg, res, nil)
+	comm := newCounter(cfg, res)
 	avg := make([]float64, cfg.F.Dim())
 	trueAverage(avg, windows)
 	est := cfg.F.Value(avg)

@@ -19,12 +19,11 @@ var treeFanouts = []int{2, 8, 64}
 
 // TestTreeDifferentialAcrossZoo replays every curvature-carrying bundled
 // function through the flat coordinator and through routing-mode shard trees
-// at fan-outs {2, 8, 64}, and demands the protocol-visible Outcome be
-// DeepEqual: message counts by type, payload bytes, error series, coordinator
-// stats, estimate traces. The tree is a topology choice, not a protocol
-// change. Each case also replays with Config.Elide through the deepest tree,
-// where the full Result (including ElidedChecks) must match the elided flat
-// run bit for bit.
+// at fan-outs {2, 8, 64}, and demands the full Result be DeepEqual: message
+// counts by type, payload bytes, error series, coordinator stats, estimate
+// traces. The tree is a topology choice, not a protocol change. Each case
+// also replays with Config.Elide through the deepest tree, where the Result
+// (including ElidedChecks) must match the elided flat run bit for bit.
 func TestTreeDifferentialAcrossZoo(t *testing.T) {
 	for _, tc := range elideCases(t) {
 		tc := tc
@@ -43,9 +42,12 @@ func TestTreeDifferentialAcrossZoo(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fanout %d: %v", fanout, err)
 				}
-				if !reflect.DeepEqual(flat.Outcome(), tree.Outcome()) {
+				if !reflect.DeepEqual(*flat, *tree) {
 					t.Errorf("fanout %d: sharded outcome diverges from flat\nflat %+v\ntree %+v",
-						fanout, flat.Outcome(), tree.Outcome())
+						fanout, *flat, *tree)
+				}
+				if flat.RefusedSyncs+tree.RefusedSyncs != 0 {
+					t.Errorf("fanout %d: syncs refused by their node: flat %d, tree %d", fanout, flat.RefusedSyncs, tree.RefusedSyncs)
 				}
 			}
 
@@ -110,9 +112,9 @@ func TestTreeDifferentialAdaptiveR(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fanout %d: %v", fanout, err)
 		}
-		if !reflect.DeepEqual(flat.Outcome(), tree.Outcome()) {
+		if !reflect.DeepEqual(*flat, *tree) {
 			t.Errorf("fanout %d: adaptive-r sharded outcome diverges from flat\nflat %+v\ntree %+v",
-				fanout, flat.Outcome(), tree.Outcome())
+				fanout, *flat, *tree)
 		}
 	}
 }
@@ -137,8 +139,8 @@ func TestTreeDeepTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(flat.Outcome(), tree.Outcome()) {
-		t.Fatalf("deep tree outcome diverges from flat\nflat %+v\ntree %+v", flat.Outcome(), tree.Outcome())
+	if !reflect.DeepEqual(*flat, *tree) {
+		t.Fatalf("deep tree outcome diverges from flat\nflat %+v\ntree %+v", *flat, *tree)
 	}
 }
 

@@ -28,8 +28,47 @@ type Dataset struct {
 // FillRounds returns the number of warm-up rounds.
 func (d *Dataset) FillRounds() int { return len(d.fill) }
 
-// FillSample returns node i's sample in warm-up round r.
-func (d *Dataset) FillSample(r, i int) []float64 { return d.fill[r][i] }
+// FilledWindow builds node i's window and replays the warm-up rounds into it
+// (§4.2: every window fills before monitoring starts).
+func (d *Dataset) FilledWindow(i int) Windower {
+	w := d.NewWindow()
+	for _, round := range d.fill {
+		w.Push(round[i])
+	}
+	return w
+}
+
+// FilledWindows builds every node's warmed-up window.
+func (d *Dataset) FilledWindows() []Windower {
+	ws := make([]Windower, d.Nodes)
+	for i := range ws {
+		ws[i] = d.FilledWindow(i)
+	}
+	return ws
+}
+
+// Snapshots pushes monitored rounds [from, to) into the windows and returns
+// a copy of every window's vector before the first of them and after each:
+// to−from+1 rounds × nodes × dim, the shape of a tuning replay.
+func (d *Dataset) Snapshots(ws []Windower, from, to int) [][][]float64 {
+	snapshot := func() [][]float64 {
+		out := make([][]float64, len(ws))
+		for i, w := range ws {
+			out[i] = append([]float64(nil), w.Vector()...)
+		}
+		return out
+	}
+	data := [][][]float64{snapshot()}
+	for r := from; r < to; r++ {
+		for i, w := range ws {
+			if s := d.samples[r][i]; s != nil {
+				w.Push(s)
+			}
+		}
+		data = append(data, snapshot())
+	}
+	return data
+}
 
 // Sample returns node i's sample in monitored round r (nil = no update).
 func (d *Dataset) Sample(r, i int) []float64 { return d.samples[r][i] }

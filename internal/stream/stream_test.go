@@ -151,10 +151,7 @@ func TestDatasetShapes(t *testing.T) {
 			}
 		}
 		// Windows must fill after FillRounds pushes.
-		w := c.ds.NewWindow()
-		for r := 0; r < c.ds.FillRounds(); r++ {
-			w.Push(c.ds.FillSample(r, 0))
-		}
+		w := c.ds.FilledWindow(0)
 		if !w.Full() {
 			t.Fatalf("%s: window not full after warm-up", c.name)
 		}
@@ -213,10 +210,7 @@ func TestAirQualityRangesAndDrift(t *testing.T) {
 		}
 	}
 	// The windowed histograms must produce valid probability vectors.
-	w := ds.NewWindow()
-	for r := 0; r < ds.FillRounds(); r++ {
-		w.Push(ds.FillSample(r, 0))
-	}
+	w := ds.FilledWindow(0)
 	if !w.Full() {
 		t.Fatal("hist window not full after warm-up")
 	}

@@ -489,11 +489,13 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	// Resolution signals are not addressed to a specific violation (a sync
 	// triggered by another node's violation also lands here), so wait until
 	// this node's constraints actually hold again.
-	deadline := time.After(c.opts.ResolveTimeout)
+	// Stopped on return so no timer outlives the wait (see socketComm.RequestData).
+	deadline := time.NewTimer(c.opts.ResolveTimeout)
+	defer deadline.Stop()
 	for {
 		select {
 		case <-c.resolved:
-		case <-deadline:
+		case <-deadline.C:
 			return fmt.Errorf("transport: node %d violation resolution timed out", c.ID)
 		}
 		if err := c.Err(); err != nil {

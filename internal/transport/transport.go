@@ -781,6 +781,10 @@ func (s *socketComm) RequestData(id int) []float64 {
 		s.noteDead(id)
 		return nil
 	}
+	// Stopped on return: an abandoned time.After stays in the runtime's timer
+	// heap for the whole RequestTimeout, so the heap would grow with every pull.
+	timeout := time.NewTimer(s.c.opts.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case resp := <-cc.dataCh:
 		return resp.X
@@ -789,7 +793,7 @@ func (s *socketComm) RequestData(id int) []float64 {
 		return nil
 	case <-s.c.done:
 		return nil
-	case <-time.After(s.c.opts.RequestTimeout):
+	case <-timeout.C:
 		// A node that cannot answer a data request is useless even if its
 		// TCP connection looks healthy: recycle the connection so the node
 		// notices, reconnects, and rejoins with fresh state.

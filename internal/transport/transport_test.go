@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -200,5 +201,44 @@ func TestBadRegistrationRejected(t *testing.T) {
 		default:
 			time.Sleep(10 * time.Millisecond)
 		}
+	}
+}
+
+// TestDataPullsLeaveNoTimersBehind pins the steadiness fix: a data pull's
+// timeout timer is stopped when the pull returns. An abandoned time.After
+// stays in the runtime's timer heap until RequestTimeout (30 s by default)
+// expires, about 260 bytes each, so a violation-dense run's live heap, and
+// with it every collection, grew with the number of pulls made so far
+// (storm-sock: 3 MiB → 19 MiB in 7 s). 10 000 leaked timers measured 2.6 MB
+// here against −0.04 MB stopped; the test allows 0.5 MiB.
+func TestDataPullsLeaveNoTimersBehind(t *testing.T) {
+	f := funcs.InnerProduct(2)
+	initial := [][]float64{{0, 0, 1, 1}, {0, 0, 1, 1}}
+	coord, nodes := startCluster(t, f, 2, core.Config{Epsilon: 0.2}, Options{}, initial)
+	defer coord.Close()
+	for _, nd := range nodes {
+		defer nd.Close()
+	}
+	comm := &socketComm{c: coord}
+	pull := func(k int) {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		for i := 0; i < k; i++ {
+			if comm.RequestData(i%2) == nil {
+				t.Fatalf("pull %d failed: %v", i, coord.Err())
+			}
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	pull(200) // buffers and pools reach their steady size
+	before := live()
+	pull(10000)
+	if grown := int64(live()) - int64(before); grown > 512<<10 {
+		t.Fatalf("live heap grew by %d bytes over 10000 data pulls", grown)
 	}
 }
