@@ -1,9 +1,9 @@
 // Multi-tenant deployment: one coordinator process hosts three independent
 // monitoring groups — three different functions over three different node
 // fleets — behind a single TCP listener, with outbound frame batching
-// enabled. Each group's nodes register with their group id, the wire
-// negotiates the group-tagged batch framing per connection, and the shared
-// metrics registry keeps every group's counters apart under group labels.
+// enabled. Each group's nodes register with their group id, every frame
+// carries it, and the shared metrics registry keeps every group's counters
+// apart under group labels.
 // Run with:
 //
 //	go run ./examples/multitenant

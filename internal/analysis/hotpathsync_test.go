@@ -19,6 +19,7 @@ import (
 var hotpathManifest = map[string]bool{
 	"core.Node.UpdateData":          true,
 	"core.Node.UpdateDataRefresh":   true,
+	"core.Node.UpdateElided":        true,
 	"core.Node.SpendBudget":         true,
 	"core.SafeZone.ContainsScratch": true,
 	"ingest.NodeIngestor.Ingest":    true,

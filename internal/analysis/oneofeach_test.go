@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -32,6 +33,20 @@ var (
 	// and the wire decoder. Every per-node Sync is a Sync.ForNode copy of the
 	// template.
 	syncLiteralManifest = []string{"core.Decode", "core.Machine.fullSync"}
+)
+
+// The socket half (ISSUE 21): one elided node step, one wire.
+var (
+	// Functions that debit an elision budget: the one vector-backed step
+	// (Group.Update and transport.NodeClient both call it) and the
+	// sketch-backed ingestor, whose movement bound comes from the sketch. A
+	// third hand-written spend-or-check sequence fails here.
+	spendBudgetManifest = []string{"core.Node.UpdateElided", "ingest.NodeIngestor.Ingest"}
+	// Functions in internal/transport that write a length word: the frame's
+	// tagged first word and the per-message sub-length inside a batch body.
+	// A second framing needs a second first-word writer.
+	frameWordManifest = []string{"transport.frameWriter.flushLocked"}
+	subLengthManifest = []string{"transport.frameWriter.writeMsg"}
 )
 
 // walkModule parses every non-test Go file of the root module (nested
@@ -106,24 +121,80 @@ func TestOneInProcessDataPlane(t *testing.T) {
 			}
 		}
 	})
-	for _, c := range []struct {
-		what, key string
-		want      []string
-	}{
-		{"types declaring RequestData (core.NodeComm implementations)", "RequestData", requestDataManifest},
-		{"types declaring Rebalance (core.Ownership implementations)", "Rebalance", rebalanceManifest},
-		{"struct types with a lastX/slacks/matrixSent field", "table", tableManifest},
-		{"functions with a Sync composite literal", "Sync{}", syncLiteralManifest},
-	} {
-		var got []string
-		for name := range found[c.key] {
-			got = append(got, name)
-		}
-		sort.Strings(got)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s:\n  got  %v\n  want %v (manifest in oneofeach_test.go)", c.what, got, c.want)
-		}
+	expectManifest(t, "types declaring RequestData (core.NodeComm implementations)", found["RequestData"], requestDataManifest)
+	expectManifest(t, "types declaring Rebalance (core.Ownership implementations)", found["Rebalance"], rebalanceManifest)
+	expectManifest(t, "struct types with a lastX/slacks/matrixSent field", found["table"], tableManifest)
+	expectManifest(t, "functions with a Sync composite literal", found["Sync{}"], syncLiteralManifest)
+}
+
+// expectManifest fails unless the names found are exactly the reviewed set.
+func expectManifest(t *testing.T, what string, found map[string]bool, want []string) {
+	t.Helper()
+	var got []string
+	for name := range found {
+		got = append(got, name)
 	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s:\n  got  %v\n  want %v (manifest in oneofeach_test.go)", what, got, want)
+	}
+}
+
+// mentions reports whether the subtree uses an identifier called name.
+func mentions(n ast.Node, name string) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == name {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+func TestOneWireOneElidedStep(t *testing.T) {
+	found := map[string]map[string]bool{"SpendBudget": {}, "frame word": {}, "sub-length": {}}
+	v1 := regexp.MustCompile(`(?i)v1`)
+	walkModule(t, func(f *ast.File) {
+		pkg := f.Name.Name
+		wire := pkg == "transport" || pkg == "chaos"
+		if wire {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && v1.MatchString(id.Name) {
+					t.Errorf("%s: identifier %s names a wire version; there is one wire", pkg, id.Name)
+				}
+				return true
+			})
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch {
+				case sel.Sel.Name == "SpendBudget":
+					found["SpendBudget"][pkg+"."+declName(d)] = true
+				case wire && sel.Sel.Name == "PutUint32" && mentions(call, "batchTag"):
+					found["frame word"][pkg+"."+declName(d)] = true
+				case wire && sel.Sel.Name == "PutUint32":
+					found["sub-length"][pkg+"."+declName(d)] = true
+				}
+				return true
+			})
+		}
+	})
+	expectManifest(t, "functions calling (*core.Node).SpendBudget", found["SpendBudget"], spendBudgetManifest)
+	expectManifest(t, "transport functions writing a frame's first word", found["frame word"], frameWordManifest)
+	expectManifest(t, "transport functions writing any other length word", found["sub-length"], subLengthManifest)
 }
 
 // typeNamed reports whether a composite literal's type is name or pkg.name.

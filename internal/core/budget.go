@@ -91,6 +91,29 @@ func (n *Node) SpendBudget(norm float64) bool {
 	return !(e.budget > 0)
 }
 
+// UpdateElided is the one elided node step, shared by every vector-backed
+// driver (Group.Update in process, transport.NodeClient over sockets): write
+// the offered vector straight into the node, spend its exact L2 movement from
+// the budget, and run the exact check only on exhaustion. skipped reports a
+// step whose check the budget proved unnecessary. The node's vector is
+// therefore always current — a data pull reads it as is, and needs no budget
+// reset: a budget depends only on zone, slack and cumulative movement since
+// the last exact check, none of which a pull changes. Without EnableElision
+// every step is UpdateData.
+//
+//automon:hotpath
+func (n *Node) UpdateElided(x []float64) (v *Violation, skipped bool) {
+	if !n.el.enabled {
+		return n.UpdateData(x), false
+	}
+	norm := math.Sqrt(linalg.SqDist(x, n.x))
+	copy(n.x, x)
+	if !n.SpendBudget(norm) {
+		return nil, true
+	}
+	return n.UpdateDataRefresh(x), false
+}
+
 // UpdateDataRefresh is UpdateData for the elided path: it replaces the local
 // vector, runs the exact constraint check, and — when the check passes —
 // refreshes the elision budget from the current zone geometry. On a

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"math"
-
-	"automon/internal/linalg"
-)
-
 // Fabric is the in-process messaging fabric: a NodeComm that delivers
 // synchronously into Node objects, with no wire. Every simulated, replayed
 // or in-process run uses this one type; only deployments over real sockets
@@ -17,9 +11,9 @@ type Fabric struct {
 	// order: a DataRequest and its DataResponse per pull, each Sync and each
 	// Slack. Message and byte accounting hangs here.
 	OnMessage func(Message)
-	// BeforePull, when set, runs before node id's vector is read. Elided and
-	// sketch-backed nodes leave their vector stale between exact checks and
-	// materialize the current one here.
+	// BeforePull, when set, runs before node id's vector is read.
+	// Sketch-backed nodes (internal/ingest) leave their vector stale between
+	// exact checks and materialize the current one here.
 	BeforePull func(id int)
 	// RefusedSyncs counts syncs a node could not check and refused (see
 	// Node.ApplySync). The coordinator believes those zones installed, so
@@ -81,9 +75,6 @@ type Group struct {
 
 	// Elided counts Steps whose safe-zone check the elision budget skipped.
 	Elided int
-	// latest is each node's most recent vector on the elided path, where the
-	// node's own copy is stale between exact checks. Nil when elision is off.
-	latest [][]float64
 }
 
 // NewGroup creates one node per initial vector.
@@ -97,23 +88,16 @@ func NewGroup(f *Function, initial [][]float64) *Group {
 	return g
 }
 
-// EnableElision switches Step to safe-zone check elision: each step spends
-// the node's cached distance-to-boundary budget by the vector's exact
-// movement and re-runs the check only once the budget is exhausted. A skipped
-// step leaves the node's state stale, so data pulls materialize the latest
-// vector first; SetData resets the budget, and every pulled node then
-// receives a sync or slack (which reset it again), so budget soundness is
-// preserved. Returns false when the function carries no curvature bound.
+// EnableElision switches Step to safe-zone check elision (Node.UpdateElided):
+// each step spends the node's cached distance-to-boundary budget by the
+// vector's exact movement and re-runs the check only once the budget is
+// exhausted. Returns false when the function carries no curvature bound.
 func (g *Group) EnableElision() bool {
-	latest := make([][]float64, len(g.Nodes))
-	for i, nd := range g.Nodes {
+	for _, nd := range g.Nodes {
 		if !nd.EnableElision() {
 			return false
 		}
-		latest[i] = nd.LocalVector()
 	}
-	g.latest = latest
-	g.BeforePull = func(id int) { g.Nodes[id].SetData(g.latest[id]) }
 	return true
 }
 
@@ -126,26 +110,16 @@ func (g *Group) Start(mon Monitor) error {
 
 // SetData replaces node i's vector without a constraint check (a fresh start
 // ahead of an Init or Resync).
-func (g *Group) SetData(i int, x []float64) {
-	g.Nodes[i].SetData(x)
-	if g.latest != nil {
-		copy(g.latest[i], x)
-	}
-}
+func (g *Group) SetData(i int, x []float64) { g.Nodes[i].SetData(x) }
 
 // Update offers node i its new local vector and returns the violation the
 // node raises, if any.
 func (g *Group) Update(i int, x []float64) *Violation {
-	if g.latest == nil {
-		return g.Nodes[i].UpdateData(x)
-	}
-	norm := math.Sqrt(linalg.SqDist(x, g.latest[i]))
-	copy(g.latest[i], x)
-	if !g.Nodes[i].SpendBudget(norm) {
+	v, skipped := g.Nodes[i].UpdateElided(x)
+	if skipped {
 		g.Elided++
-		return nil // proven inside the safe zone: no exact check
 	}
-	return g.Nodes[i].UpdateDataRefresh(x)
+	return v
 }
 
 // Resolve reports a violation to the monitor, counting it as a message first.

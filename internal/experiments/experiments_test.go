@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"automon/internal/autodiff"
+	"automon/internal/core"
 	"automon/internal/sim"
+	"automon/internal/stream"
 )
 
 // tinyOpts shrinks everything far below even Quick size for unit tests.
@@ -157,5 +161,49 @@ func TestOptionsRounds(t *testing.T) {
 func TestSumHeader(t *testing.T) {
 	if len(tradeoffHeader) != 7 || !strings.Contains(strings.Join(tradeoffHeader, ","), "messages") {
 		t.Fatal("tradeoff header drifted; fix sumMessages consumers")
+	}
+}
+
+// TestFig8ProceedsOnUnconvergedBracket: the both-ends-fail tuning prefix of
+// sim's TestRunProceedsWhenTuningBracketDoesNotConverge (a stream creeping by
+// 10⁻⁷ per round against ε = 10⁻⁹, plus a jump past the domain face that
+// clips every neighborhood box). Fig. 8 used to abort on it; now the
+// repetition keeps the grid point Tune returns and lands in a flagged row.
+func TestFig8ProceedsOnUnconvergedBracket(t *testing.T) {
+	f := core.NewFunction("exp", 1, func(b *autodiff.Builder, x []autodiff.Ref) autodiff.Ref {
+		return b.Exp(x[0])
+	}).WithDomain([]float64{0}, []float64{1})
+	ds := stream.NewCustom("creep", 3, 10, 1, 1, func(round, node int) []float64 {
+		if node == 0 {
+			if round < 5 {
+				return []float64{0.1}
+			}
+			return []float64{0.9}
+		}
+		return []float64{0.3 + 1e-7*float64(round)}
+	})
+	data, err := replayData(&Workload{Name: "creep", F: f, Data: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Epsilon: 1e-9, Decomp: core.DecompOptions{Seed: 1}}
+	if _, err := core.Tune(f, data, ds.Nodes, cfg); !errors.Is(err, core.ErrBracketNotConverged) {
+		t.Fatalf("Tune err = %v; the prefix no longer provokes the failure this test guards", err)
+	}
+	strategy, r, err := tunedRadius(f, data, ds.Nodes, cfg)
+	if err != nil {
+		t.Fatalf("figure aborted: %v", err)
+	}
+	if strategy != "tuned-unconverged" || !(r > 0) || math.IsInf(r, 0) {
+		t.Fatalf("got row %q with r = %v, want a flagged row at the best grid point", strategy, r)
+	}
+	// A bracket that converges keeps the plain label.
+	w := RosenbrockWorkload(tinyOpts(), 3, 1000)
+	w.Data = w.Data.Slice(0, 40)
+	if data, err = replayData(w); err != nil {
+		t.Fatal(err)
+	}
+	if strategy, _, err = tunedRadius(w.F, data, w.Data.Nodes, core.Config{Epsilon: 0.5, Decomp: w.Decomp}); err != nil || strategy != "tuned" {
+		t.Fatalf("converged bracket: row %q, err %v", strategy, err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"sort"
 	"strconv"
 
@@ -201,17 +202,17 @@ func Fig8Tuning(o Options) (*Table, error) {
 			}
 			for _, eps := range mk.epss {
 				// Tuned r̂ from Algorithm 2 on the prefix.
-				tuned, err := core.Tune(w.F, tuneData, w.Data.Nodes,
+				strategy, r, err := tunedRadius(w.F, tuneData, w.Data.Nodes,
 					core.Config{Epsilon: eps, Decomp: w.Decomp,
 						TuneWorkers: w.tuneWorkers()})
 				if err != nil {
 					return err
 				}
-				msgs, err := runWith(eps, tuned.R)
+				msgs, err := runWith(eps, r)
 				if err != nil {
 					return err
 				}
-				record("tuned", eps, tuned.R, msgs)
+				record(strategy, eps, r, msgs)
 
 				// Optimal r*: grid over the evaluation run itself.
 				bestR, bestMsgs := 0.0, -1
@@ -283,6 +284,19 @@ func Fig8Tuning(o Options) (*Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// tunedRadius runs Algorithm 2 and names the Fig. 8 row its radius goes to.
+// r only affects communication, never ε-correctness, so a bracket that fails
+// at both ends does not abort the figure (sim.Run takes the same view): the
+// repetition proceeds with the grid point Tune still returns and is averaged
+// into a "tuned-unconverged" row of its own.
+func tunedRadius(f *core.Function, data core.TuningData, n int, cfg core.Config) (strategy string, r float64, err error) {
+	tuned, err := core.Tune(f, data, n, cfg)
+	if errors.Is(err, core.ErrBracketNotConverged) {
+		return "tuned-unconverged", tuned.R, nil
+	}
+	return "tuned", tuned.R, err
 }
 
 // formatR renders a fixed-strategy radius for the row label. The shortest

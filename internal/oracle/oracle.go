@@ -67,8 +67,7 @@ type Report struct {
 	// TreeDepth is the shard-tree depth of a ReplayTree run (tiers from the
 	// root shard to the leaves); zero for the flat TCP replay.
 	TreeDepth int
-	// RefusedSyncs counts syncs a node could not check and refused (ReplayTree
-	// only; the TCP nodes count theirs in the transport metrics). A correct
+	// RefusedSyncs counts syncs a node could not check and refused. A correct
 	// run produces none.
 	RefusedSyncs int
 }
@@ -162,6 +161,9 @@ func Replay(sp Spec) (*Report, error) {
 		rep.compare(sp.F, r, coord.Estimate(), vecs)
 	}
 	rep.Stats = coord.CoordStats()
+	for _, nd := range nodes {
+		rep.RefusedSyncs += int(nd.RejectedSyncs())
+	}
 	return rep, nil
 }
 

@@ -47,8 +47,8 @@ func specs(t *testing.T) []oracle.Spec {
 			},
 		},
 		{
-			// Same schedule as above, but over the batched wire-v2 path:
-			// the guarantee must be transport-policy independent.
+			// Same schedule as above, but with frames coalesced: the
+			// guarantee must be transport-policy independent.
 			Name: "inner-product/eps0.2/n3/batched",
 			F:    funcs.InnerProduct(2), N: 3, Eps: 0.2, Rounds: 8,
 			Opts: transport.Options{Batch: transport.BatchOptions{MaxBytes: 4096, MaxDelay: 2 * time.Millisecond}},
@@ -184,6 +184,9 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 			if rep.Stats.FullSyncs < 1 {
 				t.Error("not even the initial full sync was recorded")
+			}
+			if rep.RefusedSyncs != 0 {
+				t.Errorf("%d syncs refused by their node", rep.RefusedSyncs)
 			}
 			violations.Add(int64(rep.Stats.SafeZoneViolations + rep.Stats.NeighborhoodViolations))
 		})

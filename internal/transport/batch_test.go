@@ -89,7 +89,7 @@ func flatMsgs(frames []*inFrame) []core.Message {
 	return out
 }
 
-// batchFrameOf hand-builds a v2 batch frame, independent of the writer, so
+// batchFrameOf hand-builds a batch frame, independent of the writer, so
 // decoder tests cannot inherit a writer bug.
 func batchFrameOf(group GroupID, msgs ...core.Message) []byte {
 	var body []byte
@@ -127,7 +127,7 @@ func TestBatchRoundTripProperty(t *testing.T) {
 	for _, group := range []GroupID{0, 1, 7, MaxGroups - 1} {
 		for n := 1; n <= len(msgs); n++ {
 			conn := &memConn{}
-			w := newFrameWriter(conn, group, true, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &TrafficStats{})
+			w := newFrameWriter(conn, group, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &TrafficStats{})
 			for _, m := range msgs[:n] {
 				if err := w.writeMsg(m, false); err != nil {
 					t.Fatalf("writeMsg: %v", err)
@@ -142,8 +142,8 @@ func TestBatchRoundTripProperty(t *testing.T) {
 				t.Fatalf("group %d, %d msgs: got %d frames, want 1", group, n, len(frames))
 			}
 			fb := frames[0]
-			if !fb.v2 || fb.group != group {
-				t.Fatalf("frame came back as v2=%v group=%d, want v2 group=%d", fb.v2, fb.group, group)
+			if fb.group != group {
+				t.Fatalf("frame came back for group %d, want %d", fb.group, group)
 			}
 			if len(fb.msgs) != n {
 				t.Fatalf("got %d messages, want %d", len(fb.msgs), n)
@@ -165,7 +165,7 @@ func TestBatchMaxBytesBoundary(t *testing.T) {
 	per := batchSubHeader + len(m.Encode())
 	const count = 4
 	conn := &memConn{}
-	w := newFrameWriter(conn, 2, true, Options{Batch: BatchOptions{MaxBytes: count * per}}, &TrafficStats{})
+	w := newFrameWriter(conn, 2, Options{Batch: BatchOptions{MaxBytes: count * per}}, &TrafficStats{})
 	for i := 0; i < count-1; i++ {
 		if err := w.writeMsg(m, false); err != nil {
 			t.Fatalf("writeMsg: %v", err)
@@ -194,7 +194,7 @@ func TestBatchMaxBytesBoundary(t *testing.T) {
 // may wait at most MaxDelay before the batch flushes on its own.
 func TestBatchMaxDelayTimer(t *testing.T) {
 	conn := &memConn{}
-	w := newFrameWriter(conn, 1, true,
+	w := newFrameWriter(conn, 1,
 		Options{Batch: BatchOptions{MaxBytes: 1 << 20, MaxDelay: 20 * time.Millisecond}}, &TrafficStats{})
 	if err := w.writeMsg(&core.DataRequest{NodeID: 0}, false); err != nil {
 		t.Fatalf("writeMsg: %v", err)
@@ -220,7 +220,7 @@ func TestBatchMaxDelayTimer(t *testing.T) {
 // write order — urgency must never let a message overtake earlier ones.
 func TestBatchUrgentFlushesBuffered(t *testing.T) {
 	conn := &memConn{}
-	w := newFrameWriter(conn, 3, true, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &TrafficStats{})
+	w := newFrameWriter(conn, 3, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &TrafficStats{})
 	want := []core.Message{
 		&core.Slack{NodeID: 0, Slack: []float64{1}},
 		&core.Slack{NodeID: 1, Slack: []float64{2}},
@@ -248,7 +248,7 @@ func TestBatchOrderDeterministic(t *testing.T) {
 	// Every 8-write urgency pattern, exhaustively.
 	for pattern := 0; pattern < 1<<8; pattern++ {
 		conn := &memConn{}
-		w := newFrameWriter(conn, 1, true, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &TrafficStats{})
+		w := newFrameWriter(conn, 1, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &TrafficStats{})
 		var want []core.Message
 		for i := 0; i < 8; i++ {
 			m := &core.Slack{NodeID: i, Slack: []float64{float64(i)}}
@@ -274,7 +274,7 @@ func TestBatchOrderDeterministic(t *testing.T) {
 func TestBatchStatsIdentity(t *testing.T) {
 	conn := &memConn{}
 	var sendStats, recvStats TrafficStats
-	w := newFrameWriter(conn, 5, true, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &sendStats)
+	w := newFrameWriter(conn, 5, Options{Batch: BatchOptions{MaxBytes: 1 << 20}}, &sendStats)
 	msgs := sampleMessages()
 	payload := 0
 	for _, m := range msgs {
@@ -309,35 +309,6 @@ func TestBatchStatsIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchV1WriterPassThrough pins legacy compatibility: a v1-negotiated
-// writer ignores batching and emits byte-identical legacy frames that the
-// legacy decoder still reads.
-func TestBatchV1WriterPassThrough(t *testing.T) {
-	conn := &memConn{}
-	var stats TrafficStats
-	w := newFrameWriter(conn, 0, false, Options{Batch: BatchOptions{MaxBytes: 1 << 20, MaxDelay: time.Hour}}, &stats)
-	msgs := sampleMessages()
-	for _, m := range msgs {
-		if err := w.writeMsg(m, false); err != nil {
-			t.Fatalf("writeMsg: %v", err)
-		}
-	}
-	if got, want := stats.FramesSent.Load(), int64(len(msgs)); got != want {
-		t.Fatalf("v1 writer coalesced: %d frames for %d messages", got, want)
-	}
-	var want []byte
-	for _, m := range msgs {
-		want = append(want, frameOf(m)...)
-	}
-	got := make([]byte, conn.buffered())
-	if _, err := io.ReadFull(conn, got); err != nil {
-		t.Fatalf("reading frames: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("v1 writer output is not byte-identical to the legacy framing")
-	}
-}
-
 // TestBatchGroupIDOutOfRangeRejected pins the codec bound: a structurally
 // valid batch naming a group ≥ MaxGroups must be a protocol error.
 func TestBatchGroupIDOutOfRangeRejected(t *testing.T) {
@@ -353,8 +324,8 @@ func TestBatchGroupIDOutOfRangeRejected(t *testing.T) {
 	}
 }
 
-// TestBatchLyingLengthBoundsAllocation is the allocation bound for the v2
-// path: a batch header declaring the maximum body with no bytes behind it
+// TestBatchLyingLengthBoundsAllocation is the allocation bound for a tagged
+// first word: a batch header declaring the maximum body with no bytes behind it
 // must not allocate anywhere near the declared size.
 func TestBatchLyingLengthBoundsAllocation(t *testing.T) {
 	hdr := make([]byte, frameHeader)
@@ -377,10 +348,9 @@ func TestBatchLyingLengthBoundsAllocation(t *testing.T) {
 	}
 }
 
-// FuzzReadBatchFrame feeds arbitrary bytes to the dual-version frame reader:
-// it must produce well-formed frames or error cleanly — never panic, never
-// count a failed frame, never return an out-of-range group or an empty
-// message list.
+// FuzzReadBatchFrame feeds arbitrary bytes to the frame reader: it must
+// produce well-formed frames or error cleanly — never panic, never count a
+// failed frame, never return an out-of-range group or an empty message list.
 func FuzzReadBatchFrame(f *testing.F) {
 	msgs := sampleMessages()
 	// Well-formed batches of every size and a few groups.
@@ -412,8 +382,8 @@ func FuzzReadBatchFrame(f *testing.F) {
 	lie := make([]byte, frameHeader)
 	binary.LittleEndian.PutUint32(lie, uint32(batchTag)<<28|batchLenMask)
 	f.Add(lie)
-	// A legacy v1 frame must keep decoding through the same reader.
-	f.Add(frameOf(msgs[1]))
+	// A bare length-prefixed frame (the retired v1 shape) must be refused.
+	f.Add(v1FrameOf(msgs[1]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var stats TrafficStats
@@ -430,8 +400,8 @@ func FuzzReadBatchFrame(f *testing.F) {
 		if fb.group >= MaxGroups {
 			t.Fatalf("decoder returned out-of-range group %d", fb.group)
 		}
-		if !fb.v2 && fb.group != 0 {
-			t.Fatal("v1 frame carries a non-zero group")
+		if len(data) < frameHeader || data[frameHeader-1]>>4 != batchTag {
+			t.Fatalf("decoded a frame whose first word is not batch-tagged: % x", data[:frameHeader])
 		}
 		if got := stats.MessagesReceived.Load(); got != int64(len(fb.msgs)) {
 			t.Fatalf("decoded %d messages, counted %d", len(fb.msgs), got)

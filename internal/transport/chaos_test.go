@@ -8,14 +8,20 @@ package transport
 // intact on every endpoint.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"automon/internal/core"
 	"automon/internal/funcs"
+	"automon/internal/linalg"
 	"automon/internal/transport/chaos"
 )
 
@@ -375,4 +381,106 @@ func TestCoordinatorDegradesAndRecoversOnNodeDeath(t *testing.T) {
 	nodes[0].Close()
 	coord.Close()
 	checkNoGoroutineLeak(t, baseline)
+}
+
+// syncDropper is a node-side connection that re-frames the inbound stream and
+// swallows the first frame that opens with a Sync — a frame-exact loss the
+// probabilistic injector cannot schedule. dropped is shared across the
+// node's reconnections so exactly one Sync is ever lost.
+type syncDropper struct {
+	net.Conn
+	dropped *atomic.Bool
+	pending bytes.Buffer
+}
+
+func (c *syncDropper) Read(p []byte) (int, error) {
+	for c.pending.Len() == 0 {
+		var hdr [frameHeader]byte
+		if _, err := io.ReadFull(c.Conn, hdr[:]); err != nil {
+			return 0, err
+		}
+		body := make([]byte, binary.LittleEndian.Uint32(hdr[:])&batchLenMask)
+		if _, err := io.ReadFull(c.Conn, body); err != nil {
+			return 0, err
+		}
+		if core.MsgType(body[batchHdrLen+batchSubHeader]) == core.MsgSync && c.dropped.CompareAndSwap(false, true) {
+			continue
+		}
+		c.pending.Write(hdr[:])
+		c.pending.Write(body)
+	}
+	return c.pending.Read(p)
+}
+
+// TestLostFirstSyncHealsByReconnect: the first Sync to one node of an ADCD-E
+// function is lost in flight. The coordinator has already marked the factor
+// delivered, so every later Sync arrives without it and the node must refuse
+// it; before the fix the node counted the refusal and stayed zone-less and
+// silent for good. Now a refusal recycles the connection, the Rejoin makes
+// the coordinator forget what it sent, and one reconnect later the node holds
+// a checkable zone and the estimate is ε-correct over both nodes.
+func TestLostFirstSyncHealsByReconnect(t *testing.T) {
+	const eps = 0.2
+	f := funcs.InnerProduct(2) // constant Hessian: ADCD-E, factor shipped once
+	initial := [][]float64{{0.5, 0.5, 1, 1}, {0.5, 0.5, 1, 1}}
+	coord, err := ListenCoordinator("127.0.0.1:0", f, 2, core.Config{Epsilon: eps}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped atomic.Bool
+	lossy := Options{ReconnectBase: time.Millisecond,
+		Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
+			conn, err := net.DialTimeout(network, addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return &syncDropper{Conn: conn, dropped: &dropped}, nil
+		}}
+	var nodes []*NodeClient
+	for i, opts := range []Options{{}, lossy} {
+		nd, err := DialNode(coord.Addr(), i, f, initial[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	defer closeCluster(coord, nodes)
+	select {
+	case <-coord.Ready():
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator never became ready")
+	}
+	if err := nodes[0].WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the initial sync to node 1 to be dropped", dropped.Load)
+
+	// A move lazy sync cannot balance forces a full sync; its Sync to node 1
+	// carries no factor.
+	if err := nodes[0].Update([]float64{3, 3, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].WaitReady(5 * time.Second); err != nil {
+		t.Fatalf("node 1 never installed a zone after losing its first sync (refused %d, reconnects %d): %v",
+			nodes[1].RejectedSyncs(), nodes[1].Reconnects(), err)
+	}
+	if nodes[1].RejectedSyncs() != 1 || nodes[1].Reconnects() != 1 {
+		t.Fatalf("healing cost %d refusals and %d reconnects, want 1 and 1",
+			nodes[1].RejectedSyncs(), nodes[1].Reconnects())
+	}
+
+	xs := [][]float64{{2, 2, 1, 1}, {1, 1, 1, 1}}
+	for i, nd := range nodes {
+		if err := nd.Update(xs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitQuiesce(coord, nodes)
+	truth := f.Value(linalg.Mean(make([]float64, 4), xs...))
+	if got := coord.Estimate(); math.Abs(got-truth) > eps+1e-9 {
+		t.Fatalf("estimate %v is %v from f(x̄) = %v, beyond ε = %v", got, math.Abs(got-truth), truth, eps)
+	}
+	if coord.Degraded() || coord.Err() != nil {
+		t.Fatalf("coordinator degraded=%v err=%v after the heal", coord.Degraded(), coord.Err())
+	}
 }

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"net"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +23,12 @@ func TestDialNodeRefusesDeadAddress(t *testing.T) {
 	}
 }
 
-func TestCoordinatorRejectsGarbageFrames(t *testing.T) {
+// rejectAndKeepServing is the one registration posture, asserted on a
+// single-group coordinator: whatever bytes a stray connection opens with, the
+// coordinator rejects and counts exactly that connection, latches no error,
+// and a well-formed node registering afterwards still reaches Ready.
+func rejectAndKeepServing(t *testing.T, stray []byte) {
+	t.Helper()
 	f := funcs.InnerProduct(1)
 	coord, err := ListenCoordinator("127.0.0.1:0", f, 1, core.Config{Epsilon: 0.1}, Options{})
 	if err != nil {
@@ -33,19 +41,63 @@ func TestCoordinatorRejectsGarbageFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A frame header claiming an absurd length must be rejected without
-	// allocation.
-	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+	if _, err := conn.Write(stray); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
-	for coord.Err() == nil {
-		select {
-		case <-deadline:
-			t.Fatal("oversized frame not detected")
-		default:
-			time.Sleep(10 * time.Millisecond)
-		}
+	waitFor(t, 5*time.Second, "the stray registration to be rejected", func() bool {
+		return coord.srv.RejectedRegistrations() == 1
+	})
+	// The coordinator hung up on the stray.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("rejected connection still open: read err %v", err)
+	}
+
+	node, err := DialNode(coord.Addr(), 0, f, []float64{1, 1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	select {
+	case <-coord.Ready():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("coordinator never became ready after a rejected registration (err %v)", coord.Err())
+	}
+	if err := node.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Err(); err != nil {
+		t.Fatalf("a peer's bytes latched a coordinator error: %v", err)
+	}
+	if got := coord.srv.RejectedRegistrations(); got != 1 {
+		t.Fatalf("rejected registrations = %d, want 1", got)
+	}
+}
+
+// TestCoordinatorRejectsGarbageFrames: first words that are not a batch
+// header — an absurd length, and a well-formed registration in the retired v1
+// framing — cost the sender its connection and nothing else.
+func TestCoordinatorRejectsGarbageFrames(t *testing.T) {
+	t.Run("garbage", func(t *testing.T) { rejectAndKeepServing(t, []byte{0xFF, 0xFF, 0xFF, 0xFF}) })
+	t.Run("v1-registration", func(t *testing.T) {
+		rejectAndKeepServing(t, v1FrameOf(&core.DataResponse{NodeID: 0, X: []float64{1, 1}}))
+	})
+}
+
+// TestBadRegistrationRejected: well-framed but wrong registrations — a node
+// id outside the roster, a group this coordinator does not host, a message
+// that is not a registration, a registration with passengers — are rejected
+// and counted the same way.
+func TestBadRegistrationRejected(t *testing.T) {
+	reg := &core.DataResponse{NodeID: 0, X: []float64{1, 1}}
+	for name, stray := range map[string][]byte{
+		"node-id":      batchFrameOf(0, &core.DataResponse{NodeID: 7, X: []float64{0, 0}}),
+		"group":        batchFrameOf(3, reg),
+		"message-type": batchFrameOf(0, &core.Slack{NodeID: 0, Slack: []float64{0, 0}}),
+		"passengers":   batchFrameOf(0, reg, &core.Violation{NodeID: 0, Kind: core.ViolationSafeZone, X: []float64{1, 1}}),
+	} {
+		stray := stray
+		t.Run(name, func(t *testing.T) { rejectAndKeepServing(t, stray) })
 	}
 }
 
@@ -132,16 +184,14 @@ func TestWaitReadyTimesOut(t *testing.T) {
 	}
 }
 
-// TestNodeSurvivesUncheckableSync plays a coordinator whose first sync is
+// TestNodeSurvivesUncheckableSync plays a coordinator whose syncs are
 // well-framed but uncheckable (vectors of another dimension, which used to
-// panic the node inside the safe-zone check): the node counts it, stays
-// alive and un-armed, and installs the well-formed sync that follows.
+// panic the node inside the safe-zone check). The coordinator believes a sync
+// it sent is installed, so the node must not just drop it: it counts the
+// refusal and recycles the connection, and the Rejoin that follows is what
+// earns it a fresh, complete sync. A coordinator that only ever sends
+// uncheckable syncs costs the node its reconnect budget, not an endless loop.
 func TestNodeSurvivesUncheckableSync(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
 	good := &core.Sync{NodeID: 0, Method: core.MethodE, Kind: core.ConvexDiff,
 		X0: []float64{0, 0}, F0: 7, GradF0: []float64{0, 0}, L: 6, U: 8, Slack: []float64{0, 0},
 		WithMatrix: true,
@@ -149,56 +199,102 @@ func TestNodeSurvivesUncheckableSync(t *testing.T) {
 	bad := *good
 	bad.X0, bad.GradF0 = []float64{0, 0, 0}, []float64{0, 0, 0}
 	bad.Matrix = &linalg.EigFactor{Lam: []float64{-1}, V: linalg.NewMat(1, 3)}
-	release := make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		var stats TrafficStats
-		var mu sync.Mutex
-		if _, err := decodeFrame(conn, &stats); err != nil { // registration
-			return
-		}
-		if err := writeFrame(conn, &bad, 0, time.Second, &stats, &mu); err != nil {
-			return
-		}
-		<-release
-		if err := writeFrame(conn, good, 0, time.Second, &stats, &mu); err != nil {
-			return
-		}
-		<-release
-	}()
-	defer close(release)
 
-	reg := obs.NewRegistry()
+	// fakeCoordinator answers the k-th connection's registration frame with
+	// reply(k) and records which message type opened each connection.
+	fakeCoordinator := func(t *testing.T, reply func(k int) *core.Sync) (addr string, opened func() []core.MsgType) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var types []core.MsgType
+		var conns []net.Conn
+		t.Cleanup(func() {
+			ln.Close()
+			mu.Lock()
+			defer mu.Unlock()
+			for _, c := range conns {
+				c.Close()
+			}
+		})
+		go func() {
+			for k := 0; ; k++ {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				var stats TrafficStats
+				fb, err := decodeAnyFrame(conn, &stats)
+				if err != nil {
+					conn.Close()
+					continue
+				}
+				mu.Lock()
+				types = append(types, fb.msgs[0].Type())
+				conns = append(conns, conn)
+				mu.Unlock()
+				w := newFrameWriter(conn, 0, Options{}, &stats)
+				if err := w.writeMsg(reply(k), true); err != nil {
+					return
+				}
+			}
+		}()
+		return ln.Addr().String(), func() []core.MsgType {
+			mu.Lock()
+			defer mu.Unlock()
+			return append([]core.MsgType(nil), types...)
+		}
+	}
 	f := funcs.InnerProduct(1)
-	node, err := DialNode(ln.Addr().String(), 0, f, []float64{0, 0},
-		Options{MaxReconnectAttempts: -1, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	const metric = `automon_transport_rejected_syncs_total{node="0"}`
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot()[metric] != 1 {
-		if node.Err() != nil || time.Now().After(deadline) {
-			t.Fatalf("refused sync not counted: %v, err %v", reg.Snapshot()[metric], node.Err())
+
+	t.Run("reconnect-heals", func(t *testing.T) {
+		addr, opened := fakeCoordinator(t, func(k int) *core.Sync {
+			if k == 0 {
+				return &bad
+			}
+			return good
+		})
+		reg := obs.NewRegistry()
+		node, err := DialNode(addr, 0, f, []float64{0, 0}, Options{ReconnectBase: time.Millisecond, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := node.Update([]float64{50, 50}); err != nil {
-		t.Fatalf("update after a refused sync: %v", err)
-	}
-	release <- struct{}{}
-	for node.CurrentValue() != good.F0 {
-		if node.Err() != nil || time.Now().After(deadline) {
-			t.Fatalf("well-formed sync after the refused one not installed, err %v", node.Err())
+		defer node.Close()
+		if err := node.WaitReady(10 * time.Second); err != nil {
+			t.Fatalf("node never installed the sync its rejoin earned: %v", err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := reg.Snapshot()[metric]; got != 1 {
-		t.Fatalf("rejected syncs = %v, want 1", got)
-	}
+		if got := node.CurrentValue(); got != good.F0 {
+			t.Fatalf("installed zone has f(x0) = %v, want %v", got, good.F0)
+		}
+		if got, want := opened(), []core.MsgType{core.MsgDataResponse, core.MsgRejoin}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("connections opened with %v, want %v", got, want)
+		}
+		if node.RejectedSyncs() != 1 || node.Reconnects() != 1 || node.Err() != nil {
+			t.Fatalf("rejected syncs %d, reconnects %d, err %v; want 1, 1, nil",
+				node.RejectedSyncs(), node.Reconnects(), node.Err())
+		}
+		if got := reg.Snapshot()[`automon_transport_rejected_syncs_total{node="0"}`]; got != 1 {
+			t.Fatalf("rejected-syncs metric = %v, want 1", got)
+		}
+	})
+
+	t.Run("budget-bounds-the-loop", func(t *testing.T) {
+		addr, _ := fakeCoordinator(t, func(int) *core.Sync { return &bad })
+		node, err := DialNode(addr, 0, f, []float64{0, 0},
+			Options{MaxReconnectAttempts: 2, ReconnectBase: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close()
+		waitFor(t, 10*time.Second, "the node to give up on a coordinator it cannot check", func() bool {
+			return node.Err() != nil
+		})
+		if got := node.RejectedSyncs(); got != 3 {
+			t.Fatalf("rejected syncs = %d, want 3 (one per connection: the first and two reconnects)", got)
+		}
+		if err := node.WaitReady(time.Second); err == nil {
+			t.Fatal("node reported ready without ever installing a zone")
+		}
+	})
 }

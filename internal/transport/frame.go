@@ -13,8 +13,8 @@ import (
 )
 
 // GroupID identifies one monitoring group (one monitored function and its
-// node roster) inside a multi-tenant coordinator process. Group 0 is the
-// implicit group of every legacy (wire v1) peer.
+// node roster) inside a multi-tenant coordinator process. A single-group
+// deployment is group 0.
 type GroupID uint16
 
 // MaxGroups bounds the group-id space. A batch frame naming a group outside
@@ -22,24 +22,17 @@ type GroupID uint16
 // up unbounded per-group state and gives the fuzzer a crisp invariant.
 const MaxGroups = 4096
 
-// Wire format.
-//
-// v1 (legacy): [4-byte LE length][payload], one message per frame. Legal
-// lengths are ≤ maxFrameLen (1<<28), so the top nibble of the length word is
-// always 0x0 or 0x1.
-//
-// v2 (batch): the top nibble of the first word is batchTag (0xB) — a value no
-// legal v1 length can produce — and the low 28 bits hold the body length:
+// Wire format. Every frame is a group-tagged batch of one or more messages:
 //
 //	[4-byte LE  batchTag<<28 | bodyLen]
 //	[2-byte LE  group][2-byte LE count]
 //	count × { [4-byte LE sub-length][payload] }
 //
-// A reader distinguishes the versions from the first word alone, so both can
-// share one connection: the coordinator answers each peer in the version of
-// its registration frame (wire-version negotiation).
+// The top nibble of the first word is batchTag (0xB) and the low 28 bits hold
+// the body length. A first word with any other top nibble — a bare length
+// prefix, say — is rejected as malformed before a single body byte is read.
 const (
-	// batchTag marks a v2 batch frame in the top nibble of the length word.
+	// batchTag marks a frame in the top nibble of its first word.
 	batchTag = 0xB
 	// batchLenMask extracts the 28-bit body length from the first word.
 	batchLenMask = 1<<28 - 1
@@ -52,7 +45,7 @@ const (
 // BatchOptions configure outbound frame batching on a connection: messages
 // to the same peer are coalesced into one batch frame until a flush trigger
 // fires. The zero value disables coalescing — every message leaves
-// immediately in its own frame, which is the legacy behavior.
+// immediately in its own single-message frame.
 type BatchOptions struct {
 	// MaxBytes flushes the pending batch once its body (sub-headers plus
 	// payloads) reaches this size. 0 disables coalescing.
@@ -67,44 +60,15 @@ type BatchOptions struct {
 // enabled reports whether messages may be held back for coalescing.
 func (b BatchOptions) enabled() bool { return b.MaxBytes > 0 }
 
-// inFrame is one decoded inbound frame: the group it addresses, the messages
-// it carried, and which wire version framed it.
+// inFrame is one decoded inbound frame: the group it addresses and the
+// messages it carried.
 type inFrame struct {
 	group GroupID
 	msgs  []core.Message
-	v2    bool
 }
 
-// writeFrame sends one length-prefixed v1 message after the simulated one-way
-// latency. The header and payload go out in a single Write so that a frame
-// is the atomic unit a fault injector can drop or duplicate without
-// desynchronizing the stream.
-func writeFrame(conn net.Conn, m core.Message, latency, timeout time.Duration, stats *TrafficStats, mu *sync.Mutex) error {
-	payload := m.Encode()
-	if len(payload) > maxFrameLen {
-		return fmt.Errorf("%w: encoding %d bytes", errFrameTooLarge, len(payload))
-	}
-	if latency > 0 {
-		time.Sleep(latency)
-	}
-	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[:frameHeader], uint32(len(payload)))
-	copy(buf[frameHeader:], payload)
-	mu.Lock()
-	defer mu.Unlock()
-	if timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	if _, err := conn.Write(buf); err != nil {
-		return err
-	}
-	stats.countSend(len(payload), m.Type().String())
-	return nil
-}
-
-// readAnyFrame reads one frame of either wire version, with an optional
-// deadline (0 = block until the peer speaks or the connection dies).
+// readAnyFrame reads one frame, with an optional deadline (0 = block until
+// the peer speaks or the connection dies).
 func readAnyFrame(conn net.Conn, timeout time.Duration, stats *TrafficStats) (*inFrame, error) {
 	if timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(timeout))
@@ -113,58 +77,23 @@ func readAnyFrame(conn net.Conn, timeout time.Duration, stats *TrafficStats) (*i
 	return decodeAnyFrame(conn, stats)
 }
 
-// decodeAnyFrame reads one v1 or v2 frame from r, dispatching on the top
-// nibble of the first word. Allocation tracks delivered bytes for both
-// versions, so a hostile length prefix costs at most initialFrameAlloc.
+// decodeAnyFrame reads one frame from r. A first word that is not
+// batch-tagged is refused before any body is read, and a tagged one allocates
+// with delivered bytes, so a hostile first word costs at most
+// initialFrameAlloc. Every structural fault — short body, out-of-range
+// group, zero or overrunning count, truncated or undecodable sub-message,
+// trailing bytes — is a protocol error; nothing is counted in stats unless
+// the whole frame parses.
 func decodeAnyFrame(r io.Reader, stats *TrafficStats) (*inFrame, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	word := binary.LittleEndian.Uint32(hdr[:])
-	if word>>28 == batchTag {
-		return decodeBatchBody(r, word&batchLenMask, stats)
+	if word>>28 != batchTag {
+		return nil, fmt.Errorf("%w: first word %#08x is not a batch header", errMalformedFrame, word)
 	}
-	m, err := decodeV1Body(r, word, stats)
-	if err != nil {
-		return nil, err
-	}
-	return &inFrame{msgs: []core.Message{m}}, nil
-}
-
-// decodeFrame reads one legacy v1 frame from r: length word, then exactly one
-// message. Kept as its own entry point so the v1 fuzz target exercises the
-// legacy path unchanged.
-func decodeFrame(r io.Reader, stats *TrafficStats) (core.Message, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return decodeV1Body(r, binary.LittleEndian.Uint32(hdr[:]), stats)
-}
-
-// decodeV1Body reads and decodes a v1 frame body of declared length n.
-func decodeV1Body(r io.Reader, n uint32, stats *TrafficStats) (core.Message, error) {
-	if n > maxFrameLen {
-		return nil, fmt.Errorf("%w: declared %d bytes", errFrameTooLarge, n)
-	}
-	body, err := readBody(r, int(n))
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.Decode(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errMalformedFrame, err)
-	}
-	stats.countRecv(int(n), m.Type().String())
-	return m, nil
-}
-
-// decodeBatchBody parses a v2 batch body of declared length bodyLen. Every
-// structural fault — short body, out-of-range group, zero or overrunning
-// count, truncated or undecodable sub-message, trailing bytes — is a
-// protocol error; nothing is counted in stats unless the whole frame parses.
-func decodeBatchBody(r io.Reader, bodyLen uint32, stats *TrafficStats) (*inFrame, error) {
+	bodyLen := word & batchLenMask
 	if bodyLen < batchHdrLen+batchSubHeader+1 {
 		return nil, fmt.Errorf("%w: batch body declares %d bytes", errMalformedFrame, bodyLen)
 	}
@@ -185,7 +114,7 @@ func decodeBatchBody(r io.Reader, bodyLen uint32, stats *TrafficStats) (*inFrame
 	}
 	msgs := make([]core.Message, 0, count)
 	sizes := make([]int, 0, count)
-	off, total := batchHdrLen, 0
+	off := batchHdrLen
 	for i := 0; i < count; i++ {
 		if len(b)-off < batchSubHeader {
 			return nil, fmt.Errorf("%w: truncated sub-message header", errMalformedFrame)
@@ -200,15 +129,14 @@ func decodeBatchBody(r io.Reader, bodyLen uint32, stats *TrafficStats) (*inFrame
 			return nil, fmt.Errorf("%w: %v", errMalformedFrame, err)
 		}
 		off += n
-		total += n
 		msgs = append(msgs, m)
 		sizes = append(sizes, n)
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after batch", errMalformedFrame, len(b)-off)
 	}
-	stats.countRecvBatch(msgs, sizes, total)
-	return &inFrame{group: GroupID(group), msgs: msgs, v2: true}, nil
+	stats.countRecvBatch(msgs, sizes)
+	return &inFrame{group: GroupID(group), msgs: msgs}, nil
 }
 
 // readBody reads exactly n declared bytes. The buffer grows with delivered
@@ -230,12 +158,12 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	return body.Bytes(), nil
 }
 
-// frameWriter owns one connection's outbound framing: wire-version selection
-// (negotiated per peer), group tagging, and the batching flush policy. All
-// sends to a peer funnel through its writer, which both serializes the
-// stream and guarantees per-peer message order is exactly the order of
-// writeMsg calls — buffered messages are never reordered around urgent ones,
-// because an urgent message flushes the whole buffer including itself.
+// frameWriter owns one connection's outbound framing: group tagging and the
+// batching flush policy. All sends to a peer funnel through its writer, which
+// both serializes the stream and guarantees per-peer message order is exactly
+// the order of writeMsg calls — buffered messages are never reordered around
+// urgent ones, because an urgent message flushes the whole buffer including
+// itself.
 //
 // Flush triggers, any of which drains the buffer in one batch frame:
 //   - the body reaching BatchOptions.MaxBytes,
@@ -250,9 +178,7 @@ type frameWriter struct {
 	conn    net.Conn
 	stats   *TrafficStats
 	latency time.Duration
-	timeout time.Duration
 	batch   BatchOptions
-	v2      bool // peer speaks wire v2 (group-tagged batch frames)
 	group   GroupID
 
 	mu    sync.Mutex
@@ -267,24 +193,20 @@ type frameWriter struct {
 	err      error // sticky: once a write fails the connection is done
 }
 
-// newFrameWriter builds the writer for one connection. v2 selects the wire
-// version the peer negotiated; a v1 writer ignores group and batching (the
-// legacy format cannot express either).
-func newFrameWriter(conn net.Conn, group GroupID, v2 bool, opts Options, stats *TrafficStats) *frameWriter {
+// newFrameWriter builds the writer for one connection of group.
+func newFrameWriter(conn net.Conn, group GroupID, opts Options, stats *TrafficStats) *frameWriter {
 	return &frameWriter{
 		conn:    conn,
 		stats:   stats,
 		latency: opts.Latency,
-		timeout: opts.WriteTimeout,
 		batch:   opts.Batch,
-		v2:      v2,
 		group:   group,
 	}
 }
 
-// writeMsg encodes and sends m. With batching disabled (or urgent set, or a
-// v1 peer) the message — and everything buffered before it — leaves
-// immediately; otherwise it is coalesced until a flush trigger fires.
+// writeMsg encodes and sends m. With batching disabled (or urgent set) the
+// message — and everything buffered before it — leaves immediately;
+// otherwise it is coalesced until a flush trigger fires.
 func (w *frameWriter) writeMsg(m core.Message, urgent bool) error {
 	payload := m.Encode()
 	if len(payload) > maxFrameLen {
@@ -294,9 +216,6 @@ func (w *frameWriter) writeMsg(m core.Message, urgent bool) error {
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
-	}
-	if !w.v2 {
-		return w.writeV1Locked(payload, m.Type().String())
 	}
 	// A batch body must fit the 28-bit length field (and count must fit
 	// u16); flush the running batch first if this message would overflow it.
@@ -354,19 +273,7 @@ func (w *frameWriter) timerFlush(gen uint64) {
 	}
 }
 
-// writeV1Locked emits one legacy frame. Caller holds w.mu.
-func (w *frameWriter) writeV1Locked(payload []byte, msgType string) error {
-	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[:frameHeader], uint32(len(payload)))
-	copy(buf[frameHeader:], payload)
-	if err := w.writeLocked(buf); err != nil {
-		return err
-	}
-	w.stats.countSend(len(payload), msgType)
-	return nil
-}
-
-// flushLocked emits the pending batch as one v2 frame. Caller holds w.mu.
+// flushLocked emits the pending batch as one frame. Caller holds w.mu.
 func (w *frameWriter) flushLocked() error {
 	if w.err != nil {
 		return w.err
@@ -393,19 +300,17 @@ func (w *frameWriter) flushLocked() error {
 	return nil
 }
 
-// writeLocked performs the deadline-bounded single Write shared by both wire
-// versions, injecting the simulated one-way latency once per frame (batching
-// amortizes the WAN round trip exactly as it amortizes headers). A failed
+// writeLocked performs the deadline-bounded single Write of one frame,
+// injecting the simulated one-way latency once per frame (batching amortizes
+// the WAN round trip exactly as it amortizes headers). A failed
 // write latches the error and closes the connection so the peer's reader and
 // the fault-tolerance layer take over.
 func (w *frameWriter) writeLocked(buf []byte) error {
 	if w.latency > 0 {
 		time.Sleep(w.latency)
 	}
-	if w.timeout > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-		defer w.conn.SetWriteDeadline(time.Time{})
-	}
+	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	defer w.conn.SetWriteDeadline(time.Time{})
 	if _, err := w.conn.Write(buf); err != nil {
 		w.err = err
 		// The error is sticky: no flush will ever write again, so an armed

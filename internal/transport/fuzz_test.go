@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"runtime"
 	"testing"
 
@@ -12,8 +11,10 @@ import (
 	"automon/internal/linalg"
 )
 
-// frameOf wraps a message's payload in the wire framing.
-func frameOf(m core.Message) []byte {
+// v1FrameOf wraps a message's payload in the retired v1 framing: a bare
+// length prefix, one message per frame. No peer speaks it any more; the tests
+// keep it as the canonical must-reject input.
+func v1FrameOf(m core.Message) []byte {
 	payload := m.Encode()
 	buf := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
@@ -21,10 +22,11 @@ func frameOf(m core.Message) []byte {
 	return buf
 }
 
-// FuzzReadFrame feeds arbitrary byte prefixes to the frame decoder: it must
-// either produce a message or error cleanly — never panic, and never count a
-// failed frame in the traffic stats. The allocation bound for lying length
-// prefixes is asserted separately in TestLyingLengthPrefixBoundsAllocation.
+// FuzzReadFrame pins the one-wire rule on arbitrary bytes: a first word whose
+// top nibble is not batchTag is refused as malformed before a single body
+// byte is read, and counted nowhere. The seeds are well-formed v1 frames —
+// what a pre-v2 peer would send — their truncations, and lying v1 lengths.
+// (What a tagged first word may decode to is FuzzReadBatchFrame's property.)
 func FuzzReadFrame(f *testing.F) {
 	mat := &linalg.EigFactor{Lam: []float64{-2}, V: &linalg.Mat{Rows: 1, Cols: 2, Data: []float64{0.6, 0.8}}}
 	seeds := []core.Message{
@@ -40,14 +42,14 @@ func FuzzReadFrame(f *testing.F) {
 		&core.Rejoin{NodeID: 4, X: []float64{9, 9}},
 	}
 	for _, m := range seeds {
-		fr := frameOf(m)
+		fr := v1FrameOf(m)
 		f.Add(fr)
 		f.Add(fr[:len(fr)/2]) // mid-frame truncation
 		f.Add(fr[:frameHeader-1])
 	}
 	// Lying headers: a large declared length with little or no body behind it.
 	lie := make([]byte, frameHeader)
-	binary.LittleEndian.PutUint32(lie, maxFrameLen)
+	binary.LittleEndian.PutUint32(lie, 1<<28)
 	f.Add(lie)
 	over := make([]byte, frameHeader, frameHeader+4)
 	binary.LittleEndian.PutUint32(over, 1<<31)
@@ -55,60 +57,63 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var stats TrafficStats
-		m, err := decodeFrame(bytes.NewReader(data), &stats)
-		if err != nil {
-			if stats.MessagesReceived.Load() != 0 {
-				t.Fatalf("failed frame counted in stats: %v", err)
-			}
-			return
+		r := bytes.NewReader(data)
+		fb, err := decodeAnyFrame(r, &stats)
+		if len(data) >= frameHeader && data[frameHeader-1]>>4 == batchTag {
+			return // a tagged first word: FuzzReadBatchFrame's territory
 		}
-		if m == nil {
-			t.Fatal("nil message without error")
+		if err == nil {
+			t.Fatalf("untagged first word decoded to %d messages", len(fb.msgs))
 		}
-		if stats.MessagesReceived.Load() != 1 {
-			t.Fatalf("decoded frame counted %d times", stats.MessagesReceived.Load())
+		if stats.MessagesReceived.Load() != 0 || stats.FramesReceived.Load() != 0 {
+			t.Fatalf("refused frame counted in stats: %v", err)
 		}
-		// A decoded frame must satisfy the accounting identity.
-		if got, want := stats.WireReceived.Load(),
-			stats.PayloadReceived.Load()+frameHeader+perMessageWireOverhead; got != want {
-			t.Fatalf("wire accounting: %d != %d", got, want)
+		if len(data) < frameHeader {
+			return // short read: an I/O error, not a verdict on the peer
+		}
+		if !errors.Is(err, errMalformedFrame) {
+			t.Fatalf("untagged first word: err=%v, want errMalformedFrame", err)
+		}
+		if got := len(data) - r.Len(); got != frameHeader {
+			t.Fatalf("decoder consumed %d bytes of a refused frame, want only the %d-byte first word", got, frameHeader)
 		}
 	})
 }
 
+// TestOversizedFrameRejected: a first word no writer can produce — here a v1
+// length beyond the old cap — is a protocol error, not an allocation request.
 func TestOversizedFrameRejected(t *testing.T) {
 	hdr := make([]byte, frameHeader)
-	binary.LittleEndian.PutUint32(hdr, maxFrameLen+1)
+	binary.LittleEndian.PutUint32(hdr, 1<<28+1)
 	var stats TrafficStats
-	_, err := decodeFrame(bytes.NewReader(hdr), &stats)
-	if !errors.Is(err, errFrameTooLarge) {
-		t.Fatalf("declared %d bytes, got err=%v, want errFrameTooLarge", maxFrameLen+1, err)
-	}
-	if !isProtocolError(err) {
-		t.Fatal("oversized frame must classify as a protocol error")
+	_, err := decodeAnyFrame(bytes.NewReader(hdr), &stats)
+	if !errors.Is(err, errMalformedFrame) {
+		t.Fatalf("declared %d bytes, got err=%v, want errMalformedFrame", 1<<28+1, err)
 	}
 }
 
-// TestLyingLengthPrefixBoundsAllocation proves a header that declares the
-// maximum frame length but delivers no body cannot make the decoder allocate
-// anywhere near the declared size: allocation tracks delivered bytes.
+// TestLyingLengthPrefixBoundsAllocation proves a v1-shaped header that
+// declares the largest length v1 allowed but delivers no body cannot make the
+// decoder allocate at all: it is refused on the first word, before any body
+// buffer exists. (TestBatchLyingLengthBoundsAllocation is the same bound for
+// a tagged first word, where allocation tracks delivered bytes.)
 func TestLyingLengthPrefixBoundsAllocation(t *testing.T) {
 	hdr := make([]byte, frameHeader)
-	binary.LittleEndian.PutUint32(hdr, maxFrameLen) // largest accepted value
+	binary.LittleEndian.PutUint32(hdr, 1<<28)
 	var stats TrafficStats
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	const iters = 8
 	for i := 0; i < iters; i++ {
-		_, err := decodeFrame(bytes.NewReader(hdr), &stats)
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("bodyless frame: err=%v, want unexpected EOF", err)
+		_, err := decodeAnyFrame(bytes.NewReader(hdr), &stats)
+		if !errors.Is(err, errMalformedFrame) {
+			t.Fatalf("bodyless v1 frame: err=%v, want errMalformedFrame", err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	perCall := (after.TotalAlloc - before.TotalAlloc) / iters
-	if perCall > 1<<20 {
-		t.Fatalf("decoder allocated ~%d bytes for a frame declaring %d bytes", perCall, maxFrameLen)
+	if perCall > 4<<10 {
+		t.Fatalf("decoder allocated ~%d bytes refusing a first word", perCall)
 	}
 }

@@ -16,10 +16,9 @@ import (
 // function and node roster each — behind a single listener, sharing one
 // accept loop, one bounded registration pool, one obs registry, and one
 // process-wide zone cache. Frames are routed to their group's Coordinator by
-// the GroupID carried in the wire-v2 framing; legacy v1 peers land in group
-// 0. Groups are isolated: a hostile or crashing tenant is rejected (and
-// counted) without disturbing the others, and Coordinator.Close on one group
-// leaves the rest serving.
+// the GroupID every frame carries. Groups are isolated: a hostile or
+// crashing tenant is rejected (and counted) without disturbing the others,
+// and Coordinator.Close on one group leaves the rest serving.
 type MultiCoordinator struct {
 	ln   net.Listener
 	opts Options
@@ -34,10 +33,9 @@ type MultiCoordinator struct {
 	rejectedConns *obs.Counter // connections refused at registration
 	regSem        chan struct{}
 
-	// single marks a ListenCoordinator-owned server: exactly group 0, with
-	// the legacy strict posture that a well-formed but wrong registration
-	// (bad node id, unknown group, wrong message type) is a fatal
-	// hostile-peer error rather than a tenant to shed.
+	// single marks a ListenCoordinator-owned server: exactly group 0 (no
+	// AddGroup), label-less metric names, the group's Stats aliased as the
+	// endpoint's, and the group's Close owning the listener.
 	single bool
 
 	groupsMu sync.RWMutex
@@ -85,7 +83,7 @@ func newMulti(addr string, opts Options, single bool) (*MultiCoordinator, error)
 		ln:      ln,
 		opts:    opts,
 		tracer:  opts.Tracer,
-		regSem:  make(chan struct{}, opts.RegisterWorkers),
+		regSem:  make(chan struct{}, registerWorkers),
 		single:  single,
 		groups:  make(map[GroupID]*Coordinator),
 		pending: make(map[net.Conn]struct{}),
@@ -105,8 +103,8 @@ func (mc *MultiCoordinator) start() {
 // Addr returns the shared listen address.
 func (mc *MultiCoordinator) Addr() string { return mc.ln.Addr().String() }
 
-// Err returns the first endpoint-level fatal error (listener failure, or a
-// hostile peer in single-group strict mode).
+// Err returns the first endpoint-level fatal error: a listener failure. No
+// peer's bytes can set it.
 func (mc *MultiCoordinator) Err() error {
 	if e := mc.err.Load(); e != nil {
 		return e.(error)
@@ -261,19 +259,13 @@ func (mc *MultiCoordinator) Close() {
 	mc.wg.Wait()
 }
 
-func (mc *MultiCoordinator) fatal(err error) {
-	if mc.err.Load() == nil {
-		mc.err.Store(err)
-	}
-}
-
 func (mc *MultiCoordinator) acceptLoop() {
 	defer mc.wg.Done()
 	for {
 		conn, err := mc.ln.Accept()
 		if err != nil {
 			if !mc.closed.Load() {
-				mc.fatal(err)
+				mc.err.Store(err) // the only write: the loop ends here
 			}
 			return
 		}
@@ -285,17 +277,12 @@ func (mc *MultiCoordinator) acceptLoop() {
 	}
 }
 
-// reject closes a connection refused at registration. In strict single-group
-// mode a well-formed but wrong handshake is hostile and fatal (the legacy
-// posture); in multi-tenant mode it only costs the one connection — tenant
-// isolation means a confused or malicious client cannot take the endpoint
-// down.
-func (mc *MultiCoordinator) reject(conn net.Conn, err error) {
+// reject closes a connection refused at registration. It costs the peer that
+// one connection and nothing else: a confused or malicious client cannot take
+// the endpoint, or any group on it, down.
+func (mc *MultiCoordinator) reject(conn net.Conn) {
 	conn.Close()
 	mc.rejectedConns.Inc()
-	if mc.single && !mc.closed.Load() {
-		mc.fatal(err)
-	}
 }
 
 // handleNewConn reads the first frame of a fresh connection — through the
@@ -321,17 +308,14 @@ func (mc *MultiCoordinator) handleNewConn(conn net.Conn) {
 	mc.pendingMu.Unlock()
 	if err != nil {
 		conn.Close()
-		if !mc.closed.Load() && isProtocolError(err) {
+		if !mc.closed.Load() && errors.Is(err, errMalformedFrame) {
 			mc.rejectedConns.Inc()
-			if mc.single {
-				mc.fatal(fmt.Errorf("transport: registration read: %w", err))
-			}
 		}
 		return
 	}
 	g := mc.Group(fb.group)
 	if g == nil || g.closed.Load() {
-		mc.reject(conn, fmt.Errorf("transport: registration for unknown group %d", fb.group))
+		mc.reject(conn) // unknown group
 		return
 	}
 	var id int
@@ -342,26 +326,16 @@ func (mc *MultiCoordinator) handleNewConn(conn net.Conn) {
 	case *core.Rejoin:
 		id, x = reg.NodeID, reg.X
 	default:
-		mc.reject(conn, fmt.Errorf("transport: bad registration message %v", fb.msgs[0].Type()))
+		mc.reject(conn) // wrong message type
 		return
 	}
 	if id < 0 || id >= g.n {
-		mc.reject(conn, errors.New("transport: bad registration message"))
+		mc.reject(conn) // node id outside the roster
 		return
 	}
-	w := newFrameWriter(conn, g.gid, fb.v2, mc.opts, &g.Stats)
-	g.register(id, conn, w, x)
-	// A batched registration frame may carry follow-up messages (a node
-	// flushing its first report with its rejoin); route them through the
-	// freshly installed connection.
-	if len(fb.msgs) > 1 {
-		g.connsMu.Lock()
-		cc := g.conns[id]
-		g.connsMu.Unlock()
-		if cc != nil && cc.conn == conn {
-			for _, m := range fb.msgs[1:] {
-				g.route(cc, m)
-			}
-		}
+	if len(fb.msgs) != 1 {
+		mc.reject(conn) // a registration travels alone: node sends never coalesce
+		return
 	}
+	g.register(id, conn, x)
 }

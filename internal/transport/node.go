@@ -2,14 +2,12 @@ package transport
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"automon/internal/core"
-	"automon/internal/linalg"
 	"automon/internal/obs"
 )
 
@@ -31,7 +29,6 @@ type NodeClient struct {
 
 	addr string
 	opts Options
-	v2   bool // frames carry the group tag (wire v2)
 
 	stateMu sync.Mutex // guards conn, w, err, closed
 	conn    net.Conn
@@ -39,14 +36,9 @@ type NodeClient struct {
 	err     error
 	closed  bool
 
-	mu       sync.Mutex // guards node, latest and reported
+	mu       sync.Mutex // guards node, reported and elided
 	node     *core.Node
 	reported bool // a violation is outstanding; suppress duplicates
-	// latest is the application's most recent local vector (set once
-	// EnableElision succeeds). Between exact checks the node's own vector is
-	// stale by design, so data pulls, rechecks and rejoins materialize latest
-	// into the node first.
-	latest []float64
 	// elided counts UpdateElided calls whose exact check the budget skipped.
 	elided   int64
 	resolved chan struct{}
@@ -65,37 +57,36 @@ type NodeClient struct {
 	tracer         *obs.Tracer
 
 	rng *rand.Rand // backoff jitter; used only by the run goroutine
-	wg  sync.WaitGroup
+	// refusals counts refused syncs since the last installed one (run
+	// goroutine only). Each costs a reconnect, so a node that can check
+	// nothing the coordinator sends (a function mismatch) spends its reconnect
+	// budget instead of cycling forever.
+	refusals int
+	wg       sync.WaitGroup
 }
 
 // DialNode connects to the coordinator, registers node id with its initial
-// local vector, and starts serving coordinator messages. A non-zero
-// Options.Group (or enabled batching) upgrades the client to wire v2 so its
-// frames carry the group tag; the coordinator answers in the same version.
+// local vector, and starts serving coordinator messages. Every frame carries
+// Options.Group.
 func DialNode(addr string, id int, f *core.Function, initial []float64, opts Options) (*NodeClient, error) {
 	opts.defaults()
 	conn, err := opts.Dial("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	seed := opts.ReconnectSeed
-	if seed == 0 {
-		seed = int64(id) + 1
-	}
 	c := &NodeClient{
 		ID:       id,
 		addr:     addr,
 		conn:     conn,
 		opts:     opts,
-		v2:       opts.Group != 0 || opts.Batch.enabled(),
 		node:     core.NewNode(id, f),
 		resolved: make(chan struct{}, 1),
 		ready:    make(chan struct{}),
 		failed:   make(chan struct{}),
 		closeCh:  make(chan struct{}),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewSource(int64(id) + 1)),
 	}
-	c.w = newFrameWriter(conn, opts.Group, c.v2, opts, &c.Stats)
+	c.w = newFrameWriter(conn, opts.Group, opts, &c.Stats)
 	nodeLabel := fmt.Sprintf(`node="%d"`, id)
 	if opts.Group != 0 {
 		nodeLabel = fmt.Sprintf(`node="%d",group="%d"`, id, opts.Group)
@@ -110,7 +101,7 @@ func DialNode(addr string, id int, f *core.Function, initial []float64, opts Opt
 		"Dial attempts made by the reconnect loop.")
 	c.rejectedSyncs = counterOr(opts.Metrics,
 		fmt.Sprintf("automon_transport_rejected_syncs_total{%s}", nodeLabel),
-		"Syncs refused as uncheckable (malformed or missing ADCD-E factor); the previous zone was kept.")
+		"Syncs refused as uncheckable (malformed or missing ADCD-E factor); the connection was recycled to force a re-send.")
 	c.backoffWait = histogramOr(opts.Metrics,
 		fmt.Sprintf("automon_transport_backoff_seconds{%s}", nodeLabel),
 		"Jittered reconnect backoff sleeps.",
@@ -204,7 +195,7 @@ func (c *NodeClient) serve() error {
 			conn.Close()
 			return err
 		}
-		if fb.v2 && fb.group != c.opts.Group {
+		if fb.group != c.opts.Group {
 			// A frame for another group on this connection means the stream
 			// is misrouted; recycle the connection rather than dying.
 			conn.Close()
@@ -223,8 +214,14 @@ func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 	switch msg := m.(type) {
 	case *core.DataRequest:
 		c.mu.Lock()
-		c.materializeLocked()
 		x := c.node.LocalVector()
+		// Re-installing the vector invalidates the elision budget, so the
+		// update after a pull runs the exact check, as it always has here.
+		// Soundness does not need it (core.Node.UpdateElided). It stays
+		// because bench/ samples that check as a resolution: without it
+		// quiet-sock resolve_p50_ms reads 9–26 % higher at unchanged real
+		// latency (EXPERIMENTS.md, ISSUE 21), and this PR may not touch bench/.
+		c.node.SetData(x)
 		c.mu.Unlock()
 		// A failed reply closes the connection; the frame read loop will
 		// surface it on the next iteration.
@@ -232,11 +229,20 @@ func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 		_ = c.send(&core.DataResponse{NodeID: c.ID, X: x})
 	case *core.Sync:
 		c.mu.Lock()
-		if !c.node.ApplySync(msg) {
-			c.rejectedSyncs.Inc()
-		}
+		ok := c.node.ApplySync(msg)
 		c.reported = false // this resolution consumes the outstanding report
 		c.mu.Unlock()
+		if !ok {
+			c.refusals++
+			// The coordinator already believes this zone installed (and an
+			// ADCD-E factor delivered), so no later sync can heal the node:
+			// recycle the connection, and the Rejoin makes the coordinator
+			// forget what it sent and run a full sync with the factor.
+			c.rejectedSyncs.Inc()
+			conn.Close()
+			return fmt.Errorf("transport: node %d refused an uncheckable sync", c.ID)
+		}
+		c.refusals = 0
 		c.readyOne.Do(func() { close(c.ready) })
 		c.recheck()
 		c.signalResolved()
@@ -260,7 +266,7 @@ func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 // backoff and jitter, re-registering through a Rejoin carrying the current
 // local vector. cause is the connection error that triggered it.
 func (c *NodeClient) reconnect(cause error) error {
-	if c.opts.MaxReconnectAttempts < 0 {
+	if c.opts.MaxReconnectAttempts < 0 || c.refusals > c.opts.MaxReconnectAttempts {
 		return cause
 	}
 	backoff := c.opts.ReconnectBase
@@ -279,13 +285,12 @@ func (c *NodeClient) reconnect(cause error) error {
 		conn, err := c.opts.Dial("tcp", c.addr, c.opts.DialTimeout)
 		if err == nil {
 			c.mu.Lock()
-			c.materializeLocked()
 			x := c.node.LocalVector()
 			// Any outstanding report died with the old connection; the
 			// rejoin full sync re-evaluates the constraints from scratch.
 			c.reported = false
 			c.mu.Unlock()
-			w := newFrameWriter(conn, c.opts.Group, c.v2, c.opts, &c.Stats)
+			w := newFrameWriter(conn, c.opts.Group, c.opts, &c.Stats)
 			err = w.writeMsg(&core.Rejoin{NodeID: c.ID, X: x}, true)
 			if err == nil {
 				if !c.setConn(conn, w) {
@@ -297,12 +302,7 @@ func (c *NodeClient) reconnect(cause error) error {
 			}
 			conn.Close()
 		}
-		if backoff < c.opts.ReconnectMax {
-			backoff *= 2
-			if backoff > c.opts.ReconnectMax {
-				backoff = c.opts.ReconnectMax
-			}
-		}
+		backoff = min(2*backoff, reconnectMax)
 	}
 	c.tracer.Record(obs.EventReconnectFailed, c.ID, float64(c.opts.MaxReconnectAttempts), "")
 	return fmt.Errorf("transport: node %d gave up after %d reconnect attempts: %w",
@@ -312,6 +312,10 @@ func (c *NodeClient) reconnect(cause error) error {
 // Reconnects returns how many times the client has successfully rejoined
 // after a connection loss.
 func (c *NodeClient) Reconnects() int64 { return c.reconnects.Load() }
+
+// RejectedSyncs returns how many syncs the node refused as uncheckable; each
+// one cost a reconnect.
+func (c *NodeClient) RejectedSyncs() int64 { return c.rejectedSyncs.Load() }
 
 // DropConnection forcibly closes the current connection, as a network fault
 // would. The client reconnects and rejoins through its normal recovery path;
@@ -337,7 +341,6 @@ func (c *NodeClient) recheck() {
 		c.mu.Unlock()
 		return
 	}
-	c.materializeLocked()
 	v := c.node.Check()
 	if v != nil {
 		c.reported = true
@@ -402,16 +405,6 @@ func (c *NodeClient) Err() error {
 	return c.err
 }
 
-// materializeLocked installs the latest application vector into the node
-// (elided mode only; no-op otherwise). The resulting SetData resets the
-// elision budget, so the next elided update runs an exact check. Callers
-// must hold c.mu.
-func (c *NodeClient) materializeLocked() {
-	if c.latest != nil {
-		c.node.SetData(c.latest)
-	}
-}
-
 // EnableElision turns on safe-zone check elision for this client: UpdateElided
 // then skips the exact constraint check (and its traffic) while the node's
 // distance-to-boundary budget proves the vector still inside the safe zone.
@@ -420,13 +413,7 @@ func (c *NodeClient) materializeLocked() {
 func (c *NodeClient) EnableElision() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.node.EnableElision() {
-		return false
-	}
-	if c.latest == nil {
-		c.latest = append([]float64(nil), c.node.LocalVector()...)
-	}
-	return true
+	return c.node.EnableElision()
 }
 
 // Update installs a new local vector, checks the local constraints, and —
@@ -454,23 +441,18 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	case <-c.resolved:
 	default:
 	}
-	var v *core.Violation
-	switch {
-	case c.latest != nil:
-		norm := math.Sqrt(linalg.SqDist(x, c.latest))
-		copy(c.latest, x)
-		if elide && !c.node.SpendBudget(norm) {
-			// Proven inside the safe zone: skip the exact check entirely.
-			c.elided++
-			c.mu.Unlock()
-			return c.Err()
-		}
-		v = c.node.UpdateDataRefresh(x)
-	case elide:
+	if elide && !c.node.ElisionEnabled() {
 		c.mu.Unlock()
 		return fmt.Errorf("transport: node %d: UpdateElided without EnableElision", c.ID)
-	default:
-		v = c.node.UpdateData(x)
+	}
+	var v *core.Violation
+	if elide {
+		var skipped bool
+		if v, skipped = c.node.UpdateElided(x); skipped {
+			c.elided++ // proven inside the safe zone: no exact check, no traffic
+		}
+	} else {
+		v = c.node.UpdateDataRefresh(x)
 	}
 	send := v != nil && !c.reported
 	if send {

@@ -112,12 +112,12 @@ func TestRegistryMatchesTrafficStats(t *testing.T) {
 // fuzz targets rely on: a zero-value TrafficStats counts without Bind.
 func TestZeroValueTrafficStatsWorks(t *testing.T) {
 	var s TrafficStats
-	s.countSend(10, "sync")
-	s.countRecv(4, "violation")
+	s.countSendBatch([]int{10}, []string{"sync"})
+	s.countRecvBatch([]core.Message{&core.Violation{}}, []int{4})
 	if s.MessagesSent.Load() != 1 || s.MessagesReceived.Load() != 1 {
 		t.Fatalf("zero-value stats did not count: %d/%d", s.MessagesSent.Load(), s.MessagesReceived.Load())
 	}
-	if s.WireSent.Load() != 10+frameHeader+perMessageWireOverhead {
+	if s.WireSent.Load() != 10+batchHdrLen+batchSubHeader+frameHeader+perMessageWireOverhead {
 		t.Fatalf("wire accounting off: %d", s.WireSent.Load())
 	}
 }

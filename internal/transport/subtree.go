@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -21,8 +22,8 @@ type SubtreeHandler interface {
 
 // SubtreeListener is the parent side of shard-to-parent links: it accepts
 // uplink connections from sub-coordinators and routes their Partial and
-// SubtreeRejoin frames (over the same v1/v2 framing every other peer speaks)
-// into a SubtreeHandler. A malformed frame kills only its own connection —
+// SubtreeRejoin frames (over the same framing every other peer speaks) into
+// a SubtreeHandler. A malformed frame kills only its own connection —
 // the sub-coordinator redials and re-registers its whole partition with a
 // SubtreeRejoin, the shard-tier analogue of a node's single-vector Rejoin.
 type SubtreeListener struct {
@@ -109,7 +110,7 @@ func (l *SubtreeListener) serveUplink(conn net.Conn) {
 	for {
 		fr, err := readAnyFrame(conn, 0, &l.Stats)
 		if err != nil {
-			if isProtocolError(err) {
+			if errors.Is(err, errMalformedFrame) {
 				l.note(err)
 			}
 			return
@@ -159,7 +160,7 @@ func DialSubtreeParent(addr string, opts Options) (*SubtreeUplink, error) {
 	}
 	u := &SubtreeUplink{conn: conn}
 	u.Stats.Bind(opts.Metrics, `side="subtree-child"`, opts.Tracer, -1)
-	u.w = newFrameWriter(conn, opts.Group, true, opts, &u.Stats)
+	u.w = newFrameWriter(conn, opts.Group, opts, &u.Stats)
 	return u, nil
 }
 

@@ -19,7 +19,7 @@ func (c *fuzzTreeComm) SendSync(int, *core.Sync)     {}
 func (c *fuzzTreeComm) SendSlack(int, *core.Slack)   {}
 
 // FuzzSubtreeFrame hardens the shard-to-parent uplink end to end: arbitrary
-// bytes go through the dual-version frame reader, and whatever decodes as a
+// bytes go through the frame reader, and whatever decodes as a
 // Partial or SubtreeRejoin is handed to a live shard tree exactly as
 // SubtreeListener.serveUplink would. Nothing may panic, a failed frame must
 // not be counted in the traffic stats, and protocol lies that survive
@@ -45,7 +45,7 @@ func FuzzSubtreeFrame(f *testing.F) {
 		if mut != nil {
 			mut(p)
 		}
-		return frameOf(p)
+		return batchFrameOf(0, p)
 	}
 	f.Add(partial(nil))                                           // well-formed, current epoch
 	f.Add(partial(func(p *core.Partial) { p.Epoch = 0 }))         // stale epoch tag
@@ -60,11 +60,11 @@ func FuzzSubtreeFrame(f *testing.F) {
 	corrupt := partial(nil)     // flipped bytes inside an accumulator window
 	corrupt[len(corrupt)-5] ^= 0xFF
 	f.Add(corrupt)
-	f.Add(frameOf(&core.SubtreeRejoin{ShardID: 0, IDs: []int{0, 1},
+	f.Add(batchFrameOf(0, &core.SubtreeRejoin{ShardID: 0, IDs: []int{0, 1},
 		Xs: [][]float64{{0.4, 0.4}, {0.6, 0.6}}})) // healing rejoin
-	f.Add(frameOf(&core.SubtreeRejoin{ShardID: 1, IDs: []int{2},
+	f.Add(batchFrameOf(0, &core.SubtreeRejoin{ShardID: 1, IDs: []int{2},
 		Xs: [][]float64{{0.4, 0.4}}})) // partial population
-	f.Add(frameOf(&core.Sync{NodeID: 0, Method: core.MethodE, Kind: core.ConvexDiff,
+	f.Add(batchFrameOf(0, &core.Sync{NodeID: 0, Method: core.MethodE, Kind: core.ConvexDiff,
 		X0: []float64{1, 2}, GradF0: []float64{0, 0}, Slack: []float64{0, 0}})) // wrong message type
 
 	f.Fuzz(func(t *testing.T, data []byte) {

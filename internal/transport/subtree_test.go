@@ -105,7 +105,7 @@ func TestSubtreeLinkRejectsForeignFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rogue.Close()
-	if _, err := rogue.Write(frameOf(&core.Violation{NodeID: 1, Kind: core.ViolationSafeZone,
+	if _, err := rogue.Write(batchFrameOf(0, &core.Violation{NodeID: 1, Kind: core.ViolationSafeZone,
 		X: []float64{0.5}})); err != nil {
 		t.Fatal(err)
 	}

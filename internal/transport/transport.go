@@ -16,9 +16,9 @@
 //
 // The fabric is also multi-tenant: one coordinator process can host many
 // independent monitoring groups (one function and node roster each) behind
-// a single listener, routing frames by the GroupID carried in the wire-v2
-// batch framing (see frame.go and multi.go). Outbound messages to the same
-// peer can be coalesced into batch frames under a flush policy
+// a single listener, routing frames by the GroupID every frame carries (one
+// wire format, see frame.go; groups, see multi.go). Outbound messages to the
+// same peer can be coalesced into one frame under a flush policy
 // (Options.Batch), cutting per-message syscall, header, and simulated-WAN
 // overhead on the violation-resolution hot path.
 package transport
@@ -39,32 +39,43 @@ import (
 // once for all the messages it carries).
 const perMessageWireOverhead = 66
 
-// frameHeader is the length prefix added to every frame.
+// frameHeader is the tagged length word that opens every frame.
 const frameHeader = 4
 
-// maxFrameLen caps the declared length of a frame; anything larger is a
-// protocol error, not an allocation request.
-const maxFrameLen = 1 << 28
+// maxFrameLen caps one encoded message: a frame carrying it alone must still
+// fit the 28-bit body length. Anything larger is an error at the writer, and
+// no first word can declare more to a reader.
+const maxFrameLen = batchLenMask - batchHdrLen - batchSubHeader
+
+// Fixed protocol timings no caller ever tuned.
+const (
+	// writeTimeout is the per-frame write deadline. A write that cannot
+	// complete within it fails the connection, which the fault-tolerance
+	// layer treats as a disconnect.
+	writeTimeout = 10 * time.Second
+	// reconnectMax caps the doubling reconnect backoff.
+	reconnectMax = 2 * time.Second
+	// registerWorkers bounds how many registration handshakes a coordinator
+	// listener processes concurrently — the shared goroutine pool of a
+	// multi-tenant process, sized independently of how many groups it hosts.
+	registerWorkers = 32
+)
 
 // initialFrameAlloc bounds the up-front buffer for a frame body. The body is
 // then read incrementally, so a lying length prefix can never force more
 // allocation than bytes actually delivered (plus this constant).
 const initialFrameAlloc = 64 << 10
 
-// Protocol-class errors: the peer spoke, but spoke garbage. These are
-// distinguished from I/O errors (timeouts, resets, EOF), which the
-// fault-tolerance layer treats as survivable connection churn.
 var (
-	errFrameTooLarge  = errors.New("transport: oversized frame")
+	// errMalformedFrame is the one protocol-class read error: the peer spoke,
+	// but spoke garbage. It is distinguished from I/O errors (timeouts,
+	// resets, EOF), which the fault-tolerance layer treats as survivable
+	// connection churn.
 	errMalformedFrame = errors.New("transport: malformed frame")
-	errNotConnected   = errors.New("transport: not connected")
+	// errFrameTooLarge refuses a message no frame can carry, at the writer.
+	errFrameTooLarge = errors.New("transport: oversized frame")
+	errNotConnected  = errors.New("transport: not connected")
 )
-
-// isProtocolError reports whether err indicates a malformed or hostile peer
-// rather than a flaky link.
-func isProtocolError(err error) bool {
-	return errors.Is(err, errFrameTooLarge) || errors.Is(err, errMalformedFrame)
-}
 
 // counterOr returns the registry's counter for name, or a standalone one
 // when reg is nil — instrumented code always counts through a live counter
@@ -91,8 +102,8 @@ func histogramOr(reg *obs.Registry, name, help string, bounds []float64) *obs.Hi
 //	Wire = Payload + Frames·(frameHeader + perMessageWireOverhead) + BatchOverhead
 //
 // holds on both directions at all times, including under injected faults.
-// Without batching every message is its own frame and BatchOverhead is zero,
-// so the identity reduces to the historical per-message form.
+// Without batching every message is its own frame and BatchOverhead is
+// batchHdrLen + batchSubHeader per message.
 //
 // The zero value works: counters are created lazily on first use. Bind
 // attaches the counters to a registry (and optionally a tracer for per-frame
@@ -109,8 +120,8 @@ type TrafficStats struct {
 	// counters when batching is off; lower when coalescing merges messages.
 	FramesSent     *obs.Counter
 	FramesReceived *obs.Counter
-	// BatchOverheadSent/BatchOverheadReceived count the wire-v2 batch header
-	// and per-message sub-header bytes, so the wire identity stays exact.
+	// BatchOverheadSent/BatchOverheadReceived count the batch header and
+	// per-message sub-header bytes, so the wire identity stays exact.
 	BatchOverheadSent     *obs.Counter
 	BatchOverheadReceived *obs.Counter
 
@@ -156,7 +167,7 @@ func (s *TrafficStats) Bind(reg *obs.Registry, labelSet string, tracer *obs.Trac
 		payloadHelp = "Encoded message payload bytes, the paper's payload series."
 		wireHelp    = "Estimated wire bytes including framing and TCP/IP overhead."
 		framesHelp  = "Physical frames exchanged; batching coalesces messages into fewer frames."
-		batchHelp   = "Wire-v2 batch header bytes, part of the wire-byte identity."
+		batchHelp   = "Batch header and sub-header bytes, part of the wire-byte identity."
 	)
 	reg.RegisterCounter("automon_transport_messages_total"+lbl(`dir="sent"`), msgsHelp, s.MessagesSent)
 	reg.RegisterCounter("automon_transport_messages_total"+lbl(`dir="recv"`), msgsHelp, s.MessagesReceived)
@@ -170,27 +181,7 @@ func (s *TrafficStats) Bind(reg *obs.Registry, labelSet string, tracer *obs.Trac
 	reg.RegisterCounter("automon_transport_batch_overhead_bytes_total"+lbl(`dir="recv"`), batchHelp, s.BatchOverheadReceived)
 }
 
-// countSend accounts one v1 frame carrying one message.
-func (s *TrafficStats) countSend(payload int, msgType string) {
-	s.ensure()
-	s.MessagesSent.Inc()
-	s.FramesSent.Inc()
-	s.PayloadSent.Add(int64(payload))
-	s.WireSent.Add(int64(payload + frameHeader + perMessageWireOverhead))
-	s.tracer.Record(obs.EventFrameSent, s.peer, float64(payload), msgType)
-}
-
-// countRecv accounts one v1 frame carrying one message.
-func (s *TrafficStats) countRecv(payload int, msgType string) {
-	s.ensure()
-	s.MessagesReceived.Inc()
-	s.FramesReceived.Inc()
-	s.PayloadReceived.Add(int64(payload))
-	s.WireReceived.Add(int64(payload + frameHeader + perMessageWireOverhead))
-	s.tracer.Record(obs.EventFrameReceived, s.peer, float64(payload), msgType)
-}
-
-// countSendBatch accounts one v2 batch frame: per-message payload counts and
+// countSendBatch accounts one sent frame: per-message payload counts and
 // trace events, one frame, and the batch header bytes that keep the wire
 // identity exact.
 func (s *TrafficStats) countSendBatch(sizes []int, types []string) {
@@ -209,12 +200,14 @@ func (s *TrafficStats) countSendBatch(sizes []int, types []string) {
 }
 
 // countRecvBatch is countSendBatch for the inbound direction.
-func (s *TrafficStats) countRecvBatch(msgs []core.Message, sizes []int, total int) {
+func (s *TrafficStats) countRecvBatch(msgs []core.Message, sizes []int) {
 	s.ensure()
+	total := 0
 	for i, m := range msgs {
 		s.MessagesReceived.Inc()
 		s.PayloadReceived.Add(int64(sizes[i]))
 		s.tracer.Record(obs.EventFrameReceived, s.peer, float64(sizes[i]), m.Type().String())
+		total += sizes[i]
 	}
 	over := batchHdrLen + len(msgs)*batchSubHeader
 	s.FramesReceived.Inc()
@@ -229,10 +222,6 @@ type Options struct {
 	Latency time.Duration
 	// DialTimeout bounds node connection attempts (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline (default 10s). A write
-	// that cannot complete within it fails the connection, which the
-	// fault-tolerance layer treats as a disconnect.
-	WriteTimeout time.Duration
 	// RequestTimeout bounds a coordinator data-request round trip (default
 	// 30s). On expiry the node is marked dead and its connection recycled.
 	RequestTimeout time.Duration
@@ -248,31 +237,19 @@ type Options struct {
 	// immediately fatal to the client, the pre-fault-tolerance behavior).
 	MaxReconnectAttempts int
 	// ReconnectBase is the first reconnect backoff (default 50ms); each
-	// attempt doubles it up to ReconnectMax (default 2s). The actual sleep
-	// is jittered uniformly over [backoff/2, backoff].
+	// attempt doubles it up to 2s. The actual sleep is jittered uniformly
+	// over [backoff/2, backoff], from an RNG seeded by the node id.
 	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
-	// ReconnectSeed seeds the jitter RNG (0 = derived from the node id), so
-	// tests can make backoff schedules reproducible.
-	ReconnectSeed int64
 	// Dial replaces net.DialTimeout for node connections. The chaos package
 	// uses it to interpose fault-injecting connections.
 	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 
-	// Group is the monitoring group a NodeClient belongs to. A non-zero
-	// group (or enabled batching) upgrades the client's outbound framing to
-	// wire v2 so every frame carries the group tag; group 0 with batching
-	// off keeps the legacy v1 framing byte-for-byte.
+	// Group is the monitoring group a NodeClient belongs to; every frame it
+	// sends carries the tag.
 	Group GroupID
 	// Batch configures outbound frame batching (see BatchOptions). The zero
-	// value disables coalescing; enabling it upgrades the endpoint's
-	// outbound framing to wire v2 for peers that negotiated v2.
+	// value disables coalescing.
 	Batch BatchOptions
-	// RegisterWorkers bounds how many registration handshakes a coordinator
-	// listener processes concurrently — the shared goroutine pool of a
-	// multi-tenant process, sized independently of how many groups it
-	// hosts. 0 means 32.
-	RegisterWorkers int
 
 	// Metrics, when set, receives every transport and protocol instrument of
 	// the endpoint (scraped via obs.Serve). Nil leaves the counters
@@ -286,9 +263,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -305,23 +279,17 @@ func (o *Options) defaults() {
 	if o.ReconnectBase <= 0 {
 		o.ReconnectBase = 50 * time.Millisecond
 	}
-	if o.ReconnectMax <= 0 {
-		o.ReconnectMax = 2 * time.Second
-	}
-	if o.RegisterWorkers <= 0 {
-		o.RegisterWorkers = 32
-	}
 	if o.Dial == nil {
 		o.Dial = net.DialTimeout
 	}
 }
 
 // Coordinator runs the AutoMon coordinator for one monitoring group. Create
-// it with ListenCoordinator (a dedicated single-group listener, the legacy
-// entry point) or MultiCoordinator.AddGroup (one group of a multi-tenant
-// process); wait for Ready, and read Estimate while nodes stream updates.
-// Node connections may come and go: a lost node is marked dead and the
-// estimate degrades to the live-node average until it rejoins.
+// it with ListenCoordinator (a dedicated single-group listener) or
+// MultiCoordinator.AddGroup (one group of a multi-tenant process); wait for
+// Ready, and read Estimate while nodes stream updates. Node connections may
+// come and go: a lost node is marked dead and the estimate degrades to the
+// live-node average until it rejoins.
 type Coordinator struct {
 	srv  *MultiCoordinator
 	gid  GroupID
@@ -379,8 +347,8 @@ func (cc *coordConn) isGone() bool {
 // ListenCoordinator starts a single-group coordinator for n nodes on addr
 // (use "127.0.0.1:0" for tests). Nodes must connect and register; Ready
 // closes after the initial full sync completes. Internally this is a
-// MultiCoordinator hosting exactly group 0 in strict mode: frames for any
-// other group are the hostile-peer error they always were.
+// MultiCoordinator hosting exactly group 0: a registration for any other
+// group is rejected and counted like any other bad registration.
 func ListenCoordinator(addr string, f *core.Function, n int, cfg core.Config, opts Options) (*Coordinator, error) {
 	opts.defaults()
 	mc, err := newMulti(addr, opts, true)
@@ -525,8 +493,8 @@ func (c *Coordinator) Group() GroupID { return c.gid }
 func (c *Coordinator) Ready() <-chan struct{} { return c.ready }
 
 // Err returns the first fatal error, if any — of this group or of the
-// shared listener. Connection churn is not fatal; only listener failures,
-// hostile peers, and safe-zone construction errors are.
+// shared listener. Connection churn and bad registrations are not fatal;
+// only listener failures and safe-zone construction errors are.
 func (c *Coordinator) Err() error {
 	if e := c.err.Load(); e != nil {
 		return e.(error)
@@ -613,10 +581,10 @@ func (c *Coordinator) fatal(err error) {
 
 // register installs a connection for node id, kicks off the initial sync
 // when it completes the roster, and reintegrates rejoining nodes with a full
-// sync. The writer carries the wire version negotiated from the node's
-// registration frame, so the coordinator always answers in kind.
-func (c *Coordinator) register(id int, conn net.Conn, w *frameWriter, x []float64) {
-	cc := &coordConn{id: id, conn: conn, w: w, dataCh: make(chan *core.DataResponse, 4), gone: make(chan struct{})}
+// sync.
+func (c *Coordinator) register(id int, conn net.Conn, x []float64) {
+	cc := &coordConn{id: id, conn: conn, w: newFrameWriter(conn, c.gid, c.opts, &c.Stats),
+		dataCh: make(chan *core.DataResponse, 4), gone: make(chan struct{})}
 	c.connsMu.Lock()
 	old := c.conns[id]
 	c.conns[id] = cc
@@ -690,7 +658,7 @@ func (c *Coordinator) serveConn(cc *coordConn) {
 			}
 			return
 		}
-		if fb.v2 && fb.group != c.gid {
+		if fb.group != c.gid {
 			// A registered connection suddenly speaking for another group
 			// means the peer is confused; recycle the connection and let the
 			// node rejoin cleanly.

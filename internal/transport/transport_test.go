@@ -182,28 +182,6 @@ func TestClusterWithLatency(t *testing.T) {
 	}
 }
 
-func TestBadRegistrationRejected(t *testing.T) {
-	f := funcs.InnerProduct(1)
-	coord, err := ListenCoordinator("127.0.0.1:0", f, 1, core.Config{Epsilon: 0.1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	// Node id out of range.
-	if _, err := DialNode(coord.Addr(), 7, f, []float64{0, 0}, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(2 * time.Second)
-	for coord.Err() == nil {
-		select {
-		case <-deadline:
-			t.Fatal("bad registration not detected")
-		default:
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-}
-
 // TestDataPullsLeaveNoTimersBehind pins the steadiness fix: a data pull's
 // timeout timer is stopped when the pull returns. An abandoned time.After
 // stays in the runtime's timer heap until RequestTimeout (30 s by default)
