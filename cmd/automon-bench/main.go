@@ -28,7 +28,6 @@ func main() {
 	telemetry := flag.String("telemetry", "", "write per-run metric snapshots as JSON to this file")
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweep runs and tuning replays (0 = one per core, 1 = sequential); tables are identical at any setting")
 	eigBackend := flag.String("eig-backend", "", `eigen-engine for ADCD-X zone builds: "lbfgs" (default), "interval" (certified), or "hybrid"`)
-	hybridSlack := flag.Float64("hybrid-slack", 0, "hybrid escalation threshold (0 = default, negative = never refine); only meaningful with -eig-backend hybrid")
 	sketchRows := flag.Int("sketch-rows", 0, "AMS sketch rows for the ingestion experiments (0 = 4)")
 	sketchCols := flag.Int("sketch-cols", 0, "AMS sketch cols for the ingestion experiments (0 = 32)")
 	ingestBatch := flag.Int("ingest-batch", 0, "elision staleness cap: events between forced exact checks (0 = library default)")
@@ -41,7 +40,7 @@ func main() {
 	}
 	o := experiments.Options{
 		Quick: !*full, Seed: *seed, Workers: *parallel,
-		EigBackend: backend, HybridSlack: *hybridSlack,
+		EigBackend: backend,
 		SketchRows: *sketchRows, SketchCols: *sketchCols, IngestBatch: *ingestBatch,
 	}
 	if *telemetry != "" {

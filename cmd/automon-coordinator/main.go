@@ -40,24 +40,17 @@ func main() {
 	report := flag.Duration("report", 2*time.Second, "estimate reporting interval")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP address serving /metrics, /debug/vars, /debug/events, and /debug/pprof (empty = disabled)")
 	eigBackend := flag.String("eig-backend", "", `eigen-engine for ADCD-X zone builds: "lbfgs" (default), "interval" (certified), or "hybrid"`)
-	hybridSlack := flag.Float64("hybrid-slack", 0, "hybrid escalation threshold (0 = default, negative = never refine)")
 	adaptiveR := flag.Bool("adaptive-r", false, "enable the drift-aware radius controller (re-tunes r online, shrinking as well as growing)")
 	rMax := flag.Float64("r-max", 0, "cap on §3.6 radius doubling (0 = derive from the domain or configured r, negative = uncapped)")
-	adaptiveWindow := flag.Int("adaptive-window", 0, "full-sync snapshots retained as the re-tuning window (0 = default)")
-	adaptiveAlpha := flag.Float64("adaptive-alpha", 0, "EWMA decay per handled violation for the controller's triggers (0 = default)")
-	adaptiveCooldown := flag.Int("adaptive-cooldown", 0, "violations between re-tune attempts (0 = default)")
 	flag.Parse()
 
-	radius := radiusOptions{
-		adaptive: *adaptiveR, rMax: *rMax,
-		window: *adaptiveWindow, alpha: *adaptiveAlpha, cooldown: *adaptiveCooldown,
-	}
+	radius := radiusOptions{adaptive: *adaptiveR, rMax: *rMax}
 
 	backend, err := core.ParseEigBackend(*eigBackend)
 	if err != nil {
 		fail(err)
 	}
-	o := experiments.Options{Quick: !*full, Seed: *seed, EigBackend: backend, HybridSlack: *hybridSlack}
+	o := experiments.Options{Quick: !*full, Seed: *seed, EigBackend: backend}
 	opts := transport.Options{
 		Latency: *latency,
 		Batch:   transport.BatchOptions{MaxBytes: *batchBytes, MaxDelay: *batchDelay},
@@ -185,14 +178,11 @@ func runMulti(names []string, addr string, nodes int, eps, r float64,
 	}
 }
 
-// radiusOptions bundles the -adaptive-r family of flags so both the
-// single-group and multi-group paths thread them identically.
+// radiusOptions bundles -adaptive-r and -r-max so both the single-group and
+// multi-group paths thread them identically.
 type radiusOptions struct {
 	adaptive bool
 	rMax     float64
-	window   int
-	alpha    float64
-	cooldown int
 }
 
 // workloadConfig builds the core config for one workload, honoring its
@@ -201,8 +191,6 @@ func workloadConfig(w *experiments.Workload, eps, r float64, radius radiusOption
 	cfg := core.Config{
 		Epsilon: eps, R: r, Decomp: w.Decomp,
 		AdaptiveR: radius.adaptive, RMax: radius.rMax,
-		AdaptiveWindow: radius.window, AdaptiveAlpha: radius.alpha,
-		AdaptiveCooldown: radius.cooldown,
 	}
 	if w.FixedR > 0 {
 		cfg.R = w.FixedR

@@ -16,8 +16,6 @@
 //	-diff REF    analyze the whole module (the call graphs span packages)
 //	             but report only findings in packages with files changed
 //	             versus the git ref, e.g. -diff origin/main on a PR
-//	-fix         insert //automon:allow TODO scaffolds above surviving
-//	             findings and canonicalize directive stacks, in place
 package main
 
 import (
@@ -35,9 +33,8 @@ func main() {
 	list := flag.Bool("list", false, "print the analyzers and their invariants, then exit")
 	sarif := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	diffRef := flag.String("diff", "", "report only findings in packages changed versus this git ref")
-	fix := flag.Bool("fix", false, "write //automon:allow scaffolds for surviving findings and sort directive stacks")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: automon-lint [-list] [-sarif] [-diff ref] [-fix] [./...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: automon-lint [-list] [-sarif] [-diff ref] [./...]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -83,14 +80,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "automon-lint: %v\n", err)
 			os.Exit(2)
 		}
-	}
-
-	if *fix {
-		if err := applyFixes(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "automon-lint: %v\n", err)
-			os.Exit(2)
-		}
-		return
 	}
 
 	if *sarif {
@@ -145,41 +134,6 @@ func filterToChanged(root, ref string, diags []analysis.Diagnostic) ([]analysis.
 		}
 	}
 	return kept, nil
-}
-
-// applyFixes groups the surviving findings per file and rewrites each file
-// with analysis.FixSource. Scaffolded waivers carry a TODO reason the author
-// must replace; a second -fix run is a no-op because the scaffolds suppress
-// the findings they cover.
-func applyFixes(diags []analysis.Diagnostic) error {
-	perFile := make(map[string][]analysis.Diagnostic)
-	var files []string
-	for _, d := range diags {
-		if _, ok := perFile[d.Pos.Filename]; !ok {
-			files = append(files, d.Pos.Filename)
-		}
-		perFile[d.Pos.Filename] = append(perFile[d.Pos.Filename], d)
-	}
-	fixed := 0
-	for _, file := range files {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		out := analysis.FixSource(src, perFile[file])
-		if string(out) == string(src) {
-			continue
-		}
-		if err := os.WriteFile(file, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("fixed %s (%d finding(s) scaffolded)\n", file, len(perFile[file]))
-		fixed++
-	}
-	if fixed == 0 {
-		fmt.Println("nothing to fix")
-	}
-	return nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest go.mod,

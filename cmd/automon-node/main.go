@@ -14,7 +14,6 @@ import (
 	"os"
 	"time"
 
-	"automon/internal/core"
 	"automon/internal/experiments"
 	"automon/internal/obs"
 	"automon/internal/transport"
@@ -34,15 +33,9 @@ func main() {
 	reconnects := flag.Int("reconnect-attempts", 6, "reconnect attempts per connection loss (-1 disables reconnection)")
 	reconnectBase := flag.Duration("reconnect-base", 50*time.Millisecond, "initial reconnect backoff (doubles per attempt, jittered)")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP address serving /metrics, /debug/vars, /debug/events, and /debug/pprof (empty = disabled)")
-	eigBackend := flag.String("eig-backend", "", "eigen-engine for ADCD-X zone builds; decomposition runs coordinator-side, but the flag must match the coordinator so both construct the identical workload")
-	hybridSlack := flag.Float64("hybrid-slack", 0, "hybrid escalation threshold (must match the coordinator)")
 	flag.Parse()
 
-	backend, err := core.ParseEigBackend(*eigBackend)
-	if err != nil {
-		fail(err)
-	}
-	o := experiments.Options{Quick: !*full, Seed: *seed, EigBackend: backend, HybridSlack: *hybridSlack}
+	o := experiments.Options{Quick: !*full, Seed: *seed}
 	w, err := experiments.NamedWorkload(*fn, o)
 	if err != nil {
 		fail(err)

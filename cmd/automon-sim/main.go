@@ -30,9 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "master seed")
 	adaptiveR := flag.Bool("adaptive-r", false, "enable the drift-aware radius controller (re-tunes r online, shrinking as well as growing)")
 	rMax := flag.Float64("r-max", 0, "cap on §3.6 radius doubling (0 = derive from the domain or tuned r, negative = uncapped)")
-	adaptiveWindow := flag.Int("adaptive-window", 0, "full-sync snapshots retained as the re-tuning window (0 = default)")
-	adaptiveAlpha := flag.Float64("adaptive-alpha", 0, "EWMA decay per handled violation for the controller's triggers (0 = default)")
-	adaptiveCooldown := flag.Int("adaptive-cooldown", 0, "violations between re-tune attempts (0 = default)")
 	shards := flag.Int("shards", 0, "run through a hierarchical sharded coordinator with this many leaf shards (0 = flat; routing mode is bit-identical to flat)")
 	treeFanout := flag.Int("tree-fanout", 0, "children per interior shard tier (0 = default 8; needs -shards)")
 	shardAbsorb := flag.Bool("shard-absorb", false, "let leaf shards absorb safe-zone violations locally (ε-correct, not bit-identical; needs -shards)")
@@ -50,8 +47,6 @@ func main() {
 		Core: core.Config{
 			Epsilon: *eps, R: w.FixedR, Decomp: w.Decomp,
 			AdaptiveR: *adaptiveR, RMax: *rMax,
-			AdaptiveWindow: *adaptiveWindow, AdaptiveAlpha: *adaptiveAlpha,
-			AdaptiveCooldown: *adaptiveCooldown,
 		},
 		TuneRounds:  w.TuneRounds,
 		Shards:      *shards,

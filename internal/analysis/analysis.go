@@ -108,8 +108,8 @@ type allow struct {
 // allowIndex maps filename → line → directives that cover that line. A
 // directive covers its own line (trailing comment) and the next code line:
 // for an own-line directive, consecutive directive-only lines chain, so a
-// stack of //automon:allow lines (one per analyzer, as -fix writes them)
-// all cover the first statement after the stack.
+// stack of //automon:allow lines (one per analyzer) all cover the first
+// statement after the stack.
 type allowIndex map[string]map[int][]*allow
 
 func (ai allowIndex) covers(pos token.Position, analyzer string) bool {

@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// dataflow_test.go covers the interprocedural layer (summary.go, cfg.go)
-// through its four analyzers — statepure, lockorder, golifecycle, floatflow
-// — plus the properties the layer itself guarantees: deterministic
-// diagnostics at any analysis order, build-tag/testdata handling in the
-// loader, the statepure root manifest, and the real tree's acyclic lock
-// graph.
+// dataflow_test.go covers the interprocedural layer (summary.go) through its
+// three analyzers — statepure, lockorder, floatflow — plus the properties the
+// layer itself guarantees: deterministic diagnostics at any analysis order,
+// build-tag/testdata handling in the loader, the statepure root manifest, and
+// the real tree's acyclic lock graph.
 
 func TestStatepureFixture(t *testing.T) {
 	runFixture(t, Statepure, "statepure", "fixture/statepure")
@@ -38,10 +37,6 @@ func TestLockorderScopedToLockPackages(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("lockorder fired outside its package scope: %s", d)
 	}
-}
-
-func TestGolifecycleFixture(t *testing.T) {
-	runFixture(t, Golifecycle, "golifecycle", "fixture/golifecycle")
 }
 
 // TestFloatflowTreeFixture exercises the cross-package rules on a fixture
@@ -70,7 +65,7 @@ var statepureManifest = map[string]bool{
 
 func TestStatepureAnnotationsMatchManifest(t *testing.T) {
 	found := make(map[string]bool)
-	walkModule(t, func(f *ast.File) {
+	walkModule(t, func(_ string, f *ast.File) {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && hasDirective(fd, statepureMarker) {
 				found[f.Name.Name+"."+declName(fd)] = true
@@ -119,7 +114,7 @@ func TestDataflowDiagnosticsOrderInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := []*Analyzer{Statepure, Lockorder, Golifecycle, Floatflow}
+	suite := []*Analyzer{Statepure, Lockorder, Floatflow}
 	base, err := Lint(mod, suite)
 	if err != nil {
 		t.Fatal(err)

@@ -132,10 +132,6 @@ func TestDeterminismScopedToContractPackages(t *testing.T) {
 	}
 }
 
-func TestErreigFixture(t *testing.T) {
-	runFixture(t, Erreig, "erreig", "fixture/erreig")
-}
-
 func TestObsnamesFixture(t *testing.T) {
 	runFixture(t, Obsnames, "obsnames", "fixture/obsnames")
 }
@@ -152,7 +148,7 @@ func TestSuppressionDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Lint(mod, []*Analyzer{Erreig})
+	diags, err := Lint(mod, []*Analyzer{Nofloateq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +173,8 @@ func TestSuppressionDirectives(t *testing.T) {
 	}
 	// The three malformed directives must not suppress their findings; the
 	// one well-formed directive must.
-	if got := count("discarded with _"); got != 3 {
-		t.Errorf("surviving erreig findings = %d, want 3 (malformed directives must not suppress)", got)
+	if got := count("bit-fragile"); got != 3 {
+		t.Errorf("surviving nofloateq findings = %d, want 3 (malformed directives must not suppress)", got)
 	}
 	if len(diags) != 6 {
 		for _, d := range diags {

@@ -60,7 +60,7 @@ var hotpathManifest = map[string]bool{
 func annotatedHotpathFuncs(t *testing.T) map[string]bool {
 	t.Helper()
 	found := make(map[string]bool)
-	walkModule(t, func(f *ast.File) {
+	walkModule(t, func(_ string, f *ast.File) {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && hasMarker(fd) {
 				found[f.Name.Name+"."+declName(fd)] = true

@@ -2,19 +2,17 @@ package analysis
 
 // All returns every analyzer in the suite, in stable order. cmd/automon-lint
 // runs exactly this list; the meta-test in this package asserts the two never
-// drift apart. The first six are PR 4's syntactic suite; the last four ride
-// the interprocedural dataflow layer (summary.go, cfg.go).
+// drift apart. The first five are the syntactic suite; the last three ride
+// the interprocedural dataflow layer (summary.go).
 func All() []*Analyzer {
 	return []*Analyzer{
 		Hotpath,
 		Poolpair,
 		Determinism,
-		Erreig,
 		Obsnames,
 		Nofloateq,
 		Statepure,
 		Lockorder,
-		Golifecycle,
 		Floatflow,
 	}
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestRegistryComplete is the meta-test: the registry carries exactly the ten
+// TestRegistryComplete is the meta-test: the registry carries exactly the eight
 // analyzers of the suite, in stable order, each fully populated.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"hotpath", "poolpair", "determinism", "erreig", "obsnames", "nofloateq",
-		"statepure", "lockorder", "golifecycle", "floatflow"}
+	want := []string{"hotpath", "poolpair", "determinism", "obsnames", "nofloateq",
+		"statepure", "lockorder", "floatflow"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returns %d analyzers, want %d", len(all), len(want))

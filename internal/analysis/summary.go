@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// summary.go is the interprocedural layer under statepure, lockorder,
-// golifecycle and floatflow: a module-wide call graph keyed by the shared
+// summary.go is the interprocedural layer under statepure, lockorder and
+// floatflow: a module-wide call graph keyed by the shared
 // *types.Func identities the loader guarantees, with a per-function effect
 // summary computed from one AST walk. Analyzers combine the summaries
 // bottom-up (totalEffects fixpoint) or top-down (reachableFrom BFS, which
@@ -349,31 +349,4 @@ func (r *reachResult) chain(cg *callGraph, fn *types.Func) string {
 		hops[i], hops[j] = hops[j], hops[i]
 	}
 	return strings.Join(hops, " → ")
-}
-
-// terminalCall classifies calls that never return (panic, os.Exit,
-// log.Fatal*, runtime.Goexit) for CFG construction.
-func terminalCall(info *types.Info) func(*ast.CallExpr) bool {
-	return func(call *ast.CallExpr) bool {
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			if _, isBuiltin := info.Uses[fun].(*types.Builtin); isBuiltin && fun.Name == "panic" {
-				return true
-			}
-		case *ast.SelectorExpr:
-			fn, _ := info.Uses[fun.Sel].(*types.Func)
-			if fn == nil || fn.Pkg() == nil {
-				return false
-			}
-			switch fn.Pkg().Path() {
-			case "os":
-				return fn.Name() == "Exit"
-			case "runtime":
-				return fn.Name() == "Goexit"
-			case "log":
-				return strings.HasPrefix(fn.Name(), "Fatal") || strings.HasPrefix(fn.Name(), "Panic")
-			}
-		}
-		return false
-	}
 }

@@ -6,26 +6,22 @@
 // test occupy the comment position a want marker would need.
 package allowform
 
-import "errors"
-
-func errFn() error { return errors.New("x") }
-
-func missingReason() {
-	//automon:allow erreig
-	_ = errFn()
+func missingReason(a, b float64) bool {
+	//automon:allow nofloateq
+	return a == b
 }
 
-func unknownAnalyzer() {
+func unknownAnalyzer(a, b float64) bool {
 	//automon:allow nosuch because reasons
-	_ = errFn()
+	return a == b
 }
 
-func missingName() {
+func missingName(a, b float64) bool {
 	//automon:allow
-	_ = errFn()
+	return a == b
 }
 
-func wellFormed() {
-	//automon:allow erreig deliberate fixture waiver
-	_ = errFn()
+func wellFormed(a, b float64) bool {
+	//automon:allow nofloateq deliberate fixture waiver
+	return a == b
 }

@@ -7,12 +7,12 @@ import (
 	"automon/internal/obs"
 )
 
-// DefaultThresholdFloor is the absolute floor applied to the half-width of a
-// Multiplicative threshold interval when Config.ThresholdFloor is zero. It
-// guards the f(x0) ≈ 0 degeneracy: purely multiplicative bounds collapse to
-// a zero-width interval there, and every subsequent update becomes a
-// violation (a sync storm). The default is small enough not to perturb any
-// realistically scaled threshold.
+// DefaultThresholdFloor is the minimum half-width of the (L, U) interval
+// under Multiplicative error: when ε·|f(x0)| falls below it, thresholds become
+// f(x0) ∓ DefaultThresholdFloor. It guards the f(x0) ≈ 0 degeneracy: purely
+// multiplicative bounds collapse to a zero-width interval there, and every
+// subsequent update becomes a violation (a sync storm). The floor is small
+// enough not to perturb any realistically scaled threshold.
 const DefaultThresholdFloor = 1e-9
 
 // ErrNoLiveNodes is returned by sync operations when every node is marked
@@ -73,47 +73,22 @@ type Config struct {
 	// ADCD-X; on a drift-free stream the controller never triggers and the
 	// run is bit-identical to a static one. See radius.go.
 	AdaptiveR bool
-	// AdaptiveWindow is the number of full-sync snapshots retained as the
-	// controller's re-tuning window. 0 means DefaultAdaptiveWindow.
-	AdaptiveWindow int
 	// AdaptiveAlpha is the controller's per-violation EWMA decay in (0, 1].
-	// 0 means DefaultAdaptiveAlpha.
+	// 0 means DefaultAdaptiveAlpha, the value the drift-free bit-identity
+	// guarantee is pinned at; the recorded bursty-stream comparison
+	// (results/adaptive.csv) runs the more responsive 0.2.
 	AdaptiveAlpha float64
-	// AdaptiveCooldown is the minimum number of handled violations between
-	// re-tune attempts (event time, not wall time). 0 means 2·RDoubleAfter.
-	AdaptiveCooldown int
-	// Decomp configures the ADCD-X eigenvalue search, including its worker
-	// count (Decomp.Workers) and eigensolve memoization.
+	// Decomp configures the ADCD-X eigenvalue search. Its worker count
+	// (Decomp.Workers) also sizes the waves Tune replays radii in.
 	Decomp DecompOptions
-	// TuneWorkers bounds the goroutines Tune uses to fan bracket and grid
-	// replays across radii. 0 or 1 runs sequentially (the default); higher
-	// values replay speculatively but select identical radii, so TuneResult
-	// is unchanged.
-	TuneWorkers int
-	// ZoneCacheSize bounds the coordinator's LRU cache of ADCD-X
-	// decompositions, keyed by the quantized (x0, r) of each full sync
-	// (see ZoneCacheQuantum). A full sync whose key matches a cached entry
+	// ZoneCacheSize bounds the coordinator's private LRU cache of ADCD-X
+	// decompositions, keyed by the (x0, r) of each full sync quantized at
+	// zoneCacheQuantum. A full sync whose key matches a cached entry
 	// reuses the Lemma-1 curvature bounds and skips the eigenvalue search;
 	// f0, ∇f0 and the thresholds are always recomputed exactly for the true
 	// x0, and the §3.7 sanity check guards the reused bounds exactly as it
 	// guards the optimizer's local optima. 0 disables the cache (default).
 	ZoneCacheSize int
-	// ZoneCacheQuantum is the grid pitch used to quantize (x0, r) for zone
-	// cache lookups. 0 means DefaultZoneCacheQuantum; larger values hit more
-	// often but reuse bounds computed for a reference point further away.
-	ZoneCacheQuantum float64
-	// SharedZoneCache, when set, replaces the private per-coordinator zone
-	// cache with a process-wide one: a multi-tenant coordinator shares a
-	// single LRU across all of its monitoring groups so the memory bound
-	// (the cache capacity) is global rather than per group. ZoneCacheSize is
-	// ignored when a shared cache is supplied; set ZoneCacheScope to keep the
-	// groups' keys disjoint.
-	SharedZoneCache *ZoneCache
-	// ZoneCacheScope is prefixed to every zone-cache key this coordinator
-	// writes. Coordinators sharing one SharedZoneCache must use distinct
-	// scopes — quantized (x0, r) coordinates from different functions would
-	// otherwise alias.
-	ZoneCacheScope string
 	// MetricsLabels, when non-empty, is a rendered label set (e.g.
 	// `group="2"`) merged into every coordinator metric name registered in
 	// Metrics. A multi-tenant process uses it to keep per-group series
@@ -133,11 +108,23 @@ type Config struct {
 	// zone (used to plug GM baselines such as Convex Bound into the same
 	// protocol). Such zones are delivered to nodes in-memory.
 	ZoneBuilder func(f *Function, x0 []float64, l, u float64) *SafeZone
-	// ThresholdFloor is the minimum half-width of the (L, U) interval under
-	// Multiplicative error: when ε·|f(x0)| falls below it, thresholds become
-	// f(x0) ∓ ThresholdFloor instead of collapsing to a point. 0 means
-	// DefaultThresholdFloor; negative disables the guard entirely.
-	ThresholdFloor float64
+}
+
+// Detached returns the copy of c that a machine subordinate to the configured
+// one runs with: a tuning or re-tuning probe replay, or a shard leaf's
+// absorb machine. It keeps the protocol settings and drops everything that
+// belongs to the monitored deployment itself: instruments become private (a
+// shared registry's get-or-create counters would otherwise accumulate every
+// probe's violations into the caller's series, and into each other's), the
+// radius controller is off (a probe must hold its candidate r fixed, and a
+// controller inside a replay would re-tune recursively) and so is the zone
+// cache.
+func (c Config) Detached() Config {
+	c.Metrics, c.Tracer, c.MetricsLabels = nil, nil, ""
+	c.Decomp.EigsolveCounter, c.Decomp.OptEvalCounter = nil, nil
+	c.AdaptiveR = false
+	c.ZoneCacheSize = 0
+	return c
 }
 
 // NodeComm abstracts the coordinator→node side of the messaging fabric. The

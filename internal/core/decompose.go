@@ -35,11 +35,6 @@ type DecompOptions struct {
 	// the neighborhood box: the default L-BFGS multi-start search, the
 	// certified interval engine, or the hybrid (see EigBackend).
 	Backend EigBackend
-	// HybridSlack is the BackendHybrid escalation threshold: the L-BFGS
-	// refinement runs only when the certified range is wider than the H(x0)
-	// spectral spread by more than this. 0 means DefaultHybridSlack; negative
-	// disables refinement entirely (pure certificate).
-	HybridSlack float64
 	// OptEvalCounter, when non-nil, counts eigensolver evaluations performed
 	// *inside* the L-BFGS search (the x0 solve every backend needs for the
 	// §3.4 heuristic is excluded). BackendInterval leaves it untouched —

@@ -22,8 +22,7 @@ const (
 	BackendInterval
 	// BackendHybrid always computes the interval certificate, then refines
 	// with the L-BFGS search only when the certificate is loose (see
-	// DecompOptions.HybridSlack), clipping the refined bounds into the
-	// certified interval.
+	// hybridSlack), clipping the refined bounds into the certified interval.
 	BackendHybrid
 )
 
@@ -53,11 +52,10 @@ func ParseEigBackend(s string) (EigBackend, error) {
 	return 0, fmt.Errorf("core: unknown eigen backend %q (want lbfgs, interval or hybrid)", s)
 }
 
-// DefaultHybridSlack is the hybrid escalation threshold when
-// DecompOptions.HybridSlack is zero: refine with L-BFGS once the certified
-// eigenvalue range is wider than the H(x0) spectral spread by more than this
-// (in eigenvalue units — the same units as ε/r-driven thresholds).
-const DefaultHybridSlack = 1.0
+// hybridSlack is the hybrid escalation threshold: refine with L-BFGS once the
+// certified eigenvalue range is wider than the H(x0) spectral spread by more
+// than this (in eigenvalue units — the same units as ε/r-driven thresholds).
+const hybridSlack = 1.0
 
 // X0Spectrum carries the extreme eigen-data of H(x0) that DecomposeX has
 // already computed for the §3.4 DC heuristic, so bounders can reuse it (the
@@ -148,19 +146,12 @@ func (hybridBounder) BoundEigs(f *Function, x0, bLo, bHi []float64, x0spec X0Spe
 	if err != nil {
 		return EigBoundResult{}, err
 	}
-	threshold := opts.HybridSlack
-	if threshold == 0 {
-		threshold = DefaultHybridSlack
-	}
-	if threshold < 0 {
-		return res, nil // escalation disabled: pure certificate
-	}
 	// Slack = how much wider the certified range is than the pointwise H(x0)
 	// spread. A tight certificate costs nothing extra; a loose one (Entire
 	// after a division through zero, fat boxes under the dependency problem)
 	// is worth one search. An infinite certificate always escalates.
 	slack := (res.CertMax - res.CertMin) - (x0spec.LamMax - x0spec.LamMin)
-	if math.IsNaN(slack) || slack <= threshold {
+	if math.IsNaN(slack) || slack <= hybridSlack {
 		return res, nil
 	}
 	lb, err := lbfgsBounder{}.BoundEigs(f, x0, bLo, bHi, x0spec, opts)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"automon/internal/autodiff"
@@ -171,35 +170,23 @@ func TestHybridEscalation(t *testing.T) {
 			dec.LamAbsNeg, dec.LamPosMax, dec.CertMin, dec.CertMax)
 	}
 
-	// Negative HybridSlack disables escalation outright.
+	// A tight box keeps the certificate within hybridSlack of the x0 spread:
+	// certificate only, no optimizer work.
+	lo, hi = neighborhood(x0, 0.01)
 	opt = obs.NewCounter()
 	dec, err = DecomposeX(f, x0, lo, hi, DecompOptions{
 		Backend:        BackendHybrid,
 		Seed:           1,
-		HybridSlack:    -1,
 		OptEvalCounter: opt,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Refined {
-		t.Error("hybrid escalated despite negative HybridSlack")
+	if !dec.Certified || dec.Refined {
+		t.Errorf("hybrid on a tight box: certified=%v refined=%v, want the bare certificate", dec.Certified, dec.Refined)
 	}
 	if got := opt.Load(); got != 0 {
-		t.Errorf("disabled hybrid still ran %d optimizer eigensolves", got)
-	}
-
-	// A huge threshold behaves the same: certificate only.
-	dec, err = DecomposeX(f, x0, lo, hi, DecompOptions{
-		Backend:     BackendHybrid,
-		Seed:        1,
-		HybridSlack: math.Inf(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Refined {
-		t.Error("hybrid escalated despite infinite HybridSlack")
+		t.Errorf("unescalated hybrid still ran %d optimizer eigensolves", got)
 	}
 }
 
@@ -221,7 +208,7 @@ func TestQuantizeKeyBackendSeparation(t *testing.T) {
 	backends := []EigBackend{BackendLBFGS, BackendInterval, BackendHybrid}
 	seen := make(map[string]EigBackend, len(backends))
 	for _, b := range backends {
-		k, ok := quantizeKey("g", b, x0, 0.5, DefaultZoneCacheQuantum)
+		k, ok := quantizeKey(b, x0, 0.5)
 		if !ok {
 			t.Fatalf("backend %v: finite inputs failed to quantize", b)
 		}
@@ -231,15 +218,9 @@ func TestQuantizeKeyBackendSeparation(t *testing.T) {
 		seen[k] = b
 	}
 	// Same backend, same inputs: still a stable key.
-	a, _ := quantizeKey("g", BackendInterval, x0, 0.5, DefaultZoneCacheQuantum)
-	b, _ := quantizeKey("g", BackendInterval, x0, 0.5, DefaultZoneCacheQuantum)
+	a, _ := quantizeKey(BackendInterval, x0, 0.5)
+	b, _ := quantizeKey(BackendInterval, x0, 0.5)
 	if a != b {
 		t.Errorf("key not deterministic: %q vs %q", a, b)
-	}
-	// Scope separation survives the backend discriminator.
-	k1, _ := quantizeKey("g1", BackendInterval, x0, 0.5, 1e-2)
-	k2, _ := quantizeKey("g2", BackendInterval, x0, 0.5, 1e-2)
-	if k1 == k2 {
-		t.Error("scopes collide")
 	}
 }

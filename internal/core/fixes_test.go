@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"automon/internal/obs"
@@ -16,6 +18,7 @@ func TestThresholdsMultiplicativeFloor(t *testing.T) {
 	cases := []struct {
 		name         string
 		cfg          Config
+		floor        float64 // 0 keeps DefaultThresholdFloor
 		f0           float64
 		wantL, wantU float64
 	}{
@@ -25,34 +28,32 @@ func TestThresholdsMultiplicativeFloor(t *testing.T) {
 			f0:   0, wantL: -DefaultThresholdFloor, wantU: DefaultThresholdFloor,
 		},
 		{
-			name: "tiny f0 widens to the custom floor",
-			cfg:  Config{Epsilon: 0.1, ErrorType: Multiplicative, ThresholdFloor: 0.05},
-			f0:   1e-6, wantL: 1e-6 - 0.05, wantU: 1e-6 + 0.05,
+			name:  "tiny f0 widens to the custom floor",
+			cfg:   Config{Epsilon: 0.1, ErrorType: Multiplicative},
+			floor: 0.05, f0: 1e-6, wantL: 1e-6 - 0.05, wantU: 1e-6 + 0.05,
 		},
 		{
-			name: "large f0 is unaffected by the floor",
-			cfg:  Config{Epsilon: 0.1, ErrorType: Multiplicative, ThresholdFloor: 0.05},
-			f0:   10, wantL: 9, wantU: 11,
+			name:  "large f0 is unaffected by the floor",
+			cfg:   Config{Epsilon: 0.1, ErrorType: Multiplicative},
+			floor: 0.05, f0: 10, wantL: 9, wantU: 11,
 		},
 		{
-			name: "negative f0 stays ordered and floored",
-			cfg:  Config{Epsilon: 0.1, ErrorType: Multiplicative, ThresholdFloor: 0.5},
-			f0:   -1, wantL: -1.5, wantU: -0.5,
+			name:  "negative f0 stays ordered and floored",
+			cfg:   Config{Epsilon: 0.1, ErrorType: Multiplicative},
+			floor: 0.5, f0: -1, wantL: -1.5, wantU: -0.5,
 		},
 		{
-			name: "negative floor disables the guard",
-			cfg:  Config{Epsilon: 0.1, ErrorType: Multiplicative, ThresholdFloor: -1},
-			f0:   0, wantL: 0, wantU: 0,
-		},
-		{
-			name: "additive error ignores the floor",
-			cfg:  Config{Epsilon: 0.25, ThresholdFloor: 5},
-			f0:   1, wantL: 0.75, wantU: 1.25,
+			name:  "additive error ignores the floor",
+			cfg:   Config{Epsilon: 0.25},
+			floor: 5, f0: 1, wantL: 0.75, wantU: 1.25,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCoordinator(f, 2, tc.cfg, &Fabric{})
+			if tc.floor != 0 {
+				c.thresholdFloor = tc.floor
+			}
 			l, u := c.Thresholds(tc.f0)
 			if math.Abs(l-tc.wantL) > 1e-12 || math.Abs(u-tc.wantU) > 1e-12 {
 				t.Fatalf("Thresholds(%v) = (%v, %v), want (%v, %v)", tc.f0, l, u, tc.wantL, tc.wantU)
@@ -78,9 +79,8 @@ func TestMultiplicativeFloorPreventsViolationStorm(t *testing.T) {
 	}
 
 	run := func(floor float64) int {
-		_, coord, _ := runProtocol(t, f, data, Config{
-			Epsilon: 0.1, ErrorType: Multiplicative, ThresholdFloor: floor,
-		})
+		_, coord, _ := runProtocolWith(t, f, data, Config{Epsilon: 0.1, ErrorType: Multiplicative},
+			func(c *Coordinator) { c.thresholdFloor = floor })
 		return coord.Stats().FullSyncs
 	}
 	stormy := run(1e-12) // effectively no floor: zero-width interval
@@ -224,10 +224,13 @@ func TestNeighborhoodStreakResets(t *testing.T) {
 // r and counts how often each radius is actually replayed.
 type syntheticReplay struct {
 	counts  func(r float64) ReplayCounts
+	mu      sync.Mutex // a wave replays several radii at once
 	replays map[float64]int
 }
 
 func (s *syntheticReplay) run(r float64) (ReplayCounts, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.replays == nil {
 		s.replays = make(map[float64]int)
 	}
@@ -249,29 +252,31 @@ func wellBehaved(r float64) ReplayCounts {
 }
 
 func TestTuneNeverReplaysTheSameRadiusTwice(t *testing.T) {
-	s := &syntheticReplay{counts: wellBehaved}
-	res, err := tuneWith(s.run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for r, n := range s.replays {
-		total += n
-		if n > 1 {
-			t.Errorf("radius %v replayed %d times, want at most 1", r, n)
+	for _, width := range waveWidths {
+		s := &syntheticReplay{counts: wellBehaved}
+		res, err := tuneWaves(s.run, width)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.Replays != total {
-		t.Fatalf("Replays = %d, but %d distinct replays ran", res.Replays, total)
-	}
-	// The grid endpoints coincide with lo and hi, which the phase-2 walks
-	// already replayed — the per-radius ≤1 check above only bites if
-	// memoization actually deduplicated those revisits.
-	if len(res.GridR) == 0 || res.GridR[0] != res.Lo || res.GridR[len(res.GridR)-1] != res.Hi {
-		t.Fatalf("grid %v does not revisit bracket [%v, %v]", res.GridR, res.Lo, res.Hi)
-	}
-	if !res.LoConverged || !res.HiConverged {
-		t.Fatalf("well-behaved profile must converge both ends: %+v", res)
+		total := 0
+		for r, n := range s.replays {
+			total += n
+			if n > 1 {
+				t.Errorf("width %d: radius %v replayed %d times, want at most 1", width, r, n)
+			}
+		}
+		if res.Replays != total {
+			t.Fatalf("width %d: Replays = %d, but %d distinct replays ran", width, res.Replays, total)
+		}
+		// The grid endpoints coincide with lo and hi, which the phase-2 walks
+		// already replayed — the per-radius ≤1 check above only bites if
+		// memoization actually deduplicated those revisits.
+		if len(res.GridR) == 0 || res.GridR[0] != res.Lo || res.GridR[len(res.GridR)-1] != res.Hi {
+			t.Fatalf("width %d: grid %v does not revisit bracket [%v, %v]", width, res.GridR, res.Lo, res.Hi)
+		}
+		if !res.LoConverged || !res.HiConverged {
+			t.Fatalf("width %d: well-behaved profile must converge both ends: %+v", width, res)
+		}
 	}
 }
 
@@ -322,27 +327,31 @@ func TestTuneRecordsBracketConvergence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &syntheticReplay{counts: tc.counts}
-			res, err := tuneWith(s.run)
-			if !errors.Is(err, tc.wantErr) {
-				t.Fatalf("err = %v, want %v", err, tc.wantErr)
-			}
-			if res.LoConverged != tc.wantLo || res.HiConverged != tc.wantHi {
-				t.Fatalf("convergence = (lo %v, hi %v), want (lo %v, hi %v)",
-					res.LoConverged, res.HiConverged, tc.wantLo, tc.wantHi)
-			}
-			for r, n := range s.replays {
-				if n > 1 {
-					t.Errorf("radius %v replayed %d times, want at most 1", r, n)
+			for _, width := range waveWidths {
+				s := &syntheticReplay{counts: tc.counts}
+				res, err := tuneWaves(s.run, width)
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("width %d: err = %v, want %v", width, err, tc.wantErr)
 				}
-			}
-			if tc.wantRInsideBracket && (res.R < res.Lo-1e-12 || res.R > res.Hi+1e-12) {
-				t.Fatalf("chosen r %v outside bracket [%v, %v]", res.R, res.Lo, res.Hi)
-			}
-			// Even a non-converged result must be inspectable: the grid ran
-			// and the bracket it searched is recorded.
-			if len(res.GridR) == 0 || res.Lo <= 0 || res.Hi <= 0 {
-				t.Fatalf("result not inspectable: %+v", res)
+				want, wantErr := tuneSequential(func(r float64) (ReplayCounts, error) { return tc.counts(r), nil })
+				requireSameTuning(t, fmt.Sprintf("width %d", width), res, want, err, wantErr)
+				if res.LoConverged != tc.wantLo || res.HiConverged != tc.wantHi {
+					t.Fatalf("convergence = (lo %v, hi %v), want (lo %v, hi %v)",
+						res.LoConverged, res.HiConverged, tc.wantLo, tc.wantHi)
+				}
+				for r, n := range s.replays {
+					if n > 1 {
+						t.Errorf("radius %v replayed %d times, want at most 1", r, n)
+					}
+				}
+				if tc.wantRInsideBracket && (res.R < res.Lo-1e-12 || res.R > res.Hi+1e-12) {
+					t.Fatalf("chosen r %v outside bracket [%v, %v]", res.R, res.Lo, res.Hi)
+				}
+				// Even a non-converged result must be inspectable: the grid ran
+				// and the bracket it searched is recorded.
+				if len(res.GridR) == 0 || res.Lo <= 0 || res.Hi <= 0 {
+					t.Fatalf("result not inspectable: %+v", res)
+				}
 			}
 		})
 	}

@@ -81,13 +81,9 @@ type Machine struct {
 	lru         []int // least recently balanced first
 	consecNeigh int
 
-	// zoneCache caches ADCD-X decompositions keyed by quantized (x0, r) —
-	// either a private LRU (Config.ZoneCacheSize) or a process-wide one
-	// shared across groups (Config.SharedZoneCache). Nil when caching is
-	// off. zoneScope prefixes every key this machine writes.
-	zoneCache   *ZoneCache
-	zoneScope   string
-	zoneQuantum float64
+	// zones caches ADCD-X decompositions keyed by quantized (x0, r); nil
+	// when Config.ZoneCacheSize is zero.
+	zones *zoneCache
 
 	// rMax is the resolved doubling cap (see Config.RMax / resolveRMax).
 	// radius is the drift-aware controller, nil unless Config.AdaptiveR is
@@ -97,6 +93,10 @@ type Machine struct {
 	rMax     float64
 	radius   *radiusController
 	rSwapped bool
+
+	// thresholdFloor is DefaultThresholdFloor; a field so in-package tests
+	// can scale it to their data.
+	thresholdFloor float64
 
 	// Liveness: dead nodes are excluded from syncs, from the reference-point
 	// average, and from lazy-sync balancing sets until they rejoin. While any
@@ -128,6 +128,8 @@ func NewMachine(f *Function, n int, cfg Config, own Ownership) *Machine {
 		own: own,
 		r:   cfg.R,
 		obs: newCoordObs(cfg.Metrics, cfg.Tracer, cfg.MetricsLabels),
+
+		thresholdFloor: DefaultThresholdFloor,
 	}
 	m.obs.liveNodes.Set(float64(n))
 	m.obs.radius.Set(cfg.R)
@@ -139,17 +141,8 @@ func NewMachine(f *Function, n int, cfg Config, own Ownership) *Machine {
 	if m.Cfg.Decomp.OptEvalCounter == nil {
 		m.Cfg.Decomp.OptEvalCounter = m.obs.ebOptEvals
 	}
-	if cfg.SharedZoneCache != nil {
-		m.zoneCache = cfg.SharedZoneCache
-	} else if cfg.ZoneCacheSize > 0 {
-		m.zoneCache = NewZoneCache(cfg.ZoneCacheSize)
-	}
-	if m.zoneCache != nil {
-		m.zoneScope = cfg.ZoneCacheScope
-		m.zoneQuantum = cfg.ZoneCacheQuantum
-		if m.zoneQuantum <= 0 {
-			m.zoneQuantum = DefaultZoneCacheQuantum
-		}
+	if cfg.ZoneCacheSize > 0 {
+		m.zones = newZoneCache(cfg.ZoneCacheSize)
 	}
 	m.live = make([]bool, n)
 	m.liveCount = n
@@ -441,7 +434,7 @@ func (m *Machine) HandleViolation(v *Violation) error {
 				m.obs.rDoublings.Inc()
 				m.obs.radius.Set(m.r)
 				m.obs.tracer.Record(obs.EventRDouble, v.NodeID, m.r, "")
-				m.invalidateZoneScope()
+				m.clearZoneCache()
 			}
 		}
 		err := m.fullSync(fresh)
@@ -483,16 +476,11 @@ func (m *Machine) HandleViolation(v *Violation) error {
 	return fmt.Errorf("core: unknown violation kind %v", v.Kind)
 }
 
-// invalidateZoneScope drops this machine's entries from the zone cache.
-// Called whenever the neighborhood radius changes: old-radius keys can never
-// match again, and in a shared cache they would squeeze out other tenants'
-// live entries until LRU pressure finally evicts them.
-func (m *Machine) invalidateZoneScope() {
-	if m.zoneCache == nil {
-		return
-	}
-	if n := m.zoneCache.InvalidateScope(m.zoneScope); n > 0 {
-		m.obs.zcInvalidated.Add(int64(n))
+// clearZoneCache empties the zone cache. Called whenever the neighborhood
+// radius changes: old-radius keys can never match again.
+func (m *Machine) clearZoneCache() {
+	if m.zones != nil {
+		m.obs.zcInvalidated.Add(int64(m.zones.reset()))
 	}
 }
 
@@ -582,19 +570,15 @@ func (m *Machine) touchLRU(id int) {
 // Thresholds derives (L, U) from f(x0) under the configured error type.
 // Under Multiplicative error the interval width is ε·|f(x0)|, which
 // collapses to zero as f(x0) → 0 and turns every subsequent update into a
-// violation; a configurable absolute floor (Config.ThresholdFloor) keeps the
-// interval usable through zero crossings.
+// violation; the absolute floor keeps the interval usable through zero
+// crossings.
 func (m *Machine) Thresholds(f0 float64) (l, u float64) {
 	if m.Cfg.ErrorType == Multiplicative {
 		a := (1 - m.Cfg.Epsilon) * f0
 		b := (1 + m.Cfg.Epsilon) * f0
 		l, u = math.Min(a, b), math.Max(a, b)
-		floor := m.Cfg.ThresholdFloor
-		if floor == 0 {
-			floor = DefaultThresholdFloor
-		}
-		if floor > 0 && u-l < 2*floor {
-			l, u = f0-floor, f0+floor
+		if u-l < 2*m.thresholdFloor {
+			l, u = f0-m.thresholdFloor, f0+m.thresholdFloor
 		}
 		return l, u
 	}
@@ -669,14 +653,14 @@ func (m *Machine) fullSync(fresh map[int]bool) error {
 		var dec *XDecomposition
 		var key string
 		var keyOK bool
-		if m.zoneCache != nil {
+		if m.zones != nil {
 			// A key that cannot be quantized soundly (non-finite or huge
 			// coordinates) would alias unrelated entries; bypass the cache for
 			// this sync instead.
-			key, keyOK = quantizeKey(m.zoneScope, m.Cfg.Decomp.Backend, m.x0, m.r, m.zoneQuantum)
+			key, keyOK = quantizeKey(m.Cfg.Decomp.Backend, m.x0, m.r)
 			if !keyOK {
 				m.obs.zcBypasses.Inc()
-			} else if cached, ok := m.zoneCache.get(key); ok {
+			} else if cached, ok := m.zones.get(key); ok {
 				m.obs.zcHits.Inc()
 				dec = cached
 			} else {
@@ -696,8 +680,8 @@ func (m *Machine) fullSync(fresh map[int]bool) error {
 			if m.radius != nil {
 				m.radius.observeBuild(float64(m.Cfg.Decomp.EigsolveCounter.Load() - solvesBefore))
 			}
-			if m.zoneCache != nil && keyOK {
-				m.zoneCache.put(key, dec)
+			if keyOK {
+				m.zones.put(key, dec)
 			}
 		}
 		zone = BuildZoneXFrom(m.F, m.x0, l, u, bLo, bHi, dec)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"automon/internal/autodiff"
@@ -231,11 +230,11 @@ func BenchmarkTune(b *testing.B) {
 		name    string
 		workers int
 	}{
-		{"sequential", 0},
-		{"parallel", runtime.GOMAXPROCS(0)},
+		{"sequential", 1},
+		{"parallel", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := Config{Epsilon: 0.25, Decomp: DecompOptions{Seed: 2}, TuneWorkers: bc.workers}
+			cfg := Config{Epsilon: 0.25, Decomp: DecompOptions{Seed: 2, Workers: bc.workers}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Tune(f, data, 4, cfg); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -278,45 +279,27 @@ func TestConcurrentDecompositionsShareFunction(t *testing.T) {
 }
 
 // TestTuneParallelMatchesSequential runs Algorithm 2 on real Rosenbrock data
-// sequentially and with speculative parallel replays, and requires identical
-// tuning outcomes — only the replay count may differ (speculation probes past
-// each phase's stopping point).
+// through the sequential reference and through Tune at each wave width, and
+// requires identical tuning outcomes — only the replay count may differ
+// (speculation probes past each phase's stopping point).
 func TestTuneParallelMatchesSequential(t *testing.T) {
 	f := rosenbrockFunc()
 	data := rosenbrockData(rand.New(rand.NewSource(17)), 40, 4)
 	base := Config{Epsilon: 0.25, Decomp: DecompOptions{Seed: 3}}
 
-	seqCfg := base
-	seq, seqErr := Tune(f, data, 4, seqCfg)
-	parCfg := base
-	parCfg.TuneWorkers = 4
-	par, parErr := Tune(f, data, 4, parCfg)
-
-	if (seqErr == nil) != (parErr == nil) {
-		t.Fatalf("error mismatch: sequential=%v parallel=%v", seqErr, parErr)
-	}
-	if par.R != seq.R || par.Lo != seq.Lo || par.Hi != seq.Hi {
-		t.Fatalf("radii diverged: parallel (R=%v Lo=%v Hi=%v) vs sequential (R=%v Lo=%v Hi=%v)",
-			par.R, par.Lo, par.Hi, seq.R, seq.Lo, seq.Hi)
-	}
-	if par.LoConverged != seq.LoConverged || par.HiConverged != seq.HiConverged {
-		t.Fatalf("convergence flags diverged: parallel (%v, %v) vs sequential (%v, %v)",
-			par.LoConverged, par.HiConverged, seq.LoConverged, seq.HiConverged)
-	}
-	if par.Counts != seq.Counts {
-		t.Fatalf("chosen-radius counts diverged: %+v vs %+v", par.Counts, seq.Counts)
-	}
-	if len(par.GridR) != len(seq.GridR) {
-		t.Fatalf("grid sizes diverged: %d vs %d", len(par.GridR), len(seq.GridR))
-	}
-	for i := range seq.GridR {
-		if par.GridR[i] != seq.GridR[i] || par.GridCounts[i] != seq.GridCounts[i] {
-			t.Fatalf("grid point %d diverged: (%v, %+v) vs (%v, %+v)",
-				i, par.GridR[i], par.GridCounts[i], seq.GridR[i], seq.GridCounts[i])
+	seq, seqErr := tuneSequential(func(r float64) (ReplayCounts, error) {
+		c := base.Detached()
+		c.R = r
+		return Replay(f, data, 4, c)
+	})
+	for _, width := range waveWidths {
+		cfg := base
+		cfg.Decomp.Workers = width
+		par, parErr := Tune(f, data, 4, cfg)
+		requireSameTuning(t, fmt.Sprintf("wave width %d", width), par, seq, parErr, seqErr)
+		if width == 1 && par.Replays != seq.Replays {
+			t.Fatalf("width 1 speculated: %d replays, the sequential walk takes %d", par.Replays, seq.Replays)
 		}
-	}
-	if par.Replays < seq.Replays {
-		t.Fatalf("parallel tuning replayed fewer radii (%d) than sequential (%d)", par.Replays, seq.Replays)
 	}
 }
 

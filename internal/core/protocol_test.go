@@ -41,6 +41,13 @@ func newCountingComm(nodes []*Node) *countingComm {
 // estimate error observed across rounds.
 func runProtocol(t *testing.T, f *Function, data TuningData, cfg Config) (maxErr float64, coord *Coordinator, comm *countingComm) {
 	t.Helper()
+	return runProtocolWith(t, f, data, cfg, func(*Coordinator) {})
+}
+
+// runProtocolWith is runProtocol with a hook that adjusts the coordinator's
+// unexported state before its first sync.
+func runProtocolWith(t *testing.T, f *Function, data TuningData, cfg Config, prepare func(*Coordinator)) (maxErr float64, coord *Coordinator, comm *countingComm) {
+	t.Helper()
 	n := len(data[0])
 	nodes := make([]*Node, n)
 	for i := range nodes {
@@ -49,6 +56,7 @@ func runProtocol(t *testing.T, f *Function, data TuningData, cfg Config) (maxErr
 	}
 	comm = newCountingComm(nodes)
 	coord = NewCoordinator(f, n, cfg, comm)
+	prepare(coord)
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}

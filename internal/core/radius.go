@@ -18,12 +18,12 @@ import (
 // averages of the violation mix, the full-sync rate, and the eigen-engine
 // build cost, and when the mix becomes lopsided it re-runs Algorithm 2's
 // bracketing search on a window of recent full-sync snapshots (through the
-// same TuneWorkers pool the offline tuner uses). The re-tuned radius is
-// staged and swapped in at the *next* full sync — never mid-round — so the
-// node-side monitoring loop keeps checking exactly the zone it was sent and
-// the hot path stays allocation-free and bit-identical. Every radius change
-// also invalidates the coordinator's slice of the (possibly process-shared)
-// zone cache: old-radius decompositions can never be looked up again.
+// same Tune the offline tuner uses). The re-tuned radius is staged and
+// swapped in at the *next* full sync — never mid-round — so the node-side
+// monitoring loop keeps checking exactly the zone it was sent and the hot
+// path stays allocation-free and bit-identical. Every radius change also
+// clears the machine's zone cache: old-radius decompositions can never be
+// looked up again.
 //
 // On a drift-free stream the controller never triggers, so an adaptive run
 // is bit-identical to a static one (asserted by TestAdaptiveDriftFreeRunIsBitIdentical).
@@ -32,9 +32,9 @@ import (
 // picture: at the tuned r̂ violations mix both kinds, at r too small
 // neighborhood violations dominate, at r too large safe-zone violations do.
 const (
-	// DefaultAdaptiveWindow is the number of full-sync snapshots retained as
-	// the re-tuning window when Config.AdaptiveWindow is zero.
-	DefaultAdaptiveWindow = 8
+	// adaptiveWindow is the number of full-sync snapshots retained as the
+	// re-tuning window.
+	adaptiveWindow = 8
 	// DefaultAdaptiveAlpha is the EWMA decay applied per handled violation
 	// when Config.AdaptiveAlpha is zero (half-life ≈ 13 violations).
 	DefaultAdaptiveAlpha = 0.05
@@ -69,6 +69,10 @@ const (
 type radiusController struct {
 	m *Machine
 
+	// alpha is Config.AdaptiveAlpha. window and cooldown are adaptiveWindow
+	// and 2·RDoubleAfter handled violations between re-tune attempts (event
+	// time, not wall time); fields so in-package tests can trigger a re-tune
+	// within a handful of violations.
 	alpha    float64
 	window   int
 	cooldown int
@@ -104,18 +108,12 @@ func newRadiusController(m *Machine) *radiusController {
 	rc := &radiusController{
 		m:        m,
 		alpha:    m.Cfg.AdaptiveAlpha,
-		window:   m.Cfg.AdaptiveWindow,
-		cooldown: m.Cfg.AdaptiveCooldown,
+		window:   adaptiveWindow,
+		cooldown: 2 * m.Cfg.RDoubleAfter,
 		baseR:    m.r,
 	}
 	if rc.alpha <= 0 || rc.alpha > 1 {
 		rc.alpha = DefaultAdaptiveAlpha
-	}
-	if rc.window < 2 {
-		rc.window = DefaultAdaptiveWindow
-	}
-	if rc.cooldown <= 0 {
-		rc.cooldown = 2 * m.Cfg.RDoubleAfter
 	}
 	return rc
 }
@@ -229,29 +227,15 @@ func (rc *radiusController) maybeRetune() {
 }
 
 // retune replays the window under Algorithm 2 and stages the resulting
-// radius. The replay coordinators are throwaway probes: they run with
-// private instruments, no zone cache, and the controller disabled, so a
-// re-tune can never recurse, pollute the shared cache, or inflate the
-// monitored deployment's counters. Replays fan out across Config.TuneWorkers
-// exactly like offline tuning, and the wave-parallel search is bit-identical
-// at any worker count, so the staged radius is deterministic.
+// radius. The replay coordinators are throwaway probes on a detached config
+// (Config.Detached), so a re-tune can never recurse or inflate the monitored
+// deployment's counters, and the search is bit-identical at any wave width,
+// so the staged radius is deterministic.
 func (rc *radiusController) retune() {
 	rc.violations = 0 // restart the cooldown even when the search fails
-	cfg := rc.m.Cfg
-	cfg.R = 0
-	cfg.AdaptiveR = false
-	cfg.Metrics = nil
-	cfg.Tracer = nil
-	cfg.SharedZoneCache = nil
-	cfg.ZoneCacheSize = 0
-	cfg.ZoneCacheScope = ""
-	cfg.MetricsLabels = ""
-	cfg.Decomp.EigsolveCounter = nil
-	cfg.Decomp.OptEvalCounter = nil
-
 	data := make(TuningData, len(rc.rounds))
 	copy(data, rc.rounds)
-	res, err := Tune(rc.m.F, data, rc.m.N, cfg)
+	res, err := Tune(rc.m.F, data, rc.m.N, rc.m.Cfg.Detached())
 	if err != nil {
 		// An unconverged bracket (or a failed replay) carries no quality
 		// argument; keep the current radius and let the cooldown retry on a
@@ -300,6 +284,6 @@ func (rc *radiusController) applyPending() bool {
 	m.r = newR
 	rc.baseR = newR
 	m.obs.radius.Set(m.r)
-	m.invalidateZoneScope()
+	m.clearZoneCache()
 	return true
 }

@@ -128,8 +128,8 @@ func TestQuantizeCellGuard(t *testing.T) {
 		{"ordinary value", 0.5, true},
 		{"zero", 0, true},
 		{"negative", -123.4, true},
-		{"largest representable cell", maxQuantCell * DefaultZoneCacheQuantum, true},
-		{"just past the representable range", maxQuantCell * DefaultZoneCacheQuantum * 4, false},
+		{"largest representable cell", maxQuantCell * zoneCacheQuantum, true},
+		{"just past the representable range", maxQuantCell * zoneCacheQuantum * 4, false},
 		{"huge", 1e300, false},
 		{"+inf", math.Inf(1), false},
 		{"-inf", math.Inf(-1), false},
@@ -137,7 +137,7 @@ func TestQuantizeCellGuard(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := quantizeCell(tc.v, DefaultZoneCacheQuantum); ok != tc.ok {
+			if _, ok := quantizeCell(tc.v); ok != tc.ok {
 				t.Fatalf("quantizeCell(%v) ok = %v, want %v", tc.v, ok, tc.ok)
 			}
 		})
@@ -146,7 +146,7 @@ func TestQuantizeCellGuard(t *testing.T) {
 
 func TestQuantizeKeyRejectsUnrepresentableInputs(t *testing.T) {
 	x0 := []float64{1, 2}
-	if _, ok := quantizeKey("s", BackendLBFGS, x0, 0.5, 1e-2); !ok {
+	if _, ok := quantizeKey(BackendLBFGS, x0, 0.5); !ok {
 		t.Fatal("finite inputs must quantize")
 	}
 	bad := []struct {
@@ -161,7 +161,7 @@ func TestQuantizeKeyRejectsUnrepresentableInputs(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, ok := quantizeKey("s", BackendLBFGS, tc.x0, tc.r, 1e-2); ok {
+			if _, ok := quantizeKey(BackendLBFGS, tc.x0, tc.r); ok {
 				t.Fatalf("quantizeKey accepted unrepresentable input")
 			}
 		})
@@ -196,74 +196,17 @@ func TestFullSyncBypassesCacheOnUnquantizableKey(t *testing.T) {
 	if st.ZoneCacheHits != 0 || st.ZoneCacheMisses != 0 {
 		t.Fatalf("bypassed sync must not count as hit/miss: %+v", st)
 	}
-	if coord.zoneCache.Len() != 0 {
-		t.Fatalf("bypassed sync stored %d cache entries", coord.zoneCache.Len())
+	if n := len(coord.zones.keys); n != 0 {
+		t.Fatalf("bypassed sync stored %d cache entries", n)
 	}
 }
 
-// --- ZoneCache.InvalidateScope ---------------------------------------------
-
-func TestInvalidateScopeRemovesOnlyThatScope(t *testing.T) {
-	zc := NewZoneCache(16)
-	put := func(scope string, r float64) {
-		key, ok := quantizeKey(scope, BackendLBFGS, []float64{r, -r}, r, 1e-2)
-		if !ok {
-			t.Fatalf("setup: key for scope %q failed to quantize", scope)
-		}
-		zc.put(key, &XDecomposition{})
-	}
-	put("a", 0.1)
-	put("a", 0.2)
-	put("ab", 0.1) // shares a's first byte: must survive InvalidateScope("a")
-	put("b", 0.1)
-	put("", 0.1) // empty scope (private cache): its own bucket
-
-	if removed := zc.InvalidateScope("a"); removed != 2 {
-		t.Fatalf("InvalidateScope(a) removed %d, want 2", removed)
-	}
-	if zc.Len() != 3 {
-		t.Fatalf("cache holds %d entries after invalidation, want 3", zc.Len())
-	}
-	if removed := zc.InvalidateScope("a"); removed != 0 {
-		t.Fatalf("second InvalidateScope(a) removed %d, want 0", removed)
-	}
-	if removed := zc.InvalidateScope(""); removed != 1 {
-		t.Fatalf("InvalidateScope(\"\") removed %d, want 1 (only the empty scope)", removed)
-	}
-	if removed := zc.InvalidateScope("ab"); removed != 1 {
-		t.Fatalf("InvalidateScope(ab) removed %d, want 1", removed)
-	}
-	if zc.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1 (scope b)", zc.Len())
-	}
-}
-
-func TestScopePrefixesNeverNest(t *testing.T) {
-	// The length prefix makes it impossible for one scope's rendered prefix
-	// to be a prefix of another scope's keys — including adversarial scopes
-	// that embed digits, colons, or each other.
-	scopes := []string{"", "a", "ab", "1", "1:a", "11", ":", "a:1e", "2:ae"}
-	for _, s1 := range scopes {
-		for _, s2 := range scopes {
-			if s1 == s2 {
-				continue
-			}
-			key, ok := quantizeKey(s2, BackendLBFGS, []float64{0.3}, 0.5, 1e-2)
-			if !ok {
-				t.Fatalf("setup: scope %q key failed", s2)
-			}
-			if len(key) >= len(scopePrefix(s1)) && key[:len(scopePrefix(s1))] == scopePrefix(s1) {
-				t.Fatalf("scope %q prefix-matches a key of scope %q: %q", s1, s2, key)
-			}
-		}
-	}
-}
+// --- a radius change clears the zone cache ---------------------------------
 
 func TestDoublingInvalidatesOwnScopeOnly(t *testing.T) {
-	// Two coordinators share one process-wide cache. When group A's radius
-	// doubles, its stale entries vanish immediately; group B's survive.
-	shared := NewZoneCache(32)
-	build := func(scope string, rDoubleAfter int) *Coordinator {
+	// Each machine owns its cache. When coordinator a's radius doubles, its
+	// stale entries vanish immediately; coordinator b's survive.
+	build := func() *Coordinator {
 		f := rosenbrockFunc()
 		n := 2
 		nodes := make([]*Node, n)
@@ -272,8 +215,7 @@ func TestDoublingInvalidatesOwnScopeOnly(t *testing.T) {
 			nodes[i].SetData([]float64{0, 0})
 		}
 		cfg := Config{
-			Epsilon: 5, R: 0.01, RDoubleAfter: rDoubleAfter,
-			SharedZoneCache: shared, ZoneCacheScope: scope,
+			Epsilon: 5, R: 0.01, RDoubleAfter: 1, ZoneCacheSize: 8,
 			Decomp: DecompOptions{Seed: 1},
 		}
 		c := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
@@ -282,11 +224,10 @@ func TestDoublingInvalidatesOwnScopeOnly(t *testing.T) {
 		}
 		return c
 	}
-	a := build("a", 1)
-	b := build("b", 1)
-	lenAfterInit := shared.Len()
-	if lenAfterInit < 2 {
-		t.Fatalf("both groups should have cached their init decomposition, cache has %d", lenAfterInit)
+	a, b := build(), build()
+	if len(a.zones.keys) != 1 || len(b.zones.keys) != 1 {
+		t.Fatalf("both coordinators should have cached their init decomposition, caches hold %d and %d",
+			len(a.zones.keys), len(b.zones.keys))
 	}
 
 	// One neighborhood violation doubles a's radius (RDoubleAfter = 1).
@@ -297,18 +238,21 @@ func TestDoublingInvalidatesOwnScopeOnly(t *testing.T) {
 	if a.Stats().RDoublings != 1 {
 		t.Fatalf("setup: expected a doubling, stats %+v", a.Stats())
 	}
-	if a.Stats().ZoneCacheInvalidations == 0 {
-		t.Fatal("doubling must invalidate the coordinator's cache scope")
+	if a.Stats().ZoneCacheInvalidations != 1 {
+		t.Fatalf("doubling must drop the old-radius entry, ZoneCacheInvalidations = %d", a.Stats().ZoneCacheInvalidations)
+	}
+	if len(a.zones.keys) != 1 {
+		t.Fatalf("a's cache holds %d entries after the doubling's sync, want only the new-radius one", len(a.zones.keys))
 	}
 	if b.Stats().ZoneCacheInvalidations != 0 {
-		t.Fatal("group b lost cache entries to group a's doubling")
+		t.Fatal("coordinator b lost cache entries to a's doubling")
 	}
 	// b's entry is still a hit.
 	if err := b.Resync(); err != nil {
 		t.Fatal(err)
 	}
 	if b.Stats().ZoneCacheHits == 0 {
-		t.Fatal("group b's cached decomposition should have survived a's invalidation")
+		t.Fatal("b's cached decomposition should have survived a's doubling")
 	}
 }
 
@@ -418,8 +362,17 @@ func TestRevivalPathIgnoresViolationKind(t *testing.T) {
 // --- adaptive radius controller --------------------------------------------
 
 // adaptiveCoordinator builds a 2-node ADCD-X coordinator with the controller
-// enabled and aggressive (test-friendly) EWMA/cooldown settings.
+// enabled.
 func adaptiveCoordinator(t *testing.T, cfg Config) *Coordinator {
+	t.Helper()
+	return adaptiveCoordinatorWith(t, cfg, func(*radiusController) {})
+}
+
+// eagerController gives the controller aggressive EWMA, cooldown and window
+// settings so a handful of hand-crafted violations trips a re-tune.
+func eagerController(rc *radiusController) { rc.alpha, rc.cooldown, rc.window = 0.8, 2, 4 }
+
+func adaptiveCoordinatorWith(t *testing.T, cfg Config, tune func(*radiusController)) *Coordinator {
 	t.Helper()
 	f := rosenbrockFunc()
 	n := 2
@@ -429,6 +382,7 @@ func adaptiveCoordinator(t *testing.T, cfg Config) *Coordinator {
 		nodes[i].SetData([]float64{0, 0})
 	}
 	coord := NewCoordinator(f, n, cfg, &Fabric{Nodes: nodes})
+	tune(coord.radius)
 	if err := coord.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +402,11 @@ func TestControllerOnlyForADCDXWhenEnabled(t *testing.T) {
 	if c.radius == nil {
 		t.Fatal("controller missing on an adaptive ADCD-X coordinator")
 	}
-	if c.radius.alpha != DefaultAdaptiveAlpha || c.radius.window != DefaultAdaptiveWindow {
-		t.Fatalf("controller defaults not applied: alpha=%v window=%d", c.radius.alpha, c.radius.window)
+	if c.radius.alpha != DefaultAdaptiveAlpha {
+		t.Fatalf("alpha = %v, want the default %v", c.radius.alpha, DefaultAdaptiveAlpha)
 	}
 	if c.radius.cooldown != 2*c.Cfg.RDoubleAfter {
-		t.Fatalf("cooldown default = %d, want %d", c.radius.cooldown, 2*c.Cfg.RDoubleAfter)
+		t.Fatalf("cooldown = %d, want %d", c.radius.cooldown, 2*c.Cfg.RDoubleAfter)
 	}
 }
 
@@ -503,7 +457,7 @@ func TestSwapInvalidatesZoneCacheScope(t *testing.T) {
 	coord := adaptiveCoordinator(t, Config{
 		Epsilon: 5, R: 0.01, AdaptiveR: true, ZoneCacheSize: 8, Decomp: DecompOptions{Seed: 1},
 	})
-	if coord.zoneCache.Len() == 0 {
+	if len(coord.zones.keys) == 0 {
 		t.Fatal("setup: init should have cached its decomposition")
 	}
 	coord.radius.pendingR = coord.R() / 2
@@ -511,7 +465,7 @@ func TestSwapInvalidatesZoneCacheScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if coord.Stats().ZoneCacheInvalidations == 0 {
-		t.Fatal("radius swap must invalidate the cache scope")
+		t.Fatal("radius swap must clear the zone cache")
 	}
 }
 
@@ -545,11 +499,10 @@ func TestAdaptiveShrinkAfterStormEndToEnd(t *testing.T) {
 	// controller, it stays inflated forever. Here a short storm doubles r,
 	// then a calm safe-zone-dominated regime trips the shrink trigger; the
 	// re-bracket stages a smaller radius and the next sync swaps it in.
-	coord := adaptiveCoordinator(t, Config{
+	coord := adaptiveCoordinatorWith(t, Config{
 		Epsilon: 5, R: 0.01, RDoubleAfter: 2, DisableLazySync: true,
-		AdaptiveR: true, AdaptiveAlpha: 0.8, AdaptiveCooldown: 2, AdaptiveWindow: 4,
-		Decomp: DecompOptions{Seed: 1},
-	})
+		AdaptiveR: true, Decomp: DecompOptions{Seed: 1},
+	}, eagerController)
 	r0 := coord.R()
 
 	// Storm: two neighborhood violations double r.
@@ -596,11 +549,10 @@ func TestRetuneProbesDoNotPolluteInstruments(t *testing.T) {
 	// The controller's background re-brackets replay the window on throwaway
 	// coordinators; none of their protocol events may leak into the monitored
 	// deployment's counters (beyond the retune/stage events themselves).
-	coord := adaptiveCoordinator(t, Config{
+	coord := adaptiveCoordinatorWith(t, Config{
 		Epsilon: 5, R: 0.01, RDoubleAfter: 2, DisableLazySync: true,
-		AdaptiveR: true, AdaptiveAlpha: 0.8, AdaptiveCooldown: 2, AdaptiveWindow: 4,
-		Decomp: DecompOptions{Seed: 1},
-	})
+		AdaptiveR: true, Decomp: DecompOptions{Seed: 1},
+	}, eagerController)
 	for k := 0; k < 2; k++ {
 		err := coord.HandleViolation(&Violation{NodeID: 0, Kind: ViolationNeighborhood, X: []float64{0.02, 0}})
 		if err != nil {

@@ -3,48 +3,29 @@ package core
 import (
 	"math"
 	"strconv"
-	"strings"
-	"sync"
 )
 
-// DefaultZoneCacheQuantum is the grid size used to quantize (x0, r) for
-// decomposition-cache keys when Config.ZoneCacheQuantum is zero.
-const DefaultZoneCacheQuantum = 1e-2
+// zoneCacheQuantum is the grid pitch (x0, r) is quantized at for
+// decomposition-cache keys.
+const zoneCacheQuantum = 1e-2
 
-// ZoneCache is a small LRU of ADCD-X decomposition artifacts keyed by the
-// quantized (x0, r) of a full sync. Reusing an entry skips the eigenvalue
-// search; the quantization means the cached Lemma-1 bounds were computed for
-// a reference point up to one quantum away, which the protocol tolerates the
-// same way it tolerates the optimizer's local optima: the §3.7 sanity check
-// turns any resulting unsound zone into a Faulty violation and a fresh full
-// sync. Thresholds, f0 and ∇f0 are never cached — BuildZoneXFrom recomputes
-// them exactly for the true x0.
-//
-// A ZoneCache is safe for concurrent use: a multi-tenant coordinator process
-// shares one cache across every monitoring group (Config.SharedZoneCache),
-// with each group's keys disambiguated by Config.ZoneCacheScope. A private
-// per-coordinator cache pays the same (uncontended) mutex.
-type ZoneCache struct {
-	mu   sync.Mutex
+// zoneCache is a machine's small private LRU of ADCD-X decomposition
+// artifacts keyed by the quantized (x0, r) of a full sync (Config.ZoneCacheSize
+// entries; touched only from fullSync, so it needs no lock). Reusing an entry
+// skips the eigenvalue search; the quantization means the cached Lemma-1
+// bounds were computed for a reference point up to one quantum away, which
+// the protocol tolerates the same way it tolerates the optimizer's local
+// optima: the §3.7 sanity check turns any resulting unsound zone into a
+// Faulty violation and a fresh full sync. Thresholds, f0 and ∇f0 are never
+// cached — BuildZoneXFrom recomputes them exactly for the true x0.
+type zoneCache struct {
 	cap  int
 	keys []string // LRU order: least recently used first
 	vals map[string]*XDecomposition
 }
 
-// NewZoneCache creates a cache bounded to capacity entries. Capacity must be
-// positive.
-func NewZoneCache(capacity int) *ZoneCache {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &ZoneCache{cap: capacity, vals: make(map[string]*XDecomposition, capacity)}
-}
-
-// Len returns the current number of cached decompositions.
-func (zc *ZoneCache) Len() int {
-	zc.mu.Lock()
-	defer zc.mu.Unlock()
-	return len(zc.keys)
+func newZoneCache(capacity int) *zoneCache {
+	return &zoneCache{cap: capacity, vals: make(map[string]*XDecomposition, capacity)}
 }
 
 // maxQuantCell bounds the grid coordinates quantizeKey will render: beyond
@@ -55,46 +36,35 @@ func (zc *ZoneCache) Len() int {
 // the cache is bypassed rather than risking key aliasing.
 const maxQuantCell = float64(1 << 53)
 
-// scopePrefix renders a coordinator's scope as an unambiguous key prefix.
-// The length prefix guarantees that distinct scopes can never produce keys
-// where one coordinator's prefix is a prefix of another's full key (":" is
-// never a digit), which InvalidateScope relies on.
-func scopePrefix(scope string) string {
-	return strconv.Itoa(len(scope)) + ":" + scope + "e"
-}
-
-// quantizeCell maps one value onto the grid of pitch q, reporting whether
-// the cell index survives the float→int64 round trip. NaN, ±Inf and
+// quantizeCell maps one value onto the zoneCacheQuantum grid, reporting
+// whether the cell index survives the float→int64 round trip. NaN, ±Inf and
 // magnitudes beyond maxQuantCell are unrepresentable: they would alias
 // unrelated keys, so the caller must bypass the cache instead.
-func quantizeCell(v, q float64) (int64, bool) {
-	g := math.Round(v / q)
+func quantizeCell(v float64) (int64, bool) {
+	g := math.Round(v / zoneCacheQuantum)
 	if math.IsNaN(g) || g < -maxQuantCell || g > maxQuantCell {
 		return 0, false
 	}
 	return int64(g), true
 }
 
-// quantizeKey maps (x0, r) onto a grid of pitch q and renders the grid
-// coordinates as the cache key, prefixed by the owning coordinator's scope
-// so groups sharing one cache never collide, and by the eigen-engine backend
-// so A/B runs over the same schedule never reuse each other's bounds (an
-// L-BFGS estimate is not a certificate, and vice versa). The second return
-// is false when any coordinate is too large (or not finite) to quantize
-// soundly; such syncs must skip the cache entirely.
-func quantizeKey(scope string, backend EigBackend, x0 []float64, r, q float64) (string, bool) {
-	b := make([]byte, 0, len(scope)+16*(len(x0)+1)+8)
-	b = append(b, scopePrefix(scope)...)
+// quantizeKey renders the grid coordinates of (x0, r) as the cache key,
+// prefixed by the eigen-engine backend (an L-BFGS estimate is not a
+// certificate, and vice versa). The second return is false when any
+// coordinate is too large (or not finite) to quantize soundly; such syncs
+// must skip the cache entirely.
+func quantizeKey(backend EigBackend, x0 []float64, r float64) (string, bool) {
+	b := make([]byte, 0, 16*(len(x0)+1)+8)
 	b = strconv.AppendUint(b, uint64(backend), 10)
 	b = append(b, '|')
-	cell, ok := quantizeCell(r, q)
+	cell, ok := quantizeCell(r)
 	if !ok {
 		return "", false
 	}
 	b = strconv.AppendInt(b, cell, 10)
 	for _, v := range x0 {
 		b = append(b, ',')
-		cell, ok = quantizeCell(v, q)
+		cell, ok = quantizeCell(v)
 		if !ok {
 			return "", false
 		}
@@ -103,38 +73,18 @@ func quantizeKey(scope string, backend EigBackend, x0 []float64, r, q float64) (
 	return string(b), true
 }
 
-// InvalidateScope drops every cached decomposition written under the given
-// scope and returns how many entries were removed. Coordinators call it when
-// their neighborhood radius changes (§3.6 doubling or an adaptive shrink):
-// old-radius decompositions can never be looked up again — their keys embed
-// the quantized old r — so leaving them in a shared cache would squeeze out
-// other tenants' live entries until LRU pressure finally evicts them.
-func (zc *ZoneCache) InvalidateScope(scope string) int {
-	prefix := scopePrefix(scope)
-	zc.mu.Lock()
-	defer zc.mu.Unlock()
-	kept := zc.keys[:0]
-	removed := 0
-	for _, k := range zc.keys {
-		if strings.HasPrefix(k, prefix) {
-			delete(zc.vals, k)
-			removed++
-		} else {
-			kept = append(kept, k)
-		}
-	}
-	// Zero the tail so evicted keys don't pin their strings via the backing
-	// array.
-	for i := len(kept); i < len(zc.keys); i++ {
-		zc.keys[i] = ""
-	}
-	zc.keys = kept
-	return removed
+// reset drops every cached decomposition and returns how many there were.
+// The machine calls it when its neighborhood radius changes (§3.6 doubling
+// or an adaptive swap): keys embed the quantized r, so old-radius entries
+// can never be looked up again.
+func (zc *zoneCache) reset() int {
+	n := len(zc.keys)
+	zc.keys = nil
+	clear(zc.vals)
+	return n
 }
 
-func (zc *ZoneCache) get(key string) (*XDecomposition, bool) {
-	zc.mu.Lock()
-	defer zc.mu.Unlock()
+func (zc *zoneCache) get(key string) (*XDecomposition, bool) {
 	dec, ok := zc.vals[key]
 	if ok {
 		zc.touch(key)
@@ -142,25 +92,16 @@ func (zc *ZoneCache) get(key string) (*XDecomposition, bool) {
 	return dec, ok
 }
 
-func (zc *ZoneCache) put(key string, dec *XDecomposition) {
-	zc.mu.Lock()
-	defer zc.mu.Unlock()
-	if _, ok := zc.vals[key]; ok {
-		zc.vals[key] = dec
-		zc.touch(key)
-		return
-	}
+func (zc *zoneCache) put(key string, dec *XDecomposition) {
 	if len(zc.keys) >= zc.cap {
-		evict := zc.keys[0]
+		delete(zc.vals, zc.keys[0])
 		zc.keys = zc.keys[1:]
-		delete(zc.vals, evict)
 	}
 	zc.keys = append(zc.keys, key)
 	zc.vals[key] = dec
 }
 
-// touch is called with zc.mu held.
-func (zc *ZoneCache) touch(key string) {
+func (zc *zoneCache) touch(key string) {
 	for i, k := range zc.keys {
 		if k == key {
 			copy(zc.keys[i:], zc.keys[i+1:])

@@ -31,7 +31,6 @@ func IntrusionEntropyWorkload(o Options, nodes, rounds int) *Workload {
 	return &Workload{
 		Name:       "intrusion-entropy",
 		tel:        o.Telemetry,
-		workers:    o.Workers,
 		F:          funcs.Entropy(stream.IntrusionFeatures, 0.01).WithDomain(lo, hi),
 		Data:       stream.NewIntrusion(nodes, o.rounds(rounds), o.Seed+10).Dataset,
 		TuneRounds: o.rounds(200),
@@ -48,7 +47,6 @@ func RegimeShiftWorkload(o Options, nodes, rounds int) *Workload {
 	return &Workload{
 		Name:       "regime-rosenbrock",
 		tel:        o.Telemetry,
-		workers:    o.Workers,
 		F:          funcs.Rosenbrock(),
 		Data:       stream.RegimeShift(2, nodes, o.rounds(rounds), 0, 0.2, 0.7, o.Seed+11),
 		TuneRounds: o.rounds(150),
@@ -59,8 +57,8 @@ func RegimeShiftWorkload(o Options, nodes, rounds int) *Workload {
 // runWith is Workload.run with an explicit core configuration: the adaptive
 // sweep varies controller knobs (AdaptiveR, RDoubleAfter, RMax, EWMA decay)
 // that the figure-sweep entry point deliberately does not expose. Epsilon,
-// the pinned/tuned radius, the eigen-engine options, and the worker pool are
-// stamped from the workload exactly as run does.
+// the pinned/tuned radius and the eigen-engine options (worker count included)
+// are stamped from the workload exactly as run does.
 func (w *Workload) runWith(eps float64, cc core.Config) (*sim.Result, error) {
 	var reg *obs.Registry
 	if w.tel != nil {
@@ -69,7 +67,6 @@ func (w *Workload) runWith(eps float64, cc core.Config) (*sim.Result, error) {
 	cc.Epsilon = eps
 	cc.R = w.FixedR
 	cc.Decomp = w.Decomp
-	cc.TuneWorkers = w.tuneWorkers()
 	res, err := sim.Run(sim.Config{
 		F:          w.F,
 		Data:       w.Data,

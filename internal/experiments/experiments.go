@@ -40,21 +40,18 @@ type Options struct {
 	// executes; automon-bench serializes it with -telemetry.
 	Telemetry *Telemetry
 	// Workers bounds the goroutines running independent runs inside each
-	// figure sweep, and is forwarded to the core layer as Config.TuneWorkers.
-	// 0 means one worker per core (GOMAXPROCS); 1 disables sweep
-	// parallelism. Sweeps deposit results into index-addressed slots and the
-	// core layers are deterministic at any worker count, so the tables are
-	// identical regardless of Workers.
+	// figure sweep, and is stamped onto every workload's Decomp.Workers, which
+	// sizes the eigenvalue search's pool and Tune's replay waves. 0 means one
+	// worker per core (GOMAXPROCS); 1 is sequential end to end. Sweeps deposit
+	// results into index-addressed slots and the core layers are
+	// deterministic at any worker count, so the tables are identical
+	// regardless of Workers.
 	Workers int
 	// EigBackend selects the eigen-engine for every ADCD-X zone build the
 	// suite performs (core.BackendLBFGS, the default multi-start search;
 	// core.BackendInterval, the certified interval engine; or
 	// core.BackendHybrid). automon-bench exposes it as -eig-backend.
 	EigBackend core.EigBackend
-	// HybridSlack is forwarded to core.DecompOptions.HybridSlack: the hybrid
-	// backend's escalation threshold (0 = core.DefaultHybridSlack, negative
-	// = never escalate).
-	HybridSlack float64
 
 	// SketchRows and SketchCols shape the AMS sketches of the ingestion
 	// experiments (SketchTable, the sketch-f2 workload); 0 means 4×32.
@@ -64,12 +61,13 @@ type Options struct {
 	IngestBatch int
 }
 
-// decomp stamps the sweep-wide eigen-engine selection onto a workload's
-// decomposition options; every workload constructor routes its DecompOptions
-// through here so -eig-backend reaches each zone build the suite performs.
+// decomp stamps the sweep-wide eigen-engine selection and worker count onto a
+// workload's decomposition options; every workload constructor routes its
+// DecompOptions through here so -eig-backend and -parallel reach each zone
+// build and tuning run the suite performs.
 func (o Options) decomp(d core.DecompOptions) core.DecompOptions {
 	d.Backend = o.EigBackend
-	d.HybridSlack = o.HybridSlack
+	d.Workers = o.Workers
 	return d
 }
 
@@ -195,18 +193,6 @@ type Workload struct {
 	// tel, when non-nil, records a RunSnapshot per run (set by the workload
 	// constructors from Options.Telemetry).
 	tel *Telemetry
-	// workers is Options.Workers, forwarded by the constructors so run can
-	// hand it to the core layer as TuneWorkers.
-	workers int
-}
-
-// tuneWorkers translates the sweep-level worker knob into the core's
-// TuneWorkers convention (0 and 1 both mean sequential there).
-func (w *Workload) tuneWorkers() int {
-	if w.workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w.workers
 }
 
 // run executes one monitored configuration. When telemetry is enabled the
@@ -224,10 +210,9 @@ func (w *Workload) run(alg sim.Algorithm, eps float64, period int, trace bool) (
 		Period:    period,
 		Trace:     trace,
 		Core: core.Config{
-			Epsilon:     eps,
-			R:           w.FixedR,
-			Decomp:      w.Decomp,
-			TuneWorkers: w.tuneWorkers(),
+			Epsilon: eps,
+			R:       w.FixedR,
+			Decomp:  w.Decomp,
 		},
 		TuneRounds: w.TuneRounds,
 		Metrics:    reg,
@@ -243,12 +228,11 @@ func (w *Workload) run(alg sim.Algorithm, eps float64, period int, trace bool) (
 func InnerProductWorkload(o Options, d, nodes int) *Workload {
 	half := d / 2
 	return &Workload{
-		Name:    "inner-product",
-		tel:     o.Telemetry,
-		workers: o.Workers,
-		F:       funcs.InnerProduct(half),
-		Data:    stream.InnerProductPhases(half, nodes, o.rounds(1000), o.Seed+1),
-		Decomp:  o.decomp(core.DecompOptions{Seed: o.Seed}),
+		Name:   "inner-product",
+		tel:    o.Telemetry,
+		F:      funcs.InnerProduct(half),
+		Data:   stream.InnerProductPhases(half, nodes, o.rounds(1000), o.Seed+1),
+		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed}),
 	}
 }
 
@@ -256,12 +240,11 @@ func InnerProductWorkload(o Options, d, nodes int) *Workload {
 // outlier node).
 func QuadraticWorkload(o Options, d, nodes int) *Workload {
 	return &Workload{
-		Name:    "quadratic",
-		tel:     o.Telemetry,
-		workers: o.Workers,
-		F:       funcs.RandomQuadratic(d, o.Seed+2),
-		Data:    stream.QuadraticOutlier(d, nodes, o.rounds(1000), o.Seed+3),
-		Decomp:  o.decomp(core.DecompOptions{Seed: o.Seed}),
+		Name:   "quadratic",
+		tel:    o.Telemetry,
+		F:      funcs.RandomQuadratic(d, o.Seed+2),
+		Data:   stream.QuadraticOutlier(d, nodes, o.rounds(1000), o.Seed+3),
+		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed}),
 	}
 }
 
@@ -273,7 +256,6 @@ func KLDWorkload(o Options, d, nodes, rounds int) *Workload {
 	return &Workload{
 		Name:       "kld",
 		tel:        o.Telemetry,
-		workers:    o.Workers,
 		F:          funcs.KLD(bins, tau),
 		Data:       stream.NewAirQuality(nodes, bins, o.rounds(rounds), o.Seed+4),
 		TuneRounds: o.rounds(200),
@@ -290,7 +272,6 @@ func MLPWorkload(o Options, d, nodes int) (*Workload, error) {
 	return &Workload{
 		Name:       fmt.Sprintf("mlp-%d", d),
 		tel:        o.Telemetry,
-		workers:    o.Workers,
 		F:          f,
 		Data:       stream.MLPDrift(d, nodes, o.rounds(1000), o.Seed+6),
 		TuneRounds: o.rounds(200),
@@ -333,12 +314,11 @@ func DNNWorkload(o Options) (*Workload, error) {
 		return nil, err
 	}
 	w := &Workload{
-		Name:    "dnn-intrusion",
-		tel:     o.Telemetry,
-		workers: o.Workers,
-		F:       funcs.Network("dnn-intrusion", net),
-		Data:    in.Dataset,
-		Decomp:  o.decomp(core.DecompOptions{Seed: o.Seed, OptStarts: 1, OptMaxIter: 8, OptMaxFunEvals: 40}),
+		Name:   "dnn-intrusion",
+		tel:    o.Telemetry,
+		F:      funcs.Network("dnn-intrusion", net),
+		Data:   in.Dataset,
+		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed, OptStarts: 1, OptMaxIter: 8, OptMaxFunEvals: 40}),
 	}
 	if o.Quick {
 		w.FixedR = 0.08 // one-time offline tune; see EXPERIMENTS.md
@@ -351,11 +331,10 @@ func DNNWorkload(o Options) (*Workload, error) {
 // RosenbrockWorkload is the §3.6/§4.5 tuning setup: inputs N(0, 0.2²).
 func RosenbrockWorkload(o Options, nodes, rounds int) *Workload {
 	return &Workload{
-		Name:    "rosenbrock",
-		tel:     o.Telemetry,
-		workers: o.Workers,
-		F:       funcs.Rosenbrock(),
-		Data:    stream.GaussianNoise(2, nodes, o.rounds(rounds), 0, 0.2, o.Seed+9),
-		Decomp:  o.decomp(core.DecompOptions{Seed: o.Seed}),
+		Name:   "rosenbrock",
+		tel:    o.Telemetry,
+		F:      funcs.Rosenbrock(),
+		Data:   stream.GaussianNoise(2, nodes, o.rounds(rounds), 0, 0.2, o.Seed+9),
+		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed}),
 	}
 }

@@ -203,8 +203,7 @@ func Fig8Tuning(o Options) (*Table, error) {
 			for _, eps := range mk.epss {
 				// Tuned r̂ from Algorithm 2 on the prefix.
 				strategy, r, err := tunedRadius(w.F, tuneData, w.Data.Nodes,
-					core.Config{Epsilon: eps, Decomp: w.Decomp,
-						TuneWorkers: w.tuneWorkers()})
+					core.Config{Epsilon: eps, Decomp: w.Decomp})
 				if err != nil {
 					return err
 				}

@@ -20,15 +20,15 @@ func NewMux(reg *Registry, tr *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w) //automon:allow erreig write error to a scraping client is the client's problem, not the server's
+		_ = reg.WritePrometheus(w) // a write error to a scraping client is the client's problem, not the server's
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = reg.WriteJSON(w) //automon:allow erreig write error to a scraping client is the client's problem, not the server's
+		_ = reg.WriteJSON(w) // as above
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = tr.WriteJSON(w) //automon:allow erreig write error to a scraping client is the client's problem, not the server's
+		_ = tr.WriteJSON(w) // as above
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -61,7 +61,7 @@ func Serve(addr string, reg *Registry, tr *Tracer) (*Server, error) {
 			ReadHeaderTimeout: 5 * time.Second,
 		},
 	}
-	go func() { _ = s.srv.Serve(ln) }() //automon:allow erreig Serve always returns ErrServerClosed after Close
+	go func() { _ = s.srv.Serve(ln) }() // Serve always returns ErrServerClosed after Close
 	return s, nil
 }
 

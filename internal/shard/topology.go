@@ -36,19 +36,12 @@ type leaf struct {
 // enableAbsorb attaches the leaf's own protocol machine — the same
 // core.Machine that runs at the root — over the partition, for
 // partition-local lazy-sync absorption. The leaf machine never performs a
-// full sync and never computes zones (it adopts the root's), so adaptive
-// radius control and zone caching are stripped from its config; its private
-// counters stay unregistered so the root's series are the only ones scraped.
+// full sync and never computes zones (it adopts the root's), so it runs on
+// the detached config: no radius control, no zone cache, and private
+// counters, so the root's series are the only ones scraped.
 func (lf *leaf) enableAbsorb(cfg core.Config) {
-	cfg.Metrics = nil
-	cfg.Tracer = nil
-	cfg.MetricsLabels = ""
-	cfg.AdaptiveR = false
-	cfg.SharedZoneCache = nil
-	cfg.ZoneCacheSize = 0
-	cfg.ZoneCacheScope = ""
 	local := lf.Local()
-	lf.absorb = core.NewMachine(lf.t.f, lf.Hi-lf.Lo, cfg, local)
+	lf.absorb = core.NewMachine(lf.t.f, lf.Hi-lf.Lo, cfg.Detached(), local)
 	local.Bind(lf.absorb)
 }
 

@@ -5,6 +5,9 @@ import (
 	"automon/internal/stream"
 )
 
+// hybridWindow is the Hybrid algorithm's message-budget window, in rounds.
+const hybridWindow = 50
+
 // runHybrid implements the §6 "switch on the fly" extension: monitor with
 // AutoMon, but track the message rate over a sliding budget window; if a
 // window costs more than centralization would (one message per active node
@@ -13,10 +16,6 @@ import (
 func runHybrid(cfg Config, res *Result, windows []stream.Windower) (*Result, error) {
 	ds := cfg.Data
 	n := ds.Nodes
-	k := cfg.HybridWindow
-	if k <= 0 {
-		k = 50
-	}
 
 	g := core.NewGroup(cfg.F, vectors(windows))
 	comm := newCounter(cfg, res)
@@ -36,11 +35,8 @@ func runHybrid(cfg Config, res *Result, windows []stream.Windower) (*Result, err
 	// failed trial doubles the next centralized stretch (capped), so a
 	// persistently churny regime converges to near-centralization cost
 	// while a calmed-down stream returns to AutoMon quickly.
-	trial := k / 4
-	if trial < 5 {
-		trial = 5
-	}
-	centralRounds := k
+	const trial = hybridWindow / 4
+	centralRounds := hybridWindow
 	budgetWindow := trial
 
 	for r := 0; r < ds.Rounds; r++ {
@@ -89,12 +85,12 @@ func runHybrid(cfg Config, res *Result, windows []stream.Windower) (*Result, err
 				// The trial failed: centralize, with backoff.
 				centralized = true
 				budgetWindow = centralRounds
-				if centralRounds < 8*k {
+				if centralRounds < 8*hybridWindow {
 					centralRounds *= 2
 				}
 			} else {
 				// AutoMon is paying for itself; relax the backoff.
-				centralRounds = k
+				centralRounds = hybridWindow
 				budgetWindow = trial
 			}
 			windowStartMsgs = res.Messages

@@ -25,7 +25,7 @@ func TestHybridCapsMessageRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := Run(Config{F: f, Data: ds, Algorithm: Hybrid, HybridWindow: 40, Core: core.Config{Epsilon: eps}})
+	hybrid, err := Run(Config{F: f, Data: ds, Algorithm: Hybrid, Core: core.Config{Epsilon: eps}})
 	if err != nil {
 		t.Fatal(err)
 	}

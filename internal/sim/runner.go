@@ -65,10 +65,6 @@ type Config struct {
 	// Core.R == 0); monitoring statistics cover the remaining rounds.
 	TuneRounds int
 
-	// HybridWindow is the message-budget window (rounds) for the Hybrid
-	// algorithm; 0 means 50.
-	HybridWindow int
-
 	// Elide enables safe-zone check elision for the AutoMon algorithm: each
 	// round a node spends its cached distance-to-boundary budget by the
 	// window vector's exact movement and re-runs the safe-zone check only

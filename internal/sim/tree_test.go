@@ -190,7 +190,7 @@ func TestTreeAbsorbMode(t *testing.T) {
 
 // TestTreeChaosBitIdenticalSiblings is the S-tier chaos proof, in the shape
 // of the multi-tenant isolation harness: a victim tenant and a storm tenant
-// run concurrently, sharing a metrics registry and a zone cache. The storm
+// run concurrently, sharing a metrics registry. The storm
 // kills an entire sub-tree (4 of its 8 nodes) mid-stream and rejoins it 60
 // rounds later. The victim's full Result must be bit-identical to a solo run,
 // and the storm's own pre-chaos prefix must be bit-identical to an
@@ -201,13 +201,13 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 	victimBase := Config{
 		F:     funcs.InnerProduct(4),
 		Data:  stream.InnerProductPhases(4, 5, 200, 1),
-		Core:  core.Config{Epsilon: 0.3, ZoneCacheScope: "victim"},
+		Core:  core.Config{Epsilon: 0.3},
 		Trace: true,
 	}
 	stormBase := Config{
 		F:     funcs.SqNorm(3),
 		Data:  stream.GaussianNoise(3, 8, 200, 0.3, 0.1, 7),
-		Core:  core.Config{Epsilon: 0.2, ZoneCacheScope: "storm"},
+		Core:  core.Config{Epsilon: 0.2},
 		Trace: true,
 	}
 	stormBase.Shards, stormBase.TreeFanout = 4, 2
@@ -215,30 +215,25 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 	// Solo baselines, each with private infrastructure.
 	soloVictim := victimBase
 	soloVictim.Metrics = obs.NewRegistry()
-	soloVictim.Core.SharedZoneCache = core.NewZoneCache(256)
 	wantVictim, err := Run(soloVictim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calmStorm := stormBase
 	calmStorm.Metrics = obs.NewRegistry()
-	calmStorm.Core.SharedZoneCache = core.NewZoneCache(256)
 	wantStorm, err := Run(calmStorm)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Paired run: shared registry and zone cache, chaos in the storm tenant.
+	// Paired run: shared registry, chaos in the storm tenant.
 	// Shard 5 is the right sub-tree (leaves 2 and 3, nodes 4–7).
 	reg := obs.NewRegistry()
-	cache := core.NewZoneCache(256)
 	var chaosErr error
 	victim := victimBase
 	victim.Metrics = reg
-	victim.Core.SharedZoneCache = cache
 	storm := stormBase
 	storm.Metrics = reg
-	storm.Core.SharedZoneCache = cache
 	storm.ShardChaos = func(round int, tr *shard.Tree) {
 		switch round {
 		case killRound:

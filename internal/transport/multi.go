@@ -41,12 +41,6 @@ type MultiCoordinator struct {
 	groupsMu sync.RWMutex
 	groups   map[GroupID]*Coordinator
 
-	// sharedZones is created lazily by the first group that asks for zone
-	// caching; every later group shares it, so the process-wide memory
-	// bound is one cache regardless of tenant count.
-	zonesMu     sync.Mutex
-	sharedZones *core.ZoneCache
-
 	pendingMu sync.Mutex
 	pending   map[net.Conn]struct{}
 
@@ -160,15 +154,6 @@ func (mc *MultiCoordinator) addGroup(gid GroupID, f *core.Function, n int, cfg c
 		if cfg.MetricsLabels == "" {
 			cfg.MetricsLabels = fmt.Sprintf(`group="%d"`, gid)
 		}
-		// Zone caching becomes process-wide: the first group that wants a
-		// cache creates it, later groups share it, and per-group key scopes
-		// keep quantized coordinates from different functions apart.
-		if cfg.SharedZoneCache == nil && cfg.ZoneCacheSize > 0 {
-			cfg.SharedZoneCache = mc.zoneCache(cfg.ZoneCacheSize)
-		}
-		if cfg.SharedZoneCache != nil && cfg.ZoneCacheScope == "" {
-			cfg.ZoneCacheScope = fmt.Sprintf("g%d|", gid)
-		}
 	}
 	c := &Coordinator{
 		srv:   mc,
@@ -212,16 +197,6 @@ func (mc *MultiCoordinator) Group(gid GroupID) *Coordinator {
 	mc.groupsMu.RLock()
 	defer mc.groupsMu.RUnlock()
 	return mc.groups[gid]
-}
-
-// zoneCache lazily creates the process-wide shared zone cache.
-func (mc *MultiCoordinator) zoneCache(size int) *core.ZoneCache {
-	mc.zonesMu.Lock()
-	defer mc.zonesMu.Unlock()
-	if mc.sharedZones == nil {
-		mc.sharedZones = core.NewZoneCache(size)
-	}
-	return mc.sharedZones
 }
 
 // Close stops the listener, every pending registration, and every group.

@@ -225,7 +225,7 @@ func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 		c.mu.Unlock()
 		// A failed reply closes the connection; the frame read loop will
 		// surface it on the next iteration.
-		//automon:allow erreig best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
+		// Best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
 		_ = c.send(&core.DataResponse{NodeID: c.ID, X: x})
 	case *core.Sync:
 		c.mu.Lock()
@@ -275,10 +275,14 @@ func (c *NodeClient) reconnect(cause error) error {
 		// killed by the same fault does not reconnect in lockstep.
 		d := backoff/2 + time.Duration(c.rng.Int63n(int64(backoff/2)+1))
 		c.backoffWait.Observe(d.Seconds())
+		// Stopped when Close wins so no timer outlives the wait (see
+		// socketComm.RequestData).
+		wait := time.NewTimer(d)
 		select {
 		case <-c.closeCh:
+			wait.Stop()
 			return cause
-		case <-time.After(d):
+		case <-wait.C:
 		}
 		c.reconnectTries.Inc()
 		c.tracer.Record(obs.EventReconnectTry, c.ID, float64(attempt), "")
@@ -351,7 +355,7 @@ func (c *NodeClient) recheck() {
 	}
 	// A send failure recycles the connection; the rejoin sync re-triggers
 	// this check, so the report is not lost for good.
-	//automon:allow erreig best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
+	// Best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
 	_ = c.send(v)
 }
 
@@ -386,13 +390,17 @@ func (c *NodeClient) WaitReady(timeout time.Duration) error {
 		return fmt.Errorf("transport: node %d failed before its first sync: %w", c.ID, c.Err())
 	default:
 	}
+	// Stopped on return: automon-node waits up to five minutes here, and an
+	// abandoned time.After would outlive readiness by that long.
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	//automon:allow floatflow wait-for-any by design: the race only selects which error (or nil) surfaces, no protocol value depends on the winning arm
 	select {
 	case <-c.ready:
 		return nil
 	case <-c.failed:
 		return fmt.Errorf("transport: node %d failed before its first sync: %w", c.ID, c.Err())
-	case <-time.After(timeout):
+	case <-deadline.C:
 		return fmt.Errorf("transport: node %d never received its first sync", c.ID)
 	}
 }
@@ -465,7 +473,7 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	if send {
 		// A failed report is not fatal: the connection recycles, the rejoin
 		// full sync re-checks the constraints, and the wait below completes.
-		//automon:allow erreig best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
+		// Best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
 		_ = c.send(v)
 	}
 	// Resolution signals are not addressed to a specific violation (a sync

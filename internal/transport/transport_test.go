@@ -219,4 +219,14 @@ func TestDataPullsLeaveNoTimersBehind(t *testing.T) {
 	if grown := int64(live()) - int64(before); grown > 512<<10 {
 		t.Fatalf("live heap grew by %d bytes over 10000 data pulls", grown)
 	}
+	// The same holds for a node's readiness wait, whose timeout is minutes.
+	before = live()
+	for i := 0; i < 10000; i++ {
+		if err := nodes[0].WaitReady(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := int64(live()) - int64(before); grown > 512<<10 {
+		t.Fatalf("live heap grew by %d bytes over 10000 readiness waits", grown)
+	}
 }
