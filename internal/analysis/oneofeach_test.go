@@ -49,6 +49,27 @@ var (
 	subLengthManifest = []string{"transport.frameWriter.writeMsg"}
 )
 
+// One membership path for the root Machine: node state has one owner per
+// deployment, entered through two membership transitions.
+var (
+	// Structs embedding the protocol machine: the flat coordinator over one
+	// Partition and the shard tree over its leaves. A third wrapper that
+	// mirrors the machine's surface fails here.
+	machineEmbedManifest = []string{"core.Coordinator", "shard.Tree"}
+	// Declarations mentioning sync.Mutex or sync.RWMutex in internal/core and
+	// internal/shard: none. Each state machine is single-threaded behind the
+	// transport that serializes it.
+	protocolMutexManifest []string
+	// Functions calling Ownership.Forget, outside the Forget implementations
+	// themselves: a death and a rejoin's readmit.
+	forgetManifest = []string{"core.Machine.MarkDead", "core.Machine.readmit"}
+	// Machine methods that run a full sync.
+	fullSyncCallerManifest = []string{
+		"core.Machine.HandleDeparture", "core.Machine.HandleRejoin", "core.Machine.HandleViolation",
+		"core.Machine.Init", "core.Machine.Resync",
+	}
+)
+
 // walkModule parses every non-test Go file of the root module (nested
 // modules such as bench/ are their own programs) and calls visit per file
 // with its path relative to the module root.
@@ -196,6 +217,115 @@ func TestOneWireOneElidedStep(t *testing.T) {
 	expectManifest(t, "functions calling (*core.Node).SpendBudget", found["SpendBudget"], spendBudgetManifest)
 	expectManifest(t, "transport functions writing a frame's first word", found["frame word"], frameWordManifest)
 	expectManifest(t, "transport functions writing any other length word", found["sub-length"], subLengthManifest)
+}
+
+func TestOneMembershipPath(t *testing.T) {
+	found := map[string]map[string]bool{"embed": {}, "mutex": {}, "Forget": {}, "fullSync": {}}
+	methods := map[string]map[string]bool{"core.Machine": {}, "shard.Tree": {}}
+	walkModule(t, func(path string, f *ast.File) {
+		pkg := f.Name.Name
+		dir := filepath.Dir(path)
+		protocol := dir == "internal/core" || dir == "internal/shard"
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name := pkg + "." + declName(d)
+				if recv := strings.TrimSuffix(name, "."+d.Name.Name); d.Recv != nil && methods[recv] != nil {
+					methods[recv][d.Name.Name] = true
+				}
+				if protocol && mentionsMutex(d) {
+					found["mutex"][name] = true
+				}
+				switch name {
+				case "core.Machine.pickLRU":
+					if d.Type.Params.NumFields() != 0 {
+						t.Error("core.Machine.pickLRU takes arguments; the first live node in the LRU order is the pick")
+					}
+				case "core.Machine.touchLRU":
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						switch n.(type) {
+						case *ast.ForStmt, *ast.RangeStmt:
+							t.Error("core.Machine.touchLRU loops; touching a node is an O(1) relink")
+						}
+						return true
+					})
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					switch {
+					case !ok:
+					case sel.Sel.Name == "Forget" && d.Name.Name != "Forget":
+						found["Forget"][name] = true
+					case sel.Sel.Name == "fullSync" && strings.HasPrefix(name, "core.Machine."):
+						found["fullSync"][name] = true
+					}
+					return true
+				})
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					var name string
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						name = s.Name.Name
+					case *ast.ValueSpec:
+						name = s.Names[0].Name
+					}
+					if protocol && mentionsMutex(spec) {
+						found["mutex"][pkg+"."+name] = true
+					}
+					if ts, ok := spec.(*ast.TypeSpec); ok && embedsMachine(ts) {
+						found["embed"][pkg+"."+name] = true
+					}
+				}
+			}
+		}
+	})
+	expectManifest(t, "struct types embedding *core.Machine", found["embed"], machineEmbedManifest)
+	expectManifest(t, "internal/core and internal/shard declarations holding a sync mutex", found["mutex"], protocolMutexManifest)
+	expectManifest(t, "functions calling Ownership.Forget outside a Forget implementation", found["Forget"], forgetManifest)
+	expectManifest(t, "core.Machine methods calling fullSync", found["fullSync"], fullSyncCallerManifest)
+	for _, gone := range []string{"HandleSubtreeDeparture", "HandleSubtreeRejoin"} {
+		if methods["core.Machine"][gone] {
+			t.Errorf("core.Machine.%s is back; HandleDeparture and HandleRejoin take node sets", gone)
+		}
+	}
+	for m := range methods["shard.Tree"] {
+		if methods["core.Machine"][m] && m != "HandleViolation" {
+			t.Errorf("shard.Tree re-declares Machine.%s; the embedded root machine's method is the tree's", m)
+		}
+	}
+}
+
+// mentionsMutex reports whether the subtree names sync.Mutex or sync.RWMutex.
+func mentionsMutex(n ast.Node) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// embedsMachine reports whether a struct type embeds *Machine or *core.Machine.
+func embedsMachine(ts *ast.TypeSpec) bool {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return false
+	}
+	for _, fld := range st.Fields.List {
+		if star, ok := fld.Type.(*ast.StarExpr); ok && len(fld.Names) == 0 && typeNamed(star.X, "Machine") {
+			return true
+		}
+	}
+	return false
 }
 
 // typeNamed reports whether a composite literal's type is name or pkg.name.

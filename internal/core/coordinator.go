@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"strings"
 
 	"automon/internal/obs"
 )
@@ -216,24 +215,6 @@ type coordObs struct {
 	tracer *obs.Tracer
 }
 
-// labeledName merges a rendered extra label set into a metric name that may
-// or may not already carry labels:
-//
-//	labeledName(`automon_x_total`, `group="1"`)              → automon_x_total{group="1"}
-//	labeledName(`automon_x_total{kind="a"}`, `group="1"`)    → automon_x_total{kind="a",group="1"}
-//
-// An empty extra returns the name unchanged, preserving the historical
-// single-tenant series names.
-func labeledName(name, extra string) string {
-	if extra == "" {
-		return name
-	}
-	if strings.HasSuffix(name, "}") {
-		return name[:len(name)-1] + "," + extra + "}"
-	}
-	return name + "{" + extra + "}"
-}
-
 // newCoordObs creates the instruments, registered in reg when non-nil. With
 // a nil registry the counters are standalone: same cost, just unscraped.
 // A non-empty labels set (Config.MetricsLabels) is merged into every series
@@ -242,7 +223,7 @@ func newCoordObs(reg *obs.Registry, tracer *obs.Tracer, labels string) coordObs 
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	name := func(n string) string { return labeledName(n, labels) }
+	name := func(n string) string { return obs.LabeledName(n, labels) }
 	const violHelp = "protocol violations handled by the coordinator, by kind"
 	const eigboundHelp = "fresh ADCD-X decompositions built, by eigen-engine backend"
 	return coordObs{

@@ -151,7 +151,7 @@ func TestNeighborhoodStreakResets(t *testing.T) {
 		{
 			name: "rejoin full sync resets the streak",
 			interrupt: func(c *Coordinator) error {
-				return c.HandleRejoin(1, []float64{0, 0})
+				return c.HandleRejoin([]int{1}, [][]float64{{0, 0}})
 			},
 			wantDouble: false, wantStreak: 1, extraNeighs: 1,
 		},

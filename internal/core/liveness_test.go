@@ -156,7 +156,7 @@ func TestRejoinRestoresFullPopulation(t *testing.T) {
 	// The node comes back with a fresh vector.
 	comm.failed[2] = false
 	nodes[2].SetData([]float64{2, 2})
-	if err := coord.HandleRejoin(2, []float64{2, 2}); err != nil {
+	if err := coord.HandleRejoin([]int{2}, [][]float64{{2, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if coord.Degraded() || coord.LiveCount() != 3 {
@@ -256,7 +256,7 @@ func TestAllNodesDeadFreezesEstimate(t *testing.T) {
 	// The first rejoin repairs the cluster.
 	comm.failed[0] = false
 	nodes[0].SetData([]float64{2, 0})
-	if err := coord.HandleRejoin(0, []float64{2, 0}); err != nil {
+	if err := coord.HandleRejoin([]int{0}, [][]float64{{2, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if coord.LiveCount() != 1 {

@@ -78,8 +78,13 @@ type Machine struct {
 	eDec   *EDecomposition
 	method Method
 
-	lru         []int // least recently balanced first
+	// prev/next link every node id into the LRU balancing order, least
+	// recently balanced first, as a ring through the sentinel index N. Dead
+	// nodes keep their place and are skipped by pickLRU.
+	prev, next  []int32
 	consecNeigh int
+	// sum and mean are lazySync's scratch, reused across attempts.
+	sum, mean []float64
 
 	// zones caches ADCD-X decompositions keyed by quantized (x0, r); nil
 	// when Config.ZoneCacheSize is zero.
@@ -129,6 +134,8 @@ func NewMachine(f *Function, n int, cfg Config, own Ownership) *Machine {
 		r:   cfg.R,
 		obs: newCoordObs(cfg.Metrics, cfg.Tracer, cfg.MetricsLabels),
 
+		sum:            make([]float64, f.Dim()),
+		mean:           make([]float64, f.Dim()),
 		thresholdFloor: DefaultThresholdFloor,
 	}
 	m.obs.liveNodes.Set(float64(n))
@@ -146,9 +153,13 @@ func NewMachine(f *Function, n int, cfg Config, own Ownership) *Machine {
 	}
 	m.live = make([]bool, n)
 	m.liveCount = n
-	for i := 0; i < n; i++ {
-		m.lru = append(m.lru, i)
+	for i := range m.live {
 		m.live[i] = true
+	}
+	m.prev, m.next = make([]int32, n+1), make([]int32, n+1)
+	for i := range m.next {
+		m.next[i] = int32((i + 1) % (n + 1))
+		m.prev[m.next[i]] = int32(i)
 	}
 	switch {
 	case cfg.ZoneBuilder != nil:
@@ -261,41 +272,12 @@ func (m *Machine) MarkLive(id int) {
 	m.obs.liveNodes.Set(float64(m.liveCount))
 }
 
-// HandleDeparture marks a node dead and re-synchronizes the survivors so the
-// estimate degrades to the live-node average instead of silently averaging a
-// stale vector. Returns ErrNoLiveNodes when the departing node was the last
-// one; the estimate then freezes until a rejoin.
-func (m *Machine) HandleDeparture(id int) error {
-	if id < 0 || id >= m.N {
-		return fmt.Errorf("core: departure from unknown node %d", id)
-	}
-	m.MarkDead(id)
-	return m.fullSync(nil)
-}
-
-// HandleRejoin re-admits a node after a connection loss: its fresh vector
-// replaces the stale one and a full sync rebuilds the reference point, zone,
-// and slack assignment over the new live set (the returning node's previous
-// slack is void — only a full sync restores the Σᵢ sᵢ = 0 invariant).
-func (m *Machine) HandleRejoin(id int, x []float64) error {
-	if id < 0 || id >= m.N {
-		return fmt.Errorf("core: rejoin from unknown node %d", id)
-	}
-	m.MarkLive(id)
-	m.obs.rejoins.Inc()
-	m.obs.tracer.Record(obs.EventRejoin, id, float64(m.liveCount), "")
-	m.own.Forget(id)
-	if x != nil {
-		m.own.Store(id, x)
-	}
-	return m.fullSync(map[int]bool{id: true})
-}
-
-// HandleSubtreeDeparture marks a whole set of nodes dead — an entire
-// sub-tree lost to a partition — and re-synchronizes the survivors with one
-// full sync instead of one per node. Returns ErrNoLiveNodes when the subtree
-// was the entire live population; the estimate then freezes until a rejoin.
-func (m *Machine) HandleSubtreeDeparture(ids []int) error {
+// HandleDeparture marks nodes dead (one lost connection, or a whole sub-tree
+// cut off by a partition) and re-synchronizes the survivors with one full
+// sync, so the estimate degrades to the live-node average instead of silently
+// averaging stale vectors. Returns ErrNoLiveNodes when no node is left; the
+// estimate then freezes until a rejoin.
+func (m *Machine) HandleDeparture(ids ...int) error {
 	for _, id := range ids {
 		if id < 0 || id >= m.N {
 			return fmt.Errorf("core: departure of unknown node %d", id)
@@ -307,13 +289,15 @@ func (m *Machine) HandleSubtreeDeparture(ids []int) error {
 	return m.fullSync(nil)
 }
 
-// HandleSubtreeRejoin re-admits a whole set of nodes after a partition
-// heals, with one full sync over the healed population. xs carries the
-// nodes' fresh vectors in ids order; a nil xs (or a nil entry) keeps the
-// stale vector and lets the sync's gather re-pull it from the fabric.
-func (m *Machine) HandleSubtreeRejoin(ids []int, xs [][]float64) error {
+// HandleRejoin re-admits nodes (one reconnecting node, a dead-marked node
+// whose violation proved it alive, or a whole sub-tree after a partition
+// heals) with one full sync over the new live set. xs carries the nodes'
+// fresh vectors in ids order; a nil xs or a nil entry keeps the stale vector
+// and lets the sync's gather re-pull it. A returning node's previous slack is
+// void: only a full sync restores the Σᵢ sᵢ = 0 invariant.
+func (m *Machine) HandleRejoin(ids []int, xs [][]float64) error {
 	if xs != nil && len(xs) != len(ids) {
-		return fmt.Errorf("core: subtree rejoin carries %d vectors for %d nodes", len(xs), len(ids))
+		return fmt.Errorf("core: rejoin carries %d vectors for %d nodes", len(xs), len(ids))
 	}
 	for _, id := range ids {
 		if id < 0 || id >= m.N {
@@ -322,16 +306,22 @@ func (m *Machine) HandleSubtreeRejoin(ids []int, xs [][]float64) error {
 	}
 	fresh := make(map[int]bool, len(ids))
 	for i, id := range ids {
-		m.MarkLive(id)
-		m.obs.rejoins.Inc()
-		m.obs.tracer.Record(obs.EventRejoin, id, float64(m.liveCount), "")
-		m.own.Forget(id)
+		m.readmit(id)
 		if xs != nil && xs[i] != nil {
 			m.own.Store(id, xs[i])
 			fresh[id] = true
 		}
 	}
 	return m.fullSync(fresh)
+}
+
+// readmit revives one node ahead of a rejoin's full sync. The node may have
+// restarted as a fresh process, so its delivery state is forgotten.
+func (m *Machine) readmit(id int) {
+	m.MarkLive(id)
+	m.obs.rejoins.Inc()
+	m.obs.tracer.Record(obs.EventRejoin, id, float64(m.liveCount), "")
+	m.own.Forget(id)
 }
 
 // AdoptZone installs a safe zone decided by a parent tier. A sub-coordinator
@@ -393,20 +383,14 @@ func (m *Machine) HandleViolation(v *Violation) error {
 	if v.NodeID < 0 || v.NodeID >= m.N {
 		return fmt.Errorf("core: violation from unknown node %d", v.NodeID)
 	}
+	// A violation from a dead-marked node proves it is alive again (e.g. a
+	// request timeout was a false suspicion): it is a rejoin carrying the
+	// node's vector, whatever its kind.
+	if !m.live[v.NodeID] {
+		return m.HandleRejoin([]int{v.NodeID}, [][]float64{v.X})
+	}
 	m.own.Store(v.NodeID, v.X)
 	fresh := map[int]bool{v.NodeID: true}
-
-	// A violation from a dead-marked node proves it is alive again (e.g. a
-	// request timeout was a false suspicion). Revival always takes a full
-	// sync: the node's slack assignment predates its death and only a full
-	// sync restores the Σᵢ sᵢ = 0 invariant across the live set.
-	if !m.live[v.NodeID] {
-		m.MarkLive(v.NodeID)
-		m.obs.rejoins.Inc()
-		m.obs.tracer.Record(obs.EventRejoin, v.NodeID, float64(m.liveCount), "")
-		m.own.Forget(v.NodeID)
-		return m.fullSync(fresh)
-	}
 
 	switch v.Kind {
 	case ViolationNeighborhood:
@@ -494,19 +478,17 @@ func (m *Machine) clearZoneCache() {
 //automon:statepure
 func (m *Machine) lazySync(v *Violation, fresh map[int]bool) bool {
 	m.obs.lazyAttempts.Inc()
-	d := m.F.Dim()
 	set := []int{v.NodeID}
 	m.touchLRU(v.NodeID)
 
-	sum := make([]float64, d)
+	sum, mean := m.sum, m.mean
+	clear(sum)
 	m.own.AddSlacked(sum, v.NodeID)
-
-	mean := make([]float64, d)
 	for {
 		if len(set) > m.liveCount/2 {
 			return false
 		}
-		next := m.pickLRU(set)
+		next := m.pickLRU()
 		if next < 0 {
 			return false
 		}
@@ -536,35 +518,29 @@ func (m *Machine) lazySync(v *Violation, fresh map[int]bool) bool {
 	return true
 }
 
-// pickLRU returns the least-recently-used live node not already in set, or
-// -1. Dead nodes are skipped: pulling them would stall the resolution on a
-// request that can never be answered.
-func (m *Machine) pickLRU(set []int) int {
-	inSet := func(id int) bool {
-		for _, s := range set {
-			if s == id {
-				return true
-			}
-		}
-		return false
-	}
-	for _, id := range m.lru {
-		if m.live[id] && !inSet(id) {
-			return id
+// pickLRU returns the least-recently-used live node, or -1. Dead nodes are
+// skipped: pulling them would stall the resolution on a request that can
+// never be answered. No balancing-set member can be the pick: lazySync
+// touches each member as it joins, so the set is the order's tail, and it
+// stops growing before it holds half the live nodes, so a live non-member
+// always comes first.
+func (m *Machine) pickLRU() int {
+	for id := m.next[m.N]; int(id) != m.N; id = m.next[id] {
+		if m.live[id] {
+			return int(id)
 		}
 	}
 	return -1
 }
 
-// touchLRU marks a node as most recently used.
+// touchLRU marks a node as most recently used: it unlinks the node and
+// relinks it as the tail, just before the sentinel.
 func (m *Machine) touchLRU(id int) {
-	for i, v := range m.lru {
-		if v == id {
-			copy(m.lru[i:], m.lru[i+1:])
-			m.lru[len(m.lru)-1] = id
-			return
-		}
-	}
+	i, s := int32(id), int32(m.N)
+	m.next[m.prev[i]], m.prev[m.next[i]] = m.next[i], m.prev[i]
+	tail := m.prev[s]
+	m.prev[i], m.next[i] = tail, s
+	m.next[tail], m.prev[s] = i, i
 }
 
 // Thresholds derives (L, U) from f(x0) under the configured error type.

@@ -93,22 +93,22 @@ func (p *Partition) Rebalance(set []int, mean []float64) {
 }
 
 // Collect implements Ownership: the full-sync gather over the partition, in
-// ascending node order. A nil RequestData response means the fabric just lost
-// that node (and marked it dead); the stale vector is kept and the fold below
-// reflects the death.
+// ascending node order, folding each live vector as soon as it is pulled. A
+// nil RequestData response means the fabric lost that node; unless it is
+// still marked live, it is left out of the fold and its stale vector is kept.
 func (p *Partition) Collect(fresh map[int]bool, accs []linalg.Acc) int {
-	for i := range p.lastX {
-		if fresh[p.base+i] || !p.m.Live(p.base+i) {
-			continue
-		}
-		if x := p.comm.RequestData(p.Lo + i); x != nil {
-			copy(p.lastX[i], x)
-		}
-	}
 	weight := 0
 	for i := range p.lastX {
-		if !p.m.Live(p.base + i) {
+		id := p.base + i
+		if !p.m.Live(id) {
 			continue
+		}
+		if !fresh[id] {
+			if x := p.comm.RequestData(p.Lo + i); x != nil {
+				copy(p.lastX[i], x)
+			} else if !p.m.Live(id) {
+				continue
+			}
 		}
 		linalg.AddVec(accs, p.lastX[i])
 		weight++

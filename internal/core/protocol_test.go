@@ -391,19 +391,6 @@ func TestNodeSilentBeforeSync(t *testing.T) {
 	}
 }
 
-func TestLRUOrdering(t *testing.T) {
-	f := saddleFunc()
-	c := NewCoordinator(f, 4, Config{Epsilon: 0.1}, &Fabric{})
-	c.touchLRU(0)
-	// order now 1,2,3,0 — the LRU pick excluding {1} must be 2.
-	if got := c.pickLRU([]int{1}); got != 2 {
-		t.Fatalf("pickLRU = %d, want 2", got)
-	}
-	if got := c.pickLRU([]int{0, 1, 2, 3}); got != -1 {
-		t.Fatalf("pickLRU with all excluded = %d, want -1", got)
-	}
-}
-
 func TestADCDXOnRosenbrockKeepsErrorNearBound(t *testing.T) {
 	// Rosenbrock with N(0, 0.2²) data, as in §3.6. ADCD-X has no absolute
 	// guarantee, but with the sanity check the observed error should stay

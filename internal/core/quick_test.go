@@ -147,26 +147,3 @@ func TestQuickSafeZoneADCDESound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickLRUPermutationInvariant: touching ids in any order keeps the LRU
-// list a permutation of all node ids.
-func TestQuickLRUPermutationInvariant(t *testing.T) {
-	f := saddleFunc()
-	check := func(touches []uint8) bool {
-		c := NewCoordinator(f, 6, Config{Epsilon: 0.1}, &Fabric{})
-		for _, id := range touches {
-			c.touchLRU(int(id) % 6)
-		}
-		seen := map[int]bool{}
-		for _, id := range c.lru {
-			if id < 0 || id >= 6 || seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		return len(seen) == 6
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -180,6 +180,25 @@ func labels(name string) string {
 	return ""
 }
 
+// LabeledName merges a rendered extra label set into a metric name that may
+// or may not already carry labels:
+//
+//	LabeledName(`automon_x_total`, `group="1"`)              → automon_x_total{group="1"}
+//	LabeledName(`automon_x_total{kind="a"}`, `group="1"`)    → automon_x_total{kind="a",group="1"}
+//
+// An empty extra returns the name unchanged, preserving the unlabelled
+// single-tenant series names. Multi-tenant registries share one namespace,
+// so the coordinator's and the shard tier's series carry the same labels.
+func LabeledName(name, extra string) string {
+	if extra == "" {
+		return name
+	}
+	if strings.HasSuffix(name, "}") {
+		return name[:len(name)-1] + "," + extra + "}"
+	}
+	return name + "{" + extra + "}"
+}
+
 // Registry holds named instruments for exposition. Registration is
 // get-or-create: asking twice for the same full name returns the same
 // instrument. All methods are safe for concurrent use; a nil *Registry

@@ -54,6 +54,23 @@ func TestRegistryGetOrCreateShares(t *testing.T) {
 	}
 }
 
+// TestLabeledName pins the one label merge every tier's series go through:
+// plain names gain a label block, labelled names gain a trailing label, and
+// an empty label set leaves the single-tenant name untouched.
+func TestLabeledName(t *testing.T) {
+	for _, tc := range []struct{ name, extra, want string }{
+		{"automon_x_total", "", "automon_x_total"},
+		{`automon_x_total{kind="a"}`, "", `automon_x_total{kind="a"}`},
+		{"automon_x_total", `group="1"`, `automon_x_total{group="1"}`},
+		{`automon_x_total{kind="a"}`, `group="1"`, `automon_x_total{kind="a",group="1"}`},
+		{`automon_x_total{kind="a",dir="b"}`, `group="1",run="2"`, `automon_x_total{kind="a",dir="b",group="1",run="2"}`},
+	} {
+		if got := LabeledName(tc.name, tc.extra); got != tc.want {
+			t.Errorf("LabeledName(%q, %q) = %q, want %q", tc.name, tc.extra, got, tc.want)
+		}
+	}
+}
+
 func TestCountersAreConcurrencySafe(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("concurrent_total", "")

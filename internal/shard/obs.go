@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"strings"
-
-	"automon/internal/obs"
-)
+import "automon/internal/obs"
 
 // treeObs bundles the shard tier's observability instruments: tree shape
 // gauges, partial-aggregate flow, frame rejections by reason, and the
@@ -27,26 +23,13 @@ type treeObs struct {
 	subtreeRejoins *obs.Counter
 }
 
-// shardLabeledName merges a rendered label set into a metric name, exactly
-// like the coordinator's labeledName (multi-tenant registries share one
-// namespace, so shard series carry the same group labels).
-func shardLabeledName(name, extra string) string {
-	if extra == "" {
-		return name
-	}
-	if strings.HasSuffix(name, "}") {
-		return name[:len(name)-1] + "," + extra + "}"
-	}
-	return name + "{" + extra + "}"
-}
-
 // newTreeObs creates the instruments, registered in reg when non-nil; a nil
 // registry keeps them standalone, same as the coordinator's.
 func newTreeObs(reg *obs.Registry, labels string) treeObs {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	name := func(n string) string { return shardLabeledName(n, labels) }
+	name := func(n string) string { return obs.LabeledName(n, labels) }
 	const rejectHelp = "shard partial-aggregate frames rejected before merging, by reason"
 	return treeObs{
 		leaves: reg.Gauge(name("automon_shard_leaves"), "leaf shards in the coordinator tree"),

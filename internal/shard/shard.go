@@ -25,7 +25,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"automon/internal/core"
 	"automon/internal/linalg"
@@ -66,24 +65,19 @@ type Options struct {
 	Mode Mode
 }
 
-// Tree is a hierarchical coordinator: the root protocol machine plus the
-// shard tree that owns its data plane. Its method surface mirrors the flat
-// Coordinator so simulation and transport drivers can use either.
+// Tree is a hierarchical coordinator: the root protocol machine, embedded the
+// way core.Coordinator embeds it, over the shard tree that owns its data
+// plane. Every Machine method (Init, Resync, Estimate, Stats, the liveness
+// getters and the two membership transitions) is the root's own; the tree
+// adds only violation routing in ModeAbsorb and whole-sub-tree membership.
+//
+// A Tree is single-threaded, like the Machine: whatever enters it from
+// several goroutines serializes the calls itself (transport.SubtreeListener
+// does).
 type Tree struct {
-	f    *core.Function
-	n    int
+	*core.Machine
 	mode Mode
 
-	// mu serializes every state-touching public method: the transport tier's
-	// SubtreeListener invokes the tree from per-connection goroutines, so the
-	// public surface must be safe for concurrent use. Internal flows (the
-	// root machine calling back into treeOwner and the topology) never
-	// re-enter the public surface, so a plain mutex at the boundary suffices.
-	// Shape getters (Depth, Leaves, Subtree) read only immutable
-	// post-construction state and stay lock-free.
-	mu sync.Mutex
-
-	root   *core.Machine
 	topo   treeNode
 	leaves []*leaf // by shard ID (leaf shard IDs are 0..len(leaves)-1)
 	leafOf []*leaf // by global node ID
@@ -119,13 +113,18 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 		return nil, fmt.Errorf("shard: tree fan-out must be at least 2, got %d", fanout)
 	}
 	t := &Tree{
-		f:      f,
-		n:      n,
 		mode:   opt.Mode,
 		fanout: fanout,
 		byID:   make(map[int]treeNode),
 		obs:    newTreeObs(cfg.Metrics, cfg.MetricsLabels),
 	}
+	rootCfg := cfg
+	if t.mode == ModeAbsorb {
+		// Leaves own the lazy path; everything that reaches the root is
+		// already an escalation and resolves with a full sync.
+		rootCfg.DisableLazySync = true
+	}
+	t.Machine = core.NewMachine(f, n, rootCfg, &treeOwner{t: t})
 
 	// Leaves own contiguous, balanced partitions in global node order, so a
 	// depth-first collect visits nodes exactly as a flat gather would.
@@ -136,6 +135,7 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 		lo := s * n / shards
 		hi := (s + 1) * n / shards
 		lf := &leaf{Partition: core.NewPartition(f.Dim(), lo, hi, comm), t: t, id: s}
+		lf.Bind(t.Machine)
 		if absorbing {
 			lf.enableAbsorb(cfg)
 		}
@@ -171,17 +171,6 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 	}
 	t.topo = level[0]
 
-	rootCfg := cfg
-	if t.mode == ModeAbsorb {
-		// Leaves own the lazy path; everything that reaches the root is
-		// already an escalation and resolves with a full sync.
-		rootCfg.DisableLazySync = true
-	}
-	t.root = core.NewMachine(f, n, rootCfg, &treeOwner{t: t})
-	for _, lf := range t.leaves {
-		lf.Bind(t.root)
-	}
-
 	t.obs.leaves.Set(float64(shards))
 	t.obs.depth.Set(float64(t.depth))
 	t.obs.fanout.Set(float64(fanout))
@@ -197,113 +186,22 @@ func (t *Tree) Leaves() int { return len(t.leaves) }
 
 // Epoch returns the current full-sync generation; partial-aggregate frames
 // from older generations are rejected.
-func (t *Tree) Epoch() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch
-}
-
-// Init pulls all node vectors through the leaves and performs the first full
-// sync.
-func (t *Tree) Init() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.Init()
-}
-
-// Resync forces a full synchronization through the tree.
-func (t *Tree) Resync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.Resync()
-}
-
-// Estimate returns the root machine's current approximation f(x̄).
-func (t *Tree) Estimate() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.Estimate()
-}
-
-// Zone returns the current safe zone (nil before Init).
-func (t *Tree) Zone() *core.SafeZone {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.Zone()
-}
-
-// Stats snapshots the root machine's protocol counters.
-func (t *Tree) Stats() core.CoordStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.Stats()
-}
-
-// R returns the root machine's current neighborhood radius.
-func (t *Tree) R() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.R()
-}
-
-// Degraded reports whether any node is currently excluded from the estimate.
-func (t *Tree) Degraded() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.Degraded()
-}
-
-// Live reports whether global node id is currently considered reachable.
-func (t *Tree) Live(id int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.Live(id)
-}
-
-// LiveCount returns the number of reachable nodes.
-func (t *Tree) LiveCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.LiveCount()
-}
-
-// MarkDead excludes a node, exactly like Coordinator.MarkDead.
-func (t *Tree) MarkDead(id int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.root.MarkDead(id)
-}
-
-// MarkLive reverses MarkDead.
-func (t *Tree) MarkLive(id int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.root.MarkLive(id)
-}
+func (t *Tree) Epoch() uint64 { return t.epoch }
 
 // HandleViolation reacts to a node-reported violation. In ModeAbsorb the
 // owning leaf first attempts to absorb a safe-zone violation with a
 // partition-local lazy sync; only unresolved violations escalate to the
 // root.
 func (t *Tree) HandleViolation(v *core.Violation) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.mode == ModeAbsorb && v != nil && v.NodeID >= 0 && v.NodeID < t.n {
+	if t.mode == ModeAbsorb && v != nil && v.NodeID >= 0 && v.NodeID < t.N {
 		lf := t.leafOf[v.NodeID]
-		if lf.absorb != nil && t.root.Live(v.NodeID) && lf.tryAbsorb(v) {
+		if lf.absorb != nil && t.Live(v.NodeID) && lf.tryAbsorb(v) {
 			t.obs.absorbed.Inc()
 			return nil
 		}
 		t.obs.escalated.Inc()
 	}
-	return t.root.HandleViolation(v)
-}
-
-// HandleRejoin re-admits a single node, exactly like Coordinator.HandleRejoin.
-func (t *Tree) HandleRejoin(id int, x []float64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root.HandleRejoin(id, x)
+	return t.Machine.HandleViolation(v)
 }
 
 // Subtree returns the global node IDs owned by shard shardID's subtree (a
@@ -317,26 +215,21 @@ func (t *Tree) Subtree(shardID int) ([]int, error) {
 }
 
 // KillSubtree marks every node under shard shardID dead and re-synchronizes
-// the survivors in one full sync — the whole-partition analogue of
-// HandleDeparture. Returns core.ErrNoLiveNodes when the subtree was the
-// entire population.
+// the survivors in one full sync. Returns core.ErrNoLiveNodes when the
+// subtree was the entire population.
 func (t *Tree) KillSubtree(shardID int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ids, err := t.Subtree(shardID)
 	if err != nil {
 		return err
 	}
 	t.obs.subtreeDeparts.Inc()
-	return t.root.HandleSubtreeDeparture(ids)
+	return t.HandleDeparture(ids...)
 }
 
 // RejoinSubtree re-admits every node under shard shardID with fresh vectors
 // (xs indexed in the subtree's ascending node order; nil entries keep the
 // stale vector) and runs one full sync over the healed population.
 func (t *Tree) RejoinSubtree(shardID int, xs [][]float64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ids, err := t.Subtree(shardID)
 	if err != nil {
 		return err
@@ -345,7 +238,7 @@ func (t *Tree) RejoinSubtree(shardID int, xs [][]float64) error {
 		return fmt.Errorf("shard: subtree %d rejoin carries %d vectors for %d nodes", shardID, len(xs), len(ids))
 	}
 	t.obs.subtreeRejoins.Inc()
-	return t.root.HandleSubtreeRejoin(ids, xs)
+	return t.HandleRejoin(ids, xs)
 }
 
 // HandleSubtreeRejoinMsg applies a decoded wire-form SubtreeRejoin: the
@@ -353,8 +246,6 @@ func (t *Tree) RejoinSubtree(shardID int, xs [][]float64) error {
 // inflated population is a forged frame and is rejected without touching
 // protocol state).
 func (t *Tree) HandleSubtreeRejoinMsg(m *core.SubtreeRejoin) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	ids, err := t.Subtree(m.ShardID)
 	if err != nil {
 		t.obs.rejectedCorrupt.Inc()
@@ -369,13 +260,13 @@ func (t *Tree) HandleSubtreeRejoinMsg(m *core.SubtreeRejoin) error {
 			t.obs.rejectedCorrupt.Inc()
 			return fmt.Errorf("shard: subtree %d rejoin frame names node %d outside the partition", m.ShardID, m.IDs[i])
 		}
-		if len(m.Xs[i]) != t.f.Dim() {
+		if len(m.Xs[i]) != t.F.Dim() {
 			t.obs.rejectedCorrupt.Inc()
-			return fmt.Errorf("shard: subtree %d rejoin vector %d has dimension %d, want %d", m.ShardID, i, len(m.Xs[i]), t.f.Dim())
+			return fmt.Errorf("shard: subtree %d rejoin vector %d has dimension %d, want %d", m.ShardID, i, len(m.Xs[i]), t.F.Dim())
 		}
 	}
 	t.obs.subtreeRejoins.Inc()
-	return t.root.HandleSubtreeRejoin(ids, m.Xs)
+	return t.HandleRejoin(ids, m.Xs)
 }
 
 // AcceptPartial validates a partial-aggregate frame against the current
@@ -385,9 +276,7 @@ func (t *Tree) HandleSubtreeRejoinMsg(m *core.SubtreeRejoin) error {
 // this for frames arriving off the wire; the in-process tiers run the same
 // check on every merge.
 func (t *Tree) AcceptPartial(p *core.Partial) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	maxW := t.n
+	maxW := t.N
 	if p != nil {
 		if nd, ok := t.byID[p.ShardID]; ok {
 			maxW = nd.maxWeight()
@@ -398,7 +287,7 @@ func (t *Tree) AcceptPartial(p *core.Partial) bool {
 
 func (t *Tree) acceptPartial(p *core.Partial, maxWeight int) bool {
 	switch {
-	case p == nil || len(p.Accs) != t.f.Dim():
+	case p == nil || len(p.Accs) != t.F.Dim():
 		t.obs.rejectedCorrupt.Inc()
 		return false
 	case p.Epoch != t.epoch:
@@ -432,7 +321,7 @@ func (o *treeOwner) Rebalance(set []int, mean []float64) {
 
 func (o *treeOwner) Collect(fresh map[int]bool, accs []linalg.Acc) int {
 	p := o.t.topo.collect(fresh)
-	if !o.t.acceptPartial(p, o.t.n) {
+	if !o.t.acceptPartial(p, o.t.N) {
 		return 0
 	}
 	linalg.MergeVec(accs, p.Accs)
@@ -447,7 +336,7 @@ func (o *treeOwner) Distribute(tmpl *core.Sync, zone *core.SafeZone) {
 func (o *treeOwner) Forget(id int) { o.t.leafOf[id].Forget(id) }
 
 func (o *treeOwner) Snapshot() [][]float64 {
-	round := make([][]float64, 0, o.t.n)
+	round := make([][]float64, 0, o.t.N)
 	for _, lf := range o.t.leaves {
 		round = append(round, lf.Snapshot()...)
 	}

@@ -41,7 +41,7 @@ type leaf struct {
 // counters, so the root's series are the only ones scraped.
 func (lf *leaf) enableAbsorb(cfg core.Config) {
 	local := lf.Local()
-	lf.absorb = core.NewMachine(lf.t.f, lf.Hi-lf.Lo, cfg.Detached(), local)
+	lf.absorb = core.NewMachine(lf.t.F, lf.Hi-lf.Lo, cfg.Detached(), local)
 	local.Bind(lf.absorb)
 }
 
@@ -65,7 +65,7 @@ func (lf *leaf) collect(fresh map[int]bool) *core.Partial {
 		ShardID: lf.id,
 		NodeID:  -1,
 		Epoch:   lf.t.epoch,
-		Accs:    make([]linalg.Acc, lf.t.f.Dim()),
+		Accs:    make([]linalg.Acc, lf.t.F.Dim()),
 	}
 	p.Weight = lf.Collect(fresh, p.Accs)
 	lf.t.obs.partials.Inc()
@@ -92,7 +92,7 @@ func (lf *leaf) tryAbsorb(v *core.Violation) bool {
 		return false
 	}
 	for g := lf.Lo; g < lf.Hi; g++ {
-		if lf.t.root.Live(g) {
+		if lf.t.Live(g) {
 			lf.absorb.MarkLive(g - lf.Lo)
 		} else {
 			lf.absorb.MarkDead(g - lf.Lo)
@@ -135,7 +135,7 @@ func (b *branch) collect(fresh map[int]bool) *core.Partial {
 		ShardID: b.id,
 		NodeID:  -1,
 		Epoch:   t.epoch,
-		Accs:    make([]linalg.Acc, t.f.Dim()),
+		Accs:    make([]linalg.Acc, t.F.Dim()),
 	}
 	for _, c := range b.children {
 		cp := c.collect(fresh)

@@ -25,7 +25,7 @@ type traced struct {
 type topology interface {
 	core.Monitor
 	MarkDead(id int)
-	HandleRejoin(id int, x []float64) error
+	HandleRejoin(ids []int, xs [][]float64) error
 	Resync() error
 }
 
@@ -125,7 +125,7 @@ func runTraced(t *testing.T, f *core.Function, cfg core.Config, n, rounds int, b
 			checkSlack("after the death")
 		case 2 * rounds / 3:
 			live[victim] = true
-			if err := top.HandleRejoin(victim, xs[victim]); err != nil {
+			if err := top.HandleRejoin([]int{victim}, [][]float64{xs[victim]}); err != nil {
 				t.Fatal(err)
 			}
 			checkSlack("after the rejoin")

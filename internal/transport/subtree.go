@@ -14,7 +14,8 @@ import (
 // it; tests may substitute recorders. AcceptPartial's verdict is the
 // handler's — the link delivers every structurally valid frame and lets the
 // protocol tier decide (stale epochs and count lies are protocol rejections,
-// not transport errors).
+// not transport errors). The listener never calls a handler from two
+// goroutines at once, so a single-threaded tree can serve every uplink.
 type SubtreeHandler interface {
 	AcceptPartial(p *core.Partial) bool
 	HandleSubtreeRejoinMsg(m *core.SubtreeRejoin) error
@@ -33,6 +34,9 @@ type SubtreeListener struct {
 	// connections.
 	Stats TrafficStats
 
+	// hmu is held across every handler call, so the per-uplink goroutines
+	// enter the handler one at a time: a shard.Tree is single-threaded.
+	hmu    sync.Mutex
 	mu     sync.Mutex
 	err    error // first handler or protocol error, for tests to inspect
 	done   chan struct{}
@@ -118,9 +122,14 @@ func (l *SubtreeListener) serveUplink(conn net.Conn) {
 		for _, m := range fr.msgs {
 			switch msg := m.(type) {
 			case *core.Partial:
+				l.hmu.Lock()
 				l.h.AcceptPartial(msg)
+				l.hmu.Unlock()
 			case *core.SubtreeRejoin:
-				if err := l.h.HandleSubtreeRejoinMsg(msg); err != nil {
+				l.hmu.Lock()
+				err := l.h.HandleSubtreeRejoinMsg(msg)
+				l.hmu.Unlock()
+				if err != nil {
 					l.note(err)
 				}
 			default:

@@ -3,7 +3,9 @@ package transport
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,6 +128,32 @@ func TestSubtreeLinkRejectsForeignFrames(t *testing.T) {
 	waitFor(t, 5*time.Second, "post-rogue partial", func() bool { p, _ := h.counts(); return p == 1 })
 }
 
+// lockedTree lets the test goroutine read a tree the listener also enters.
+// The listener serializes its own handler calls; this lock orders them
+// against the test's reads and its direct kill.
+type lockedTree struct {
+	mu sync.Mutex
+	t  *shard.Tree
+}
+
+func (l *lockedTree) AcceptPartial(p *core.Partial) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.t.AcceptPartial(p)
+}
+
+func (l *lockedTree) HandleSubtreeRejoinMsg(m *core.SubtreeRejoin) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.t.HandleSubtreeRejoinMsg(m)
+}
+
+func (l *lockedTree) do(fn func(t *shard.Tree)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fn(l.t)
+}
+
 // TestSubtreeUplinkRejoinHealsTree is the wire-level heal path: a sub-tree
 // is partitioned away (uplink dies, sub-tree killed), then a fresh uplink
 // re-registers the whole partition with one SubtreeRejoin frame and the tree
@@ -140,7 +168,8 @@ func TestSubtreeUplinkRejoinHealsTree(t *testing.T) {
 	if err := tr.Init(); err != nil {
 		t.Fatal(err)
 	}
-	l, err := ListenSubtreeParent("127.0.0.1:0", tr, Options{})
+	lt := &lockedTree{t: tr}
+	l, err := ListenSubtreeParent("127.0.0.1:0", lt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +180,14 @@ func TestSubtreeUplinkRejoinHealsTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	u.Close() // the partition event: the child's link drops
-	if err := tr.KillSubtree(1); err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Degraded() || tr.LiveCount() != 2 {
-		t.Fatalf("kill did not degrade the tree: degraded=%v live=%d", tr.Degraded(), tr.LiveCount())
-	}
+	lt.do(func(tr *shard.Tree) {
+		if err := tr.KillSubtree(1); err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Degraded() || tr.LiveCount() != 2 {
+			t.Fatalf("kill did not degrade the tree: degraded=%v live=%d", tr.Degraded(), tr.LiveCount())
+		}
+	})
 
 	u2, err := DialSubtreeParent(l.Addr(), Options{})
 	if err != nil {
@@ -167,9 +198,70 @@ func TestSubtreeUplinkRejoinHealsTree(t *testing.T) {
 		Xs: [][]float64{{0.6, 0.4}, {0.4, 0.6}}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "tree to heal", func() bool { return !tr.Degraded() && tr.LiveCount() == 4 })
+	waitFor(t, 5*time.Second, "tree to heal", func() (healed bool) {
+		lt.do(func(tr *shard.Tree) { healed = !tr.Degraded() && tr.LiveCount() == 4 })
+		return healed
+	})
 	if err := l.Err(); err != nil {
 		t.Fatalf("healing rejoin latched an error: %v", err)
+	}
+}
+
+// overlapHandler counts handler calls that start while another is running.
+type overlapHandler struct {
+	inside, overlaps, calls atomic.Int64
+}
+
+func (h *overlapHandler) AcceptPartial(*core.Partial) bool {
+	if h.inside.Add(1) > 1 {
+		h.overlaps.Add(1)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.Gosched() // widen the window a concurrent call would land in
+	}
+	h.inside.Add(-1)
+	h.calls.Add(1)
+	return true
+}
+
+func (h *overlapHandler) HandleSubtreeRejoinMsg(*core.SubtreeRejoin) error { return nil }
+
+// TestSubtreeListenerSerializesHandler streams partials from two uplinks at
+// once: the listener must hand them to its handler one call at a time, since
+// a shard.Tree is single-threaded.
+func TestSubtreeListenerSerializesHandler(t *testing.T) {
+	h := &overlapHandler{}
+	l, err := ListenSubtreeParent("127.0.0.1:0", h, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const uplinks, perUplink = 2, 200
+	var wg sync.WaitGroup
+	for k := 0; k < uplinks; k++ {
+		u, err := DialSubtreeParent(l.Addr(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u.Close()
+		wg.Add(1)
+		go func(shardID int) {
+			defer wg.Done()
+			for i := 0; i < perUplink; i++ {
+				if err := u.SendPartial(&core.Partial{ShardID: shardID, NodeID: -1, Weight: 1,
+					Accs: make([]linalg.Acc, 1)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	waitFor(t, 10*time.Second, "every partial to arrive", func() bool {
+		return h.calls.Load() == uplinks*perUplink
+	})
+	if n := h.overlaps.Load(); n != 0 {
+		t.Fatalf("%d handler calls overlapped another", n)
 	}
 }
 

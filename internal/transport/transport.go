@@ -625,7 +625,7 @@ func (c *Coordinator) register(id int, conn net.Conn, x []float64) {
 		c.mu.Unlock()
 		return // pre-init replacement; Init will pull from the new conn
 	}
-	err := c.coord.HandleRejoin(id, x)
+	err := c.coord.HandleRejoin([]int{id}, [][]float64{x})
 	c.mu.Unlock()
 	if err != nil && !errors.Is(err, core.ErrNoLiveNodes) {
 		c.fatal(err)
