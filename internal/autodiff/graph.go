@@ -13,7 +13,9 @@
 //
 // The graph also carries a polynomial-degree analysis (degree.go) used to
 // detect constant Hessians, mirroring AutoMon's inspection of the Hessian
-// computational graph to choose between ADCD-X and ADCD-E.
+// computational graph to choose between ADCD-X and ADCD-E, and the Hessian's
+// block-diagonal structure (HessianBlocks), which lets eigensolves work
+// block by block.
 package autodiff
 
 import (
@@ -80,6 +82,8 @@ type Graph struct {
 	vars  []Ref // vars[i] is the node holding variable i
 	out   Ref
 	pool  bufferPool
+
+	blocks [][]int // HessianBlocks, fixed at Finish
 }
 
 // Program builds a scalar expression from the variable nodes x. It is the
@@ -133,6 +137,7 @@ func (b *Builder) Finish(out Ref) *Graph {
 	}
 	g := &Graph{nodes: b.nodes, vars: b.vars, out: out}
 	g.pool.size = len(b.nodes)
+	g.blocks = g.hessianBlocks()
 	return g
 }
 

@@ -27,9 +27,9 @@ type DecompOptions struct {
 	// result is selected in start order, so the outcome is bit-identical at
 	// every worker count.
 	Workers int
-	// EigsolveCounter, when non-nil, is incremented once per dense
-	// eigendecomposition. Memo hits are not counted — the counter measures
-	// actual solver work.
+	// EigsolveCounter, when non-nil, is incremented once per
+	// Function.ExtremeEigsAt solve. Memo hits are not counted — the counter
+	// measures actual solver work.
 	EigsolveCounter *obs.Counter
 	// Backend selects the eigen-engine bounding the extreme eigenvalues over
 	// the neighborhood box: the default L-BFGS multi-start search, the
@@ -90,10 +90,10 @@ func DecomposeE(f *Function, x0 []float64) (*EDecomposition, error) {
 	return dec, nil
 }
 
-// eigsAtFunc returns the extreme-eigenpair evaluator (a dense
-// eigendecomposition), wrapped so every actual solver invocation bumps
-// opts.EigsolveCounter. Memoization layers above call this only on cache
-// misses, which is exactly what the counter should measure.
+// eigsAtFunc returns the extreme-eigenpair evaluator (Function.ExtremeEigsAt),
+// wrapped so every actual solver invocation bumps opts.EigsolveCounter.
+// Memoization layers above call this only on cache misses, which is exactly
+// what the counter should measure.
 func eigsAtFunc(f *Function, opts DecompOptions) func(x []float64) (float64, float64, []float64, []float64, error) {
 	counter := opts.EigsolveCounter
 	return func(x []float64) (float64, float64, []float64, []float64, error) {

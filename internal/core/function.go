@@ -48,6 +48,9 @@ type Function struct {
 	// eigenvalue-gradient evaluations during decomposition allocate nothing.
 	// Stores *[]float64 to avoid interface boxing on Put.
 	eigScratch sync.Pool
+	// blockPool pools ExtremeEigsAt's *blockScratch, so an eigensolve
+	// allocates only the two eigenvectors it returns.
+	blockPool sync.Pool
 
 	// curvK is an explicit curvature bound installed via WithCurvature:
 	// ‖∇²f(x)‖₂ ≤ curvK for every x in the domain D. Used by safe-zone check
@@ -172,23 +175,122 @@ func (f *Function) IntervalEigBounds(lo, hi []float64) (lamMin, lamMax float64, 
 	return interval.EigBounds(m)
 }
 
+// blockScratch is ExtremeEigsAt's workspace: the compressed seed and its
+// Hessian-vector product (d each), the diagonal blocks' matrices and their
+// eigenvalues back to back (Σb² and Σb = d), and the solver's work vector
+// (the widest b).
+type blockScratch struct {
+	seed, col, mats, vals, work []float64
+}
+
 // ExtremeEigsAt computes the smallest and largest eigenvalue of H(x) along
-// with their unit eigenvectors.
+// with their unit eigenvectors. It assembles and solves only the diagonal
+// blocks of H that Graph.HessianBlocks proves it has; a function whose
+// variables are all coupled is one block, solved densely.
+//
+// The blocks are assembled with Curtis–Powell–Reid compression: seed k sets
+// the k-th variable of every block, so one Hessian-vector product yields
+// column k of every block at once and the widest block's width in products
+// yield them all (KLD: 2 instead of d). Each block's entries are bit-equal to
+// those of Graph.Hessian, because the other blocks' seeds reach its
+// variables only through affine nodes. Ties go to the first block in
+// variable order, and to the first eigenvalue the block's solver returns. A
+// block whose solve fails or yields a non-finite eigenvalue fails the call.
 func (f *Function) ExtremeEigsAt(x []float64) (lamMin, lamMax float64, vMin, vMax []float64, err error) {
-	d := f.Dim()
-	h := linalg.NewMat(d, d)
-	f.Hessian(x, h)
-	values, vecs, err := linalg.EigenSym(h, true)
-	if err != nil {
-		return 0, 0, nil, nil, err
+	blocks := f.Graph.HessianBlocks()
+	s, _ := f.blockPool.Get().(*blockScratch)
+	if s == nil {
+		s = newBlockScratch(f.Dim(), blocks)
 	}
-	vMin = make([]float64, d)
-	vMax = make([]float64, d)
-	for i := 0; i < d; i++ {
-		vMin[i] = vecs.At(i, 0)
-		vMax[i] = vecs.At(i, d-1)
+	defer f.blockPool.Put(s)
+	s.assemble(f.Graph, blocks, x)
+
+	minBlk, maxBlk := -1, -1
+	var minOff, maxOff, minCol, maxCol int
+	off, voff := 0, 0
+	for bi, blk := range blocks {
+		b := len(blk)
+		m := linalg.Mat{Rows: b, Cols: b, Data: s.mats[off : off+b*b]}
+		vals := s.vals[voff : voff+b]
+		if err := linalg.EigenSymInPlace(&m, vals, s.work[:b], true); err != nil {
+			return 0, 0, nil, nil, err
+		}
+		for j, lam := range vals {
+			if math.IsNaN(lam) || math.IsInf(lam, 0) {
+				return 0, 0, nil, nil, fmt.Errorf("core: %s: non-finite Hessian eigenvalue %v", f.Name, lam)
+			}
+			if minBlk < 0 || lam < lamMin {
+				lamMin, minBlk, minOff, minCol = lam, bi, off, j
+			}
+			if maxBlk < 0 || lam > lamMax {
+				lamMax, maxBlk, maxOff, maxCol = lam, bi, off, j
+			}
+		}
+		off += b * b
+		voff += b
 	}
-	return values[0], values[d-1], vMin, vMax, nil
+	vMin = s.embed(blocks[minBlk], minOff, minCol)
+	vMax = s.embed(blocks[maxBlk], maxOff, maxCol)
+	return lamMin, lamMax, vMin, vMax, nil
+}
+
+func newBlockScratch(d int, blocks [][]int) *blockScratch {
+	var cells, width int
+	for _, blk := range blocks {
+		cells += len(blk) * len(blk)
+		width = max(width, len(blk))
+	}
+	return &blockScratch{
+		seed: make([]float64, d),
+		col:  make([]float64, d),
+		mats: make([]float64, cells),
+		vals: make([]float64, d),
+		work: make([]float64, width),
+	}
+}
+
+// assemble writes the symmetrized diagonal blocks of H(x) into s.mats, block
+// after block in row-major order, with one Hessian-vector product per column
+// of the widest block.
+func (s *blockScratch) assemble(g *autodiff.Graph, blocks [][]int, x []float64) {
+	clear(s.seed)
+	for k := 0; k < len(s.work); k++ {
+		for _, blk := range blocks {
+			if k < len(blk) {
+				s.seed[blk[k]] = 1
+			}
+		}
+		g.HVP(x, s.seed, s.col)
+		off := 0
+		for _, blk := range blocks {
+			b := len(blk)
+			if k < b {
+				s.seed[blk[k]] = 0
+				for i, v := range blk {
+					s.mats[off+i*b+k] = s.col[v]
+				}
+			}
+			off += b * b
+		}
+	}
+	off := 0
+	for _, blk := range blocks {
+		b := len(blk)
+		m := linalg.Mat{Rows: b, Cols: b, Data: s.mats[off : off+b*b]}
+		m.Symmetrize()
+		off += b * b
+	}
+}
+
+// embed returns column col of the solved block matrix at mats[off:] as a
+// d-vector that is zero outside the block's variables blk.
+func (s *blockScratch) embed(blk []int, off, col int) []float64 {
+	v := make([]float64, len(s.seed))
+	b := len(blk)
+	for i, dst := range blk {
+		v[dst] = s.mats[off+i*b+col]
+	}
+	return v
 }
 
 // EigGrad writes into out the gradient ∇ₓ(vᵀH(x)v) for a fixed unit vector

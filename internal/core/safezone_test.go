@@ -200,6 +200,15 @@ func denseOf(h *linalg.EigFactor) *linalg.Mat {
 	return m
 }
 
+// quadForm returns vᵀ·m·v for a square matrix m.
+func quadForm(m *linalg.Mat, v []float64) float64 {
+	var s float64
+	for i := 0; i < m.Rows; i++ {
+		s += v[i] * linalg.Dot(m.Row(i), v)
+	}
+	return s
+}
+
 // TestSafeZoneSoundness is the central correctness property: for a true DC
 // decomposition, every point in the safe zone lies in the admissible region,
 // and the zone is convex — so means of in-zone points are also admissible.

@@ -9,6 +9,16 @@ import (
 	"automon/internal/nn"
 )
 
+// extremeEigenvalues returns the smallest and largest eigenvalue of
+// symmetric h.
+func extremeEigenvalues(h *linalg.Mat) (lo, hi float64, err error) {
+	v, err := linalg.EigenvaluesSym(h)
+	if err != nil {
+		return 0, 0, err
+	}
+	return v[0], v[len(v)-1], nil
+}
+
 func TestInnerProduct(t *testing.T) {
 	f := InnerProduct(3)
 	if f.Dim() != 6 {
@@ -28,7 +38,7 @@ func TestInnerProductHessianIsPermutation(t *testing.T) {
 	f := InnerProduct(2)
 	h := linalg.NewMat(4, 4)
 	f.Hessian([]float64{0.3, -0.7, 1.2, 0.4}, h)
-	lo, hi, err := linalg.ExtremeEigenvalues(h)
+	lo, hi, err := extremeEigenvalues(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,7 @@ func TestKLDIsConvex(t *testing.T) {
 			x[i] = 0.05 + 0.9*rng.Float64()
 		}
 		f.Hessian(x, h)
-		lo, _, err := linalg.ExtremeEigenvalues(h)
+		lo, _, err := extremeEigenvalues(h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +140,7 @@ func TestEntropyIsConcave(t *testing.T) {
 			x[i] = 0.05 + 0.9*rng.Float64()
 		}
 		f.Hessian(x, h)
-		_, hi, err := linalg.ExtremeEigenvalues(h)
+		_, hi, err := extremeEigenvalues(h)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,11 +9,8 @@ import (
 // EigenSym computes all eigenvalues and (optionally) eigenvectors of the
 // symmetric matrix a. It does not modify a. Eigenvalues are returned in
 // ascending order; column j of the returned matrix (i.e. vecs.At(i, j) over i)
-// is the unit eigenvector for values[j].
-//
-// The implementation is the classic EISPACK pair: Householder reduction to
-// tridiagonal form followed by implicit-shift QL iteration. It is O(d³) and
-// robust for the Hessians AutoMon produces (d ≤ a few hundred).
+// is the unit eigenvector for values[j]. It is a copying, sorting wrapper
+// around EigenSymInPlace.
 func EigenSym(a *Mat, wantVectors bool) (values []float64, vecs *Mat, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, errors.New("linalg: EigenSym requires a square matrix")
@@ -24,9 +21,7 @@ func EigenSym(a *Mat, wantVectors bool) (values []float64, vecs *Mat, err error)
 	}
 	z := a.Clone()
 	d := make([]float64, n)
-	e := make([]float64, n)
-	tred2(z, d, e, wantVectors)
-	if err := tql2(z, d, e, wantVectors); err != nil {
+	if err := EigenSymInPlace(z, d, make([]float64, n), wantVectors); err != nil {
 		return nil, nil, err
 	}
 	// Sort ascending, permuting eigenvector columns along.
@@ -57,20 +52,23 @@ func EigenvaluesSym(a *Mat) ([]float64, error) {
 	return v, err
 }
 
-// ExtremeEigenvalues returns the smallest and largest eigenvalue of
-// symmetric a.
-func ExtremeEigenvalues(a *Mat) (min, max float64, err error) {
-	v, err := EigenvaluesSym(a)
-	if err != nil {
-		return 0, 0, err
-	}
-	return v[0], v[len(v)-1], nil
+// EigenSymInPlace is the symmetric eigensolver: the classic EISPACK pair of
+// Householder reduction to tridiagonal form and implicit-shift QL iteration.
+// It is O(n³) and robust for the Hessians AutoMon produces (n ≤ a few
+// hundred). It overwrites the symmetric n×n matrix z and writes the
+// eigenvalues, in no particular order, into values. If wantVectors, column j
+// of z is then the unit eigenvector for values[j]; otherwise z's contents
+// are scratch. values and work must have length n. It allocates nothing.
+func EigenSymInPlace(z *Mat, values, work []float64, wantVectors bool) error {
+	tred2(z, values, work, wantVectors)
+	return tql2(z, values, work, wantVectors)
 }
 
 // tred2 reduces the symmetric matrix stored in z to tridiagonal form using
 // Householder reflections. On return d holds the diagonal and e the
 // subdiagonal (e[0] == 0). If wantVectors, z accumulates the orthogonal
-// transformation; otherwise z's contents are scratch.
+// transformation; otherwise the accumulation is skipped and z's contents
+// are scratch.
 func tred2(z *Mat, d, e []float64, wantVectors bool) {
 	n := z.Rows
 	for i := 0; i < n; i++ {
@@ -136,6 +134,16 @@ func tred2(z *Mat, d, e []float64, wantVectors bool) {
 		}
 		d[i] = h
 	}
+	e[0] = 0
+	if !wantVectors {
+		// The reduction leaves the tridiagonal's diagonal on z's diagonal.
+		// The accumulation below reads each diagonal entry before it writes
+		// it, so reading them here gives bit-identical eigenvalues.
+		for i := 0; i < n; i++ {
+			d[i] = z.At(i, i)
+		}
+		return
+	}
 	for i := 0; i < n-1; i++ {
 		z.Set(n-1, i, z.At(i, i))
 		z.Set(i, i, 1)
@@ -163,13 +171,6 @@ func tred2(z *Mat, d, e []float64, wantVectors bool) {
 		z.Set(n-1, j, 0)
 	}
 	z.Set(n-1, n-1, 1)
-	e[0] = 0
-	if !wantVectors {
-		return
-	}
-	// Note: this tred2 variant always accumulates transformations; the flag
-	// exists so callers can skip using the vectors, and lets a cheaper
-	// reduction be swapped in later without changing call sites.
 }
 
 // tql2 finds the eigenvalues (and vectors, accumulated in z) of a symmetric
@@ -239,80 +240,6 @@ func tql2(z *Mat, d, e []float64, wantVectors bool) error {
 		}
 	}
 	return nil
-}
-
-// JacobiEigenSym is an independent cyclic-Jacobi symmetric eigensolver used
-// to cross-check EigenSym in tests. It returns eigenvalues ascending and
-// eigenvectors as columns.
-func JacobiEigenSym(a *Mat) (values []float64, vecs *Mat, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, errors.New("linalg: JacobiEigenSym requires a square matrix")
-	}
-	n := a.Rows
-	m := a.Clone()
-	v := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
-	}
-	for sweep := 0; sweep < 100; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
-			}
-		}
-		if off < 1e-24*float64(n*n) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				theta := (m.At(q, q) - m.At(p, p)) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp := m.At(k, p)
-					akq := m.At(k, q)
-					m.Set(k, p, c*akp-s*akq)
-					m.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk := m.At(p, k)
-					aqk := m.At(q, k)
-					m.Set(p, k, c*apk-s*aqk)
-					m.Set(q, k, s*apk+c*aqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
-			}
-		}
-	}
-	values = make([]float64, n)
-	for i := 0; i < n; i++ {
-		values[i] = m.At(i, i)
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return values[idx[i]] < values[idx[j]] })
-	sorted := make([]float64, n)
-	vecs = NewMat(n, n)
-	for k, p := range idx {
-		sorted[k] = values[p]
-		for i := 0; i < n; i++ {
-			vecs.Set(i, k, v.At(i, p))
-		}
-	}
-	return sorted, vecs, nil
 }
 
 // EigFactor is a symmetric d×d matrix held as k ≤ d eigenpairs instead of d²

@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -115,6 +117,80 @@ func TestEigenSymOrthonormalVectors(t *testing.T) {
 	}
 }
 
+// JacobiEigenSym is an independent cyclic-Jacobi symmetric eigensolver that
+// cross-checks EigenSym. It returns eigenvalues ascending and
+// eigenvectors as columns.
+func JacobiEigenSym(a *Mat) (values []float64, vecs *Mat, err error) {
+	if a.Rows != a.Cols {
+		return nil, nil, errors.New("linalg: JacobiEigenSym requires a square matrix")
+	}
+	n := a.Rows
+	m := a.Clone()
+	v := NewMat(n, n)
+	for i := 0; i < n; i++ {
+		v.Set(i, i, 1)
+	}
+	for sweep := 0; sweep < 100; sweep++ {
+		var off float64
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				off += m.At(i, j) * m.At(i, j)
+			}
+		}
+		if off < 1e-24*float64(n*n) {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := m.At(p, q)
+				if math.Abs(apq) < 1e-300 {
+					continue
+				}
+				theta := (m.At(q, q) - m.At(p, p)) / (2 * apq)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				c := 1 / math.Sqrt(t*t+1)
+				s := t * c
+				for k := 0; k < n; k++ {
+					akp := m.At(k, p)
+					akq := m.At(k, q)
+					m.Set(k, p, c*akp-s*akq)
+					m.Set(k, q, s*akp+c*akq)
+				}
+				for k := 0; k < n; k++ {
+					apk := m.At(p, k)
+					aqk := m.At(q, k)
+					m.Set(p, k, c*apk-s*aqk)
+					m.Set(q, k, s*apk+c*aqk)
+				}
+				for k := 0; k < n; k++ {
+					vkp := v.At(k, p)
+					vkq := v.At(k, q)
+					v.Set(k, p, c*vkp-s*vkq)
+					v.Set(k, q, s*vkp+c*vkq)
+				}
+			}
+		}
+	}
+	values = make([]float64, n)
+	for i := 0; i < n; i++ {
+		values[i] = m.At(i, i)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool { return values[idx[i]] < values[idx[j]] })
+	sorted := make([]float64, n)
+	vecs = NewMat(n, n)
+	for k, p := range idx {
+		sorted[k] = values[p]
+		for i := 0; i < n; i++ {
+			vecs.Set(i, k, v.At(i, p))
+		}
+	}
+	return sorted, vecs, nil
+}
+
 func TestEigenSymAgreesWithJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
@@ -154,6 +230,53 @@ func TestEigenSymTraceAndDeterminantInvariants(t *testing.T) {
 			t.Fatalf("trace %v != eigenvalue sum %v", trace, sumv)
 		}
 	}
+}
+
+// TestEigenvaluesIgnoreWantVectors: skipping tred2's accumulation changes no
+// eigenvalue bit, because the accumulation never writes a diagonal entry
+// before reading it.
+func TestEigenvaluesIgnoreWantVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, d := range []int{1, 2, 3, 17, 100} {
+		for trial := 0; trial < 4; trial++ {
+			m := randSym(rng, d, 2)
+			with, without := m.Clone(), m.Clone()
+			vw, vo := make([]float64, d), make([]float64, d)
+			if err := EigenSymInPlace(with, vw, make([]float64, d), true); err != nil {
+				t.Fatal(err)
+			}
+			if err := EigenSymInPlace(without, vo, make([]float64, d), false); err != nil {
+				t.Fatal(err)
+			}
+			for i := range vw {
+				if math.Float64bits(vw[i]) != math.Float64bits(vo[i]) {
+					t.Fatalf("d=%d trial %d: eigenvalue %d is %v with vectors, %v without", d, trial, i, vw[i], vo[i])
+				}
+			}
+		}
+	}
+}
+
+// ExtremeEigenvalues returns the smallest and largest eigenvalue of
+// symmetric a.
+func ExtremeEigenvalues(a *Mat) (min, max float64, err error) {
+	v, err := EigenvaluesSym(a)
+	if err != nil {
+		return 0, 0, err
+	}
+	return v[0], v[len(v)-1], nil
+}
+
+// QuadForm returns vᵀ·m·v for a square matrix m.
+func (m *Mat) QuadForm(v []float64) float64 {
+	if m.Rows != m.Cols || len(v) != m.Rows {
+		panic("linalg: QuadForm needs square matrix matching v")
+	}
+	var s float64
+	for i := 0; i < m.Rows; i++ {
+		s += v[i] * Dot(m.Row(i), v)
+	}
+	return s
 }
 
 func TestExtremeEigenvalues(t *testing.T) {

@@ -40,18 +40,6 @@ func (m *Mat) MulVec(dst, v []float64) []float64 {
 	return dst
 }
 
-// QuadForm returns vᵀ·m·v for a square matrix m.
-func (m *Mat) QuadForm(v []float64) float64 {
-	if m.Rows != m.Cols || len(v) != m.Rows {
-		panic("linalg: QuadForm needs square matrix matching v")
-	}
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		s += v[i] * Dot(m.Row(i), v)
-	}
-	return s
-}
-
 // Symmetrize overwrites m with (m + mᵀ)/2. m must be square.
 func (m *Mat) Symmetrize() {
 	for i := 0; i < m.Rows; i++ {
