@@ -26,7 +26,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "master seed for data generation and optimizers")
 	latency := flag.Duration("latency", 0, "injected one-way latency for the figure-10 WAN runs (e.g. 28ms)")
 	telemetry := flag.String("telemetry", "", "write per-run metric snapshots as JSON to this file")
-	parallel := flag.Int("parallel", 0, "worker goroutines for sweep runs and tuning replays (0 = one per core, 1 = sequential); tables are identical at any setting")
+	parallel := flag.Int("parallel", 0, "worker goroutines for a figure sweep's independent runs (0 = one per core, 1 = one at a time); tables are identical at any setting")
 	eigBackend := flag.String("eig-backend", "", `eigen-engine for ADCD-X zone builds: "lbfgs" (default), "interval" (certified), or "hybrid"`)
 	sketchRows := flag.Int("sketch-rows", 0, "AMS sketch rows for the ingestion experiments (0 = 4)")
 	sketchCols := flag.Int("sketch-cols", 0, "AMS sketch cols for the ingestion experiments (0 = 32)")

@@ -70,6 +70,29 @@ func TestRadiusControllerOutsideHotClosure(t *testing.T) {
 		t.Fatal("hot closure is empty; the traversal is vacuous")
 	}
 
+	// A renamed or deleted function would silently drop out of the check, so
+	// every listed name must still be declared in internal/core.
+	tuning := map[string]bool{"Tune": true, "Replay": true, "tuneWaves": true,
+		"retune": true, "maybeRetune": true, "applyPending": true}
+	declared := map[string]bool{}
+	for _, pkg := range mod.Pkgs {
+		if pkg.Path != "automon/internal/core" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					declared[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	for name := range tuning {
+		if !declared[name] {
+			t.Errorf("tuning machinery %q is not a function in internal/core; update the list", name)
+		}
+	}
+
 	sawRoot := false
 	for fn := range closure {
 		pos := mod.Fset.Position(fn.Pos())
@@ -78,12 +101,10 @@ func TestRadiusControllerOutsideHotClosure(t *testing.T) {
 			t.Errorf("hot closure reaches %s (declared in %s): the adaptive controller must stay off the hot path",
 				fn.FullName(), pos.Filename)
 		}
-		switch fn.Name() {
-		case "Tune", "Replay", "tuneWith", "tuneWithWorkers", "retune", "maybeRetune", "applyPending":
-			if strings.HasPrefix(fn.FullName(), "automon/internal/core.") {
-				t.Errorf("hot closure reaches the tuning machinery via %s", fn.FullName())
-			}
-		case "UpdateData":
+		if tuning[fn.Name()] && strings.HasPrefix(fn.FullName(), "automon/internal/core.") {
+			t.Errorf("hot closure reaches the tuning machinery via %s", fn.FullName())
+		}
+		if fn.Name() == "UpdateData" {
 			sawRoot = true
 		}
 	}

@@ -11,9 +11,8 @@ import (
 // Obsnames proves the metric-namespace grammar and the constructor/kind match
 // at compile time, extending the PR-2 review's runtime kind-mismatch panic in
 // obs.Registry.lookupOrAdd. Every automon_* metric name that reaches a
-// counter/gauge/histogram constructor (directly or through the registry-or-
-// standalone helpers — any callee whose name contains Counter, Gauge or
-// Histogram) must follow
+// counter/gauge/histogram constructor (any callee whose name contains
+// Counter, Gauge or Histogram) must follow
 //
 //	automon_<subsystem>_<name>[{labels}]
 //
@@ -32,8 +31,7 @@ var metricBaseRe = regexp.MustCompile(`^automon_[a-z0-9]+(_[a-z0-9]+)*$`)
 var metricPrefixRe = regexp.MustCompile(`^automon(_[a-z0-9]+)*_?$`)
 
 // metricKindOf classifies a constructor by callee name (case-insensitive, so
-// the registry-or-standalone helpers counterOr/histogramOr/simCounter are
-// covered alongside the Registry methods).
+// helpers wrapping a constructor are covered alongside the Registry methods).
 func metricKindOf(name string) string {
 	lower := strings.ToLower(name)
 	switch {
@@ -150,8 +148,7 @@ func runObsnames(p *Pass) error {
 					return true
 				}
 				// The first string-typed argument is the metric name by
-				// convention (Registry methods, Register* and the *Or/sim
-				// helpers all agree on it).
+				// convention (Registry methods and Register* agree on it).
 				for _, arg := range call.Args {
 					tv, ok := info.Types[arg]
 					if !ok {

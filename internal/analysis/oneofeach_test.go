@@ -389,21 +389,20 @@ var knobManifest = map[string]string{
 	"core.Config.RDoubleAfter":    "two live values: 5n default, 6 in experiments/adaptive.go (results/adaptive.csv)",
 	"core.Config.RMax":            "two live values: derived default, -r-max on coordinator and sim",
 	"core.Config.AdaptiveR":       "two live values: off by default, on in experiments/adaptive.go and behind -adaptive-r",
-	"core.Config.AdaptiveAlpha":   "two live values: 0.05 default (TestAdaptiveDriftFreeRunIsBitIdentical pins the drift-free outcome there), 0.2 in experiments/adaptive.go (results/adaptive.csv)",
 	"core.Config.Decomp":          "carries DecompOptions",
 	"core.Config.MetricsLabels":   "deployment setting: per-group series in one registry",
 	"core.Config.Metrics":         "deployment setting: where counters are scraped",
 	"core.Config.Tracer":          "deployment setting: where events are recorded",
 	"core.Config.ZoneBuilder":     "two live values: nil, and the Convex Bound baseline in internal/baselines",
 
-	"core.DecompOptions.OptStarts":       "bench reads it; workloads set 1 or leave the default 2",
-	"core.DecompOptions.OptMaxIter":      "bench reads it; workloads cap it per dimension",
-	"core.DecompOptions.OptMaxFunEvals":  "bench reads it; workloads cap it per dimension",
-	"core.DecompOptions.Seed":            "reproducibility: every workload stamps its seed",
-	"core.DecompOptions.Workers":         "two live values: 0 (GOMAXPROCS) and 1 behind -parallel 1; also sizes Tune's waves",
-	"core.DecompOptions.EigsolveCounter": "instrument: the machine wires its own counter so Stats().Eigensolves sees the search",
-	"core.DecompOptions.Backend":         "three live values behind -eig-backend; bench reads BackendInterval/BackendHybrid",
-	"core.DecompOptions.OptEvalCounter":  "instrument: experiments/frontier.go counter-verifies that the interval backend runs no optimizer",
+	"core.DecompOptions.OptStarts":      "bench reads it; workloads set 1 or leave the default 2",
+	"core.DecompOptions.OptMaxIter":     "bench reads it; workloads cap it per dimension",
+	"core.DecompOptions.OptMaxFunEvals": "bench reads it; workloads cap it per dimension",
+	"core.DecompOptions.Seed":           "reproducibility: every workload stamps its seed",
+	"core.DecompOptions.Backend":        "three live values behind -eig-backend; bench reads BackendInterval/BackendHybrid",
+
+	"optimize.Options.MaxIter":   "follows core.DecompOptions.OptMaxIter",
+	"optimize.Options.MaxFunEva": "follows core.DecompOptions.OptMaxFunEvals",
 
 	"transport.Options.Latency":              "deployment setting: -latency, paper §4.7 WAN runs",
 	"transport.Options.DialTimeout":          "deployment setting",
@@ -447,7 +446,7 @@ var knobManifest = map[string]string{
 	"automon-bench -seed":         "reproducibility",
 	"automon-bench -latency":      "paper §4.7 WAN latency for Fig. 10",
 	"automon-bench -telemetry":    "output choice: metric snapshots file",
-	"automon-bench -parallel":     "two live values: 0 and 1, both pinned byte-identical on Fig. 8 in CI",
+	"automon-bench -parallel":     "two live values: 0 and 1, the figure sweeps' width, both pinned byte-identical on Fig. 8 in CI",
 	"automon-bench -eig-backend":  "three live values: results/adaptive.csv is recorded at interval",
 	"automon-bench -sketch-rows":  "the sketch's shape: accuracy against size",
 	"automon-bench -sketch-cols":  "the sketch's shape: accuracy against size",
@@ -504,7 +503,7 @@ var knobManifest = map[string]string{
 
 func TestKnobManifest(t *testing.T) {
 	optionStructs := map[string]bool{
-		"core.Config": true, "core.DecompOptions": true, "transport.Options": true,
+		"core.Config": true, "core.DecompOptions": true, "optimize.Options": true, "transport.Options": true,
 		"transport.BatchOptions": true, "shard.Options": true, "ingest.Options": true, "sim.Config": true,
 	}
 	found := map[string]bool{}

@@ -71,13 +71,7 @@ type Config struct {
 	// ADCD-X; on a drift-free stream the controller never triggers and the
 	// run is bit-identical to a static one. See radius.go.
 	AdaptiveR bool
-	// AdaptiveAlpha is the controller's per-violation EWMA decay in (0, 1].
-	// 0 means DefaultAdaptiveAlpha, the value the drift-free bit-identity
-	// guarantee is pinned at; the recorded bursty-stream comparison
-	// (results/adaptive.csv) runs the more responsive 0.2.
-	AdaptiveAlpha float64
-	// Decomp configures the ADCD-X eigenvalue search. Its worker count
-	// (Decomp.Workers) also sizes the waves Tune replays radii in.
+	// Decomp configures the ADCD-X eigenvalue search.
 	Decomp DecompOptions
 	// MetricsLabels, when non-empty, is a rendered label set (e.g.
 	// `group="2"`) merged into every coordinator metric name registered in
@@ -110,7 +104,6 @@ type Config struct {
 // controller inside a replay would re-tune recursively).
 func (c Config) Detached() Config {
 	c.Metrics, c.Tracer, c.MetricsLabels = nil, nil, ""
-	c.Decomp.EigsolveCounter, c.Decomp.OptEvalCounter = nil, nil
 	c.AdaptiveR = false
 	return c
 }
@@ -208,9 +201,6 @@ type coordObs struct {
 // A non-empty labels set (Config.MetricsLabels) is merged into every series
 // name so multiple coordinators can share one registry.
 func newCoordObs(reg *obs.Registry, tracer *obs.Tracer, labels string) coordObs {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	name := func(n string) string { return obs.LabeledName(n, labels) }
 	const violHelp = "protocol violations handled by the coordinator, by kind"
 	const eigboundHelp = "fresh ADCD-X decompositions built, by eigen-engine backend"

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"automon/internal/linalg"
-	"automon/internal/obs"
 	"automon/internal/optimize"
 )
 
@@ -21,30 +20,19 @@ type DecompOptions struct {
 	OptMaxFunEvals int
 	// Seed makes the multi-start reproducible.
 	Seed int64
-	// Workers bounds the goroutines running the λ̂min/λ̂max searches and
-	// their multi-starts. 0 means one worker per core (GOMAXPROCS); 1 runs
-	// sequentially. The start points are pre-drawn from Seed and the best
-	// result is selected in start order, so the outcome is bit-identical at
-	// every worker count.
-	Workers int
-	// EigsolveCounter, when non-nil, is incremented once per
-	// Function.ExtremeEigsAt solve. Memo hits are not counted — the counter
-	// measures actual solver work.
-	EigsolveCounter *obs.Counter
 	// Backend selects the eigen-engine bounding the extreme eigenvalues over
 	// the neighborhood box: the default L-BFGS multi-start search, the
 	// certified interval engine, or the hybrid (see EigBackend).
 	Backend EigBackend
-	// OptEvalCounter, when non-nil, counts eigensolver evaluations performed
-	// *inside* the L-BFGS search (the x0 solve every backend needs for the
-	// §3.4 heuristic is excluded). BackendInterval leaves it untouched —
-	// that zero is the "no optimizer work" claim, counter-verified.
-	OptEvalCounter *obs.Counter
 
 	// noEvalMemo is a test hook: it turns off the per-search eigensolve
 	// memoization (always on otherwise) so tests can measure what the memo
 	// saves.
 	noEvalMemo bool
+	// workers is a test hook: it bounds the goroutines running the searches'
+	// starts, so tests can compare pool widths. 0, the only value outside
+	// tests, means one per core (GOMAXPROCS).
+	workers int
 }
 
 func (o *DecompOptions) defaults() {
@@ -90,18 +78,6 @@ func DecomposeE(f *Function, x0 []float64) (*EDecomposition, error) {
 	return dec, nil
 }
 
-// eigsAtFunc returns the extreme-eigenpair evaluator (Function.ExtremeEigsAt),
-// wrapped so every actual solver invocation bumps opts.EigsolveCounter.
-// Memoization layers above call this only on cache misses, which is exactly
-// what the counter should measure.
-func eigsAtFunc(f *Function, opts DecompOptions) func(x []float64) (float64, float64, []float64, []float64, error) {
-	counter := opts.EigsolveCounter
-	return func(x []float64) (float64, float64, []float64, []float64, error) {
-		counter.Inc()
-		return f.ExtremeEigsAt(x)
-	}
-}
-
 // eigCacheSize is the ring capacity of the per-task eigensolve memo. The
 // L-BFGS line search may probe a few points between consecutive gradient
 // calls (Armijo expansion keeps going past the accepted point), so a
@@ -118,11 +94,12 @@ type eigResult struct {
 // so the objective and gradient closures of one optimization task share
 // eigendecompositions instead of recomputing them at the same point (the
 // optimizer evaluates f and ∇f back-to-back at identical points). Every task
-// owns a private evaluator — no locks, no shared scratch, no data races.
+// owns a private evaluator — no locks, no shared scratch, no data races — and
+// counts its own solves (memo misses) in solves.
 type eigEvaluator struct {
 	f      *Function
-	eigsAt func(x []float64) (float64, float64, []float64, []float64, error)
 	memo   bool
+	solves int
 
 	keys [eigCacheSize][]float64
 	vals [eigCacheSize]eigResult
@@ -177,7 +154,8 @@ func (e *eigEvaluator) at(x []float64) (eigResult, bool) {
 			}
 		}
 	}
-	lamMin, lamMax, vMin, vMax, err := e.eigsAt(x)
+	e.solves++
+	lamMin, lamMax, vMin, vMax, err := e.f.ExtremeEigsAt(x)
 	if err != nil {
 		if e.err == nil {
 			e.err = err
@@ -232,7 +210,7 @@ func (e *eigEvaluator) maxGradient(x, g []float64) {
 	}
 }
 
-// ExtremeEigsOverBox solves the two §3.1 optimization problems
+// extremeEigsOverBox solves the two §3.1 optimization problems
 //
 //	λ̂min = min_{x∈B} λmin(H(x)),   λ̂max = max_{x∈B} λmax(H(x))
 //
@@ -240,29 +218,17 @@ func (e *eigEvaluator) maxGradient(x, g []float64) {
 // multi-start. Like the SciPy solver in the paper, it may return local
 // optima; the protocol's sanity check (§3.7) guards against that.
 //
-// All 2·OptStarts searches run on a worker pool bounded by opts.Workers,
-// each with a private eigensolve memo. Start points are pre-drawn from Seed
-// in the order the sequential implementation consumed them and the best
-// result per search is picked in start order, so the returned bounds are
-// bit-identical at every worker count.
-func ExtremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions) (lamMin, lamMax float64, err error) {
+// All 2·OptStarts searches run on optimize.RunConcurrent's pool, one worker
+// per core, each with a private eigensolve memo (seeded with seedAtX0 when
+// non-nil). Start points are pre-drawn from Seed in the order the sequential
+// implementation consumed them and the best result per search is picked in
+// start order, so the returned bounds are bit-identical at every pool width.
+// solves is the number of Function.ExtremeEigsAt solves the searches ran,
+// summed over the per-start evaluators after the join, so it too is the same
+// at every width; it is reported on error as well.
+func extremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions, seedAtX0 *eigResult) (lamMin, lamMax float64, solves int, err error) {
 	opts.defaults()
-	return extremeEigsOverBox(f, x0, lo, hi, opts, nil)
-}
-
-func extremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions, seedAtX0 *eigResult) (lamMin, lamMax float64, err error) {
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	eigsAt := eigsAtFunc(f, opts)
-	if opts.OptEvalCounter != nil {
-		// Count search-driven eigensolves separately from the total: memo
-		// layers sit above this closure, so only actual solver work lands here.
-		inner := eigsAt
-		counter := opts.OptEvalCounter
-		eigsAt = func(x []float64) (float64, float64, []float64, []float64, error) {
-			counter.Inc()
-			return inner(x)
-		}
-	}
 	nStarts := opts.OptStarts
 
 	// Pre-draw the multi-start points in the legacy order (min-search extras
@@ -283,25 +249,19 @@ func extremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions, s
 	minStarts := drawExtras()
 	maxStarts := drawExtras()
 
-	optOpts := optimize.Options{
-		MaxIter:   opts.OptMaxIter,
-		MaxFunEva: opts.OptMaxFunEvals,
-		GradTol:   1e-5,
-	}
+	optOpts := optimize.Options{MaxIter: opts.OptMaxIter, MaxFunEva: opts.OptMaxFunEvals}
 	evals := make([]*eigEvaluator, 0, 2*nStarts)
 	tasks := make([]optimize.Task, 0, 2*nStarts)
 	addTask := func(start []float64, min bool) {
-		ev := &eigEvaluator{f: f, eigsAt: eigsAt, memo: !opts.noEvalMemo}
+		ev := &eigEvaluator{f: f, memo: !opts.noEvalMemo}
 		if seedAtX0 != nil {
 			ev.seed(x0, *seedAtX0)
 		}
 		t := optimize.Task{X0: start, Opts: optOpts}
 		if min {
-			t.F = ev.minObjective
-			t.Opts.Gradient = ev.minGradient
+			t.F, t.Grad = ev.minObjective, ev.minGradient
 		} else {
-			t.F = ev.maxObjective
-			t.Opts.Gradient = ev.maxGradient
+			t.F, t.Grad = ev.maxObjective, ev.maxGradient
 		}
 		evals = append(evals, ev)
 		tasks = append(tasks, t)
@@ -313,17 +273,18 @@ func extremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions, s
 		addTask(start, false)
 	}
 
-	results, err := optimize.RunConcurrent(tasks, lo, hi, opts.Workers)
-	if err != nil {
-		return 0, 0, err
-	}
+	results, err := optimize.RunConcurrent(tasks, lo, hi, opts.workers)
 	for _, ev := range evals {
-		if ev.err != nil {
-			return 0, 0, ev.err
+		solves += ev.solves
+		if err == nil {
+			err = ev.err
 		}
 	}
-	// Best per search by strict improvement in start order, replicating the
-	// sequential MultiStart tie-breaking (earliest start wins ties).
+	if err != nil {
+		return 0, 0, solves, err
+	}
+	// Best per search by strict improvement in start order: the earliest
+	// start wins ties, as in a sequential loop over the starts.
 	bestMin := results[0].F
 	for i := 1; i < nStarts; i++ {
 		if results[i].F < bestMin {
@@ -336,7 +297,7 @@ func extremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions, s
 			bestMax = results[i].F
 		}
 	}
-	return bestMin, -bestMax, nil
+	return bestMin, -bestMax, solves, nil
 }
 
 // XDecomposition holds the artifacts of one ADCD-X decomposition: the
@@ -358,6 +319,9 @@ type XDecomposition struct {
 	// Refined reports that a hybrid escalation ran the L-BFGS search on top
 	// of the certificate.
 	Refined bool
+	// Eigensolves counts the Function.ExtremeEigsAt solves the decomposition
+	// ran: the x0 solve plus the bounder's (EigBoundResult.Eigensolves).
+	Eigensolves int
 }
 
 // DecomposeX bounds the extreme Hessian eigenvalues over [bLo, bHi] with the
@@ -367,9 +331,7 @@ type XDecomposition struct {
 // search memos (both searches evaluate x0 first), and calibrates the hybrid
 // escalation rule.
 func DecomposeX(f *Function, x0, bLo, bHi []float64, opts DecompOptions) (*XDecomposition, error) {
-	opts.defaults()
-	eigsAt := eigsAtFunc(f, opts)
-	lm0, lM0, vMin0, vMax0, err := eigsAt(x0)
+	lm0, lM0, vMin0, vMax0, err := f.ExtremeEigsAt(x0)
 	if err != nil {
 		return nil, err
 	}
@@ -384,15 +346,16 @@ func DecomposeX(f *Function, x0, bLo, bHi []float64, opts DecompOptions) (*XDeco
 		lamAbsNeg = -res.LamMin
 	}
 	return &XDecomposition{
-		LamAbsNeg: lamAbsNeg,
-		LamPosMax: math.Max(0, res.LamMax),
-		H0Min:     lm0,
-		H0Max:     lM0,
-		Backend:   opts.Backend,
-		Certified: res.Certified,
-		CertMin:   res.CertMin,
-		CertMax:   res.CertMax,
-		Refined:   res.Refined,
+		LamAbsNeg:   lamAbsNeg,
+		LamPosMax:   math.Max(0, res.LamMax),
+		H0Min:       lm0,
+		H0Max:       lM0,
+		Backend:     opts.Backend,
+		Certified:   res.Certified,
+		CertMin:     res.CertMin,
+		CertMax:     res.CertMax,
+		Refined:     res.Refined,
+		Eigensolves: 1 + res.Eigensolves,
 	}, nil
 }
 

@@ -76,6 +76,9 @@ type EigBoundResult struct {
 	Certified        bool
 	// Refined reports that a hybrid escalation ran the L-BFGS search.
 	Refined bool
+	// Eigensolves counts the Function.ExtremeEigsAt solves the bounder ran
+	// (zero for the interval engine).
+	Eigensolves int
 }
 
 // EigBounder computes extreme Hessian eigenvalue bounds over a box — the two
@@ -83,11 +86,9 @@ type EigBoundResult struct {
 // L-BFGS engine approximates them from inside; the interval engine encloses
 // them from outside).
 type EigBounder interface {
-	// Backend identifies the engine (for cache keys and metrics).
-	Backend() EigBackend
 	// BoundEigs bounds the extreme eigenvalues of H over [bLo, bHi] around
-	// x0. x0spec is the already-computed H(x0) spectrum; opts carries the
-	// search budget, seed and counters.
+	// x0 and reports its cost in the result. x0spec is the already-computed
+	// H(x0) spectrum; opts carries the search budget and seed.
 	BoundEigs(f *Function, x0, bLo, bHi []float64, x0spec X0Spectrum, opts DecompOptions) (EigBoundResult, error)
 }
 
@@ -103,25 +104,19 @@ func BounderFor(b EigBackend) EigBounder {
 	return lbfgsBounder{}
 }
 
-// lbfgsBounder is the paper's multi-start search, unchanged semantics.
+// lbfgsBounder is the paper's multi-start search, unchanged semantics. On
+// error its result still carries the eigensolves that ran.
 type lbfgsBounder struct{}
-
-func (lbfgsBounder) Backend() EigBackend { return BackendLBFGS }
 
 func (lbfgsBounder) BoundEigs(f *Function, x0, bLo, bHi []float64, x0spec X0Spectrum, opts DecompOptions) (EigBoundResult, error) {
 	seed := &eigResult{lamMin: x0spec.LamMin, lamMax: x0spec.LamMax, vMin: x0spec.VMin, vMax: x0spec.VMax}
-	lamMin, lamMax, err := extremeEigsOverBox(f, x0, bLo, bHi, opts, seed)
-	if err != nil {
-		return EigBoundResult{}, err
-	}
-	return EigBoundResult{LamMin: lamMin, LamMax: lamMax}, nil
+	lamMin, lamMax, solves, err := extremeEigsOverBox(f, x0, bLo, bHi, opts, seed)
+	return EigBoundResult{LamMin: lamMin, LamMax: lamMax, Eigensolves: solves}, err
 }
 
 // intervalBounder is the certified engine: one interval Hessian pass, no
 // optimizer eigensolves at all.
 type intervalBounder struct{}
-
-func (intervalBounder) Backend() EigBackend { return BackendInterval }
 
 func (intervalBounder) BoundEigs(f *Function, x0, bLo, bHi []float64, x0spec X0Spectrum, opts DecompOptions) (EigBoundResult, error) {
 	certMin, certMax, err := f.IntervalEigBounds(bLo, bHi)
@@ -139,8 +134,6 @@ func (intervalBounder) BoundEigs(f *Function, x0, bLo, bHi []float64, x0spec X0S
 // certificate is loose.
 type hybridBounder struct{}
 
-func (hybridBounder) Backend() EigBackend { return BackendHybrid }
-
 func (hybridBounder) BoundEigs(f *Function, x0, bLo, bHi []float64, x0spec X0Spectrum, opts DecompOptions) (EigBoundResult, error) {
 	res, err := intervalBounder{}.BoundEigs(f, x0, bLo, bHi, x0spec, opts)
 	if err != nil {
@@ -155,6 +148,7 @@ func (hybridBounder) BoundEigs(f *Function, x0, bLo, bHi []float64, x0spec X0Spe
 		return res, nil
 	}
 	lb, err := lbfgsBounder{}.BoundEigs(f, x0, bLo, bHi, x0spec, opts)
+	res.Eigensolves = lb.Eigensolves
 	if err != nil {
 		// The certificate alone is already a valid answer; a search failure
 		// (e.g. an eigensolver breakdown at a probe point) degrades to it.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"automon/internal/autodiff"
-	"automon/internal/obs"
 )
 
 // boundedNonConvex builds a 2-d function with a genuinely varying Hessian so
@@ -63,9 +62,10 @@ func TestParseEigBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIntervalBackendZeroOptEvals is the acceptance-criterion counter check:
+// TestIntervalBackendZeroOptEvals is the acceptance-criterion count check:
 // the interval backend must perform zero eigensolver evaluations inside the
-// optimizer (the single x0 solve every backend needs is counted separately).
+// optimizer, so its decomposition reports only the x0 solve every backend
+// needs.
 func TestIntervalBackendZeroOptEvals(t *testing.T) {
 	f := boundedNonConvex()
 	x0 := []float64{0.4, -0.3}
@@ -78,14 +78,7 @@ func TestIntervalBackendZeroOptEvals(t *testing.T) {
 		{BackendInterval, true},
 		{BackendLBFGS, false},
 	} {
-		opt := obs.NewCounter()
-		all := obs.NewCounter()
-		dec, err := DecomposeX(f, x0, lo, hi, DecompOptions{
-			Backend:         tc.backend,
-			Seed:            1,
-			OptEvalCounter:  opt,
-			EigsolveCounter: all,
-		})
+		dec, err := DecomposeX(f, x0, lo, hi, DecompOptions{Backend: tc.backend, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.backend, err)
 		}
@@ -93,18 +86,15 @@ func TestIntervalBackendZeroOptEvals(t *testing.T) {
 			t.Errorf("dec.Backend = %v, want %v", dec.Backend, tc.backend)
 		}
 		if tc.wantZero {
-			if got := opt.Load(); got != 0 {
-				t.Errorf("interval backend ran %d optimizer eigensolves, want 0", got)
-			}
-			if got := all.Load(); got != 1 {
-				t.Errorf("interval backend ran %d total eigensolves, want exactly the x0 solve", got)
+			if dec.Eigensolves != 1 {
+				t.Errorf("interval backend ran %d eigensolves, want exactly the x0 solve", dec.Eigensolves)
 			}
 			if !dec.Certified {
 				t.Error("interval decomposition not marked Certified")
 			}
 		} else {
-			if got := opt.Load(); got == 0 {
-				t.Error("L-BFGS backend reported zero optimizer eigensolves")
+			if dec.Eigensolves <= 1 {
+				t.Errorf("L-BFGS backend reported %d eigensolves: no optimizer work beyond x0", dec.Eigensolves)
 			}
 			if dec.Certified {
 				t.Error("L-BFGS decomposition marked Certified")
@@ -146,12 +136,7 @@ func TestHybridEscalation(t *testing.T) {
 	// A wide box makes the certificate much looser than the x0 spread, so the
 	// default threshold escalates to the L-BFGS refinement.
 	lo, hi := neighborhood(x0, 1.5)
-	opt := obs.NewCounter()
-	dec, err := DecomposeX(f, x0, lo, hi, DecompOptions{
-		Backend:        BackendHybrid,
-		Seed:           1,
-		OptEvalCounter: opt,
-	})
+	dec, err := DecomposeX(f, x0, lo, hi, DecompOptions{Backend: BackendHybrid, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +146,7 @@ func TestHybridEscalation(t *testing.T) {
 	if !dec.Refined {
 		t.Error("hybrid did not escalate on a wide box")
 	}
-	if opt.Load() == 0 {
+	if dec.Eigensolves <= 1 {
 		t.Error("hybrid refinement reported zero optimizer eigensolves")
 	}
 	// The refined Lemma-1 bounds stay inside the certificate.
@@ -173,30 +158,49 @@ func TestHybridEscalation(t *testing.T) {
 	// A tight box keeps the certificate within hybridSlack of the x0 spread:
 	// certificate only, no optimizer work.
 	lo, hi = neighborhood(x0, 0.01)
-	opt = obs.NewCounter()
-	dec, err = DecomposeX(f, x0, lo, hi, DecompOptions{
-		Backend:        BackendHybrid,
-		Seed:           1,
-		OptEvalCounter: opt,
-	})
+	dec, err = DecomposeX(f, x0, lo, hi, DecompOptions{Backend: BackendHybrid, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !dec.Certified || dec.Refined {
 		t.Errorf("hybrid on a tight box: certified=%v refined=%v, want the bare certificate", dec.Certified, dec.Refined)
 	}
-	if got := opt.Load(); got != 0 {
+	if got := dec.Eigensolves - 1; got != 0 {
 		t.Errorf("unescalated hybrid still ran %d optimizer eigensolves", got)
 	}
 }
 
+// TestBounderForUnknownFallsBack: an unknown backend value gets the L-BFGS
+// engine, identified by what it answers — the search's bounds and cost, no
+// certificate — and each known value gets its own engine.
 func TestBounderForUnknownFallsBack(t *testing.T) {
-	if b := BounderFor(EigBackend(42)); b.Backend() != BackendLBFGS {
-		t.Errorf("unknown backend resolved to %v, want lbfgs", b.Backend())
+	f := boundedNonConvex()
+	x0 := []float64{0.4, -0.3}
+	lo, hi := neighborhood(x0, 0.25)
+	lm, lM, vMin, vMax, err := f.ExtremeEigsAt(x0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []EigBackend{BackendLBFGS, BackendInterval, BackendHybrid} {
-		if got := BounderFor(want).Backend(); got != want {
-			t.Errorf("BounderFor(%v).Backend() = %v", want, got)
+	spec := X0Spectrum{LamMin: lm, LamMax: lM, VMin: vMin, VMax: vMax}
+	bound := func(b EigBackend) EigBoundResult {
+		t.Helper()
+		res, err := BounderFor(b).BoundEigs(f, x0, lo, hi, spec, DecompOptions{Seed: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", b, err)
 		}
+		return res
+	}
+	lbfgs := bound(BackendLBFGS)
+	if lbfgs.Certified || lbfgs.Eigensolves == 0 {
+		t.Fatalf("L-BFGS engine answered %+v, want an uncertified search", lbfgs)
+	}
+	if got := bound(EigBackend(42)); got != lbfgs {
+		t.Errorf("unknown backend answered %+v, want the L-BFGS engine's %+v", got, lbfgs)
+	}
+	if got := bound(BackendInterval); !got.Certified || got.Eigensolves != 0 {
+		t.Errorf("interval engine answered %+v, want a certificate with no eigensolves", got)
+	}
+	if _, ok := BounderFor(BackendHybrid).(hybridBounder); !ok {
+		t.Errorf("BounderFor(hybrid) = %T, want hybridBounder", BounderFor(BackendHybrid))
 	}
 }

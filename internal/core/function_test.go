@@ -71,7 +71,7 @@ func TestExtremeEigsOverBoxKnownAnalytic(t *testing.T) {
 	f := cubicFunc()
 	lo := []float64{-1, -1}
 	hi := []float64{1, 1}
-	lamMin, lamMax, err := ExtremeEigsOverBox(f, []float64{0, 0}, lo, hi, DecompOptions{Seed: 4, OptStarts: 4})
+	lamMin, lamMax, _, err := extremeEigsOverBox(f, []float64{0, 0}, lo, hi, DecompOptions{Seed: 4, OptStarts: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestExtremeEigsOverBoxConvexFunction(t *testing.T) {
 	f := NewFunction("bowl", 2, func(b *autodiff.Builder, x []autodiff.Ref) autodiff.Ref {
 		return b.Add(b.Square(x[0]), b.Mul(b.Const(2), b.Square(x[1])))
 	})
-	lamMin, lamMax, err := ExtremeEigsOverBox(f, []float64{0.5, 0.5},
-		[]float64{-1, -1}, []float64{1, 1}, DecompOptions{Seed: 1})
+	lamMin, lamMax, _, err := extremeEigsOverBox(f, []float64{0.5, 0.5},
+		[]float64{-1, -1}, []float64{1, 1}, DecompOptions{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,14 +136,6 @@ func NewMachine(f *Function, n int, cfg Config, own Ownership) *Machine {
 	}
 	m.obs.liveNodes.Set(float64(n))
 	m.obs.radius.Set(cfg.R)
-	// Surface the ADCD-X eigensolver work through the machine's metrics
-	// unless the caller already wired a counter of their own.
-	if m.Cfg.Decomp.EigsolveCounter == nil {
-		m.Cfg.Decomp.EigsolveCounter = m.obs.eigsolves
-	}
-	if m.Cfg.Decomp.OptEvalCounter == nil {
-		m.Cfg.Decomp.OptEvalCounter = m.obs.ebOptEvals
-	}
 	m.live = make([]bool, n)
 	m.liveCount = n
 	for i := range m.live {
@@ -606,17 +598,19 @@ func (m *Machine) fullSync(fresh map[int]bool) error {
 		zone = BuildZoneE(m.F, m.eDec, m.x0, l, u)
 	case MethodX:
 		bLo, bHi := NeighborhoodBox(m.F, m.x0, m.r)
-		solvesBefore := m.Cfg.Decomp.EigsolveCounter.Load()
 		dec, err := DecomposeX(m.F, m.x0, bLo, bHi, m.Cfg.Decomp)
 		if err != nil {
 			return err
 		}
 		m.obs.eigboundBuilds(dec.Backend).Inc()
+		m.obs.eigsolves.Add(int64(dec.Eigensolves))
+		// Every solve but the one at x0 ran inside the search.
+		m.obs.ebOptEvals.Add(int64(dec.Eigensolves - 1))
 		if dec.Refined {
 			m.obs.ebRefines.Inc()
 		}
 		if m.radius != nil {
-			m.radius.observeBuild(float64(m.Cfg.Decomp.EigsolveCounter.Load() - solvesBefore))
+			m.radius.observeBuild(float64(dec.Eigensolves))
 		}
 		zone = BuildZoneXFrom(m.F, m.x0, l, u, bLo, bHi, dec)
 	}

@@ -194,12 +194,11 @@ func BenchmarkExtremeEigsOverBox(b *testing.B) {
 	}{
 		{"memo", DecompOptions{Seed: 1}},
 		{"nomemo", DecompOptions{Seed: 1, noEvalMemo: true}},
-		{"memo-parallel", DecompOptions{Seed: 1, Workers: 0}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ExtremeEigsOverBox(f, x0, bLo, bHi, bc.opts); err != nil {
+				if _, _, _, err := extremeEigsOverBox(f, x0, bLo, bHi, bc.opts, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -226,21 +225,11 @@ func BenchmarkBuildZoneX(b *testing.B) {
 func BenchmarkTune(b *testing.B) {
 	f := rosenbrockFunc()
 	data := rosenbrockData(rand.New(rand.NewSource(41)), 80, 4)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := Config{Epsilon: 0.25, Decomp: DecompOptions{Seed: 2, Workers: bc.workers}}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Tune(f, data, 4, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := Config{Epsilon: 0.25, Decomp: DecompOptions{Seed: 2}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Tune(f, data, 4, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"automon/internal/obs"
 	"automon/internal/testenv"
 )
 
@@ -143,17 +142,19 @@ func TestEvalMemoCutsEigsolves(t *testing.T) {
 	x0 := make([]float64, d)
 	bLo, bHi := NeighborhoodBox(f, x0, 0.5)
 
-	count := func(disable bool) int64 {
-		ctr := obs.NewCounter()
-		opts := DecompOptions{Seed: 1, noEvalMemo: disable, EigsolveCounter: ctr}
-		if _, err := DecomposeX(f, x0, bLo, bHi, opts); err != nil {
+	count := func(disable bool) int {
+		dec, err := DecomposeX(f, x0, bLo, bHi, DecompOptions{Seed: 1, noEvalMemo: disable})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return ctr.Load()
+		return dec.Eigensolves
 	}
 	memo, noMemo := count(false), count(true)
-	if memo <= 0 || noMemo <= 0 {
-		t.Fatalf("eigensolve counters did not move: memo=%d nomemo=%d", memo, noMemo)
+	// EXPERIMENTS.md ("Hot-path performance overhaul") records 137 → 108 at
+	// these settings, counted by a counter the search incremented per solve;
+	// the count a decomposition reports must reproduce both.
+	if memo != 108 || noMemo != 137 {
+		t.Fatalf("eigensolves per DecomposeX: %d memoized, %d unmemoized; the recorded counts are 108 and 137", memo, noMemo)
 	}
 	if memo >= noMemo {
 		t.Fatalf("memoized DecomposeX used %d eigensolves vs %d unmemoized; want a reduction", memo, noMemo)
@@ -165,6 +166,8 @@ func TestEvalMemoCutsEigsolves(t *testing.T) {
 // TestExtremeEigsOverBoxDeterministicAcrossWorkers checks the parallel
 // eigenvalue search is bit-identical at any worker count: starts are
 // pre-drawn from the seeded stream and the best is picked in start order.
+// The eigensolve count it reports is the same at every width too, with and
+// without the memo: each start's evaluator counts its own solves.
 func TestExtremeEigsOverBoxDeterministicAcrossWorkers(t *testing.T) {
 	const d = 8
 	f := benchCubic(d)
@@ -173,23 +176,25 @@ func TestExtremeEigsOverBoxDeterministicAcrossWorkers(t *testing.T) {
 		x0[i] = 0.05 * float64(i)
 	}
 	bLo, bHi := NeighborhoodBox(f, x0, 0.5)
-	opts := DecompOptions{Seed: 7, OptStarts: 3}
-
-	run := func(workers int) (float64, float64) {
-		o := opts
-		o.Workers = workers
-		lamMin, lamMax, err := ExtremeEigsOverBox(f, x0, bLo, bHi, o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for _, noMemo := range []bool{false, true} {
+		run := func(workers int) (float64, float64, int) {
+			o := DecompOptions{Seed: 7, OptStarts: 3, noEvalMemo: noMemo, workers: workers}
+			lamMin, lamMax, solves, err := extremeEigsOverBox(f, x0, bLo, bHi, o, nil)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			return lamMin, lamMax, solves
 		}
-		return lamMin, lamMax
-	}
-	seqMin, seqMax := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		gotMin, gotMax := run(workers)
-		if gotMin != seqMin || gotMax != seqMax {
-			t.Fatalf("workers=%d: (λ̂min, λ̂max) = (%v, %v), sequential gave (%v, %v)",
-				workers, gotMin, gotMax, seqMin, seqMax)
+		seqMin, seqMax, seqSolves := run(1)
+		if seqSolves == 0 {
+			t.Fatalf("nomemo=%v: the search reported no eigensolves", noMemo)
+		}
+		for _, workers := range []int{0, 2, 4, 8} {
+			gotMin, gotMax, gotSolves := run(workers)
+			if gotMin != seqMin || gotMax != seqMax || gotSolves != seqSolves {
+				t.Fatalf("nomemo=%v workers=%d: (λ̂min, λ̂max, solves) = (%v, %v, %d), sequential gave (%v, %v, %d)",
+					noMemo, workers, gotMin, gotMax, gotSolves, seqMin, seqMax, seqSolves)
+			}
 		}
 	}
 }
@@ -213,7 +218,7 @@ func TestConcurrentDecompositionsShareFunction(t *testing.T) {
 				x0[i] = 0.1 * float64((g+i)%4)
 			}
 			bLo, bHi := NeighborhoodBox(f, x0, 0.4)
-			_, err := DecomposeX(f, x0, bLo, bHi, DecompOptions{Seed: int64(g), Workers: 2})
+			_, err := DecomposeX(f, x0, bLo, bHi, DecompOptions{Seed: int64(g), workers: 2})
 			errs[g] = err
 		}(g)
 	}
@@ -226,28 +231,30 @@ func TestConcurrentDecompositionsShareFunction(t *testing.T) {
 }
 
 // TestTuneParallelMatchesSequential runs Algorithm 2 on real Rosenbrock data
-// through the sequential reference and through Tune at each wave width, and
-// requires identical tuning outcomes — only the replay count may differ
-// (speculation probes past each phase's stopping point).
+// through the sequential reference, through the wave search at each width,
+// and through Tune at its own (per-core) width, and requires identical tuning
+// outcomes — only the replay count may differ (speculation probes past each
+// phase's stopping point).
 func TestTuneParallelMatchesSequential(t *testing.T) {
 	f := rosenbrockFunc()
 	data := rosenbrockData(rand.New(rand.NewSource(17)), 40, 4)
 	base := Config{Epsilon: 0.25, Decomp: DecompOptions{Seed: 3}}
-
-	seq, seqErr := tuneSequential(func(r float64) (ReplayCounts, error) {
+	replay := func(r float64) (ReplayCounts, error) {
 		c := base.Detached()
 		c.R = r
 		return Replay(f, data, 4, c)
-	})
+	}
+
+	seq, seqErr := tuneSequential(replay)
 	for _, width := range waveWidths {
-		cfg := base
-		cfg.Decomp.Workers = width
-		par, parErr := Tune(f, data, 4, cfg)
+		par, parErr := tuneWaves(replay, width)
 		requireSameTuning(t, fmt.Sprintf("wave width %d", width), par, seq, parErr, seqErr)
 		if width == 1 && par.Replays != seq.Replays {
 			t.Fatalf("width 1 speculated: %d replays, the sequential walk takes %d", par.Replays, seq.Replays)
 		}
 	}
+	got, err := Tune(f, data, 4, base)
+	requireSameTuning(t, "Tune", got, seq, err, seqErr)
 }
 
 // TestReplayDeterministicAcrossDecompWorkers replays the same monitoring
@@ -260,7 +267,7 @@ func TestReplayDeterministicAcrossDecompWorkers(t *testing.T) {
 	run := func(workers int) ReplayCounts {
 		counts, err := Replay(f, data, 4, Config{
 			Epsilon: 0.25, R: 0.1,
-			Decomp: DecompOptions{Seed: 5, Workers: workers},
+			Decomp: DecompOptions{Seed: 5, workers: workers},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

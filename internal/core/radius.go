@@ -33,9 +33,10 @@ const (
 	// adaptiveWindow is the number of full-sync snapshots retained as the
 	// re-tuning window.
 	adaptiveWindow = 8
-	// DefaultAdaptiveAlpha is the EWMA decay applied per handled violation
-	// when Config.AdaptiveAlpha is zero (half-life ≈ 13 violations).
-	DefaultAdaptiveAlpha = 0.05
+	// adaptiveAlpha is the EWMA decay applied per handled violation
+	// (half-life ≈ 13 violations). A faster 0.2 breaks the drift-free
+	// bit-identity (TestAdaptiveDriftFreeRunIsBitIdentical).
+	adaptiveAlpha = 0.05
 
 	// adaptiveGrowEWMA triggers a re-tune when the neighborhood share of
 	// recent violations exceeds it: the regime has outgrown r.
@@ -67,8 +68,8 @@ const (
 type radiusController struct {
 	m *Machine
 
-	// alpha is Config.AdaptiveAlpha. window and cooldown are adaptiveWindow
-	// and 2·RDoubleAfter handled violations between re-tune attempts (event
+	// alpha, window and cooldown are adaptiveAlpha, adaptiveWindow and
+	// 2·RDoubleAfter handled violations between re-tune attempts (event
 	// time, not wall time); fields so in-package tests can trigger a re-tune
 	// within a handful of violations.
 	alpha    float64
@@ -103,17 +104,13 @@ func newRadiusController(m *Machine) *radiusController {
 	if !m.Cfg.AdaptiveR || m.method != MethodX {
 		return nil
 	}
-	rc := &radiusController{
+	return &radiusController{
 		m:        m,
-		alpha:    m.Cfg.AdaptiveAlpha,
+		alpha:    adaptiveAlpha,
 		window:   adaptiveWindow,
 		cooldown: 2 * m.Cfg.RDoubleAfter,
 		baseR:    m.r,
 	}
-	if rc.alpha <= 0 || rc.alpha > 1 {
-		rc.alpha = DefaultAdaptiveAlpha
-	}
-	return rc
 }
 
 // resolveRMax derives the effective doubling cap: an explicit Config.RMax

@@ -262,8 +262,8 @@ func TestControllerOnlyForADCDXWhenEnabled(t *testing.T) {
 	if c.radius == nil {
 		t.Fatal("controller missing on an adaptive ADCD-X coordinator")
 	}
-	if c.radius.alpha != DefaultAdaptiveAlpha {
-		t.Fatalf("alpha = %v, want the default %v", c.radius.alpha, DefaultAdaptiveAlpha)
+	if c.radius.alpha != adaptiveAlpha {
+		t.Fatalf("alpha = %v, want %v", c.radius.alpha, adaptiveAlpha)
 	}
 	if c.radius.cooldown != 2*c.Cfg.RDoubleAfter {
 		t.Fatalf("cooldown = %d, want %d", c.radius.cooldown, 2*c.Cfg.RDoubleAfter)

@@ -101,22 +101,17 @@ type TuneResult struct {
 // grid (and phase 2 starts from phase 1's last b), so without memoization
 // the same monitoring replay — by far the dominant cost — would run up to
 // three times for the same radius. Replays run on cfg.Detached(), in waves of
-// cfg.Decomp.Workers radii (0 = GOMAXPROCS, 1 = one at a time); the result
-// does not depend on the width.
+// one radius per core (GOMAXPROCS); the result does not depend on the width.
 func Tune(f *Function, data TuningData, n int, cfg Config) (TuneResult, error) {
 	if err := data.Validate(f, n); err != nil {
 		return TuneResult{}, err
-	}
-	workers := cfg.Decomp.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	probe := cfg.Detached()
 	return tuneWaves(func(r float64) (ReplayCounts, error) {
 		c := probe
 		c.R = r
 		return Replay(f, data, n, c)
-	}, workers)
+	}, runtime.GOMAXPROCS(0))
 }
 
 // tuneWaves is Tune's search logic over an abstract replay primitive; tests

@@ -230,7 +230,7 @@ func requireSameTuning(t *testing.T, label string, got, want TuneResult, gotErr,
 }
 
 // TestTuneProbesAreDetached: Tune's probe replays are throwaway runs on
-// Config.Detached. A caller's eigensolve counters must not absorb the
+// Config.Detached. The caller's eigensolve counters must not absorb the
 // probes' work, and neither its metric labels nor its radius controller may
 // reach the probes.
 func TestTuneProbesAreDetached(t *testing.T) {
@@ -242,11 +242,13 @@ func TestTuneProbesAreDetached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eig, opt := obs.NewCounter(), obs.NewCounter()
+	reg := obs.NewRegistry()
 	cfg := Config{
-		Epsilon: 0.25, AdaptiveR: true, MetricsLabels: `group="1"`,
-		Decomp: DecompOptions{Seed: 2, EigsolveCounter: eig, OptEvalCounter: opt},
+		Epsilon: 0.25, AdaptiveR: true, MetricsLabels: `group="1"`, Metrics: reg,
+		Decomp: DecompOptions{Seed: 2},
 	}
+	eig := reg.Counter(`automon_coordinator_eigensolves_total{group="1"}`, "")
+	opt := reg.Counter(`automon_coordinator_eigbound_opt_evals_total{group="1"}`, "")
 	got, err := Tune(f, data, n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -259,10 +261,19 @@ func TestTuneProbesAreDetached(t *testing.T) {
 	if got.Replays != base.Replays {
 		t.Fatalf("Replays = %d with deployment state configured, %d without", got.Replays, base.Replays)
 	}
+	// The same instruments do count the caller's own monitoring run.
+	own := cfg
+	own.R, own.AdaptiveR = got.R, false
+	if _, err := Replay(f, data, n, own); err != nil {
+		t.Fatal(err)
+	}
+	if eig.Load() == 0 || opt.Load() == 0 {
+		t.Fatalf("the caller's own run counted %d eigensolves, %d optimizer evals; the check above is vacuous",
+			eig.Load(), opt.Load())
+	}
 
 	d := cfg.Detached()
-	if d.Metrics != nil || d.Tracer != nil || d.MetricsLabels != "" || d.AdaptiveR ||
-		d.Decomp.EigsolveCounter != nil || d.Decomp.OptEvalCounter != nil {
+	if d.Metrics != nil || d.Tracer != nil || d.MetricsLabels != "" || d.AdaptiveR {
 		t.Fatalf("Detached kept deployment state: %+v", d)
 	}
 	if d.Epsilon != cfg.Epsilon || d.Decomp.Seed != cfg.Decomp.Seed {

@@ -55,10 +55,10 @@ func RegimeShiftWorkload(o Options, nodes, rounds int) *Workload {
 }
 
 // runWith is Workload.run with an explicit core configuration: the adaptive
-// sweep varies controller knobs (AdaptiveR, RDoubleAfter, RMax, EWMA decay)
-// that the figure-sweep entry point deliberately does not expose. Epsilon,
-// the pinned/tuned radius and the eigen-engine options (worker count included)
-// are stamped from the workload exactly as run does.
+// sweep varies controller knobs (AdaptiveR, RDoubleAfter, RMax) that the
+// figure-sweep entry point deliberately does not expose. Epsilon, the
+// pinned/tuned radius and the eigen-engine options are stamped from the
+// workload exactly as run does.
 func (w *Workload) runWith(eps float64, cc core.Config) (*sim.Result, error) {
 	var reg *obs.Registry
 	if w.tel != nil {
@@ -115,8 +115,7 @@ func adaptiveScenarios(o Options) []adaptiveScenario {
 
 // adaptiveConfigs returns the paired static/adaptive core configurations for
 // one scenario. The static run is the seed behavior (§3.6 doubling with the
-// RMax cap); the adaptive run adds the controller with a responsive EWMA
-// (α = 0.2) so it reacts within tens of violations of a regime change.
+// RMax cap); the adaptive run adds the controller.
 func adaptiveConfigs(s adaptiveScenario) (static, adaptive core.Config) {
 	static = core.Config{
 		ForceADCDX:   true,
@@ -130,7 +129,6 @@ func adaptiveConfigs(s adaptiveScenario) (static, adaptive core.Config) {
 	}
 	adaptive = static
 	adaptive.AdaptiveR = true
-	adaptive.AdaptiveAlpha = 0.2
 	return static, adaptive
 }
 

@@ -40,12 +40,11 @@ type Options struct {
 	// executes; automon-bench serializes it with -telemetry.
 	Telemetry *Telemetry
 	// Workers bounds the goroutines running independent runs inside each
-	// figure sweep, and is stamped onto every workload's Decomp.Workers, which
-	// sizes the eigenvalue search's pool and Tune's replay waves. 0 means one
-	// worker per core (GOMAXPROCS); 1 is sequential end to end. Sweeps deposit
-	// results into index-addressed slots and the core layers are
-	// deterministic at any worker count, so the tables are identical
-	// regardless of Workers.
+	// figure sweep: 0 means one worker per core (GOMAXPROCS), 1 runs them one
+	// at a time. The eigenvalue search's start pool and Tune's replay waves
+	// size themselves from GOMAXPROCS. Sweeps deposit results into
+	// index-addressed slots and the core layers are deterministic at any
+	// width, so the tables are identical regardless of Workers.
 	Workers int
 	// EigBackend selects the eigen-engine for every ADCD-X zone build the
 	// suite performs (core.BackendLBFGS, the default multi-start search;
@@ -61,13 +60,12 @@ type Options struct {
 	IngestBatch int
 }
 
-// decomp stamps the sweep-wide eigen-engine selection and worker count onto a
-// workload's decomposition options; every workload constructor routes its
-// DecompOptions through here so -eig-backend and -parallel reach each zone
-// build and tuning run the suite performs.
+// decomp stamps the sweep-wide eigen-engine selection onto a workload's
+// decomposition options; every workload constructor routes its DecompOptions
+// through here so -eig-backend reaches each zone build and tuning run the
+// suite performs.
 func (o Options) decomp(d core.DecompOptions) core.DecompOptions {
 	d.Backend = o.EigBackend
-	d.Workers = o.Workers
 	return d
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"automon/internal/core"
 	"automon/internal/funcs"
-	"automon/internal/obs"
 )
 
 // BackendFrontier measures the tightness-vs-build-cost frontier of the three
@@ -15,7 +14,7 @@ import (
 // wall time, the Lemma-1 curvature bounds each engine produced, the bound
 // width (looser bounds → smaller safe zones → more syncs downstream), and
 // how much optimizer work ran (opt_evals — zero for the interval engine, by
-// construction and by counter). EXPERIMENTS.md renders this as the backend
+// construction and by count). EXPERIMENTS.md renders this as the backend
 // comparison table.
 func BackendFrontier(o Options) (*Table, error) {
 	t := &Table{
@@ -77,9 +76,8 @@ func BackendFrontier(o Options) (*Table, error) {
 		for _, backend := range []core.EigBackend{core.BackendLBFGS, core.BackendInterval, core.BackendHybrid} {
 			opts := o.decomp(core.DecompOptions{Seed: o.Seed})
 			opts.Backend = backend // the frontier sweeps backends itself
-			counter := obs.NewCounter()
-			opts.OptEvalCounter = counter
 			var dec *core.XDecomposition
+			optEvals := 0
 			//automon:allow determinism wall-clock build cost is this table's measured output
 			start := time.Now()
 			for b := 0; b < builds; b++ {
@@ -88,12 +86,13 @@ func BackendFrontier(o Options) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
+				optEvals += dec.Eigensolves - 1 // all but the x0 solve
 			}
 			//automon:allow determinism wall-clock build cost is this table's measured output
 			buildUS := float64(time.Since(start).Microseconds()) / float64(builds)
 			t.Add(p.name, d, backend.String(), buildUS,
 				dec.LamAbsNeg, dec.LamPosMax, dec.LamAbsNeg+dec.LamPosMax,
-				int(counter.Load())/builds, dec.Refined)
+				optEvals/builds, dec.Refined)
 		}
 	}
 	return t, nil

@@ -4,12 +4,12 @@
 // format, /debug/vars JSON, and net/http/pprof).
 //
 // Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, or *Tracer are no-ops, so instrumented code never branches on
-// "is observability enabled" — it simply holds nil handles when it is not.
-// The protocol packages (internal/core, internal/transport, internal/sim)
-// always count through real counters, because their test-visible Stats
-// structs are views over the same instruments; only the optional extras
-// (event tracing, the HTTP server) are disabled by default.
+// *Histogram, or *Tracer are no-ops. A nil *Registry hands out live,
+// unregistered instruments, so the protocol packages (internal/core,
+// internal/transport, internal/sim, internal/shard) always count through real
+// counters, with or without a registry: their test-visible Stats structs are
+// views over the same instruments. Only the optional extras (event tracing,
+// the HTTP server) are disabled by default.
 //
 // Metric names follow the Prometheus convention: a base name, optionally
 // followed by a {label="value",...} suffix that is carried verbatim into the
@@ -202,8 +202,8 @@ func LabeledName(name, extra string) string {
 // Registry holds named instruments for exposition. Registration is
 // get-or-create: asking twice for the same full name returns the same
 // instrument. All methods are safe for concurrent use; a nil *Registry
-// hands out nil (no-op) instruments, so optional instrumentation can pass
-// registries through without guarding every call site.
+// hands out live instruments that no registry lists, so "registry or
+// standalone" needs no branch at any call site.
 type Registry struct {
 	mu      sync.Mutex
 	byName  map[string]*metric
@@ -221,10 +221,10 @@ func (r *Registry) lookupOrAdd(name, help string, kind metricKind, make_ func() 
 	if m, ok := r.byName[name]; ok {
 		if m.kind != kind {
 			// Handing back the mismatched entry would give the caller a nil
-			// instrument, which the Or-helpers silently replace with an
-			// unregistered standalone one — exactly the Stats/scrape
-			// divergence this registry exists to rule out. A registration
-			// conflict is a programming error, so fail loudly.
+			// instrument that counts nothing while the scrape shows the
+			// other kind — exactly the Stats/scrape divergence this registry
+			// exists to rule out. A registration conflict is a programming
+			// error, so fail loudly.
 			panic(fmt.Sprintf("obs: metric %q already registered as a %s, requested as a %s", name, m.kind, kind))
 		}
 		return m
@@ -237,10 +237,11 @@ func (r *Registry) lookupOrAdd(name, help string, kind metricKind, make_ func() 
 }
 
 // Counter returns the counter registered under name (with optional
-// {label="v"} suffix), creating it on first use. Nil registries return nil.
+// {label="v"} suffix), creating it on first use. A nil registry returns a
+// new standalone counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
-		return nil
+		return NewCounter()
 	}
 	return r.lookupOrAdd(name, help, kindCounter, func() *metric {
 		return &metric{counter: NewCounter()}
@@ -260,9 +261,10 @@ func (r *Registry) RegisterCounter(name, help string, c *Counter) {
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
+// A nil registry returns a new standalone gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
-		return nil
+		return NewGauge()
 	}
 	return r.lookupOrAdd(name, help, kindGauge, func() *metric {
 		return &metric{gauge: NewGauge()}
@@ -270,10 +272,11 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it with
-// the given bucket bounds on first use (later bounds are ignored).
+// the given bucket bounds on first use (later bounds are ignored). A nil
+// registry returns a new standalone histogram.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
-		return nil
+		return NewHistogram(bounds)
 	}
 	return r.lookupOrAdd(name, help, kindHistogram, func() *metric {
 		return &metric{hist: NewHistogram(bounds)}

@@ -26,8 +26,16 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 || tr.Total() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
-		t.Fatal("nil registry must hand out nil instruments")
+	// A nil registry hands out live instruments that nothing lists.
+	rc, rg, rh := r.Counter("x", ""), r.Gauge("x", ""), r.Histogram("x", "", []float64{1})
+	rc.Add(2)
+	rg.Set(3)
+	rh.Observe(0.5)
+	if rc.Load() != 2 || rg.Load() != 3 || rh.Count() != 1 || rh.Sum() != 0.5 {
+		t.Fatal("nil registry must hand out live instruments")
+	}
+	if r.Counter("x", "") == rc {
+		t.Fatal("nil registry must not share instruments between calls")
 	}
 	if err := r.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)

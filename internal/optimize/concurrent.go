@@ -5,13 +5,14 @@ import (
 	"sync"
 )
 
-// Task is one unit of a concurrent multi-start: an objective with its own
-// (private) closure state, a start point, and per-task options. Tasks must
-// not share mutable state through their closures unless that state is
-// independently synchronized — the whole point of per-task objectives is to
-// give each minimization private scratch.
+// Task is one unit of a concurrent multi-start: an objective and its
+// gradient with their own (private) closure state, a start point, and
+// per-task options. Tasks must not share mutable state through their closures
+// unless that state is independently synchronized — the whole point of
+// per-task objectives is to give each minimization private scratch.
 type Task struct {
 	F    Objective
+	Grad Gradient
 	X0   []float64
 	Opts Options
 }
@@ -33,7 +34,7 @@ func RunConcurrent(tasks []Task, lo, hi []float64, workers int) ([]Result, error
 	errs := make([]error, len(tasks))
 	if workers <= 1 {
 		for i, t := range tasks {
-			results[i], errs[i] = Minimize(t.F, t.X0, lo, hi, t.Opts)
+			results[i], errs[i] = Minimize(t.F, t.Grad, t.X0, lo, hi, t.Opts)
 		}
 	} else {
 		idx := make(chan int)
@@ -44,7 +45,7 @@ func RunConcurrent(tasks []Task, lo, hi []float64, workers int) ([]Result, error
 				defer wg.Done()
 				for i := range idx {
 					t := tasks[i]
-					results[i], errs[i] = Minimize(t.F, t.X0, lo, hi, t.Opts)
+					results[i], errs[i] = Minimize(t.F, t.Grad, t.X0, lo, hi, t.Opts)
 				}
 			}()
 		}

@@ -1,15 +1,14 @@
 // Package optimize provides box-constrained numerical minimization: a
-// projected L-BFGS with Armijo backtracking plus a multi-start driver.
-// It stands in for SciPy's L-BFGS-B in the AutoMon paper: the coordinator
-// uses it to search a neighborhood B for the extreme eigenvalues of the
-// Hessian (§3.1). Like the original, it is a local method with no global
-// guarantee — the AutoMon protocol is designed to tolerate that (§3.7).
+// projected L-BFGS with Armijo backtracking, and a pool that runs
+// independent starts concurrently. It stands in for SciPy's L-BFGS-B in the
+// AutoMon paper: the coordinator uses it to search a neighborhood B for the
+// extreme eigenvalues of the Hessian (§3.1). Like the original, it is a
+// local method with no global guarantee — the AutoMon protocol is designed
+// to tolerate that (§3.7).
 package optimize
 
 import (
 	"errors"
-	"math"
-	"math/rand"
 
 	"automon/internal/linalg"
 )
@@ -17,38 +16,22 @@ import (
 // Objective evaluates the function to minimize at x.
 type Objective func(x []float64) float64
 
-// Gradient writes ∇f(x) into grad. Optional: when absent the solver falls
-// back to central finite differences.
+// Gradient writes ∇f(x) into grad.
 type Gradient func(x, grad []float64)
 
 // Options configure Minimize.
 type Options struct {
-	MaxIter   int     // maximum outer iterations (default 100)
-	Memory    int     // L-BFGS history pairs (default 8)
-	GradTol   float64 // stop when the projected gradient ∞-norm falls below (default 1e-6)
-	StepTol   float64 // stop when steps stall below this size (default 1e-10)
-	FDStep    float64 // finite-difference half-step for numerical gradients (default 1e-6)
-	Gradient  Gradient
+	MaxIter   int // maximum outer iterations (default 100)
 	MaxFunEva int // cap on objective evaluations, 0 = unlimited
 }
 
-func (o *Options) defaults() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Memory <= 0 {
-		o.Memory = 8
-	}
-	if o.GradTol <= 0 {
-		o.GradTol = 1e-6
-	}
-	if o.StepTol <= 0 {
-		o.StepTol = 1e-10
-	}
-	if o.FDStep <= 0 {
-		o.FDStep = 1e-6
-	}
-}
+// Solver constants. The eigenvalue search, the one caller, runs every start
+// at these values.
+const (
+	memory  = 8     // L-BFGS history pairs
+	gradTol = 1e-5  // stop when the projected gradient ∞-norm falls below
+	stepTol = 1e-10 // stop when steps stall below this size
+)
 
 // Result reports the outcome of a minimization.
 type Result struct {
@@ -59,9 +42,13 @@ type Result struct {
 	Converged bool // projected-gradient tolerance reached
 }
 
-// ErrBadBox is returned when the box is inconsistent with the start point
-// dimensions or has lo > hi.
-var ErrBadBox = errors.New("optimize: inconsistent box constraints")
+var (
+	// ErrBadBox is returned when the box is inconsistent with the start
+	// point dimensions or has lo > hi.
+	ErrBadBox = errors.New("optimize: inconsistent box constraints")
+	// ErrNoGradient is returned when Minimize is given a nil gradient.
+	ErrNoGradient = errors.New("optimize: nil gradient")
+)
 
 type counter struct {
 	f     Objective
@@ -77,10 +64,14 @@ func (c *counter) eval(x []float64) float64 {
 func (c *counter) exhausted() bool { return c.limit > 0 && c.n >= c.limit }
 
 // Minimize finds a local minimum of f over the box [lo, hi] starting from
-// x0 (which is clamped into the box). It implements projected L-BFGS:
-// quasi-Newton directions from a limited history, backtracking line search
-// along the projected path, and active-set handling by projection.
-func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
+// x0 (which is clamped into the box), with gradient ∇f. It implements
+// projected L-BFGS: quasi-Newton directions from a limited history,
+// backtracking line search along the projected path, and active-set handling
+// by projection.
+func Minimize(f Objective, gradient Gradient, x0, lo, hi []float64, opts Options) (Result, error) {
+	if gradient == nil {
+		return Result{}, ErrNoGradient
+	}
 	d := len(x0)
 	if len(lo) != d || len(hi) != d {
 		return Result{}, ErrBadBox
@@ -90,7 +81,9 @@ func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
 			return Result{}, ErrBadBox
 		}
 	}
-	opts.defaults()
+	if opts.MaxIter <= 0 {
+		opts.MaxIter = 100
+	}
 	cnt := &counter{f: f, limit: opts.MaxFunEva}
 
 	x := make([]float64, d)
@@ -98,20 +91,12 @@ func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
 	fx := cnt.eval(x)
 
 	grad := make([]float64, d)
-	gradAt := func(p, g []float64) {
-		if opts.Gradient != nil {
-			opts.Gradient(p, g)
-			return
-		}
-		numGrad(cnt, p, g, lo, hi, opts.FDStep)
-	}
-	gradAt(x, grad)
+	gradient(x, grad)
 
 	// L-BFGS history.
-	m := opts.Memory
-	sHist := make([][]float64, 0, m)
-	yHist := make([][]float64, 0, m)
-	rho := make([]float64, 0, m)
+	sHist := make([][]float64, 0, memory)
+	yHist := make([][]float64, 0, memory)
+	rho := make([]float64, 0, memory)
 
 	dir := make([]float64, d)
 	xNew := make([]float64, d)
@@ -123,7 +108,7 @@ func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iters = iter + 1
 		projGrad(pg, x, grad, lo, hi)
-		if infNorm(pg) < opts.GradTol {
+		if infNorm(pg) < gradTol {
 			res.Converged = true
 			break
 		}
@@ -143,7 +128,7 @@ func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
 			}
 		}
 
-		fNew, accepted := lineSearch(cnt, x, dir, grad, fx, lo, hi, xNew, opts)
+		fNew, accepted := lineSearch(cnt, x, dir, grad, fx, lo, hi, xNew)
 		if !accepted && len(sHist) > 0 {
 			// The quasi-Newton model may be stale after box projections;
 			// drop the history and retry along the raw gradient.
@@ -151,13 +136,13 @@ func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
 			for i := range dir {
 				dir[i] = -grad[i]
 			}
-			fNew, accepted = lineSearch(cnt, x, dir, grad, fx, lo, hi, xNew, opts)
+			fNew, accepted = lineSearch(cnt, x, dir, grad, fx, lo, hi, xNew)
 		}
 		if !accepted {
 			break // stalled: local minimum w.r.t. the search direction
 		}
 
-		gradAt(xNew, gradNew)
+		gradient(xNew, gradNew)
 
 		// Update history with s = xNew - x, y = gradNew - grad.
 		s := make([]float64, d)
@@ -166,7 +151,7 @@ func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
 		linalg.Sub(y, gradNew, grad)
 		sy := linalg.Dot(s, y)
 		if sy > 1e-12 {
-			if len(sHist) == m {
+			if len(sHist) == memory {
 				sHist = sHist[1:]
 				yHist = yHist[1:]
 				rho = rho[1:]
@@ -201,7 +186,7 @@ func Minimize(f Objective, x0, lo, hi []float64, opts Options) (Result, error) {
 
 // lineSearch performs backtracking Armijo search along the projected path
 // x(t) = clamp(x + t·dir), writing the accepted point into xNew.
-func lineSearch(cnt *counter, x, dir, grad []float64, fx float64, lo, hi, xNew []float64, opts Options) (fNew float64, accepted bool) {
+func lineSearch(cnt *counter, x, dir, grad []float64, fx float64, lo, hi, xNew []float64) (fNew float64, accepted bool) {
 	const c1 = 1e-4
 	// Scale the first trial step so steepest-descent directions with huge
 	// gradients do not immediately leave the region of model validity.
@@ -213,7 +198,7 @@ func lineSearch(cnt *counter, x, dir, grad []float64, fx float64, lo, hi, xNew [
 	armijo := func(t float64) (float64, bool) {
 		linalg.AXPY(probe, t, dir, x)
 		linalg.Clamp(probe, probe, lo, hi)
-		if linalg.MaxAbsDiff(probe, x) < opts.StepTol {
+		if linalg.MaxAbsDiff(probe, x) < stepTol {
 			return 0, false
 		}
 		f := cnt.eval(probe)
@@ -299,58 +284,4 @@ func infNorm(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// numGrad computes a central finite-difference gradient that respects the
-// box: steps that would leave the box become one-sided.
-func numGrad(cnt *counter, x, grad, lo, hi []float64, h float64) {
-	xp := make([]float64, len(x))
-	copy(xp, x)
-	for i := range x {
-		up := math.Min(x[i]+h, hi[i])
-		down := math.Max(x[i]-h, lo[i])
-		if up == down { //automon:allow nofloateq exact degeneracy test: identical clamped endpoints would make the difference step 0/0
-			grad[i] = 0
-			continue
-		}
-		xp[i] = up
-		fp := cnt.eval(xp)
-		xp[i] = down
-		fm := cnt.eval(xp)
-		xp[i] = x[i]
-		grad[i] = (fp - fm) / (up - down)
-	}
-}
-
-// MultiStart runs Minimize from x0 plus (starts-1) uniform random points in
-// the box and returns the best result found. The rng makes runs
-// reproducible; a nil rng uses a fixed seed.
-func MultiStart(f Objective, x0, lo, hi []float64, starts int, rng *rand.Rand, opts Options) (Result, error) {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	if starts < 1 {
-		starts = 1
-	}
-	best, err := Minimize(f, x0, lo, hi, opts)
-	if err != nil {
-		return best, err
-	}
-	total := best.FuncEvals
-	pt := make([]float64, len(x0))
-	for s := 1; s < starts; s++ {
-		for i := range pt {
-			pt[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
-		}
-		r, err := Minimize(f, pt, lo, hi, opts)
-		if err != nil {
-			return best, err
-		}
-		total += r.FuncEvals
-		if r.F < best.F {
-			best = r
-		}
-	}
-	best.FuncEvals = total
-	return best, nil
 }

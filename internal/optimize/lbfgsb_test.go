@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,8 +15,19 @@ func sphere(x []float64) float64 {
 	return s
 }
 
+func sphereGrad(x, g []float64) {
+	for i := range x {
+		g[i] = 2 * x[i]
+	}
+}
+
 func rosenbrock(x []float64) float64 {
 	return (1-x[0])*(1-x[0]) + 100*(x[1]-x[0]*x[0])*(x[1]-x[0]*x[0])
+}
+
+func rosenbrockGrad(x, g []float64) {
+	g[0] = -2*(1-x[0]) - 400*x[0]*(x[1]-x[0]*x[0])
+	g[1] = 200 * (x[1] - x[0]*x[0])
 }
 
 func box(d int, lo, hi float64) ([]float64, []float64) {
@@ -30,7 +42,7 @@ func box(d int, lo, hi float64) ([]float64, []float64) {
 func TestMinimizeSphere(t *testing.T) {
 	lo, hi := box(5, -10, 10)
 	x0 := []float64{3, -4, 5, 1, -2}
-	r, err := Minimize(sphere, x0, lo, hi, Options{})
+	r, err := Minimize(sphere, sphereGrad, x0, lo, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,20 +57,23 @@ func TestMinimizeSphere(t *testing.T) {
 func TestMinimizeSphereWithAnalyticGradient(t *testing.T) {
 	lo, hi := box(5, -10, 10)
 	x0 := []float64{3, -4, 5, 1, -2}
-	opts := Options{Gradient: func(x, g []float64) {
-		for i := range x {
-			g[i] = 2 * x[i]
-		}
-	}}
-	r, err := Minimize(sphere, x0, lo, hi, opts)
+	gradCalls := 0
+	grad := func(x, g []float64) {
+		gradCalls++
+		sphereGrad(x, g)
+	}
+	r, err := Minimize(sphere, grad, x0, lo, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.F > 1e-10 {
 		t.Fatalf("minimum = %v", r.F)
 	}
+	if gradCalls == 0 {
+		t.Fatal("analytic gradient was never called")
+	}
 	// With an analytic gradient, objective evaluations come only from the
-	// line search — far fewer than finite differences would need.
+	// line search.
 	if r.FuncEvals > 60 {
 		t.Fatalf("too many evaluations with analytic gradient: %d", r.FuncEvals)
 	}
@@ -66,7 +81,7 @@ func TestMinimizeSphereWithAnalyticGradient(t *testing.T) {
 
 func TestMinimizeRosenbrock(t *testing.T) {
 	lo, hi := box(2, -5, 5)
-	r, err := Minimize(rosenbrock, []float64{-1.2, 1}, lo, hi, Options{MaxIter: 500})
+	r, err := Minimize(rosenbrock, rosenbrockGrad, []float64{-1.2, 1}, lo, hi, Options{MaxIter: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +93,8 @@ func TestMinimizeRosenbrock(t *testing.T) {
 func TestMinimizeRespectsBox(t *testing.T) {
 	// Minimum of (x-3)² over [-1, 1] is at x = 1.
 	f := func(x []float64) float64 { return (x[0] - 3) * (x[0] - 3) }
-	r, err := Minimize(f, []float64{0}, []float64{-1}, []float64{1}, Options{})
+	g := func(x, g []float64) { g[0] = 2 * (x[0] - 3) }
+	r, err := Minimize(f, g, []float64{0}, []float64{-1}, []float64{1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +104,7 @@ func TestMinimizeRespectsBox(t *testing.T) {
 }
 
 func TestMinimizeStartOutsideBoxIsClamped(t *testing.T) {
-	f := func(x []float64) float64 { return x[0] * x[0] }
-	r, err := Minimize(f, []float64{100}, []float64{-1}, []float64{2}, Options{})
+	r, err := Minimize(sphere, sphereGrad, []float64{100}, []float64{-1}, []float64{2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +117,22 @@ func TestMinimizeStartOutsideBoxIsClamped(t *testing.T) {
 }
 
 func TestMinimizeBadBox(t *testing.T) {
-	if _, err := Minimize(sphere, []float64{0}, []float64{1}, []float64{-1}, Options{}); err == nil {
-		t.Fatal("expected ErrBadBox for lo > hi")
+	if _, err := Minimize(sphere, sphereGrad, []float64{0}, []float64{1}, []float64{-1}, Options{}); !errors.Is(err, ErrBadBox) {
+		t.Fatalf("lo > hi: err = %v, want ErrBadBox", err)
 	}
-	if _, err := Minimize(sphere, []float64{0, 0}, []float64{0}, []float64{1}, Options{}); err == nil {
-		t.Fatal("expected ErrBadBox for dimension mismatch")
+	if _, err := Minimize(sphere, sphereGrad, []float64{0, 0}, []float64{0}, []float64{1}, Options{}); !errors.Is(err, ErrBadBox) {
+		t.Fatalf("dimension mismatch: err = %v, want ErrBadBox", err)
+	}
+}
+
+func TestMinimizeRequiresGradient(t *testing.T) {
+	if _, err := Minimize(sphere, nil, []float64{1}, []float64{-2}, []float64{2}, Options{}); !errors.Is(err, ErrNoGradient) {
+		t.Fatalf("nil gradient: err = %v, want ErrNoGradient", err)
 	}
 }
 
 func TestMinimizeMaxFunEvals(t *testing.T) {
-	r, err := Minimize(rosenbrock, []float64{-1.2, 1}, []float64{-5, -5}, []float64{5, 5},
+	r, err := Minimize(rosenbrock, rosenbrockGrad, []float64{-1.2, 1}, []float64{-5, -5}, []float64{5, 5},
 		Options{MaxIter: 1000, MaxFunEva: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +146,7 @@ func TestMinimizeMaxFunEvals(t *testing.T) {
 
 func TestMinimizeDegenerateBox(t *testing.T) {
 	// lo == hi pins the variable; solver must return immediately with that point.
-	f := func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] }
-	r, err := Minimize(f, []float64{5, 3}, []float64{2, -10}, []float64{2, 10}, Options{})
+	r, err := Minimize(sphere, sphereGrad, []float64{5, 3}, []float64{2, -10}, []float64{2, 10}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,33 +155,6 @@ func TestMinimizeDegenerateBox(t *testing.T) {
 	}
 	if math.Abs(r.X[1]) > 1e-6 {
 		t.Fatalf("free variable not optimized: %v", r.X[1])
-	}
-}
-
-// A multimodal function where multi-start matters: two wells, global at x=2.
-func twoWells(x []float64) float64 {
-	a := (x[0] + 2) * (x[0] + 2)
-	b := (x[0]-2)*(x[0]-2) - 1
-	return math.Min(a, b)
-}
-
-func TestMultiStartFindsGlobalWell(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	r, err := MultiStart(twoWells, []float64{-2}, []float64{-5}, []float64{5}, 8, rng, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.X[0]-2) > 1e-3 {
-		t.Fatalf("multi-start stuck in local well: x=%v f=%v", r.X, r.F)
-	}
-	if r.F > -0.999 {
-		t.Fatalf("global value not reached: %v", r.F)
-	}
-}
-
-func TestMultiStartNilRNG(t *testing.T) {
-	if _, err := MultiStart(sphere, []float64{1}, []float64{-2}, []float64{2}, 3, nil, Options{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -181,9 +174,14 @@ func TestMinimizeQuadraticBowlRandom(t *testing.T) {
 			}
 			return s
 		}
+		g := func(x, g []float64) {
+			for i := range x {
+				g[i] = 2 * float64(i+1) * (x[i] - center[i])
+			}
+		}
 		lo, hi := box(d, -10, 10)
 		x0 := make([]float64, d)
-		r, err := Minimize(f, x0, lo, hi, Options{MaxIter: 200})
+		r, err := Minimize(f, g, x0, lo, hi, Options{MaxIter: 200})
 		if err != nil {
 			t.Fatal(err)
 		}

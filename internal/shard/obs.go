@@ -26,9 +26,6 @@ type treeObs struct {
 // newTreeObs creates the instruments, registered in reg when non-nil; a nil
 // registry keeps them standalone, same as the coordinator's.
 func newTreeObs(reg *obs.Registry, labels string) treeObs {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	name := func(n string) string { return obs.LabeledName(n, labels) }
 	const rejectHelp = "shard partial-aggregate frames rejected before merging, by reason"
 	return treeObs{

@@ -184,9 +184,9 @@ func newCounter(cfg Config, res *Result) *counter {
 		lbl:    lbl,
 		byType: make(map[core.MsgType]*obs.Counter),
 	}
-	c.msgs = simCounter(cfg.Metrics, "automon_sim_messages_total"+lbl(""),
+	c.msgs = cfg.Metrics.Counter("automon_sim_messages_total"+lbl(""),
 		"Messages the simulated run would place on the network.")
-	c.payload = simCounter(cfg.Metrics, "automon_sim_payload_bytes_total"+lbl(""),
+	c.payload = cfg.Metrics.Counter("automon_sim_payload_bytes_total"+lbl(""),
 		"Encoded payload bytes of the simulated run.")
 	// Pre-register the known types so a scrape shows them at zero even
 	// before the first message; typeCounter creates any type not listed
@@ -207,19 +207,11 @@ func (c *counter) typeCounter(t core.MsgType) *obs.Counter {
 	if ctr, ok := c.byType[t]; ok {
 		return ctr
 	}
-	ctr := simCounter(c.reg,
+	ctr := c.reg.Counter(
 		fmt.Sprintf("automon_sim_messages_by_type_total%s", c.lbl(fmt.Sprintf("type=%q", t))),
 		"Simulated messages broken down by protocol message type.")
 	c.byType[t] = ctr
 	return ctr
-}
-
-// simCounter is the registry-or-standalone counter helper for this package.
-func simCounter(reg *obs.Registry, name, help string) *obs.Counter {
-	if c := reg.Counter(name, help); c != nil {
-		return c
-	}
-	return obs.NewCounter()
 }
 
 func (c *counter) count(m core.Message) {

@@ -78,7 +78,7 @@ func adaptiveBurstStream(nodes, rounds int) *stream.Dataset {
 	return stream.NewCustom("bursty-sine", nodes, rounds, 10, 1, func(r, i int) []float64 {
 		v := 1.3 + 0.02*math.Sin(float64(r)/25+float64(i))
 		if r >= 100 && r < 160 {
-			v += (float64(i) - 1.5) * 0.4 * math.Sin(float64(r)/8)
+			v += (float64(i) - 1.5) * 0.8 * math.Sin(float64(r)/8)
 		}
 		return []float64{v}
 	})
@@ -92,8 +92,8 @@ func TestTreeDifferentialAdaptiveR(t *testing.T) {
 	cfg := Config{
 		F:    funcs.Sine(),
 		Data: adaptiveBurstStream(4, 300),
-		Core: core.Config{Epsilon: 0.1, R: 0.1, RDoubleAfter: 4,
-			AdaptiveR: true, AdaptiveAlpha: 0.2, Decomp: core.DecompOptions{Seed: 4}},
+		Core: core.Config{Epsilon: 0.1, R: 0.02, RDoubleAfter: 4,
+			AdaptiveR: true, Decomp: core.DecompOptions{Seed: 4}},
 		Trace: true,
 	}
 	flat, err := Run(cfg)

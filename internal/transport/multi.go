@@ -83,7 +83,7 @@ func newMulti(addr string, opts Options, single bool) (*MultiCoordinator, error)
 		pending: make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
 	}
-	mc.rejectedConns = counterOr(opts.Metrics, "automon_transport_rejected_registrations_total",
+	mc.rejectedConns = opts.Metrics.Counter("automon_transport_rejected_registrations_total",
 		"Connections refused at registration: unknown group, bad node id, or malformed handshake.")
 	return mc, nil
 }
@@ -173,9 +173,9 @@ func (mc *MultiCoordinator) addGroup(gid GroupID, f *core.Function, n int, cfg c
 		done:   make(chan struct{}),
 	}
 	c.tracer = mc.opts.Tracer
-	c.deadlineHits = counterOr(mc.opts.Metrics, "automon_transport_request_timeouts_total"+lbl,
+	c.deadlineHits = mc.opts.Metrics.Counter("automon_transport_request_timeouts_total"+lbl,
 		"Data-request round trips that exceeded RequestTimeout (node recycled).")
-	c.shedViolations = counterOr(mc.opts.Metrics, "automon_transport_shed_violations_total"+lbl,
+	c.shedViolations = mc.opts.Metrics.Counter("automon_transport_shed_violations_total"+lbl,
 		"Violation reports dropped because a resolution storm filled the queue.")
 
 	mc.groupsMu.Lock()

@@ -93,16 +93,16 @@ func DialNode(addr string, id int, f *core.Function, initial []float64, opts Opt
 	}
 	c.Stats.Bind(opts.Metrics, `side="node",`+nodeLabel, opts.Tracer, id)
 	c.tracer = opts.Tracer
-	c.reconnects = counterOr(opts.Metrics,
+	c.reconnects = opts.Metrics.Counter(
 		fmt.Sprintf("automon_transport_reconnects_total{%s}", nodeLabel),
 		"Successful rejoins after a connection loss.")
-	c.reconnectTries = counterOr(opts.Metrics,
+	c.reconnectTries = opts.Metrics.Counter(
 		fmt.Sprintf("automon_transport_reconnect_attempts_total{%s}", nodeLabel),
 		"Dial attempts made by the reconnect loop.")
-	c.rejectedSyncs = counterOr(opts.Metrics,
+	c.rejectedSyncs = opts.Metrics.Counter(
 		fmt.Sprintf("automon_transport_rejected_syncs_total{%s}", nodeLabel),
 		"Syncs refused as uncheckable (malformed or missing ADCD-E factor); the connection was recycled to force a re-send.")
-	c.backoffWait = histogramOr(opts.Metrics,
+	c.backoffWait = opts.Metrics.Histogram(
 		fmt.Sprintf("automon_transport_backoff_seconds{%s}", nodeLabel),
 		"Jittered reconnect backoff sleeps.",
 		[]float64{0.025, 0.05, 0.1, 0.25, 0.5, 1, 2, 5})

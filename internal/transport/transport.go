@@ -78,24 +78,6 @@ var (
 	errNotConnected  = errors.New("transport: not connected")
 )
 
-// counterOr returns the registry's counter for name, or a standalone one
-// when reg is nil — instrumented code always counts through a live counter
-// so Stats-style accessors never report stale zeros.
-func counterOr(reg *obs.Registry, name, help string) *obs.Counter {
-	if c := reg.Counter(name, help); c != nil {
-		return c
-	}
-	return obs.NewCounter()
-}
-
-// histogramOr is counterOr for histograms.
-func histogramOr(reg *obs.Registry, name, help string, bounds []float64) *obs.Histogram {
-	if h := reg.Histogram(name, help, bounds); h != nil {
-		return h
-	}
-	return obs.NewHistogram(bounds)
-}
-
 // TrafficStats counts one side's traffic. The fields are obs counters (views
 // over the same instruments a registry scrape reads), updated atomically and
 // safe for concurrent reads via Load. The accounting identity
