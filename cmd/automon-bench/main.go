@@ -30,7 +30,6 @@ func main() {
 	eigBackend := flag.String("eig-backend", "", `eigen-engine for ADCD-X zone builds: "lbfgs" (default), "interval" (certified), or "hybrid"`)
 	sketchRows := flag.Int("sketch-rows", 0, "AMS sketch rows for the ingestion experiments (0 = 4)")
 	sketchCols := flag.Int("sketch-cols", 0, "AMS sketch cols for the ingestion experiments (0 = 32)")
-	ingestBatch := flag.Int("ingest-batch", 0, "elision staleness cap: events between forced exact checks (0 = library default)")
 	flag.Parse()
 
 	backend, err := core.ParseEigBackend(*eigBackend)
@@ -41,7 +40,7 @@ func main() {
 	o := experiments.Options{
 		Quick: !*full, Seed: *seed, Workers: *parallel,
 		EigBackend: backend,
-		SketchRows: *sketchRows, SketchCols: *sketchCols, IngestBatch: *ingestBatch,
+		SketchRows: *sketchRows, SketchCols: *sketchCols,
 	}
 	if *telemetry != "" {
 		o.Telemetry = &experiments.Telemetry{}

@@ -53,7 +53,7 @@ func main() {
 		events, nodes, rows, cols, f.Dim(), eps)
 
 	run := func(elide bool) (*ingest.Pipeline, float64) {
-		srcs := make([]ingest.Source, nodes)
+		srcs := make([]*ingest.AMSSource, nodes)
 		for i := range srcs {
 			s, err := ingest.NewAMSSource(rows, cols, 42, 1.0/warm)
 			check(err)

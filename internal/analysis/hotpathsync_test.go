@@ -12,8 +12,8 @@ import (
 // zero-allocation entry points of the monitoring loop, plus the interval
 // eigen-engine's inner arithmetic (the per-node loops of the certified
 // Hessian enclosure — pooled scratch, no per-op allocation), plus the
-// ingestion layer's per-event path (sketch apply, update-norm bound, budget
-// debit, and the elision-aware check entry points). Adding an
+// ingestion layer's per-event step, whose static closure covers the sketch
+// apply, the update-norm bound and the materialization. Adding an
 // annotation anywhere in the module without extending this list — or
 // dropping one — is a deliberate decision this test forces into review.
 var hotpathManifest = map[string]bool{
@@ -23,12 +23,6 @@ var hotpathManifest = map[string]bool{
 	"core.Node.SpendBudget":         true,
 	"core.SafeZone.ContainsScratch": true,
 	"ingest.NodeIngestor.Ingest":    true,
-	"ingest.AMSSource.Apply":        true,
-	"ingest.AMSSource.UpdateNorm":   true,
-	"ingest.CMSource.Apply":         true,
-	"ingest.CMSource.UpdateNorm":    true,
-	"ingest.PairSource.Apply":       true,
-	"ingest.PairSource.UpdateNorm":  true,
 	"autodiff.Graph.Value":          true,
 	"autodiff.Graph.Grad":           true,
 	"autodiff.Graph.Hessian":        true,

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -423,8 +424,7 @@ var knobManifest = map[string]string{
 	"shard.Options.Fanout": "the topology: tier width; bench reads it",
 	"shard.Options.Mode":   "recorded measurement: on fleet-tree64 ModeAbsorb runs 3.08–3.13 M events/s against 2.55–2.59 M for ModeRoute with 13–14 % fewer messages, and gives up tree-equals-flat (EXPERIMENTS.md, 'One zone-build path'); bench reads it; -shard-absorb sets it",
 
-	"ingest.Options.Elide":     "two live values: results/sketch.csv compares elided and per-event; bench reads it",
-	"ingest.Options.BatchSize": "two live values: DefaultBatchSize and -ingest-batch",
+	"ingest.Options.Elide": "two live values: results/sketch.csv compares elided and per-event; bench reads it",
 
 	"sim.Config.F":             "the user's input: the function",
 	"sim.Config.Data":          "the user's input: the stream",
@@ -432,25 +432,22 @@ var knobManifest = map[string]string{
 	"sim.Config.Core":          "carries core.Config",
 	"sim.Config.Period":        "paper Fig. 5: the periodic baseline's sweep",
 	"sim.Config.TuneRounds":    "two live values per workload: the tuning prefix length, 0 for pinned r",
-	"sim.Config.Elide":         "two live values: results/sketch.csv and the elision differential",
 	"sim.Config.Shards":        "the topology: -shards",
 	"sim.Config.TreeFanout":    "the topology: -tree-fanout",
 	"sim.Config.ShardAbsorb":   "selects shard.ModeAbsorb: -shard-absorb",
-	"sim.Config.ShardChaos":    "fault-injection hook of the tree chaos suite",
 	"sim.Config.Trace":         "output choice: the time-series figures (Fig. 4, 9)",
 	"sim.Config.Metrics":       "deployment setting: telemetry registry",
 	"sim.Config.MetricsLabels": "deployment setting: per-run series in one registry",
 
-	"automon-bench -fig":          "output choice: which figure",
-	"automon-bench -full":         "paper-size against quick parameters",
-	"automon-bench -seed":         "reproducibility",
-	"automon-bench -latency":      "paper §4.7 WAN latency for Fig. 10",
-	"automon-bench -telemetry":    "output choice: metric snapshots file",
-	"automon-bench -parallel":     "two live values: 0 and 1, the figure sweeps' width, both pinned byte-identical on Fig. 8 in CI",
-	"automon-bench -eig-backend":  "three live values: results/adaptive.csv is recorded at interval",
-	"automon-bench -sketch-rows":  "the sketch's shape: accuracy against size",
-	"automon-bench -sketch-cols":  "the sketch's shape: accuracy against size",
-	"automon-bench -ingest-batch": "follows ingest.Options.BatchSize",
+	"automon-bench -fig":         "output choice: which figure",
+	"automon-bench -full":        "paper-size against quick parameters",
+	"automon-bench -seed":        "reproducibility",
+	"automon-bench -latency":     "paper §4.7 WAN latency for Fig. 10",
+	"automon-bench -telemetry":   "output choice: metric snapshots file",
+	"automon-bench -parallel":    "two live values: 0 and 1, the figure sweeps' width, both pinned byte-identical on Fig. 8 in CI",
+	"automon-bench -eig-backend": "three live values: results/adaptive.csv is recorded at interval",
+	"automon-bench -sketch-rows": "the sketch's shape: accuracy against size",
+	"automon-bench -sketch-cols": "the sketch's shape: accuracy against size",
 
 	"automon-coordinator -addr":        "deployment setting",
 	"automon-coordinator -func":        "the user's input: the function",
@@ -557,4 +554,62 @@ func TestKnobManifest(t *testing.T) {
 	}
 	sort.Strings(want)
 	expectManifest(t, "option-struct fields and cmd/ flags", found, want)
+}
+
+// Packages under internal/ that exist for tests: the differential oracle,
+// the fault injector and the build-tag probe. Their exports are test API.
+var testSupportPkgs = map[string]bool{
+	"automon/internal/oracle":          true,
+	"automon/internal/transport/chaos": true,
+	"automon/internal/testenv":         true,
+}
+
+// callerlessManifest is the reviewed set of exported package-level names
+// under internal/ that no non-test code in the module uses, each with the
+// reason it stays exported.
+var callerlessManifest = map[string]string{
+	"analysis.LoadFixture":     "the analyzer fixture tests' loader; it sits beside LoadModule so both share one type-checker",
+	"analysis.LoadFixtureTree": "the cross-package analyzer fixtures' loader, beside LoadModule for the same reason",
+	"funcs.Logistic":           "the zoo's logistic regression: the ε oracle sweeps it and interval soundness is proven on it",
+	"sim.RunGroups":            "the in-process form of the multi-tenant listener, pinned against solo runs and the tree's isolation test",
+	"stream.SketchBursts":      "a stream generator beside SketchChurn and SketchEpisodes: the elision differential's burst and ADCD-X cases",
+	"stream.SketchChaos":       "a stream generator beside SketchChurn and SketchEpisodes: the elision differential's adversarial magnitudes",
+}
+
+// TestNoCallerlessExports fails on every exported package-level func, type,
+// var or const under internal/ that nothing but tests uses (ROADMAP aim 2):
+// such code is either dead, or test support that belongs in a _test.go file.
+// LoadModule type-checks non-test files only, bench/ included.
+func TestNoCallerlessExports(t *testing.T) {
+	mod, err := LoadModule("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[types.Object]bool{}
+	for _, p := range mod.Pkgs {
+		for _, obj := range p.Info.Uses {
+			used[obj] = true
+		}
+	}
+	found := map[string]bool{}
+	for _, p := range mod.Pkgs {
+		if !strings.HasPrefix(p.Path, "automon/internal/") || testSupportPkgs[p.Path] {
+			continue
+		}
+		scope := p.Pkg.Scope()
+		for _, name := range scope.Names() {
+			if obj := scope.Lookup(name); obj.Exported() && !used[obj] {
+				found[p.Pkg.Name()+"."+name] = true
+			}
+		}
+	}
+	want := make([]string, 0, len(callerlessManifest))
+	for name, reason := range callerlessManifest {
+		want = append(want, name)
+		if reason == "" {
+			t.Errorf("%s is listed without a reason", name)
+		}
+	}
+	sort.Strings(want)
+	expectManifest(t, "exported names under internal/ with no non-test use", found, want)
 }

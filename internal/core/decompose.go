@@ -385,16 +385,6 @@ func BuildZoneXFrom(f *Function, x0 []float64, l, u float64, bLo, bHi []float64,
 	return z
 }
 
-// BuildZoneX derives an ADCD-X safe zone around x0 with thresholds L, U and
-// neighborhood box [bLo, bHi] (already intersected with the domain).
-func BuildZoneX(f *Function, x0 []float64, l, u float64, bLo, bHi []float64, opts DecompOptions) (*SafeZone, error) {
-	dec, err := DecomposeX(f, x0, bLo, bHi, opts)
-	if err != nil {
-		return nil, err
-	}
-	return BuildZoneXFrom(f, x0, l, u, bLo, bHi, dec), nil
-}
-
 // BuildZoneE derives an ADCD-E safe zone around x0 from a precomputed
 // decomposition. ADCD-E constraints are valid over the whole domain, so no
 // neighborhood box is attached.

@@ -17,3 +17,14 @@ func (f *Function) BlockHessian(x []float64) []*linalg.Mat {
 	}
 	return out
 }
+
+// BuildZoneX derives an ADCD-X safe zone around x0 with thresholds L, U and
+// neighborhood box [bLo, bHi] (already intersected with the domain): one
+// DecomposeX and its BuildZoneXFrom, as a full sync runs them.
+func BuildZoneX(f *Function, x0 []float64, l, u float64, bLo, bHi []float64, opts DecompOptions) (*SafeZone, error) {
+	dec, err := DecomposeX(f, x0, bLo, bHi, opts)
+	if err != nil {
+		return nil, err
+	}
+	return BuildZoneXFrom(f, x0, l, u, bLo, bHi, dec), nil
+}

@@ -55,9 +55,6 @@ type Options struct {
 	// SketchRows and SketchCols shape the AMS sketches of the ingestion
 	// experiments (SketchTable, the sketch-f2 workload); 0 means 4×32.
 	SketchRows, SketchCols int
-	// IngestBatch is the elision staleness cap (events between forced exact
-	// checks) for the ingestion experiments; 0 means ingest.DefaultBatchSize.
-	IngestBatch int
 }
 
 // decomp stamps the sweep-wide eigen-engine selection onto a workload's
@@ -308,7 +305,7 @@ func DNNWorkload(o Options) (*Workload, error) {
 	for i, y := range in.TrainY {
 		soft[i] = 0.45 + 0.13*y
 	}
-	if _, err := net.Train(rng, in.TrainX, soft, nn.TrainConfig{Epochs: 6, LR: 0.02}); err != nil {
+	if _, err := net.Train(rng, in.TrainX, soft, nn.TrainConfig{Epochs: 6, LR: 0.02, Loss: nn.MSE}); err != nil {
 		return nil, err
 	}
 	w := &Workload{

@@ -68,8 +68,8 @@ func SketchTable(o Options) (*Table, error) {
 	f := funcs.AMSF2(rows, cols)
 	d := f.Dim()
 
-	newSources := func() ([]ingest.Source, error) {
-		srcs := make([]ingest.Source, nodes)
+	newSources := func() ([]*ingest.AMSSource, error) {
+		srcs := make([]*ingest.AMSSource, nodes)
 		for i := range srcs {
 			s, err := ingest.NewAMSSource(rows, cols, 42, scale)
 			if err != nil {
@@ -96,7 +96,7 @@ func SketchTable(o Options) (*Table, error) {
 		tr.sumErr += e
 		tr.steps++
 	}
-	truthOf := func(srcs []ingest.Source, vec, avg []float64) float64 {
+	truthOf := func(srcs []*ingest.AMSSource, vec, avg []float64) float64 {
 		for j := range avg {
 			avg[j] = 0
 		}
@@ -121,7 +121,7 @@ func SketchTable(o Options) (*Table, error) {
 			F:       f,
 			Core:    core.Config{Epsilon: eps},
 			Sources: srcs,
-			Options: ingest.Options{Elide: elide, BatchSize: o.IngestBatch},
+			Options: ingest.Options{Elide: elide},
 		})
 		if err != nil {
 			return sketchRun{}, err

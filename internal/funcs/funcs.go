@@ -16,7 +16,6 @@ import (
 	"automon/internal/core"
 	"automon/internal/linalg"
 	"automon/internal/nn"
-	"automon/internal/sketch"
 )
 
 // InnerProduct returns f([u, v]) = ⟨u, v⟩ with dim = 2·half. Its Hessian is
@@ -161,7 +160,7 @@ func TrainMLP(d int, seed int64) (*core.Function, error) {
 		xs = append(xs, x)
 		ys = append(ys, MLPTarget(x))
 	}
-	if _, err := net.Train(rng, xs, ys, nn.TrainConfig{Epochs: 30, LR: 0.02}); err != nil {
+	if _, err := net.Train(rng, xs, ys, nn.TrainConfig{Epochs: 30, LR: 0.02, Loss: nn.MSE}); err != nil {
 		return nil, err
 	}
 	return Network(fmt.Sprintf("mlp-%d", d), net), nil
@@ -247,14 +246,19 @@ func Variance() *core.Function {
 // consumed by Variance.
 func AugmentSquares(v float64) []float64 { return []float64{v, v * v} }
 
-// AMSF2 is the §5 sketch-composition query: for an AMS sketch with the
-// given shape flattened into the local vector, f(x) = (1/rows)·Σ xᵢ² is the
-// (mean-estimator) second-moment query. It delegates to sketch.F2Query,
-// which owns the sketch query family (entropy and inner product live there
-// too); the constructor is kept in the zoo so sweeps over "every bundled
-// function" keep covering it.
+// AMSF2 is the §5 sketch-composition query for an AMS sketch with the given
+// shape flattened into the local vector: f(x) = (1/rows)·Σ xᵢ², the
+// mean-estimator second moment. A positive-semidefinite quadratic form, so
+// AutoMon selects ADCD-E and the approximation guarantee is deterministic;
+// the constant Hessian also gives check elision its curvature bound for
+// free.
 func AMSF2(rows, cols int) *core.Function {
-	return sketch.F2Query(rows, cols)
+	d := rows * cols
+	inv := 1.0 / float64(rows)
+	return core.NewFunction(fmt.Sprintf("ams-f2-%dx%d", rows, cols), d,
+		func(b *autodiff.Builder, x []autodiff.Ref) autodiff.Ref {
+			return b.Mul(b.Const(inv), b.SqNorm(x))
+		})
 }
 
 // SqNorm returns f(x) = ‖x‖², a convex constant-Hessian sanity function.

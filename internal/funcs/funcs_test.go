@@ -233,6 +233,9 @@ func TestLogistic(t *testing.T) {
 	}
 }
 
+// TestAMSF2Function pins the query's value and name, and that its constant
+// Hessian gives ADCD-E and check elision a curvature bound. That it equals
+// the sketch's own F2 estimate is sketch's TestQueryFamily.
 func TestAMSF2Function(t *testing.T) {
 	f := AMSF2(2, 3)
 	// f = (x₁²+...+x₆²)/2.
@@ -241,6 +244,12 @@ func TestAMSF2Function(t *testing.T) {
 	}
 	if !f.HasConstantHessian() {
 		t.Fatal("AMSF2 must have a constant Hessian (ADCD-E)")
+	}
+	if _, _, ok := f.CurvBound(); !ok {
+		t.Fatal("AMSF2 must expose an automatic curvature bound")
+	}
+	if f.Name != "ams-f2-2x3" {
+		t.Fatalf("name %q, want ams-f2-2x3", f.Name)
 	}
 }
 

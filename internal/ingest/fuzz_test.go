@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"automon/internal/core"
+	"automon/internal/funcs"
 	"automon/internal/sketch"
 )
 
@@ -50,8 +51,8 @@ func FuzzElisionBudget(f *testing.F) {
 		}
 		run := func(elide bool) ([]LogEntry, error) {
 			// Two nodes: node 0 takes the fuzz stream, node 1 a fixed one.
-			q := sketch.F2Query(2, 8)
-			mk := func() Source {
+			q := funcs.AMSF2(2, 8)
+			mk := func() *AMSSource {
 				s, err := NewAMSSource(2, 8, 3, 1.0/16)
 				if err != nil {
 					t.Fatal(err)
@@ -64,8 +65,8 @@ func FuzzElisionBudget(f *testing.F) {
 			p, err := NewPipeline(Config{
 				F:       q,
 				Core:    core.Config{Epsilon: 0.1},
-				Sources: []Source{mk(), mk()},
-				Options: Options{Elide: elide, BatchSize: 64},
+				Sources: []*AMSSource{mk(), mk()},
+				Options: Options{Elide: elide},
 			})
 			if err != nil {
 				t.Fatal(err)

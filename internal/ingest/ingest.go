@@ -1,6 +1,6 @@
 // Package ingest is the high-throughput event path of the sketch-backed
-// monitoring story (§5 of the paper, ROADMAP item 2): each node holds a
-// mergeable linear sketch as its AutoMon local vector and folds raw
+// monitoring story (§5 of the paper, ROADMAP item 2): each node holds an
+// AMS sketch as its AutoMon local vector and folds raw
 // turnstile events into it at millions of events per second, while the
 // safe-zone machinery of internal/core decides — via the check-elision
 // budget — which events actually need an exact O(d) constraint check. On
@@ -10,7 +10,7 @@
 // Protocol outcomes are bit-identical to running Node.UpdateData per event:
 // elided events are *proven* in-zone by the budget (see core/budget.go and
 // DESIGN.md "Check elision"), which the differential and fuzz tests in this
-// package enforce across every bundled query.
+// package enforce.
 package ingest
 
 import (
@@ -21,35 +21,11 @@ import (
 	"automon/internal/sketch"
 )
 
-// Source is a node's event-to-vector substrate: a sketch (or stack of
-// sketches) that absorbs turnstile updates and materializes the monitored
-// vector on demand. Implementations must make UpdateNorm a sound upper
-// bound on the L2 movement of the materialized vector per event — the
-// elision budget spends exactly that bound, and an understated bound voids
-// the protocol-identity guarantee.
-type Source interface {
-	// Apply folds one event into the sketch.
-	Apply(u sketch.Update)
-	// UpdateNorm bounds ‖vector-after − vector-before‖₂ for applying u.
-	UpdateNorm(u sketch.Update) float64
-	// Dim is the monitored vector length.
-	Dim() int
-	// VectorInto materializes the current monitored vector into dst
-	// (len(dst) == Dim()).
-	VectorInto(dst []float64)
-}
-
-// compatibility is implemented by sources that can vet themselves against a
-// peer before being wired into one monitoring group; mismatched hash
-// families would silently corrupt the averaged vector.
-type compatibility interface {
-	compatibleWith(o Source) error
-}
-
-// AMSSource adapts one AMS sketch, scaled by a constant factor, to the
-// Source interface. Each event touches exactly one counter per row by
-// ±delta, so the scaled vector moves by exactly |delta|·scale·√rows — the
-// O(1) per-event norm that makes budget accounting cheap.
+// AMSSource is a node's event-to-vector substrate: one AMS sketch, scaled by
+// a constant factor, that absorbs turnstile updates and materializes the
+// monitored vector on demand. Each event touches exactly one counter per row
+// by ±delta, so the scaled vector moves by exactly |delta|·scale·√rows — the
+// O(1) per-event norm the elision budget spends.
 type AMSSource struct {
 	sk          *sketch.AMS
 	scale       float64
@@ -70,22 +46,19 @@ func NewAMSSource(rows, cols int, seed uint64, scale float64) (*AMSSource, error
 	return &AMSSource{sk: sk, scale: scale, normPerUnit: scale * math.Sqrt(float64(rows))}, nil
 }
 
-// Apply implements Source.
-//
-//automon:hotpath
+// Apply folds one event into the sketch.
 func (s *AMSSource) Apply(u sketch.Update) { s.sk.Add(u.Item, u.Delta) }
 
-// UpdateNorm implements Source: the exact L2 movement of the scaled vector.
-//
-//automon:hotpath
+// UpdateNorm is the exact L2 movement of the scaled vector for applying u.
 func (s *AMSSource) UpdateNorm(u sketch.Update) float64 {
 	return math.Abs(u.Delta) * s.normPerUnit
 }
 
-// Dim implements Source.
+// Dim is the monitored vector length.
 func (s *AMSSource) Dim() int { return s.sk.Dim() }
 
-// VectorInto implements Source.
+// VectorInto materializes the current monitored vector into dst
+// (len(dst) == Dim()).
 func (s *AMSSource) VectorInto(dst []float64) {
 	raw := s.sk.Vector()
 	for i, v := range raw {
@@ -93,154 +66,14 @@ func (s *AMSSource) VectorInto(dst []float64) {
 	}
 }
 
-// Sketch exposes the underlying sketch (for merging into baselines and for
-// tests).
-func (s *AMSSource) Sketch() *sketch.AMS { return s.sk }
-
-func (s *AMSSource) compatibleWith(o Source) error {
-	t, ok := o.(*AMSSource)
-	if !ok {
-		return fmt.Errorf("ingest: cannot mix AMS source with %T in one group", o)
-	}
+// compatibleWith vets a peer before both are wired into one monitoring
+// group: mismatched hash families or scales would silently corrupt the
+// averaged vector.
+func (s *AMSSource) compatibleWith(t *AMSSource) error {
 	if math.Float64bits(s.scale) != math.Float64bits(t.scale) {
 		return fmt.Errorf("ingest: AMS sources disagree on scale (%v vs %v)", s.scale, t.scale)
 	}
-	return s.sk.Compatible("ingest", t.sk)
-}
-
-// CMSource adapts a Count-Min sketch (scaled counters) to the Source
-// interface — the substrate of the entropy query family.
-type CMSource struct {
-	sk          *sketch.CountMin
-	scale       float64
-	normPerUnit float64
-}
-
-// NewCMSource builds a Count-Min-backed source.
-func NewCMSource(rows, cols int, seed uint64, scale float64) (*CMSource, error) {
-	if !(scale > 0) {
-		return nil, fmt.Errorf("ingest: scale must be positive, got %v", scale)
-	}
-	sk, err := sketch.NewCountMin(rows, cols, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &CMSource{sk: sk, scale: scale, normPerUnit: scale * math.Sqrt(float64(rows))}, nil
-}
-
-// Apply implements Source.
-//
-//automon:hotpath
-func (s *CMSource) Apply(u sketch.Update) { s.sk.Add(u.Item, u.Delta) }
-
-// UpdateNorm implements Source.
-//
-//automon:hotpath
-func (s *CMSource) UpdateNorm(u sketch.Update) float64 {
-	return math.Abs(u.Delta) * s.normPerUnit
-}
-
-// Dim implements Source.
-func (s *CMSource) Dim() int { return s.sk.Dim() }
-
-// VectorInto implements Source.
-func (s *CMSource) VectorInto(dst []float64) {
-	raw := s.sk.Vector()
-	for i, v := range raw {
-		dst[i] = v * s.scale
-	}
-}
-
-// Sketch exposes the underlying sketch.
-func (s *CMSource) Sketch() *sketch.CountMin { return s.sk }
-
-func (s *CMSource) compatibleWith(o Source) error {
-	t, ok := o.(*CMSource)
-	if !ok {
-		return fmt.Errorf("ingest: cannot mix Count-Min source with %T in one group", o)
-	}
-	if math.Float64bits(s.scale) != math.Float64bits(t.scale) {
-		return fmt.Errorf("ingest: Count-Min sources disagree on scale (%v vs %v)", s.scale, t.scale)
-	}
-	return s.sk.Compatible("ingest", t.sk)
-}
-
-// PairStream marks an event as belonging to the second stream of a
-// PairSource: set the bit on Update.Item to route the event into the v
-// sketch (the remaining 63 bits identify the item).
-const PairStream = sketch.StreamB
-
-// PairSource stacks two same-seed AMS sketches — streams u and v — into one
-// local vector for the inner-product query. Events route on the PairStream
-// bit of the item.
-type PairSource struct {
-	u, v        *sketch.AMS
-	scale       float64
-	normPerUnit float64
-}
-
-// NewPairSource builds the two-stream source for sketch.InnerProductQuery.
-func NewPairSource(rows, cols int, seed uint64, scale float64) (*PairSource, error) {
-	if !(scale > 0) {
-		return nil, fmt.Errorf("ingest: scale must be positive, got %v", scale)
-	}
-	u, err := sketch.NewAMS(rows, cols, seed)
-	if err != nil {
-		return nil, err
-	}
-	v, err := sketch.NewAMS(rows, cols, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &PairSource{u: u, v: v, scale: scale, normPerUnit: scale * math.Sqrt(float64(rows))}, nil
-}
-
-// Apply implements Source: the PairStream bit selects the sketch.
-//
-//automon:hotpath
-func (s *PairSource) Apply(u sketch.Update) {
-	if u.Item&PairStream != 0 {
-		s.v.Add(u.Item&^PairStream, u.Delta)
-		return
-	}
-	s.u.Add(u.Item, u.Delta)
-}
-
-// UpdateNorm implements Source: one sketch (hence one counter per row)
-// moves per event.
-//
-//automon:hotpath
-func (s *PairSource) UpdateNorm(u sketch.Update) float64 {
-	return math.Abs(u.Delta) * s.normPerUnit
-}
-
-// Dim implements Source.
-func (s *PairSource) Dim() int { return s.u.Dim() + s.v.Dim() }
-
-// VectorInto implements Source: [scaled u-sketch, scaled v-sketch].
-func (s *PairSource) VectorInto(dst []float64) {
-	ru := s.u.Vector()
-	for i, x := range ru {
-		dst[i] = x * s.scale
-	}
-	off := len(ru)
-	for i, x := range s.v.Vector() {
-		dst[off+i] = x * s.scale
-	}
-}
-
-func (s *PairSource) compatibleWith(o Source) error {
-	t, ok := o.(*PairSource)
-	if !ok {
-		return fmt.Errorf("ingest: cannot mix pair source with %T in one group", o)
-	}
-	if math.Float64bits(s.scale) != math.Float64bits(t.scale) {
-		return fmt.Errorf("ingest: pair sources disagree on scale (%v vs %v)", s.scale, t.scale)
-	}
-	if err := s.u.Compatible("ingest", t.u); err != nil {
-		return err
-	}
-	return s.v.Compatible("ingest", t.v)
+	return s.sk.Compatible(t.sk)
 }
 
 // Options configures a node's ingestion path.
@@ -249,16 +82,7 @@ type Options struct {
 	// Node.UpdateData — the per-event baseline the differential harness and
 	// the headline benchmark compare against.
 	Elide bool
-	// BatchSize caps how many consecutive events may elide the exact check,
-	// bounding how stale the node's materialized vector (and hence a
-	// coordinator data pull) can get. 0 means 1024. Only meaningful with
-	// Elide; forced checks land on in-budget events, which are proven
-	// non-violations, so the cap never changes protocol outcomes.
-	BatchSize int
 }
-
-// DefaultBatchSize is the elision staleness cap when Options.BatchSize is 0.
-const DefaultBatchSize = 1024
 
 // Stats counts one ingestor's traffic.
 type Stats struct {
@@ -269,23 +93,19 @@ type Stats struct {
 
 // NodeIngestor drives one node's monitoring loop from raw events: fold the
 // event into the sketch, spend its norm from the elision budget, and run the
-// exact check only when the budget (or the batch cap) demands one.
+// exact check only when the budget demands one.
 type NodeIngestor struct {
-	src  Source
-	node *core.Node
-	vec  []float64 // materialization scratch
-
-	elide      bool
-	batch      int
-	sinceCheck int
-
+	src   *AMSSource
+	node  *core.Node
+	vec   []float64 // materialization scratch
+	elide bool
 	stats Stats
 }
 
 // NewNodeIngestor wires a source to a fresh monitoring node for f. With
 // Options.Elide it fails when f exposes no curvature bound (see
 // Function.CurvBound) rather than silently running per-event.
-func NewNodeIngestor(id int, f *core.Function, src Source, opts Options) (*NodeIngestor, error) {
+func NewNodeIngestor(id int, f *core.Function, src *AMSSource, opts Options) (*NodeIngestor, error) {
 	if src.Dim() != f.Dim() {
 		return nil, fmt.Errorf("ingest: source dim %d, function %s dim %d", src.Dim(), f.Name, f.Dim())
 	}
@@ -293,17 +113,7 @@ func NewNodeIngestor(id int, f *core.Function, src Source, opts Options) (*NodeI
 	if opts.Elide && !node.EnableElision() {
 		return nil, fmt.Errorf("ingest: function %s has no curvature bound; check elision unavailable (use WithCurvature or a constant-Hessian query)", f.Name)
 	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	return &NodeIngestor{
-		src:   src,
-		node:  node,
-		vec:   make([]float64, f.Dim()),
-		elide: opts.Elide,
-		batch: batch,
-	}, nil
+	return &NodeIngestor{src: src, node: node, vec: make([]float64, f.Dim()), elide: opts.Elide}, nil
 }
 
 // Ingest folds one event into the node's sketch and returns a Violation when
@@ -313,14 +123,10 @@ func NewNodeIngestor(id int, f *core.Function, src Source, opts Options) (*NodeI
 //automon:hotpath
 func (in *NodeIngestor) Ingest(u sketch.Update) *core.Violation {
 	in.stats.Events++
-	in.src.Apply(u) //automon:allow hotpath Source dispatch: all concrete Apply methods are themselves annotated hotpath roots
-	if in.elide {
-		in.sinceCheck++
-		spent := in.node.SpendBudget(in.src.UpdateNorm(u)) //automon:allow hotpath Source dispatch: all concrete UpdateNorm methods are themselves annotated hotpath roots
-		if !spent && in.sinceCheck < in.batch {
-			in.stats.Elided++
-			return nil
-		}
+	in.src.Apply(u)
+	if in.elide && !in.node.SpendBudget(in.src.UpdateNorm(u)) {
+		in.stats.Elided++
+		return nil
 	}
 	return in.exactCheck()
 }
@@ -329,8 +135,7 @@ func (in *NodeIngestor) Ingest(u sketch.Update) *core.Violation {
 // refreshing the elision budget on a pass.
 func (in *NodeIngestor) exactCheck() *core.Violation {
 	in.stats.Checks++
-	in.sinceCheck = 0
-	in.src.VectorInto(in.vec) //automon:allow hotpath Source dispatch: concrete VectorInto methods are scale-and-copy loops with no allocation
+	in.src.VectorInto(in.vec)
 	if in.elide {
 		return in.node.UpdateDataRefresh(in.vec)
 	}
@@ -344,14 +149,10 @@ func (in *NodeIngestor) exactCheck() *core.Violation {
 func (in *NodeIngestor) materialize() {
 	in.src.VectorInto(in.vec)
 	in.node.SetData(in.vec)
-	in.sinceCheck = 0
 }
 
 // Node exposes the underlying monitoring node.
 func (in *NodeIngestor) Node() *core.Node { return in.node }
-
-// Source exposes the underlying sketch source.
-func (in *NodeIngestor) Source() Source { return in.src }
 
 // Stats returns a snapshot of the ingestor's counters.
 func (in *NodeIngestor) Stats() Stats { return in.stats }

@@ -1,36 +1,45 @@
 package ingest
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"automon/internal/autodiff"
 	"automon/internal/core"
+	"automon/internal/funcs"
 	"automon/internal/sketch"
 	"automon/internal/stream"
 )
 
-// groupSpec describes one differential scenario: a query, a source factory,
-// an event stream, and the protocol config.
+// groupSpec describes one differential scenario: a query over the 4×32 AMS
+// source, an event stream, and the protocol config.
 type groupSpec struct {
-	name      string
-	f         *core.Function
-	newSource func() Source
-	events    *stream.Events
-	coreCfg   core.Config
+	name    string
+	f       *core.Function
+	events  *stream.Events
+	coreCfg core.Config
+}
+
+// newSource is the differential specs' node source: a 4×32 AMS sketch.
+func newSource(t testing.TB) *AMSSource {
+	t.Helper()
+	s, err := NewAMSSource(4, 32, 42, 1.0/64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // runGroup drives a full pipeline over the spec's events and returns it.
 func runGroup(t testing.TB, spec groupSpec, opts Options) *Pipeline {
 	t.Helper()
-	sources := make([]Source, spec.events.Nodes)
+	sources := make([]*AMSSource, spec.events.Nodes)
 	for i := range sources {
-		sources[i] = spec.newSource()
-	}
-	for i, s := range sources {
+		sources[i] = newSource(t)
 		for _, u := range spec.events.Warm[i] {
-			s.Apply(u)
+			sources[i].Apply(u)
 		}
 	}
 	p, err := NewPipeline(Config{F: spec.f, Core: spec.coreCfg, Sources: sources, Options: opts})
@@ -84,106 +93,65 @@ func assertIdentical(t *testing.T, spec groupSpec, ref, elided *Pipeline) {
 	}
 }
 
-// insertOnly flips every delta to +1, for substrates (Count-Min entropy)
-// whose domain excludes negative counters.
-func insertOnly(e *stream.Events) *stream.Events {
-	for i := range e.Warm {
-		for k := range e.Warm[i] {
-			e.Warm[i][k].Delta = 1
-		}
-	}
-	for i := range e.PerNode {
-		for k := range e.PerNode[i] {
-			e.PerNode[i][k].Delta = 1
-		}
-	}
-	return e
-}
-
-func diffSpecs(t testing.TB) []groupSpec {
+func diffSpecs() []groupSpec {
 	const nodes = 4
-	specs := []groupSpec{
+	return []groupSpec{
 		{
-			name: "f2-churn",
-			f:    sketch.F2Query(4, 32),
-			newSource: func() Source {
-				s, err := NewAMSSource(4, 32, 42, 1.0/64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
+			name:    "f2-churn",
+			f:       funcs.AMSF2(4, 32),
 			events:  stream.SketchChurn(nodes, 400, 3000, 1),
 			coreCfg: core.Config{Epsilon: 0.1},
 		},
 		{
-			name: "f2-bursts",
-			f:    sketch.F2Query(4, 32),
-			newSource: func() Source {
-				s, err := NewAMSSource(4, 32, 42, 1.0/64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
+			name:    "f2-bursts",
+			f:       funcs.AMSF2(4, 32),
 			events:  stream.SketchBursts(nodes, 400, 3000, 2),
 			coreCfg: core.Config{Epsilon: 0.1},
 		},
 		{
-			name: "cm-entropy",
-			f:    sketch.EntropyQuery(3, 16, 0.05),
-			newSource: func() Source {
-				s, err := NewCMSource(3, 16, 7, 1.0/3400)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
-			events:  insertOnly(stream.SketchBursts(nodes, 400, 3000, 3)),
-			coreCfg: core.Config{Epsilon: 0.05, R: 0.2},
+			// The same quadratic through ADCD-X: zones are neighborhood-bound
+			// and the budget also guards the box.
+			name:    "f2-adcdx",
+			f:       funcs.AMSF2(4, 32),
+			events:  stream.SketchBursts(nodes, 400, 3000, 3),
+			coreCfg: core.Config{Epsilon: 0.1, ForceADCDX: true, R: 0.5},
 		},
 		{
-			name: "inner-product",
-			f:    sketch.InnerProductQuery(4, 32),
-			newSource: func() Source {
-				s, err := NewPairSource(4, 32, 9, 1.0/64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
-			events:  stream.PairedSketchEvents(nodes, 400, 3000, 4),
+			// An indefinite constant Hessian, which F₂'s PSD one never is: the
+			// first two sketch rows dotted with the last two.
+			name:    "inner-product",
+			f:       funcs.InnerProduct(64),
+			events:  stream.SketchBursts(nodes, 400, 3000, 4),
 			coreCfg: core.Config{Epsilon: 0.1},
 		},
 		{
-			name: "f2-chaos",
-			f:    sketch.F2Query(4, 32),
-			newSource: func() Source {
-				s, err := NewAMSSource(4, 32, 42, 1.0/64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			},
+			name:    "f2-chaos",
+			f:       funcs.AMSF2(4, 32),
 			events:  stream.SketchChaos(nodes, 400, 3000, 5),
 			coreCfg: core.Config{Epsilon: 0.1},
 		},
 	}
-	return specs
 }
 
 // TestElisionDifferential is the harness behind the PR's headline claim:
-// check elision is a pure performance optimization. For every bundled sketch
-// query and a chaos stream, the elided pipeline must reproduce the
-// per-event pipeline's protocol outcomes bit-identically — no missed
+// check elision is a pure performance optimization. For the F₂ query under
+// ADCD-E and ADCD-X, an indefinite quadratic, and a chaos stream, the elided
+// pipeline must reproduce the per-event pipeline's protocol outcomes
+// bit-identically — no missed
 // violations, no spurious ones, same syncs, same estimate.
 func TestElisionDifferential(t *testing.T) {
-	for _, spec := range diffSpecs(t) {
-		spec := spec
+	for _, spec := range diffSpecs() {
 		t.Run(spec.name, func(t *testing.T) {
 			ref := runGroup(t, spec, Options{Elide: false})
 			elided := runGroup(t, spec, Options{Elide: true})
 			assertIdentical(t, spec, ref, elided)
+			want := core.MethodE
+			if spec.coreCfg.ForceADCDX {
+				want = core.MethodX
+			}
+			if got := elided.Coordinator().Method(); got != want {
+				t.Fatalf("%s: zones built with method %v, want %v", spec.name, got, want)
+			}
 			st := elided.Stats()
 			if st.Elided == 0 {
 				t.Fatalf("%s: elision never skipped a check (events=%d checks=%d)", spec.name, st.Events, st.Checks)
@@ -195,41 +163,22 @@ func TestElisionDifferential(t *testing.T) {
 	}
 }
 
-// TestElisionBatchCap: the staleness cap forces extra exact checks but must
-// not change protocol outcomes (forced checks land on in-budget events,
-// which are proven non-violations).
-func TestElisionBatchCap(t *testing.T) {
-	// cm-entropy elides the longest runs, so a small cap visibly binds.
-	spec := diffSpecs(t)[2]
-	ref := runGroup(t, spec, Options{Elide: false})
-	capped := runGroup(t, spec, Options{Elide: true, BatchSize: 4})
-	assertIdentical(t, spec, ref, capped)
-	uncapped := runGroup(t, spec, Options{Elide: true})
-	if capped.Stats().Checks <= uncapped.Stats().Checks {
-		t.Fatalf("batch cap 4 should force more checks than the default cap (%d vs %d)",
-			capped.Stats().Checks, uncapped.Stats().Checks)
-	}
-}
-
 // TestPipelineRejectsMismatchedSources: a group whose sketches cannot merge
 // must be refused at assembly, with the sketch package's typed error.
 func TestPipelineRejectsMismatchedSources(t *testing.T) {
-	f := sketch.F2Query(4, 32)
+	f := funcs.AMSF2(4, 32)
 	a, _ := NewAMSSource(4, 32, 1, 1.0/64)
 	b, _ := NewAMSSource(4, 32, 2, 1.0/64) // different seed
-	if _, err := NewPipeline(Config{F: f, Sources: []Source{a, b}}); err == nil {
-		t.Fatal("mismatched seeds accepted")
+	var mm *sketch.MismatchError
+	if _, err := NewPipeline(Config{F: f, Sources: []*AMSSource{a, b}}); !errors.As(err, &mm) {
+		t.Fatalf("mismatched seeds: error %v, want *sketch.MismatchError", err)
 	}
 	c, _ := NewAMSSource(4, 32, 1, 1.0/32) // different scale
-	if _, err := NewPipeline(Config{F: f, Sources: []Source{a, c}}); err == nil {
+	if _, err := NewPipeline(Config{F: f, Sources: []*AMSSource{a, c}}); err == nil {
 		t.Fatal("mismatched scales accepted")
 	}
-	cm, _ := NewCMSource(4, 32, 1, 1.0/64)
-	if _, err := NewPipeline(Config{F: f, Sources: []Source{a, cm}}); err == nil {
-		t.Fatal("mixed source types accepted")
-	}
 	d, _ := NewAMSSource(4, 16, 1, 1.0/64) // wrong dim for f
-	if _, err := NewPipeline(Config{F: f, Sources: []Source{d}}); err == nil {
+	if _, err := NewPipeline(Config{F: f, Sources: []*AMSSource{d}}); err == nil {
 		t.Fatal("source/function dim mismatch accepted")
 	}
 }
@@ -247,7 +196,7 @@ func TestElideRequiresCurvature(t *testing.T) {
 			}
 			return acc
 		})
-	s, _ := NewCMSource(2, 8, 1, 1.0/100)
+	s, _ := NewAMSSource(2, 8, 1, 1.0/100)
 	if _, err := NewNodeIngestor(0, bare, s, Options{Elide: true}); err == nil {
 		t.Fatal("elision without a curvature bound must be refused")
 	}
@@ -255,56 +204,33 @@ func TestElideRequiresCurvature(t *testing.T) {
 	if _, err := NewNodeIngestor(0, bare, s, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// EntropyQuery ships a curvature bound, so elision works:
-	f := sketch.EntropyQuery(2, 8, 0.1)
-	s2, _ := NewCMSource(2, 8, 1, 1.0/100)
-	if _, err := NewNodeIngestor(0, f, s2, Options{Elide: true}); err != nil {
-		t.Fatalf("entropy with curvature bound must allow elision: %v", err)
+	// The same cubic with a declared bound, and the F₂ query's constant
+	// Hessian, both allow elision:
+	if _, err := NewNodeIngestor(0, bare.WithCurvature(1e3), s, Options{Elide: true}); err != nil {
+		t.Fatalf("declared curvature bound must allow elision: %v", err)
+	}
+	if _, err := NewNodeIngestor(0, funcs.AMSF2(2, 8), s, Options{Elide: true}); err != nil {
+		t.Fatalf("constant Hessian must allow elision: %v", err)
 	}
 }
 
 // TestSourceConstructorValidation pins the error paths of the source
-// constructors (bad scale, bad sketch shape) and the accessor surface the
-// experiments and baselines build on.
+// constructor: bad scale, bad sketch shape.
 func TestSourceConstructorValidation(t *testing.T) {
-	if _, err := NewAMSSource(4, 32, 1, 0); err == nil {
-		t.Fatal("AMS source accepted zero scale")
-	}
-	if _, err := NewAMSSource(0, 32, 1, 1); err == nil {
-		t.Fatal("AMS source accepted zero rows")
-	}
-	if _, err := NewCMSource(4, 32, 1, -1); err == nil {
-		t.Fatal("Count-Min source accepted negative scale")
-	}
-	if _, err := NewCMSource(4, 0, 1, 1); err == nil {
-		t.Fatal("Count-Min source accepted zero cols")
-	}
-	if _, err := NewPairSource(4, 32, 1, math.NaN()); err == nil {
-		t.Fatal("pair source accepted NaN scale")
-	}
-	if _, err := NewPairSource(-1, 32, 1, 1); err == nil {
-		t.Fatal("pair source accepted negative rows")
-	}
-
-	ams, err := NewAMSSource(4, 32, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ams.Sketch() == nil || ams.Sketch().Seed() != 1 {
-		t.Fatal("AMS source does not expose its sketch")
-	}
-	cm, err := NewCMSource(4, 32, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Sketch() == nil || cm.Sketch().Seed() != 2 {
-		t.Fatal("Count-Min source does not expose its sketch")
+	for _, tc := range []struct {
+		rows, cols int
+		scale      float64
+	}{{4, 32, 0}, {4, 32, -1}, {4, 32, math.NaN()}, {0, 32, 1}, {4, 0, 1}, {-1, 32, 1}} {
+		if _, err := NewAMSSource(tc.rows, tc.cols, 1, tc.scale); err == nil {
+			t.Fatalf("AMS source accepted %dx%d at scale %v", tc.rows, tc.cols, tc.scale)
+		}
 	}
 }
 
-// TestPipelineAccessors covers the pipeline's structural accessors.
+// TestPipelineAccessors: after Init the pipeline exposes its coordinator and
+// has counted the first sync's traffic.
 func TestPipelineAccessors(t *testing.T) {
-	srcs := make([]Source, 3)
+	srcs := make([]*AMSSource, 3)
 	for i := range srcs {
 		s, err := NewAMSSource(3, 16, 9, 1)
 		if err != nil {
@@ -313,22 +239,14 @@ func TestPipelineAccessors(t *testing.T) {
 		s.Apply(sketch.Update{Item: uint64(i), Delta: 1})
 		srcs[i] = s
 	}
-	f := sketch.F2Query(3, 16)
-	p, err := NewPipeline(Config{F: f, Core: core.Config{Epsilon: 0.5}, Sources: srcs})
+	p, err := NewPipeline(Config{F: funcs.AMSF2(3, 16), Core: core.Config{Epsilon: 0.5}, Sources: srcs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Init(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Nodes() != 3 {
-		t.Fatalf("Nodes() = %d, want 3", p.Nodes())
-	}
-	in := p.Ingestor(1)
-	if in == nil || in.Node() == nil || in.Source() != srcs[1] {
-		t.Fatal("ingestor accessors do not expose the wired node/source")
-	}
-	if p.Coordinator() == nil {
+	if p.Coordinator() == nil || p.Coordinator().Estimate() != p.Estimate() {
 		t.Fatal("pipeline does not expose its coordinator")
 	}
 	if tr := p.Traffic(); tr.Messages == 0 || tr.PayloadBytes == 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"automon/internal/core"
+	"automon/internal/funcs"
 	"automon/internal/sketch"
 	"automon/internal/testenv"
 )
@@ -23,9 +24,9 @@ func benchPipeline(tb testing.TB, elide bool) (*Pipeline, []sketch.Update) {
 		src.Apply(sketch.Update{Item: uint64(i % 97), Delta: 1})
 	}
 	p, err := NewPipeline(Config{
-		F:       sketch.F2Query(rows, cols),
+		F:       funcs.AMSF2(rows, cols),
 		Core:    core.Config{Epsilon: 0.1},
-		Sources: []Source{src},
+		Sources: []*AMSSource{src},
 		Options: Options{Elide: elide},
 	})
 	if err != nil {
@@ -45,9 +46,10 @@ func benchPipeline(tb testing.TB, elide bool) (*Pipeline, []sketch.Update) {
 	return p, churn
 }
 
-// TestIngestZeroAllocsPerEvent locks in the allocation-free fast path, with
-// a tiny batch cap so the measured loop exercises the exact-check-and-
-// refresh path too, not just the elided branch.
+// TestIngestZeroAllocsPerEvent locks in the allocation-free fast path. In
+// elided mode every 4th event first resets the node's budget, so the
+// measured loop exercises the exact-check-and-refresh path too, not just the
+// elided branch.
 func TestIngestZeroAllocsPerEvent(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -58,11 +60,12 @@ func TestIngestZeroAllocsPerEvent(t *testing.T) {
 	}{{"elided", true}, {"perevent", false}} {
 		t.Run(mode.name, func(t *testing.T) {
 			p, churn := benchPipeline(t, mode.elide)
-			in := p.Ingestor(0)
-			// Force frequent exact checks in elided mode.
-			in.batch = 4
+			in := p.ings[0]
 			k := 0
 			allocs := testing.AllocsPerRun(2000, func() {
+				if k%4 == 0 {
+					in.materialize() // resets the budget, as a data pull does
+				}
 				if v := in.Ingest(churn[k%len(churn)]); v != nil {
 					t.Fatalf("churn event %d violated: %+v", k, v.Kind)
 				}
@@ -86,7 +89,7 @@ func BenchmarkIngestEventsPerSec(b *testing.B) {
 	}{{"perevent", false}, {"elided", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			p, churn := benchPipeline(b, mode.elide)
-			in := p.Ingestor(0)
+			in := p.ings[0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

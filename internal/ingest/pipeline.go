@@ -21,7 +21,7 @@ type LogEntry struct {
 type Config struct {
 	F       *core.Function
 	Core    core.Config
-	Sources []Source // one per node; must be mutually compatible
+	Sources []*AMSSource // one per node; must be mutually compatible
 	Options Options
 }
 
@@ -57,12 +57,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.F == nil || len(cfg.Sources) == 0 {
 		return nil, fmt.Errorf("ingest: pipeline requires a function and at least one source")
 	}
-	first, ok := cfg.Sources[0].(compatibility)
-	if !ok {
-		return nil, fmt.Errorf("ingest: source %T cannot vet group compatibility", cfg.Sources[0])
-	}
 	for _, s := range cfg.Sources[1:] {
-		if err := first.compatibleWith(s); err != nil {
+		if err := cfg.Sources[0].compatibleWith(s); err != nil {
 			return nil, err
 		}
 	}
@@ -115,12 +111,6 @@ func (p *Pipeline) Estimate() float64 { return p.coord.Estimate() }
 // Coordinator exposes the protocol state machine (stats, radius) for
 // experiments and tests.
 func (p *Pipeline) Coordinator() *core.Coordinator { return p.coord }
-
-// Ingestor exposes node i's ingestor.
-func (p *Pipeline) Ingestor(i int) *NodeIngestor { return p.ings[i] }
-
-// Nodes returns the group size.
-func (p *Pipeline) Nodes() int { return len(p.ings) }
 
 // Stats sums the per-node ingestion counters.
 func (p *Pipeline) Stats() Stats {

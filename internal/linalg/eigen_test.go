@@ -35,6 +35,20 @@ func reconstruct(values []float64, q *Mat) *Mat {
 	return out
 }
 
+// equalish reports whether all entries of a and b agree within tol.
+func equalish(a, b *Mat, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		d := v - b.Data[i]
+		if d < -tol || d > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEigenSymDiagonal(t *testing.T) {
 	m := NewMat(3, 3)
 	m.Set(0, 0, 3)
@@ -66,7 +80,7 @@ func TestEigenSym2x2Known(t *testing.T) {
 	if !almostEq(v[0], 1, 1e-12) || !almostEq(v[1], 3, 1e-12) {
 		t.Fatalf("eigenvalues = %v", v)
 	}
-	if !Equalish(reconstruct(v, q), m, 1e-10) {
+	if !equalish(reconstruct(v, q), m, 1e-10) {
 		t.Fatal("QΛQᵀ does not reconstruct the matrix")
 	}
 }
@@ -80,7 +94,7 @@ func TestEigenSymReconstructsRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("d=%d: %v", d, err)
 			}
-			if !Equalish(reconstruct(v, q), m, 1e-8) {
+			if !equalish(reconstruct(v, q), m, 1e-8) {
 				t.Fatalf("d=%d trial %d: reconstruction failed", d, trial)
 			}
 			for i := 1; i < d; i++ {
@@ -362,7 +376,7 @@ func TestSplitEig(t *testing.T) {
 		for i, v := range denseOf(plus).Data {
 			sum.Data[i] += v
 		}
-		if !Equalish(sum, m, 1e-8) {
+		if !equalish(sum, m, 1e-8) {
 			t.Fatal("H- + H+ != H")
 		}
 		// plus keeps exactly the positive eigenvalues, minus the negative.

@@ -50,17 +50,3 @@ func (m *Mat) Symmetrize() {
 		}
 	}
 }
-
-// Equalish reports whether all entries of a and b agree within tol.
-func Equalish(a, b *Mat, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		d := v - b.Data[i]
-		if d < -tol || d > tol {
-			return false
-		}
-	}
-	return true
-}

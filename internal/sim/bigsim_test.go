@@ -40,7 +40,7 @@ func TestBigTreeSim(t *testing.T) {
 
 		Shards:     64,
 		TreeFanout: 8,
-		ShardChaos: func(round int, tr *shard.Tree) {
+		shardChaos: func(round int, tr *shard.Tree) {
 			// Shard 64 is the first interior branch: leaves 0–7, an eighth of
 			// the population. Kill it on round 1, heal it on round 2.
 			switch round {

@@ -108,7 +108,7 @@ func TestElideDifferentialAcrossZoo(t *testing.T) {
 				t.Fatal(err)
 			}
 			elCfg := refCfg
-			elCfg.Elide = true
+			elCfg.elide = true
 			el, err := Run(elCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -133,7 +133,7 @@ func TestElideDifferentialAcrossZoo(t *testing.T) {
 }
 
 // TestElideRejectsUnboundedCurvature: functions with no curvature bound
-// (unbounded or unknown Hessians) must fail loudly under Elide rather than
+// (unbounded or unknown Hessians) must fail loudly under elision rather than
 // silently running per-round.
 func TestElideRejectsUnboundedCurvature(t *testing.T) {
 	tiny, err := nn.New(rand.New(rand.NewSource(1)), []int{2, 3, 1}, []nn.Activation{nn.Tanh, nn.Identity})
@@ -151,12 +151,12 @@ func TestElideRejectsUnboundedCurvature(t *testing.T) {
 		cfg := Config{
 			F: tc.f, Data: stream.GaussianNoise(tc.f.Dim(), 3, 40, 0.8, 0.05, 9),
 			Core:  core.Config{Epsilon: 0.5, R: 0.3, Decomp: core.DecompOptions{Seed: 5}},
-			Elide: true,
+			elide: true,
 		}
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "curvature") {
-			t.Fatalf("%s: want loud curvature error under Elide, got %v", tc.name, err)
+			t.Fatalf("%s: want loud curvature error under elision, got %v", tc.name, err)
 		}
-		cfg.Elide = false
+		cfg.elide = false
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("%s: per-round run must still work: %v", tc.name, err)
 		}

@@ -65,15 +65,6 @@ type Config struct {
 	// Core.R == 0); monitoring statistics cover the remaining rounds.
 	TuneRounds int
 
-	// Elide enables safe-zone check elision for the AutoMon algorithm: each
-	// round a node spends its cached distance-to-boundary budget by the
-	// window vector's exact movement and re-runs the safe-zone check only
-	// once the budget is exhausted (or a protocol event reset it). Protocol
-	// outcomes are bit-identical to the per-round path. Requires F to carry
-	// a curvature bound (constant Hessian or WithCurvature); Run fails
-	// loudly otherwise.
-	Elide bool
-
 	// Shards > 0 runs the AutoMon algorithm through a hierarchical sharded
 	// coordinator (internal/shard) with that many leaf shards instead of the
 	// flat one. In the default routing mode the run is bit-identical to a
@@ -86,11 +77,6 @@ type Config struct {
 	TreeFanout int
 	// ShardAbsorb selects shard.ModeAbsorb for a sharded run.
 	ShardAbsorb bool
-	// ShardChaos, when set on a sharded run, is invoked at the start of every
-	// monitored round with the round index and the live tree — the
-	// fault-injection hook chaos tests use to kill and rejoin whole sub-trees
-	// mid-stream.
-	ShardChaos func(round int, tree *shard.Tree)
 
 	// Trace records per-round estimate/true/error series and the cumulative
 	// message count (used by the time-series figures).
@@ -105,6 +91,21 @@ type Config struct {
 	// MetricsLabels is the label set stamped on this run's automon_sim_*
 	// metrics, e.g. `alg="automon",fn="inner_product"`.
 	MetricsLabels string
+
+	// Test hooks, set by in-package tests only.
+	//
+	// elide enables safe-zone check elision for the AutoMon algorithm: each
+	// round a node spends its cached distance-to-boundary budget by the
+	// window vector's exact movement and re-runs the safe-zone check only
+	// once the budget is exhausted (or a protocol event reset it). Protocol
+	// outcomes are bit-identical to the per-round path. Requires F to carry
+	// a curvature bound (constant Hessian or WithCurvature); Run fails
+	// loudly otherwise.
+	elide bool
+	// shardChaos, when set on a sharded run, is invoked at the start of every
+	// monitored round with the round index and the live tree, to kill and
+	// rejoin whole sub-trees mid-stream.
+	shardChaos func(round int, tree *shard.Tree)
 }
 
 // Result aggregates one run.
@@ -121,7 +122,7 @@ type Result struct {
 	MissedRounds            int // rounds with error above ε
 
 	// ElidedChecks counts monitored node-rounds whose safe-zone check the
-	// elision budget skipped (Elide runs only; zero otherwise).
+	// elision budget skipped (elided runs only; zero otherwise).
 	ElidedChecks int
 
 	// RefusedSyncs counts syncs a node could not check and refused; anything
@@ -316,7 +317,7 @@ func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, er
 	n := ds.Nodes
 	g := core.NewGroup(cfg.F, vectors(windows))
 	g.OnMessage = newCounter(cfg, res).count
-	if cfg.Elide && !g.EnableElision() {
+	if cfg.elide && !g.EnableElision() {
 		return nil, fmt.Errorf("sim: elision needs a curvature bound for %s (constant Hessian or WithCurvature)", cfg.F.Name)
 	}
 
@@ -371,8 +372,8 @@ func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, er
 
 	avg := make([]float64, cfg.F.Dim())
 	for r := startRound; r < ds.Rounds; r++ {
-		if tree != nil && cfg.ShardChaos != nil {
-			cfg.ShardChaos(r, tree)
+		if tree != nil && cfg.shardChaos != nil {
+			cfg.shardChaos(r, tree)
 		}
 		for i := 0; i < n; i++ {
 			s := ds.Sample(r, i)

@@ -22,7 +22,7 @@ var treeFanouts = []int{2, 8, 64}
 // at fan-outs {2, 8, 64}, and demands the full Result be DeepEqual: message
 // counts by type, payload bytes, error series, coordinator stats, estimate
 // traces. The tree is a topology choice, not a protocol change. Each case
-// also replays with Config.Elide through the deepest tree, where the Result
+// also replays with Config.elide through the deepest tree, where the Result
 // (including ElidedChecks) must match the elided flat run bit for bit.
 func TestTreeDifferentialAcrossZoo(t *testing.T) {
 	for _, tc := range elideCases(t) {
@@ -52,7 +52,7 @@ func TestTreeDifferentialAcrossZoo(t *testing.T) {
 			}
 
 			elFlatCfg := flatCfg
-			elFlatCfg.Elide = true
+			elFlatCfg.elide = true
 			elFlat, err := Run(elFlatCfg)
 			if err != nil {
 				t.Fatal(err)
@@ -234,7 +234,7 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 	victim.Metrics = reg
 	storm := stormBase
 	storm.Metrics = reg
-	storm.ShardChaos = func(round int, tr *shard.Tree) {
+	storm.shardChaos = func(round int, tr *shard.Tree) {
 		switch round {
 		case killRound:
 			if err := tr.KillSubtree(5); err != nil && chaosErr == nil {

@@ -1,5 +1,5 @@
-// Package sketch implements linear stream sketches in the turnstile model —
-// AMS (Tug-of-War) and Count-Min — and their composition with AutoMon.
+// Package sketch implements the AMS linear stream sketch in the turnstile
+// model, the local vector of AutoMon's sketch composition.
 //
 // §5 of the AutoMon paper observes that the technique is compatible with
 // most sketches because they are linear: "AutoMon can monitor a linear
@@ -8,11 +8,15 @@
 // substream; the average of the node sketches is exactly the sketch of the
 // average frequency vector, so running AutoMon on the query function over
 // the sketch vector monitors the global statistic with sub-linear local
-// state. The AMS second-moment query is a quadratic form of the sketch, so
-// AutoMon selects ADCD-E and the approximation guarantee is deterministic.
+// state. The AMS second-moment query (funcs.AMSF2) is a quadratic form of the
+// sketch, so AutoMon selects ADCD-E and the approximation guarantee is
+// deterministic.
 package sketch
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // mix64 is SplitMix64: a deterministic 64-bit finalizer used for bucket and
 // sign hashing, so sketches are reproducible across processes and mergeable
@@ -31,12 +35,6 @@ type Update struct {
 	Item  uint64
 	Delta float64
 }
-
-// StreamB tags an Update as belonging to the second stream of a two-stream
-// source (the inner-product query sketches streams u and v side by side):
-// set the bit on Item to route the event; the remaining 63 bits identify
-// the item.
-const StreamB uint64 = 1 << 63
 
 // AMS is an AMS (Alon–Matias–Szegedy) "Tug-of-War" sketch with Rows × Cols
 // counters: every row r keeps S[r][c] = Σ_i s_r(i)·freq(i)·[h_r(i) = c],
@@ -67,10 +65,6 @@ func NewAMS(rows, cols int, seed uint64) (*AMS, error) {
 	}
 	return &AMS{Rows: rows, Cols: cols, seed: seed, rowSeed: rs, data: make([]float64, rows*cols)}, nil
 }
-
-// Seed returns the hash seed the sketch was built with; sketches combine
-// only when their seeds (hash families) and shapes agree.
-func (a *AMS) Seed() uint64 { return a.seed }
 
 // cell returns the (bucket, sign) of an item within a row.
 func (a *AMS) cell(row int, item uint64) (col int, sign float64) {
@@ -111,59 +105,28 @@ func (a *AMS) F2() float64 {
 	return total / float64(a.Rows)
 }
 
-// CountMin is a Count-Min sketch (cash-register model), the second
-// linear-sketch substrate: point queries upper-bound item frequencies, and
-// node sketches average exactly like AMS.
-type CountMin struct {
-	Rows, Cols int
-	seed       uint64
-	// rowSeed[r] = mix64(r + seed + 0x5bd1): same one-mix64-per-event trick
-	// as AMS, bit-identical buckets to the on-the-fly double hash.
-	rowSeed []uint64
-	data    []float64
+// MismatchError reports two sketches whose hash families or shapes disagree.
+// Averaging such sketches is not an approximation error — the buckets are
+// unrelated and every query on the result is silently wrong — so a group
+// that would average them is rejected with this typed error.
+type MismatchError struct {
+	RowsA, ColsA int
+	RowsB, ColsB int
+	SeedA, SeedB uint64
 }
 
-// NewCountMin creates a Count-Min sketch.
-func NewCountMin(rows, cols int, seed uint64) (*CountMin, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, errors.New("sketch: CountMin needs positive shape")
+func (e *MismatchError) Error() string {
+	return fmt.Sprintf("sketch: incompatible AMS sketches (shape %dx%d seed %#x vs shape %dx%d seed %#x)",
+		e.RowsA, e.ColsA, e.SeedA, e.RowsB, e.ColsB, e.SeedB)
+}
+
+// Compatible reports whether two AMS sketches share a hash family and shape,
+// returning a typed *MismatchError when they do not.
+func (a *AMS) Compatible(b *AMS) error {
+	if a.Rows != b.Rows || a.Cols != b.Cols || a.seed != b.seed {
+		return &MismatchError{
+			RowsA: a.Rows, ColsA: a.Cols, SeedA: a.seed,
+			RowsB: b.Rows, ColsB: b.Cols, SeedB: b.seed}
 	}
-	rs := make([]uint64, rows)
-	for r := range rs {
-		rs[r] = mix64(uint64(r) + seed + 0x5bd1)
-	}
-	return &CountMin{Rows: rows, Cols: cols, seed: seed, rowSeed: rs, data: make([]float64, rows*cols)}, nil
+	return nil
 }
-
-// Seed returns the hash seed the sketch was built with.
-func (c *CountMin) Seed() uint64 { return c.seed }
-
-func (c *CountMin) cell(row int, item uint64) int {
-	return int(mix64(item^c.rowSeed[row]) % uint64(c.Cols))
-}
-
-// Add increases an item's count by delta (delta ≥ 0 for the classical
-// guarantee).
-func (c *CountMin) Add(item uint64, delta float64) {
-	for r := 0; r < c.Rows; r++ {
-		c.data[r*c.Cols+c.cell(r, item)] += delta
-	}
-}
-
-// Count returns the point-query estimate (minimum across rows); it never
-// underestimates for non-negative updates.
-func (c *CountMin) Count(item uint64) float64 {
-	min := c.data[c.cell(0, item)]
-	for r := 1; r < c.Rows; r++ {
-		if v := c.data[r*c.Cols+c.cell(r, item)]; v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Vector exposes the sketch as a flat vector (aliases storage).
-func (c *CountMin) Vector() []float64 { return c.data }
-
-// Dim returns the monitored vector length.
-func (c *CountMin) Dim() int { return c.Rows * c.Cols }

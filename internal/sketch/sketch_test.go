@@ -1,10 +1,11 @@
 package sketch
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestAMSLinearity(t *testing.T) {
@@ -101,36 +102,61 @@ func TestAMSDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cm, err := NewCountMin(4, 64, uint64(seed))
-		if err != nil {
-			return false
-		}
-		truth := map[uint64]float64{}
-		for k := 0; k < 300; k++ {
-			item := uint64(rng.Intn(50))
-			cm.Add(item, 1)
-			truth[item]++
-		}
-		for item, want := range truth {
-			if cm.Count(item) < want-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBadShapesRejected(t *testing.T) {
 	if _, err := NewAMS(0, 4, 1); err == nil {
 		t.Fatal("AMS with zero rows accepted")
 	}
-	if _, err := NewCountMin(4, 0, 1); err == nil {
-		t.Fatal("CountMin with zero cols accepted")
+	if _, err := NewAMS(4, 0, 1); err == nil {
+		t.Fatal("AMS with zero cols accepted")
+	}
+}
+
+func TestRowSeedBitIdentical(t *testing.T) {
+	// The precomputed per-row seeds must reproduce the original double-hash
+	// bucket/sign assignment exactly — sketches written by older builds stay
+	// mergeable with sketches written by this one.
+	a, _ := NewAMS(6, 48, 0xfeed)
+	for row := 0; row < a.Rows; row++ {
+		for item := uint64(0); item < 500; item++ {
+			v := mix64(item ^ mix64(uint64(row)+a.seed))
+			wantCol := int(v % uint64(a.Cols))
+			wantSign := -1.0
+			if (v>>32)&1 == 1 {
+				wantSign = 1.0
+			}
+			col, sign := a.cell(row, item)
+			if col != wantCol || sign != wantSign {
+				t.Fatalf("row %d item %d: cell (%d, %v), reference (%d, %v)", row, item, col, sign, wantCol, wantSign)
+			}
+		}
+	}
+}
+
+// TestMergeMismatchRejected: sketches that disagree on shape or seed are
+// reported with the typed *MismatchError, which ingest relies on to refuse a
+// group whose sketches cannot average.
+func TestMergeMismatchRejected(t *testing.T) {
+	base, _ := NewAMS(4, 32, 7)
+	same, _ := NewAMS(4, 32, 7)
+	if err := base.Compatible(same); err != nil {
+		t.Fatalf("equal shape and seed rejected: %v", err)
+	}
+	shape, _ := NewAMS(4, 64, 7)
+	rows, _ := NewAMS(8, 32, 7)
+	seed, _ := NewAMS(4, 32, 8)
+	for _, other := range []*AMS{shape, rows, seed} {
+		err := base.Compatible(other)
+		var mm *MismatchError
+		if !errors.As(err, &mm) {
+			t.Fatalf("%dx%d seed %d against %dx%d seed %d: error %v, want *MismatchError",
+				other.Rows, other.Cols, other.seed, base.Rows, base.Cols, base.seed, err)
+		}
+		if mm.RowsA != 4 || mm.ColsA != 32 || mm.SeedA != 7 ||
+			mm.RowsB != other.Rows || mm.ColsB != other.Cols || mm.SeedB != other.seed {
+			t.Fatalf("mismatch error fields: %+v", mm)
+		}
+		if !strings.Contains(mm.Error(), "incompatible") {
+			t.Fatalf("error text: %q", mm.Error())
+		}
 	}
 }

@@ -187,41 +187,3 @@ func SketchChaos(nodes, warm, events int, seed int64) *Events {
 	}
 	return e
 }
-
-// PairedSketchEvents generates the two-stream workload for the
-// inner-product query: events route between the u and v sketches via the
-// sketch.StreamB bit. The u stream tracks a slowly rising activity level
-// while v stays stationary, so ⟨u, v⟩ drifts through phases like the §4.2
-// inner-product workload.
-func PairedSketchEvents(nodes, warm, events int, seed int64) *Events {
-	rng := rand.New(rand.NewSource(seed))
-	e := &Events{Name: "paired-sketch", Nodes: nodes}
-	for i := 0; i < nodes; i++ {
-		w := make([]sketch.Update, warm)
-		for k := range w {
-			item := uint64(rng.Intn(64))
-			if k%2 == 1 {
-				item |= sketch.StreamB
-			}
-			w[k] = sketch.Update{Item: item, Delta: 1}
-		}
-		evs := make([]sketch.Update, events)
-		for k := range evs {
-			frac := float64(k) / float64(events)
-			item := uint64(rng.Intn(64))
-			delta := 1.0
-			if rng.Float64() < 0.5 {
-				item |= sketch.StreamB // v stream: stationary
-			} else if frac > 0.5 && rng.Float64() < 0.4 {
-				item = uint64(rng.Intn(4)) // u stream concentrates late in the run
-			}
-			if rng.Float64() < 0.05 {
-				delta = -1
-			}
-			evs[k] = sketch.Update{Item: item, Delta: delta}
-		}
-		e.Warm = append(e.Warm, w)
-		e.PerNode = append(e.PerNode, evs)
-	}
-	return e
-}
