@@ -333,6 +333,89 @@ func TestOneZoneBuildPath(t *testing.T) {
 	})
 }
 
+// TestSyncVectorsAreReadOnly guards the one set of zone vectors per full
+// sync: the coordinator's zone lends its X0 and GradF0 to every Sync of the
+// sync, and Node.ApplySync installs them without a copy, so in process one
+// write would move every node's zone at once. The fields are found by type,
+// so a write through any variable, embedding or package counts: an element
+// assignment, an increment, a copy destination or an append target on the
+// X0 or GradF0 field of core.Sync or core.SafeZone, anywhere in the module.
+func TestSyncVectorsAreReadOnly(t *testing.T) {
+	mod, err := LoadModule("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[types.Object]string{}
+	for _, p := range mod.Pkgs {
+		if p.Path != "automon/internal/core" {
+			continue
+		}
+		for _, name := range []string{"Sync", "SafeZone"} {
+			st := p.Pkg.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if fld := st.Field(i); fld.Name() == "X0" || fld.Name() == "GradF0" {
+					shared[fld] = "core." + name + "." + fld.Name()
+				}
+			}
+		}
+	}
+	if len(shared) != 4 {
+		t.Fatalf("found %d of the four shared fields (core.Sync and core.SafeZone, X0 and GradF0)", len(shared))
+	}
+	for _, p := range mod.Pkgs {
+		// field names the shared field a write goes into, through any
+		// parentheses, index or slice expressions around its selector.
+		field := func(e ast.Expr) string {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.SliceExpr:
+					e = x.X
+				case *ast.SelectorExpr:
+					return shared[p.Info.Uses[x.Sel]]
+				default:
+					return ""
+				}
+			}
+		}
+		write := func(n ast.Node, how string, target ast.Expr) {
+			if name := field(target); name != "" {
+				t.Errorf("%s: %s %s; the full sync's zone vectors are shared read-only", mod.Fset.Position(n.Pos()), how, name)
+			}
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						if _, ok := lhs.(*ast.IndexExpr); ok {
+							write(x, "assigns an element of", lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					if _, ok := x.X.(*ast.IndexExpr); ok {
+						write(x, "increments an element of", x.X)
+					}
+				case *ast.CallExpr:
+					id, ok := x.Fun.(*ast.Ident)
+					if _, builtin := p.Info.Uses[id].(*types.Builtin); ok && builtin && len(x.Args) > 0 {
+						switch id.Name {
+						case "copy":
+							write(x, "copies into", x.Args[0])
+						case "append":
+							write(x, "appends to", x.Args[0])
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // mentionsMutex reports whether the subtree names sync.Mutex or sync.RWMutex.
 func mentionsMutex(n ast.Node) bool {
 	found := false

@@ -90,7 +90,9 @@ type Config struct {
 	Tracer *obs.Tracer
 	// ZoneBuilder, when set, replaces ADCD entirely with a hand-crafted safe
 	// zone (used to plug GM baselines such as Convex Bound into the same
-	// protocol). Such zones are delivered to nodes in-memory.
+	// protocol). Such zones are delivered to nodes in-memory. x0 is the
+	// coordinator's scratch: the zone's X0 must be a copy of it, which every
+	// Sync of the full sync carries.
 	ZoneBuilder func(f *Function, x0 []float64, l, u float64) *SafeZone
 }
 
@@ -115,6 +117,13 @@ func (c Config) Detached() Config {
 // is unreachable (after calling MarkDead on the coordinator); the coordinator
 // then keeps its last known vector for that node and excludes it from the
 // estimate until the node rejoins.
+//
+// Messages are lent, not given, and neither may be written. A SendSlack
+// message is valid only during the call: the coordinator re-addresses one
+// Slack per partition, and its vector is the coordinator's own record of the
+// node's slack. A fabric encodes or applies it on the spot, or clones what it
+// keeps. A SendSync message is the node's own, but its X0 and GradF0 are
+// shared with the coordinator's zone and with every node of the sync.
 type NodeComm interface {
 	RequestData(nodeID int) []float64
 	SendSync(nodeID int, m *Sync)

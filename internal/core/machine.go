@@ -34,17 +34,20 @@ type Ownership interface {
 	AddSlacked(sum []float64, id int)
 	// Rebalance sets sⱼ ← mean − xⱼ for every j in set and delivers the new
 	// slack to the node. The set's slack total is preserved, so Σᵢ sᵢ = 0
-	// still holds.
+	// still holds. Neither set nor mean may be retained: both are the
+	// machine's scratch.
 	Rebalance(set []int, mean []float64)
 	// Collect implements the full-sync gather: refresh every live node not
-	// marked fresh (losses may be flagged re-entrantly via MarkDead), then
-	// fold every live node's vector into the exact per-dimension
-	// accumulators. It returns the total weight — the number of vectors
-	// folded — which the machine uses as the averaging denominator. Because
-	// the accumulators are exact (linalg.Acc), any tree of partial Collects
+	// in fresh (losses may be flagged re-entrantly via MarkDead), then fold
+	// every live node's vector into the exact per-dimension accumulators.
+	// fresh holds the nodes whose vectors this resolution already stored; it
+	// is the machine's, valid only during the call, and nil when there are
+	// none. Collect returns the total weight — the number of vectors folded —
+	// which the machine uses as the averaging denominator. Because the
+	// accumulators are exact (linalg.Acc), any tree of partial Collects
 	// merged upward yields bit-identical accumulators, and therefore a
 	// bit-identical reference point, to a flat gather.
-	Collect(fresh map[int]bool, accs []linalg.Acc) int
+	Collect(fresh *Marks, accs []linalg.Acc) int
 	// Distribute fans a full sync out to every live node: assign slack
 	// sᵢ = x0 − xᵢ (or zero under DisableSlack), clear dead nodes' slack, and
 	// send each node its Sync built from the template (per-node NodeID,
@@ -56,6 +59,31 @@ type Ownership interface {
 	// Snapshot clones the last-known vectors of all nodes, in global node
 	// order, for the adaptive radius controller's re-tuning window.
 	Snapshot() [][]float64
+}
+
+// Marks is a set of node ids that empties in O(1): an id is in the set when
+// its stamp equals the current generation, so emptying it only bumps the
+// generation. A resolution marks the nodes whose vectors it already holds
+// (the violator's, a rejoin's, every lazy-sync pull), and a full sync's
+// gather does not pull them again.
+type Marks struct {
+	gen   uint32
+	stamp []uint32
+}
+
+// Has reports whether id is in the set. A nil set is empty.
+func (s *Marks) Has(id int) bool { return s != nil && s.stamp[id] == s.gen }
+
+func (s *Marks) add(id int) { s.stamp[id] = s.gen }
+
+// reset empties the set. When the generation wraps, a stamp left from four
+// billion resets ago would read as current, so the stamps are cleared.
+func (s *Marks) reset() {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.stamp)
+		s.gen = 1
+	}
 }
 
 // Machine is the AutoMon coordinator protocol as a pure state machine:
@@ -83,8 +111,13 @@ type Machine struct {
 	// nodes keep their place and are skipped by pickLRU.
 	prev, next  []int32
 	consecNeigh int
-	// sum and mean are lazySync's scratch, reused across attempts.
-	sum, mean []float64
+	// A resolution allocates nothing of its own: fresh marks the vectors it
+	// already holds, and set, sum, mean and diff are lazySync's balancing
+	// set, slacked-vector sum, mean and ContainsScratch scratch. set has room
+	// for the largest set an attempt can build, ⌊n/2⌋ + 1 nodes.
+	fresh           Marks
+	set             []int
+	sum, mean, diff []float64
 
 	// rMax is the resolved doubling cap (see Config.RMax / resolveRMax).
 	// radius is the drift-aware controller, nil unless Config.AdaptiveR is
@@ -130,8 +163,11 @@ func NewMachine(f *Function, n int, cfg Config, own Ownership) *Machine {
 		r:   cfg.R,
 		obs: newCoordObs(cfg.Metrics, cfg.Tracer, cfg.MetricsLabels),
 
+		fresh:          Marks{gen: 1, stamp: make([]uint32, n)},
+		set:            make([]int, 0, n/2+1),
 		sum:            make([]float64, f.Dim()),
 		mean:           make([]float64, f.Dim()),
+		diff:           make([]float64, f.Dim()),
 		thresholdFloor: DefaultThresholdFloor,
 	}
 	m.obs.liveNodes.Set(float64(n))
@@ -285,15 +321,22 @@ func (m *Machine) HandleRejoin(ids []int, xs [][]float64) error {
 			return fmt.Errorf("core: rejoin of unknown node %d", id)
 		}
 	}
-	fresh := make(map[int]bool, len(ids))
+	fresh := m.newResolution()
 	for i, id := range ids {
 		m.readmit(id)
 		if xs != nil && xs[i] != nil {
 			m.own.Store(id, xs[i])
-			fresh[id] = true
+			fresh.add(id)
 		}
 	}
 	return m.fullSync(fresh)
+}
+
+// newResolution empties the fresh-vector marks for a resolution that is
+// about to store vectors, and returns them.
+func (m *Machine) newResolution() *Marks {
+	m.fresh.reset()
+	return &m.fresh
 }
 
 // readmit revives one node ahead of a rejoin's full sync. The node may have
@@ -313,12 +356,12 @@ func (m *Machine) AdoptZone(z *SafeZone) { m.zone = z }
 
 // TryLazyAbsorb attempts to resolve a safe-zone violation with lazy-sync
 // balancing only — no full-sync fallback, no zone rebuild. It returns false
-// whenever the violation cannot be absorbed (wrong kind, no adopted zone,
-// dead or unknown violator, balancing failed) and the caller escalates to
-// its parent tier. On success the balancing set's slack total is preserved,
-// so the absorption is invisible to Σᵢ sᵢ = 0 at every tier above.
+// whenever the violation cannot be absorbed (wrong kind or dimension, no
+// adopted zone, dead or unknown violator, balancing failed) and the caller
+// escalates to its parent tier. On success the balancing set's slack total is
+// preserved, so the absorption is invisible to Σᵢ sᵢ = 0 at every tier above.
 func (m *Machine) TryLazyAbsorb(v *Violation) bool {
-	if v == nil || v.Kind != ViolationSafeZone || m.zone == nil || m.Cfg.DisableLazySync {
+	if v == nil || v.Kind != ViolationSafeZone || len(v.X) != m.F.Dim() || m.zone == nil || m.Cfg.DisableLazySync {
 		return false
 	}
 	if v.NodeID < 0 || v.NodeID >= m.N || !m.live[v.NodeID] {
@@ -327,7 +370,9 @@ func (m *Machine) TryLazyAbsorb(v *Violation) bool {
 	m.own.Store(v.NodeID, v.X)
 	m.obs.szViol.Inc()
 	m.consecNeigh = 0
-	return m.lazySync(v, map[int]bool{v.NodeID: true})
+	fresh := m.newResolution()
+	fresh.add(v.NodeID)
+	return m.lazySync(v, fresh)
 }
 
 // Init pulls all local vectors and performs the first full sync. It must be
@@ -351,7 +396,8 @@ func (m *Machine) Resync() error { return m.fullSync(nil) }
 // HandleViolation is the machine's reaction to a node-reported violation:
 // lazy sync for safe-zone violations (when enabled), a full sync otherwise.
 // The violation's embedded vector refreshes the data plane's view of that
-// node.
+// node. A violation from an unknown node, of an unknown kind or with a vector
+// of another dimension is refused with an error before any state changes.
 //
 // The statepure marker makes this transition part of the machine-checked
 // purity boundary (ROADMAP item 1): its static call closure must stay free
@@ -364,6 +410,9 @@ func (m *Machine) HandleViolation(v *Violation) error {
 	if v.NodeID < 0 || v.NodeID >= m.N {
 		return fmt.Errorf("core: violation from unknown node %d", v.NodeID)
 	}
+	if err := v.Check(m.F.Dim()); err != nil {
+		return err
+	}
 	// A violation from a dead-marked node proves it is alive again (e.g. a
 	// request timeout was a false suspicion): it is a rejoin carrying the
 	// node's vector, whatever its kind.
@@ -371,7 +420,8 @@ func (m *Machine) HandleViolation(v *Violation) error {
 		return m.HandleRejoin([]int{v.NodeID}, [][]float64{v.X})
 	}
 	m.own.Store(v.NodeID, v.X)
-	fresh := map[int]bool{v.NodeID: true}
+	fresh := m.newResolution()
+	fresh.add(v.NodeID)
 
 	switch v.Kind {
 	case ViolationNeighborhood:
@@ -422,7 +472,7 @@ func (m *Machine) HandleViolation(v *Violation) error {
 			m.radius.maybeRetune()
 		}
 		return err
-	case ViolationSafeZone:
+	default: // ViolationSafeZone, the one kind Check leaves
 		m.obs.szViol.Inc()
 		m.obs.tracer.Record(obs.EventViolation, v.NodeID, 0, "safe_zone")
 		m.consecNeigh = 0
@@ -437,7 +487,6 @@ func (m *Machine) HandleViolation(v *Violation) error {
 		}
 		return err
 	}
-	return fmt.Errorf("core: unknown violation kind %v", v.Kind)
 }
 
 // lazySync implements the balancing protocol: starting from the violator, it
@@ -445,12 +494,13 @@ func (m *Machine) HandleViolation(v *Violation) error {
 // their slacked vectors re-enters the safe zone, then rebalances their slack
 // so each sits exactly at the mean. Returns false when more than half the
 // nodes were pulled without resolution; the caller then falls back to a full
-// sync (which reuses the vectors pulled here via fresh).
+// sync (which reuses the vectors pulled here via fresh). Every buffer it uses
+// is the machine's, so an attempt allocates nothing.
 //
 //automon:statepure
-func (m *Machine) lazySync(v *Violation, fresh map[int]bool) bool {
+func (m *Machine) lazySync(v *Violation, fresh *Marks) bool {
 	m.obs.lazyAttempts.Inc()
-	set := []int{v.NodeID}
+	set := append(m.set[:0], v.NodeID)
 	m.touchLRU(v.NodeID)
 
 	sum, mean := m.sum, m.mean
@@ -469,12 +519,12 @@ func (m *Machine) lazySync(v *Violation, fresh map[int]bool) bool {
 			// caller fall back to a full sync over the remaining live set.
 			return false
 		}
-		fresh[next] = true
+		fresh.add(next)
 		set = append(set, next)
 		m.touchLRU(next)
 		m.own.AddSlacked(sum, next)
 		linalg.Scale(mean, 1/float64(len(set)), sum)
-		if m.zone.InNeighborhood(mean) && m.zone.Contains(m.F, mean) &&
+		if m.zone.InNeighborhood(mean) && m.zone.ContainsScratch(m.F, mean, m.diff) &&
 			m.zone.InAdmissibleRegion(m.F, mean) {
 			break
 		}
@@ -551,7 +601,7 @@ func (m *Machine) Thresholds(f0 float64) (l, u float64) {
 // only there is the violation itself part of the streak (§3.6).
 //
 //automon:statepure
-func (m *Machine) fullSync(fresh map[int]bool) error {
+func (m *Machine) fullSync(fresh *Marks) error {
 	m.obs.fullSyncs.Inc()
 	m.consecNeigh = 0
 	m.rSwapped = false
@@ -618,10 +668,13 @@ func (m *Machine) fullSync(fresh map[int]bool) error {
 	m.obs.estimate.Set(zone.F0)
 	m.obs.tracer.Record(obs.EventFullSync, -1, float64(m.liveCount), zone.Method.String())
 
+	// The template carries the zone's own X0 and ∇f(x0), not m.x0, which the
+	// next sync overwrites: every node of this sync shares the two vectors
+	// read-only (see Sync).
 	m.own.Distribute(&Sync{
 		Method: m.method,
 		Kind:   zone.Kind,
-		X0:     m.x0,
+		X0:     zone.X0,
 		F0:     zone.F0,
 		GradF0: zone.GradF0,
 		L:      l,

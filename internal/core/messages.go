@@ -86,6 +86,19 @@ type Violation struct {
 	X      []float64
 }
 
+// Check reports why a coordinator of a dim-dimensional function cannot act on
+// v: a kind outside the three above, or a vector of another dimension. The
+// decoder accepts both, so whatever takes violations off a wire checks them.
+func (v *Violation) Check(dim int) error {
+	if v.Kind < ViolationNeighborhood || v.Kind > ViolationFaulty {
+		return fmt.Errorf("core: unknown violation kind %v", v.Kind)
+	}
+	if len(v.X) != dim {
+		return fmt.Errorf("core: violation from node %d carries %d values for a %d-dimensional function", v.NodeID, len(v.X), dim)
+	}
+	return nil
+}
+
 // DataRequest asks a node for its current local vector.
 type DataRequest struct {
 	NodeID int
@@ -101,6 +114,10 @@ type DataResponse struct {
 // full sync. For ADCD-E the H⁻/H⁺ part is constant and only shipped, as its
 // eigenpairs, when WithMatrix is set (the first sync); later syncs reuse the
 // node's copy.
+//
+// X0 and GradF0 are read-only. A full sync sends every node the zone's own
+// two vectors, and Node.ApplySync installs them without a copy, so in
+// process every node of one sync shares them with the coordinator's zone.
 type Sync struct {
 	NodeID     int
 	Method     Method
@@ -123,15 +140,14 @@ type Sync struct {
 	Zone *SafeZone
 }
 
-// ForNode builds node id's message from a full sync's template: the node's
-// own copies of the shared vectors and of its slack, the zone's ADCD-E
-// eigen-factor when withFactor asks for it (the first sync to that node),
-// and the in-memory zone itself for hand-crafted methods.
+// ForNode builds node id's message from a full sync's template: the
+// template's read-only X0 and GradF0, the node's own copy of its slack, the
+// zone's ADCD-E eigen-factor when withFactor asks for it (the first sync to
+// that node), and the in-memory zone itself for hand-crafted methods. Each
+// node gets a message of its own, so a fabric may keep one.
 func (tmpl *Sync) ForNode(id int, slack []float64, zone *SafeZone, withFactor bool) *Sync {
 	msg := *tmpl
 	msg.NodeID = id
-	msg.X0 = linalg.Clone(tmpl.X0)
-	msg.GradF0 = linalg.Clone(tmpl.GradF0)
 	msg.Slack = linalg.Clone(slack)
 	if withFactor {
 		msg.WithMatrix, msg.Matrix = true, zone.H
@@ -143,7 +159,7 @@ func (tmpl *Sync) ForNode(id int, slack []float64, zone *SafeZone, withFactor bo
 }
 
 // Slack rebalances a node's slack vector during lazy sync, leaving the safe
-// zone untouched.
+// zone untouched. The coordinator lends it for one SendSlack (see NodeComm).
 type Slack struct {
 	NodeID int
 	Slack  []float64

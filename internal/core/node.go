@@ -101,7 +101,8 @@ func (n *Node) CurrentValue() float64 {
 // ADCD-E factor that do not fit F, or an ADCD-E zone whose factor never
 // arrived (a faulty fabric separated it from the first sync) — is refused
 // and the previous zone kept. The elision budget is invalidated: it was
-// derived from the previous zone.
+// derived from the previous zone. The new zone holds the message's read-only
+// X0 and GradF0 themselves (see Sync).
 func (n *Node) ApplySync(m *Sync) bool {
 	n.resetBudget()
 	if m.Zone != nil { // hand-crafted (MethodCustom) zone, in-memory only
@@ -126,9 +127,9 @@ func (n *Node) ApplySync(m *Sync) bool {
 	z := &SafeZone{
 		Method: m.Method,
 		Kind:   m.Kind,
-		X0:     linalg.Clone(m.X0),
+		X0:     m.X0,
 		F0:     m.F0,
-		GradF0: linalg.Clone(m.GradF0),
+		GradF0: m.GradF0,
 		L:      m.L,
 		U:      m.U,
 		Lam:    m.Lam,

@@ -23,6 +23,10 @@ type Partition struct {
 
 	lastX  [][]float64
 	slacks [][]float64
+	// slackMsg is the one Slack message Rebalance sends, re-addressed per
+	// node. Its vector is the node's own slacks entry, so a fabric may read
+	// it only during SendSlack (see NodeComm).
+	slackMsg Slack
 	// matrixSent tracks per node whether the (constant) ADCD-E factor has
 	// been delivered. It is cleared when a node dies or rejoins: the node may
 	// have restarted as a fresh process that never saw the factor.
@@ -88,7 +92,8 @@ func (p *Partition) Rebalance(set []int, mean []float64) {
 	for _, id := range set {
 		i := id - p.base
 		linalg.Sub(p.slacks[i], mean, p.lastX[i])
-		p.comm.SendSlack(p.Lo+i, &Slack{NodeID: p.Lo + i, Slack: linalg.Clone(p.slacks[i])})
+		p.slackMsg = Slack{NodeID: p.Lo + i, Slack: p.slacks[i]}
+		p.comm.SendSlack(p.Lo+i, &p.slackMsg)
 	}
 }
 
@@ -96,14 +101,14 @@ func (p *Partition) Rebalance(set []int, mean []float64) {
 // ascending node order, folding each live vector as soon as it is pulled. A
 // nil RequestData response means the fabric lost that node; unless it is
 // still marked live, it is left out of the fold and its stale vector is kept.
-func (p *Partition) Collect(fresh map[int]bool, accs []linalg.Acc) int {
+func (p *Partition) Collect(fresh *Marks, accs []linalg.Acc) int {
 	weight := 0
 	for i := range p.lastX {
 		id := p.base + i
 		if !p.m.Live(id) {
 			continue
 		}
-		if !fresh[id] {
+		if !fresh.Has(id) {
 			if x := p.comm.RequestData(p.Lo + i); x != nil {
 				copy(p.lastX[i], x)
 			} else if !p.m.Live(id) {

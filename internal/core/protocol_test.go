@@ -301,6 +301,45 @@ func TestFaultyViolationTriggersFullSync(t *testing.T) {
 	}
 }
 
+// TestHandleViolationRefusesMalformed: a violation of an unknown kind or with
+// a vector of another dimension is an error that changes nothing — not the
+// stored vector, not the counters, and not a dead node's liveness, which
+// would otherwise be revived by the rejoin branch.
+func TestHandleViolationRefusesMalformed(t *testing.T) {
+	f := saddleFunc()
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nodes[i] = NewNode(i, f)
+		nodes[i].SetData([]float64{0.1, 0.2})
+	}
+	coord := NewCoordinator(f, len(nodes), Config{Epsilon: 0.1}, newCountingComm(nodes))
+	if err := coord.Init(); err != nil {
+		t.Fatal(err)
+	}
+	coord.MarkDead(2)
+	stats, zone := coord.Stats(), coord.Zone()
+	for _, v := range []*Violation{
+		{NodeID: 1, Kind: 9, X: []float64{5, 5}},
+		{NodeID: 1, Kind: ViolationSafeZone, X: []float64{5}},
+		{NodeID: 1, Kind: ViolationFaulty, X: []float64{5, 5, 5}},
+		{NodeID: 2, Kind: 0, X: []float64{5, 5}},
+		{NodeID: 2, Kind: ViolationNeighborhood, X: nil},
+	} {
+		if err := coord.HandleViolation(v); err == nil {
+			t.Errorf("violation %+v accepted", v)
+		}
+	}
+	if coord.TryLazyAbsorb(&Violation{NodeID: 1, Kind: ViolationSafeZone, X: []float64{5}}) {
+		t.Error("TryLazyAbsorb absorbed a one-value vector for a two-dimensional function")
+	}
+	if got := coord.Stats(); got != stats || coord.Zone() != zone || coord.Live(2) {
+		t.Fatalf("a refused violation changed state: stats %+v → %+v, node 2 live %v", stats, got, coord.Live(2))
+	}
+	if got := coord.own.lastX[1]; got[0] != 0.1 || got[1] != 0.2 {
+		t.Fatalf("a refused violation overwrote node 1's vector with %v", got)
+	}
+}
+
 func TestRDoublingHeuristic(t *testing.T) {
 	f := rosenbrockFunc()
 	n := 2

@@ -58,6 +58,7 @@ func (m Method) String() string {
 // SafeZone is the local constraint distributed by the coordinator: the set
 // of vectors v for which the node stays silent. It bundles the DC
 // decomposition parameters, the thresholds, and the neighborhood box.
+// A zone is read-only once built: its X0 and GradF0 are shared (see Sync).
 type SafeZone struct {
 	Method Method
 	Kind   DCKind

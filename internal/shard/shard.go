@@ -319,7 +319,7 @@ func (o *treeOwner) Rebalance(set []int, mean []float64) {
 	}
 }
 
-func (o *treeOwner) Collect(fresh map[int]bool, accs []linalg.Acc) int {
+func (o *treeOwner) Collect(fresh *core.Marks, accs []linalg.Acc) int {
 	p := o.t.topo.collect(fresh)
 	if !o.t.acceptPartial(p, o.t.N) {
 		return 0

@@ -15,7 +15,7 @@ type treeNode interface {
 	// report: its subtree size. Partials claiming more are count lies.
 	maxWeight() int
 	nodeIDs() []int
-	collect(fresh map[int]bool) *core.Partial
+	collect(fresh *core.Marks) *core.Partial
 	distribute(tmpl *core.Sync, zone *core.SafeZone)
 }
 
@@ -60,7 +60,7 @@ func (lf *leaf) nodeIDs() []int {
 // liveness is protocol state and lives at the root machine; the refresh may
 // flag losses re-entrantly through it (NodeComm contract), which the fold
 // then observes.
-func (lf *leaf) collect(fresh map[int]bool) *core.Partial {
+func (lf *leaf) collect(fresh *core.Marks) *core.Partial {
 	p := &core.Partial{
 		ShardID: lf.id,
 		NodeID:  -1,
@@ -129,7 +129,7 @@ func (b *branch) nodeIDs() []int {
 	return ids
 }
 
-func (b *branch) collect(fresh map[int]bool) *core.Partial {
+func (b *branch) collect(fresh *core.Marks) *core.Partial {
 	t := b.t
 	p := &core.Partial{
 		ShardID: b.id,

@@ -101,6 +101,100 @@ func TestBadRegistrationRejected(t *testing.T) {
 	}
 }
 
+// rawNode is a node written against the wire by hand: it registers, answers
+// every data request with its vector, and sends whatever a test hands it, so
+// a test can put a malformed report on a registered connection. hungUp closes
+// when the coordinator closes the connection.
+type rawNode struct {
+	conn   net.Conn
+	hungUp chan struct{}
+}
+
+func dialRawNode(t *testing.T, addr string, id int, x []float64) *rawNode {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn := &rawNode{conn: conn, hungUp: make(chan struct{})}
+	rn.send(t, &core.DataResponse{NodeID: id, X: x})
+	go func() {
+		defer close(rn.hungUp)
+		var stats TrafficStats
+		for {
+			fb, err := decodeAnyFrame(conn, &stats)
+			if err != nil {
+				return
+			}
+			for _, m := range fb.msgs {
+				if _, ok := m.(*core.DataRequest); ok {
+					conn.Write(batchFrameOf(0, &core.DataResponse{NodeID: id, X: x}))
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		conn.Close()
+		<-rn.hungUp
+	})
+	return rn
+}
+
+func (rn *rawNode) send(t *testing.T, m core.Message) {
+	t.Helper()
+	if _, err := rn.conn.Write(batchFrameOf(0, m)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMalformedViolationRecyclesConnection: a registered connection that
+// reports a violation the coordinator cannot act on — an unknown kind, a node
+// id outside the roster, a vector of the wrong dimension, another node's id —
+// loses its connection like any corrupt stream. The coordinator latches no
+// error and keeps resolving: the survivor's valid report that follows gets
+// its full sync.
+func TestMalformedViolationRecyclesConnection(t *testing.T) {
+	x := []float64{1, 1}
+	for name, bad := range map[string]*core.Violation{
+		"kind":         {NodeID: 0, Kind: 9, X: x},
+		"unknown-node": {NodeID: 7, Kind: core.ViolationSafeZone, X: x},
+		"short-vector": {NodeID: 0, Kind: core.ViolationSafeZone, X: x[:1]},
+		"other-node":   {NodeID: 1, Kind: core.ViolationSafeZone, X: x},
+	} {
+		bad := bad
+		t.Run(name, func(t *testing.T) {
+			f := funcs.InnerProduct(1)
+			coord, err := ListenCoordinator("127.0.0.1:0", f, 2, core.Config{Epsilon: 0.1}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			nodes := []*rawNode{dialRawNode(t, coord.Addr(), 0, x), dialRawNode(t, coord.Addr(), 1, x)}
+			select {
+			case <-coord.Ready():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("coordinator never became ready (err %v)", coord.Err())
+			}
+
+			nodes[0].send(t, bad)
+			select {
+			case <-nodes[0].hungUp:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the coordinator kept the connection that sent a malformed violation")
+			}
+			waitFor(t, 5*time.Second, "node 0's departure", func() bool { return coord.LiveNodes() == 1 })
+			syncs := coord.CoordStats().FullSyncs
+			nodes[1].send(t, &core.Violation{NodeID: 1, Kind: core.ViolationFaulty, X: x})
+			waitFor(t, 5*time.Second, "the valid violation's full sync", func() bool {
+				return coord.CoordStats().FullSyncs == syncs+1
+			})
+			if err := coord.Err(); err != nil {
+				t.Fatalf("a malformed violation latched a coordinator error: %v", err)
+			}
+		})
+	}
+}
+
 func TestNodeSurvivesCoordinatorShutdown(t *testing.T) {
 	f := funcs.InnerProduct(1)
 	initial := [][]float64{{1, 1}, {1, 1}}

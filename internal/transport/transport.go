@@ -672,6 +672,13 @@ func (c *Coordinator) route(cc *coordConn, m core.Message) {
 		default:
 		}
 	case *core.Violation:
+		// A report for another node, of an unknown kind or of the wrong
+		// dimension is a corrupt stream, not a protocol error: queued, it
+		// would fail its resolution and stop the dispatch loop.
+		if msg.NodeID != cc.id || msg.Check(c.f.Dim()) != nil {
+			cc.conn.Close()
+			return
+		}
 		// A full queue means a resolution storm is already in progress;
 		// its fan-out will make this node re-check and re-report, so the
 		// report is safe to shed.
