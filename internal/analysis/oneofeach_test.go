@@ -69,6 +69,14 @@ var (
 		"core.Machine.HandleDeparture", "core.Machine.HandleRejoin", "core.Machine.HandleViolation",
 		"core.Machine.Init", "core.Machine.Resync",
 	}
+	// Functions in internal/transport calling a Machine transition (Init,
+	// HandleViolation, HandleDeparture, HandleRejoin): the dispatch loop
+	// and the two helpers only it calls, so one goroutine owns each socket
+	// Machine. register, handleNewConn and serveConn only hand the loop an
+	// event; one of them driving the machine would need a lock again.
+	transitionCallerManifest = []string{
+		"transport.Coordinator.admit", "transport.Coordinator.dispatch", "transport.Coordinator.handleDead",
+	}
 )
 
 // walkModule parses every non-test Go file of the root module (nested
@@ -221,7 +229,10 @@ func TestOneWireOneElidedStep(t *testing.T) {
 }
 
 func TestOneMembershipPath(t *testing.T) {
-	found := map[string]map[string]bool{"embed": {}, "mutex": {}, "Forget": {}, "fullSync": {}}
+	found := map[string]map[string]bool{"embed": {}, "mutex": {}, "Forget": {}, "fullSync": {}, "transition": {}}
+	transitions := map[string]bool{"Init": true, "HandleViolation": true, "HandleDeparture": true, "HandleRejoin": true}
+	// Calls of the loop's helpers, by caller, and what transport spawns.
+	helperCallers, spawned := map[string]bool{}, map[string]bool{}
 	methods := map[string]map[string]bool{"core.Machine": {}, "shard.Tree": {}}
 	walkModule(t, func(path string, f *ast.File) {
 		pkg := f.Name.Name
@@ -252,6 +263,11 @@ func TestOneMembershipPath(t *testing.T) {
 					})
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok && dir == "internal/transport" {
+						if sel, ok := g.Call.Fun.(*ast.SelectorExpr); ok {
+							spawned[sel.Sel.Name] = true
+						}
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
@@ -263,6 +279,11 @@ func TestOneMembershipPath(t *testing.T) {
 						found["Forget"][name] = true
 					case sel.Sel.Name == "fullSync" && strings.HasPrefix(name, "core.Machine."):
 						found["fullSync"][name] = true
+					case dir != "internal/transport":
+					case transitions[sel.Sel.Name]:
+						found["transition"][name] = true
+					case sel.Sel.Name == "admit" || sel.Sel.Name == "handleDead":
+						helperCallers[name] = true
 					}
 					return true
 				})
@@ -289,6 +310,11 @@ func TestOneMembershipPath(t *testing.T) {
 	expectManifest(t, "internal/core and internal/shard declarations holding a sync mutex", found["mutex"], protocolMutexManifest)
 	expectManifest(t, "functions calling Ownership.Forget outside a Forget implementation", found["Forget"], forgetManifest)
 	expectManifest(t, "core.Machine methods calling fullSync", found["fullSync"], fullSyncCallerManifest)
+	expectManifest(t, "internal/transport functions calling a Machine transition", found["transition"], transitionCallerManifest)
+	expectManifest(t, "callers of the dispatch loop's transition helpers", helperCallers, []string{"transport.Coordinator.dispatch"})
+	if spawned["admit"] || spawned["handleDead"] || !spawned["dispatch"] {
+		t.Errorf("transport spawns %v; only dispatch may run the transitions, on its own goroutine", spawned)
+	}
 	for _, gone := range []string{"HandleSubtreeDeparture", "HandleSubtreeRejoin"} {
 		if methods["core.Machine"][gone] {
 			t.Errorf("core.Machine.%s is back; HandleDeparture and HandleRejoin take node sets", gone)

@@ -153,8 +153,21 @@ func TestRejoinRestoresFullPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The node comes back with a fresh vector.
+	// A rejoin carrying a vector of another dimension is refused before any
+	// state changes: the node stays dead and no sync runs.
 	comm.failed[2] = false
+	est, syncs := coord.Estimate(), coord.Stats().FullSyncs
+	for _, x := range [][]float64{{2}, {2, 2, 2, 2, 2}} {
+		if err := coord.HandleRejoin([]int{2}, [][]float64{x}); err == nil {
+			t.Fatalf("rejoin with %d values accepted by a d=2 machine", len(x))
+		}
+	}
+	if coord.LiveCount() != 2 || coord.Stats().Rejoins != 0 || coord.Stats().FullSyncs != syncs || coord.Estimate() != est {
+		t.Fatalf("refused rejoins changed state: live=%d rejoins=%d full syncs %d→%d estimate %v→%v",
+			coord.LiveCount(), coord.Stats().Rejoins, syncs, coord.Stats().FullSyncs, est, coord.Estimate())
+	}
+
+	// The node comes back with a fresh vector.
 	nodes[2].SetData([]float64{2, 2})
 	if err := coord.HandleRejoin([]int{2}, [][]float64{{2, 2}}); err != nil {
 		t.Fatal(err)

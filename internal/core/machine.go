@@ -311,14 +311,19 @@ func (m *Machine) HandleDeparture(ids ...int) error {
 // heals) with one full sync over the new live set. xs carries the nodes'
 // fresh vectors in ids order; a nil xs or a nil entry keeps the stale vector
 // and lets the sync's gather re-pull it. A returning node's previous slack is
-// void: only a full sync restores the Σᵢ sᵢ = 0 invariant.
+// void: only a full sync restores the Σᵢ sᵢ = 0 invariant. An unknown node or
+// a vector of another dimension is refused with an error before any state
+// changes.
 func (m *Machine) HandleRejoin(ids []int, xs [][]float64) error {
 	if xs != nil && len(xs) != len(ids) {
 		return fmt.Errorf("core: rejoin carries %d vectors for %d nodes", len(xs), len(ids))
 	}
-	for _, id := range ids {
+	for i, id := range ids {
 		if id < 0 || id >= m.N {
 			return fmt.Errorf("core: rejoin of unknown node %d", id)
+		}
+		if xs != nil && xs[i] != nil && len(xs[i]) != m.F.Dim() {
+			return fmt.Errorf("core: rejoin of node %d carries %d values, want %d", id, len(xs[i]), m.F.Dim())
 		}
 	}
 	fresh := m.newResolution()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,8 +87,8 @@ func TestCoordinatorRejectsGarbageFrames(t *testing.T) {
 
 // TestBadRegistrationRejected: well-framed but wrong registrations — a node
 // id outside the roster, a group this coordinator does not host, a message
-// that is not a registration, a registration with passengers — are rejected
-// and counted the same way.
+// that is not a registration, a registration with passengers, a vector of
+// another dimension — are rejected and counted the same way.
 func TestBadRegistrationRejected(t *testing.T) {
 	reg := &core.DataResponse{NodeID: 0, X: []float64{1, 1}}
 	for name, stray := range map[string][]byte{
@@ -95,18 +96,24 @@ func TestBadRegistrationRejected(t *testing.T) {
 		"group":        batchFrameOf(3, reg),
 		"message-type": batchFrameOf(0, &core.Slack{NodeID: 0, Slack: []float64{0, 0}}),
 		"passengers":   batchFrameOf(0, reg, &core.Violation{NodeID: 0, Kind: core.ViolationSafeZone, X: []float64{1, 1}}),
+		"dimension":    batchFrameOf(0, &core.DataResponse{NodeID: 0, X: []float64{1}}),
 	} {
 		stray := stray
 		t.Run(name, func(t *testing.T) { rejectAndKeepServing(t, stray) })
 	}
 }
 
-// rawNode is a node written against the wire by hand: it registers, answers
-// every data request with its vector, and sends whatever a test hands it, so
-// a test can put a malformed report on a registered connection. hungUp closes
-// when the coordinator closes the connection.
+// rawNode is a node of group 0 written against the wire by hand: it
+// registers and answers every data request with the vector reply holds, and
+// sends whatever a test hands it, so a test can put a malformed message on a
+// registered connection. Storing nil in reply silences it; each data request
+// it then leaves unanswered is signalled on pulled. hungUp closes when the
+// coordinator closes the connection.
 type rawNode struct {
+	id     int
 	conn   net.Conn
+	reply  atomic.Pointer[[]float64]
+	pulled chan struct{}
 	hungUp chan struct{}
 }
 
@@ -116,7 +123,8 @@ func dialRawNode(t *testing.T, addr string, id int, x []float64) *rawNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn := &rawNode{conn: conn, hungUp: make(chan struct{})}
+	rn := &rawNode{id: id, conn: conn, pulled: make(chan struct{}, 1), hungUp: make(chan struct{})}
+	rn.reply.Store(&x)
 	rn.send(t, &core.DataResponse{NodeID: id, X: x})
 	go func() {
 		defer close(rn.hungUp)
@@ -127,8 +135,16 @@ func dialRawNode(t *testing.T, addr string, id int, x []float64) *rawNode {
 				return
 			}
 			for _, m := range fb.msgs {
-				if _, ok := m.(*core.DataRequest); ok {
-					conn.Write(batchFrameOf(0, &core.DataResponse{NodeID: id, X: x}))
+				if _, ok := m.(*core.DataRequest); !ok {
+					continue
+				}
+				if y := rn.reply.Load(); y != nil {
+					conn.Write(batchFrameOf(0, &core.DataResponse{NodeID: id, X: *y}))
+					continue
+				}
+				select {
+				case rn.pulled <- struct{}{}:
+				default:
 				}
 			}
 		}
@@ -147,6 +163,36 @@ func (rn *rawNode) send(t *testing.T, m core.Message) {
 	}
 }
 
+// parkOnSilentNode silences quiet and has loud report a Faulty violation,
+// whose full sync then waits in quiet's pull until RequestTimeout.
+func parkOnSilentNode(t *testing.T, loud, quiet *rawNode, x []float64) {
+	t.Helper()
+	quiet.reply.Store(nil)
+	loud.send(t, &core.Violation{NodeID: loud.id, Kind: core.ViolationFaulty, X: x})
+	select {
+	case <-quiet.pulled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the violation's full sync never pulled the silent node")
+	}
+}
+
+// startRawPair serves f to two raw nodes at x and waits for Ready.
+func startRawPair(t *testing.T, f *core.Function, x []float64, opts Options) (*Coordinator, []*rawNode) {
+	t.Helper()
+	coord, err := ListenCoordinator("127.0.0.1:0", f, 2, core.Config{Epsilon: 0.1}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	nodes := []*rawNode{dialRawNode(t, coord.Addr(), 0, x), dialRawNode(t, coord.Addr(), 1, x)}
+	select {
+	case <-coord.Ready():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("coordinator never became ready (err %v)", coord.Err())
+	}
+	return coord, nodes
+}
+
 // TestMalformedViolationRecyclesConnection: a registered connection that
 // reports a violation the coordinator cannot act on — an unknown kind, a node
 // id outside the roster, a vector of the wrong dimension, another node's id —
@@ -163,19 +209,7 @@ func TestMalformedViolationRecyclesConnection(t *testing.T) {
 	} {
 		bad := bad
 		t.Run(name, func(t *testing.T) {
-			f := funcs.InnerProduct(1)
-			coord, err := ListenCoordinator("127.0.0.1:0", f, 2, core.Config{Epsilon: 0.1}, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
-			nodes := []*rawNode{dialRawNode(t, coord.Addr(), 0, x), dialRawNode(t, coord.Addr(), 1, x)}
-			select {
-			case <-coord.Ready():
-			case <-time.After(10 * time.Second):
-				t.Fatalf("coordinator never became ready (err %v)", coord.Err())
-			}
-
+			coord, nodes := startRawPair(t, funcs.InnerProduct(1), x, Options{})
 			nodes[0].send(t, bad)
 			select {
 			case <-nodes[0].hungUp:
@@ -193,6 +227,68 @@ func TestMalformedViolationRecyclesConnection(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWrongDimensionRefusedAtTheWire: a rejoin or a pull reply carrying a
+// vector of another dimension is refused before it reaches the machine — the
+// rejoin at registration, the reply by recycling its connection — where the
+// rejoin used to be truncated into a full sync and the reply copied over the
+// front of a stale vector. The coordinator latches no error and its estimate
+// stays f at the nodes' real vectors.
+func TestWrongDimensionRefusedAtTheWire(t *testing.T) {
+	f := funcs.InnerProduct(1)
+	x := []float64{1, 1}
+	check := func(t *testing.T, coord *Coordinator, live, syncs int) {
+		t.Helper()
+		if err := coord.Err(); err != nil {
+			t.Fatalf("a vector of the wrong dimension latched a coordinator error: %v", err)
+		}
+		if got, want := coord.Estimate(), f.Value(x); got != want {
+			t.Fatalf("estimate %v, want %v", got, want)
+		}
+		if got := coord.LiveNodes(); got != live {
+			t.Fatalf("live nodes %d, want %d", got, live)
+		}
+		if got := coord.CoordStats().FullSyncs; got != syncs {
+			t.Fatalf("full syncs %d, want %d", got, syncs)
+		}
+	}
+
+	t.Run("rejoin", func(t *testing.T) {
+		coord, _ := startRawPair(t, f, x, Options{})
+		syncs := coord.CoordStats().FullSyncs
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(batchFrameOf(0, &core.Rejoin{NodeID: 0, X: []float64{5, 5, 5, 5, 5}})); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, "the rejoin to be rejected", func() bool {
+			return coord.srv.RejectedRegistrations() == 1
+		})
+		check(t, coord, 2, syncs)
+	})
+
+	t.Run("short-pull", func(t *testing.T) {
+		coord, nodes := startRawPair(t, f, x, Options{})
+		syncs := coord.CoordStats().FullSyncs
+		short := []float64{5}
+		nodes[1].reply.Store(&short)
+		nodes[0].send(t, &core.Violation{NodeID: 0, Kind: core.ViolationFaulty, X: x})
+		select {
+		case <-nodes[1].hungUp:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the coordinator kept the connection that answered a pull short")
+		}
+		// The live count is published as the full sync that dropped the node
+		// distributes, with its estimate.
+		waitFor(t, 5*time.Second, "the violation's full sync to drop node 1", func() bool {
+			return coord.LiveNodes() == 1
+		})
+		check(t, coord, 1, syncs+1)
+	})
 }
 
 func TestNodeSurvivesCoordinatorShutdown(t *testing.T) {

@@ -84,7 +84,7 @@ func newMulti(addr string, opts Options, single bool) (*MultiCoordinator, error)
 		done:    make(chan struct{}),
 	}
 	mc.rejectedConns = opts.Metrics.Counter("automon_transport_rejected_registrations_total",
-		"Connections refused at registration: unknown group, bad node id, or malformed handshake.")
+		"Connections refused at registration: unknown group, bad node id, wrong dimension, or malformed handshake.")
 	return mc, nil
 }
 
@@ -107,7 +107,8 @@ func (mc *MultiCoordinator) Err() error {
 }
 
 // RejectedRegistrations returns how many connections were refused at
-// registration (unknown group, bad node id, or malformed handshake).
+// registration (unknown group, bad node id, wrong dimension, or malformed
+// handshake).
 func (mc *MultiCoordinator) RejectedRegistrations() int64 { return mc.rejectedConns.Load() }
 
 // AddGroup registers a new monitoring group gid for n nodes over function
@@ -162,11 +163,13 @@ func (mc *MultiCoordinator) addGroup(gid GroupID, f *core.Function, n int, cfg c
 		cfg:   cfg,
 		opts:  mc.opts,
 		conns: make([]*coordConn, n),
+		joins: make([][]float64, n),
 		ready: make(chan struct{}),
+		wake:  make(chan struct{}, 1),
 		// Nodes keep at most one violation report outstanding, and the
 		// dispatcher coalesces the queue per node, so the buffer only needs
 		// to absorb short bursts; it keeps connection readers from ever
-		// blocking on the resolution lock (which would deadlock the
+		// blocking on the dispatch loop (which would deadlock the
 		// data-request round-trips inside a resolution).
 		violCh: make(chan *core.Violation, 64*n),
 		deadCh: make(chan int, 4*n),
@@ -309,6 +312,10 @@ func (mc *MultiCoordinator) handleNewConn(conn net.Conn) {
 	}
 	if len(fb.msgs) != 1 {
 		mc.reject(conn) // a registration travels alone: node sends never coalesce
+		return
+	}
+	if len(x) != g.f.Dim() {
+		mc.reject(conn) // a vector of another dimension
 		return
 	}
 	g.register(id, conn, x)

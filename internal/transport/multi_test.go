@@ -9,6 +9,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -388,5 +389,77 @@ func TestMultiGroupChaosIsolation(t *testing.T) {
 	}
 	if err := mc.Group(1).Err(); err != nil {
 		t.Fatalf("victim group died: %v", err)
+	}
+}
+
+// TestRegistrationDoesNotWaitForAResolution: a registration installs its
+// connection and leaves a join for the group's dispatch loop, so a tenant
+// whose resolution is parked in a silent node's pull holds up no other
+// tenant's registration, however many rejoins it receives meanwhile. When
+// every shared registration worker used to wait on the parked group, the
+// other group's first node waited out the whole RequestTimeout. The rejoins
+// of one node that land during the resolution are one join by the time the
+// loop takes them: one full sync, not one each.
+func TestRegistrationDoesNotWaitForAResolution(t *testing.T) {
+	f := funcs.InnerProduct(1)
+	x := []float64{1, 1}
+	mc, err := ListenMulti("127.0.0.1:0", Options{RequestTimeout: 4 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	a, err := mc.AddGroup(0, f, 2, core.Config{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mc.AddGroup(1, f, 1, core.Config{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*rawNode{dialRawNode(t, mc.Addr(), 0, x), dialRawNode(t, mc.Addr(), 1, x)}
+	select {
+	case <-a.Ready():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("group 0 never became ready (err %v)", a.Err())
+	}
+	syncs := a.CoordStats().FullSyncs
+	parkOnSilentNode(t, nodes[0], nodes[1], x)
+
+	// One rejoin of node 0 per registration worker.
+	for k := 0; k < registerWorkers; k++ {
+		conn, err := net.Dial("tcp", mc.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := conn.Write(batchFrameOf(0, &core.Rejoin{NodeID: 0, X: x})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	nd, err := DialNode(mc.Addr(), 0, f, x, Options{Group: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	select {
+	case <-b.Ready():
+	case <-time.After(time.Second):
+		t.Fatalf("group 1's node waited %v to register behind group 0's resolution", time.Since(start))
+	}
+
+	// The parked pull times out and drops node 1; then node 0's rejoins run.
+	waitFor(t, 10*time.Second, "group 0's resolution and rejoin", func() bool {
+		return a.CoordStats().FullSyncs >= syncs+2
+	})
+	time.Sleep(200 * time.Millisecond) // room for any further rejoin syncs
+	if st := a.CoordStats(); st.FullSyncs != syncs+2 || st.Rejoins != 1 {
+		t.Fatalf("%d rejoins of node 0 ran %d rejoin transitions and %d full syncs after the violation's; want 1 and 1",
+			registerWorkers, st.Rejoins, st.FullSyncs-syncs-1)
+	}
+	for _, c := range []*Coordinator{a, b} {
+		if err := c.Err(); err != nil {
+			t.Fatalf("group %d: %v", c.Group(), err)
+		}
 	}
 }

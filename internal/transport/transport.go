@@ -27,6 +27,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -290,21 +291,21 @@ type Coordinator struct {
 	shedViolations *obs.Counter // violation reports dropped on a full queue
 	tracer         *obs.Tracer
 
-	mu    sync.Mutex // guards coord (single resolution at a time)
-	coord *core.Coordinator
-
-	// The getters read these and never take mu, so a reader does not wait
-	// out a resolution's pulls; publish stores them.
+	// The getters read these, so a reader does not wait out a resolution's
+	// pulls; publish stores them.
 	machine   atomic.Pointer[core.Coordinator]
 	estimate  atomic.Uint64 // math.Float64bits of the estimate
 	liveNodes atomic.Int64
 
-	connsMu     sync.Mutex // guards conns, registered, initStarted
-	conns       []*coordConn
-	registered  int
-	initStarted bool
+	connsMu sync.Mutex // guards conns and joins
+	conns   []*coordConn
+	// joins is the join mailbox: the vector each node registered with, until
+	// the dispatch loop takes it. A newer join of the same node replaces one
+	// not yet taken.
+	joins [][]float64
 
 	ready  chan struct{}
+	wake   chan struct{} // cap 1: a join is waiting in the mailbox
 	violCh chan *core.Violation
 	deadCh chan int
 	done   chan struct{}
@@ -358,13 +359,14 @@ func ListenCoordinator(addr string, f *core.Function, n int, cfg core.Config, op
 	return c, nil
 }
 
-// dispatch serializes every mutation of the core coordinator: violation
-// resolutions and node-death full syncs both funnel through here, so
-// connection readers stay free to route data responses. Queued violations
-// are coalesced per node: while a resolution is running, every sync it fans
-// out can prompt still-out-of-zone nodes to re-report, so only each node's
-// freshest report is worth resolving — older ones carry stale vectors and
-// would only multiply work.
+// dispatch is the one goroutine that drives the group's machine, a local of
+// the loop: Init once the roster is complete, then every rejoin, violation
+// resolution and node-death full sync. Connection readers and registrations
+// only queue events, so none of them waits on a resolution; the first fatal
+// error ends the loop. Queued violations are coalesced per node: while a
+// resolution is running, every sync it fans out can prompt still-out-of-zone
+// nodes to re-report, so only each node's freshest report is worth resolving
+// — older ones carry stale vectors and would only multiply work.
 //
 // The dispatch queue draining is also the batching sync barrier: once no
 // violation is waiting, every writer's pending batch is flushed so no node
@@ -372,11 +374,13 @@ func ListenCoordinator(addr string, f *core.Function, n int, cfg core.Config, op
 // flight, consecutive syncs to the same node coalesce into shared frames.
 func (c *Coordinator) dispatch() {
 	defer c.wg.Done()
+	var m *core.Coordinator // nil until the roster is complete
+	spare := make([][]float64, c.n)
 	pending := make(map[int]*core.Violation)
 	var order []int
 	drain := func() {
-		for {
-			//automon:allow floatflow violation/death arrival order is inherent event multiplexing; coalescing keeps only each node's freshest report and §4 resolution converges from any order
+		for c.err.Load() == nil {
+			//automon:allow floatflow violation/death/join arrival order is inherent event multiplexing; coalescing keeps only each node's freshest report and §4 resolution converges from any order
 			select {
 			case v := <-c.violCh:
 				if _, ok := pending[v.NodeID]; !ok {
@@ -384,13 +388,15 @@ func (c *Coordinator) dispatch() {
 				}
 				pending[v.NodeID] = v
 			case id := <-c.deadCh:
-				c.handleDead(id)
+				c.handleDead(m, id)
+			case <-c.wake:
+				m, spare = c.admit(m, spare)
 			default:
 				return
 			}
 		}
 	}
-	for {
+	for c.err.Load() == nil {
 		if len(order) == 0 {
 			c.flushAll()
 			//automon:allow floatflow idle wait races shutdown against live events by design; the protocol state a violation produces does not depend on which arm wakes the loop
@@ -398,7 +404,10 @@ func (c *Coordinator) dispatch() {
 			case <-c.done:
 				return
 			case id := <-c.deadCh:
-				c.handleDead(id)
+				c.handleDead(m, id)
+				continue
+			case <-c.wake:
+				m, spare = c.admit(m, spare)
 				continue
 			case v := <-c.violCh:
 				pending[v.NodeID] = v
@@ -413,19 +422,45 @@ func (c *Coordinator) dispatch() {
 		order = order[1:]
 		v := pending[id]
 		delete(pending, id)
-		c.mu.Lock()
-		coord := c.coord
-		var err error
-		if coord != nil {
-			err = coord.HandleViolation(v)
-			c.publish()
-		}
-		c.mu.Unlock()
-		if err != nil && !errors.Is(err, core.ErrNoLiveNodes) {
-			c.fatal(err)
-			return
+		if m != nil && c.err.Load() == nil {
+			c.settle(m, m.HandleViolation(v))
 		}
 	}
+}
+
+// admit takes the join mailbox, leaving spare (the loop's emptied previous
+// one) in its place. Until the roster is complete a join only installs its
+// connection; the first wake that finds it complete builds the machine and
+// runs Init, whose pulls read every node afresh, and closes Ready once the
+// initial syncs are flushed. After Init each join is one HandleRejoin with
+// the registered vector, in ascending id order, its syncs flushed before the
+// next.
+func (c *Coordinator) admit(m *core.Coordinator, spare [][]float64) (*core.Coordinator, [][]float64) {
+	c.connsMu.Lock()
+	joins := c.joins
+	c.joins = spare
+	complete := !slices.Contains(c.conns, nil)
+	c.connsMu.Unlock()
+	switch {
+	case m != nil:
+		for id, x := range joins {
+			if x != nil && c.err.Load() == nil {
+				c.settle(m, m.HandleRejoin([]int{id}, [][]float64{x}))
+				c.flushAll()
+			}
+		}
+	case complete:
+		sc := &socketComm{c: c}
+		m = core.NewCoordinator(c.f, c.n, c.cfg, sc)
+		sc.m = m
+		c.settle(m, m.Init())
+		if c.err.Load() == nil {
+			c.flushAll()
+			close(c.ready)
+		}
+	}
+	clear(joins)
+	return m, joins
 }
 
 // flushAll drains every live connection's pending batch — the explicit
@@ -451,38 +486,37 @@ func (c *Coordinator) flushAll() {
 	}
 }
 
-// handleDead folds a connection death into the core coordinator: the node is
-// marked dead and the survivors re-synced, so the estimate degrades to the
-// live-node average. If a newer connection already took the slot (a fast
-// rejoin raced the death report), the event is stale and ignored.
-func (c *Coordinator) handleDead(id int) {
+// handleDead folds a connection death into the machine: the node is marked
+// dead and the survivors re-synced, so the estimate degrades to the live-node
+// average. If a newer connection already took the slot (a fast rejoin raced
+// the death report), the event is stale and ignored.
+func (c *Coordinator) handleDead(m *core.Coordinator, id int) {
 	c.connsMu.Lock()
 	cc := c.conns[id]
 	replaced := cc != nil && !cc.isGone()
 	c.connsMu.Unlock()
-	if replaced {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.coord == nil || !c.coord.Live(id) {
-		return
-	}
-	err := c.coord.HandleDeparture(id)
-	c.publish()
-	if err != nil && !errors.Is(err, core.ErrNoLiveNodes) {
-		c.fatal(err)
+	if !replaced && m != nil && m.Live(id) {
+		c.settle(m, m.HandleDeparture(id))
 	}
 }
 
-// publish makes the coordinator's state visible to the getters, when a
-// transition returns and before any Sync leaves. Caller holds c.mu; the
-// machine pointer is stored last, so a getter that sees it also sees the
-// estimate and live count beside it.
-func (c *Coordinator) publish() {
-	c.estimate.Store(math.Float64bits(c.coord.Estimate()))
-	c.liveNodes.Store(int64(c.coord.LiveCount()))
-	c.machine.Store(c.coord)
+// settle publishes what a transition left and latches its error, unless
+// that is ErrNoLiveNodes. The loop stops at the first, so it is stored once.
+func (c *Coordinator) settle(m *core.Coordinator, err error) {
+	c.publish(m)
+	if err != nil && !errors.Is(err, core.ErrNoLiveNodes) {
+		c.err.Store(err)
+	}
+}
+
+// publish makes the machine's state visible to the getters, when a
+// transition returns and before any Sync leaves. The machine pointer is
+// stored last, so a getter that sees it also sees the estimate and live count
+// beside it.
+func (c *Coordinator) publish(m *core.Coordinator) {
+	c.estimate.Store(math.Float64bits(m.Estimate()))
+	c.liveNodes.Store(int64(m.LiveCount()))
+	c.machine.Store(m)
 }
 
 // Addr returns the listen address (for nodes to dial).
@@ -520,7 +554,7 @@ func (c *Coordinator) Degraded() bool {
 func (c *Coordinator) LiveNodes() int { return int(c.liveNodes.Load()) }
 
 // CoordStats snapshots the protocol statistics. Machine.Stats only loads
-// atomic counters, so it runs beside a resolution without c.mu.
+// atomic counters, so it runs beside a resolution.
 func (c *Coordinator) CoordStats() core.CoordStats {
 	m := c.machine.Load()
 	if m == nil {
@@ -561,68 +595,27 @@ func (c *Coordinator) shutdown() bool {
 	return c.closed.Load() || c.srv.closed.Load()
 }
 
-func (c *Coordinator) fatal(err error) {
-	if c.err.Load() == nil {
-		c.err.Store(err)
-	}
-}
-
-// register installs a connection for node id, kicks off the initial sync
-// when it completes the roster, and reintegrates rejoining nodes with a full
-// sync.
+// register installs a connection for node id and starts serving it, leaves
+// the node's join in the mailbox and wakes the dispatch loop, which runs the
+// transition. It never waits on a resolution.
 func (c *Coordinator) register(id int, conn net.Conn, x []float64) {
 	cc := &coordConn{id: id, conn: conn, w: newFrameWriter(conn, c.gid, c.opts, &c.Stats),
 		dataCh: make(chan *core.DataResponse, 4), gone: make(chan struct{})}
 	c.connsMu.Lock()
 	old := c.conns[id]
 	c.conns[id] = cc
-	startInit := false
-	if old == nil {
-		c.registered++
-		if c.registered == c.n && !c.initStarted {
-			c.initStarted = true
-			startInit = true
-		}
-	}
+	c.joins[id] = x
 	c.connsMu.Unlock()
 	if old != nil {
 		old.conn.Close() // retire the stale reader; its death event is ignored
 	}
-	// Serve the connection immediately so data requests can be answered.
+	// Woken first, the loop takes the join before the new conn's violations.
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
 	c.wg.Add(1)
 	go c.serveConn(cc)
-
-	if startInit {
-		// All nodes registered: build the coordinator over the socket comm
-		// and run the initial full sync.
-		c.mu.Lock()
-		c.coord = core.NewCoordinator(c.f, c.n, c.cfg, &socketComm{c: c})
-		err := c.coord.Init()
-		c.publish()
-		c.mu.Unlock()
-		if err != nil && !errors.Is(err, core.ErrNoLiveNodes) {
-			c.fatal(err)
-			return
-		}
-		// Barrier: the initial syncs must reach every node before Ready.
-		c.flushAll()
-		close(c.ready)
-		return
-	}
-	c.mu.Lock()
-	if c.coord == nil {
-		c.mu.Unlock()
-		return // pre-init replacement; Init will pull from the new conn
-	}
-	err := c.coord.HandleRejoin([]int{id}, [][]float64{x})
-	c.publish()
-	c.mu.Unlock()
-	if err != nil && !errors.Is(err, core.ErrNoLiveNodes) {
-		c.fatal(err)
-		return
-	}
-	// Barrier: the rejoin full sync is complete; deliver its messages.
-	c.flushAll()
 }
 
 func (c *Coordinator) serveConn(cc *coordConn) {
@@ -665,6 +658,13 @@ func (c *Coordinator) serveConn(cc *coordConn) {
 func (c *Coordinator) route(cc *coordConn, m core.Message) {
 	switch msg := m.(type) {
 	case *core.DataResponse:
+		// A reply for another node or of the wrong dimension is a corrupt
+		// stream, recycled like a malformed violation: stored, it would
+		// leave a half-stale vector in the node table.
+		if msg.NodeID != cc.id || len(msg.X) != c.f.Dim() {
+			cc.conn.Close()
+			return
+		}
 		// Never block the reader; duplicates beyond the buffer are
 		// dropped (RequestData drains stale entries before each request).
 		select {
@@ -697,12 +697,13 @@ func (c *Coordinator) route(cc *coordConn, m core.Message) {
 	}
 }
 
-// socketComm implements core.NodeComm over the registered connections. It is
-// only invoked while c.mu is held (Init, HandleViolation, HandleDeparture,
-// HandleRejoin), so the request/response pairing is race-free and calling
-// MarkDead on the core coordinator is safe.
+// socketComm implements core.NodeComm over the registered connections for
+// the machine it serves. Only the dispatch loop runs that machine's
+// transitions, so requests are strictly sequenced and calling MarkDead on it
+// is safe.
 type socketComm struct {
 	c *Coordinator
+	m *core.Coordinator
 }
 
 // lookup fetches the current connection for a node, or nil if it is gone.
@@ -716,21 +717,15 @@ func (s *socketComm) lookup(id int) *coordConn {
 	return cc
 }
 
-// noteDead records a mid-resolution node loss. Caller holds c.mu.
-func (s *socketComm) noteDead(id int) {
-	if s.c.coord != nil {
-		s.c.coord.MarkDead(id)
-	}
-}
-
 func (s *socketComm) RequestData(id int) []float64 {
 	cc := s.lookup(id)
 	if cc == nil {
-		s.noteDead(id)
+		s.m.MarkDead(id)
 		return nil
 	}
-	// Requests are strictly sequenced (the caller holds c.mu); drain any
-	// stale or duplicated response so the next arrival answers this request.
+	// Requests are strictly sequenced (only the dispatch loop pulls); drain
+	// any stale or duplicated response so the next arrival answers this
+	// request.
 	for {
 		select {
 		case <-cc.dataCh:
@@ -743,7 +738,7 @@ func (s *socketComm) RequestData(id int) []float64 {
 	// syncs buffered before it — order is preserved) must leave now.
 	if err := cc.w.writeMsg(&core.DataRequest{NodeID: id}, true); err != nil {
 		cc.conn.Close()
-		s.noteDead(id)
+		s.m.MarkDead(id)
 		return nil
 	}
 	// Stopped on return: an abandoned time.After stays in the runtime's timer
@@ -754,7 +749,7 @@ func (s *socketComm) RequestData(id int) []float64 {
 	case resp := <-cc.dataCh:
 		return resp.X
 	case <-cc.gone:
-		s.noteDead(id)
+		s.m.MarkDead(id)
 		return nil
 	case <-s.c.done:
 		return nil
@@ -765,7 +760,7 @@ func (s *socketComm) RequestData(id int) []float64 {
 		s.c.deadlineHits.Inc()
 		s.c.tracer.Record(obs.EventDeadlineHit, id, s.c.opts.RequestTimeout.Seconds(), "data-request")
 		cc.conn.Close()
-		s.noteDead(id)
+		s.m.MarkDead(id)
 		return nil
 	}
 }
@@ -774,7 +769,7 @@ func (s *socketComm) RequestData(id int) []float64 {
 // return from Update and read the estimate at once, and must read this
 // sync's.
 func (s *socketComm) SendSync(id int, m *core.Sync) {
-	s.c.publish()
+	s.c.publish(s.m)
 	s.send(id, m)
 }
 
@@ -788,11 +783,11 @@ func (s *socketComm) SendSlack(id int, m *core.Slack) {
 func (s *socketComm) send(id int, m core.Message) {
 	cc := s.lookup(id)
 	if cc == nil {
-		s.noteDead(id)
+		s.m.MarkDead(id)
 		return
 	}
 	if err := cc.w.writeMsg(m, false); err != nil {
 		cc.conn.Close()
-		s.noteDead(id)
+		s.m.MarkDead(id)
 	}
 }

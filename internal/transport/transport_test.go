@@ -2,10 +2,8 @@ package transport
 
 import (
 	"math"
-	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,10 +197,9 @@ func TestDataPullsLeaveNoTimersBehind(t *testing.T) {
 	for _, nd := range nodes {
 		defer nd.Close()
 	}
-	comm := &socketComm{c: coord}
+	// The cluster is idle, so nothing else pulls while the test does.
+	comm := &socketComm{c: coord, m: coord.machine.Load()}
 	pull := func(k int) {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
 		for i := 0; i < k; i++ {
 			if comm.RequestData(i%2) == nil {
 				t.Fatalf("pull %d failed: %v", i, coord.Err())
@@ -234,84 +231,16 @@ func TestDataPullsLeaveNoTimersBehind(t *testing.T) {
 }
 
 // TestReadsDoNotWaitForAResolution: the getters read what the last
-// transition published and never take the resolution lock, so a violation
+// transition published and never wait on the dispatch loop, so a violation
 // whose full sync waits out a silent node's pull (up to RequestTimeout) holds
 // up none of them. Both nodes are raw sockets: node 1 answers registration
 // and the Init pulls, then stops answering; node 0 reports a Faulty
 // violation, whose full sync then blocks in RequestData(1).
 func TestReadsDoNotWaitForAResolution(t *testing.T) {
 	f := funcs.InnerProduct(1)
-	coord, err := ListenCoordinator("127.0.0.1:0", f, 2, core.Config{Epsilon: 0.5},
-		Options{RequestTimeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := []float64{1, 1}
-	var silent atomic.Bool
-	pulled := make(chan struct{}, 1) // node 1 saw a pull after going silent
-	var wg sync.WaitGroup
-	writers := make([]*frameWriter, 2)
-	conns := make([]net.Conn, 2)
-	defer func() {
-		coord.Close()
-		for _, conn := range conns {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-		wg.Wait()
-	}()
-	for id := range conns {
-		conn, err := net.Dial("tcp", coord.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[id] = conn
-		writers[id] = newFrameWriter(conn, 0, Options{}, &TrafficStats{})
-		if err := writers[id].writeMsg(&core.DataResponse{NodeID: id, X: x}, true); err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			var stats TrafficStats
-			for {
-				fb, err := decodeAnyFrame(conns[id], &stats)
-				if err != nil {
-					return
-				}
-				for _, m := range fb.msgs {
-					if _, ok := m.(*core.DataRequest); !ok {
-						continue
-					}
-					if id == 1 && silent.Load() {
-						select {
-						case pulled <- struct{}{}:
-						default:
-						}
-						continue
-					}
-					if writers[id].writeMsg(&core.DataResponse{NodeID: id, X: x}, true) != nil {
-						return
-					}
-				}
-			}
-		}(id)
-	}
-	select {
-	case <-coord.Ready():
-	case <-time.After(10 * time.Second):
-		t.Fatalf("coordinator never became ready (err %v)", coord.Err())
-	}
-	silent.Store(true)
-	if err := writers[0].writeMsg(&core.Violation{NodeID: 0, Kind: core.ViolationFaulty, X: x}, true); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-pulled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the violation's full sync never pulled node 1")
-	}
+	coord, nodes := startRawPair(t, f, x, Options{RequestTimeout: 2 * time.Second})
+	parkOnSilentNode(t, nodes[0], nodes[1], x)
 
 	// The resolution is now parked in RequestData(1) for up to 2 s.
 	reads := []struct {
