@@ -13,16 +13,16 @@
 //	-list        print the analyzers and their invariants, then exit
 //	-sarif       emit findings as a SARIF 2.1.0 log on stdout (for CI
 //	             annotation and artifact upload) instead of plain lines
-//	-diff REF    analyze the whole module (the call graphs span packages)
-//	             but report only findings in packages with files changed
-//	             versus the git ref, e.g. -diff origin/main on a PR
+//
+// Findings are always reported module-wide: the analyzers follow calls
+// across packages, so a change in one package can surface a finding in an
+// unchanged one.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -32,9 +32,8 @@ import (
 func main() {
 	list := flag.Bool("list", false, "print the analyzers and their invariants, then exit")
 	sarif := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
-	diffRef := flag.String("diff", "", "report only findings in packages changed versus this git ref")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: automon-lint [-list] [-sarif] [-diff ref] [./...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: automon-lint [-list] [-sarif] [./...]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -49,8 +48,9 @@ func main() {
 		return
 	}
 
-	// The suite is whole-module by construction (the hotpath call graph spans
-	// packages), so the only accepted patterns are the module itself.
+	// The suite is whole-module by construction (the hotpath and determinism
+	// call graphs span packages), so the only accepted patterns are the
+	// module itself.
 	for _, arg := range flag.Args() {
 		if arg != "./..." && arg != "." && !strings.HasPrefix(arg, "automon") {
 			fmt.Fprintf(os.Stderr, "automon-lint: unsupported package pattern %q (the suite always runs module-wide; use ./...)\n", arg)
@@ -74,14 +74,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *diffRef != "" {
-		diags, err = filterToChanged(root, *diffRef, diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "automon-lint: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
 	if *sarif {
 		out, err := analysis.SARIF(diags, analyzers, root)
 		if err != nil {
@@ -99,41 +91,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "automon-lint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// filterToChanged keeps only the diagnostics whose file lives in a package
-// directory with Go files changed versus ref. The analysis itself already
-// ran module-wide — interprocedural summaries need the whole graph — this
-// only narrows what is reported, so a PR is annotated with its own packages'
-// findings and pre-existing ones elsewhere don't fail it.
-func filterToChanged(root, ref string, diags []analysis.Diagnostic) ([]analysis.Diagnostic, error) {
-	cmd := exec.Command("git", "-C", root, "diff", "--name-only", ref, "--", "*.go")
-	out, err := cmd.Output()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("git diff %s: %v: %s", ref, err, strings.TrimSpace(string(ee.Stderr)))
-		}
-		return nil, fmt.Errorf("git diff %s: %v", ref, err)
-	}
-	changedDirs := make(map[string]bool)
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		if line == "" {
-			continue
-		}
-		changedDirs[filepath.ToSlash(filepath.Dir(line))] = true
-	}
-	var kept []analysis.Diagnostic
-	for _, d := range diags {
-		rel, err := filepath.Rel(root, d.Pos.Filename)
-		if err != nil {
-			kept = append(kept, d)
-			continue
-		}
-		if changedDirs[filepath.ToSlash(filepath.Dir(rel))] {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest go.mod,

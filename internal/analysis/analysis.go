@@ -1,10 +1,10 @@
 // Package analysis is automon's project-specific static-analyzer framework:
 // a small go/analysis-style harness built only on the standard library
 // (go/parser + go/types), so the module stays dependency-free while the
-// invariants PR 3 established at runtime — allocation-free hot paths,
-// bit-determinism at any worker count, paired pool buffers, honest error
-// handling, and a coherent metric namespace — are proven on every build of
-// every package instead of only on the code paths the tests happen to drive.
+// runtime invariants — allocation-free hot paths, bit-determinism at any
+// worker count, exact-only float equality, and a coherent metric namespace —
+// are proven on every build of every package instead of only on the code
+// paths the tests happen to drive.
 //
 // The suite runs via `go run ./cmd/automon-lint ./...` and via the fixture
 // tests in this package. Analyzers report Diagnostics; a finding is
@@ -70,8 +70,8 @@ func (d Diagnostic) String() string {
 }
 
 // Pass carries one analyzer run over a module. Analyzers iterate Pkgs and
-// call Reportf; Suppressed lets whole-program analyzers (hotpath) prune
-// traversal at deliberately waived call sites.
+// call Reportf; Suppressed lets whole-program analyzers (hotpath,
+// determinism) prune traversal at deliberately waived call sites.
 type Pass struct {
 	Fset *token.FileSet
 	Pkgs []*Package
@@ -102,7 +102,6 @@ type allow struct {
 	pos      token.Position
 	analyzer string
 	reason   string
-	used     bool
 }
 
 // allowIndex maps filename → line → directives that cover that line. A
@@ -119,7 +118,6 @@ func (ai allowIndex) covers(pos token.Position, analyzer string) bool {
 	}
 	for _, a := range lines[pos.Line] {
 		if a.analyzer == analyzer {
-			a.used = true
 			return true
 		}
 	}

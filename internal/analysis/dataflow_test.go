@@ -1,47 +1,20 @@
 package analysis
 
 import (
-	"go/ast"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// dataflow_test.go covers the interprocedural layer (summary.go) through its
-// three analyzers — statepure, lockorder, floatflow — plus the properties the
-// layer itself guarantees: deterministic diagnostics at any analysis order,
-// build-tag/testdata handling in the loader, the statepure root manifest, and
-// the real tree's acyclic lock graph.
-
-func TestStatepureFixture(t *testing.T) {
-	runFixture(t, Statepure, "statepure", "fixture/statepure")
-}
-
-// The lockorder fixture is loaded under fixture/internal/core so the
-// package falls inside the graphed scope.
-func TestLockorderFixture(t *testing.T) {
-	runFixture(t, Lockorder, "lockorder", "fixture/internal/core")
-}
-
-// TestLockorderScopedToLockPackages reloads the same fixture under a path
-// outside core/transport/obs and requires zero findings.
-func TestLockorderScopedToLockPackages(t *testing.T) {
-	mod, err := LoadFixture(filepath.Join("testdata", "src", "lockorder"), "fixture/free")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Lint(mod, []*Analyzer{Lockorder})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("lockorder fired outside its package scope: %s", d)
-	}
-}
+// dataflow_test.go covers the interprocedural layer (summary.go) through
+// the determinism analyzer's cross-package rules, plus the properties the
+// layer itself guarantees: deterministic diagnostics at any analysis order
+// and build-tag/testdata handling in the loader.
 
 // TestFloatflowTreeFixture exercises the cross-package rules on a fixture
 // tree: a fake internal/core (the deterministic root set), a helper package
-// holding the taint sites, and a fake internal/obs providing metric sinks.
+// holding the reachable sites, and a fake internal/obs providing metric
+// sinks for the float-flow sink rule.
 func TestFloatflowTreeFixture(t *testing.T) {
 	mod, err := LoadFixtureTree(filepath.Join("testdata", "src", "floatflowtree"), "fixture/floatflow")
 	if err != nil {
@@ -50,71 +23,21 @@ func TestFloatflowTreeFixture(t *testing.T) {
 	if len(mod.Pkgs) != 3 {
 		t.Fatalf("fixture tree loaded %d packages, want 3", len(mod.Pkgs))
 	}
-	checkFixture(t, mod, Floatflow)
-}
-
-// statepureManifest is the reviewed protocol transition set: full-sync
-// resolution, violation handling, and lazy-sync slack application. Marking
-// a new transition //automon:statepure without extending this list — or
-// unmarking one — is forced into review, mirroring the hotpath manifest.
-var statepureManifest = map[string]bool{
-	"core.Machine.HandleViolation": true,
-	"core.Machine.fullSync":        true,
-	"core.Machine.lazySync":        true,
-}
-
-func TestStatepureAnnotationsMatchManifest(t *testing.T) {
-	found := make(map[string]bool)
-	walkModule(t, func(_ string, f *ast.File) {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && hasDirective(fd, statepureMarker) {
-				found[f.Name.Name+"."+declName(fd)] = true
-			}
-		}
-	})
-	for fn := range statepureManifest {
-		if !found[fn] {
-			t.Errorf("%s is in the statepure manifest but carries no //automon:statepure annotation", fn)
-		}
-	}
-	for fn := range found {
-		if !statepureManifest[fn] {
-			t.Errorf("%s is annotated //automon:statepure but missing from the manifest in dataflow_test.go", fn)
-		}
-	}
-}
-
-// TestLockorderRealGraphAcyclic proves the real acquisition graph acyclic
-// with suppression disabled: unlike TestRepoIsLintClean, a waiver could not
-// hide a cycle here. The pass runs with an empty allow index so nothing is
-// pruned or filtered.
-func TestLockorderRealGraphAcyclic(t *testing.T) {
-	mod, err := LoadModule("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw []Diagnostic
-	pass := &Pass{Fset: mod.Fset, Pkgs: mod.Pkgs, analyzer: Lockorder, allows: make(allowIndex), diags: &raw}
-	if err := Lockorder.Run(pass); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range raw {
-		t.Errorf("lock-order violation in the real tree (waivers disabled): %s", d)
-	}
+	checkFixture(t, mod, Determinism)
 }
 
 // TestDataflowDiagnosticsOrderInvariant pins summary determinism: the same
-// module analyzed with the package list and the analyzer list reversed must
-// report the identical diagnostics. The call graph's position-sorted order
-// and the harness's final sort make the output a pure function of the
-// source, not of traversal order.
+// module analyzed with the package list and the suite's analyzer list
+// reversed must report the identical diagnostics. The call graph's
+// position-sorted order and the harness's final sort make the output a pure
+// function of the source, not of traversal order.
 func TestDataflowDiagnosticsOrderInvariant(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "floatflowtree")
 	mod, err := LoadFixtureTree(dir, "fixture/floatflow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := []*Analyzer{Statepure, Lockorder, Floatflow}
+	suite := All()
 	base, err := Lint(mod, suite)
 	if err != nil {
 		t.Fatal(err)

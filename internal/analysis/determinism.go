@@ -7,17 +7,37 @@ import (
 	"strings"
 )
 
-// Determinism guards the bit-reproducibility PR 3 promised for the protocol
-// and experiment pipeline: in the deterministic packages (core, optimize,
-// experiments) it flags map iteration (unordered by language spec), wall
-// clocks (time.Now/Since/Until) and the globally seeded math/rand functions
-// (seeded constructors rand.New(rand.NewSource(seed)) remain fine), and
-// selects that race two non-timeout channels against each other. Worker
-// determinism — identical results at any worker count — depends on exactly
-// these constructs never deciding an output.
+// Determinism guards the bit-reproducibility of the protocol and experiment
+// pipeline: the float64 outputs of the deterministic packages (core,
+// optimize, experiments) — thresholds, zone parameters, figure CSVs — must
+// be identical run to run and at any worker count. Every function of those
+// packages is a root of the shared call graph (summary.go), and anywhere in
+// the static closure of those roots the pass reports
+//
+//   - map iteration whose result depends on the order (the sorted-keys and
+//     keyed-copy idioms are recognized as order-insensitive),
+//   - selects that race two or more non-timeout channels,
+//   - draws from the global math/rand source or crypto/rand (seeded
+//     constructors rand.New(rand.NewSource(seed)) remain fine),
+//
+// and, inside the deterministic packages only, wall-clock reads
+// (time.Now/Since/Until). A racy select three calls below fullSync breaks
+// the contract exactly as surely as one inside it; a timestamp taken by an
+// obs helper the protocol calls does not decide any protocol value.
+//
+// A second, module-wide rule guards the sinks directly: an argument to a
+// metric update (obs Inc/Add/Set/Observe) or a csv.Writer write whose value
+// is computed by a function with a nondeterministic call closure is
+// reported at the sink, wherever the sink lives.
+//
+// Interface and function-value calls are opaque: NodeComm hides the
+// transport's event races from the protocol by design, and the
+// scheduler order of delivery is the monitoring problem itself. A waived
+// call site prunes the traversal, like hotpath: the waiver's reason covers
+// the subtree behind it.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "deterministic packages must not iterate maps into output, read wall clocks, use global math/rand, or race channels",
+	Doc:  "code reachable from core/optimize/experiments must not leak map order, channel races or global rand, those packages must not read wall clocks, and no such value may reach a metric/CSV sink",
 	Run:  runDeterminism,
 }
 
@@ -122,56 +142,111 @@ func orderInsensitiveBody(r *ast.RangeStmt) bool {
 }
 
 func runDeterminism(p *Pass) error {
-	for _, pkg := range p.Pkgs {
-		if !isDeterministicPkg(pkg.Path) {
-			continue
-		}
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.RangeStmt:
-					if tv, ok := info.Types[n.X]; ok {
-						if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !orderInsensitiveBody(n) {
-							p.Reportf(n.Pos(), "map iteration order is nondeterministic; iterate sorted keys or restructure")
-						}
-					}
-				case *ast.CallExpr:
-					fn := callee(info, n)
-					if fn == nil || fn.Pkg() == nil {
-						return true
-					}
-					switch fn.Pkg().Path() {
-					case "time":
-						switch fn.Name() {
-						case "Now", "Since", "Until":
-							p.Reportf(n.Pos(), "time.%s reads the wall clock; deterministic packages must not depend on real time", fn.Name())
-						}
-					case "math/rand", "math/rand/v2":
-						if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil &&
-							!seededRandConstructors[fn.Name()] {
-							p.Reportf(n.Pos(), "rand.%s draws from the global source; use a seeded rand.New(rand.NewSource(seed))", fn.Name())
-						}
-					}
-				case *ast.SelectStmt:
-					real := 0
-					for _, c := range n.Body.List {
-						clause := c.(*ast.CommClause)
-						if clause.Comm == nil {
-							continue // default case
-						}
-						if ch := commChannel(clause); ch != nil && isTimeChan(info, ch) {
-							continue // timeout arm
-						}
-						real++
-					}
-					if real >= 2 {
-						p.Reportf(n.Pos(), "select races %d channels; receive order is nondeterministic", real)
-					}
-				}
-				return true
-			})
+	cg := buildCallGraph(p)
+
+	// Rule 1: reachability. Roots are every function of the deterministic
+	// packages; every nondeterminism site in the reached closure is a
+	// finding, and so is every clock read inside those packages.
+	var roots []*types.Func
+	for _, fn := range cg.order {
+		if isDeterministicPkg(cg.funcs[fn].pkg.Path) {
+			roots = append(roots, fn)
 		}
 	}
+	reach := reachableFrom(p, cg, roots)
+	for _, fn := range reach.order {
+		inContract := isDeterministicPkg(cg.funcs[fn].pkg.Path)
+		for _, site := range cg.summaries[fn].sites {
+			if site.clock && !inContract {
+				continue
+			}
+			p.Reportf(site.pos, "%s is reachable from the deterministic packages (%s); its outcome can leak into protocol output",
+				site.what, reach.chain(cg, fn))
+		}
+	}
+
+	// Rule 2: sinks. A call computing a sink argument with nondeterminism in
+	// its call closure is a finding at the sink call.
+	tainted := cg.tainted()
+	for _, fn := range cg.order {
+		body := cg.funcs[fn]
+		info := body.pkg.Info
+		ast.Inspect(body.decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sink := sinkName(info, call)
+			if sink == "" {
+				return true
+			}
+			for _, arg := range call.Args {
+				ast.Inspect(arg, func(a ast.Node) bool {
+					inner, ok := a.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					target := callee(info, inner)
+					if target == nil {
+						return true
+					}
+					if what, clock := classifyExternal(target); what != "" && !clock {
+						p.Reportf(inner.Pos(), "%s flows into %s; the recorded value is nondeterministic", what, sink)
+						return true
+					}
+					if tainted[target] {
+						p.Reportf(inner.Pos(), "%s has nondeterminism in its call closure and flows into %s",
+							cg.label(target), sink)
+					}
+					return true
+				})
+			}
+			return true
+		})
+	}
 	return nil
+}
+
+// sinkName classifies a call as a protocol-output sink: module obs metric
+// updates and encoding/csv writes. Returns "" for everything else.
+func sinkName(info *types.Info, call *ast.CallExpr) string {
+	fn := callee(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return ""
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	switch {
+	case fn.Pkg().Path() == "encoding/csv":
+		if fn.Name() == "Write" || fn.Name() == "WriteAll" {
+			return "csv." + fn.Name()
+		}
+	case strings.HasSuffix(fn.Pkg().Path(), "internal/obs"):
+		switch fn.Name() {
+		case "Inc", "Add", "Set", "Observe":
+			return "metric " + typeLabel(sig.Recv().Type()) + "." + fn.Name()
+		}
+	}
+	return ""
+}
+
+// typeLabel renders a receiver type as pkgname.TypeName.
+func typeLabel(t types.Type) string {
+	for {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+			continue
+		}
+		break
+	}
+	if named, ok := t.(*types.Named); ok {
+		obj := named.Obj()
+		if obj.Pkg() != nil {
+			return obj.Pkg().Name() + "." + obj.Name()
+		}
+		return obj.Name()
+	}
+	return t.String()
 }

@@ -105,10 +105,6 @@ func TestHotpathFixture(t *testing.T) {
 	runFixture(t, Hotpath, "hotpath", "fixture/hotpath")
 }
 
-func TestPoolpairFixture(t *testing.T) {
-	runFixture(t, Poolpair, "poolpair", "fixture/poolpair")
-}
-
 // The determinism fixture is loaded under fixture/internal/core so the
 // package-scoped contract applies to it.
 func TestDeterminismFixture(t *testing.T) {

@@ -54,7 +54,15 @@ func declName(decl *ast.FuncDecl) string {
 // hasMarker reports whether the declaration's doc comment carries the
 // //automon:hotpath directive.
 func hasMarker(decl *ast.FuncDecl) bool {
-	return hasDirective(decl, hotpathMarker)
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		if c.Text == hotpathMarker {
+			return true
+		}
+	}
+	return false
 }
 
 // indexFuncs maps every module function object to its body.

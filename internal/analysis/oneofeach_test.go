@@ -577,7 +577,6 @@ var knobManifest = map[string]string{
 
 	"automon-lint -list":  "output choice",
 	"automon-lint -sarif": "output choice: CI annotation format",
-	"automon-lint -diff":  "CI runs it on pull requests",
 
 	"automon-node -addr":               "deployment setting",
 	"automon-node -func":               "the user's input: the function",

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// TestRegistryComplete is the meta-test: the registry carries exactly the eight
+// TestRegistryComplete is the meta-test: the registry carries exactly the four
 // analyzers of the suite, in stable order, each fully populated.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"hotpath", "poolpair", "determinism", "obsnames", "nofloateq",
-		"statepure", "lockorder", "floatflow"}
+	want := []string{"hotpath", "obsnames", "nofloateq", "determinism"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returns %d analyzers, want %d", len(all), len(want))

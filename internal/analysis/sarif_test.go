@@ -16,7 +16,7 @@ func TestSARIFStructure(t *testing.T) {
 	diags := []Diagnostic{
 		{
 			Pos:      token.Position{Filename: "/mod/internal/core/coordinator.go", Line: 10, Column: 3},
-			Analyzer: "floatflow",
+			Analyzer: "determinism",
 			Message:  "taint finding",
 		},
 		{

@@ -9,45 +9,27 @@ import (
 	"strings"
 )
 
-// summary.go is the interprocedural layer under statepure, lockorder and
-// floatflow: a module-wide call graph keyed by the shared
-// *types.Func identities the loader guarantees, with a per-function effect
-// summary computed from one AST walk. Analyzers combine the summaries
-// bottom-up (totalEffects fixpoint) or top-down (reachableFrom BFS, which
-// prunes at //automon:allow-waived call sites exactly like hotpath does).
+// summary.go is the interprocedural layer under determinism: a module-wide
+// call graph keyed by the shared *types.Func identities the loader
+// guarantees, with a per-function summary of nondeterminism and clock sites
+// computed from one AST walk. The analyzer combines the summaries bottom-up
+// (the tainted fixpoint) and top-down (reachableFrom BFS, which prunes at
+// //automon:allow-waived call sites exactly like hotpath does).
 //
-// Calls through function values and interface methods are opaque: no effect
+// Calls through function values and interface methods are opaque: nothing
 // propagates across them. That is a deliberate contract, not a soundness
-// hole — NodeComm is exactly the dependency-injection seam the statepure
-// boundary must not see through, and the routing layer behind it is where
-// the effects are supposed to live.
+// hole — NodeComm is exactly the dependency-injection seam the protocol
+// must not see through, and the delivery-order races behind it are the
+// monitoring problem itself.
 
-// effect is the effect lattice: a bitmask ordered by set inclusion, joined
-// with |. Each bit is one observable behavior the analyzers care about.
-type effect uint8
-
-const (
-	// effIO: file, network or terminal I/O (os, net, io writers, fmt prints).
-	effIO effect = 1 << iota
-	// effClock: reads or schedules against the wall clock (time package).
-	effClock
-	// effRand: draws from a global or OS entropy source (unseeded math/rand,
-	// crypto/rand).
-	effRand
-	// effSpawn: starts a goroutine (go statement, time.AfterFunc).
-	effSpawn
-	// effGlobalWrite: assigns through a package-level variable.
-	effGlobalWrite
-	// effNondetOrder: result depends on scheduler or map-iteration order
-	// (order-sensitive map range, select racing ≥2 non-timeout channels).
-	effNondetOrder
-)
-
-// effectSite is one local occurrence of an effect inside a function body.
+// effectSite is one local occurrence of a nondeterminism source or a
+// wall-clock read inside a function body.
 type effectSite struct {
 	pos  token.Pos
-	eff  effect
-	what string // human-readable cause, e.g. "time.Now" or "go statement"
+	what string // human-readable cause, e.g. "time.Now (wall clock)"
+	// clock marks a wall-clock read: a finding only inside the
+	// deterministic packages, and no taint for the sink rule.
+	clock bool
 }
 
 // callSite is one statically resolved module-internal call.
@@ -103,7 +85,7 @@ func (cg *callGraph) label(fn *types.Func) string {
 	return fn.FullName()
 }
 
-// scanFunc computes the local effect summary of one function body. Nested
+// scanFunc computes the local summary of one function body. Nested
 // function literals are attributed to the enclosing function: a closure's
 // effects happen on behalf of whoever defined it.
 func scanFunc(body funcBody, funcs map[*types.Func]funcBody) *funcSummary {
@@ -120,28 +102,13 @@ func scanFunc(body funcBody, funcs map[*types.Func]funcBody) *funcSummary {
 				s.calls = append(s.calls, callSite{pos: n.Pos(), fn: fn})
 				return true
 			}
-			if eff, what := classifyExternal(fn); eff != 0 {
-				s.sites = append(s.sites, effectSite{pos: n.Pos(), eff: eff, what: what})
-			}
-		case *ast.GoStmt:
-			s.sites = append(s.sites, effectSite{pos: n.Pos(), eff: effSpawn, what: "go statement"})
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if v := packageLevelTarget(info, lhs); v != nil {
-					s.sites = append(s.sites, effectSite{pos: lhs.Pos(), eff: effGlobalWrite,
-						what: fmt.Sprintf("write to package-level %s.%s", v.Pkg().Name(), v.Name())})
-				}
-			}
-		case *ast.IncDecStmt:
-			if v := packageLevelTarget(info, n.X); v != nil {
-				s.sites = append(s.sites, effectSite{pos: n.Pos(), eff: effGlobalWrite,
-					what: fmt.Sprintf("write to package-level %s.%s", v.Pkg().Name(), v.Name())})
+			if what, clock := classifyExternal(fn); what != "" {
+				s.sites = append(s.sites, effectSite{pos: n.Pos(), what: what, clock: clock})
 			}
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[n.X]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !orderInsensitiveBody(n) {
-					s.sites = append(s.sites, effectSite{pos: n.Pos(), eff: effNondetOrder,
-						what: "order-sensitive map iteration"})
+					s.sites = append(s.sites, effectSite{pos: n.Pos(), what: "order-sensitive map iteration"})
 				}
 			}
 		case *ast.SelectStmt:
@@ -149,16 +116,15 @@ func scanFunc(body funcBody, funcs map[*types.Func]funcBody) *funcSummary {
 			for _, c := range n.Body.List {
 				clause := c.(*ast.CommClause)
 				if clause.Comm == nil {
-					continue
+					continue // default case
 				}
 				if ch := commChannel(clause); ch != nil && isTimeChan(info, ch) {
-					continue
+					continue // timeout arm
 				}
 				real++
 			}
 			if real >= 2 {
-				s.sites = append(s.sites, effectSite{pos: n.Pos(), eff: effNondetOrder,
-					what: fmt.Sprintf("select racing %d channels", real)})
+				s.sites = append(s.sites, effectSite{pos: n.Pos(), what: fmt.Sprintf("select racing %d channels", real)})
 			}
 		}
 		return true
@@ -166,125 +132,66 @@ func scanFunc(body funcBody, funcs map[*types.Func]funcBody) *funcSummary {
 	return s
 }
 
-// ioPkgs are the external packages whose calls count as I/O wholesale.
-var ioPkgs = map[string]bool{
-	"os": true, "os/exec": true, "os/signal": true,
-	"net": true, "net/http": true, "syscall": true,
-	"io": true, "io/fs": true, "io/ioutil": true, "bufio": true,
-	"encoding/csv": true, "database/sql": true, "log": true,
-}
+// clockFuncs are the time-package functions that read the wall clock.
+// Timers and sleeps schedule against it but return nothing a result could
+// depend on; pure arithmetic (Duration math, Parse, Unix) is effect-free.
+var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-// clockFuncs are the time-package entry points that read or schedule
-// against the wall clock. Pure arithmetic (time.Duration math, Parse,
-// Unix construction) stays effect-free.
-var clockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
-	"AfterFunc": true,
-}
-
-// classifyExternal assigns effects to a call outside the module. Unlisted
-// packages (strings, sort, math, strconv, errors, …) are effect-free.
-func classifyExternal(fn *types.Func) (effect, string) {
+// classifyExternal describes a call outside the module that is a
+// nondeterminism source or a clock read, or returns "" for every other
+// call (strings, sort, math, strconv, errors, …).
+func classifyExternal(fn *types.Func) (what string, clock bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {
-		return 0, ""
+		return "", false
 	}
+	sig, ok := fn.Type().(*types.Signature)
+	pkgLevel := ok && sig.Recv() == nil
 	qual := pkg.Name() + "." + fn.Name()
-	switch path := pkg.Path(); path {
+	switch pkg.Path() {
 	case "time":
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil && clockFuncs[fn.Name()] {
-			if fn.Name() == "AfterFunc" {
-				return effClock | effSpawn, qual
-			}
-			return effClock, qual
+		if pkgLevel && clockFuncs[fn.Name()] {
+			return qual + " (wall clock)", true
 		}
 	case "math/rand", "math/rand/v2":
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil &&
-			!seededRandConstructors[fn.Name()] {
-			return effRand | effNondetOrder, qual + " (global source)"
+		if pkgLevel && !seededRandConstructors[fn.Name()] {
+			return qual + " (global source)", false
 		}
 	case "crypto/rand":
-		return effRand | effNondetOrder, qual + " (OS entropy)"
-	case "fmt":
-		switch {
-		case strings.HasPrefix(fn.Name(), "Print"),
-			strings.HasPrefix(fn.Name(), "Fprint"),
-			strings.HasPrefix(fn.Name(), "Scan"),
-			strings.HasPrefix(fn.Name(), "Fscan"):
-			return effIO, qual
-		}
-	default:
-		if ioPkgs[path] {
-			return effIO, qual
-		}
+		return qual + " (OS entropy)", false
 	}
-	return 0, ""
+	return "", false
 }
 
-// packageLevelTarget resolves an assignment target to the package-level
-// variable it writes through, or nil for locals, fields of locals and
-// blank assignments. Writes through a dereferenced local pointer are not
-// tracked — passing a pointer to global state across a function boundary
-// is already a module-internal call the summaries follow.
-func packageLevelTarget(info *types.Info, expr ast.Expr) *types.Var {
-	for {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.Ident:
-			obj := info.Uses[e]
-			if obj == nil {
-				obj = info.Defs[e]
-			}
-			if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return v
-			}
-			return nil
-		case *ast.SelectorExpr:
-			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-				if _, isPkg := info.Uses[id].(*types.PkgName); isPkg {
-					if v, ok := info.Uses[e.Sel].(*types.Var); ok {
-						return v
-					}
-					return nil
-				}
-			}
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			return nil // deref of a pointer value: target identity unknown
-		default:
-			return nil
-		}
-	}
-}
-
-// totalEffects folds every function's local effects with its callees' via a
-// fixpoint over the call graph, giving the full transitive effect mask.
-// Recursive cycles converge because the lattice is finite and join-monotone.
-func (cg *callGraph) totalEffects() map[*types.Func]effect {
-	total := make(map[*types.Func]effect, len(cg.order))
+// tainted folds every function's nondeterminism sites with its callees'
+// via a fixpoint over the call graph: true when the function's full static
+// closure holds a source. Recursive cycles converge because a function only
+// ever turns from false to true.
+func (cg *callGraph) tainted() map[*types.Func]bool {
+	t := make(map[*types.Func]bool, len(cg.order))
 	for _, fn := range cg.order {
-		var e effect
 		for _, site := range cg.summaries[fn].sites {
-			e |= site.eff
+			if !site.clock {
+				t[fn] = true
+			}
 		}
-		total[fn] = e
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range cg.order {
-			e := total[fn]
-			for _, c := range cg.summaries[fn].calls {
-				e |= total[c.fn]
+			if t[fn] {
+				continue
 			}
-			if e != total[fn] {
-				total[fn] = e
-				changed = true
+			for _, c := range cg.summaries[fn].calls {
+				if t[c.fn] {
+					t[fn] = true
+					changed = true
+					break
+				}
 			}
 		}
 	}
-	return total
+	return t
 }
 
 // reachResult is the output of a top-down reachability BFS: the functions

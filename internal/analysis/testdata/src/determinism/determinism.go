@@ -1,6 +1,6 @@
-// Package core exercises the determinism analyzer. The fixture is loaded
-// under the import path fixture/internal/core, which opts it into the
-// deterministic-package contract.
+// Package core exercises the determinism analyzer inside one deterministic
+// package. The fixture is loaded under the import path fixture/internal/core,
+// which makes every function here a root of the contract.
 package core
 
 import (
@@ -13,7 +13,7 @@ import (
 // result.
 func LeakOrder(m map[string]int) []int {
 	var out []int
-	for _, v := range m { // want "map iteration order is nondeterministic"
+	for _, v := range m { // want "order-sensitive map iteration is reachable from the deterministic packages \(core.LeakOrder\)"
 		out = append(out, v)
 	}
 	return out
@@ -45,12 +45,12 @@ func KeyedCopy(m map[string]int) map[string]int {
 
 // Stamp reads the wall clock.
 func Stamp() int64 {
-	return time.Now().Unix() // want "reads the wall clock"
+	return time.Now().Unix() // want "time.Now \(wall clock\) is reachable"
 }
 
 // Roll draws from the global math/rand source.
 func Roll() int {
-	return rand.Intn(6) // want "draws from the global source"
+	return rand.Intn(6) // want "rand.Intn \(global source\) is reachable"
 }
 
 // Seeded builds an explicitly seeded stream: the blessed constructors and
@@ -62,7 +62,7 @@ func Seeded(seed int64) int {
 
 // Race selects between two real channels.
 func Race(a, b chan int) int {
-	select { // want "receive order is nondeterministic"
+	select { // want "select racing 2 channels is reachable"
 	case v := <-a:
 		return v
 	case v := <-b:
@@ -78,4 +78,27 @@ func Timeout(a chan int) int {
 	case <-time.After(time.Second):
 		return -1
 	}
+}
+
+// Transition reads the clock and reaches global rand one call down, inside
+// the same package.
+func Transition(x float64) float64 {
+	now := time.Now() // want "time.Now \(wall clock\) is reachable"
+	_ = now
+	return jitter(x)
+}
+
+func jitter(x float64) float64 {
+	return x + rand.Float64() // want "rand.Float64 \(global source\) is reachable"
+}
+
+// Elapsed measures against the wall clock.
+func Elapsed(t0 time.Time) time.Duration {
+	return time.Since(t0) // want "time.Since \(wall clock\) is reachable"
+}
+
+// Pause only schedules against the clock: nothing it returns depends on the
+// time, so sleeps and timers are not clock reads.
+func Pause() {
+	time.Sleep(time.Millisecond)
 }

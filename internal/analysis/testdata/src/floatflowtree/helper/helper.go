@@ -1,9 +1,13 @@
-// Package helper sits outside the deterministic packages; its taint sites
-// are findings only when protocol code reaches them (rule 1), and only at
-// the site, with the call chain in the message.
+// Package helper sits outside the deterministic packages; its
+// nondeterminism sites are findings only when protocol code reaches them
+// (rule 1), and only at the site, with the call chain in the message. Its
+// clock reads are never findings.
 package helper
 
-import "math/rand"
+import (
+	"math/rand"
+	"time"
+)
 
 // Fold is order-sensitive: float accumulation depends on map iteration
 // order, so the sum differs run to run.
@@ -47,4 +51,10 @@ func Sampler(m map[string]float64) float64 {
 // Orphan is never reached from the deterministic packages: clean.
 func Orphan() float64 {
 	return rand.Float64()
+}
+
+// Stamp reads the wall clock outside the deterministic packages; core
+// reaches it, and it is still clean.
+func Stamp() int64 {
+	return time.Now().UnixNano()
 }

@@ -1,8 +1,8 @@
-// Package core is the deterministic-package root set of the floatflow tree
-// fixture (loaded under fixture/floatflow/internal/core): every function
-// here is a rule-1 reachability root, and Dump/Report exercise the rule-2
-// sinks. Taint sites inside this package belong to the determinism
-// analyzer, so rule 1 reports only at the sites in helper.
+// Package core is the deterministic-package root set of the determinism
+// tree fixture (loaded under fixture/floatflow/internal/core): every
+// function here is a rule-1 reachability root, and Dump/Report exercise the
+// rule-2 sinks. Rule 1 reports at the sites in helper and at those in this
+// package alike.
 package core
 
 import (
@@ -31,8 +31,14 @@ func Stats() float64 {
 
 // Sampled waives the call edge: the waiver prunes helper.Sampler's subtree.
 func Sampled(m map[string]float64) float64 {
-	//automon:allow floatflow fixture: sampled diagnostics only, never protocol state
+	//automon:allow determinism fixture: sampled diagnostics only, never protocol state
 	return helper.Sampler(m)
+}
+
+// Stamped reaches a clock read outside the deterministic packages: a
+// timestamp helper decides no protocol value, so it is not a finding.
+func Stamped() int64 {
+	return helper.Stamp()
 }
 
 // Dump exercises the CSV sink: rowOf has an order-sensitive fold in its
@@ -41,7 +47,7 @@ func Dump(w *csv.Writer, rows map[string][]string) error {
 	if err := w.Write(rowOf(rows)); err != nil { // want "core.rowOf has nondeterminism in its call closure and flows into csv.Write"
 		return err
 	}
-	return w.Write([]string{strconv.Itoa(rand.Int())}) // want "rand.Int \(global source\) flows into csv.Write; the recorded value is nondeterministic"
+	return w.Write([]string{strconv.Itoa(rand.Int())}) // want "rand.Int \(global source\) flows into csv.Write; the recorded value is nondeterministic" "rand.Int \(global source\) is reachable from the deterministic packages \(core.Dump\)"
 }
 
 // Report taints a metric sink through a module call closure; the clean
@@ -53,7 +59,7 @@ func Report(g *obs.Gauge) {
 
 func rowOf(rows map[string][]string) []string {
 	var out []string
-	for _, r := range rows {
+	for _, r := range rows { // want "order-sensitive map iteration is reachable from the deterministic packages \(core.rowOf\)"
 		out = append(out, r...)
 	}
 	return out

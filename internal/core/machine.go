@@ -11,13 +11,11 @@ import (
 // Ownership is the data plane beneath a Machine. It stores the per-node
 // vectors and slack assignments, talks to the messaging fabric, and
 // aggregates partial averages; the Machine never touches a node vector
-// directly. Partition is the one implementation of the table; a shard tree
-// puts a router over one Partition per leaf (internal/shard). It stays an
-// interface because that is what lets one protocol state machine drive either:
-// every Ownership method is an interface call, opaque to the statepure
-// dataflow analyzer, so the Machine's transitions are machine-checked to be
-// free of I/O, clocks, spawns and global writes regardless of which data
-// plane sits below them.
+// directly. It is an interface because it has two implementations:
+// Partition, the one implementation of the table, and the shard tree's
+// router (internal/shard), which sends single-node operations to the
+// owning leaf's Partition and recurses Collect and Distribute over the
+// tree. One protocol state machine drives either.
 //
 // Liveness remains protocol state (the Machine owns live/liveCount); an
 // Ownership implementation reports losses re-entrantly through
@@ -403,14 +401,6 @@ func (m *Machine) Resync() error { return m.fullSync(nil) }
 // The violation's embedded vector refreshes the data plane's view of that
 // node. A violation from an unknown node, of an unknown kind or with a vector
 // of another dimension is refused with an error before any state changes.
-//
-// The statepure marker makes this transition part of the machine-checked
-// purity boundary (ROADMAP item 1): its static call closure must stay free
-// of I/O, clocks, spawns, global rand and package-level writes — all data
-// movement happens behind the Ownership interface — so the same transition
-// can run at any tier of a sharded coordinator tree.
-//
-//automon:statepure
 func (m *Machine) HandleViolation(v *Violation) error {
 	if v.NodeID < 0 || v.NodeID >= m.N {
 		return fmt.Errorf("core: violation from unknown node %d", v.NodeID)
@@ -501,8 +491,6 @@ func (m *Machine) HandleViolation(v *Violation) error {
 // nodes were pulled without resolution; the caller then falls back to a full
 // sync (which reuses the vectors pulled here via fresh). Every buffer it uses
 // is the machine's, so an attempt allocates nothing.
-//
-//automon:statepure
 func (m *Machine) lazySync(v *Violation, fresh *Marks) bool {
 	m.obs.lazyAttempts.Inc()
 	set := append(m.set[:0], v.NodeID)
@@ -604,8 +592,6 @@ func (m *Machine) Thresholds(f0 float64) (l, u float64) {
 // so earlier neighborhood violations say nothing about the new neighborhood.
 // HandleViolation's neighborhood branch restores the streak afterwards —
 // only there is the violation itself part of the streak (§3.6).
-//
-//automon:statepure
 func (m *Machine) fullSync(fresh *Marks) error {
 	m.obs.fullSyncs.Inc()
 	m.consecNeigh = 0

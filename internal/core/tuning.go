@@ -146,7 +146,6 @@ func tuneWaves(replay func(r float64) (ReplayCounts, error), workers int) (TuneR
 			var wg sync.WaitGroup
 			for i, r := range todo {
 				wg.Add(1)
-				//automon:allow statepure bounded replay worker pool joined before return; results are indexed per replay and bit-identical at any worker count
 				go func(i int, r float64) {
 					defer wg.Done()
 					counts[i], errs[i] = replay(r)

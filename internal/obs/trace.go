@@ -69,7 +69,6 @@ func (t *Tracer) Record(kind string, node int, value float64, label string) {
 	if t == nil {
 		return
 	}
-	//automon:allow statepure observability timestamping only; the protocol state machine never reads an event's wall-clock field back
 	now := time.Now().UnixNano()
 	t.mu.Lock()
 	t.buf[t.next%uint64(len(t.buf))] = Event{

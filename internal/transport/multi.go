@@ -270,7 +270,7 @@ func (mc *MultiCoordinator) reject(conn net.Conn) {
 // frames that cannot be parsed at all, is rejected.
 func (mc *MultiCoordinator) handleNewConn(conn net.Conn) {
 	defer mc.wg.Done()
-	//automon:allow floatflow registration backpressure races shutdown by design; either arm ends with the connection registered once or closed, never a protocol value
+	//automon:allow determinism registration backpressure races shutdown by design; either arm ends with the connection registered once or closed, never a protocol value
 	select {
 	case mc.regSem <- struct{}{}:
 	case <-mc.done:

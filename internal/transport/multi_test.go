@@ -7,7 +7,9 @@ package transport
 // perturb another group's estimates or traffic by a single bit.
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime"
@@ -217,6 +219,32 @@ func TestMultiGroupUnknownGroupRejected(t *testing.T) {
 	// The hosted group still monitors.
 	if err := nd.Update([]float64{2, 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegisterAfterCloseClosesTheConnection pins the register/closeGroup
+// handshake: a registration that reaches a group after its Close has begun
+// closes the connection instead of starting a reader that Close no longer
+// waits for and that keeps the peer's socket open.
+func TestRegisterAfterCloseClosesTheConnection(t *testing.T) {
+	f := funcs.InnerProduct(1)
+	mc, err := ListenMulti("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	c, err := mc.AddGroup(1, f, 1, core.Config{Epsilon: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	peer, conn := net.Pipe()
+	defer peer.Close()
+	c.register(0, conn, []float64{1, 1})
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := peer.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("peer read after a registration on a closed group = %v, want io.EOF", err)
 	}
 }
 

@@ -397,7 +397,7 @@ func (c *NodeClient) WaitReady(timeout time.Duration) error {
 	// abandoned time.After would outlive readiness by that long.
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	//automon:allow floatflow wait-for-any by design: the race only selects which error (or nil) surfaces, no protocol value depends on the winning arm
+	//automon:allow determinism wait-for-any by design: the race only selects which error (or nil) surfaces, no protocol value depends on the winning arm
 	select {
 	case <-c.ready:
 		return nil

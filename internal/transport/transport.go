@@ -380,7 +380,7 @@ func (c *Coordinator) dispatch() {
 	var order []int
 	drain := func() {
 		for c.err.Load() == nil {
-			//automon:allow floatflow violation/death/join arrival order is inherent event multiplexing; coalescing keeps only each node's freshest report and §4 resolution converges from any order
+			//automon:allow determinism violation/death/join arrival order is inherent event multiplexing; coalescing keeps only each node's freshest report and §4 resolution converges from any order
 			select {
 			case v := <-c.violCh:
 				if _, ok := pending[v.NodeID]; !ok {
@@ -399,7 +399,7 @@ func (c *Coordinator) dispatch() {
 	for c.err.Load() == nil {
 		if len(order) == 0 {
 			c.flushAll()
-			//automon:allow floatflow idle wait races shutdown against live events by design; the protocol state a violation produces does not depend on which arm wakes the loop
+			//automon:allow determinism idle wait races shutdown against live events by design; the protocol state a violation produces does not depend on which arm wakes the loop
 			select {
 			case <-c.done:
 				return
@@ -597,14 +597,23 @@ func (c *Coordinator) shutdown() bool {
 
 // register installs a connection for node id and starts serving it, leaves
 // the node's join in the mailbox and wakes the dispatch loop, which runs the
-// transition. It never waits on a resolution.
+// transition. It never waits on a resolution. A connection that arrives
+// after closeGroup has started is closed instead: installing it under
+// connsMu, where closeGroup's close loop runs, is what keeps the reader's
+// wg.Add ahead of closeGroup's wg.Wait.
 func (c *Coordinator) register(id int, conn net.Conn, x []float64) {
 	cc := &coordConn{id: id, conn: conn, w: newFrameWriter(conn, c.gid, c.opts, &c.Stats),
 		dataCh: make(chan *core.DataResponse, 4), gone: make(chan struct{})}
 	c.connsMu.Lock()
+	if c.closed.Load() {
+		c.connsMu.Unlock()
+		conn.Close()
+		return
+	}
 	old := c.conns[id]
 	c.conns[id] = cc
 	c.joins[id] = x
+	c.wg.Add(1)
 	c.connsMu.Unlock()
 	if old != nil {
 		old.conn.Close() // retire the stale reader; its death event is ignored
@@ -614,7 +623,6 @@ func (c *Coordinator) register(id int, conn net.Conn, x []float64) {
 	case c.wake <- struct{}{}:
 	default:
 	}
-	c.wg.Add(1)
 	go c.serveConn(cc)
 }
 
@@ -633,7 +641,7 @@ func (c *Coordinator) serveConn(cc *coordConn) {
 			current := c.conns[cc.id] == cc
 			c.connsMu.Unlock()
 			if current {
-				//automon:allow floatflow death report races shutdown by design; both arms retire the connection and no value leaves the select
+				//automon:allow determinism death report races shutdown by design; both arms retire the connection and no value leaves the select
 				select {
 				case c.deadCh <- cc.id:
 				case <-c.done:
