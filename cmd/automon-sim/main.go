@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"automon/internal/core"
 	"automon/internal/experiments"
@@ -21,7 +22,7 @@ import (
 )
 
 func main() {
-	fn := flag.String("func", "inner-product", "workload: inner-product[-d], quadratic[-d], kld[-d], mlp-d, dnn, rosenbrock, intrusion-entropy, regime-rosenbrock")
+	fn := flag.String("func", "inner-product", "workload: inner-product[-d], quadratic[-d], kld[-d], mlp-d, dnn, rosenbrock, intrusion-entropy, regime-rosenbrock, sketch-f2")
 	algo := flag.String("algo", "automon", "algorithm: automon, centralization, periodic, hybrid, no-adcd")
 	eps := flag.Float64("eps", 0.1, "approximation error bound ε")
 	period := flag.Int("period", 10, "period for the periodic baseline")
@@ -95,12 +96,17 @@ func main() {
 		fmt.Printf("topology:        %d leaf shards, fan-out %d, %s mode\n", *shards, fanout, mode)
 	}
 	fmt.Printf("messages:        %d (payload %d bytes)\n", res.Messages, res.PayloadBytes)
-	for t, c := range res.MessagesByType {
-		fmt.Printf("  %-14s %d\n", t.String()+":", c)
+	types := make([]core.MsgType, 0, len(res.MessagesByType))
+	for t := range res.MessagesByType {
+		types = append(types, t)
+	}
+	slices.Sort(types)
+	for _, t := range types {
+		fmt.Printf("  %-14s %d\n", t.String()+":", res.MessagesByType[t])
 	}
 	fmt.Printf("error:           max %.6g  p99 %.6g  mean %.6g (ε = %g)\n", res.MaxErr, res.P99Err, res.MeanErr, *eps)
 	fmt.Printf("rounds over ε:   %d of %d\n", res.MissedRounds, res.Rounds)
-	if cfg.Algorithm == sim.AutoMon {
+	if cfg.Algorithm == sim.AutoMon || cfg.Algorithm == sim.Hybrid {
 		fmt.Printf("full syncs:      %d   lazy resolved: %d of %d attempts\n",
 			res.Stats.FullSyncs, res.Stats.LazyResolved, res.Stats.LazyAttempts)
 		fmt.Printf("violations:      %d neighborhood, %d safe-zone, %d faulty\n",

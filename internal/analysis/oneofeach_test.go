@@ -79,6 +79,13 @@ var (
 	}
 )
 
+// One way to drive a run: the functions under internal/ that read a
+// dataset's samples (calls named Sample; (*stream.Dataset).Sample is the
+// module's only Sample method). sim.Run is the simulator's one round loop,
+// whose monitors are AutoMon, the baselines and Hybrid, and wanRun feeds the
+// socket run of Fig. 10. A second simulator loop fails here.
+var roundLoopManifest = []string{"experiments.wanRun", "sim.Run"}
+
 // walkModule parses every non-test Go file of the root module (nested
 // modules such as bench/ are their own programs) and calls visit per file
 // with its path relative to the module root.
@@ -327,6 +334,30 @@ func TestOneMembershipPath(t *testing.T) {
 	}
 }
 
+func TestOneRoundLoop(t *testing.T) {
+	found := map[string]bool{}
+	walkModule(t, func(path string, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/") {
+			return
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sample" {
+						found[f.Name.Name+"."+declName(d)] = true
+					}
+				}
+				return true
+			})
+		}
+	})
+	expectManifest(t, "functions under internal/ calling (*stream.Dataset).Sample", found, roundLoopManifest)
+}
+
 // TestOneZoneBuildPath pins the single ADCD-X zone build: every full sync
 // runs the eigenvalue search, so internal/core declares nothing that caches
 // or quantizes a decomposition, and nothing in the module touches the
@@ -535,18 +566,17 @@ var knobManifest = map[string]string{
 
 	"ingest.Options.Elide": "two live values: results/sketch.csv compares elided and per-event; bench reads it",
 
-	"sim.Config.F":             "the user's input: the function",
-	"sim.Config.Data":          "the user's input: the stream",
-	"sim.Config.Algorithm":     "paper Fig. 5: AutoMon against the baselines",
-	"sim.Config.Core":          "carries core.Config",
-	"sim.Config.Period":        "paper Fig. 5: the periodic baseline's sweep",
-	"sim.Config.TuneRounds":    "two live values per workload: the tuning prefix length, 0 for pinned r",
-	"sim.Config.Shards":        "the topology: -shards",
-	"sim.Config.TreeFanout":    "the topology: -tree-fanout",
-	"sim.Config.ShardAbsorb":   "selects shard.ModeAbsorb: -shard-absorb",
-	"sim.Config.Trace":         "output choice: the time-series figures (Fig. 4, 9)",
-	"sim.Config.Metrics":       "deployment setting: telemetry registry",
-	"sim.Config.MetricsLabels": "deployment setting: per-run series in one registry",
+	"sim.Config.F":           "the user's input: the function",
+	"sim.Config.Data":        "the user's input: the stream",
+	"sim.Config.Algorithm":   "paper Fig. 5: AutoMon against the baselines",
+	"sim.Config.Core":        "carries core.Config",
+	"sim.Config.Period":      "paper Fig. 5: the periodic baseline's sweep",
+	"sim.Config.TuneRounds":  "two live values per workload: the tuning prefix length, 0 for pinned r",
+	"sim.Config.Shards":      "the topology: -shards",
+	"sim.Config.TreeFanout":  "the topology: -tree-fanout",
+	"sim.Config.ShardAbsorb": "selects shard.ModeAbsorb: -shard-absorb",
+	"sim.Config.Trace":       "output choice: the time-series figures (Fig. 4, 9)",
+	"sim.Config.Metrics":     "deployment setting: telemetry registry",
 
 	"automon-bench -fig":         "output choice: which figure",
 	"automon-bench -full":        "paper-size against quick parameters",
@@ -679,7 +709,6 @@ var callerlessManifest = map[string]string{
 	"analysis.LoadFixture":     "the analyzer fixture tests' loader; it sits beside LoadModule so both share one type-checker",
 	"analysis.LoadFixtureTree": "the cross-package analyzer fixtures' loader, beside LoadModule for the same reason",
 	"funcs.Logistic":           "the zoo's logistic regression: the ε oracle sweeps it and interval soundness is proven on it",
-	"sim.RunGroups":            "the in-process form of the multi-tenant listener, pinned against solo runs and the tree's isolation test",
 	"stream.SketchBursts":      "a stream generator beside SketchChurn and SketchEpisodes: the elision differential's burst and ADCD-X cases",
 	"stream.SketchChaos":       "a stream generator beside SketchChurn and SketchEpisodes: the elision differential's adversarial magnitudes",
 }

@@ -60,6 +60,8 @@ type Monitor interface {
 	Estimate() float64
 	Stats() CoordStats
 	R() float64
+	// Resync runs a full sync from the nodes' current vectors.
+	Resync() error
 }
 
 // Group is one in-process monitoring group: the nodes, the Fabric between

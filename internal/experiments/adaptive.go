@@ -3,7 +3,6 @@ package experiments
 import (
 	"automon/internal/core"
 	"automon/internal/funcs"
-	"automon/internal/obs"
 	"automon/internal/sim"
 	"automon/internal/stream"
 )
@@ -52,33 +51,6 @@ func RegimeShiftWorkload(o Options, nodes, rounds int) *Workload {
 		TuneRounds: o.rounds(150),
 		Decomp:     o.decomp(core.DecompOptions{Seed: o.Seed}),
 	}
-}
-
-// runWith is Workload.run with an explicit core configuration: the adaptive
-// sweep varies controller knobs (AdaptiveR, RDoubleAfter, RMax) that the
-// figure-sweep entry point deliberately does not expose. Epsilon, the
-// pinned/tuned radius and the eigen-engine options are stamped from the
-// workload exactly as run does.
-func (w *Workload) runWith(eps float64, cc core.Config) (*sim.Result, error) {
-	var reg *obs.Registry
-	if w.tel != nil {
-		reg = obs.NewRegistry()
-	}
-	cc.Epsilon = eps
-	cc.R = w.FixedR
-	cc.Decomp = w.Decomp
-	res, err := sim.Run(sim.Config{
-		F:          w.F,
-		Data:       w.Data,
-		Algorithm:  sim.AutoMon,
-		Core:       cc,
-		TuneRounds: w.TuneRounds,
-		Metrics:    reg,
-	})
-	if err == nil {
-		w.tel.record(w.Name, eps, res, reg)
-	}
-	return res, err
 }
 
 // AdaptivePair is one paired comparison: the same workload and ε monitored
@@ -142,11 +114,11 @@ func AdaptivePairs(o Options) ([]AdaptivePair, error) {
 	err := forEach(o.Workers, len(scenarios), func(i int) error {
 		s := scenarios[i]
 		staticCfg, adaptiveCfg := adaptiveConfigs(s)
-		st, err := s.w.runWith(s.eps, staticCfg)
+		st, err := s.w.run(sim.AutoMon, s.eps, 0, staticCfg)
 		if err != nil {
 			return err
 		}
-		ad, err := s.w.runWith(s.eps, adaptiveCfg)
+		ad, err := s.w.run(sim.AutoMon, s.eps, 0, adaptiveCfg)
 		if err != nil {
 			return err
 		}

@@ -190,25 +190,25 @@ type Workload struct {
 	tel *Telemetry
 }
 
-// run executes one monitored configuration. When telemetry is enabled the
-// run gets a private metric registry whose snapshot rides along with the
-// result aggregates.
-func (w *Workload) run(alg sim.Algorithm, eps float64, period int, trace bool) (*sim.Result, error) {
+// run executes one monitored configuration. cc carries the core settings a
+// sweep varies (the adaptive sweep's controller knobs); Epsilon, the pinned
+// or tuned radius and the eigen-engine options are stamped from the workload.
+// When telemetry is enabled the run gets a private metric registry whose
+// snapshot rides along with the result aggregates.
+func (w *Workload) run(alg sim.Algorithm, eps float64, period int, cc core.Config) (*sim.Result, error) {
 	var reg *obs.Registry
 	if w.tel != nil {
 		reg = obs.NewRegistry()
 	}
+	cc.Epsilon = eps
+	cc.R = w.FixedR
+	cc.Decomp = w.Decomp
 	res, err := sim.Run(sim.Config{
-		F:         w.F,
-		Data:      w.Data,
-		Algorithm: alg,
-		Period:    period,
-		Trace:     trace,
-		Core: core.Config{
-			Epsilon: eps,
-			R:       w.FixedR,
-			Decomp:  w.Decomp,
-		},
+		F:          w.F,
+		Data:       w.Data,
+		Algorithm:  alg,
+		Period:     period,
+		Core:       cc,
 		TuneRounds: w.TuneRounds,
 		Metrics:    reg,
 	})

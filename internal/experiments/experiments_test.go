@@ -102,7 +102,7 @@ func TestWorkloadsRunnable(t *testing.T) {
 	}
 	for _, c := range cases {
 		c.w.Data = c.w.Data.Slice(0, 60)
-		res, err := c.w.run(sim.AutoMon, c.eps, 0, false)
+		res, err := c.w.run(sim.AutoMon, c.eps, 0, core.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.w.Name, err)
 		}

@@ -118,11 +118,11 @@ func Fig10Bandwidth(o Options, latency time.Duration) (*Table, error) {
 			if simCfg.FixedR == 0 && !e.w.F.HasConstantHessian() {
 				simCfg.FixedR = 1
 			}
-			simRes, err := simCfg.run(sim.AutoMon, eps, 0, false)
+			simRes, err := simCfg.run(sim.AutoMon, eps, 0, core.Config{})
 			if err != nil {
 				return nil, err
 			}
-			centralRes, err := e.w.run(sim.Centralization, eps, 0, false)
+			centralRes, err := e.w.run(sim.Centralization, eps, 0, core.Config{})
 			if err != nil {
 				return nil, err
 			}

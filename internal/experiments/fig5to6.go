@@ -23,7 +23,7 @@ func Fig5Tradeoff(o Options) (*Table, error) {
 
 	runFamily := func(w *Workload, epss []float64, withCB bool) error {
 		for _, eps := range epss {
-			res, err := w.run(sim.AutoMon, eps, 0, false)
+			res, err := w.run(sim.AutoMon, eps, 0, core.Config{})
 			if err != nil {
 				return err
 			}
@@ -46,13 +46,13 @@ func Fig5Tradeoff(o Options) (*Table, error) {
 		// accounting; its curve is period-driven.
 		midEps := epss[len(epss)/2]
 		for _, p := range periods {
-			res, err := w.run(sim.Periodic, midEps, p, false)
+			res, err := w.run(sim.Periodic, midEps, p, core.Config{})
 			if err != nil {
 				return err
 			}
 			addTradeoffRow(t, w.Name, "periodic", float64(p), res)
 		}
-		res, err := w.run(sim.Centralization, midEps, 0, false)
+		res, err := w.run(sim.Centralization, midEps, 0, core.Config{})
 		if err != nil {
 			return err
 		}
@@ -91,12 +91,12 @@ func Fig6ErrorProfile(o Options) (*Table, error) {
 		Header: []string{"function", "eps", "messages", "max_pct_of_bound", "p99_pct_of_bound", "central_messages"},
 	}
 	add := func(w *Workload, epss []float64) error {
-		central, err := w.run(sim.Centralization, epss[0], 0, false)
+		central, err := w.run(sim.Centralization, epss[0], 0, core.Config{})
 		if err != nil {
 			return err
 		}
 		for _, eps := range epss {
-			res, err := w.run(sim.AutoMon, eps, 0, false)
+			res, err := w.run(sim.AutoMon, eps, 0, core.Config{})
 			if err != nil {
 				return err
 			}

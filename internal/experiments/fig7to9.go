@@ -47,11 +47,11 @@ func Fig7aDimensions(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := w.run(sim.AutoMon, cells[i].eps, 0, false)
+		res, err := w.run(sim.AutoMon, cells[i].eps, 0, core.Config{})
 		if err != nil {
 			return err
 		}
-		central, err := w.run(sim.Centralization, cells[i].eps, 0, false)
+		central, err := w.run(sim.Centralization, cells[i].eps, 0, core.Config{})
 		if err != nil {
 			return err
 		}
@@ -95,11 +95,11 @@ func Fig7bNodes(o Options) (*Table, error) {
 				return err
 			}
 		}
-		res, err := w.run(sim.AutoMon, 0.2, 0, false)
+		res, err := w.run(sim.AutoMon, 0.2, 0, core.Config{})
 		if err != nil {
 			return err
 		}
-		central, err := w.run(sim.Centralization, 0.2, 0, false)
+		central, err := w.run(sim.Centralization, 0.2, 0, core.Config{})
 		if err != nil {
 			return err
 		}

@@ -26,7 +26,6 @@ type topology interface {
 	core.Monitor
 	MarkDead(id int)
 	HandleRejoin(ids []int, xs [][]float64) error
-	Resync() error
 }
 
 // slackTolerance bounds |Σ slack over the live set|, per dimension, summed

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"automon/internal/core"
@@ -73,5 +74,43 @@ func TestHybridStaysOnAutoMonWhenCheap(t *testing.T) {
 	}
 	if math.Abs(hybrid.MaxErr-auto.MaxErr) > 1e-12 {
 		t.Fatalf("quiet workload: hybrid error %v, automon %v", hybrid.MaxErr, auto.MaxErr)
+	}
+}
+
+// TestHybridRunsAutoMonSetup pins that Hybrid's AutoMon phase is AutoMon: it
+// runs the tuning prefix (ADCD-X at r = 0 could never grow r by §3.6
+// doubling) and the shard tree, and on a stream that never exceeds the
+// budget its Result is AutoMon's in every field but the algorithm's name.
+func TestHybridRunsAutoMonSetup(t *testing.T) {
+	base := Config{
+		F: funcs.Rosenbrock(), Data: stream.GaussianNoise(2, 4, 260, 0, 0.2, 3), TuneRounds: 60,
+		Core: core.Config{Epsilon: 0.4, Decomp: core.DecompOptions{Seed: 1}},
+	}
+	run := func(cfg Config, alg Algorithm) *Result {
+		t.Helper()
+		cfg.Algorithm = alg
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	auto, hybrid := run(base, AutoMon), run(base, Hybrid)
+	if hybrid.TunedR <= 0 || hybrid.TunedR != auto.TunedR || hybrid.Rounds != auto.Rounds {
+		t.Fatalf("hybrid tuned r = %v over %d rounds, automon r = %v over %d",
+			hybrid.TunedR, hybrid.Rounds, auto.TunedR, auto.Rounds)
+	}
+
+	quiet := base
+	quiet.Data = stream.GaussianNoise(2, 4, 260, 0, 0.01, 3)
+	quiet.Shards, quiet.TreeFanout, quiet.Trace = 2, 2, true
+	auto, hybrid = run(quiet, AutoMon), run(quiet, Hybrid)
+	hybrid.Algorithm = auto.Algorithm
+	if !reflect.DeepEqual(auto, hybrid) {
+		t.Fatalf("quiet stream: hybrid diverged from automon:\nautomon %+v\nhybrid  %+v", *auto, *hybrid)
+	}
+	if auto.TunedR <= 0 || auto.Stats.FullSyncs == 0 {
+		t.Fatalf("quiet stream exercises neither tuning nor the tree: r = %v, %d full syncs",
+			auto.TunedR, auto.Stats.FullSyncs)
 	}
 }

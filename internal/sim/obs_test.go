@@ -19,24 +19,22 @@ func TestSimMetricsMatchResult(t *testing.T) {
 			reg := obs.NewRegistry()
 			res, err := Run(Config{
 				F: f, Data: ds, Algorithm: alg, Period: 10,
-				Core:          core.Config{Epsilon: 0.2},
-				Metrics:       reg,
-				MetricsLabels: `alg="` + alg.String() + `"`,
+				Core:    core.Config{Epsilon: 0.2},
+				Metrics: reg,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			snap := reg.Snapshot()
-			lbl := `{alg="` + alg.String() + `"}`
-			if got := snap["automon_sim_messages_total"+lbl]; int(got) != res.Messages {
+			if got := snap["automon_sim_messages_total"]; int(got) != res.Messages {
 				t.Fatalf("messages metric %v != result %d", got, res.Messages)
 			}
-			if got := snap["automon_sim_payload_bytes_total"+lbl]; int(got) != res.PayloadBytes {
+			if got := snap["automon_sim_payload_bytes_total"]; int(got) != res.PayloadBytes {
 				t.Fatalf("payload metric %v != result %d", got, res.PayloadBytes)
 			}
 			byType := 0
 			for typ, n := range res.MessagesByType {
-				name := `automon_sim_messages_by_type_total{type="` + typ.String() + `",alg="` + alg.String() + `"}`
+				name := `automon_sim_messages_by_type_total{type="` + typ.String() + `"}`
 				if got := snap[name]; int(got) != n {
 					t.Fatalf("%s = %v, result says %d", name, got, n)
 				}

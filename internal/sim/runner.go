@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -65,12 +64,13 @@ type Config struct {
 	// Core.R == 0); monitoring statistics cover the remaining rounds.
 	TuneRounds int
 
-	// Shards > 0 runs the AutoMon algorithm through a hierarchical sharded
+	// Shards > 0 runs AutoMon and Hybrid through a hierarchical sharded
 	// coordinator (internal/shard) with that many leaf shards instead of the
 	// flat one. In the default routing mode the run is bit-identical to a
-	// flat run over the same stream (the differential suite asserts it); with
-	// ShardAbsorb leaves absorb safe-zone violations locally and the run is
-	// ε-correct but not bitwise comparable. Only meaningful for AutoMon.
+	// flat run over the same stream (the differential suite asserts it);
+	// with ShardAbsorb leaves absorb safe-zone violations locally and the run
+	// is ε-correct but not bitwise comparable. The baselines build no tree,
+	// so Run rejects all three topology fields for them.
 	Shards int
 	// TreeFanout bounds the children per interior shard tier; 0 means
 	// shard.DefaultFanout.
@@ -84,27 +84,21 @@ type Config struct {
 
 	// Metrics, when set, exposes the run's traffic counters under
 	// automon_sim_* names (and is handed to the core coordinator unless
-	// Core.Metrics is already set). Because registration is get-or-create,
-	// two runs sharing a registry without distinguishing MetricsLabels share
-	// (and accumulate into) the same counters.
+	// Core.Metrics is already set). The registry belongs to the run: the
+	// Result's traffic fields are views over its counters, so a second run
+	// on the same registry would accumulate into them.
 	Metrics *obs.Registry
-	// MetricsLabels is the label set stamped on this run's automon_sim_*
-	// metrics, e.g. `alg="automon",fn="inner_product"`.
-	MetricsLabels string
 
 	// Test hooks, set by in-package tests only.
 	//
-	// elide enables safe-zone check elision for the AutoMon algorithm: each
-	// round a node spends its cached distance-to-boundary budget by the
-	// window vector's exact movement and re-runs the safe-zone check only
-	// once the budget is exhausted (or a protocol event reset it). Protocol
-	// outcomes are bit-identical to the per-round path. Requires F to carry
-	// a curvature bound (constant Hessian or WithCurvature); Run fails
-	// loudly otherwise.
+	// elide enables safe-zone check elision for the AutoMon family
+	// (core.Group.EnableElision); protocol outcomes are bit-identical to the
+	// per-round path. Requires F to carry a curvature bound (constant
+	// Hessian or WithCurvature); Run fails loudly otherwise.
 	elide bool
-	// shardChaos, when set on a sharded run, is invoked at the start of every
-	// monitored round with the round index and the live tree, to kill and
-	// rejoin whole sub-trees mid-stream.
+	// shardChaos, when set on a sharded run, is invoked before every
+	// monitored round (and once after the last) with the round index and
+	// the live tree, to kill and rejoin whole sub-trees mid-stream.
 	shardChaos func(round int, tree *shard.Tree)
 }
 
@@ -155,7 +149,6 @@ type counter struct {
 	res *Result
 
 	reg     *obs.Registry
-	lbl     func(extra string) string
 	msgs    *obs.Counter
 	payload *obs.Counter
 	byType  map[core.MsgType]*obs.Counter
@@ -164,39 +157,19 @@ type counter struct {
 // newCounter wires the counters, registering them when the run has a
 // registry.
 func newCounter(cfg Config, res *Result) *counter {
-	// Per-metric labels come first, run-wide MetricsLabels after — the same
-	// convention transport.Bind uses ({dir=...,side=...}).
-	lbl := func(extra string) string {
-		set := extra
-		if cfg.MetricsLabels != "" {
-			if set != "" {
-				set += ","
-			}
-			set += cfg.MetricsLabels
-		}
-		if set == "" {
-			return ""
-		}
-		return "{" + set + "}"
-	}
 	c := &counter{
 		res:    res,
 		reg:    cfg.Metrics,
-		lbl:    lbl,
 		byType: make(map[core.MsgType]*obs.Counter),
 	}
-	c.msgs = cfg.Metrics.Counter("automon_sim_messages_total"+lbl(""),
+	c.msgs = cfg.Metrics.Counter("automon_sim_messages_total",
 		"Messages the simulated run would place on the network.")
-	c.payload = cfg.Metrics.Counter("automon_sim_payload_bytes_total"+lbl(""),
+	c.payload = cfg.Metrics.Counter("automon_sim_payload_bytes_total",
 		"Encoded payload bytes of the simulated run.")
 	// Pre-register the known types so a scrape shows them at zero even
 	// before the first message; typeCounter creates any type not listed
 	// here on first sight, so new message types are never silently dropped.
-	for _, t := range []core.MsgType{
-		core.MsgViolation, core.MsgDataRequest, core.MsgDataResponse,
-		core.MsgSync, core.MsgSlack, core.MsgRejoin,
-		core.MsgPartial, core.MsgSubtreeRejoin,
-	} {
+	for t := core.MsgViolation; t <= core.MsgSubtreeRejoin; t++ {
 		c.typeCounter(t)
 	}
 	return c
@@ -208,8 +181,7 @@ func (c *counter) typeCounter(t core.MsgType) *obs.Counter {
 	if ctr, ok := c.byType[t]; ok {
 		return ctr
 	}
-	ctr := c.reg.Counter(
-		fmt.Sprintf("automon_sim_messages_by_type_total%s", c.lbl(fmt.Sprintf("type=%q", t))),
+	ctr := c.reg.Counter(fmt.Sprintf("automon_sim_messages_by_type_total{type=%q}", t),
 		"Simulated messages broken down by protocol message type.")
 	c.byType[t] = ctr
 	return ctr
@@ -227,18 +199,22 @@ func (c *counter) count(m core.Message) {
 	c.res.PayloadBytes = int(c.payload.Load())
 }
 
-// Run executes one monitoring run and returns its statistics.
+// Run executes one monitoring run and returns its statistics. It owns the
+// only loop over the dataset: each round it pushes every node's sample into
+// its window, hands the window's vector to the algorithm, and observes the
+// algorithm's estimate against the true function of the global average.
 func Run(cfg Config) (*Result, error) {
 	if cfg.F == nil || cfg.Data == nil {
 		return nil, fmt.Errorf("sim: config requires F and Data")
+	}
+	baseline := cfg.Algorithm == Centralization || cfg.Algorithm == Periodic
+	if baseline && (cfg.Shards != 0 || cfg.TreeFanout != 0 || cfg.ShardAbsorb) {
+		return nil, fmt.Errorf("sim: %s builds no shard tree; Shards, TreeFanout and ShardAbsorb need AutoMon or Hybrid", cfg.Algorithm)
 	}
 	res := &Result{
 		Algorithm:      cfg.Algorithm.String(),
 		Function:       cfg.F.Name,
 		MessagesByType: make(map[core.MsgType]int),
-	}
-	if cfg.Algorithm == Periodic {
-		res.Algorithm = fmt.Sprintf("periodic-%d", cfg.Period)
 	}
 
 	if cfg.Core.Metrics == nil {
@@ -251,15 +227,57 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	comm := newCounter(cfg, res)
+	// truth is the function of the dataset-side global average x̄.
+	avg := make([]float64, cfg.F.Dim())
+	truth := func() float64 { return cfg.F.Value(linalg.Mean(avg, vectors(windows)...)) }
+	var mon monitor
+	var am *autoMon
+	start := 0
 	switch cfg.Algorithm {
 	case Centralization:
-		return runCentralization(cfg, res, windows)
+		mon = centralization{comm: comm}
 	case Periodic:
-		return runPeriodic(cfg, res, windows)
-	case Hybrid:
-		return runHybrid(cfg, res, windows)
+		if cfg.Period <= 0 {
+			return nil, fmt.Errorf("sim: periodic baseline requires Period > 0")
+		}
+		res.Algorithm = fmt.Sprintf("periodic-%d", cfg.Period)
+		mon = &periodic{comm: comm, windows: windows, period: cfg.Period, est: truth()}
+	default:
+		var err error
+		if am, start, err = newAutoMon(cfg, res, comm, windows); err != nil {
+			return nil, err
+		}
+		mon = am
+		if cfg.Algorithm == Hybrid {
+			mon = &hybrid{autoMon: am, comm: comm, windows: windows, startMsgs: res.Messages,
+				startRound: start, budget: hybridTrial, centralRounds: hybridWindow}
+		}
 	}
-	return runAutoMon(cfg, res, windows)
+
+	ds := cfg.Data
+	for r := start; r < ds.Rounds; r++ {
+		for i := 0; i < ds.Nodes; i++ {
+			s := ds.Sample(r, i)
+			if s == nil {
+				continue
+			}
+			windows[i].Push(s)
+			if err := mon.update(i, windows[i].Vector()); err != nil {
+				return nil, err
+			}
+		}
+		exact := truth()
+		res.observe(cfg, mon.estimate(r, exact), exact)
+		if err := mon.endRound(r); err != nil {
+			return nil, err
+		}
+	}
+	if am != nil {
+		am.finish(res)
+	}
+	res.finalize(cfg.Trace)
+	return res, nil
 }
 
 // vectors returns every window's current vector.
@@ -271,15 +289,10 @@ func vectors(windows []stream.Windower) [][]float64 {
 	return vecs
 }
 
-// trueAverage computes the dataset-side ground truth x̄ from the windows.
-func trueAverage(dst []float64, windows []stream.Windower) {
-	linalg.Mean(dst, vectors(windows)...)
-}
-
-func (r *Result) observe(cfg Config, est, truth float64, trace bool) {
+func (r *Result) observe(cfg Config, est, truth float64) {
 	e := math.Abs(est - truth)
 	r.ErrTrace = append(r.ErrTrace, e)
-	if trace {
+	if cfg.Trace {
 		r.EstTrace = append(r.EstTrace, est)
 		r.TrueTrace = append(r.TrueTrace, truth)
 		r.CumMessages = append(r.CumMessages, r.Messages)
@@ -310,151 +323,4 @@ func (r *Result) finalize(trace bool) {
 	if !trace {
 		r.ErrTrace = nil
 	}
-}
-
-func runAutoMon(cfg Config, res *Result, windows []stream.Windower) (*Result, error) {
-	ds := cfg.Data
-	n := ds.Nodes
-	g := core.NewGroup(cfg.F, vectors(windows))
-	g.OnMessage = newCounter(cfg, res).count
-	if cfg.elide && !g.EnableElision() {
-		return nil, fmt.Errorf("sim: elision needs a curvature bound for %s (constant Hessian or WithCurvature)", cfg.F.Name)
-	}
-
-	startRound := 0
-	coreCfg := cfg.Core
-	needsTuning := cfg.TuneRounds > 0 && coreCfg.R == 0 &&
-		!coreCfg.DisableADCD && coreCfg.ZoneBuilder == nil && !cfg.F.HasConstantHessian()
-	if needsTuning {
-		// The tuning replay is the first TuneRounds monitored rounds; the real
-		// windows advance through it (the tuning prefix is consumed, as in
-		// §4.2).
-		startRound = min(cfg.TuneRounds, ds.Rounds)
-		tuneData := core.TuningData(ds.Snapshots(windows, 0, startRound))
-		tuned, err := core.Tune(cfg.F, tuneData, n, coreCfg)
-		if errors.Is(err, core.ErrBracketNotConverged) {
-			res.TuneUnconverged = true
-		} else if err != nil {
-			return nil, fmt.Errorf("sim: neighborhood tuning: %w", err)
-		}
-		coreCfg.R = tuned.R
-		res.TunedR = tuned.R
-		for i := range windows {
-			g.SetData(i, windows[i].Vector())
-		}
-	}
-
-	// The flat coordinator and the sharded tree expose the same monitor
-	// surface; which one runs is purely a topology choice.
-	var mon core.Monitor
-	var tree *shard.Tree
-	if cfg.Shards > 0 {
-		mode := shard.ModeRoute
-		if cfg.ShardAbsorb {
-			mode = shard.ModeAbsorb
-		}
-		var err error
-		tree, err = shard.NewTree(cfg.F, n, coreCfg, g, shard.Options{
-			Shards: cfg.Shards,
-			Fanout: cfg.TreeFanout,
-			Mode:   mode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		mon = tree
-	} else {
-		mon = core.NewCoordinator(cfg.F, n, coreCfg, g)
-	}
-	if err := g.Start(mon); err != nil {
-		return nil, err
-	}
-
-	avg := make([]float64, cfg.F.Dim())
-	for r := startRound; r < ds.Rounds; r++ {
-		if tree != nil && cfg.shardChaos != nil {
-			cfg.shardChaos(r, tree)
-		}
-		for i := 0; i < n; i++ {
-			s := ds.Sample(r, i)
-			if s == nil {
-				continue
-			}
-			windows[i].Push(s)
-			v := g.Update(i, windows[i].Vector())
-			if v == nil {
-				continue
-			}
-			if tree != nil && !tree.Live(i) {
-				// A node in a killed sub-tree is partitioned away from the
-				// coordinator: its window keeps evolving but its violations
-				// never reach the wire until the sub-tree rejoins.
-				continue
-			}
-			if err := g.Resolve(v); err != nil {
-				return nil, err
-			}
-		}
-		trueAverage(avg, windows)
-		res.observe(cfg, mon.Estimate(), cfg.F.Value(avg), cfg.Trace)
-	}
-	res.ElidedChecks = g.Elided
-	res.RefusedSyncs = g.RefusedSyncs
-	res.Stats = mon.Stats()
-	res.FinalR = mon.R()
-	if res.TunedR == 0 {
-		res.TunedR = mon.R()
-	}
-	res.finalize(cfg.Trace)
-	return res, nil
-}
-
-func runCentralization(cfg Config, res *Result, windows []stream.Windower) (*Result, error) {
-	ds := cfg.Data
-	comm := newCounter(cfg, res)
-	avg := make([]float64, cfg.F.Dim())
-	for r := 0; r < ds.Rounds; r++ {
-		for i := 0; i < ds.Nodes; i++ {
-			s := ds.Sample(r, i)
-			if s == nil {
-				continue
-			}
-			windows[i].Push(s)
-			comm.count(&core.DataResponse{NodeID: i, X: windows[i].Vector()})
-		}
-		trueAverage(avg, windows)
-		truth := cfg.F.Value(avg)
-		res.observe(cfg, truth, truth, cfg.Trace) // exact estimate
-	}
-	res.finalize(cfg.Trace)
-	return res, nil
-}
-
-func runPeriodic(cfg Config, res *Result, windows []stream.Windower) (*Result, error) {
-	if cfg.Period <= 0 {
-		return nil, fmt.Errorf("sim: periodic baseline requires Period > 0")
-	}
-	ds := cfg.Data
-	comm := newCounter(cfg, res)
-	avg := make([]float64, cfg.F.Dim())
-	trueAverage(avg, windows)
-	est := cfg.F.Value(avg)
-	for r := 0; r < ds.Rounds; r++ {
-		for i := 0; i < ds.Nodes; i++ {
-			if s := ds.Sample(r, i); s != nil {
-				windows[i].Push(s)
-			}
-		}
-		if (r+1)%cfg.Period == 0 {
-			for i := 0; i < ds.Nodes; i++ {
-				comm.count(&core.DataResponse{NodeID: i, X: windows[i].Vector()})
-			}
-			trueAverage(avg, windows)
-			est = cfg.F.Value(avg)
-		}
-		trueAverage(avg, windows)
-		res.observe(cfg, est, cfg.F.Value(avg), cfg.Trace)
-	}
-	res.finalize(cfg.Trace)
-	return res, nil
 }

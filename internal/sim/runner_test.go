@@ -275,6 +275,17 @@ func TestRunValidatesConfig(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("nil F/Data must be rejected")
 	}
+	// The baselines build no tree, so a topology setting would be ignored.
+	f := funcs.InnerProduct(2)
+	ds := stream.InnerProductPhases(2, 3, 20, 1)
+	for _, alg := range []Algorithm{Centralization, Periodic} {
+		for _, topo := range []Config{{Shards: 4}, {TreeFanout: 2}, {ShardAbsorb: true}} {
+			topo.F, topo.Data, topo.Algorithm, topo.Period = f, ds, alg, 5
+			if _, err := Run(topo); err == nil {
+				t.Errorf("%s accepted shards=%d fanout=%d absorb=%v", alg, topo.Shards, topo.TreeFanout, topo.ShardAbsorb)
+			}
+		}
+	}
 }
 
 func TestMessageBytesAccounted(t *testing.T) {

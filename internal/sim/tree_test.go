@@ -226,14 +226,15 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Paired run: shared registry, chaos in the storm tenant.
+	// Paired run: shared registry, chaos in the storm tenant. The tenants'
+	// protocol counters share it under distinct group labels.
 	// Shard 5 is the right sub-tree (leaves 2 and 3, nodes 4–7).
 	reg := obs.NewRegistry()
 	var chaosErr error
 	victim := victimBase
-	victim.Metrics = reg
+	victim.Core.Metrics, victim.Core.MetricsLabels = reg, `group="0"`
 	storm := stormBase
-	storm.Metrics = reg
+	storm.Core.Metrics, storm.Core.MetricsLabels = reg, `group="1"`
 	storm.shardChaos = func(round int, tr *shard.Tree) {
 		switch round {
 		case killRound:
@@ -246,10 +247,7 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 			}
 		}
 	}
-	results, err := RunGroups([]Config{victim, storm})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runConcurrently(t, []Config{victim, storm})
 	if chaosErr != nil {
 		t.Fatal(chaosErr)
 	}
