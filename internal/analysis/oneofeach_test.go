@@ -47,7 +47,7 @@ var (
 	// tagged first word and the per-message sub-length inside a batch body.
 	// A second framing needs a second first-word writer.
 	frameWordManifest = []string{"transport.frameWriter.flushLocked"}
-	subLengthManifest = []string{"transport.frameWriter.writeMsg"}
+	subLengthManifest = []string{"transport.frameWriter.appendLocked"}
 )
 
 // One membership path for the root Machine: node state has one owner per

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"automon/internal/linalg"
 )
@@ -173,12 +174,14 @@ type Rejoin struct {
 	X      []float64
 }
 
-// Message is the common interface of protocol messages; Encode produces the
-// exact payload bytes, which the evaluation uses for bandwidth accounting
-// and the transport layer for real delivery.
+// Message is the common interface of protocol messages. AppendBinary
+// appends the exact payload bytes to a caller's buffer: the transport
+// encodes into its frame in place, and the simulators count bytes into a
+// reused scratch. Encode returns the same bytes in a buffer of their own.
 type Message interface {
 	Type() MsgType
 	Encode() []byte
+	AppendBinary(buf []byte) []byte
 }
 
 // Type implements Message.
@@ -199,23 +202,35 @@ func (*Slack) Type() MsgType { return MsgSlack }
 // Type implements Message.
 func (*Rejoin) Type() MsgType { return MsgRejoin }
 
+// encoder appends to a caller's buffer; one lives on the stack of each
+// AppendBinary.
 type encoder struct{ buf []byte }
 
-// newEncoder presizes the buffer to the message's known encoded length, so
-// the appends below never reallocate.
-func newEncoder(size int) *encoder { return &encoder{buf: make([]byte, 0, size)} }
+// appendTo starts an encoding of size bytes at the end of buf, growing buf
+// once up front: float by float, append would double it up to twice the
+// message, and a reused buffer keeps what it grew to.
+func appendTo(buf []byte, size int) encoder { return encoder{buf: slices.Grow(buf, size)} }
 
 // vecSize is the encoded length of a vector: length prefix plus floats.
 func vecSize(v []float64) int { return 4 + 8*len(v) }
 
-// encodeIDVec is the shared layout of the messages that carry one vector
+// appendIDVec is the shared layout of the messages that carry one vector
 // for one node: type, node ID, vector.
-func encodeIDVec(t MsgType, id int, v []float64) []byte {
-	e := newEncoder(3 + vecSize(v))
+func appendIDVec(buf []byte, t MsgType, id int, v []float64) []byte {
+	e := appendTo(buf, 3+vecSize(v))
 	e.u8(uint8(t))
 	e.u16(uint16(id))
 	e.vec(v)
 	return e.buf
+}
+
+// decodeIDVec is appendIDVec's inverse; t is the type the caller expects.
+func decodeIDVec(buf []byte, t MsgType) (int, []float64, error) {
+	d := decoder{buf: buf}
+	d.expect(t)
+	id := int(d.u16())
+	v := d.vec()
+	return id, v, d.err
 }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -308,6 +323,13 @@ func (d *decoder) floats(v []float64) []float64 {
 	return v
 }
 
+// expect reads the type byte and fails unless it is t.
+func (d *decoder) expect(t MsgType) {
+	if got := MsgType(d.u8()); d.err == nil && got != t {
+		d.err = fmt.Errorf("core: %v message where %v was expected", got, t)
+	}
+}
+
 func (d *decoder) fail() {
 	if d.err == nil {
 		d.err = errors.New("core: truncated message")
@@ -315,8 +337,13 @@ func (d *decoder) fail() {
 }
 
 // Encode implements Message.
-func (m *Violation) Encode() []byte {
-	e := newEncoder(4 + vecSize(m.X))
+func (m *Violation) Encode() []byte { return m.AppendBinary(make([]byte, 0, m.size())) }
+
+func (m *Violation) size() int { return 4 + vecSize(m.X) }
+
+// AppendBinary implements Message.
+func (m *Violation) AppendBinary(buf []byte) []byte {
+	e := appendTo(buf, m.size())
 	e.u8(uint8(MsgViolation))
 	e.u16(uint16(m.NodeID))
 	e.u8(uint8(m.Kind))
@@ -324,25 +351,65 @@ func (m *Violation) Encode() []byte {
 	return e.buf
 }
 
+// UnmarshalBinary decodes an encoded Violation into m, overwriting every
+// field; X is freshly allocated.
+func (m *Violation) UnmarshalBinary(buf []byte) error {
+	d := decoder{buf: buf}
+	d.expect(MsgViolation)
+	m.NodeID = int(d.u16())
+	m.Kind = ViolationKind(d.u8())
+	m.X = d.vec()
+	return d.err
+}
+
 // Encode implements Message.
-func (m *DataRequest) Encode() []byte {
-	e := newEncoder(3)
+func (m *DataRequest) Encode() []byte { return m.AppendBinary(make([]byte, 0, 3)) }
+
+// AppendBinary implements Message.
+func (m *DataRequest) AppendBinary(buf []byte) []byte {
+	e := appendTo(buf, 3)
 	e.u8(uint8(MsgDataRequest))
 	e.u16(uint16(m.NodeID))
 	return e.buf
 }
 
-// Encode implements Message.
-func (m *DataResponse) Encode() []byte { return encodeIDVec(MsgDataResponse, m.NodeID, m.X) }
+// UnmarshalBinary decodes an encoded DataRequest into m.
+func (m *DataRequest) UnmarshalBinary(buf []byte) error {
+	d := decoder{buf: buf}
+	d.expect(MsgDataRequest)
+	m.NodeID = int(d.u16())
+	return d.err
+}
 
 // Encode implements Message.
-func (m *Sync) Encode() []byte {
+func (m *DataResponse) Encode() []byte { return m.AppendBinary(make([]byte, 0, 3+vecSize(m.X))) }
+
+// AppendBinary implements Message.
+func (m *DataResponse) AppendBinary(buf []byte) []byte {
+	return appendIDVec(buf, MsgDataResponse, m.NodeID, m.X)
+}
+
+// UnmarshalBinary decodes an encoded DataResponse into m; X is freshly
+// allocated.
+func (m *DataResponse) UnmarshalBinary(buf []byte) (err error) {
+	m.NodeID, m.X, err = decodeIDVec(buf, MsgDataResponse)
+	return err
+}
+
+// Encode implements Message.
+func (m *Sync) Encode() []byte { return m.AppendBinary(make([]byte, 0, m.size())) }
+
+func (m *Sync) size() int {
 	size := 46 + vecSize(m.X0) + vecSize(m.GradF0) + vecSize(m.Slack)
-	withMatrix := m.WithMatrix && m.Matrix != nil
-	if withMatrix {
+	if m.WithMatrix && m.Matrix != nil {
 		size += 8 + 8*(len(m.Matrix.Lam)+len(m.Matrix.V.Data))
 	}
-	e := newEncoder(size)
+	return size
+}
+
+// AppendBinary implements Message.
+func (m *Sync) AppendBinary(buf []byte) []byte {
+	e := appendTo(buf, m.size())
 	e.u8(uint8(MsgSync))
 	e.u16(uint16(m.NodeID))
 	e.u8(uint8(m.Method))
@@ -355,7 +422,7 @@ func (m *Sync) Encode() []byte {
 	e.f64(m.Lam)
 	e.f64(m.R)
 	e.vec(m.Slack)
-	if withMatrix {
+	if m.WithMatrix && m.Matrix != nil {
 		// The factor as k, d, λ[k], V[k·d]: k·(d+1) floats, none at rank 0.
 		e.u8(1)
 		e.u32(uint32(len(m.Matrix.Lam)))
@@ -369,24 +436,49 @@ func (m *Sync) Encode() []byte {
 }
 
 // Encode implements Message.
-func (m *Slack) Encode() []byte { return encodeIDVec(MsgSlack, m.NodeID, m.Slack) }
+func (m *Slack) Encode() []byte { return m.AppendBinary(make([]byte, 0, 3+vecSize(m.Slack))) }
+
+// AppendBinary implements Message.
+func (m *Slack) AppendBinary(buf []byte) []byte {
+	return appendIDVec(buf, MsgSlack, m.NodeID, m.Slack)
+}
+
+// UnmarshalBinary decodes an encoded Slack into m; Slack is freshly
+// allocated.
+func (m *Slack) UnmarshalBinary(buf []byte) (err error) {
+	m.NodeID, m.Slack, err = decodeIDVec(buf, MsgSlack)
+	return err
+}
 
 // Encode implements Message.
-func (m *Rejoin) Encode() []byte { return encodeIDVec(MsgRejoin, m.NodeID, m.X) }
+func (m *Rejoin) Encode() []byte { return m.AppendBinary(make([]byte, 0, 3+vecSize(m.X))) }
 
-// Decode parses one encoded message.
+// AppendBinary implements Message.
+func (m *Rejoin) AppendBinary(buf []byte) []byte {
+	return appendIDVec(buf, MsgRejoin, m.NodeID, m.X)
+}
+
+// Decode parses one encoded message into a struct of its own. The types
+// with an UnmarshalBinary, which a reader may also decode into a reused
+// struct, decode through it.
 func Decode(buf []byte) (Message, error) {
 	d := &decoder{buf: buf}
 	t := MsgType(d.u8())
+	var m interface {
+		Message
+		UnmarshalBinary([]byte) error
+	}
 	switch t {
 	case MsgViolation:
-		m := &Violation{NodeID: int(d.u16()), Kind: ViolationKind(d.u8()), X: d.vec()}
-		return m, d.err
+		m = new(Violation)
 	case MsgDataRequest:
-		m := &DataRequest{NodeID: int(d.u16())}
-		return m, d.err
+		m = new(DataRequest)
 	case MsgDataResponse:
-		m := &DataResponse{NodeID: int(d.u16()), X: d.vec()}
+		m = new(DataResponse)
+	case MsgSlack:
+		m = new(Slack)
+	case MsgRejoin:
+		m := &Rejoin{NodeID: int(d.u16()), X: d.vec()}
 		return m, d.err
 	case MsgSync:
 		m := &Sync{NodeID: int(d.u16())}
@@ -414,16 +506,12 @@ func Decode(buf []byte) (Message, error) {
 			d.floats(m.Matrix.V.Data)
 		}
 		return m, d.err
-	case MsgSlack:
-		m := &Slack{NodeID: int(d.u16()), Slack: d.vec()}
-		return m, d.err
-	case MsgRejoin:
-		m := &Rejoin{NodeID: int(d.u16()), X: d.vec()}
-		return m, d.err
 	case MsgPartial:
 		return decodePartial(d)
 	case MsgSubtreeRejoin:
 		return decodeSubtreeRejoin(d)
+	default:
+		return nil, fmt.Errorf("core: unknown message type %d", uint8(t))
 	}
-	return nil, fmt.Errorf("core: unknown message type %d", uint8(t))
+	return m, m.UnmarshalBinary(buf)
 }

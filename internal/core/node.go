@@ -48,6 +48,10 @@ func NewNode(id int, f *Function) *Node {
 // DataResponse). The returned slice is a copy.
 func (n *Node) LocalVector() []float64 { return linalg.Clone(n.x) }
 
+// Respond fills m with the node's reply to a data request. m.X is the node's
+// own vector, not a copy, so m must be encoded before the node's next update.
+func (n *Node) Respond(m *DataResponse) { m.NodeID, m.X = n.ID, n.x }
+
 // SetData replaces the local vector without checking constraints. Any
 // outstanding elision budget is invalidated: it was computed for the old
 // vector.

@@ -46,8 +46,11 @@ func (*Partial) Type() MsgType { return MsgPartial }
 func (*SubtreeRejoin) Type() MsgType { return MsgSubtreeRejoin }
 
 // Encode implements Message.
-func (m *Partial) Encode() []byte {
-	e := &encoder{}
+func (m *Partial) Encode() []byte { return m.AppendBinary(nil) }
+
+// AppendBinary implements Message.
+func (m *Partial) AppendBinary(buf []byte) []byte {
+	e := encoder{buf: buf}
 	e.u8(uint8(MsgPartial))
 	e.u16(uint16(m.ShardID))
 	e.u8(uint8(m.Kind))
@@ -64,8 +67,11 @@ func (m *Partial) Encode() []byte {
 }
 
 // Encode implements Message.
-func (m *SubtreeRejoin) Encode() []byte {
-	e := &encoder{}
+func (m *SubtreeRejoin) Encode() []byte { return m.AppendBinary(nil) }
+
+// AppendBinary implements Message.
+func (m *SubtreeRejoin) AppendBinary(buf []byte) []byte {
+	e := encoder{buf: buf}
 	e.u8(uint8(MsgSubtreeRejoin))
 	e.u16(uint16(m.ShardID))
 	e.u32(uint32(len(m.IDs)))

@@ -45,6 +45,7 @@ type Pipeline struct {
 	group   *core.Group
 	ings    []*NodeIngestor
 	traffic Traffic
+	scratch []byte // reused encoding, measured and dropped
 
 	// Log accumulates every violation in arrival order.
 	Log []LogEntry
@@ -73,7 +74,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	p.group.OnMessage = func(m core.Message) {
 		p.traffic.Messages++
-		p.traffic.PayloadBytes += len(m.Encode())
+		p.scratch = m.AppendBinary(p.scratch[:0])
+		p.traffic.PayloadBytes += len(p.scratch)
 	}
 	// A data pull materializes the node's current sketch state first: between
 	// exact checks the node's vector is stale by design, but the protocol

@@ -59,6 +59,8 @@ type fakeMsg struct{}
 func (fakeMsg) Type() core.MsgType { return core.MsgType(250) }
 func (fakeMsg) Encode() []byte     { return make([]byte, 7) }
 
+func (fakeMsg) AppendBinary(b []byte) []byte { return append(b, make([]byte, 7)...) }
+
 // TestCountingCommCountsUnknownMessageTypes guards against the fixed-list
 // trap: a message type outside the pre-registered six must still be counted
 // (in the Result and, when present, the registry) instead of incrementing a

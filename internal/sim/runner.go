@@ -152,6 +152,7 @@ type counter struct {
 	msgs    *obs.Counter
 	payload *obs.Counter
 	byType  map[core.MsgType]*obs.Counter
+	scratch []byte // reused encoding, measured and dropped
 }
 
 // newCounter wires the counters, registering them when the run has a
@@ -192,7 +193,8 @@ func (c *counter) count(m core.Message) {
 	ctr := c.typeCounter(t)
 	c.msgs.Inc()
 	ctr.Inc()
-	c.payload.Add(int64(len(m.Encode())))
+	c.scratch = m.AppendBinary(c.scratch[:0])
+	c.payload.Add(int64(len(c.scratch)))
 	// The Result fields are views: always re-read from the counters.
 	c.res.Messages = int(c.msgs.Load())
 	c.res.MessagesByType[t] = int(ctr.Load())

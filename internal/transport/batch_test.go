@@ -215,6 +215,50 @@ func TestBatchMaxDelayTimer(t *testing.T) {
 	}
 }
 
+// TestBatchStaleTimerFiring pins the MaxDelay rule across a race the writer
+// cannot prevent: a batch's timer fires while an explicit flush holds the
+// writer, so its callback runs after that batch is gone. The stale firing
+// must not flush the next batch before that batch's own MaxDelay.
+func TestBatchStaleTimerFiring(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	conn := &memConn{}
+	w := newFrameWriter(conn, 1,
+		Options{Batch: BatchOptions{MaxBytes: 1 << 20, MaxDelay: delay}}, &TrafficStats{})
+	if err := w.writeMsg(&core.DataRequest{NodeID: 0}, false); err != nil {
+		t.Fatalf("writeMsg: %v", err)
+	}
+	w.mu.Lock()
+	time.Sleep(2 * delay) // the first batch's timer fires and waits for w.mu
+	if err := w.flushLocked(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	w.mu.Unlock()
+	start := time.Now()
+	if err := w.writeMsg(&core.DataRequest{NodeID: 1}, false); err != nil {
+		t.Fatalf("writeMsg: %v", err)
+	}
+	// Whichever side of the second write the real stale callback ran on,
+	// run it once more after it: the losing interleaving, made certain.
+	w.timerFlush()
+	if got := conn.writeCalls(); got != 1 && time.Since(start) < delay {
+		t.Fatalf("a stale timer firing flushed the next batch early (%d writes)", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for conn.writeCalls() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second batch's MaxDelay timer never flushed it")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if waited := time.Since(start); waited < delay {
+		t.Fatalf("second batch left after %v, before its MaxDelay of %v", waited, delay)
+	}
+	frames := drainFrames(t, conn, &TrafficStats{})
+	if len(frames) != 2 || len(frames[0].msgs) != 1 || len(frames[1].msgs) != 1 {
+		t.Fatalf("got %d frames, want the two one-message batches", len(frames))
+	}
+}
+
 // TestBatchUrgentFlushesBuffered pins the urgent trigger and its ordering
 // contract: an urgent message flushes the whole buffer including itself, in
 // write order — urgency must never let a message overtake earlier ones.
@@ -351,8 +395,11 @@ func TestBatchLyingLengthBoundsAllocation(t *testing.T) {
 // FuzzReadBatchFrame feeds arbitrary bytes to the frame reader: it must
 // produce well-formed frames or error cleanly — never panic, never count a
 // failed frame, never return an out-of-range group or an empty message list.
+// A reused reader that reads the input between two valid frames must decode
+// each exactly as a fresh reader does, and pin nothing once it clears.
 func FuzzReadBatchFrame(f *testing.F) {
 	msgs := sampleMessages()
+	valid := batchFrameOf(2, append(msgs, hotMessages()...)...)
 	// Well-formed batches of every size and a few groups.
 	for _, g := range []GroupID{0, 1, MaxGroups - 1} {
 		f.Add(batchFrameOf(g, msgs...))
@@ -386,6 +433,14 @@ func FuzzReadBatchFrame(f *testing.F) {
 	f.Add(v1FrameOf(msgs[1]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		rd := new(frameReader)
+		var reused TrafficStats
+		for _, fr := range [][]byte{valid, data, valid} {
+			readReused(t, rd, &reused, fr)
+		}
+		rd.release()
+		checkReaderEmpty(t, rd)
+
 		var stats TrafficStats
 		fb, err := decodeAnyFrame(bytes.NewReader(data), &stats)
 		if err != nil {

@@ -60,6 +60,10 @@ type BatchOptions struct {
 // enabled reports whether messages may be held back for coalescing.
 func (b BatchOptions) enabled() bool { return b.MaxBytes > 0 }
 
+// batchStart is where a batch's first sub-header begins: after the frame's
+// first word and the batch header, which a writer reserves and patches.
+const batchStart = frameHeader + batchHdrLen
+
 // inFrame is one decoded inbound frame: the group it addresses and the
 // messages it carried.
 type inFrame struct {
@@ -67,95 +71,177 @@ type inFrame struct {
 	msgs  []core.Message
 }
 
-// readAnyFrame reads one frame, with an optional deadline (0 = block until
-// the peer speaks or the connection dies).
-func readAnyFrame(conn net.Conn, timeout time.Duration, stats *TrafficStats) (*inFrame, error) {
+// frameReader reads one connection's frames. The goroutine that reads the
+// connection owns it. It keeps the header word, the message and size slices,
+// the returned frame and reusable structs for the hot fixed-shape messages,
+// so a frame costs its body and its decoded vectors. A frame, and every
+// message in it, is valid until the reader's next read: read drops the
+// previous frame's messages before it blocks again, so an idle connection
+// pins no decoded vector.
+type frameReader struct {
+	hdr       [frameHeader]byte
+	frame     inFrame
+	sizes     []int
+	viols     []core.Violation
+	reqs      []core.DataRequest
+	resps     []core.DataResponse
+	slackMsgs []core.Slack
+}
+
+// readConn reads one frame from conn, with an optional deadline (0 = block
+// until the peer speaks or the connection dies).
+func (fr *frameReader) readConn(conn net.Conn, timeout time.Duration, stats *TrafficStats) (*inFrame, error) {
 	if timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(timeout))
 		defer conn.SetReadDeadline(time.Time{})
 	}
-	return decodeAnyFrame(conn, stats)
+	return fr.read(conn, stats)
 }
 
-// decodeAnyFrame reads one frame from r. A first word that is not
-// batch-tagged is refused before any body is read, and a tagged one allocates
-// with delivered bytes, so a hostile first word costs at most
-// initialFrameAlloc. Every structural fault — short body, out-of-range
-// group, zero or overrunning count, truncated or undecodable sub-message,
-// trailing bytes — is a protocol error; nothing is counted in stats unless
-// the whole frame parses.
-func decodeAnyFrame(r io.Reader, stats *TrafficStats) (*inFrame, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// read reads one frame from r. A first word that is not batch-tagged is
+// refused before any body is read, and a tagged one allocates at most
+// initialFrameAlloc ahead of delivered bytes, so a hostile first word costs
+// little. Every structural fault — short body, out-of-range group, zero or
+// overrunning count, truncated or undecodable sub-message, trailing bytes —
+// is a protocol error; a failed frame leaves no message behind and nothing
+// counted in stats.
+func (fr *frameReader) read(r io.Reader, stats *TrafficStats) (*inFrame, error) {
+	fr.release()
+	if err := fr.fill(r); err != nil {
+		fr.release()
 		return nil, err
 	}
-	word := binary.LittleEndian.Uint32(hdr[:])
+	stats.countRecvBatch(fr.frame.msgs, fr.sizes)
+	return &fr.frame, nil
+}
+
+// release drops the previous frame: its messages, and the vectors the reused
+// structs point at.
+func (fr *frameReader) release() {
+	fr.frame.msgs = reuse(fr.frame.msgs)
+	fr.sizes = fr.sizes[:0]
+	fr.viols = reuse(fr.viols)
+	fr.reqs = reuse(fr.reqs)
+	fr.resps = reuse(fr.resps)
+	fr.slackMsgs = reuse(fr.slackMsgs)
+}
+
+// reuse zeroes s's entries, releasing what they point at, and empties it.
+func reuse[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// fill parses one frame into fr.frame.
+func (fr *frameReader) fill(r io.Reader) error {
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
+		return err
+	}
+	word := binary.LittleEndian.Uint32(fr.hdr[:])
 	if word>>28 != batchTag {
-		return nil, fmt.Errorf("%w: first word %#08x is not a batch header", errMalformedFrame, word)
+		return fmt.Errorf("%w: first word %#08x is not a batch header", errMalformedFrame, word)
 	}
 	bodyLen := word & batchLenMask
 	if bodyLen < batchHdrLen+batchSubHeader+1 {
-		return nil, fmt.Errorf("%w: batch body declares %d bytes", errMalformedFrame, bodyLen)
+		return fmt.Errorf("%w: batch body declares %d bytes", errMalformedFrame, bodyLen)
 	}
 	b, err := readBody(r, int(bodyLen))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	group := binary.LittleEndian.Uint16(b[0:2])
 	count := int(binary.LittleEndian.Uint16(b[2:4]))
 	if group >= MaxGroups {
-		return nil, fmt.Errorf("%w: group id %d out of range", errMalformedFrame, group)
+		return fmt.Errorf("%w: group id %d out of range", errMalformedFrame, group)
 	}
 	if count == 0 {
-		return nil, fmt.Errorf("%w: empty batch", errMalformedFrame)
+		return fmt.Errorf("%w: empty batch", errMalformedFrame)
 	}
 	if count*batchSubHeader > len(b)-batchHdrLen {
-		return nil, fmt.Errorf("%w: batch count %d overruns body", errMalformedFrame, count)
+		return fmt.Errorf("%w: batch count %d overruns body", errMalformedFrame, count)
 	}
-	msgs := make([]core.Message, 0, count)
-	sizes := make([]int, 0, count)
 	off := batchHdrLen
 	for i := 0; i < count; i++ {
 		if len(b)-off < batchSubHeader {
-			return nil, fmt.Errorf("%w: truncated sub-message header", errMalformedFrame)
+			return fmt.Errorf("%w: truncated sub-message header", errMalformedFrame)
 		}
 		n := int(binary.LittleEndian.Uint32(b[off:]))
 		off += batchSubHeader
 		if n > len(b)-off {
-			return nil, fmt.Errorf("%w: sub-message declares %d of %d remaining bytes", errMalformedFrame, n, len(b)-off)
+			return fmt.Errorf("%w: sub-message declares %d of %d remaining bytes", errMalformedFrame, n, len(b)-off)
 		}
-		m, err := core.Decode(b[off : off+n])
+		m, err := fr.decode(b[off : off+n])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errMalformedFrame, err)
+			return fmt.Errorf("%w: %v", errMalformedFrame, err)
 		}
 		off += n
-		msgs = append(msgs, m)
-		sizes = append(sizes, n)
+		fr.frame.msgs = append(fr.frame.msgs, m)
+		fr.sizes = append(fr.sizes, n)
 	}
 	if off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", errMalformedFrame, len(b)-off)
+		return fmt.Errorf("%w: %d trailing bytes after batch", errMalformedFrame, len(b)-off)
 	}
-	stats.countRecvBatch(msgs, sizes)
-	return &inFrame{group: GroupID(group), msgs: msgs}, nil
+	fr.frame.group = GroupID(group)
+	return nil
 }
 
-// readBody reads exactly n declared bytes. The buffer grows with delivered
-// bytes (capped up front at initialFrameAlloc), so a lying length prefix can
-// never force more allocation than the peer actually sends.
-func readBody(r io.Reader, n int) ([]byte, error) {
-	var body bytes.Buffer
-	grow := n
-	if grow > initialFrameAlloc {
-		grow = initialFrameAlloc
+// decode parses one sub-message: a hot fixed-shape type into the reader's
+// next reusable struct of that type, anything else through core.Decode.
+func (fr *frameReader) decode(p []byte) (core.Message, error) {
+	var m interface {
+		core.Message
+		UnmarshalBinary([]byte) error
 	}
-	body.Grow(grow)
-	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	if len(p) > 0 {
+		switch core.MsgType(p[0]) {
+		case core.MsgViolation:
+			m = slot(&fr.viols)
+		case core.MsgDataRequest:
+			m = slot(&fr.reqs)
+		case core.MsgDataResponse:
+			m = slot(&fr.resps)
+		case core.MsgSlack:
+			m = slot(&fr.slackMsgs)
 		}
+	}
+	if m == nil {
+		return core.Decode(p)
+	}
+	return m, m.UnmarshalBinary(p)
+}
+
+// slot appends a zero T to *s and returns it. A frame carrying more of one
+// type than any before grows the slice; the messages already decoded keep
+// pointing into the old array, which lives as long as they do.
+func slot[T any](s *[]T) *T {
+	var zero T
+	*s = append(*s, zero)
+	return &(*s)[len(*s)-1]
+}
+
+// readBody reads exactly n declared bytes. A body of at most
+// initialFrameAlloc is one exact-size allocation; a larger one grows with
+// delivered bytes, so a lying length prefix can never force more allocation
+// than the peer actually sends (plus initialFrameAlloc).
+func readBody(r io.Reader, n int) ([]byte, error) {
+	var b []byte
+	var err error
+	if n <= initialFrameAlloc {
+		b = make([]byte, n)
+		_, err = io.ReadFull(r, b)
+	} else {
+		var body bytes.Buffer
+		body.Grow(initialFrameAlloc)
+		_, err = io.CopyN(&body, r, int64(n))
+		b = body.Bytes()
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, err
 	}
-	return body.Bytes(), nil
+	return b, nil
 }
 
 // frameWriter owns one connection's outbound framing: group tagging and the
@@ -169,11 +255,15 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 //   - the body reaching BatchOptions.MaxBytes,
 //   - a writeMsg with urgent=true (request/response round trips, node
 //     reports — anything a peer is actively waiting on),
-//   - an explicit flush() — the coordinator's sync barriers,
+//   - an explicit flush() — the coordinator's sync barriers, and a node's
+//     reply after hold,
 //   - the BatchOptions.MaxDelay timer.
 //
-// Each batch frame goes out in a single Write, preserving the invariant that
-// a frame is the atomic unit a fault injector can drop or duplicate.
+// Messages are encoded in place, behind the first word and batch header that
+// the frame reserves; flushLocked patches the lengths and writes the frame in
+// a single Write, preserving the invariant that a frame is the atomic unit a
+// fault injector can drop or duplicate. The frame buffer is reused, so a
+// steady-state message costs no allocation.
 type frameWriter struct {
 	conn    net.Conn
 	stats   *TrafficStats
@@ -181,16 +271,22 @@ type frameWriter struct {
 	batch   BatchOptions
 	group   GroupID
 
-	mu    sync.Mutex
-	body  []byte // pending batch body: sub-headers + payloads
+	mu sync.Mutex
+	// body is the pending frame: the reserved batchStart bytes, then one
+	// sub-header and payload per buffered message. Empty when nothing is
+	// pending.
+	body  []byte
 	sizes []int
 	types []string
+	// timer is the writer's one MaxDelay timer, created on first use and
+	// re-armed per batch. due is the armed batch's deadline: a firing that
+	// finds no armed batch, or one not yet due, is stale (an explicit flush
+	// drained the batch it was armed for, and Stop lost the race with the
+	// firing) and must not flush a newer batch early.
 	timer *time.Timer
-	// timerGen identifies the currently armed timer: a fired callback whose
-	// generation is stale belongs to a batch an explicit flush already
-	// drained (Stop raced the firing) and must not touch the writer.
-	timerGen uint64
-	err      error // sticky: once a write fails the connection is done
+	armed bool
+	due   time.Time
+	err   error // sticky: once a write fails the connection is done
 }
 
 // newFrameWriter builds the writer for one connection of group.
@@ -208,41 +304,83 @@ func newFrameWriter(conn net.Conn, group GroupID, opts Options, stats *TrafficSt
 // message — and everything buffered before it — leaves immediately;
 // otherwise it is coalesced until a flush trigger fires.
 func (w *frameWriter) writeMsg(m core.Message, urgent bool) error {
-	payload := m.Encode()
-	if len(payload) > maxFrameLen {
-		return fmt.Errorf("%w: encoding %d bytes", errFrameTooLarge, len(payload))
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.appendLocked(m); err != nil {
+		return err
+	}
+	if urgent || !w.batch.enabled() || len(w.body)-batchStart >= w.batch.MaxBytes {
+		return w.flushLocked()
+	}
+	if !w.armed && w.batch.MaxDelay > 0 {
+		w.armLocked()
+	}
+	return nil
+}
+
+// hold encodes m into the pending frame under no flush trigger at all: the
+// caller flushes once it has released its own locks, so a node can encode a
+// reply from state its lock guards and still write outside that lock.
+func (w *frameWriter) hold(m core.Message) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(m)
+}
+
+// appendLocked encodes m behind its sub-header at the end of the pending
+// frame. Caller holds w.mu.
+func (w *frameWriter) appendLocked(m core.Message) error {
 	if w.err != nil {
 		return w.err
 	}
+	if len(w.sizes) == 0 {
+		w.body = append(w.body[:0], make([]byte, batchStart)...)
+	}
+	start := len(w.body)
+	w.body = m.AppendBinary(append(w.body, make([]byte, batchSubHeader)...))
+	end := len(w.body)
+	n := end - start - batchSubHeader
+	if n > maxFrameLen {
+		w.body = w.body[:start]
+		return fmt.Errorf("%w: encoding %d bytes", errFrameTooLarge, n)
+	}
 	// A batch body must fit the 28-bit length field (and count must fit
-	// u16); flush the running batch first if this message would overflow it.
-	if len(w.body)+batchSubHeader+len(payload) > batchLenMask-batchHdrLen ||
-		len(w.sizes) >= 1<<16-1 {
+	// u16): a message that would overflow either goes out in the next frame,
+	// after the running batch is flushed without it.
+	if end-frameHeader > batchLenMask || len(w.sizes) >= 1<<16-1 {
+		w.body = w.body[:start]
 		if err := w.flushLocked(); err != nil {
 			return err
 		}
+		w.body = append(w.body[:batchStart], w.body[start:end]...)
+		start = batchStart
 	}
-	var sub [batchSubHeader]byte
-	binary.LittleEndian.PutUint32(sub[:], uint32(len(payload)))
-	w.body = append(w.body, sub[:]...)
-	w.body = append(w.body, payload...)
-	w.sizes = append(w.sizes, len(payload))
+	binary.LittleEndian.PutUint32(w.body[start:], uint32(n))
+	w.sizes = append(w.sizes, n)
 	w.types = append(w.types, m.Type().String())
-	if urgent || !w.batch.enabled() || len(w.body) >= w.batch.MaxBytes {
-		return w.flushLocked()
-	}
-	if w.timer == nil && w.batch.MaxDelay > 0 {
-		// The callback identifies itself by the generation it was armed
-		// with, captured by value before the timer starts, so the check in
-		// timerFlush needs no read that could race this assignment.
-		w.timerGen++
-		gen := w.timerGen
-		w.timer = time.AfterFunc(w.batch.MaxDelay, func() { w.timerFlush(gen) })
-	}
 	return nil
+}
+
+// armLocked starts the MaxDelay countdown of the batch just opened. Caller
+// holds w.mu. The timer runs a function and has no channel, so Reset needs
+// no drain (contrast armTimer).
+func (w *frameWriter) armLocked() {
+	w.armed = true
+	w.due = time.Now().Add(w.batch.MaxDelay)
+	if w.timer == nil {
+		w.timer = time.AfterFunc(w.batch.MaxDelay, w.timerFlush)
+		return
+	}
+	w.timer.Reset(w.batch.MaxDelay)
+}
+
+// disarmLocked cancels the armed countdown. A firing already under way
+// finds the writer disarmed, or armed for a later batch not yet due.
+func (w *frameWriter) disarmLocked() {
+	if w.armed {
+		w.timer.Stop()
+		w.armed = false
+	}
 }
 
 // flush drains any buffered messages in one batch frame. It is the explicit
@@ -254,23 +392,18 @@ func (w *frameWriter) flush() error {
 	return w.flushLocked()
 }
 
-// timerFlush is the MaxDelay backstop. gen is the generation the firing
-// timer was armed with: if it is stale, an explicit flush already drained
-// the batch it was armed for and a newer timer may own the next batch — a
-// stale callback must neither clobber that timer nor flush the new batch
-// before its MaxDelay.
-func (w *frameWriter) timerFlush(gen uint64) {
+// timerFlush is the MaxDelay backstop. A stale firing — the batch it was
+// armed for already drained, and a newer one possibly pending — finds no
+// armed batch or one not yet due, and leaves the writer alone.
+func (w *frameWriter) timerFlush() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.timer == nil || gen != w.timerGen {
+	if !w.armed || time.Now().Before(w.due) {
 		return
 	}
-	w.timer = nil
-	if err := w.flushLocked(); err != nil {
-		// flushLocked already closed the connection and latched the error;
-		// the connection's reader surfaces it as a disconnect.
-		return
-	}
+	// A failed flush latches its error and closes the connection, whose
+	// reader surfaces it as a disconnect.
+	_ = w.flushLocked()
 }
 
 // flushLocked emits the pending batch as one frame. Caller holds w.mu.
@@ -281,16 +414,11 @@ func (w *frameWriter) flushLocked() error {
 	if len(w.sizes) == 0 {
 		return nil
 	}
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
-	buf := make([]byte, frameHeader+batchHdrLen+len(w.body))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(batchTag)<<28|uint32(batchHdrLen+len(w.body)))
-	binary.LittleEndian.PutUint16(buf[frameHeader:], uint16(w.group))
-	binary.LittleEndian.PutUint16(buf[frameHeader+2:], uint16(len(w.sizes)))
-	copy(buf[frameHeader+batchHdrLen:], w.body)
-	if err := w.writeLocked(buf); err != nil {
+	w.disarmLocked()
+	binary.LittleEndian.PutUint32(w.body, uint32(batchTag)<<28|uint32(len(w.body)-frameHeader))
+	binary.LittleEndian.PutUint16(w.body[frameHeader:], uint16(w.group))
+	binary.LittleEndian.PutUint16(w.body[frameHeader+2:], uint16(len(w.sizes)))
+	if err := w.writeLocked(w.body); err != nil {
 		return err
 	}
 	w.stats.countSendBatch(w.sizes, w.types)
@@ -314,14 +442,29 @@ func (w *frameWriter) writeLocked(buf []byte) error {
 	if _, err := w.conn.Write(buf); err != nil {
 		w.err = err
 		// The error is sticky: no flush will ever write again, so an armed
-		// MaxDelay timer has nothing left to do. Disarm it here rather than
-		// letting it fire into a dead writer.
-		if w.timer != nil {
-			w.timer.Stop()
-			w.timer = nil
-		}
+		// MaxDelay timer has nothing left to do.
+		w.disarmLocked()
 		w.conn.Close()
 		return err
 	}
 	return nil
+}
+
+// armTimer returns t re-armed for d, or a new timer when t is nil. go.mod
+// sets go 1.22, so timers keep the pre-1.23 semantics: a timer that fired
+// unread keeps its tick in the channel through Stop and Reset. Stop plus a
+// non-blocking drain first keeps that stale tick from ending the next wait
+// at once.
+func armTimer(t *time.Timer, d time.Duration) *time.Timer {
+	if t == nil {
+		return time.NewTimer(d)
+	}
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+	return t
 }

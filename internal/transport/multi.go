@@ -279,7 +279,9 @@ func (mc *MultiCoordinator) handleNewConn(conn net.Conn) {
 	}
 	defer func() { <-mc.regSem }()
 
-	fb, err := readAnyFrame(conn, mc.opts.RegisterTimeout, mc.stats)
+	// The reader that takes the registration serves the connection after it.
+	rd := new(frameReader)
+	fb, err := rd.readConn(conn, mc.opts.RegisterTimeout, mc.stats)
 	mc.pendingMu.Lock()
 	delete(mc.pending, conn)
 	mc.pendingMu.Unlock()
@@ -318,5 +320,5 @@ func (mc *MultiCoordinator) handleNewConn(conn net.Conn) {
 		mc.reject(conn) // a vector of another dimension
 		return
 	}
-	g.register(id, conn, x)
+	g.register(id, conn, rd, x)
 }

@@ -241,7 +241,7 @@ func TestRegisterAfterCloseClosesTheConnection(t *testing.T) {
 
 	peer, conn := net.Pipe()
 	defer peer.Close()
-	c.register(0, conn, []float64{1, 1})
+	c.register(0, conn, new(frameReader), []float64{1, 1})
 	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := peer.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
 		t.Fatalf("peer read after a registration on a closed group = %v, want io.EOF", err)

@@ -36,14 +36,19 @@ type NodeClient struct {
 	err     error
 	closed  bool
 
-	mu       sync.Mutex // guards node, reported and elided
+	mu       sync.Mutex // guards node, reported, elided, reply and resolveTimer
 	node     *core.Node
 	reported bool // a violation is outstanding; suppress duplicates
 	// elided counts UpdateElided calls whose exact check the budget skipped.
-	elided   int64
-	resolved chan struct{}
-	ready    chan struct{}
-	readyOne sync.Once
+	elided int64
+	// reply is the pull reply, encoded straight from the node's vector.
+	reply core.DataResponse
+	// resolveTimer is update's ResolveTimeout timer, parked here between
+	// waits; a concurrent update that finds it taken makes its own.
+	resolveTimer *time.Timer
+	resolved     chan struct{}
+	ready        chan struct{}
+	readyOne     sync.Once
 
 	failed     chan struct{} // closed on permanent failure
 	failedOnce sync.Once
@@ -184,13 +189,15 @@ func (c *NodeClient) send(m core.Message) error {
 }
 
 // serve reads coordinator messages on the current connection until it dies.
+// Each message is handled before the next read, which reuses its structs.
 func (c *NodeClient) serve() error {
 	conn := c.currentConn()
 	if conn == nil {
 		return errNotConnected
 	}
+	rd := new(frameReader)
 	for {
-		fb, err := readAnyFrame(conn, 0, &c.Stats)
+		fb, err := rd.readConn(conn, 0, &c.Stats)
 		if err != nil {
 			conn.Close()
 			return err
@@ -213,8 +220,12 @@ func (c *NodeClient) serve() error {
 func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 	switch msg := m.(type) {
 	case *core.DataRequest:
+		w := c.currentWriter()
+		if w == nil {
+			break // closed: nobody is waiting for the reply
+		}
 		c.mu.Lock()
-		x := c.node.LocalVector()
+		c.node.Respond(&c.reply)
 		// Re-installing the vector invalidates the elision budget, so the
 		// update after a pull runs the exact check, as it always has here.
 		// Soundness does not need it (core.Node.UpdateElided). It stays
@@ -224,12 +235,17 @@ func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 		// 9–26 % higher at unchanged real latency (EXPERIMENTS.md, "One wire,
 		// one registration posture, one elided node step").
 		// It goes once drive.go samples only updates that send a Violation.
-		c.node.SetData(x)
+		c.node.SetData(c.reply.X)
+		// Encoded under c.mu, from the vector it guards; written outside it,
+		// so a slow write never holds up Update.
+		err := w.hold(&c.reply)
 		c.mu.Unlock()
 		// A failed reply closes the connection; the frame read loop will
 		// surface it on the next iteration.
-		// Best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
-		_ = c.send(&core.DataResponse{NodeID: c.ID, X: x})
+		if err == nil {
+			// Best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
+			_ = w.flush()
+		}
 	case *core.Sync:
 		c.mu.Lock()
 		ok := c.node.ApplySync(msg)
@@ -323,15 +339,6 @@ func (c *NodeClient) Reconnects() int64 { return c.reconnects.Load() }
 // RejectedSyncs returns how many syncs the node refused as uncheckable; each
 // one cost a reconnect.
 func (c *NodeClient) RejectedSyncs() int64 { return c.rejectedSyncs.Load() }
-
-// DropConnection forcibly closes the current connection, as a network fault
-// would. The client reconnects and rejoins through its normal recovery path;
-// chaos tests use it to schedule deterministic node kills.
-func (c *NodeClient) DropConnection() {
-	if conn := c.currentConn(); conn != nil {
-		conn.Close()
-	}
-}
 
 // recheck re-evaluates the local constraints right after a new zone or
 // slack is installed and reports a fresh violation if they no longer hold.
@@ -469,6 +476,10 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	if send {
 		c.reported = true
 	}
+	var deadline *time.Timer
+	if v != nil {
+		deadline, c.resolveTimer = c.resolveTimer, nil
+	}
 	c.mu.Unlock()
 	if v == nil {
 		return c.Err()
@@ -482,9 +493,15 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	// Resolution signals are not addressed to a specific violation (a sync
 	// triggered by another node's violation also lands here), so wait until
 	// this node's constraints actually hold again.
-	// Stopped on return so no timer outlives the wait (see socketComm.RequestData).
-	deadline := time.NewTimer(c.opts.ResolveTimeout)
-	defer deadline.Stop()
+	// Stopped on return so no timer outlives the wait (see
+	// socketComm.RequestData), then parked for the next wait.
+	deadline = armTimer(deadline, c.opts.ResolveTimeout)
+	defer func() {
+		deadline.Stop()
+		c.mu.Lock()
+		c.resolveTimer = deadline
+		c.mu.Unlock()
+	}()
 	for {
 		select {
 		case <-c.resolved:

@@ -111,8 +111,9 @@ func (l *SubtreeListener) serveUplink(conn net.Conn) {
 		<-l.done
 		conn.Close()
 	}()
+	rd := new(frameReader)
 	for {
-		fr, err := readAnyFrame(conn, 0, &l.Stats)
+		fr, err := rd.readConn(conn, 0, &l.Stats)
 		if err != nil {
 			if errors.Is(err, errMalformedFrame) {
 				l.note(err)
