@@ -119,16 +119,18 @@ func Tune(f *Function, data TuningData, n int, cfg Config) (TuneResult, error) {
 }
 
 // ErrSyncRefused is returned by HandleNodeMessage when the node refuses a
-// Sync it cannot check (vectors or an ADCD-E factor that do not fit its
-// function, or an ADCD-E zone whose factor never arrived). The node keeps its
-// previous zone while the coordinator believes the new one installed, so the
-// application must not drop this error: re-register the node (Rejoin) to be
-// sent a consistent zone.
+// Sync it cannot check (a slack, vectors or an ADCD-E factor that do not fit
+// its function, or an ADCD-E zone whose factor never arrived), or a Slack
+// whose length is not the function's dimension. The node keeps its previous
+// zone and slack while the coordinator believes the new ones installed, so
+// the application must not drop this error: re-register the node (Rejoin)
+// to be sent a consistent zone.
 var ErrSyncRefused = errors.New("automon: node refused a sync it cannot check")
 
 // HandleNodeMessage applies one coordinator message to a node and returns
 // the encoded reply to send back, if any (data requests produce a
-// DataResponse; sync and slack messages produce no reply).
+// DataResponse; sync and slack messages produce no reply). A Sync or Slack
+// the node refuses returns ErrSyncRefused.
 func HandleNodeMessage(n *Node, raw []byte) (reply []byte, err error) {
 	m, err := core.Decode(raw)
 	if err != nil {
@@ -144,7 +146,9 @@ func HandleNodeMessage(n *Node, raw []byte) (reply []byte, err error) {
 		}
 		return nil, nil
 	case *core.Slack:
-		n.ApplySlack(msg)
+		if !n.ApplySlack(msg) {
+			return nil, ErrSyncRefused
+		}
 		return nil, nil
 	}
 	return nil, errUnexpected(m)

@@ -119,3 +119,33 @@ func TestHandleNodeMessageReportsRefusedSync(t *testing.T) {
 		t.Fatalf("well-formed sync: %v", err)
 	}
 }
+
+// TestHandleNodeMessageReportsRefusedSlack: a Slack, or a Sync carrying a
+// slack, whose length is not the node's dimension is refused, and the refusal
+// reaches the application as ErrSyncRefused instead of overwriting part of
+// the node's slack.
+func TestHandleNodeMessageReportsRefusedSlack(t *testing.T) {
+	f := NewFunction("norm2", 2, func(b *Builder, x []Ref) Ref {
+		return b.Add(b.Square(x[0]), b.Square(x[1]))
+	})
+	node := NewNode(0, f)
+	good := &Sync{NodeID: 0, X0: make([]float64, 2), GradF0: make([]float64, 2), Slack: make([]float64, 2), L: -1, U: 1}
+	if _, err := HandleNodeMessage(node, good.Encode()); err != nil {
+		t.Fatalf("well-formed sync: %v", err)
+	}
+	zone := node.Zone()
+	if _, err := HandleNodeMessage(node, (&Slack{NodeID: 0, Slack: []float64{1}}).Encode()); !errors.Is(err, ErrSyncRefused) {
+		t.Fatalf("1-entry slack on a 2-dimensional node: err = %v, want ErrSyncRefused", err)
+	}
+	short := *good
+	short.X0, short.Slack = []float64{1, 1}, []float64{1}
+	if _, err := HandleNodeMessage(node, short.Encode()); !errors.Is(err, ErrSyncRefused) {
+		t.Fatalf("sync with a 1-entry slack on a 2-dimensional node: err = %v, want ErrSyncRefused", err)
+	}
+	if node.Zone() != zone {
+		t.Fatal("the refused sync replaced the zone")
+	}
+	if _, err := HandleNodeMessage(node, (&Slack{NodeID: 0, Slack: []float64{1, -1}}).Encode()); err != nil {
+		t.Fatalf("well-formed slack: %v", err)
+	}
+}

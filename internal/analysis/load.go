@@ -161,11 +161,19 @@ func skipDir(name string) bool {
 // LoadModule parses and type-checks every non-test package under root.
 // Packages are returned in dependency order.
 func LoadModule(root string) (*Module, error) {
-	abs, err := filepath.Abs(root)
+	modPath, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePath(abs)
+	return loadTree(root, modPath)
+}
+
+// loadTree type-checks the package tree rooted at dir: dir itself (if it
+// has Go files) becomes the package modPath and each subdirectory
+// modPath+"/"+<relative path>. Imports under modPath resolve within the
+// tree, every other import from the standard library.
+func loadTree(dir, modPath string) (*Module, error) {
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -217,99 +225,4 @@ func LoadModule(root string) (*Module, error) {
 		}
 	}
 	return &Module{Fset: fset, Pkgs: l.order}, nil
-}
-
-// LoadFixtureTree parses and type-checks a directory tree of fixture
-// packages rooted at dir: the root directory (if it has Go files) becomes
-// the package pkgBase, each subdirectory becomes pkgBase+"/"+<relative
-// path>. Imports resolve within the tree first (so fixtures can exercise
-// cross-package dataflow, e.g. a fake internal/core calling a helper
-// package), then fall back to the standard library. Package-scoped rules
-// key off the synthesized paths exactly as they do for the real module.
-func LoadFixtureTree(dir, pkgBase string) (*Module, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	l := &loader{
-		fset:    fset,
-		root:    abs,
-		modPath: pkgBase,
-		std:     newStdlibImporter(fset),
-		pkgs:    make(map[string]*Package),
-		loading: make(map[string]bool),
-	}
-	var paths []string
-	err = filepath.WalkDir(abs, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		if p != abs && skipDir(d.Name()) {
-			return filepath.SkipDir
-		}
-		if _, err := build.ImportDir(p, 0); err != nil {
-			if _, noGo := err.(*build.NoGoError); noGo {
-				return nil
-			}
-			return err
-		}
-		rel, err := filepath.Rel(abs, p)
-		if err != nil {
-			return err
-		}
-		if rel == "." {
-			paths = append(paths, pkgBase)
-		} else {
-			paths = append(paths, pkgBase+"/"+filepath.ToSlash(rel))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := l.load(p); err != nil {
-			return nil, err
-		}
-	}
-	if len(l.order) == 0 {
-		return nil, fmt.Errorf("no Go packages under %s", dir)
-	}
-	return &Module{Fset: fset, Pkgs: l.order}, nil
-}
-
-// LoadFixture parses and type-checks a single directory of Go files as the
-// package pkgPath, resolving imports from the standard library only. It is
-// the analysistest-style entry used by the fixture tests: pkgPath controls
-// which package-scoped rules (e.g. the determinism package list) apply.
-func LoadFixture(dir, pkgPath string) (*Module, error) {
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	pkg, err := typeCheck(fset, pkgPath, files, newStdlibImporter(fset))
-	if err != nil {
-		return nil, err
-	}
-	return &Module{Fset: fset, Pkgs: []*Package{pkg}}, nil
 }

@@ -174,7 +174,7 @@ func expectManifest(t *testing.T, what string, found map[string]bool, want []str
 	}
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s:\n  got  %v\n  want %v (manifest in oneofeach_test.go)", what, got, want)
+		t.Errorf("%s:\n  got  %v\n  want %v (manifest beside the test)", what, got, want)
 	}
 }
 
@@ -692,61 +692,4 @@ func TestKnobManifest(t *testing.T) {
 	}
 	sort.Strings(want)
 	expectManifest(t, "option-struct fields and cmd/ flags", found, want)
-}
-
-// Packages under internal/ that exist for tests: the differential oracle,
-// the fault injector and the build-tag probe. Their exports are test API.
-var testSupportPkgs = map[string]bool{
-	"automon/internal/oracle":          true,
-	"automon/internal/transport/chaos": true,
-	"automon/internal/testenv":         true,
-}
-
-// callerlessManifest is the reviewed set of exported package-level names
-// under internal/ that no non-test code in the module uses, each with the
-// reason it stays exported.
-var callerlessManifest = map[string]string{
-	"analysis.LoadFixture":     "the analyzer fixture tests' loader; it sits beside LoadModule so both share one type-checker",
-	"analysis.LoadFixtureTree": "the cross-package analyzer fixtures' loader, beside LoadModule for the same reason",
-	"funcs.Logistic":           "the zoo's logistic regression: the ε oracle sweeps it and interval soundness is proven on it",
-	"stream.SketchBursts":      "a stream generator beside SketchChurn and SketchEpisodes: the elision differential's burst and ADCD-X cases",
-	"stream.SketchChaos":       "a stream generator beside SketchChurn and SketchEpisodes: the elision differential's adversarial magnitudes",
-}
-
-// TestNoCallerlessExports fails on every exported package-level func, type,
-// var or const under internal/ that nothing but tests uses (ROADMAP aim 2):
-// such code is either dead, or test support that belongs in a _test.go file.
-// LoadModule type-checks non-test files only, bench/ included.
-func TestNoCallerlessExports(t *testing.T) {
-	mod, err := LoadModule("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[types.Object]bool{}
-	for _, p := range mod.Pkgs {
-		for _, obj := range p.Info.Uses {
-			used[obj] = true
-		}
-	}
-	found := map[string]bool{}
-	for _, p := range mod.Pkgs {
-		if !strings.HasPrefix(p.Path, "automon/internal/") || testSupportPkgs[p.Path] {
-			continue
-		}
-		scope := p.Pkg.Scope()
-		for _, name := range scope.Names() {
-			if obj := scope.Lookup(name); obj.Exported() && !used[obj] {
-				found[p.Pkg.Name()+"."+name] = true
-			}
-		}
-	}
-	want := make([]string, 0, len(callerlessManifest))
-	for name, reason := range callerlessManifest {
-		want = append(want, name)
-		if reason == "" {
-			t.Errorf("%s is listed without a reason", name)
-		}
-	}
-	sort.Strings(want)
-	expectManifest(t, "exported names under internal/ with no non-test use", found, want)
 }

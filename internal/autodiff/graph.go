@@ -103,9 +103,6 @@ func Compile(dim int, program Program) *Graph {
 // Dim returns the number of input variables.
 func (g *Graph) Dim() int { return len(g.vars) }
 
-// Size returns the number of nodes in the graph.
-func (g *Graph) Size() int { return len(g.nodes) }
-
 // Builder incrementally constructs a Graph. All methods return Refs into the
 // graph under construction. Builder applies light constant folding and
 // algebraic simplification (x+0, x*1, x*0, …) so that structurally sparse

@@ -15,9 +15,10 @@ type Fabric struct {
 	// Sketch-backed nodes (internal/ingest) leave their vector stale between
 	// exact checks and materialize the current one here.
 	BeforePull func(id int)
-	// RefusedSyncs counts syncs a node could not check and refused (see
-	// Node.ApplySync). The coordinator believes those zones installed, so
-	// anything but zero means the run's guarantee is void.
+	// RefusedSyncs counts syncs and slacks a node could not check and
+	// refused (see Node.ApplySync and Node.ApplySlack). The coordinator
+	// believes those installed, so anything but zero means the run's
+	// guarantee is void.
 	RefusedSyncs int
 }
 
@@ -49,7 +50,9 @@ func (c *Fabric) SendSlack(id int, m *Slack) {
 	if c.OnMessage != nil {
 		c.OnMessage(m)
 	}
-	c.Nodes[id].ApplySlack(m)
+	if !c.Nodes[id].ApplySlack(m) {
+		c.RefusedSyncs++
+	}
 }
 
 // Monitor is the coordinator surface a Group drives; *Coordinator and

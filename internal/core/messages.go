@@ -230,7 +230,7 @@ func decodeIDVec(buf []byte, t MsgType) (int, []float64, error) {
 	d.expect(t)
 	id := int(d.u16())
 	v := d.vec()
-	return id, v, d.err
+	return id, v, d.done()
 }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -336,6 +336,16 @@ func (d *decoder) fail() {
 	}
 }
 
+// done ends every decode: it returns the first error, or an error when
+// bytes remain after the message's last field. A message has exactly one
+// encoding, so bytes the decoder never read are a corrupt or forged frame.
+func (d *decoder) done() error {
+	if d.err == nil && len(d.buf) > 0 {
+		d.err = fmt.Errorf("core: %d bytes after the message's last field", len(d.buf))
+	}
+	return d.err
+}
+
 // Encode implements Message.
 func (m *Violation) Encode() []byte { return m.AppendBinary(make([]byte, 0, m.size())) }
 
@@ -359,7 +369,7 @@ func (m *Violation) UnmarshalBinary(buf []byte) error {
 	m.NodeID = int(d.u16())
 	m.Kind = ViolationKind(d.u8())
 	m.X = d.vec()
-	return d.err
+	return d.done()
 }
 
 // Encode implements Message.
@@ -378,7 +388,7 @@ func (m *DataRequest) UnmarshalBinary(buf []byte) error {
 	d := decoder{buf: buf}
 	d.expect(MsgDataRequest)
 	m.NodeID = int(d.u16())
-	return d.err
+	return d.done()
 }
 
 // Encode implements Message.
@@ -479,7 +489,7 @@ func Decode(buf []byte) (Message, error) {
 		m = new(Slack)
 	case MsgRejoin:
 		m := &Rejoin{NodeID: int(d.u16()), X: d.vec()}
-		return m, d.err
+		return m, d.done()
 	case MsgSync:
 		m := &Sync{NodeID: int(d.u16())}
 		m.Method = Method(d.u8())
@@ -492,7 +502,11 @@ func Decode(buf []byte) (Message, error) {
 		m.Lam = d.f64()
 		m.R = d.f64()
 		m.Slack = d.vec()
-		if d.u8() == 1 {
+		switch flag := d.u8(); {
+		case d.err != nil || flag == 0:
+		case flag != 1:
+			return nil, fmt.Errorf("core: sync matrix flag %d is neither 0 nor 1", flag)
+		default:
 			k, n := uint64(d.u32()), uint64(d.u32())
 			// A rank above the dimension or a dimension other than X0's is
 			// malformed, and the k·(n+1) floats must actually be present:
@@ -505,7 +519,7 @@ func Decode(buf []byte) (Message, error) {
 			m.Matrix = &linalg.EigFactor{Lam: d.floats(make([]float64, k)), V: linalg.NewMat(int(k), int(n))}
 			d.floats(m.Matrix.V.Data)
 		}
-		return m, d.err
+		return m, d.done()
 	case MsgPartial:
 		return decodePartial(d)
 	case MsgSubtreeRejoin:

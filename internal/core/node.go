@@ -101,13 +101,18 @@ func (n *Node) CurrentValue() float64 {
 }
 
 // ApplySync installs a new safe zone and slack from the coordinator and
-// reports whether it did: a sync this node cannot check — vectors or an
-// ADCD-E factor that do not fit F, or an ADCD-E zone whose factor never
+// reports whether it did: a sync this node cannot check — a slack, vectors
+// or an ADCD-E factor that do not fit F, or an ADCD-E zone whose factor never
 // arrived (a faulty fabric separated it from the first sync) — is refused
 // and the previous zone kept. The elision budget is invalidated: it was
 // derived from the previous zone. The new zone holds the message's read-only
 // X0 and GradF0 themselves (see Sync).
 func (n *Node) ApplySync(m *Sync) bool {
+	if len(m.Slack) != len(n.slack) {
+		// A partial copy would leave this node's slack out of the
+		// partition's zero sum, and the ε guarantee void.
+		return false
+	}
 	n.resetBudget()
 	if m.Zone != nil { // hand-crafted (MethodCustom) zone, in-memory only
 		n.zone = m.Zone
@@ -150,11 +155,17 @@ func (n *Node) ApplySync(m *Sync) bool {
 	return true
 }
 
-// ApplySlack installs a rebalanced slack vector from a lazy sync. The
+// ApplySlack installs a rebalanced slack vector from a lazy sync and
+// reports whether it did: a slack whose length is not F's dimension is
+// refused and the previous slack kept, as ApplySync refuses one. The
 // elision budget is invalidated: the slacked point it was computed at moved.
-func (n *Node) ApplySlack(m *Slack) {
+func (n *Node) ApplySlack(m *Slack) bool {
+	if len(m.Slack) != len(n.slack) {
+		return false
+	}
 	copy(n.slack, m.Slack)
 	n.resetBudget()
+	return true
 }
 
 // Zone exposes the node's current safe zone (nil before the first sync);

@@ -118,7 +118,10 @@ func decodePartial(d *decoder) (*Partial, error) {
 		m.Accs[i] = *a
 		d.buf = rest
 	}
-	return m, d.err
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // decodeSubtreeRejoin parses a SubtreeRejoin body (after the type byte).
@@ -149,5 +152,8 @@ func decodeSubtreeRejoin(d *decoder) (*SubtreeRejoin, error) {
 		m.IDs = append(m.IDs, id)
 		m.Xs = append(m.Xs, x)
 	}
-	return m, d.err
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

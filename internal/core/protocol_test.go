@@ -483,6 +483,8 @@ func TestApplySyncRefusesUncheckableSyncs(t *testing.T) {
 		"Inf eigenvector":       func(m *Sync) { m.Matrix.V.Data[1] = math.Inf(-1) },
 		"X0 of another dim":     func(m *Sync) { m.X0 = []float64{1, 2, 3} },
 		"GradF0 of another dim": func(m *Sync) { m.GradF0 = []float64{1} },
+		"short slack":           func(m *Sync) { m.Slack = []float64{1} },
+		"long slack":            func(m *Sync) { m.Slack = []float64{1, 2, 3} },
 	}
 	for name, breakIt := range bad {
 		// On a fresh node the refused sync must leave it silent, not armed.

@@ -84,7 +84,7 @@ func assertIdentical(t *testing.T, spec groupSpec, ref, elided *Pipeline) {
 		}
 		t.Fatalf("%s: violation logs differ in length: per-event %d, elided %d", spec.name, len(rl), len(el))
 	}
-	refStats, elStats := ref.Coordinator().Stats(), elided.Coordinator().Stats()
+	refStats, elStats := ref.coord.Stats(), elided.coord.Stats()
 	if !reflect.DeepEqual(refStats, elStats) {
 		t.Fatalf("%s: coordinator stats differ:\nper-event %+v\nelided    %+v", spec.name, refStats, elStats)
 	}
@@ -149,7 +149,7 @@ func TestElisionDifferential(t *testing.T) {
 			if spec.coreCfg.ForceADCDX {
 				want = core.MethodX
 			}
-			if got := elided.Coordinator().Method(); got != want {
+			if got := elided.coord.Method(); got != want {
 				t.Fatalf("%s: zones built with method %v, want %v", spec.name, got, want)
 			}
 			st := elided.Stats()
@@ -246,7 +246,7 @@ func TestPipelineAccessors(t *testing.T) {
 	if err := p.Init(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Coordinator() == nil || p.Coordinator().Estimate() != p.Estimate() {
+	if p.coord == nil || p.coord.Estimate() != p.Estimate() {
 		t.Fatal("pipeline does not expose its coordinator")
 	}
 	if tr := p.Traffic(); tr.Messages == 0 || tr.PayloadBytes == 0 {

@@ -110,10 +110,6 @@ func (p *Pipeline) Traffic() Traffic {
 // Estimate returns the coordinator's current approximation of f(x̄).
 func (p *Pipeline) Estimate() float64 { return p.coord.Estimate() }
 
-// Coordinator exposes the protocol state machine (stats, radius) for
-// experiments and tests.
-func (p *Pipeline) Coordinator() *core.Coordinator { return p.coord }
-
 // Stats sums the per-node ingestion counters.
 func (p *Pipeline) Stats() Stats {
 	var total Stats

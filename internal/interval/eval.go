@@ -79,9 +79,6 @@ func NewEvaluator(g *autodiff.Graph) *Evaluator {
 	return e
 }
 
-// Dim returns the number of input variables.
-func (e *Evaluator) Dim() int { return len(e.vars) }
-
 // checkBox validates a hyperrectangle: matching lengths, no NaN endpoints,
 // lo ≤ hi in every coordinate. ±Inf endpoints are allowed (unbounded boxes
 // simply yield wide enclosures).

@@ -46,21 +46,10 @@ func fix(lo, hi float64) Interval {
 	return Interval{lo, hi}
 }
 
-// IsPoint reports whether the interval is degenerate ([v, v]).
-func (a Interval) IsPoint() bool {
-	return a.Lo == a.Hi //automon:allow nofloateq degeneracy test is an exact bitwise property, not a numeric comparison
-}
-
 // IsZero reports whether the interval is exactly [0, 0]. The adjoint passes
 // use it to skip nodes with no sensitivity, mirroring the scalar evaluator's
 // exact-zero sparsity test.
 func (a Interval) IsZero() bool { return a.Lo == 0 && a.Hi == 0 }
-
-// Contains reports whether v lies inside the interval.
-func (a Interval) Contains(v float64) bool { return a.Lo <= v && v <= a.Hi }
-
-// Width returns Hi − Lo (+Inf for unbounded intervals).
-func (a Interval) Width() float64 { return a.Hi - a.Lo }
 
 // Mag returns the magnitude max(|Lo|, |Hi|), the largest absolute value the
 // interval contains.

@@ -496,16 +496,6 @@ func TestMatQuadForm(t *testing.T) {
 	}
 }
 
-func TestMatMulVec(t *testing.T) {
-	m := NewMat(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	dst := make([]float64, 2)
-	m.MulVec(dst, []float64{1, 1, 1})
-	if dst[0] != 6 || dst[1] != 15 {
-		t.Fatalf("MulVec = %v", dst)
-	}
-}
-
 func TestSymmetrize(t *testing.T) {
 	m := NewMat(2, 2)
 	m.Set(0, 1, 2)

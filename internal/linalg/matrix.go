@@ -1,7 +1,5 @@
 package linalg
 
-import "fmt"
-
 // Mat is a dense row-major matrix.
 type Mat struct {
 	Rows, Cols int
@@ -27,17 +25,6 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// MulVec stores m·v into dst and returns dst. dst must not alias v.
-func (m *Mat) MulVec(dst, v []float64) []float64 {
-	if len(v) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVec shape %dx%d with v[%d] dst[%d]", m.Rows, m.Cols, len(v), len(dst)))
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Dot(m.Row(i), v)
-	}
-	return dst
 }
 
 // Symmetrize overwrites m with (m + mᵀ)/2. m must be square.

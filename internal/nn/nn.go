@@ -8,7 +8,6 @@ package nn
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -23,20 +22,6 @@ const (
 	ReLU
 	Sigmoid
 )
-
-func (a Activation) String() string {
-	switch a {
-	case Identity:
-		return "identity"
-	case Tanh:
-		return "tanh"
-	case ReLU:
-		return "relu"
-	case Sigmoid:
-		return "sigmoid"
-	}
-	return fmt.Sprintf("activation(%d)", uint8(a))
-}
 
 func (a Activation) apply(x float64) float64 {
 	switch a {
@@ -106,24 +91,6 @@ func New(rng *rand.Rand, sizes []int, acts []Activation) (*Network, error) {
 
 // InputDim returns the network's input size.
 func (n *Network) InputDim() int { return n.Layers[0].In }
-
-// Forward evaluates the network, returning the scalar output. The network's
-// last layer must have a single unit.
-func (n *Network) Forward(x []float64) float64 {
-	a := x
-	for _, l := range n.Layers {
-		next := make([]float64, l.Out)
-		for i := 0; i < l.Out; i++ {
-			s := l.B[i]
-			for j := 0; j < l.In; j++ {
-				s += l.W[i][j] * a[j]
-			}
-			next[i] = l.Act.apply(s)
-		}
-		a = next
-	}
-	return a[0]
-}
 
 // forwardAll evaluates the network keeping every layer's activations for
 // backprop; returns them input-first.

@@ -78,25 +78,6 @@ func (t *Tracer) Record(kind string, node int, value float64, label string) {
 	t.mu.Unlock()
 }
 
-// Total returns how many events have ever been recorded (including ones the
-// ring has since overwritten).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
-}
-
-// Size returns the ring capacity (0 on nil).
-func (t *Tracer) Size() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
-}
-
 // Snapshot returns the retained events in recording order (oldest first).
 func (t *Tracer) Snapshot() []Event {
 	if t == nil {

@@ -15,10 +15,12 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"automon/internal/core"
 	"automon/internal/linalg"
+	"automon/internal/obs"
 	"automon/internal/transport"
 )
 
@@ -41,6 +43,8 @@ type Spec struct {
 	// is overwritten with Eps.
 	Core core.Config
 	// Opts configures the loopback transport (batching, groups, timeouts).
+	// Its Metrics serves the coordinator only: the nodes of each replay
+	// count in a registry of their own, which Replay reads RefusedSyncs from.
 	Opts transport.Options
 }
 
@@ -121,6 +125,8 @@ func Replay(sp Spec) (*Report, error) {
 	// protocol never sees in aggregate.
 	vecs := make([][]float64, sp.N)
 	nodes := make([]*transport.NodeClient, sp.N)
+	nodeOpts := sp.Opts
+	nodeOpts.Metrics = obs.NewRegistry()
 	defer func() {
 		for _, nd := range nodes {
 			if nd != nil {
@@ -130,7 +136,7 @@ func Replay(sp Spec) (*Report, error) {
 	}()
 	for i := 0; i < sp.N; i++ {
 		vecs[i] = linalg.Clone(sp.Gen(0, i))
-		nodes[i], err = transport.DialNode(coord.Addr(), i, sp.F, sp.Gen(0, i), sp.Opts)
+		nodes[i], err = transport.DialNode(coord.Addr(), i, sp.F, sp.Gen(0, i), nodeOpts)
 		if err != nil {
 			return nil, fmt.Errorf("oracle: %s: dial node %d: %w", sp.Name, i, err)
 		}
@@ -161,8 +167,10 @@ func Replay(sp Spec) (*Report, error) {
 		rep.compare(sp.F, r, coord.Estimate(), vecs)
 	}
 	rep.Stats = coord.CoordStats()
-	for _, nd := range nodes {
-		rep.RefusedSyncs += int(nd.RejectedSyncs())
+	for name, v := range nodeOpts.Metrics.Snapshot() {
+		if strings.HasPrefix(name, "automon_transport_rejected_syncs_total{") {
+			rep.RefusedSyncs += int(v)
+		}
 	}
 	return rep, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"automon/internal/core"
 	"automon/internal/linalg"
+	"automon/internal/obs"
 	"automon/internal/shard"
 )
 
@@ -20,6 +21,9 @@ func ReplayTree(sp Spec, opt shard.Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
 	vecs := make([][]float64, sp.N)
 	for i := range vecs {
 		vecs[i] = linalg.Clone(sp.Gen(0, i))
@@ -32,7 +36,8 @@ func ReplayTree(sp Spec, opt shard.Options) (*Report, error) {
 	if err := g.Start(tree); err != nil {
 		return nil, fmt.Errorf("oracle: %s: init: %w", sp.Name, err)
 	}
-	rep.TreeDepth = tree.Depth()
+	// The tree publishes its depth as a gauge in the config's registry.
+	rep.TreeDepth = int(cfg.Metrics.Snapshot()[obs.LabeledName("automon_shard_tree_depth", cfg.MetricsLabels)])
 
 	for r := 1; r <= sp.Rounds; r++ {
 		for i := range vecs {

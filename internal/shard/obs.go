@@ -19,7 +19,6 @@ type treeObs struct {
 	absorbed  *obs.Counter
 	escalated *obs.Counter
 
-	subtreeDeparts *obs.Counter
 	subtreeRejoins *obs.Counter
 }
 
@@ -41,7 +40,6 @@ func newTreeObs(reg *obs.Registry, labels string) treeObs {
 		absorbed:  reg.Counter(name("automon_shard_absorbed_violations_total"), "safe-zone violations absorbed by a leaf's partition-local lazy sync"),
 		escalated: reg.Counter(name("automon_shard_escalated_violations_total"), "violations a leaf could not absorb and escalated to the root"),
 
-		subtreeDeparts: reg.Counter(name("automon_shard_subtree_departures_total"), "whole sub-trees marked dead"),
 		subtreeRejoins: reg.Counter(name("automon_shard_subtree_rejoins_total"), "whole sub-trees re-admitted after a partition healed"),
 	}
 }

@@ -177,13 +177,6 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 	return t, nil
 }
 
-// Depth returns the number of tiers from root shard to leaves (1 = a single
-// shard tier).
-func (t *Tree) Depth() int { return t.depth }
-
-// Leaves returns the number of leaf shards.
-func (t *Tree) Leaves() int { return len(t.leaves) }
-
 // Epoch returns the current full-sync generation; partial-aggregate frames
 // from older generations are rejected.
 func (t *Tree) Epoch() uint64 { return t.epoch }
@@ -212,33 +205,6 @@ func (t *Tree) Subtree(shardID int) ([]int, error) {
 		return nil, fmt.Errorf("shard: unknown shard %d", shardID)
 	}
 	return nd.nodeIDs(), nil
-}
-
-// KillSubtree marks every node under shard shardID dead and re-synchronizes
-// the survivors in one full sync. Returns core.ErrNoLiveNodes when the
-// subtree was the entire population.
-func (t *Tree) KillSubtree(shardID int) error {
-	ids, err := t.Subtree(shardID)
-	if err != nil {
-		return err
-	}
-	t.obs.subtreeDeparts.Inc()
-	return t.HandleDeparture(ids...)
-}
-
-// RejoinSubtree re-admits every node under shard shardID with fresh vectors
-// (xs indexed in the subtree's ascending node order; nil entries keep the
-// stale vector) and runs one full sync over the healed population.
-func (t *Tree) RejoinSubtree(shardID int, xs [][]float64) error {
-	ids, err := t.Subtree(shardID)
-	if err != nil {
-		return err
-	}
-	if xs != nil && len(xs) != len(ids) {
-		return fmt.Errorf("shard: subtree %d rejoin carries %d vectors for %d nodes", shardID, len(xs), len(ids))
-	}
-	t.obs.subtreeRejoins.Inc()
-	return t.HandleRejoin(ids, xs)
 }
 
 // HandleSubtreeRejoinMsg applies a decoded wire-form SubtreeRejoin: the

@@ -199,6 +199,27 @@ func TestAcceptPartialValidation(t *testing.T) {
 	}
 }
 
+// killSubtree marks every node under shard id dead in one departure, which
+// re-synchronizes the survivors in one full sync.
+func killSubtree(tr *shard.Tree, id int) error {
+	ids, err := tr.Subtree(id)
+	if err != nil {
+		return err
+	}
+	return tr.HandleDeparture(ids...)
+}
+
+// rejoinSubtree re-admits every node under shard id with xs (in the
+// subtree's ascending node order; nil keeps the stale vectors) in one full
+// sync.
+func rejoinSubtree(tr *shard.Tree, id int, xs [][]float64) error {
+	ids, err := tr.Subtree(id)
+	if err != nil {
+		return err
+	}
+	return tr.HandleRejoin(ids, xs)
+}
+
 func TestKillAndRejoinSubtree(t *testing.T) {
 	f := funcs.SqNorm(2)
 	gen := func(i int) []float64 { return []float64{0.3 + 0.05*float64(i), 0.4} }
@@ -212,7 +233,7 @@ func TestKillAndRejoinSubtree(t *testing.T) {
 	}
 
 	// Kill leaf shard 1 (nodes 2, 3): survivors re-sync over the live set.
-	if err := tr.KillSubtree(1); err != nil {
+	if err := killSubtree(tr, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !tr.Degraded() || tr.LiveCount() != 6 {
@@ -232,7 +253,7 @@ func TestKillAndRejoinSubtree(t *testing.T) {
 
 	// Heal: the sub-tree rejoins with fresh vectors and one full sync.
 	xs := [][]float64{{0.9, 0.1}, {0.8, 0.2}}
-	if err := tr.RejoinSubtree(1, xs); err != nil {
+	if err := rejoinSubtree(tr, 1, xs); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Degraded() || tr.LiveCount() != 8 {
@@ -255,7 +276,7 @@ func TestKillAndRejoinSubtree(t *testing.T) {
 	}
 
 	// Vector-count mismatch is rejected before touching protocol state.
-	if err := tr.RejoinSubtree(1, [][]float64{{1, 1}}); err == nil {
+	if err := rejoinSubtree(tr, 1, [][]float64{{1, 1}}); err == nil {
 		t.Fatal("rejoin with 1 vector for a 2-node subtree accepted")
 	}
 }
@@ -273,10 +294,10 @@ func TestKillEntireTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := 2 // shard IDs: leaves 0,1 then the single branch
-	if err := tr.KillSubtree(top); !errors.Is(err, core.ErrNoLiveNodes) {
+	if err := killSubtree(tr, top); !errors.Is(err, core.ErrNoLiveNodes) {
 		t.Fatalf("killing the whole tree: err = %v, want ErrNoLiveNodes", err)
 	}
-	if err := tr.RejoinSubtree(top, nil); err != nil {
+	if err := rejoinSubtree(tr, top, nil); err != nil {
 		t.Fatalf("whole-tree rejoin: %v", err)
 	}
 	if tr.Degraded() {
@@ -294,7 +315,7 @@ func TestSubtreeRejoinMsgValidation(t *testing.T) {
 	if err := tr.Init(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.KillSubtree(2); err != nil {
+	if err := killSubtree(tr, 2); err != nil {
 		t.Fatal(err)
 	}
 

@@ -45,11 +45,11 @@ func TestBigTreeSim(t *testing.T) {
 			// the population. Kill it on round 1, heal it on round 2.
 			switch round {
 			case 1:
-				if err := tr.KillSubtree(64); err != nil && chaosErr == nil {
+				if err := killSubtree(tr, 64); err != nil && chaosErr == nil {
 					chaosErr = err
 				}
 			case 2:
-				if err := tr.RejoinSubtree(64, nil); err != nil && chaosErr == nil {
+				if err := rejoinSubtree(tr, 64); err != nil && chaosErr == nil {
 					chaosErr = err
 				}
 			case rounds - 1:

@@ -188,6 +188,25 @@ func TestTreeAbsorbMode(t *testing.T) {
 		snap["automon_shard_escalated_violations_total"])
 }
 
+// killSubtree marks every node under shard id dead in one departure.
+func killSubtree(tr *shard.Tree, id int) error {
+	ids, err := tr.Subtree(id)
+	if err != nil {
+		return err
+	}
+	return tr.HandleDeparture(ids...)
+}
+
+// rejoinSubtree re-admits every node under shard id with its stale vector in
+// one full sync.
+func rejoinSubtree(tr *shard.Tree, id int) error {
+	ids, err := tr.Subtree(id)
+	if err != nil {
+		return err
+	}
+	return tr.HandleRejoin(ids, nil)
+}
+
 // TestTreeChaosBitIdenticalSiblings is the S-tier chaos proof, in the shape
 // of the multi-tenant isolation harness: a victim tenant and a storm tenant
 // run concurrently, sharing a metrics registry. The storm
@@ -238,11 +257,11 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 	storm.shardChaos = func(round int, tr *shard.Tree) {
 		switch round {
 		case killRound:
-			if err := tr.KillSubtree(5); err != nil && chaosErr == nil {
+			if err := killSubtree(tr, 5); err != nil && chaosErr == nil {
 				chaosErr = err
 			}
 		case rejoinRound:
-			if err := tr.RejoinSubtree(5, nil); err != nil && chaosErr == nil {
+			if err := rejoinSubtree(tr, 5); err != nil && chaosErr == nil {
 				chaosErr = err
 			}
 		}
@@ -272,10 +291,10 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	if snap[`automon_shard_subtree_departures_total{group="1"}`] != 1 ||
-		snap[`automon_shard_subtree_rejoins_total{group="1"}`] != 1 {
-		t.Errorf("shard chaos counters not attributed to the storm tenant: %v %v",
-			snap[`automon_shard_subtree_departures_total{group="1"}`],
-			snap[`automon_shard_subtree_rejoins_total{group="1"}`])
+	if snap[`automon_coordinator_node_deaths_total{group="1"}`] != 4 ||
+		snap[`automon_coordinator_rejoins_total{group="1"}`] != 4 {
+		t.Errorf("sub-tree chaos counters not attributed to the storm tenant: %v %v",
+			snap[`automon_coordinator_node_deaths_total{group="1"}`],
+			snap[`automon_coordinator_rejoins_total{group="1"}`])
 	}
 }

@@ -92,19 +92,6 @@ func (a *AMS) Vector() []float64 { return a.data }
 // Dim returns the monitored vector length.
 func (a *AMS) Dim() int { return a.Rows * a.Cols }
 
-// F2 returns the sketch's second-moment estimate: the mean over rows of the
-// per-row sum of squared counters.
-func (a *AMS) F2() float64 {
-	var total float64
-	for r := 0; r < a.Rows; r++ {
-		for c := 0; c < a.Cols; c++ {
-			v := a.data[r*a.Cols+c]
-			total += v * v
-		}
-	}
-	return total / float64(a.Rows)
-}
-
 // MismatchError reports two sketches whose hash families or shapes disagree.
 // Averaging such sketches is not an approximation error — the buckets are
 // unrelated and every query on the result is silently wrong — so a group

@@ -25,9 +25,6 @@ type Dataset struct {
 	NewWindow func() Windower
 }
 
-// FillRounds returns the number of warm-up rounds.
-func (d *Dataset) FillRounds() int { return len(d.fill) }
-
 // FilledWindow builds node i's window and replays the warm-up rounds into it
 // (§4.2: every window fills before monitoring starts).
 func (d *Dataset) FilledWindow(i int) Windower {

@@ -139,7 +139,7 @@ func TestDatasetShapes(t *testing.T) {
 		if c.ds.Nodes != c.nodes || c.ds.Rounds != c.rounds {
 			t.Fatalf("%s: shape %d×%d", c.name, c.ds.Nodes, c.ds.Rounds)
 		}
-		if c.ds.FillRounds() == 0 {
+		if len(c.ds.fill) == 0 {
 			t.Fatalf("%s: no warm-up rounds", c.name)
 		}
 		for r := 0; r < c.rounds; r++ {
@@ -150,7 +150,7 @@ func TestDatasetShapes(t *testing.T) {
 				}
 			}
 		}
-		// Windows must fill after FillRounds pushes.
+		// Windows must fill after the warm-up pushes.
 		w := c.ds.FilledWindow(0)
 		if !w.Full() {
 			t.Fatalf("%s: window not full after warm-up", c.name)
@@ -232,7 +232,7 @@ func TestSlice(t *testing.T) {
 	if head.Rounds != 20 || tail.Rounds != 80 {
 		t.Fatalf("slice rounds = %d, %d", head.Rounds, tail.Rounds)
 	}
-	if head.FillRounds() != ds.FillRounds() {
+	if len(head.fill) != len(ds.fill) {
 		t.Fatal("slices must keep the warm-up prefix")
 	}
 	if tail.Sample(0, 0)[0] != ds.Sample(20, 0)[0] {

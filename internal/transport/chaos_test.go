@@ -22,6 +22,7 @@ import (
 	"automon/internal/core"
 	"automon/internal/funcs"
 	"automon/internal/linalg"
+	"automon/internal/obs"
 	"automon/internal/transport/chaos"
 )
 
@@ -482,5 +483,100 @@ func TestLostFirstSyncHealsByReconnect(t *testing.T) {
 	}
 	if coord.Degraded() || coord.Err() != nil {
 		t.Fatalf("coordinator degraded=%v err=%v after the heal", coord.Degraded(), coord.Err())
+	}
+}
+
+// slackForger is a node-side connection that re-frames the inbound stream
+// and, right after the first frame that opens with a Sync, delivers one
+// forged Slack of the wrong length. forged is shared across the node's
+// reconnections so exactly one Slack is ever forged.
+type slackForger struct {
+	net.Conn
+	id      int
+	forged  *atomic.Bool
+	pending bytes.Buffer
+}
+
+func (c *slackForger) Read(p []byte) (int, error) {
+	for c.pending.Len() == 0 {
+		var hdr [frameHeader]byte
+		if _, err := io.ReadFull(c.Conn, hdr[:]); err != nil {
+			return 0, err
+		}
+		body := make([]byte, binary.LittleEndian.Uint32(hdr[:])&batchLenMask)
+		if _, err := io.ReadFull(c.Conn, body); err != nil {
+			return 0, err
+		}
+		c.pending.Write(hdr[:])
+		c.pending.Write(body)
+		if core.MsgType(body[batchHdrLen+batchSubHeader]) == core.MsgSync && c.forged.CompareAndSwap(false, true) {
+			c.pending.Write(batchFrameOf(0, &core.Slack{NodeID: c.id, Slack: []float64{9}}))
+		}
+	}
+	return c.pending.Read(p)
+}
+
+// TestForgedSlackHealsByReconnect: a Slack with one entry reaches a node of
+// a 4-dimensional function right after its first sync. Before the fix the
+// node copied it over the first slack entry and carried on, its slack no
+// longer summing to zero with the others. Now the node refuses it like an
+// uncheckable sync: it counts the refusal, recycles the connection, and the
+// Rejoin's full sync hands it a consistent slack, so the estimate is
+// ε-correct again.
+func TestForgedSlackHealsByReconnect(t *testing.T) {
+	const eps = 0.2
+	f := funcs.InnerProduct(2)
+	initial := [][]float64{{0.5, 0.5, 1, 1}, {0.5, 0.5, 1, 1}}
+	coord, err := ListenCoordinator("127.0.0.1:0", f, 2, core.Config{Epsilon: eps}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forged atomic.Bool
+	reg := obs.NewRegistry()
+	forging := Options{ReconnectBase: time.Millisecond, Metrics: reg,
+		Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
+			conn, err := net.DialTimeout(network, addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return &slackForger{Conn: conn, id: 1, forged: &forged}, nil
+		}}
+	var nodes []*NodeClient
+	for i, opts := range []Options{{}, forging} {
+		nd, err := DialNode(coord.Addr(), i, f, initial[i], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, nd)
+	}
+	defer closeCluster(coord, nodes)
+	waitFor(t, 10*time.Second, "node 1 to rejoin after refusing the forged slack", func() bool {
+		return forged.Load() && nodes[1].Reconnects() == 1
+	})
+	for _, nd := range nodes {
+		if err := nd.WaitReady(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := nodes[1].RejectedSyncs(); got != 1 {
+		t.Fatalf("node 1 refused %d messages, want 1", got)
+	}
+	if got := reg.Snapshot()[`automon_transport_rejected_syncs_total{node="1"}`]; got != 1 {
+		t.Fatalf("rejected-syncs metric = %v, want 1", got)
+	}
+
+	xs := [][]float64{{2, 2, 1, 1}, {1, 1, 1, 1}}
+	for i, nd := range nodes {
+		if err := nd.Update(xs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitQuiesce(coord, nodes)
+	truth := f.Value(linalg.Mean(make([]float64, 4), xs...))
+	if got := coord.Estimate(); math.Abs(got-truth) > eps+1e-9 {
+		t.Fatalf("estimate %v is %v from f(x̄) = %v, beyond ε = %v", got, math.Abs(got-truth), truth, eps)
+	}
+	if coord.Degraded() || coord.Err() != nil || nodes[1].Err() != nil {
+		t.Fatalf("after the heal: coordinator degraded=%v err=%v, node err=%v", coord.Degraded(), coord.Err(), nodes[1].Err())
 	}
 }

@@ -57,7 +57,7 @@ type NodeClient struct {
 
 	reconnects     *obs.Counter   // successful rejoins after a connection loss
 	reconnectTries *obs.Counter   // dial attempts made by the reconnect loop
-	rejectedSyncs  *obs.Counter   // syncs the node refused (see core.Node.ApplySync)
+	rejectedSyncs  *obs.Counter   // syncs and slacks the node refused (see core.Node.ApplySync)
 	backoffWait    *obs.Histogram // jittered backoff sleeps, in seconds
 	tracer         *obs.Tracer
 
@@ -106,7 +106,7 @@ func DialNode(addr string, id int, f *core.Function, initial []float64, opts Opt
 		"Dial attempts made by the reconnect loop.")
 	c.rejectedSyncs = opts.Metrics.Counter(
 		fmt.Sprintf("automon_transport_rejected_syncs_total{%s}", nodeLabel),
-		"Syncs refused as uncheckable (malformed or missing ADCD-E factor); the connection was recycled to force a re-send.")
+		"Syncs and slacks refused as uncheckable (wrong length, malformed or missing ADCD-E factor); the connection was recycled to force a re-send.")
 	c.backoffWait = opts.Metrics.Histogram(
 		fmt.Sprintf("automon_transport_backoff_seconds{%s}", nodeLabel),
 		"Jittered reconnect backoff sleeps.",
@@ -267,9 +267,18 @@ func (c *NodeClient) handleMsg(conn net.Conn, m core.Message) error {
 		c.signalResolved()
 	case *core.Slack:
 		c.mu.Lock()
-		c.node.ApplySlack(msg)
+		ok := c.node.ApplySlack(msg)
 		c.reported = false
 		c.mu.Unlock()
+		if !ok {
+			// Refused like an uncheckable sync: the coordinator believes the
+			// slack installed, so only the Rejoin's full sync restores the
+			// partition's zero-sum slack.
+			c.refusals++
+			c.rejectedSyncs.Inc()
+			conn.Close()
+			return fmt.Errorf("transport: node %d refused a slack of %d entries", c.ID, len(msg.Slack))
+		}
 		c.recheck()
 		c.signalResolved()
 	default:
@@ -335,10 +344,6 @@ func (c *NodeClient) reconnect(cause error) error {
 // Reconnects returns how many times the client has successfully rejoined
 // after a connection loss.
 func (c *NodeClient) Reconnects() int64 { return c.reconnects.Load() }
-
-// RejectedSyncs returns how many syncs the node refused as uncheckable; each
-// one cost a reconnect.
-func (c *NodeClient) RejectedSyncs() int64 { return c.rejectedSyncs.Load() }
 
 // recheck re-evaluates the local constraints right after a new zone or
 // slack is installed and reports a fresh violation if they no longer hold.

@@ -64,15 +64,6 @@ func ListenSubtreeParent(addr string, h SubtreeHandler, opts Options) (*SubtreeL
 // Addr returns the listener's bound address.
 func (l *SubtreeListener) Addr() string { return l.ln.Addr().String() }
 
-// Err returns the first protocol or handler error any uplink produced (nil
-// while all frames were clean). Connection-level errors do not stop the
-// listener: surviving links keep flowing.
-func (l *SubtreeListener) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Close stops accepting and tears down every uplink.
 func (l *SubtreeListener) Close() {
 	l.closed.Do(func() {
@@ -179,11 +170,6 @@ func DialSubtreeParent(addr string, opts Options) (*SubtreeUplink, error) {
 // immediately (urgent), carrying earlier buffered frames with them in order.
 func (u *SubtreeUplink) SendPartial(p *core.Partial) error {
 	return u.w.writeMsg(p, true)
-}
-
-// SendSubtreeRejoin re-registers the whole sub-tree after a partition heals.
-func (u *SubtreeUplink) SendSubtreeRejoin(m *core.SubtreeRejoin) error {
-	return u.w.writeMsg(m, true)
 }
 
 // Flush drains any batched frames without sending new ones.

@@ -181,7 +181,11 @@ func TestSubtreeUplinkRejoinHealsTree(t *testing.T) {
 	}
 	u.Close() // the partition event: the child's link drops
 	lt.do(func(tr *shard.Tree) {
-		if err := tr.KillSubtree(1); err != nil {
+		ids, err := tr.Subtree(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.HandleDeparture(ids...); err != nil {
 			t.Fatal(err)
 		}
 		if !tr.Degraded() || tr.LiveCount() != 2 {
