@@ -218,7 +218,7 @@ func (e *eigEvaluator) maxGradient(x, g []float64) {
 // multi-start. Like the SciPy solver in the paper, it may return local
 // optima; the protocol's sanity check (§3.7) guards against that.
 //
-// All 2·OptStarts searches run on optimize.RunConcurrent's pool, one worker
+// All 2·OptStarts searches run on optimize.ForEach's pool, one worker
 // per core, each with a private eigensolve memo (seeded with seedAtX0 when
 // non-nil). Start points are pre-drawn from Seed in the order the sequential
 // implementation consumed them and the best result per search is picked in
@@ -250,30 +250,24 @@ func extremeEigsOverBox(f *Function, x0, lo, hi []float64, opts DecompOptions, s
 	maxStarts := drawExtras()
 
 	optOpts := optimize.Options{MaxIter: opts.OptMaxIter, MaxFunEva: opts.OptMaxFunEvals}
-	evals := make([]*eigEvaluator, 0, 2*nStarts)
-	tasks := make([]optimize.Task, 0, 2*nStarts)
-	addTask := func(start []float64, min bool) {
-		ev := &eigEvaluator{f: f, memo: !opts.noEvalMemo}
+	starts := append(minStarts, maxStarts...)
+	evals := make([]*eigEvaluator, len(starts))
+	for i := range evals {
+		evals[i] = &eigEvaluator{f: f, memo: !opts.noEvalMemo}
 		if seedAtX0 != nil {
-			ev.seed(x0, *seedAtX0)
+			evals[i].seed(x0, *seedAtX0)
 		}
-		t := optimize.Task{X0: start, Opts: optOpts}
-		if min {
-			t.F, t.Grad = ev.minObjective, ev.minGradient
+	}
+	results := make([]optimize.Result, len(starts))
+	err = optimize.ForEach(opts.workers, len(starts), func(i int) (err error) {
+		ev := evals[i]
+		if i < nStarts {
+			results[i], err = optimize.Minimize(ev.minObjective, ev.minGradient, starts[i], lo, hi, optOpts)
 		} else {
-			t.F, t.Grad = ev.maxObjective, ev.maxGradient
+			results[i], err = optimize.Minimize(ev.maxObjective, ev.maxGradient, starts[i], lo, hi, optOpts)
 		}
-		evals = append(evals, ev)
-		tasks = append(tasks, t)
-	}
-	for _, start := range minStarts {
-		addTask(start, true)
-	}
-	for _, start := range maxStarts {
-		addTask(start, false)
-	}
-
-	results, err := optimize.RunConcurrent(tasks, lo, hi, opts.workers)
+		return err
+	})
 	for _, ev := range evals {
 		solves += ev.solves
 		if err == nil {

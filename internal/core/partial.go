@@ -4,17 +4,13 @@ import (
 	"automon/internal/linalg"
 )
 
-// Partial is the shard-to-parent partial-aggregate frame of the hierarchical
-// coordinator (internal/shard). A leaf answers its parent's collect with the
-// exact per-dimension partial sums (linalg.Acc) over its live partition plus
-// the weight (live-node count) it folded in; because the accumulators are
-// exact, the parent's merge — at any fan-out and any tree depth — reproduces
-// the flat coordinator's reference point bit-for-bit.
-//
-// A Partial with a non-zero Kind escalates a violation the shard could not
-// absorb locally: NodeID identifies the violating node in the global
-// numbering, and the aggregate fields still describe the shard's current
-// partition so the parent can fold it without another round trip.
+// Partial is the partial-aggregate frame a sub-coordinator sends up a
+// socket to its parent (transport.SubtreeUplink): the exact per-dimension
+// sums (linalg.Acc) over its live partition plus the weight (live-node
+// count) it folded in. Because the accumulators are exact, a parent that
+// merges any number of them reproduces the flat coordinator's reference
+// point bit-for-bit. The in-process shard tree builds no Partial: its leaves
+// fold straight into the root machine's accumulators.
 //
 // Epoch tags the root full-sync generation the partial was computed against.
 // A parent discards partials from a stale epoch: they describe a reference
@@ -22,9 +18,9 @@ import (
 // partitioned away and answers an old collect after rejoining).
 type Partial struct {
 	ShardID int
-	Kind    ViolationKind // 0 = pure aggregate; a violation kind when escalating
+	Kind    ViolationKind // carried and validated by the codec; senders set 0
 	Epoch   uint64
-	NodeID  int // violator's global node ID when Kind != 0, else -1
+	NodeID  int // -1 when Kind is 0
 	Weight  int // live nodes folded into Accs
 	Accs    []linalg.Acc
 }

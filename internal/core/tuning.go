@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
+
+	"automon/internal/optimize"
 )
 
 // TuningData is a replayable prefix of the monitoring task: per round, the
@@ -121,16 +122,19 @@ func Tune(f *Function, data TuningData, n int, cfg Config) (TuneResult, error) {
 // scans the results in sequence order, applying exactly the stopping rules of
 // a one-radius-at-a-time walk. R, Lo, Hi, the grid and the convergence flags
 // are therefore identical at every wave width; only Replays grows with it,
-// counting the speculative probes past each phase's stopping point.
+// counting the speculative probes past each phase's stopping point. On error
+// the returned TuneResult is not meaningful: a failing wave's successful
+// replays are neither counted in Replays nor memoized.
 func tuneWaves(replay func(r float64) (ReplayCounts, error), workers int) (TuneResult, error) {
 	const maxHalvings = 20
 	res := TuneResult{}
 	memo := make(map[float64]ReplayCounts)
 
-	// runWave replays every radius of one wave not yet memoized and surfaces
-	// the error of the lowest-index failure: what a sequential loop over the
-	// wave would have returned first. A single radius runs inline. The memo
-	// is only touched after the wave fully drains, so it needs no lock.
+	// runWave replays every radius of one wave not yet memoized, one
+	// goroutine per radius, and surfaces the error of the lowest-index
+	// failure: what a sequential loop over the wave would have returned
+	// first. The memo is only touched after the wave fully drains, so it
+	// needs no lock.
 	runWave := func(wave []float64) error {
 		var todo []float64
 		for _, r := range wave {
@@ -139,24 +143,13 @@ func tuneWaves(replay func(r float64) (ReplayCounts, error), workers int) (TuneR
 			}
 		}
 		counts := make([]ReplayCounts, len(todo))
-		errs := make([]error, len(todo))
-		if len(todo) == 1 {
-			counts[0], errs[0] = replay(todo[0])
-		} else {
-			var wg sync.WaitGroup
-			for i, r := range todo {
-				wg.Add(1)
-				go func(i int, r float64) {
-					defer wg.Done()
-					counts[i], errs[i] = replay(r)
-				}(i, r)
-			}
-			wg.Wait()
+		if err := optimize.ForEach(len(todo), len(todo), func(i int) (err error) {
+			counts[i], err = replay(todo[i])
+			return err
+		}); err != nil {
+			return err
 		}
 		for i, r := range todo {
-			if errs[i] != nil {
-				return errs[i]
-			}
 			res.Replays++
 			memo[r] = counts[i]
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"automon/internal/core"
 	"automon/internal/funcs"
+	"automon/internal/optimize"
 	"automon/internal/sim"
 	"automon/internal/stream"
 )
@@ -111,7 +112,7 @@ func adaptiveConfigs(s adaptiveScenario) (static, adaptive core.Config) {
 func AdaptivePairs(o Options) ([]AdaptivePair, error) {
 	scenarios := adaptiveScenarios(o)
 	pairs := make([]AdaptivePair, len(scenarios))
-	err := forEach(o.Workers, len(scenarios), func(i int) error {
+	err := optimize.ForEach(o.Workers, len(scenarios), func(i int) error {
 		s := scenarios[i]
 		staticCfg, adaptiveCfg := adaptiveConfigs(s)
 		st, err := s.w.run(sim.AutoMon, s.eps, 0, staticCfg)

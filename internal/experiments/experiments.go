@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"automon/internal/core"
 	"automon/internal/funcs"
@@ -64,51 +62,6 @@ type Options struct {
 func (o Options) decomp(d core.DecompOptions) core.DecompOptions {
 	d.Backend = o.EigBackend
 	return d
-}
-
-// forEach runs fn(0), …, fn(n−1) on up to `workers` goroutines (0 means
-// GOMAXPROCS, 1 runs inline) and returns the error of the lowest failing
-// index — the one a sequential loop would have surfaced first. fn must write
-// its outputs into index-addressed slots; callers then emit table rows in
-// index order so the rendered CSV is independent of scheduling.
-func forEach(workers, n int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (o Options) rounds(full int) int {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,5 +206,31 @@ func TestFig8ProceedsOnUnconvergedBracket(t *testing.T) {
 	}
 	if strategy, _, err = tunedRadius(w.F, data, w.Data.Nodes, core.Config{Epsilon: 0.5, Decomp: w.Decomp}); err != nil || strategy != "tuned" {
 		t.Fatalf("converged bracket: row %q, err %v", strategy, err)
+	}
+}
+
+// TestFig3DeterministicAcrossWorkers regenerates the figure-3 sweep with the
+// sequential and the parallel runner and requires identical tables: sweeps
+// deposit rows into index-addressed slots and the replayed protocol is
+// deterministic per (seed, radius), so the CSVs must not depend on Workers.
+func TestFig3DeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays the rosenbrock sweep twice")
+	}
+	seq := tinyOpts()
+	seq.Workers = 1
+	par := tinyOpts()
+	par.Workers = 4
+
+	tSeq, err := Fig3NeighborhoodSweep(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tPar, err := Fig3NeighborhoodSweep(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tSeq.Header, tPar.Header) || !reflect.DeepEqual(tSeq.Rows, tPar.Rows) {
+		t.Fatalf("fig3 table depends on the worker count:\nsequential: %v\nparallel:   %v", tSeq.Rows, tPar.Rows)
 	}
 }

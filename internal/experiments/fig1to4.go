@@ -6,6 +6,7 @@ import (
 	"automon/internal/core"
 	"automon/internal/funcs"
 	"automon/internal/linalg"
+	"automon/internal/optimize"
 	"automon/internal/sim"
 )
 
@@ -78,7 +79,7 @@ func Fig3NeighborhoodSweep(o Options) (*Table, error) {
 		// Each radius is an independent replay; fan them across the worker
 		// pool and keep the results slot-addressed so rows stay in r order.
 		pts := make([]pt, len(rs))
-		err := forEach(o.Workers, len(rs), func(i int) error {
+		err := optimize.ForEach(o.Workers, len(rs), func(i int) error {
 			counts, err := core.Replay(w.F, data, w.Data.Nodes, core.Config{
 				Epsilon: eps, R: rs[i], Decomp: w.Decomp,
 			})

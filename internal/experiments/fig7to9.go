@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"automon/internal/core"
+	"automon/internal/optimize"
 	"automon/internal/sim"
 )
 
@@ -42,7 +43,7 @@ func Fig7aDimensions(o Options) (*Table, error) {
 		maxErr            float64
 	}
 	outs := make([]cellOut, len(cells))
-	err := forEach(o.Workers, len(cells), func(i int) error {
+	err := optimize.ForEach(o.Workers, len(cells), func(i int) error {
 		w, err := cells[i].make()
 		if err != nil {
 			return err
@@ -84,7 +85,7 @@ func Fig7bNodes(o Options) (*Table, error) {
 		messages, central int
 	}
 	outs := make([]out, 2*len(counts))
-	err := forEach(o.Workers, 2*len(counts), func(i int) error {
+	err := optimize.ForEach(o.Workers, 2*len(counts), func(i int) error {
 		n := counts[i/2]
 		var w *Workload
 		var err error
@@ -173,7 +174,7 @@ func Fig8Tuning(o Options) (*Table, error) {
 	}
 	for _, mk := range makers {
 		perRep := make([][]entry, reps)
-		err := forEach(o.Workers, reps, func(rep int) error {
+		err := optimize.ForEach(o.Workers, reps, func(rep int) error {
 			w, err := mk.make(rep)
 			if err != nil {
 				return err

@@ -3,15 +3,14 @@ package shard
 import "automon/internal/obs"
 
 // treeObs bundles the shard tier's observability instruments: tree shape
-// gauges, partial-aggregate flow, frame rejections by reason, and the
-// absorb/escalate split. They live next to — not inside — the root machine's
-// coordinator series: the machine does not know it is sharded.
+// gauges, wire-frame rejections by reason, and the absorb/escalate split.
+// They live next to — not inside — the root machine's coordinator series:
+// the machine does not know it is sharded.
 type treeObs struct {
 	leaves *obs.Gauge
 	depth  *obs.Gauge
 	fanout *obs.Gauge
 
-	partials        *obs.Counter
 	rejectedCorrupt *obs.Counter
 	rejectedStale   *obs.Counter
 	rejectedWeight  *obs.Counter
@@ -26,13 +25,12 @@ type treeObs struct {
 // registry keeps them standalone, same as the coordinator's.
 func newTreeObs(reg *obs.Registry, labels string) treeObs {
 	name := func(n string) string { return obs.LabeledName(n, labels) }
-	const rejectHelp = "shard partial-aggregate frames rejected before merging, by reason"
+	const rejectHelp = "partial-aggregate frames from the wire rejected by the shard tree, by reason"
 	return treeObs{
 		leaves: reg.Gauge(name("automon_shard_leaves"), "leaf shards in the coordinator tree"),
 		depth:  reg.Gauge(name("automon_shard_tree_depth"), "tiers from the root shard to the leaves"),
 		fanout: reg.Gauge(name("automon_shard_tree_fanout"), "maximum children per interior shard"),
 
-		partials:        reg.Counter(name("automon_shard_partials_total"), "partial-aggregate frames produced across all tiers"),
 		rejectedCorrupt: reg.Counter(name(`automon_shard_partials_rejected_total{reason="corrupt"}`), rejectHelp),
 		rejectedStale:   reg.Counter(name(`automon_shard_partials_rejected_total{reason="stale_epoch"}`), rejectHelp),
 		rejectedWeight:  reg.Counter(name(`automon_shard_partials_rejected_total{reason="weight"}`), rejectHelp),

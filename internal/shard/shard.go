@@ -3,24 +3,25 @@
 // flat core.Coordinator — runs at the root of a tree of sub-coordinators,
 // while data ownership (node vectors, slack assignments, ADCD-E matrix
 // bookkeeping) is partitioned across the tree's leaves. Each leaf owns a
-// contiguous node partition, maintains its exact partial aggregate
-// (linalg.Acc) and its local violation set, and forwards only partial
-// aggregates, unresolved violations, and sync decisions across tree edges —
-// the aggregation shape of the coordinator model (arXiv:2403.20307) applied
-// to AutoMon's §3 protocol.
+// contiguous node partition; interior shards own the union of their
+// children's ranges and name whole sub-trees for membership changes. Partial
+// aggregates (core.Partial) cross a tree edge only where it is a socket
+// (transport.SubtreeListener) — the aggregation shape of the coordinator
+// model (arXiv:2403.20307) applied to AutoMon's §3 protocol.
 //
-// Because the per-dimension partial sums are exact, merging them up the tree
-// is associative: a tree of any depth and fan-out reproduces the flat
-// coordinator's reference point x̄ bit-for-bit. In ModeRoute every protocol
-// decision is made by the root machine, and an entire run — estimates,
-// violations, syncs, message counts — is bitwise identical to a flat run
-// over the same stream (asserted by the sim differential suite). ModeAbsorb
-// additionally runs the same Machine at every leaf to absorb safe-zone
-// violations inside the partition via local lazy-sync balancing; absorption
-// preserves the partition-local slack sum, so Σᵢ sᵢ = 0 still holds globally
-// and the run stays ε-correct (asserted by the oracle tree replay), though
-// its balancing choices — and therefore its exact message trace — differ
-// from the flat LRU's.
+// In process, a full sync folds every leaf's partition straight into the
+// root machine's exact per-dimension accumulators (linalg.Acc). Exact sums
+// do not depend on the fold order, so a tree of any depth and fan-out
+// reproduces the flat coordinator's reference point x̄ bit-for-bit. In
+// ModeRoute every protocol decision is made by the root machine, and an
+// entire run — estimates, violations, syncs, message counts — is bitwise
+// identical to a flat run over the same stream (asserted by the sim
+// differential suite). ModeAbsorb additionally runs the same Machine at
+// every leaf to absorb safe-zone violations inside the partition via local
+// lazy-sync balancing; absorption preserves the partition-local slack sum,
+// so Σᵢ sᵢ = 0 still holds globally and the run stays ε-correct (asserted by
+// the oracle tree replay), though its balancing choices — and therefore its
+// exact message trace — differ from the flat LRU's.
 package shard
 
 import (
@@ -78,10 +79,9 @@ type Tree struct {
 	*core.Machine
 	mode Mode
 
-	topo   treeNode
 	leaves []*leaf // by shard ID (leaf shard IDs are 0..len(leaves)-1)
 	leafOf []*leaf // by global node ID
-	byID   map[int]treeNode
+	spans  []span  // by shard ID: the leaves, then the interior tiers bottom-up
 
 	depth  int
 	fanout int
@@ -89,6 +89,9 @@ type Tree struct {
 
 	obs treeObs
 }
+
+// span is the contiguous global node range [lo, hi) one shard's subtree owns.
+type span struct{ lo, hi int }
 
 // NewTree builds the shard tree and its root machine for n nodes over f.
 // The comm fabric is shared by every leaf: node-facing traffic (data pulls,
@@ -115,7 +118,6 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 	t := &Tree{
 		mode:   opt.Mode,
 		fanout: fanout,
-		byID:   make(map[int]treeNode),
 		obs:    newTreeObs(cfg.Metrics, cfg.MetricsLabels),
 	}
 	rootCfg := cfg
@@ -127,49 +129,39 @@ func NewTree(f *core.Function, n int, cfg core.Config, comm core.NodeComm, opt O
 	t.Machine = core.NewMachine(f, n, rootCfg, &treeOwner{t: t})
 
 	// Leaves own contiguous, balanced partitions in global node order, so a
-	// depth-first collect visits nodes exactly as a flat gather would.
+	// gather in leaf order visits nodes exactly as a flat gather would.
 	absorbing := opt.Mode == ModeAbsorb && !cfg.DisableLazySync && !cfg.DisableSlack
 	t.leaves = make([]*leaf, shards)
 	t.leafOf = make([]*leaf, n)
 	for s := 0; s < shards; s++ {
 		lo := s * n / shards
 		hi := (s + 1) * n / shards
-		lf := &leaf{Partition: core.NewPartition(f.Dim(), lo, hi, comm), t: t, id: s}
+		lf := &leaf{Partition: core.NewPartition(f.Dim(), lo, hi, comm), t: t}
 		lf.Bind(t.Machine)
 		if absorbing {
 			lf.enableAbsorb(cfg)
 		}
 		t.leaves[s] = lf
-		t.byID[s] = lf
+		t.spans = append(t.spans, span{lo, hi})
 		for g := lo; g < hi; g++ {
 			t.leafOf[g] = lf
 		}
 	}
 
 	// Stack interior tiers bottom-up until one shard remains under the root
-	// machine; shard IDs continue past the leaves.
-	level := make([]treeNode, shards)
-	for i, lf := range t.leaves {
-		level[i] = lf
-	}
-	nextID := shards
+	// machine; shard IDs continue past the leaves. An interior shard owns
+	// the union of its children's ranges, which is again contiguous.
+	level := t.spans
 	t.depth = 1
 	for len(level) > 1 {
-		var up []treeNode
+		first := len(t.spans)
 		for lo := 0; lo < len(level); lo += fanout {
-			hi := lo + fanout
-			if hi > len(level) {
-				hi = len(level)
-			}
-			b := &branch{t: t, id: nextID, children: append([]treeNode(nil), level[lo:hi]...)}
-			t.byID[nextID] = b
-			nextID++
-			up = append(up, b)
+			hi := min(lo+fanout, len(level))
+			t.spans = append(t.spans, span{level[lo].lo, level[hi-1].hi})
 		}
-		level = up
+		level = t.spans[first:]
 		t.depth++
 	}
-	t.topo = level[0]
 
 	t.obs.leaves.Set(float64(shards))
 	t.obs.depth.Set(float64(t.depth))
@@ -200,11 +192,15 @@ func (t *Tree) HandleViolation(v *core.Violation) error {
 // Subtree returns the global node IDs owned by shard shardID's subtree (a
 // leaf's partition, or the union of an interior shard's leaves), ascending.
 func (t *Tree) Subtree(shardID int) ([]int, error) {
-	nd, ok := t.byID[shardID]
-	if !ok {
+	if shardID < 0 || shardID >= len(t.spans) {
 		return nil, fmt.Errorf("shard: unknown shard %d", shardID)
 	}
-	return nd.nodeIDs(), nil
+	sp := t.spans[shardID]
+	ids := make([]int, 0, sp.hi-sp.lo)
+	for g := sp.lo; g < sp.hi; g++ {
+		ids = append(ids, g)
+	}
+	return ids, nil
 }
 
 // HandleSubtreeRejoinMsg applies a decoded wire-form SubtreeRejoin: the
@@ -235,31 +231,20 @@ func (t *Tree) HandleSubtreeRejoinMsg(m *core.SubtreeRejoin) error {
 	return t.HandleRejoin(ids, m.Xs)
 }
 
-// AcceptPartial validates a partial-aggregate frame against the current
-// epoch and the sender's maximum plausible weight (its subtree size).
-// Rejected frames are counted by reason and contribute nothing — a count lie
-// or a stale epoch cannot skew the reference point. The transport tier calls
-// this for frames arriving off the wire; the in-process tiers run the same
-// check on every merge.
+// AcceptPartial validates a partial-aggregate frame arriving off the wire
+// against the current epoch and the sender's maximum plausible weight (its
+// subtree size). Rejected frames are counted by reason and contribute
+// nothing: a frame naming a shard the tree does not have, a count lie or a
+// stale epoch cannot skew the reference point.
 func (t *Tree) AcceptPartial(p *core.Partial) bool {
-	maxW := t.N
-	if p != nil {
-		if nd, ok := t.byID[p.ShardID]; ok {
-			maxW = nd.maxWeight()
-		}
-	}
-	return t.acceptPartial(p, maxW)
-}
-
-func (t *Tree) acceptPartial(p *core.Partial, maxWeight int) bool {
 	switch {
-	case p == nil || len(p.Accs) != t.F.Dim():
+	case p == nil || len(p.Accs) != t.F.Dim() || p.ShardID < 0 || p.ShardID >= len(t.spans):
 		t.obs.rejectedCorrupt.Inc()
 		return false
 	case p.Epoch != t.epoch:
 		t.obs.rejectedStale.Inc()
 		return false
-	case p.Weight < 0 || p.Weight > maxWeight:
+	case p.Weight < 0 || p.Weight > t.spans[p.ShardID].hi-t.spans[p.ShardID].lo:
 		t.obs.rejectedWeight.Inc()
 		return false
 	}
@@ -267,10 +252,11 @@ func (t *Tree) acceptPartial(p *core.Partial, maxWeight int) bool {
 }
 
 // treeOwner adapts the shard tree to core.Ownership: the root machine's data
-// plane is a router over the leaves' partitions. Single-node operations go
-// straight to the owning leaf; collective operations (Collect, Distribute)
-// recurse the topology so partial aggregates are built and merged tier by
-// tier.
+// plane is the leaves' partitions. Single-node operations go straight to the
+// owning leaf; the collective ones (Collect, Distribute) run each leaf's in
+// leaf order, which is ascending global node order, so the fabric sees the
+// flat coordinator's message sequence and the machine's accumulators hold
+// the flat coordinator's sums.
 type treeOwner struct{ t *Tree }
 
 func (o *treeOwner) Store(id int, x []float64) { o.t.leafOf[id].Store(id, x) }
@@ -286,17 +272,24 @@ func (o *treeOwner) Rebalance(set []int, mean []float64) {
 }
 
 func (o *treeOwner) Collect(fresh *core.Marks, accs []linalg.Acc) int {
-	p := o.t.topo.collect(fresh)
-	if !o.t.acceptPartial(p, o.t.N) {
-		return 0
+	weight := 0
+	for _, lf := range o.t.leaves {
+		weight += lf.Collect(fresh, accs)
 	}
-	linalg.MergeVec(accs, p.Accs)
-	return p.Weight
+	return weight
 }
 
+// Distribute opens a new epoch and applies the full sync leaf by leaf; in
+// ModeAbsorb each leaf machine adopts the new zone so its next absorption
+// checks the fresh constraints.
 func (o *treeOwner) Distribute(tmpl *core.Sync, zone *core.SafeZone) {
 	o.t.epoch++
-	o.t.topo.distribute(tmpl, zone)
+	for _, lf := range o.t.leaves {
+		lf.Distribute(tmpl, zone)
+		if lf.absorb != nil {
+			lf.absorb.AdoptZone(zone)
+		}
+	}
 }
 
 func (o *treeOwner) Forget(id int) { o.t.leafOf[id].Forget(id) }

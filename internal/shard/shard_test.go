@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"automon/internal/core"
@@ -11,6 +12,7 @@ import (
 	"automon/internal/linalg"
 	"automon/internal/obs"
 	"automon/internal/shard"
+	"automon/internal/testenv"
 )
 
 func newCluster(t *testing.T, f *core.Function, n int, gen func(i int) []float64) ([]*core.Node, *core.Fabric) {
@@ -183,6 +185,7 @@ func TestAcceptPartialValidation(t *testing.T) {
 		{"future-epoch", func(p *core.Partial) { p.Epoch += 3 }, "stale_epoch"},
 		{"count-lie", func(p *core.Partial) { p.Weight = 3 }, "weight"}, // leaf 0 owns 2 nodes
 		{"negative-weight", func(p *core.Partial) { p.Weight = -1 }, "weight"},
+		{"unknown-shard", func(p *core.Partial) { p.ShardID, p.Weight = 999, 8 }, "corrupt"},
 	}
 	for _, tc := range cases {
 		p := good()
@@ -196,6 +199,55 @@ func TestAcceptPartialValidation(t *testing.T) {
 		if after != before+1 {
 			t.Errorf("%s: rejection not counted under reason=%q (%v -> %v)", tc.name, tc.reason, before, after)
 		}
+	}
+}
+
+// TestTreeResyncAllocatesLikeFlat requires a full sync through a 64-leaf,
+// fan-out-8 tree to allocate exactly what the flat coordinator's does over
+// the same 1024 nodes: the tree's gather folds its leaves into the root
+// machine's own accumulators, so its tiers cost no per-sync objects.
+func TestTreeResyncAllocatesLikeFlat(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	const n, d = 1024, 8
+	f := funcs.SqNorm(d)
+	gen := func(i int) []float64 {
+		x := make([]float64, d)
+		for j := range x {
+			x[j] = 0.1 * math.Sin(float64(i*d+j))
+		}
+		return x
+	}
+	resyncAllocs := func(mon interface {
+		Init() error
+		Resync() error
+	}) float64 {
+		if err := mon.Init(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := mon.Resync(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	cfg := core.Config{Epsilon: 0.5}
+	// A collection empties the evaluators' sync.Pool, and the refill would
+	// count against whichever run it lands in.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	_, flatComm := newCluster(t, f, n, gen)
+	flat := resyncAllocs(core.NewCoordinator(f, n, cfg, flatComm))
+
+	_, treeComm := newCluster(t, f, n, gen)
+	tr, err := shard.NewTree(f, n, cfg, treeComm, shard.Options{Shards: 64, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := resyncAllocs(tr)
+	if tree != flat {
+		t.Fatalf("a tree Resync allocates %.0f objects, the flat coordinator's %.0f", tree, flat)
 	}
 }
 
