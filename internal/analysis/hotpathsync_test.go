@@ -27,8 +27,7 @@ var hotpathManifest = map[string]bool{
 	"autodiff.Graph.Grad":           true,
 	"autodiff.Graph.Hessian":        true,
 	"interval.Evaluator.hvpBasis":   true,
-	"interval.ivalDualForward":      true,
-	"interval.ivalDualPartials":     true,
+	"interval.ivalOp":               true,
 	"interval.Interval.Add":         true,
 	"interval.Interval.Sub":         true,
 	"interval.Interval.Neg":         true,

@@ -56,17 +56,26 @@ func (g *Graph) Value(x []float64) float64 {
 	valBuf := g.pool.get()
 	defer g.pool.put(valBuf)
 	val := *valBuf
-	g.forward(x, val)
+	bind(val, g.vars, x)
+	forward(g.nodes, val)
 	return val[g.out]
 }
 
-func (g *Graph) forward(x, val []float64) {
-	for i, n := range g.nodes {
+// bind stores x into val's entries for the variable nodes vars.
+func bind(val []float64, vars []Ref, x []float64) {
+	for i, r := range vars {
+		val[r] = x[i]
+	}
+}
+
+// forward evaluates nodes into val, whose variable entries the caller has
+// bound.
+func forward(nodes []node, val []float64) {
+	for i, n := range nodes {
 		switch n.op {
 		case OpConst:
 			val[i] = n.k
 		case OpVar:
-			val[i] = x[int(n.k)]
 		case OpAdd:
 			val[i] = val[n.a] + val[n.b]
 		case OpSub:
@@ -201,14 +210,25 @@ func (g *Graph) Grad(x, grad []float64) float64 {
 	defer g.pool.put(valBuf)
 	defer g.pool.put(adjBuf)
 	val, adj := *valBuf, *adjBuf
-	g.forward(x, val)
+	bind(val, g.vars, x)
+	forward(g.nodes, val)
 	adj[g.out] = 1
-	for i := len(g.nodes) - 1; i >= 0; i-- {
+	sweep(g.nodes, val, adj)
+	for i, vr := range g.vars {
+		grad[i] = adj[vr]
+	}
+	return val[g.out]
+}
+
+// sweep is the reverse pass: given the forward values val and the seeded
+// output adjoints in adj, it accumulates every node's adjoint into adj.
+func sweep(nodes []node, val, adj []float64) {
+	for i := len(nodes) - 1; i >= 0; i-- {
 		a := adj[i]
 		if a == 0 {
 			continue
 		}
-		n := &g.nodes[i]
+		n := &nodes[i]
 		switch n.op {
 		case OpConst, OpVar:
 			continue
@@ -223,229 +243,85 @@ func (g *Graph) Grad(x, grad []float64) float64 {
 			adj[n.b] += a * pb
 		}
 	}
-	for i, vr := range g.vars {
-		grad[i] = adj[vr]
-	}
-	return val[g.out]
 }
 
-// HVP stores H(x)·v into out, where H is the Hessian of f. It uses
-// forward-over-reverse: a forward pass with tangents seeded by v, then a
-// reverse pass propagating both adjoints and their tangents. out must have
-// length Dim and must not alias v.
+// bind stores x and v (zero when v is nil) into val's variable entries.
+func (p *program) bind(val, x, v []float64) {
+	bind(val, p.x, x)
+	for i, r := range p.v {
+		val[r] = 0
+		if v != nil {
+			val[r] = v[i]
+		}
+	}
+}
+
+// HVP stores H(x)·v into out, where H is the Hessian of f: one forward pass
+// over P(x, v) = H(x)·v. out must have length Dim.
 func (g *Graph) HVP(x, v, out []float64) {
 	g.checkDim(x)
 	if len(v) != len(g.vars) || len(out) != len(g.vars) {
 		panic("autodiff: HVP buffer has wrong length")
 	}
-	valBuf, tanBuf := g.pool.get(), g.pool.get()
-	adjBuf, adjTBuf := g.pool.getZeroed(), g.pool.getZeroed()
-	defer g.pool.put(valBuf)
-	defer g.pool.put(tanBuf)
-	defer g.pool.put(adjBuf)
-	defer g.pool.put(adjTBuf)
-	val, tan := *valBuf, *tanBuf
-	adj, adjT := *adjBuf, *adjTBuf
-
-	// Forward pass with tangents.
-	for i, n := range g.nodes {
-		switch n.op {
-		case OpConst:
-			val[i], tan[i] = n.k, 0
-		case OpVar:
-			val[i], tan[i] = x[int(n.k)], v[int(n.k)]
-		default:
-			var vb, tb float64
-			if n.b >= 0 {
-				vb, tb = val[n.b], tan[n.b]
-			}
-			val[i], tan[i] = n.dualForward(val[n.a], tan[n.a], vb, tb)
-		}
-	}
-
-	// Reverse pass with dual adjoints: for child c of node n,
-	//   adj[c]  += adj[n]·p     and   adjT[c] += adjT[n]·p + adj[n]·ṗ
-	// where (p, ṗ) is the local partial and its directional derivative.
-	adj[g.out] = 1
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		a, at := adj[i], adjT[i]
-		if a == 0 && at == 0 {
-			continue
-		}
-		n := &g.nodes[i]
-		switch n.op {
-		case OpConst, OpVar:
-			continue
-		}
-		var vb, tb float64
-		if n.b >= 0 {
-			vb, tb = val[n.b], tan[n.b]
-		}
-		pa, dpa, pb, dpb := n.dualPartials(val[n.a], tan[n.a], vb, tb, val[i], tan[i])
-		adj[n.a] += a * pa
-		adjT[n.a] += at*pa + a*dpa
-		if n.b >= 0 {
-			adj[n.b] += a * pb
-			adjT[n.b] += at*pb + a*dpb
-		}
-	}
-	for i, vr := range g.vars {
-		out[i] = adjT[vr]
+	p := g.hvpProgram()
+	valBuf := p.pool.get()
+	defer p.pool.put(valBuf)
+	val := *valBuf
+	p.bind(val, x, v)
+	forward(p.nodes, val)
+	for i, o := range p.outs {
+		out[i] = val[o]
 	}
 }
 
-// dualForward computes the node value and its tangent given dual inputs.
-func (n *node) dualForward(va, ta, vb, tb float64) (v, t float64) {
-	switch n.op {
-	case OpAdd:
-		return va + vb, ta + tb
-	case OpSub:
-		return va - vb, ta - tb
-	case OpMul:
-		return va * vb, ta*vb + va*tb
-	case OpDiv:
-		v = va / vb
-		return v, (ta - v*tb) / vb
-	case OpNeg:
-		return -va, -ta
-	case OpTanh:
-		v = math.Tanh(va)
-		return v, (1 - v*v) * ta
-	case OpRelu:
-		if va > 0 {
-			return va, ta
-		}
-		return 0, 0
-	case OpStep:
-		if va > 0 {
-			return 1, 0
-		}
-		return 0, 0
-	case OpSigmoid:
-		v = 1 / (1 + math.Exp(-va))
-		return v, v * (1 - v) * ta
-	case OpExp:
-		v = math.Exp(va)
-		return v, v * ta
-	case OpLog:
-		return math.Log(va), ta / va
-	case OpSin:
-		return math.Sin(va), math.Cos(va) * ta
-	case OpCos:
-		return math.Cos(va), -math.Sin(va) * ta
-	case OpSqrt:
-		v = math.Sqrt(va)
-		return v, ta / (2 * v)
-	case OpSquare:
-		return va * va, 2 * va * ta
-	case OpPowi:
-		return powi(va, int(n.k)), n.k * powi(va, int(n.k)-1) * ta
-	case OpAbs:
-		switch {
-		case va > 0:
-			return va, ta
-		case va < 0:
-			return -va, -ta
-		}
-		return 0, 0
-	case OpSign:
-		switch {
-		case va > 0:
-			return 1, 0
-		case va < 0:
-			return -1, 0
-		}
-		return 0, 0
-	}
-	panic("autodiff: unknown op in dualForward: " + n.op.String())
-}
-
-// dualPartials returns the local partials (pa, pb) and their directional
-// derivatives (dpa, dpb) along the forward tangents.
-func (n *node) dualPartials(va, ta, vb, tb, vn, tn float64) (pa, dpa, pb, dpb float64) {
-	switch n.op {
-	case OpAdd:
-		return 1, 0, 1, 0
-	case OpSub:
-		return 1, 0, -1, 0
-	case OpMul:
-		return vb, tb, va, ta
-	case OpDiv:
-		pa = 1 / vb
-		dpa = -tb / (vb * vb)
-		pb = -va / (vb * vb)
-		dpb = (-ta*vb + 2*va*tb) / (vb * vb * vb)
-		return pa, dpa, pb, dpb
-	case OpNeg:
-		return -1, 0, 0, 0
-	case OpTanh:
-		pa = 1 - vn*vn
-		return pa, -2 * vn * tn, 0, 0
-	case OpRelu:
-		if va > 0 {
-			return 1, 0, 0, 0
-		}
-		return 0, 0, 0, 0
-	case OpStep, OpSign:
-		return 0, 0, 0, 0
-	case OpSigmoid:
-		pa = vn * (1 - vn)
-		return pa, tn * (1 - 2*vn), 0, 0
-	case OpExp:
-		return vn, tn, 0, 0
-	case OpLog:
-		return 1 / va, -ta / (va * va), 0, 0
-	case OpSin:
-		return math.Cos(va), -math.Sin(va) * ta, 0, 0
-	case OpCos:
-		return -math.Sin(va), -math.Cos(va) * ta, 0, 0
-	case OpSqrt:
-		pa = 0.5 / vn
-		return pa, -0.5 * tn / (vn * vn), 0, 0
-	case OpSquare:
-		return 2 * va, 2 * ta, 0, 0
-	case OpPowi:
-		k := n.k
-		pa = k * powi(va, int(n.k)-1)
-		dpa = k * (k - 1) * powi(va, int(n.k)-2) * ta
-		return pa, dpa, 0, 0
-	case OpAbs:
-		switch {
-		case va > 0:
-			return 1, 0, 0, 0
-		case va < 0:
-			return -1, 0, 0, 0
-		}
-		return 0, 0, 0, 0
-	}
-	panic("autodiff: unknown op in dualPartials: " + n.op.String())
-}
-
-// Hessian evaluates the full d×d Hessian of f at x into h via d
-// Hessian-vector products, then symmetrizes to wash out round-off.
+// Hessian evaluates the full d×d Hessian of f at x into h, column j by one
+// forward pass over P(x, e_j), then symmetrizes to wash out round-off.
 //
 //automon:hotpath
 func (g *Graph) Hessian(x []float64, h *linalg.Mat) {
+	g.checkDim(x)
 	d := len(g.vars)
 	if h.Rows != d || h.Cols != d {
 		panic("autodiff: Hessian matrix has wrong shape")
 	}
-	vBuf, colBuf := g.pool.get(), g.pool.get()
-	defer g.pool.put(vBuf)
-	defer g.pool.put(colBuf)
-	// Pool buffers are node-count sized (≥ d); use d-length prefixes. v must
-	// start zeroed — the loop below keeps exactly one basis entry set.
-	v, col := (*vBuf)[:d], (*colBuf)[:d]
-	for i := range v {
-		v[i] = 0
-	}
-	for j := 0; j < d; j++ {
-		v[j] = 1
-		g.HVP(x, v, col)
-		v[j] = 0
-		for i := 0; i < d; i++ {
-			h.Set(i, j, col[i])
+	p := g.hvpProgram()
+	valBuf := p.pool.get()
+	defer p.pool.put(valBuf)
+	val := *valBuf
+	p.bind(val, x, nil)
+	for j, r := range p.v {
+		val[r] = 1
+		forward(p.nodes, val)
+		for i, o := range p.outs {
+			h.Set(i, j, val[o])
 		}
+		val[r] = 0
 	}
 	h.Symmetrize()
+}
+
+// EigGrad stores into out the gradient ∇ₓ(vᵀH(x)v) for a fixed v: one
+// forward pass over P(x, v) and one reverse sweep seeded with v at P's
+// outputs. By the Hellmann–Feynman theorem this is the gradient of the
+// eigenvalue λ(x) whenever v is its (simple) unit eigenvector at x. out must
+// have length Dim.
+func (g *Graph) EigGrad(x, v, out []float64) {
+	g.checkDim(x)
+	if len(v) != len(g.vars) || len(out) != len(g.vars) {
+		panic("autodiff: EigGrad buffer has wrong length")
+	}
+	p := g.hvpProgram()
+	valBuf, adjBuf := p.pool.get(), p.pool.getZeroed()
+	defer p.pool.put(valBuf)
+	defer p.pool.put(adjBuf)
+	val, adj := *valBuf, *adjBuf
+	p.bind(val, x, v)
+	forward(p.nodes, val)
+	for i, o := range p.outs {
+		adj[o] += v[i]
+	}
+	sweep(p.nodes, val, adj)
+	for i, r := range p.x {
+		out[i] = adj[r]
+	}
 }

@@ -285,55 +285,134 @@ func TestHessianKnownQuadratic(t *testing.T) {
 	}
 }
 
-func TestTangentComputesDirectionalDerivative(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, fn := range testFns() {
-		g := Compile(fn.dim, fn.program)
-		tg := g.Tangent()
-		if tg.Dim() != 2*fn.dim {
-			t.Fatalf("%s: tangent graph dim = %d, want %d", fn.name, tg.Dim(), 2*fn.dim)
-		}
-		grad := make([]float64, fn.dim)
-		for trial := 0; trial < 5; trial++ {
-			x := samplePoint(rng, fn)
-			v := make([]float64, fn.dim)
-			for i := range v {
-				v[i] = rng.NormFloat64()
-			}
-			g.Grad(x, grad)
-			want := 0.0
-			for i := range grad {
-				want += grad[i] * v[i]
-			}
-			xv := append(append([]float64(nil), x...), v...)
-			got := tg.Value(xv)
-			if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
-				t.Fatalf("%s: tangent = %v, want %v", fn.name, got, want)
-			}
-		}
+// oneOpFns covers each of the 18 non-leaf ops alone, at points inside its
+// domain.
+func oneOpFns() []testFn {
+	unary := func(name string, lo, hi float64, op func(*Builder, Ref) Ref) testFn {
+		return testFn{name: name, dim: 1, lo: lo, hi: hi,
+			program: func(b *Builder, x []Ref) Ref { return op(b, x[0]) }}
+	}
+	binary := func(name string, op func(*Builder, Ref, Ref) Ref) testFn {
+		return testFn{name: name, dim: 2, lo: 0.3, hi: 2,
+			program: func(b *Builder, x []Ref) Ref { return op(b, x[0], x[1]) }}
+	}
+	return []testFn{
+		binary("add", (*Builder).Add),
+		binary("sub", (*Builder).Sub),
+		binary("mul", (*Builder).Mul),
+		binary("div", (*Builder).Div),
+		unary("neg", -2, 2, (*Builder).Neg),
+		unary("tanh", -2, 2, (*Builder).Tanh),
+		unary("relu", -2, 2, (*Builder).Relu),
+		unary("step", -2, 2, (*Builder).Step),
+		unary("sigmoid", -3, 3, (*Builder).Sigmoid),
+		unary("exp", -2, 2, (*Builder).Exp),
+		unary("log", 0.1, 3, (*Builder).Log),
+		unary("sin", -3, 3, (*Builder).Sin),
+		unary("cos", -3, 3, (*Builder).Cos),
+		unary("sqrt", 0.1, 3, (*Builder).Sqrt),
+		unary("square", -2, 2, (*Builder).Square),
+		unary("powi", 0.2, 2, func(b *Builder, x Ref) Ref { return b.Powi(x, -3) }),
+		unary("abs", -2, 2, (*Builder).Abs),
+		unary("sign", -2, 2, (*Builder).Sign),
 	}
 }
 
-func TestTangentHVPGivesThirdOrder(t *testing.T) {
-	// For f = x³ (d=1): s(x,v) = 3x²v; ∇ₓs = 6xv. HVP of tangent graph with
-	// direction (w, 0): Hess_{(x,v)}(s)·(w,0) picks out ∂²s/∂x² ·w = 6vw and
-	// ∂²s/∂v∂x·w = 6xw... verify first component = 6·x·v-free... Construct
-	// concretely and compare against analytic values.
-	g := Compile(1, func(b *Builder, x []Ref) Ref { return b.Powi(x[0], 3) })
-	tg := g.Tangent()
-	x, v, w := 1.5, 2.0, 1.0
-	in := []float64{x, v}
-	dir := []float64{w, 0}
-	out := make([]float64, 2)
-	tg.HVP(in, dir, out)
-	// s(x,v)=3x²v; ∂²s/∂x² = 6xv → out[0] = 6xv·w; ∂²s/∂v∂x = 6x·... = 6x·w·... wait:
-	// Hessian of s wrt (x,v): [[6xv, 3x²·2/ x... ]] compute: s_x=6xv? No: s_x = 6x·v? s=3x²v, s_x=6xv, s_xx=6v, s_xv=6x, s_vv=0.
-	// H·(w,0) = (s_xx·w, s_xv·w) = (6v·w, 6x·w).
-	if math.Abs(out[0]-6*v*w) > 1e-9 {
-		t.Fatalf("third-order x-component = %v, want %v", out[0], 6*v*w)
+// gradScale returns, per variable, Σ|ā·∂|: the magnitude of the terms
+// Grad's sweep adds up, which sets the scale of its rounding error. Where
+// they cancel (KLD's log(p/q) + 1 near p/q = 1/e), the gradient is far
+// smaller than its terms, and two correctly rounded evaluations in another
+// operation order differ by ulps of the terms, not of the result.
+func gradScale(g *Graph, x []float64) []float64 {
+	val := make([]float64, len(g.nodes))
+	adj := make([]float64, len(g.nodes))
+	bind(val, g.vars, x)
+	forward(g.nodes, val)
+	adj[g.out] = 1
+	for i := len(g.nodes) - 1; i >= 0; i-- {
+		n := &g.nodes[i]
+		if n.op == OpConst || n.op == OpVar {
+			continue
+		}
+		var vb float64
+		if n.b >= 0 {
+			vb = val[n.b]
+		}
+		pa, pb := n.partials(val[n.a], vb, val[i])
+		adj[n.a] += math.Abs(adj[i] * pa)
+		if n.b >= 0 {
+			adj[n.b] += math.Abs(adj[i] * pb)
+		}
 	}
-	if math.Abs(out[1]-6*x*w) > 1e-9 {
-		t.Fatalf("third-order v-component = %v, want %v", out[1], 6*x*w)
+	scale := make([]float64, len(g.vars))
+	for i, r := range g.vars {
+		scale[i] = adj[r]
+	}
+	return scale
+}
+
+// TestAdjointMatchesGrad evaluates the reverse-mode transform's gradient
+// program and compares it with Grad: partials and adjoint are the only two
+// copies of the vjp rules, and nothing else checks one against the other.
+// The two may group operands differently (adjoint writes ā/x where partials
+// has ā·(1/x)), so they must agree within 4 ulps of the gradient's terms.
+func TestAdjointMatchesGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var entries, equal int
+	worst, worstUlps := 0.0, 0.0
+	for _, fn := range append(testFns(), oneOpFns()...) {
+		g := Compile(fn.dim, fn.program)
+		b := NewBuilder(fn.dim)
+		p := prune(b.nodes, b.vars, adjoint(b, g.nodes, g.out, b.Vars(), b.Const(1)))
+		val := make([]float64, len(p.nodes))
+		want := make([]float64, fn.dim)
+		for trial := 0; trial < 20; trial++ {
+			x := samplePoint(rng, fn)
+			g.Grad(x, want)
+			scale := gradScale(g, x)
+			bind(val, p.x, x)
+			forward(p.nodes, val)
+			for i, o := range p.outs {
+				got, ulp := val[o], math.Nextafter(scale[i], math.Inf(1))-scale[i]
+				if diff := math.Abs(got - want[i]); diff > 4*ulp {
+					t.Fatalf("%s: adjoint grad[%d] = %v, Grad %v: %.1f ulps of the terms' magnitude %v (x=%v)",
+						fn.name, i, got, want[i], diff/ulp, scale[i], x)
+				} else if diff > 0 {
+					worst = math.Max(worst, diff/math.Abs(want[i]))
+					worstUlps = math.Max(worstUlps, diff/ulp)
+				}
+				entries++
+				if got == want[i] {
+					equal++
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d entries bit-equal; worst difference %.2g relative, %.1f ulps of the terms", equal, entries, worst, worstUlps)
+}
+
+// TestEigGradGivesThirdOrder checks ∇ₓ(vᵀH(x)v) against closed forms.
+func TestEigGradGivesThirdOrder(t *testing.T) {
+	cube := Compile(1, func(b *Builder, x []Ref) Ref { return b.Powi(x[0], 3) })
+	// H = 6x, so ∇ₓ(vᵀHv) = 6v².
+	got := make([]float64, 1)
+	cube.EigGrad([]float64{1.5}, []float64{2}, got)
+	if want := 6 * 2.0 * 2.0; math.Abs(got[0]-want) > 1e-12 {
+		t.Fatalf("x³: EigGrad = %v, want %v", got[0], want)
+	}
+
+	mixed := Compile(2, func(b *Builder, x []Ref) Ref {
+		return b.Add(b.Mul(b.Square(x[0]), x[1]), b.Powi(x[1], 3))
+	})
+	// H = [[2x₁, 2x₀], [2x₀, 6x₁]], so vᵀHv = 2x₁v₀² + 4x₀v₀v₁ + 6x₁v₁².
+	got = make([]float64, 2)
+	x, v := []float64{0.7, -1.2}, []float64{0.6, -0.8}
+	mixed.EigGrad(x, v, got)
+	want := []float64{4 * v[0] * v[1], 2*v[0]*v[0] + 6*v[1]*v[1]}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Fatalf("x₀²x₁ + x₁³: EigGrad[%d] = %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -5,11 +5,17 @@
 //
 //   - Value:    forward evaluation, O(|graph|)
 //   - Grad:     reverse-mode gradient, O(|graph|)
-//   - HVP:      Hessian-vector product via forward-over-reverse, O(|graph|)
-//   - Hessian:  d HVPs against the basis vectors, O(d·|graph|)
-//   - Tangent:  graph-level forward-mode transform producing the program for
-//     s(x, v) = ∇f(x)ᵀv, which composes with HVP to give third-order
-//     directional derivatives such as ∇ₓ(vᵀH(x)v)
+//   - HVP:      Hessian-vector product, one forward pass over the program
+//     P(x, v) = ∇ₓ⟨∇f(x), v⟩ = H(x)·v
+//   - Hessian:  d passes of P against the basis vectors
+//   - EigGrad:  ∇ₓ(vᵀH(x)v), one reverse sweep over P
+//
+// As in JAX, derivatives are program transforms: adjoint (adjoint.go) turns
+// a program into the program of its gradient, and P is that transform
+// applied twice, built once per graph on first use. Every evaluator, the
+// float64 one here and internal/interval's, interprets primal ops only, so
+// the per-op derivative rules live in two places: partials (numbers, for
+// Grad) and adjoint (graphs).
 //
 // The graph also carries a polynomial-degree analysis (degree.go) used to
 // detect constant Hessians, mirroring AutoMon's inspection of the Hessian
@@ -21,6 +27,7 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Op identifies a node's operation.
@@ -84,6 +91,9 @@ type Graph struct {
 	pool  bufferPool
 
 	blocks [][]int // HessianBlocks, fixed at Finish
+
+	hvpOnce sync.Once
+	hvp     *program // P(x, v) = H(x)·v, built on first use
 }
 
 // Program builds a scalar expression from the variable nodes x. It is the

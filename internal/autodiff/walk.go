@@ -1,13 +1,12 @@
 package autodiff
 
-// Read-only structural access to a compiled graph, for external evaluators
-// that re-interpret the program under a different arithmetic (e.g.
-// internal/interval's certified Hessian enclosures). The node order exposed
-// here is the topological storage order every evaluation pass in this
-// package uses, so an external pass that mirrors forward/adjoint loops over
-// NodeSpecs computes bit-identical results at degenerate inputs.
+// Read-only access to a graph's Hessian-vector product program P(x, v) =
+// H(x)·v, for evaluators that interpret it under another arithmetic (e.g.
+// internal/interval's certified Hessian enclosures). P holds primal ops
+// only, so such an evaluator needs one case per op and no derivative rule,
+// and where its arithmetic agrees with float64 it reproduces HVP bit for bit.
 
-// NodeSpec is a read-only view of one graph node. A and B are child node
+// NodeSpec is a read-only view of one program node. A and B are child node
 // indices into the topological order, or -1 when the slot is unused (unary
 // ops, constants, variables). K carries the constant value (OpConst), the
 // variable index (OpVar), or the integer exponent (OpPowi).
@@ -17,17 +16,19 @@ type NodeSpec struct {
 	K    float64
 }
 
-// AppendNodeSpecs appends one NodeSpec per node in topological order and
-// returns the extended slice.
-func (g *Graph) AppendNodeSpecs(dst []NodeSpec) []NodeSpec {
-	for _, n := range g.nodes {
-		dst = append(dst, NodeSpec{Op: n.op, A: int32(n.a), B: int32(n.b), K: n.k})
+// HVPProgram returns P, the program HVP, Hessian and EigGrad evaluate,
+// building it on first use: its nodes in topological order and the node
+// indices of its Dim outputs, H(x)·v. P's variables 0…Dim−1 are x and
+// Dim…2·Dim−1 are v.
+func (g *Graph) HVPProgram() (specs []NodeSpec, outs []int) {
+	p := g.hvpProgram()
+	specs = make([]NodeSpec, len(p.nodes))
+	for i, n := range p.nodes {
+		specs[i] = NodeSpec{Op: n.op, A: int32(n.a), B: int32(n.b), K: n.k}
 	}
-	return dst
+	outs = make([]int, len(p.outs))
+	for i, o := range p.outs {
+		outs[i] = int(o)
+	}
+	return specs, outs
 }
-
-// OutputIndex returns the node index holding the graph's output.
-func (g *Graph) OutputIndex() int { return int(g.out) }
-
-// VarNodeIndex returns the node index holding variable i.
-func (g *Graph) VarNodeIndex(i int) int { return int(g.vars[i]) }

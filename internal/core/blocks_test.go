@@ -246,7 +246,9 @@ func TestExtremeEigsAtAllocs(t *testing.T) {
 }
 
 // BenchmarkExtremeEigsAt times the eigensolve ADCD-X's search runs at every
-// probe: KLD d = 100 (50 blocks of 2) and a one-block MLP-40.
+// probe: KLD d = 100 (50 blocks of 2) and a one-block MLP-40. The eiggrad
+// cases time the search's gradient, EigGrad, along the probe's λmin
+// eigenvector.
 func BenchmarkExtremeEigsAt(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -256,13 +258,25 @@ func BenchmarkExtremeEigsAt(b *testing.B) {
 		{"kld-100", funcs.KLD(50, 1.0/1600), 0.01, 0.99},
 		{"mlp-40", mlp(b, 40), -2.5, 2.5},
 	} {
+		x := randomPoint(rand.New(rand.NewSource(1)), c.f.Dim(), c.lo, c.hi)
 		b.Run(c.name, func(b *testing.B) {
-			x := randomPoint(rand.New(rand.NewSource(1)), c.f.Dim(), c.lo, c.hi)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, _, _, err := c.f.ExtremeEigsAt(x); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run("eiggrad/"+c.name, func(b *testing.B) {
+			_, _, v, _, err := c.f.ExtremeEigsAt(x)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := make([]float64, c.f.Dim())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.f.EigGrad(x, v, g)
 			}
 		})
 	}

@@ -38,16 +38,9 @@ type Function struct {
 	// unbounded. Data and neighborhood boxes are intersected with D.
 	DomainLo, DomainHi []float64
 
-	tangentOnce sync.Once
-	tangent     *autodiff.Graph
-
 	intervalOnce sync.Once
 	intervalEval *interval.Evaluator
 
-	// eigScratch pools the 2d-length buffers used by EigGrad so repeated
-	// eigenvalue-gradient evaluations during decomposition allocate nothing.
-	// Stores *[]float64 to avoid interface boxing on Put.
-	eigScratch sync.Pool
 	// blockPool pools ExtremeEigsAt's *blockScratch, so an eigensolve
 	// allocates only the two eigenvectors it returns.
 	blockPool sync.Pool
@@ -147,13 +140,6 @@ func (f *Function) Hessian(x []float64, h *linalg.Mat) { f.Graph.Hessian(x, h) }
 // HasConstantHessian reports whether the computational graph proves the
 // Hessian independent of x, which enables ADCD-E.
 func (f *Function) HasConstantHessian() bool { return f.Graph.HasConstantHessian() }
-
-// tangentGraph lazily builds the forward-mode tangent program
-// s(x, v) = ∇f(x)ᵀv used for analytic eigenvalue gradients.
-func (f *Function) tangentGraph() *autodiff.Graph {
-	f.tangentOnce.Do(func() { f.tangent = f.Graph.Tangent() })
-	return f.tangent
-}
 
 // intervalEvaluator lazily compiles the interval re-interpretation of the
 // graph used by the certified eigen-engine (BackendInterval/BackendHybrid).
@@ -295,26 +281,6 @@ func (s *blockScratch) embed(blk []int, off, col int) []float64 {
 
 // EigGrad writes into out the gradient ∇ₓ(vᵀH(x)v) for a fixed unit vector
 // v. By the Hellmann–Feynman theorem this is the gradient of the eigenvalue
-// λ(x) whenever v is the (simple) eigenvector of λ at x. It is computed with
-// a single Hessian-vector product on the tangent graph s(x, u) = ∇f(x)ᵀu:
-// the x-block of Hₛ·(v, 0) at the point (x, v) equals ∇ₓ(vᵀH(x)v) by
-// symmetry of third derivatives.
-func (f *Function) EigGrad(x, v, out []float64) {
-	d := f.Dim()
-	tg := f.tangentGraph()
-	buf, _ := f.eigScratch.Get().(*[]float64)
-	if buf == nil {
-		s := make([]float64, 6*d)
-		buf = &s
-	}
-	in, dir, full := (*buf)[:2*d], (*buf)[2*d:4*d], (*buf)[4*d:6*d]
-	copy(in[:d], x)
-	copy(in[d:], v)
-	copy(dir[:d], v)
-	for i := range dir[d:] {
-		dir[d+i] = 0
-	}
-	tg.HVP(in, dir, full)
-	copy(out, full[:d])
-	f.eigScratch.Put(buf)
-}
+// λ(x) whenever v is the (simple) eigenvector of λ at x. It is one reverse
+// sweep over the graph's Hessian-vector product program (Graph.EigGrad).
+func (f *Function) EigGrad(x, v, out []float64) { f.Graph.EigGrad(x, v, out) }

@@ -46,11 +46,6 @@ func fix(lo, hi float64) Interval {
 	return Interval{lo, hi}
 }
 
-// IsZero reports whether the interval is exactly [0, 0]. The adjoint passes
-// use it to skip nodes with no sensitivity, mirroring the scalar evaluator's
-// exact-zero sparsity test.
-func (a Interval) IsZero() bool { return a.Lo == 0 && a.Hi == 0 }
-
 // Mag returns the magnitude max(|Lo|, |Hi|), the largest absolute value the
 // interval contains.
 func (a Interval) Mag() float64 { return math.Max(math.Abs(a.Lo), math.Abs(a.Hi)) }
