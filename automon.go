@@ -27,7 +27,8 @@
 //	})
 //	coord := automon.NewCoordinator(f, n, automon.Config{Epsilon: 0.1}, comm)
 //	node := automon.NewNode(0, f)
-//	// on every local data change:
+//	// on every local data change (v is lent until the node's next update,
+//	// so encode it before then):
 //	if v := node.UpdateData(x); v != nil {
 //		sendToCoordinator(v.Encode())
 //	}

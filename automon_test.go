@@ -3,6 +3,7 @@ package automon
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -133,7 +134,7 @@ func TestHandleNodeMessageReportsRefusedSlack(t *testing.T) {
 	if _, err := HandleNodeMessage(node, good.Encode()); err != nil {
 		t.Fatalf("well-formed sync: %v", err)
 	}
-	zone := node.Zone()
+	zone := *node.Zone() // the node rewrites its zone in place: keep a copy
 	if _, err := HandleNodeMessage(node, (&Slack{NodeID: 0, Slack: []float64{1}}).Encode()); !errors.Is(err, ErrSyncRefused) {
 		t.Fatalf("1-entry slack on a 2-dimensional node: err = %v, want ErrSyncRefused", err)
 	}
@@ -142,7 +143,7 @@ func TestHandleNodeMessageReportsRefusedSlack(t *testing.T) {
 	if _, err := HandleNodeMessage(node, short.Encode()); !errors.Is(err, ErrSyncRefused) {
 		t.Fatalf("sync with a 1-entry slack on a 2-dimensional node: err = %v, want ErrSyncRefused", err)
 	}
-	if node.Zone() != zone {
+	if !reflect.DeepEqual(*node.Zone(), zone) {
 		t.Fatal("the refused sync replaced the zone")
 	}
 	if _, err := HandleNodeMessage(node, (&Slack{NodeID: 0, Slack: []float64{1, -1}}).Encode()); err != nil {

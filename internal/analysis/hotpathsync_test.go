@@ -18,6 +18,10 @@ import (
 // dropping one — is a deliberate decision this test forces into review.
 var hotpathManifest = map[string]bool{
 	"core.Node.UpdateData":          true,
+	"core.Node.Check":               true,
+	"core.Node.ApplySync":           true,
+	"core.Node.ApplySlack":          true,
+	"core.Fabric.RequestData":       true,
 	"core.Node.UpdateDataRefresh":   true,
 	"core.Node.UpdateElided":        true,
 	"core.Node.SpendBudget":         true,

@@ -28,14 +28,15 @@ const budgetSafety = 0.999
 
 // elision is the per-node check-elision state. Budgets are derived from the
 // installed zone and invalidated on any event that changes what the exact
-// check would see (sync, slack rebalance, raw SetData).
+// check would see (sync, slack rebalance, raw SetData). The bools come last,
+// so they share one word (see Node).
 type elision struct {
-	enabled    bool
 	curv       float64 // bound on ‖∇²f‖₂ (see Function.CurvBound)
-	domainOnly bool    // curv valid only inside F's domain box
-	valid      bool
 	budget     float64 // remaining movement radius (L2, on x)
 	grad       []float64
+	enabled    bool
+	domainOnly bool // curv valid only inside F's domain box
+	valid      bool
 }
 
 // EnableElision turns on safe-zone check elision for this node. It reports
@@ -106,8 +107,8 @@ func (n *Node) UpdateElided(x []float64) (v *Violation, skipped bool) {
 	if !n.el.enabled {
 		return n.UpdateData(x), false
 	}
-	norm := math.Sqrt(linalg.SqDist(x, n.x))
-	copy(n.x, x)
+	norm := math.Sqrt(linalg.SqDist(x, n.viol.X))
+	copy(n.viol.X, x)
 	if !n.SpendBudget(norm) {
 		return nil, true
 	}
@@ -143,14 +144,14 @@ func (n *Node) refreshBudget() {
 	if !e.enabled || !n.haveZone {
 		return
 	}
-	z := n.zone
+	z := &n.zone
 	if z.Custom != nil || z.Method == MethodCustom {
 		// Hand-crafted zones expose no geometry to bound; stay per-event.
 		e.valid = false
 		e.budget = 0
 		return
 	}
-	linalg.Add(n.v, n.x, n.slack)
+	linalg.Add(n.v, n.viol.X, n.slack)
 	v := n.v
 	fv := n.F.Grad(v, e.grad)
 	gnorm := linalg.Norm2(e.grad)

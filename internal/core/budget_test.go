@@ -26,7 +26,7 @@ func budgetTestZone(t *testing.T, method Method, d int, eps float64) (elided, re
 		f.WithCurvature(60)
 		grad := make([]float64, d)
 		f0 := f.Grad(x0, grad)
-		bLo, bHi := NeighborhoodBox(f, x0, 0.5)
+		bLo, bHi := NeighborhoodBox(f, x0, 0.5, nil, nil)
 		z, err := BuildZoneX(f, x0, f0-eps, f0+eps, bLo, bHi, DecompOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)

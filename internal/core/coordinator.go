@@ -118,12 +118,15 @@ func (c Config) Detached() Config {
 // then keeps its last known vector for that node and excludes it from the
 // estimate until the node rejoins.
 //
-// Messages are lent, not given, and neither may be written. A SendSlack
+// Messages are lent, not given, and none may be written. A SendSlack
 // message is valid only during the call: the coordinator re-addresses one
 // Slack per partition, and its vector is the coordinator's own record of the
 // node's slack. A fabric encodes or applies it on the spot, or clones what it
-// keeps. A SendSync message is the node's own, but its X0 and GradF0 are
-// shared with the coordinator's zone and with every node of the sync.
+// keeps. RequestData lends the other way: the vector it returns may be the
+// node's own (Node.LocalVector), valid until the fabric's next call, and the
+// coordinator copies it into its table at once. A SendSync message is the
+// node's own, but its X0 and GradF0 are shared with the coordinator's zone
+// and with every node of the sync.
 type NodeComm interface {
 	RequestData(nodeID int) []float64
 	SendSync(nodeID int, m *Sync)

@@ -412,11 +412,15 @@ func BuildZoneNone(f *Function, x0 []float64, l, u float64) *SafeZone {
 	}
 }
 
-// NeighborhoodBox returns the box B = [x0−r, x0+r] ∩ D.
-func NeighborhoodBox(f *Function, x0 []float64, r float64) (lo, hi []float64) {
+// NeighborhoodBox returns the box B = [x0−r, x0+r] ∩ D, written into lo and
+// hi when their capacity holds it (a node refilling its zone's box) and into
+// new buffers otherwise (nil: a fresh box).
+func NeighborhoodBox(f *Function, x0 []float64, r float64, lo, hi []float64) ([]float64, []float64) {
 	d := len(x0)
-	lo = make([]float64, d)
-	hi = make([]float64, d)
+	if cap(lo) < d || cap(hi) < d {
+		lo, hi = make([]float64, d), make([]float64, d) //automon:allow hotpath a node's first ADCD-X zone allocates its box once; later syncs refill it
+	}
+	lo, hi = lo[:d], hi[:d]
 	for i := 0; i < d; i++ {
 		lo[i] = x0[i] - r
 		hi[i] = x0[i] + r

@@ -118,7 +118,7 @@ func TestBuildZoneXConvexFunctionIsGuaranteed(t *testing.T) {
 	})
 	x0 := []float64{0.5, 0}
 	f0 := f.Value(x0)
-	lo, hi := NeighborhoodBox(f, x0, 1)
+	lo, hi := NeighborhoodBox(f, x0, 1, nil, nil)
 	zone, err := BuildZoneX(f, x0, f0-0.3, f0+0.3, lo, hi, DecompOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,9 @@ type Fabric struct {
 	Nodes []*Node
 	// OnMessage, when set, observes every message the fabric carries, in
 	// order: a DataRequest and its DataResponse per pull, each Sync and each
-	// Slack. Message and byte accounting hangs here.
+	// Slack. Message and byte accounting hangs here. Every message is lent
+	// for the call only, as NodeComm lends them: an observer copies what it
+	// keeps.
 	OnMessage func(Message)
 	// BeforePull, when set, runs before node id's vector is read.
 	// Sketch-backed nodes (internal/ingest) leave their vector stale between
@@ -20,19 +22,29 @@ type Fabric struct {
 	// believes those installed, so anything but zero means the run's
 	// guarantee is void.
 	RefusedSyncs int
+
+	// req and resp are the pull's two messages, re-addressed per pull and
+	// lent to OnMessage for the call only.
+	req  DataRequest
+	resp DataResponse
 }
 
-// RequestData implements NodeComm.
+// RequestData implements NodeComm. The vector it returns is the node's own,
+// lent until the node's next update (see Node.LocalVector).
+//
+//automon:hotpath
 func (c *Fabric) RequestData(id int) []float64 {
 	if c.BeforePull != nil {
-		c.BeforePull(id)
+		c.BeforePull(id) //automon:allow hotpath the run's own hook: ingest materializes a sketch into the node's vector in place
 	}
-	x := c.Nodes[id].LocalVector()
+	nd := c.Nodes[id]
 	if c.OnMessage != nil {
-		c.OnMessage(&DataRequest{NodeID: id})
-		c.OnMessage(&DataResponse{NodeID: id, X: x})
+		c.req.NodeID = id
+		c.OnMessage(&c.req) //automon:allow hotpath the run's own accounting hook, handed a fabric-owned message
+		nd.Respond(&c.resp)
+		c.OnMessage(&c.resp) //automon:allow hotpath the run's own accounting hook, handed a fabric-owned message
 	}
-	return x
+	return nd.LocalVector()
 }
 
 // SendSync implements NodeComm.

@@ -638,7 +638,7 @@ func (m *Machine) fullSync(fresh *Marks) error {
 		}
 		zone = BuildZoneE(m.F, m.eDec, m.x0, l, u)
 	case MethodX:
-		bLo, bHi := NeighborhoodBox(m.F, m.x0, m.r)
+		bLo, bHi := NeighborhoodBox(m.F, m.x0, m.r, nil, nil)
 		dec, err := DecomposeX(m.F, m.x0, bLo, bHi, m.Cfg.Decomp)
 		if err != nil {
 			return err

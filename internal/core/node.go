@@ -9,17 +9,23 @@ import (
 // zone, and checks the local constraints on every data update. Nodes never
 // talk to each other; all returned Violations are addressed to the
 // coordinator via whatever messaging fabric the application uses.
+//
+// A node lends, it does not copy: its one Violation, its vector and its zone
+// live in the node and are rewritten in place, so checking, answering a pull
+// and installing a sync allocate nothing once the first sync is in. The field
+// order keeps a Node in one 352-byte size class.
 type Node struct {
 	ID int
 	F  *Function
 
-	x     []float64 // current raw local vector
+	// viol is the one Violation Check lends; its X is the node's current
+	// raw local vector.
+	viol  Violation
 	slack []float64
 	v     []float64 // scratch: slacked vector x + s
 	diff  []float64 // scratch for the ADCD-E safe-zone check
 
-	zone     *SafeZone
-	haveZone bool
+	zone SafeZone
 
 	// eFactor is the ADCD-E eigen-factor, retained across syncs (shipped
 	// once).
@@ -28,6 +34,12 @@ type Node struct {
 	// el is the safe-zone check-elision state (budget.go); inert until
 	// EnableElision.
 	el elision
+
+	haveZone bool
+	// ownBox reports that zone.BLo and zone.BHi are buffers this node
+	// allocated (for an ADCD-X zone), which the next ADCD-X sync refills. A
+	// hand-crafted zone's box belongs to its builder.
+	ownBox bool
 }
 
 // NewNode creates a node for function f. The node is inert until the first
@@ -37,7 +49,7 @@ func NewNode(id int, f *Function) *Node {
 	return &Node{
 		ID:    id,
 		F:     f,
-		x:     make([]float64, d),
+		viol:  Violation{NodeID: id, X: make([]float64, d)},
 		slack: make([]float64, d),
 		v:     make([]float64, d),
 		diff:  make([]float64, d),
@@ -45,18 +57,19 @@ func NewNode(id int, f *Function) *Node {
 }
 
 // LocalVector returns the node's current raw local vector (the payload of a
-// DataResponse). The returned slice is a copy.
-func (n *Node) LocalVector() []float64 { return linalg.Clone(n.x) }
+// DataResponse). The slice is the node's own, lent until its next update or
+// SetData: a reader copies what it keeps, and writes nothing.
+func (n *Node) LocalVector() []float64 { return n.viol.X }
 
 // Respond fills m with the node's reply to a data request. m.X is the node's
 // own vector, not a copy, so m must be encoded before the node's next update.
-func (n *Node) Respond(m *DataResponse) { m.NodeID, m.X = n.ID, n.x }
+func (n *Node) Respond(m *DataResponse) { m.NodeID, m.X = n.ID, n.viol.X }
 
 // SetData replaces the local vector without checking constraints. Any
 // outstanding elision budget is invalidated: it was computed for the old
 // vector.
 func (n *Node) SetData(x []float64) {
-	copy(n.x, x)
+	copy(n.viol.X, x)
 	n.resetBudget()
 }
 
@@ -73,22 +86,31 @@ func (n *Node) UpdateData(x []float64) *Violation {
 
 // Check evaluates the local constraints against the current vector:
 // neighborhood first, then the ADCD safe zone, then the §3.7 sanity check.
+// It returns nil when all hold, and otherwise the node's one Violation, whose
+// X is the node's own vector. Both are lent until the node's next update,
+// SetData or check: a fabric encodes or resolves the violation before then,
+// and writes nothing in it.
+//
+//automon:hotpath
 func (n *Node) Check() *Violation {
 	if !n.haveZone {
 		return nil
 	}
-	linalg.Add(n.v, n.x, n.slack)
-	z := n.zone
-	if !z.InNeighborhood(n.v) {
-		return &Violation{NodeID: n.ID, Kind: ViolationNeighborhood, X: n.LocalVector()} //automon:allow hotpath violation path ends the silent round: the copied vector is the message payload
+	linalg.Add(n.v, n.viol.X, n.slack)
+	z := &n.zone
+	var kind ViolationKind
+	switch {
+	case !z.InNeighborhood(n.v):
+		kind = ViolationNeighborhood
+	case !z.ContainsScratch(n.F, n.v, n.diff):
+		kind = ViolationSafeZone
+	case z.Method != MethodNone && !z.InAdmissibleRegion(n.F, n.v):
+		kind = ViolationFaulty
+	default:
+		return nil
 	}
-	if !z.ContainsScratch(n.F, n.v, n.diff) {
-		return &Violation{NodeID: n.ID, Kind: ViolationSafeZone, X: n.LocalVector()} //automon:allow hotpath violation path ends the silent round: the copied vector is the message payload
-	}
-	if z.Method != MethodNone && !z.InAdmissibleRegion(n.F, n.v) {
-		return &Violation{NodeID: n.ID, Kind: ViolationFaulty, X: n.LocalVector()} //automon:allow hotpath violation path ends the silent round: the copied vector is the message payload
-	}
-	return nil
+	n.viol.NodeID, n.viol.Kind = n.ID, kind
+	return &n.viol
 }
 
 // CurrentValue returns the node's current approximation of f(x̄), namely
@@ -105,8 +127,11 @@ func (n *Node) CurrentValue() float64 {
 // or an ADCD-E factor that do not fit F, or an ADCD-E zone whose factor never
 // arrived (a faulty fabric separated it from the first sync) — is refused
 // and the previous zone kept. The elision budget is invalidated: it was
-// derived from the previous zone. The new zone holds the message's read-only
-// X0 and GradF0 themselves (see Sync).
+// derived from the previous zone. The zone is rewritten in place: it holds
+// the message's read-only X0 and GradF0 themselves (see Sync), and an ADCD-X
+// zone's neighborhood box is refilled in the node's own buffers.
+//
+//automon:hotpath
 func (n *Node) ApplySync(m *Sync) bool {
 	if len(m.Slack) != len(n.slack) {
 		// A partial copy would leave this node's slack out of the
@@ -115,8 +140,8 @@ func (n *Node) ApplySync(m *Sync) bool {
 	}
 	n.resetBudget()
 	if m.Zone != nil { // hand-crafted (MethodCustom) zone, in-memory only
-		n.zone = m.Zone
-		n.haveZone = true
+		n.zone = *m.Zone
+		n.haveZone, n.ownBox = true, false
 		copy(n.slack, m.Slack)
 		return true
 	}
@@ -125,6 +150,7 @@ func (n *Node) ApplySync(m *Sync) bool {
 		return false
 	}
 	if m.WithMatrix {
+		//automon:allow hotpath the factor rides only the first sync to a node, so its check runs once per node
 		if m.Matrix == nil || m.Matrix.Check(d) != nil {
 			return false
 		}
@@ -133,7 +159,12 @@ func (n *Node) ApplySync(m *Sync) bool {
 	if m.Method == MethodE && n.eFactor == nil {
 		return false
 	}
-	z := &SafeZone{
+	var lo, hi []float64
+	if n.ownBox {
+		lo, hi = n.zone.BLo, n.zone.BHi
+	}
+	z := &n.zone
+	*z = SafeZone{
 		Method: m.Method,
 		Kind:   m.Kind,
 		X0:     m.X0,
@@ -145,12 +176,11 @@ func (n *Node) ApplySync(m *Sync) bool {
 	}
 	switch m.Method {
 	case MethodX:
-		z.BLo, z.BHi = NeighborhoodBox(n.F, m.X0, m.R)
+		z.BLo, z.BHi = NeighborhoodBox(n.F, m.X0, m.R, lo, hi)
 	case MethodE:
 		z.H = n.eFactor
 	}
-	n.zone = z
-	n.haveZone = true
+	n.haveZone, n.ownBox = true, m.Method == MethodX
 	copy(n.slack, m.Slack)
 	return true
 }
@@ -159,6 +189,8 @@ func (n *Node) ApplySync(m *Sync) bool {
 // reports whether it did: a slack whose length is not F's dimension is
 // refused and the previous slack kept, as ApplySync refuses one. The
 // elision budget is invalidated: the slacked point it was computed at moved.
+//
+//automon:hotpath
 func (n *Node) ApplySlack(m *Slack) bool {
 	if len(m.Slack) != len(n.slack) {
 		return false
@@ -169,10 +201,12 @@ func (n *Node) ApplySlack(m *Slack) bool {
 }
 
 // Zone exposes the node's current safe zone (nil before the first sync);
-// used by tests and by diagnostic tooling.
+// used by tests and by diagnostic tooling. The zone is the node's own and the
+// next ApplySync rewrites it in place: a caller that keeps one across syncs
+// copies it.
 func (n *Node) Zone() *SafeZone {
 	if !n.haveZone {
 		return nil
 	}
-	return n.zone
+	return &n.zone
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -82,7 +83,7 @@ func TestLocalViewDistributesCheckableSyncs(t *testing.T) {
 			t.Fatalf("%d syncs refused", fab.RefusedSyncs)
 		}
 		for _, id := range []int{2, 3} {
-			if fab.Nodes[id].Zone() != built {
+			if z := fab.Nodes[id].Zone(); z == nil || !reflect.DeepEqual(*z, *built) {
 				t.Errorf("node %d did not receive the hand-crafted zone", id)
 			}
 		}

@@ -40,7 +40,7 @@ func benchZoneX(b *testing.B, f *Function, x0 []float64, r float64) *SafeZone {
 	b.Helper()
 	grad := make([]float64, f.Dim())
 	f0 := f.Grad(x0, grad)
-	bLo, bHi := NeighborhoodBox(f, x0, r)
+	bLo, bHi := NeighborhoodBox(f, x0, r, nil, nil)
 	zone, err := BuildZoneX(f, x0, f0-1, f0+1, bLo, bHi, DecompOptions{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -187,7 +187,7 @@ func BenchmarkExtremeEigsOverBox(b *testing.B) {
 	const d = 8
 	f := benchCubic(d)
 	x0 := make([]float64, d)
-	bLo, bHi := NeighborhoodBox(f, x0, 0.5)
+	bLo, bHi := NeighborhoodBox(f, x0, 0.5, nil, nil)
 	for _, bc := range []struct {
 		name string
 		opts DecompOptions
@@ -212,7 +212,7 @@ func BenchmarkBuildZoneX(b *testing.B) {
 	x0 := make([]float64, d)
 	grad := make([]float64, d)
 	f0 := f.Grad(x0, grad)
-	bLo, bHi := NeighborhoodBox(f, x0, 0.5)
+	bLo, bHi := NeighborhoodBox(f, x0, 0.5, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

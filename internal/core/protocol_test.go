@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"automon/internal/autodiff"
@@ -505,14 +506,14 @@ func TestApplySyncRefusesUncheckableSyncs(t *testing.T) {
 		if !node.ApplySync(good()) {
 			t.Fatal("well-formed sync refused")
 		}
-		before := node.Zone()
+		before := *node.Zone() // the node rewrites its zone in place: keep a copy
 		m = good()
 		m.Slack = []float64{5, 5}
 		breakIt(m)
 		if node.ApplySync(m) {
 			t.Errorf("%s: installed over a good zone", name)
 		}
-		if node.Zone() != before {
+		if !reflect.DeepEqual(*node.Zone(), before) {
 			t.Errorf("%s: previous zone replaced", name)
 		}
 		if v := node.UpdateData(x0); v != nil {

@@ -94,7 +94,7 @@ func TestQuickNeighborhoodBoxContainsReference(t *testing.T) {
 		}
 		r := math.Abs(math.Mod(rraw, 3)) + 1e-6
 		x0 := math.Min(math.Max(math.Mod(x0raw, math.Pi), 0), math.Pi)
-		lo, hi := NeighborhoodBox(f, []float64{x0}, r)
+		lo, hi := NeighborhoodBox(f, []float64{x0}, r, nil, nil)
 		if lo[0] < 0 || hi[0] > math.Pi {
 			return false
 		}

@@ -269,7 +269,7 @@ func TestSafeZoneSoundness(t *testing.T) {
 func TestSafeZoneSoundnessADCDX(t *testing.T) {
 	f := rosenbrockFunc()
 	x0 := []float64{0.1, 0.05}
-	bLo, bHi := NeighborhoodBox(f, x0, 0.5)
+	bLo, bHi := NeighborhoodBox(f, x0, 0.5, nil, nil)
 	f0 := f.Value(x0)
 	zone, err := BuildZoneX(f, x0, f0-1, f0+1, bLo, bHi, DecompOptions{Seed: 1})
 	if err != nil {
@@ -329,7 +329,7 @@ func TestADCDESupersetOfADCDX(t *testing.T) {
 		t.Fatal(err)
 	}
 	zoneE := BuildZoneE(f, dec, x0, l, u)
-	bLo, bHi := NeighborhoodBox(f, x0, 3)
+	bLo, bHi := NeighborhoodBox(f, x0, 3, nil, nil)
 	zoneX, err := BuildZoneX(f, x0, l, u, bLo, bHi, DecompOptions{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestADCDESupersetOfADCDX(t *testing.T) {
 
 func TestNeighborhoodBoxClampsToDomain(t *testing.T) {
 	f := sineFunc() // domain [0, π]
-	lo, hi := NeighborhoodBox(f, []float64{0.1}, 0.5)
+	lo, hi := NeighborhoodBox(f, []float64{0.1}, 0.5, nil, nil)
 	if lo[0] != 0 {
 		t.Errorf("lower bound = %v, want clamp at 0", lo[0])
 	}

@@ -102,21 +102,26 @@ func newAutoMon(cfg Config, res *Result, comm *counter, windows []stream.Windowe
 	}
 
 	a := &autoMon{g: g}
+	var fabric core.NodeComm = g
+	wrap := func(m core.Monitor) core.Monitor { return m }
+	if cfg.lend != nil {
+		fabric, wrap = cfg.lend(g)
+	}
 	if cfg.Shards > 0 {
 		mode := shard.ModeRoute
 		if cfg.ShardAbsorb {
 			mode = shard.ModeAbsorb
 		}
-		tree, err := shard.NewTree(cfg.F, ds.Nodes, coreCfg, g,
+		tree, err := shard.NewTree(cfg.F, ds.Nodes, coreCfg, fabric,
 			shard.Options{Shards: cfg.Shards, Fanout: cfg.TreeFanout, Mode: mode})
 		if err != nil {
 			return nil, 0, err
 		}
 		a.mon, a.tree, a.chaos = tree, tree, cfg.shardChaos
 	} else {
-		a.mon = core.NewCoordinator(cfg.F, ds.Nodes, coreCfg, g)
+		a.mon = core.NewCoordinator(cfg.F, ds.Nodes, coreCfg, fabric)
 	}
-	if err := g.Start(a.mon); err != nil {
+	if err := g.Start(wrap(a.mon)); err != nil {
 		return nil, 0, err
 	}
 	if a.chaos != nil {

@@ -100,6 +100,10 @@ type Config struct {
 	// monitored round (and once after the last) with the round index and
 	// the live tree, to kill and rejoin whole sub-trees mid-stream.
 	shardChaos func(round int, tree *shard.Tree)
+	// lend, when set, returns the fabric to build the monitor over in place
+	// of the group, and a wrapper for the monitor the group resolves its
+	// violations through (lending_test.go).
+	lend func(g *core.Group) (core.NodeComm, func(core.Monitor) core.Monitor)
 }
 
 // Result aggregates one run.

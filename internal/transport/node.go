@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -173,21 +174,6 @@ func (c *NodeClient) isClosed() bool {
 	return c.closed
 }
 
-// send writes one message on the current connection. Node messages are
-// always urgent — the coordinator is actively waiting on each of them (a
-// data response completes a pull, a violation blocks in Update) — so they
-// flush immediately rather than coalescing. On failure the writer has
-// closed the connection, so the run loop notices and recycles it; the
-// message itself is not retried — the post-rejoin full sync restores
-// consistency.
-func (c *NodeClient) send(m core.Message) error {
-	w := c.currentWriter()
-	if w == nil {
-		return errNotConnected
-	}
-	return w.writeMsg(m, true)
-}
-
 // serve reads coordinator messages on the current connection until it dies.
 // Each message is handled before the next read, which reuses its structs.
 func (c *NodeClient) serve() error {
@@ -317,7 +303,8 @@ func (c *NodeClient) reconnect(cause error) error {
 		conn, err := c.opts.Dial("tcp", c.addr, c.opts.DialTimeout)
 		if err == nil {
 			c.mu.Lock()
-			x := c.node.LocalVector()
+			// A copy: the node's own vector is lent only while c.mu is held.
+			x := slices.Clone(c.node.LocalVector())
 			// Any outstanding report died with the old connection; the
 			// rejoin full sync re-evaluates the constraints from scratch.
 			c.reported = false
@@ -360,18 +347,35 @@ func (c *NodeClient) recheck() {
 		c.mu.Unlock()
 		return
 	}
-	v := c.node.Check()
-	if v != nil {
+	var w *frameWriter
+	if v := c.node.Check(); v != nil {
 		c.reported = true
+		w = c.holdLocked(v)
 	}
 	c.mu.Unlock()
-	if v == nil {
+	if w == nil {
 		return
 	}
 	// A send failure recycles the connection; the rejoin sync re-triggers
 	// this check, so the report is not lost for good.
 	// Best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
-	_ = c.send(v)
+	_ = w.flush()
+}
+
+// holdLocked encodes the node's lent violation into the current connection's
+// pending frame and returns the writer to flush once c.mu is released, or nil
+// when there is nothing to flush (closed, or the writer already failed). The
+// violation is valid only under c.mu, which the caller holds: the next check
+// rewrites it. The flush follows at once — the coordinator is waiting on the
+// report — and a failed one has closed the connection, so the run loop
+// recycles it; the report itself is not retried, the post-rejoin full sync
+// restores consistency.
+func (c *NodeClient) holdLocked(v *core.Violation) *frameWriter {
+	w := c.currentWriter()
+	if w == nil || w.hold(v) != nil {
+		return nil
+	}
+	return w
 }
 
 func (c *NodeClient) signalResolved() {
@@ -477,9 +481,10 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	} else {
 		v = c.node.UpdateDataRefresh(x)
 	}
-	send := v != nil && !c.reported
-	if send {
+	var w *frameWriter
+	if v != nil && !c.reported {
 		c.reported = true
+		w = c.holdLocked(v)
 	}
 	var deadline *time.Timer
 	if v != nil {
@@ -489,11 +494,11 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	if v == nil {
 		return c.Err()
 	}
-	if send {
+	if w != nil {
 		// A failed report is not fatal: the connection recycles, the rejoin
 		// full sync re-checks the constraints, and the wait below completes.
 		// Best-effort send: a failed frame is recovered by the reconnect/full-sync path, not the caller
-		_ = c.send(v)
+		_ = w.flush()
 	}
 	// Resolution signals are not addressed to a specific violation (a sync
 	// triggered by another node's violation also lands here), so wait until
