@@ -126,8 +126,19 @@ type program struct {
 // never differentiated twice.
 func (g *Graph) hvpProgram() *program {
 	//automon:allow hotpath one-time build of P on a graph's first second-order call; every later call takes sync.Once's fast path
-	g.hvpOnce.Do(func() { g.hvp = g.buildHVP() })
-	return g.hvp
+	g.hvpOnce.Do(func() { g.hvp.Store(g.buildHVP()) })
+	return g.hvp.Load()
+}
+
+// hessianProgram returns P for one Hessian call when none is cached. A graph
+// whose Hessian is constant has it evaluated once per decomposition, so it
+// builds P for the call and drops it rather than holding it for life; any
+// other graph builds and caches P.
+func (g *Graph) hessianProgram() *program {
+	if g.HasConstantHessian() {
+		return g.buildHVP()
+	}
+	return g.hvpProgram()
 }
 
 // buildHVP builds P(x, v) = ∇ₓ⟨∇f(x), v⟩ by reverse over reverse: adjoint

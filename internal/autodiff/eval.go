@@ -275,7 +275,9 @@ func (g *Graph) HVP(x, v, out []float64) {
 }
 
 // Hessian evaluates the full d×d Hessian of f at x into h, column j by one
-// forward pass over P(x, e_j), then symmetrizes to wash out round-off.
+// forward pass over P(x, e_j), then symmetrizes to wash out round-off. A
+// graph with a constant Hessian (HasConstantHessian) and no P cached by an
+// earlier HVP, EigGrad or HVPProgram builds P for this call only.
 //
 //automon:hotpath
 func (g *Graph) Hessian(x []float64, h *linalg.Mat) {
@@ -284,7 +286,11 @@ func (g *Graph) Hessian(x []float64, h *linalg.Mat) {
 	if h.Rows != d || h.Cols != d {
 		panic("autodiff: Hessian matrix has wrong shape")
 	}
-	p := g.hvpProgram()
+	p := g.hvp.Load()
+	if p == nil {
+		//automon:allow hotpath P is not cached yet: built once for a general graph, per call for a constant-Hessian one, whose Hessian is evaluated once per decomposition
+		p = g.hessianProgram()
+	}
 	valBuf := p.pool.get()
 	defer p.pool.put(valBuf)
 	val := *valBuf

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Op identifies a node's operation.
@@ -93,7 +94,7 @@ type Graph struct {
 	blocks [][]int // HessianBlocks, fixed at Finish
 
 	hvpOnce sync.Once
-	hvp     *program // P(x, v) = H(x)·v, built on first use
+	hvp     atomic.Pointer[program] // P(x, v) = H(x)·v, built on first use
 }
 
 // Program builds a scalar expression from the variable nodes x. It is the

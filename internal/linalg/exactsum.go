@@ -20,37 +20,74 @@ import (
 // obtain exactly the accumulator — and exactly the reference point x̄ — a
 // flat coordinator computes over the same vectors.
 //
-// The register covers the full finite float64 range: bit i of the register
-// weighs 2^(i-1074), and 32-bit limbs are carried lazily in int64 slots so
+// The register conceptually covers the full finite float64 range: bit i
+// weighs 2^(i-1074), held as 67 limbs of radix 2^32 (66 for 2^-1074 ..
+// 2^1024 plus one limb of carry headroom), carried lazily in int64 slots so
 // about 2^31 additions fit between normalizations (Add normalizes long
-// before that). Non-finite inputs are tracked out of band with IEEE
-// semantics: any NaN — or infinities of both signs — poisons the sum to NaN,
-// otherwise an infinity of one sign dominates.
+// before that). A sum whose addends lie within a factor of about 2^64 of
+// the first one occupies a few adjacent limbs, so an Acc keeps an inline
+// window of accWin limbs instead: the first finite nonzero addend places
+// it, with room for much smaller addends below and growth above, and its
+// top limb is headroom that only carries reach. An Add, Merge or DecodeAcc
+// whose limbs fall outside the window moves the sum to a heap-allocated
+// full register (a spill); the allocation is kept, and Reset returns the
+// sum to the window. Either way the held integer is the same, so Round and
+// AppendBinary do not depend on where it is held.
 //
-// The zero Acc is an empty sum, ready for use.
+// Non-finite inputs are tracked out of band with IEEE semantics: any NaN —
+// or infinities of both signs — poisons the sum to NaN, otherwise an
+// infinity of one sign dominates.
+//
+// The zero Acc is an empty sum, ready for use. An Acc that has spilled owns
+// its full register, so it must not be copied after its first spill.
 type Acc struct {
-	// limb holds the register in radix 2^32, least significant first, as a
-	// lazily-carried two's-complement value: limb[i] weighs 2^(32i-1074).
-	limb [accLimbs]int64
+	// w is the window, a lazily-carried two's-complement value: w[k] weighs
+	// 2^(32(base+k)-1074). After normalize, w[:accTop] lie in [0, 2^32) and
+	// w[accTop] in [-2^31, 2^31).
+	w [accWin]int64
+	// full is the whole register, allocated on the first spill and kept
+	// across Reset; it holds the sum while wide is set.
+	full *[accLimbs]int64
 	// adds counts additions since the last carry normalization.
-	adds int
+	adds int32
+	// at is base+accAtBias once a window is placed, and 0 while the sum has
+	// no window (empty or wide): base is then far below every limb index, so
+	// Add's one fit test also sends those two cases to the slow path.
+	at   uint8
+	wide bool
 	// posInf/negInf/nan track non-finite inputs out of band.
-	posInf, negInf int
-	nan            bool
+	posInf, negInf, nan bool
 }
 
 const (
 	// accLimbs covers 2^-1074 .. 2^1024 (2098 bits → 66 limbs) plus one limb
 	// of carry headroom.
 	accLimbs = 67
+	// accWin is the window: seven data limbs and the headroom limb accTop.
+	accWin = 8
+	accTop = accWin - 1
+	// accPlace is the window slot of the first addend's most significant
+	// limb: four limbs (≥ 128 bits) below it, two above it for growth.
+	accPlace = 4
+	// accAtBias offsets Acc.at from the window base.
+	accAtBias = 128
 	// accNormalizeEvery bounds lazy carries: each Add contributes < 2^32 to a
 	// limb slot, so normalizing every 2^28 additions keeps every slot far
 	// from int64 overflow even when merges stack accumulators.
 	accNormalizeEvery = 1 << 28
 )
 
-// Reset restores the empty sum.
-func (a *Acc) Reset() { *a = Acc{} }
+// base is the register index of w[0]; -accAtBias while no window is placed.
+func (a *Acc) base() int { return int(a.at) - accAtBias }
+
+// place puts the window's w[0] at register limb b, kept inside the register.
+func (a *Acc) place(b int) {
+	a.at = uint8(min(max(b, 0), accLimbs-accWin) + accAtBias)
+}
+
+// Reset restores the empty sum. A full register allocated by an earlier
+// spill is kept for the next one.
+func (a *Acc) Reset() { *a = Acc{full: a.full} }
 
 // Add folds one float64 into the accumulator.
 func (a *Acc) Add(x float64) {
@@ -61,9 +98,9 @@ func (a *Acc) Add(x float64) {
 		if mant != 0 {
 			a.nan = true
 		} else if b>>63 == 0 {
-			a.posInf++
+			a.posInf = true
 		} else {
-			a.negInf++
+			a.negInf = true
 		}
 		return
 	}
@@ -80,14 +117,17 @@ func (a *Acc) Add(x float64) {
 	q := exp - 1
 	idx, sh := q>>5, uint(q&31)
 	hi, lo := bits.Mul64(mant, 1<<sh) // exact: ≤ 53+31 bits
-	if b>>63 == 0 {
-		a.limb[idx] += int64(lo & 0xFFFFFFFF)
-		a.limb[idx+1] += int64(lo >> 32)
-		a.limb[idx+2] += int64(hi)
+	l0, l1, l2 := int64(lo&0xFFFFFFFF), int64(lo>>32), int64(hi)
+	if b>>63 != 0 {
+		l0, l1, l2 = -l0, -l1, -l2
+	}
+	if k := idx - a.base(); uint(k) <= accTop-3 {
+		w := a.w[k : k+3]
+		w[0] += l0
+		w[1] += l1
+		w[2] += l2
 	} else {
-		a.limb[idx] -= int64(lo & 0xFFFFFFFF)
-		a.limb[idx+1] -= int64(lo >> 32)
-		a.limb[idx+2] -= int64(hi)
+		a.addSlow(idx, [3]int64{l0, l1, l2})
 	}
 	a.adds++
 	if a.adds >= accNormalizeEvery {
@@ -95,124 +135,229 @@ func (a *Acc) Add(x float64) {
 	}
 }
 
+// addSlow folds the limbs l at register index idx.. when they do not fit
+// the window as a whole: it places the window on the first addend, adds
+// only the nonzero limbs if those fit, and spills otherwise.
+func (a *Acc) addSlow(idx int, l [3]int64) {
+	if !a.wide {
+		lo, hi := nonzeroSpan(l[:])
+		first, last := idx+lo, idx+hi
+		if a.at == 0 {
+			a.place(last - accPlace)
+		}
+		if b := a.base(); first >= b && last < b+accTop {
+			for i := first; i <= last; i++ {
+				a.w[i-b] += l[i-idx]
+			}
+			return
+		}
+		a.spill()
+	}
+	for i, v := range l {
+		a.full[idx+i] += v
+	}
+}
+
+// spill moves the sum from the window to the full register.
+func (a *Acc) spill() {
+	if a.full == nil {
+		a.full = new([accLimbs]int64)
+	} else {
+		*a.full = [accLimbs]int64{}
+	}
+	if a.at != 0 {
+		copy(a.full[a.base():], a.w[:])
+	}
+	a.w, a.at, a.wide = [accWin]int64{}, 0, true
+}
+
 // Merge folds another accumulator into a. The other accumulator is not
 // modified. Merging is exact, so any tree of merges over the same leaf
 // accumulators yields the same final sum.
 func (a *Acc) Merge(b *Acc) {
-	for i := range a.limb {
-		a.limb[i] += b.limb[i]
+	a.posInf = a.posInf || b.posInf
+	a.negInf = a.negInf || b.negInf
+	a.nan = a.nan || b.nan
+	switch {
+	case b.wide:
+		if !a.wide {
+			a.spill()
+		}
+		for i, v := range b.full {
+			a.full[i] += v
+		}
+	case b.at == 0: // b holds no finite nonzero addend
+		return
+	case a.wide:
+		addLimbs(a.full[b.base():], b.w[:])
+	case a.at == b.at:
+		addLimbs(a.w[:], b.w[:])
+	case a.at == 0: // a is empty: take b's window as it stands
+		a.w, a.at = b.w, b.at
+	default:
+		a.mergeShifted(b)
 	}
 	a.adds += b.adds + 1
 	if a.adds >= accNormalizeEvery {
 		a.normalize()
 	}
-	a.posInf += b.posInf
-	a.negInf += b.negInf
-	a.nan = a.nan || b.nan
 }
 
-// normalize propagates lazy carries so every limb lies in [0, 2^32), with the
-// overall sign carried in two's complement across the register. The value is
-// unchanged.
-func (a *Acc) normalize() {
-	var carry int64
-	for i := range a.limb {
-		v := a.limb[i] + carry
-		a.limb[i] = v & 0xFFFFFFFF
-		carry = v >> 32 // arithmetic shift: floors negatives
+// nonzeroSpan returns the indices of l's first and last nonzero limbs, or
+// lo > hi when every limb is zero.
+func nonzeroSpan(l []int64) (lo, hi int) {
+	lo, hi = 0, len(l)-1
+	for lo <= hi && l[lo] == 0 {
+		lo++
 	}
-	// carry is now the sign extension (0 or -1); fold it back into the top
-	// limb so the register remains a pure two's-complement window. The top
-	// limb is headroom: finite sums never reach it with data bits.
-	a.limb[accLimbs-1] += carry << 32
-	a.adds = 0
+	for hi >= lo && l[hi] == 0 {
+		hi--
+	}
+	return lo, hi
 }
 
-// sign reports the register's sign after normalization: -1, 0 or +1.
-func (a *Acc) signNormalized() int {
-	top := a.limb[accLimbs-1]
-	if top < 0 || top>>31 != 0 { // two's-complement negative window
-		return -1
+// addLimbs adds src into dst limb by limb.
+func addLimbs(dst, src []int64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += v
 	}
-	for i := accLimbs - 1; i >= 0; i-- {
-		if a.limb[i] != 0 {
-			return 1
+}
+
+// mergeShifted folds b's window into a's window placed elsewhere: b's
+// normalized magnitude limbs are added or subtracted at their register
+// index, or a spills when they do not fit a's data limbs.
+func (a *Acc) mergeShifted(b *Acc) {
+	m := b.w
+	normalizeLimbs(m[:])
+	if t := m[accTop]; t >= -1<<31 && t < 1<<31 {
+		neg := negateIfNegative(m[:])
+		first, last := nonzeroSpan(m[:])
+		if first > last {
+			return // b sums to zero
+		}
+		s := b.base() - a.base()
+		if first+s >= 0 && last+s < accTop {
+			for k := first; k <= last; k++ {
+				if neg {
+					a.w[k+s] -= m[k]
+				} else {
+					a.w[k+s] += m[k]
+				}
+			}
+			return
 		}
 	}
-	return 0
+	a.spill()
+	addLimbs(a.full[b.base():], b.w[:])
 }
 
-// magnitude negates a normalized-negative register in place, returning the
-// magnitude limbs of the absolute value in [0, 2^32) each.
-func (a *Acc) magnitude(neg bool) {
-	if !neg {
-		return
+// normalize propagates lazy carries so every limb but the top lies in
+// [0, 2^32), with the overall sign carried in the top limb. The value is
+// unchanged. A window whose top limb leaves [-2^31, 2^31) spills, so that a
+// window's magnitude always fits its accWin limbs; the spilled register is
+// normalized too, since resetting adds promises limbs below 2^32.
+func (a *Acc) normalize() {
+	a.adds = 0
+	if !a.wide {
+		normalizeLimbs(a.w[:])
+		if t := a.w[accTop]; t >= -1<<31 && t < 1<<31 {
+			return
+		}
+		a.spill()
+	}
+	normalizeLimbs(a.full[:])
+}
+
+// normalizeLimbs carries l so every limb but the last lies in [0, 2^32); the
+// last limb absorbs the final carry, keeping the two's-complement value.
+func normalizeLimbs(l []int64) {
+	top := len(l) - 1
+	var carry int64
+	for i := range l[:top] {
+		v := l[i] + carry
+		l[i] = v & 0xFFFFFFFF
+		carry = v >> 32 // arithmetic shift: floors negatives
+	}
+	l[top] += carry
+}
+
+// negateIfNegative turns normalized limbs l into the limbs of their absolute
+// value, each in [0, 2^32), and reports whether the value was negative.
+func negateIfNegative(l []int64) bool {
+	if l[len(l)-1] >= 0 {
+		return false
 	}
 	var borrow int64
-	for i := range a.limb {
-		v := -a.limb[i] + borrow
-		a.limb[i] = v & 0xFFFFFFFF
+	for i := range l {
+		v := -l[i] + borrow
+		l[i] = v & 0xFFFFFFFF
 		borrow = v >> 32
 	}
+	return true
 }
 
 // Round returns the correctly rounded (nearest-even) float64 value of the
 // sum. The accumulator itself is left normalized and unchanged in value.
 func (a *Acc) Round() float64 {
-	if a.nan || (a.posInf > 0 && a.negInf > 0) {
+	if a.nan || (a.posInf && a.negInf) {
 		return math.NaN()
 	}
-	if a.posInf > 0 {
+	if a.posInf {
 		return math.Inf(1)
 	}
-	if a.negInf > 0 {
+	if a.negInf {
 		return math.Inf(-1)
 	}
 	a.normalize()
-	sg := a.signNormalized()
-	if sg == 0 {
+	if a.wide {
+		m := *a.full
+		neg := negateIfNegative(m[:])
+		return roundMagnitude(m[:], 0, neg)
+	}
+	m := a.w
+	neg := negateIfNegative(m[:])
+	return roundMagnitude(m[:], a.base(), neg)
+}
+
+// roundMagnitude rounds ±m to nearest-even, where m holds magnitude limbs in
+// [0, 2^32) and m[k] weighs 2^(32(base+k)-1074).
+func roundMagnitude(m []int64, base int, neg bool) float64 {
+	t := len(m) - 1
+	for t >= 0 && m[t] == 0 {
+		t--
+	}
+	if t < 0 {
 		return 0
 	}
-	// Work on a magnitude copy so the accumulator stays reusable.
-	m := *a
-	m.magnitude(sg < 0)
-	// Locate the most significant bit.
-	top := accLimbs - 1
-	for top >= 0 && m.limb[top] == 0 {
-		top--
-	}
-	p := 32*top + bits.Len64(uint64(m.limb[top])) - 1 // register bit index of the MSB
-	mantBits := func(i int) uint64 {
-		// Register bit i, or 0 below the register.
-		if i < 0 {
+	limb := func(k int) uint64 {
+		if k < 0 {
 			return 0
 		}
-		return (uint64(m.limb[i>>5]) >> uint(i&31)) & 1
+		return uint64(m[k])
+	}
+	// Left-align the three top limbs in 128 bits: the most significant bit,
+	// register bit p, lands at bit 63 of top; the bits below it follow.
+	l := bits.Len64(limb(t)) - 1
+	p := 32*(base+t) + l
+	u, v := limb(t)<<32|limb(t-1), limb(t-2)<<32
+	s := uint(31 - l)
+	top, rest := u<<s|v>>(64-s), v<<s
+	sg := 1
+	if neg {
+		sg = -1
 	}
 	if p <= 51 {
 		// Subnormal range: at most 52 data bits above the register floor, all
 		// exactly representable.
-		var mant uint64
-		for i := p; i >= 0; i-- {
-			mant = mant<<1 | mantBits(i)
-		}
-		return ldexpSigned(mant, -1074, sg)
+		return ldexpSigned(top>>uint(63-p), -1074, sg)
 	}
 	// Normal path: take 53 bits p..p-52, round to nearest-even on the rest.
-	var mant uint64
-	for i := p; i > p-53; i-- {
-		mant = mant<<1 | mantBits(i)
-	}
-	guard := mantBits(p - 53)
-	sticky := uint64(0)
-	if guard == 1 {
-		// Sticky = any set bit below the guard.
-		for i := 0; i <= (p-54)>>5 && i < accLimbs; i++ {
-			w := uint64(m.limb[i])
-			if 32*i+31 > p-54 {
-				w &= (1 << uint((p-54)-32*i+1)) - 1
-			}
-			sticky |= w
+	mant := top >> 11
+	if top>>10&1 == 1 { // guard bit p-53
+		sticky := top&(1<<10-1) | rest
+		for k := t - 3; k >= 0 && sticky == 0; k-- {
+			sticky |= uint64(m[k])
 		}
 		if sticky != 0 || mant&1 == 1 {
 			mant++
@@ -245,7 +390,7 @@ func ldexpSigned(mant uint64, e, sg int) float64 {
 // magnitude limbs (offset, count, then count little-endian u32 limbs). The
 // window form is canonical — produced from a normalized sign-magnitude
 // register — so equal sums serialize identically regardless of how they were
-// accumulated.
+// accumulated or whether they spilled.
 const (
 	accFlagNeg  = 1 << 0
 	accFlagPInf = 1 << 1
@@ -258,48 +403,51 @@ var ErrAccCorrupt = errors.New("linalg: corrupt accumulator encoding")
 
 // AppendBinary appends the canonical wire form of the sum to dst.
 func (a *Acc) AppendBinary(dst []byte) []byte {
-	if a.nan || (a.posInf > 0 && a.negInf > 0) {
+	if a.nan || (a.posInf && a.negInf) {
 		return append(dst, accFlagNaN)
 	}
-	if a.posInf > 0 {
+	if a.posInf {
 		return append(dst, accFlagPInf)
 	}
-	if a.negInf > 0 {
+	if a.negInf {
 		return append(dst, accFlagNInf)
 	}
 	a.normalize()
-	sg := a.signNormalized()
-	m := *a
-	m.magnitude(sg < 0)
-	lo, hi := 0, accLimbs-1
-	for lo < accLimbs && m.limb[lo] == 0 {
-		lo++
+	if a.wide {
+		m := *a.full
+		neg := negateIfNegative(m[:])
+		return appendMagnitude(dst, m[:], 0, neg)
 	}
-	for hi >= lo && m.limb[hi] == 0 {
-		hi--
+	m := a.w
+	neg := negateIfNegative(m[:])
+	return appendMagnitude(dst, m[:], a.base(), neg)
+}
+
+// appendMagnitude appends the wire form of ±m, where m holds magnitude limbs
+// and m[k] is register limb base+k.
+func appendMagnitude(dst []byte, m []int64, base int, neg bool) []byte {
+	lo, hi := nonzeroSpan(m)
+	if hi < lo { // zero
+		return append(dst, 0, 0, 0)
 	}
 	var flags byte
-	if sg < 0 {
-		flags |= accFlagNeg
+	if neg {
+		flags = accFlagNeg
 	}
-	dst = append(dst, flags)
-	if hi < lo { // zero
-		dst = append(dst, 0, 0)
-		return dst
-	}
-	n := hi - lo + 1
-	dst = append(dst, byte(lo), byte(n))
-	for i := lo; i <= hi; i++ {
-		v := uint32(m.limb[i])
+	dst = append(dst, flags, byte(base+lo), byte(hi-lo+1))
+	for _, w := range m[lo : hi+1] {
+		v := uint32(w)
 		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	return dst
 }
 
 // DecodeAcc parses one accumulator wire form from buf, returning the
-// accumulator and the remaining bytes. Malformed input — truncation, window
-// out of range, or trailing garbage limbs beyond the register — returns
-// ErrAccCorrupt and never panics.
+// accumulator and the remaining bytes. Only canonical forms are accepted,
+// so every accepted form re-encodes to the same bytes: one flag value, a
+// zero as {0, 0, 0}, no zero first or last limb, and no sign bit in the
+// headroom limb. Anything else — truncation, a window out of range, unknown
+// flags — returns ErrAccCorrupt and never panics.
 func DecodeAcc(buf []byte) (*Acc, []byte, error) {
 	if len(buf) < 1 {
 		return nil, nil, ErrAccCorrupt
@@ -307,16 +455,19 @@ func DecodeAcc(buf []byte) (*Acc, []byte, error) {
 	flags := buf[0]
 	buf = buf[1:]
 	a := &Acc{}
-	switch {
-	case flags&accFlagNaN != 0:
+	switch flags {
+	case accFlagNaN:
 		a.nan = true
 		return a, buf, nil
-	case flags&accFlagPInf != 0:
-		a.posInf = 1
+	case accFlagPInf:
+		a.posInf = true
 		return a, buf, nil
-	case flags&accFlagNInf != 0:
-		a.negInf = 1
+	case accFlagNInf:
+		a.negInf = true
 		return a, buf, nil
+	case 0, accFlagNeg:
+	default:
+		return nil, nil, ErrAccCorrupt
 	}
 	if len(buf) < 2 {
 		return nil, nil, ErrAccCorrupt
@@ -324,8 +475,8 @@ func DecodeAcc(buf []byte) (*Acc, []byte, error) {
 	lo, n := int(buf[0]), int(buf[1])
 	buf = buf[2:]
 	if n == 0 {
-		if flags&accFlagNeg != 0 {
-			// Canonical zero is non-negative; a signed zero window is forged.
+		if flags != 0 || lo != 0 {
+			// Canonical zero is non-negative at offset 0.
 			return nil, nil, ErrAccCorrupt
 		}
 		return a, buf, nil
@@ -333,13 +484,24 @@ func DecodeAcc(buf []byte) (*Acc, []byte, error) {
 	if lo >= accLimbs || n > accLimbs-lo || len(buf) < 4*n {
 		return nil, nil, ErrAccCorrupt
 	}
-	neg := flags&accFlagNeg != 0
+	limb := func(i int) int64 {
+		return int64(uint32(buf[4*i]) | uint32(buf[4*i+1])<<8 | uint32(buf[4*i+2])<<16 | uint32(buf[4*i+3])<<24)
+	}
+	hi := lo + n - 1
+	if limb(0) == 0 || limb(n-1) == 0 || (hi == accLimbs-1 && limb(n-1)>>31 != 0) {
+		return nil, nil, ErrAccCorrupt
+	}
+	a.place(min(hi-accPlace, lo))
+	l, b := a.w[:], a.base()
+	if hi >= b+accTop {
+		a.spill()
+		l, b = a.full[:], 0
+	}
 	for i := 0; i < n; i++ {
-		v := uint32(buf[4*i]) | uint32(buf[4*i+1])<<8 | uint32(buf[4*i+2])<<16 | uint32(buf[4*i+3])<<24
-		if neg {
-			a.limb[lo+i] = -int64(v)
+		if flags == accFlagNeg {
+			l[lo-b+i] = -limb(i)
 		} else {
-			a.limb[lo+i] = int64(v)
+			l[lo-b+i] = limb(i)
 		}
 	}
 	a.adds = 1
