@@ -131,9 +131,10 @@ func (g *Graph) hvpProgram() *program {
 }
 
 // hessianProgram returns P for one Hessian call when none is cached. A graph
-// whose Hessian is constant has it evaluated once per decomposition, so it
-// builds P for the call and drops it rather than holding it for life; any
-// other graph builds and caches P.
+// whose Hessian is constant has it evaluated only at set-up — once by
+// core's CurvBound and once by each machine's first DecomposeE — so it
+// builds P for each such call and drops it rather than holding it for life;
+// any other graph builds and caches P.
 func (g *Graph) hessianProgram() *program {
 	if g.HasConstantHessian() {
 		return g.buildHVP()

@@ -12,8 +12,8 @@ import (
 )
 
 // TestConstantHessianHoldsNoProgram: a constant-Hessian function has its
-// Hessian evaluated once per decomposition, so after CurvBound and
-// DecomposeE the graph holds no Hessian-vector product program, and the
+// Hessian evaluated only at set-up, so after CurvBound and DecomposeE the
+// graph holds no Hessian-vector product program, and the
 // Hessian built on that uncached path is bit-equal to the cached one.
 func TestConstantHessianHoldsNoProgram(t *testing.T) {
 	f := funcs.AMSF2(4, 64)

@@ -288,7 +288,7 @@ func (g *Graph) Hessian(x []float64, h *linalg.Mat) {
 	}
 	p := g.hvp.Load()
 	if p == nil {
-		//automon:allow hotpath P is not cached yet: built once for a general graph, per call for a constant-Hessian one, whose Hessian is evaluated once per decomposition
+		//automon:allow hotpath P is not cached yet: built once for a general graph, per call for a constant-Hessian one, whose Hessian is evaluated only at set-up (CurvBound and each machine's first DecomposeE)
 		p = g.hessianProgram()
 	}
 	valBuf := p.pool.get()

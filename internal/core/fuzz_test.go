@@ -12,7 +12,7 @@ import (
 // bytes, Decode must return an error or a well-formed message — never
 // panic, never over-allocate. A message has exactly one encoding: any input
 // that decodes fails once a byte is appended, and every message re-encodes
-// to the input byte for byte (linalg.DecodeAcc accepts only a sum's
+// to the input byte for byte (linalg.Acc.Decode accepts only a sum's
 // canonical form, so Partial's accumulators do too). Run with `go test -fuzz
 // FuzzDecode` for a real fuzzing session; the seed corpus below runs as a
 // normal test.

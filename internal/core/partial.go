@@ -80,7 +80,7 @@ func (m *SubtreeRejoin) AppendBinary(buf []byte) []byte {
 
 // decodePartial parses a Partial body (after the type byte). Every length is
 // validated against the remaining buffer before allocation, and each
-// accumulator window is decoded through linalg.DecodeAcc, which rejects
+// accumulator is decoded in place through linalg.Acc.Decode, which rejects
 // out-of-range windows; hostile input fails cleanly instead of panicking or
 // allocating unboundedly.
 func decodePartial(d *decoder) (*Partial, error) {
@@ -106,12 +106,11 @@ func decodePartial(d *decoder) (*Partial, error) {
 	}
 	m.Accs = make([]linalg.Acc, dims)
 	for i := range m.Accs {
-		a, rest, err := linalg.DecodeAcc(d.buf)
+		rest, err := m.Accs[i].Decode(d.buf)
 		if err != nil {
 			d.err = err
 			return nil, d.err
 		}
-		m.Accs[i] = *a
 		d.buf = rest
 	}
 	if err := d.done(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"automon/internal/autodiff"
+	"automon/internal/linalg"
 	"automon/internal/testenv"
 )
 
@@ -399,5 +400,31 @@ func TestReplayDeterministicAcrossDecompWorkers(t *testing.T) {
 		if got := run(workers); got != seq {
 			t.Fatalf("workers=%d: counts %+v, sequential gave %+v", workers, got, seq)
 		}
+	}
+}
+
+// TestDecodePartialAllocatesPerFrame: a Partial's accumulators are decoded
+// in place into its Accs slice, so decoding a d = 256 frame allocates the
+// frame and the slice, not one accumulator per dimension.
+func TestDecodePartialAllocatesPerFrame(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are unstable under -race")
+	}
+	const d = 256
+	rng := rand.New(rand.NewSource(1))
+	p := &Partial{ShardID: 1, Epoch: 3, Weight: 8, Accs: make([]linalg.Acc, d)}
+	for j := range p.Accs {
+		for k := 0; k < 8; k++ {
+			p.Accs[j].Add(rng.NormFloat64())
+		}
+	}
+	buf := p.Encode()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("decoding a d = %d Partial allocates %.0f objects, want ≤ 2", d, allocs)
 	}
 }

@@ -28,7 +28,7 @@ import (
 // the first one occupies a few adjacent limbs, so an Acc keeps an inline
 // window of accWin limbs instead: the first finite nonzero addend places
 // it, with room for much smaller addends below and growth above, and its
-// top limb is headroom that only carries reach. An Add, Merge or DecodeAcc
+// top limb is headroom that only carries reach. An Add, Merge or Decode
 // whose limbs fall outside the window moves the sum to a heap-allocated
 // full register (a spill); the allocation is kept, and Reset returns the
 // sum to the window. Either way the held integer is the same, so Round and
@@ -194,8 +194,9 @@ func (a *Acc) Merge(b *Acc) {
 		addLimbs(a.w[:], b.w[:])
 	case a.at == 0: // a is empty: take b's window as it stands
 		a.w, a.at = b.w, b.at
-	default:
-		a.mergeShifted(b)
+	default: // windows placed apart
+		a.spill()
+		addLimbs(a.full[b.base():], b.w[:])
 	}
 	a.adds += b.adds + 1
 	if a.adds >= accNormalizeEvery {
@@ -222,34 +223,6 @@ func addLimbs(dst, src []int64) {
 	for i, v := range src {
 		dst[i] += v
 	}
-}
-
-// mergeShifted folds b's window into a's window placed elsewhere: b's
-// normalized magnitude limbs are added or subtracted at their register
-// index, or a spills when they do not fit a's data limbs.
-func (a *Acc) mergeShifted(b *Acc) {
-	m := b.w
-	normalizeLimbs(m[:])
-	if t := m[accTop]; t >= -1<<31 && t < 1<<31 {
-		neg := negateIfNegative(m[:])
-		first, last := nonzeroSpan(m[:])
-		if first > last {
-			return // b sums to zero
-		}
-		s := b.base() - a.base()
-		if first+s >= 0 && last+s < accTop {
-			for k := first; k <= last; k++ {
-				if neg {
-					a.w[k+s] -= m[k]
-				} else {
-					a.w[k+s] += m[k]
-				}
-			}
-			return
-		}
-	}
-	a.spill()
-	addLimbs(a.full[b.base():], b.w[:])
 }
 
 // normalize propagates lazy carries so every limb but the top lies in
@@ -442,54 +415,56 @@ func appendMagnitude(dst []byte, m []int64, base int, neg bool) []byte {
 	return dst
 }
 
-// DecodeAcc parses one accumulator wire form from buf, returning the
-// accumulator and the remaining bytes. Only canonical forms are accepted,
-// so every accepted form re-encodes to the same bytes: one flag value, a
-// zero as {0, 0, 0}, no zero first or last limb, and no sign bit in the
-// headroom limb. Anything else — truncation, a window out of range, unknown
-// flags — returns ErrAccCorrupt and never panics.
-func DecodeAcc(buf []byte) (*Acc, []byte, error) {
+// Decode replaces a's sum with the one whose wire form heads buf and
+// returns the remaining bytes; a full register allocated by an earlier
+// spill is kept, as Reset keeps it. Only canonical forms are accepted, so
+// every accepted form re-encodes to the same bytes: one flag value, a zero
+// as {0, 0, 0}, no zero first or last limb, and no sign bit in the headroom
+// limb. Anything else — truncation, a window out of range, unknown flags —
+// returns ErrAccCorrupt, leaves a empty (every check precedes the first
+// write) and never panics.
+func (a *Acc) Decode(buf []byte) ([]byte, error) {
+	a.Reset()
 	if len(buf) < 1 {
-		return nil, nil, ErrAccCorrupt
+		return nil, ErrAccCorrupt
 	}
 	flags := buf[0]
 	buf = buf[1:]
-	a := &Acc{}
 	switch flags {
 	case accFlagNaN:
 		a.nan = true
-		return a, buf, nil
+		return buf, nil
 	case accFlagPInf:
 		a.posInf = true
-		return a, buf, nil
+		return buf, nil
 	case accFlagNInf:
 		a.negInf = true
-		return a, buf, nil
+		return buf, nil
 	case 0, accFlagNeg:
 	default:
-		return nil, nil, ErrAccCorrupt
+		return nil, ErrAccCorrupt
 	}
 	if len(buf) < 2 {
-		return nil, nil, ErrAccCorrupt
+		return nil, ErrAccCorrupt
 	}
 	lo, n := int(buf[0]), int(buf[1])
 	buf = buf[2:]
 	if n == 0 {
 		if flags != 0 || lo != 0 {
 			// Canonical zero is non-negative at offset 0.
-			return nil, nil, ErrAccCorrupt
+			return nil, ErrAccCorrupt
 		}
-		return a, buf, nil
+		return buf, nil
 	}
 	if lo >= accLimbs || n > accLimbs-lo || len(buf) < 4*n {
-		return nil, nil, ErrAccCorrupt
+		return nil, ErrAccCorrupt
 	}
 	limb := func(i int) int64 {
 		return int64(uint32(buf[4*i]) | uint32(buf[4*i+1])<<8 | uint32(buf[4*i+2])<<16 | uint32(buf[4*i+3])<<24)
 	}
 	hi := lo + n - 1
 	if limb(0) == 0 || limb(n-1) == 0 || (hi == accLimbs-1 && limb(n-1)>>31 != 0) {
-		return nil, nil, ErrAccCorrupt
+		return nil, ErrAccCorrupt
 	}
 	a.place(min(hi-accPlace, lo))
 	l, b := a.w[:], a.base()
@@ -505,7 +480,7 @@ func DecodeAcc(buf []byte) (*Acc, []byte, error) {
 		}
 	}
 	a.adds = 1
-	return a, buf[4*n:], nil
+	return buf[4*n:], nil
 }
 
 // AddVec folds vector x element-wise into the accumulator slice. The slice

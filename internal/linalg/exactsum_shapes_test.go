@@ -11,41 +11,22 @@ import (
 )
 
 // syncAll is a full sync's gather as the coordinator runs it: reset the
-// per-dimension sums, fold every node's vector, round. A tree folds leaf
-// partitions separately and merges them, so the vectors are also summed in
-// four partitions and merged; both must stay in the window.
-func syncAll(t *testing.T, what string, root []linalg.Acc, leaves [4][]linalg.Acc, vecs [][]float64) {
+// per-dimension sums, fold every node's vector, round. Every sum must stay
+// in its window.
+func syncAll(t *testing.T, what string, root []linalg.Acc, vecs [][]float64) {
 	t.Helper()
 	for j := range root {
 		root[j].Reset()
-		for l := range leaves {
-			leaves[l][j].Reset()
-		}
 	}
-	for i, x := range vecs {
+	for _, x := range vecs {
 		linalg.AddVec(root, x)
-		linalg.AddVec(leaves[i%len(leaves)], x)
-	}
-	merged := make([]linalg.Acc, len(root))
-	for l := range leaves {
-		linalg.MergeVec(merged, leaves[l])
 	}
 	for j := range root {
-		if linalg.AccSpilled(&root[j]) || linalg.AccSpilled(&merged[j]) {
+		root[j].Round() // normalizes: carries must not push a sum out either
+		if linalg.AccSpilled(&root[j]) {
 			t.Fatalf("%s: dimension %d spilled its window", what, j)
 		}
-		if a, b := root[j].Round(), merged[j].Round(); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("%s: dimension %d: flat sum %g, merged partitions %g", what, j, a, b)
-		}
 	}
-}
-
-func newSums(d int) ([]linalg.Acc, [4][]linalg.Acc) {
-	var leaves [4][]linalg.Acc
-	for l := range leaves {
-		leaves[l] = make([]linalg.Acc, d)
-	}
-	return make([]linalg.Acc, d), leaves
 }
 
 // TestAccBenchmarkShapesNeverSpill feeds the accumulators vectors shaped
@@ -69,7 +50,7 @@ func TestAccBenchmarkShapesNeverSpill(t *testing.T) {
 			}
 			srcs[i], vecs[i] = src, make([]float64, src.Dim())
 		}
-		root, leaves := newSums(srcs[0].Dim())
+		root := make([]linalg.Acc, srcs[0].Dim())
 		for k := 0; k < events; k++ {
 			for i, src := range srcs {
 				if k < len(ev.PerNode[i]) {
@@ -80,7 +61,7 @@ func TestAccBenchmarkShapesNeverSpill(t *testing.T) {
 				for i, src := range srcs {
 					src.VectorInto(vecs[i])
 				}
-				syncAll(t, "ams", root, leaves, vecs)
+				syncAll(t, "ams", root, vecs)
 			}
 		}
 	})
@@ -91,7 +72,7 @@ func TestAccBenchmarkShapesNeverSpill(t *testing.T) {
 		for i := range ws {
 			ws[i] = stream.NewHistWindow(window, bins, 0, 500)
 		}
-		root, leaves := newSums(2 * bins)
+		root := make([]linalg.Acc, 2*bins)
 		vecs := make([][]float64, nodes)
 		for r := 0; r < 2000; r++ {
 			for i, w := range ws {
@@ -100,7 +81,7 @@ func TestAccBenchmarkShapesNeverSpill(t *testing.T) {
 				vecs[i] = w.Vector()
 			}
 			if r%20 == 0 {
-				syncAll(t, "histogram", root, leaves, vecs)
+				syncAll(t, "histogram", root, vecs)
 			}
 		}
 	})
@@ -116,7 +97,7 @@ func TestAccBenchmarkShapesNeverSpill(t *testing.T) {
 		for i := range offset {
 			offset[i] = 5e-2 * rng.NormFloat64()
 		}
-		root, leaves := newSums(d)
+		root := make([]linalg.Acc, d)
 		vecs := make([][]float64, nodes)
 		sample := make([]float64, d)
 		for r := 0; r < 2000; r++ {
@@ -128,7 +109,7 @@ func TestAccBenchmarkShapesNeverSpill(t *testing.T) {
 				vecs[i] = w.Vector()
 			}
 			if r%10 == 0 {
-				syncAll(t, "drift", root, leaves, vecs)
+				syncAll(t, "drift", root, vecs)
 			}
 		}
 	})
