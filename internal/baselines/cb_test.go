@@ -31,7 +31,7 @@ func TestCBZoneSoundAndConvex(t *testing.T) {
 		if zone.Contains(f, v) {
 			// Soundness: CB's hand-derived decomposition is exact, so the
 			// zone must sit inside the admissible region.
-			if !zone.InAdmissibleRegion(f, v) {
+			if fv := f.Value(v); !(zone.L <= fv && fv <= zone.U) {
 				t.Fatalf("CB zone point %v outside admissible region (f = %v)", v, f.Value(v))
 			}
 			inZone = append(inZone, v)

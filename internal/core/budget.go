@@ -112,54 +112,59 @@ func (n *Node) UpdateElided(x []float64) (v *Violation, skipped bool) {
 	if !n.SpendBudget(norm) {
 		return nil, true
 	}
-	return n.UpdateDataRefresh(x), false
+	return n.checkRefresh(), false
 }
 
 // UpdateDataRefresh is UpdateData for the elided path: it replaces the local
 // vector, runs the exact constraint check, and — when the check passes —
-// refreshes the elision budget from the current zone geometry. On a
-// violation the budget stays invalid (the coordinator's resolution will
-// reset state anyway).
+// refreshes the elision budget from the current zone geometry. One forward
+// pass serves the ADCD constraints, the §3.7 sanity check and the budget
+// refresh: on a built-in zone the check's evaluation of f is f.Grad, whose
+// value and gradient the refresh reuses. On a violation the budget stays
+// invalid (the coordinator's resolution will reset state anyway).
 //
 //automon:hotpath
 func (n *Node) UpdateDataRefresh(x []float64) *Violation {
-	n.SetData(x)
-	v := n.Check()
-	if v == nil {
-		n.refreshBudget()
+	copy(n.viol.X, x)
+	return n.checkRefresh()
+}
+
+// checkRefresh invalidates the budget, checks the current vector and, on a
+// pass, refreshes the budget from the check's own f(v) and ∇f(v). A
+// hand-crafted zone exposes no geometry to bound, so its check evaluates
+// f.Value alone and the budget stays invalid: such a node runs per-event.
+func (n *Node) checkRefresh() *Violation {
+	n.resetBudget()
+	var grad []float64
+	if z := &n.zone; n.el.enabled && n.haveZone && z.Custom == nil && z.Method != MethodCustom {
+		grad = n.el.grad
+	}
+	v, fv := n.check(grad)
+	if v == nil && grad != nil {
+		n.refreshBudget(fv)
 	}
 	return v
 }
 
-// refreshBudget recomputes the distance-to-boundary budget at the current
-// slacked point. It mirrors the constraint structure of Check /
-// ContainsScratch: for each constraint it computes the margin (how far the
+// refreshBudget recomputes the distance-to-boundary budget at the slacked
+// point n.v, where a passing check has just evaluated fv = f(n.v) and left
+// ∇f(n.v) in el.grad. It mirrors the constraint structure of
+// SafeZone.classify: for each constraint it computes the margin (how far the
 // constraint is from failing) and the fastest the constraint's left-hand
 // side can move per unit of L2 vector movement (a first-order Lipschitz term
 // plus a curvature term), then inverts that growth curve via solveRadius.
 // Any NaN collapses the budget to invalid, which degrades to per-event
 // checking.
-func (n *Node) refreshBudget() {
+func (n *Node) refreshBudget(fv float64) {
 	e := &n.el
-	if !e.enabled || !n.haveZone {
-		return
-	}
 	z := &n.zone
-	if z.Custom != nil || z.Method == MethodCustom {
-		// Hand-crafted zones expose no geometry to bound; stay per-event.
-		e.valid = false
-		e.budget = 0
-		return
-	}
-	linalg.Add(n.v, n.viol.X, n.slack)
 	v := n.v
-	fv := n.F.Grad(v, e.grad)
 	gnorm := linalg.Norm2(e.grad)
 	k := e.curv
 
 	// §3.7 admissible region L ≤ f(v) ≤ U. Check enforces it for every
-	// method except MethodNone — whose safe-zone check is the same pair of
-	// constraints — so both margins bound the budget for all methods.
+	// method (for MethodNone it is the safe zone itself), so both margins
+	// bound the budget for all methods.
 	budget := solveRadius(gnorm, k, z.U-fv)
 	budget = math.Min(budget, solveRadius(gnorm, k, fv-z.L))
 

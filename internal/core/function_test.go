@@ -132,7 +132,7 @@ func TestBuildZoneXConvexFunctionIsGuaranteed(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 2000; i++ {
 		v := []float64{lo[0] + rng.Float64()*(hi[0]-lo[0]), lo[1] + rng.Float64()*(hi[1]-lo[1])}
-		if zone.Contains(f, v) && !zone.InAdmissibleRegion(f, v) {
+		if zone.Contains(f, v) && !admissible(zone, f, v) {
 			t.Fatalf("guaranteed zone leaked outside admissible region at %v", v)
 		}
 	}

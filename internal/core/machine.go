@@ -111,7 +111,7 @@ type Machine struct {
 	consecNeigh int
 	// A resolution allocates nothing of its own: fresh marks the vectors it
 	// already holds, and set, sum, mean and diff are lazySync's balancing
-	// set, slacked-vector sum, mean and ContainsScratch scratch. set has room
+	// set, slacked-vector sum, mean and safe-zone check scratch. set has room
 	// for the largest set an attempt can build, ⌊n/2⌋ + 1 nodes.
 	fresh           Marks
 	set             []int
@@ -517,8 +517,7 @@ func (m *Machine) lazySync(v *Violation, fresh *Marks) bool {
 		m.touchLRU(next)
 		m.own.AddSlacked(sum, next)
 		linalg.Scale(mean, 1/float64(len(set)), sum)
-		if m.zone.InNeighborhood(mean) && m.zone.ContainsScratch(m.F, mean, m.diff) &&
-			m.zone.InAdmissibleRegion(m.F, mean) {
+		if kind, _ := m.zone.classify(m.F, mean, m.diff, nil); kind == 0 {
 			break
 		}
 	}

@@ -85,7 +85,8 @@ func (n *Node) UpdateData(x []float64) *Violation {
 }
 
 // Check evaluates the local constraints against the current vector:
-// neighborhood first, then the ADCD safe zone, then the §3.7 sanity check.
+// neighborhood first, then the ADCD safe zone, then the §3.7 sanity check,
+// with one evaluation of f serving the last two (SafeZone.classify).
 // It returns nil when all hold, and otherwise the node's one Violation, whose
 // X is the node's own vector. Both are lent until the node's next update,
 // SetData or check: a fabric encodes or resolves the violation before then,
@@ -93,24 +94,24 @@ func (n *Node) UpdateData(x []float64) *Violation {
 //
 //automon:hotpath
 func (n *Node) Check() *Violation {
+	v, _ := n.check(nil)
+	return v
+}
+
+// check is Check at the slacked point n.v = x + s, which it leaves built,
+// returning f(n.v) too (0 on a neighborhood violation); a non-nil grad
+// receives ∇f(n.v) from the same forward pass (see SafeZone.classify).
+func (n *Node) check(grad []float64) (*Violation, float64) {
 	if !n.haveZone {
-		return nil
+		return nil, 0
 	}
 	linalg.Add(n.v, n.viol.X, n.slack)
-	z := &n.zone
-	var kind ViolationKind
-	switch {
-	case !z.InNeighborhood(n.v):
-		kind = ViolationNeighborhood
-	case !z.ContainsScratch(n.F, n.v, n.diff):
-		kind = ViolationSafeZone
-	case z.Method != MethodNone && !z.InAdmissibleRegion(n.F, n.v):
-		kind = ViolationFaulty
-	default:
-		return nil
+	kind, fv := n.zone.classify(n.F, n.v, n.diff, grad)
+	if kind == 0 {
+		return nil, fv
 	}
 	n.viol.NodeID, n.viol.Kind = n.ID, kind
-	return &n.viol
+	return &n.viol, fv
 }
 
 // CurrentValue returns the node's current approximation of f(x̄), namely

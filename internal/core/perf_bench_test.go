@@ -155,7 +155,7 @@ func newContainsEFixture(tb testing.TB, d int) *containsEFixture {
 	dense := denseOf(full.H)
 	fx.dense = func() bool {
 		linalg.Sub(fx.diff, fx.v, full.X0)
-		return full.containsWithQuadratic(f, fx.v, -0.5*quadForm(dense, fx.diff))
+		return full.containsWithQuadratic(fx.v, f.Value(fx.v), -0.5*quadForm(dense, fx.diff))
 	}
 	return fx
 }

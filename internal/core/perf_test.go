@@ -94,7 +94,9 @@ func TestNodeUpdateZeroAllocsE(t *testing.T) {
 // boundary at zero allocations: a node's violating update resolved lazily over
 // a Fabric (the node lends its violation, each pull lends the pulled node's
 // vector and the fabric's two pull messages, each Slack is applied in place),
-// and an ADCD-E sync, an ADCD-X sync and a Slack installed on a node.
+// an ADCD-E sync, an ADCD-X sync and a Slack installed on a node, and the
+// elided exact check with its budget refresh on a passing and a failing
+// point.
 func TestViolationPathAllocatesNothing(t *testing.T) {
 	if testenv.RaceEnabled {
 		t.Skip("allocation counts are unstable under -race")
@@ -194,6 +196,37 @@ func TestViolationPathAllocatesNothing(t *testing.T) {
 		}
 		if v := xNode.UpdateData(xx); v != nil {
 			t.Errorf("x0 violates its own refilled zone: %+v", v)
+		}
+	})
+	t.Run("elided refresh", func(t *testing.T) {
+		// The exact check of an elision-enabled node, which refreshes the
+		// budget on a pass from the check's own gradient, and pays that
+		// gradient on a safe-zone violation too.
+		for _, method := range []Method{MethodE, MethodX} {
+			node, _, x0 := budgetTestZone(t, method, 6, 0.4)
+			far := linalg.Clone(x0)
+			for i := range far {
+				far[i] += 0.3
+			}
+			if v := node.UpdateDataRefresh(far); v == nil || v.Kind != ViolationSafeZone {
+				t.Fatalf("%v: %v must fail the safe zone inside the neighborhood, got %+v", method, far, v)
+			}
+			for _, tc := range []struct {
+				name string
+				x    []float64
+				fail bool
+			}{{"pass", x0, false}, {"fail", far, true}} {
+				if allocs := testing.AllocsPerRun(100, func() {
+					if v := node.UpdateDataRefresh(tc.x); (v != nil) != tc.fail {
+						t.Fatalf("%v %s: violation %+v", method, tc.name, v)
+					}
+				}); allocs != 0 {
+					t.Errorf("%v UpdateDataRefresh (%s) allocates %.1f objects per run, want 0", method, tc.name, allocs)
+				}
+			}
+			if node.UpdateDataRefresh(x0) != nil || node.SpendBudget(0) {
+				t.Errorf("%v: a passing UpdateDataRefresh must leave a live budget", method)
+			}
 		}
 	})
 }

@@ -136,7 +136,7 @@ func TestQuickSafeZoneADCDESound(t *testing.T) {
 			for i := range v {
 				v[i] = x0[i] + rng.NormFloat64()*0.5
 			}
-			if zone.Contains(f, v) && !zone.InAdmissibleRegion(f, v) {
+			if zone.Contains(f, v) && !admissible(zone, f, v) {
 				return false
 			}
 		}

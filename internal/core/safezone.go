@@ -106,21 +106,56 @@ func (z *SafeZone) Contains(f *Function, v []float64) bool {
 // ContainsScratch is Contains with caller-provided scratch: when diff is
 // non-nil and len(diff) == len(v) the ADCD-E path uses it instead of
 // allocating, making the per-update check allocation-free. diff is
-// overwritten; it must not alias v or z.X0.
+// overwritten; it must not alias v or z.X0. It shares its constraint code
+// with the node's check, which evaluates f once for the ADCD constraints and
+// the §3.7 sanity check alike.
 //
 //automon:hotpath
 func (z *SafeZone) ContainsScratch(f *Function, v, diff []float64) bool {
+	return z.containsAt(f, v, diff, f.Value(v))
+}
+
+// classify evaluates every local constraint at v in the order of Algorithm 1
+// — neighborhood, ADCD safe zone, §3.7 sanity check L ≤ f(v) ≤ U — and
+// returns the kind of the first that fails, or 0 when all hold, together
+// with fv = f(v). f is evaluated once, after the neighborhood test, and
+// that one value serves both f-dependent tests; fv is 0 on a neighborhood
+// violation, which evaluates nothing. When grad is non-nil the evaluation
+// is f.Grad(v, grad), which leaves ∇f(v) in grad for the elision budget
+// (its value comes from the same forward pass as f.Value's). The sanity
+// check is redundant for MethodNone, whose safe zone is the admissible
+// region itself, so it never fails there.
+func (z *SafeZone) classify(f *Function, v, diff, grad []float64) (ViolationKind, float64) {
+	if !z.InNeighborhood(v) {
+		return ViolationNeighborhood, 0
+	}
+	var fv float64
+	if grad != nil {
+		fv = f.Grad(v, grad)
+	} else {
+		fv = f.Value(v)
+	}
+	if !z.containsAt(f, v, diff, fv) {
+		return ViolationSafeZone, fv
+	}
+	if !(z.L <= fv && fv <= z.U) {
+		return ViolationFaulty, fv
+	}
+	return 0, fv
+}
+
+// containsAt is ContainsScratch given fv = f(v).
+func (z *SafeZone) containsAt(f *Function, v, diff []float64, fv float64) bool {
 	if z.Custom != nil {
 		//automon:allow hotpath custom zones are hand-crafted GM baselines, never installed on the measured monitoring path
 		return z.Custom(f, v)
 	}
 	switch z.Method {
 	case MethodNone:
-		fv := f.Value(v)
 		return z.L <= fv && fv <= z.U
 	case MethodX:
 		q := 0.5 * z.Lam * linalg.SqDist(v, z.X0)
-		return z.containsWithQuadratic(f, v, q)
+		return z.containsWithQuadratic(v, fv, q)
 	case MethodE:
 		if len(diff) != len(v) {
 			//automon:allow hotpath scratch-miss fallback: the monitoring loop always passes node-owned scratch
@@ -135,13 +170,14 @@ func (z *SafeZone) ContainsScratch(f *Function, v, diff []float64) bool {
 		if z.Kind == ConvexDiff {
 			q = -q
 		}
-		return z.containsWithQuadratic(f, v, q)
+		return z.containsWithQuadratic(v, fv, q)
 	}
 	return false
 }
 
-// containsWithQuadratic evaluates the simplified §3.3 constraints where q is
-// the convex (resp. concave) quadratic term of the decomposition:
+// containsWithQuadratic evaluates the simplified §3.3 constraints at v, with
+// fv = f(v), where q is the convex (resp. concave) quadratic term of the
+// decomposition:
 //
 //	ConvexDiff:  g(v) = f(v) + q ≤ U   and   ȟ(v) = q ≤ f0 + ∇f0ᵀ(v−x0) − L
 //	ConcaveDiff: ĥ(v) = −q ≥ f0 + ∇f0ᵀ(v−x0) − U   and   ĝ(v) = f(v) − q ≥ L
@@ -150,8 +186,7 @@ func (z *SafeZone) ContainsScratch(f *Function, v, diff []float64) bool {
 // eigenvalue magnitude); for ADCD-E, q = −½(v−x0)ᵀH⁻(v−x0) (convex kind,
 // PSD) or −½(v−x0)ᵀH⁺(v−x0) (concave kind, NSD). In the concave kind the
 // roles flip sign so the same helper serves both:
-func (z *SafeZone) containsWithQuadratic(f *Function, v []float64, q float64) bool {
-	fv := f.Value(v)
+func (z *SafeZone) containsWithQuadratic(v []float64, fv, q float64) bool {
 	lin := z.F0
 	for i := range v {
 		lin += z.GradF0[i] * (v[i] - z.X0[i])
@@ -174,12 +209,6 @@ func (z *SafeZone) containsWithQuadratic(f *Function, v []float64, q float64) bo
 		return false
 	}
 	return true
-}
-
-// InAdmissibleRegion reports whether L ≤ f(v) ≤ U — the §3.7 sanity check.
-func (z *SafeZone) InAdmissibleRegion(f *Function, v []float64) bool {
-	fv := f.Value(v)
-	return z.L <= fv && fv <= z.U
 }
 
 // chooseKind applies the DC Heuristic of §3.4: pick the representation whose

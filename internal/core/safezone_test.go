@@ -238,7 +238,7 @@ func TestSafeZoneSoundness(t *testing.T) {
 			v[i] = x0[i] + rng.NormFloat64()*0.6
 		}
 		if zone.Contains(f, v) {
-			if !zone.InAdmissibleRegion(f, v) {
+			if !admissible(zone, f, v) {
 				t.Fatalf("safe zone point %v outside admissible region (f=%v, [%v, %v])",
 					v, f.Value(v), zone.L, zone.U)
 			}
@@ -283,7 +283,7 @@ func TestSafeZoneSoundnessADCDX(t *testing.T) {
 			bLo[1] + rng.Float64()*(bHi[1]-bLo[1]),
 		}
 		if zone.Contains(f, v) {
-			if !zone.InAdmissibleRegion(f, v) {
+			if !admissible(zone, f, v) {
 				t.Fatalf("ADCD-X zone point %v outside admissible (f=%v ∉ [%v, %v])",
 					v, f.Value(v), zone.L, zone.U)
 			}
@@ -362,7 +362,7 @@ func TestNoADCDZoneIsAdmissibleRegion(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		v := []float64{rng.NormFloat64() * 0.5, rng.NormFloat64() * 0.5}
 		in := zone.Contains(f, v)
-		adm := zone.InAdmissibleRegion(f, v)
+		adm := admissible(zone, f, v)
 		if in != adm {
 			t.Fatalf("no-ADCD zone disagrees with admissible region at %v", v)
 		}
