@@ -2,11 +2,17 @@ package autodiff
 
 // adjoint is the reverse-mode transform. It replays nodes, a program with
 // output out, into b with variable i bound to xs[i], then emits the program's
-// reverse sweep as Builder ops, seeded with seed at out. Each op's case is
-// the vjp rule that partials computes numerically. It returns the refs of
-// seed·∂f/∂xᵢ. Builder folding keeps structural zeros structural, and an
-// adjoint that is structurally zero is never built.
-func adjoint(b *Builder, nodes []node, out Ref, xs []Ref, seed Ref) []Ref {
+// reverse sweep as Builder ops, seeded with 1 at out. Each op's case is the
+// vjp rule that partials computes numerically. It returns the refs of
+// ∂f/∂xᵢ. Builder folding keeps structural zeros structural, and an adjoint
+// that is structurally zero is never built.
+//
+// Into a fresh Builder of the program's dimension, the replay copies nodes
+// node for node: its variables come first in both, and each constant of a
+// folded program is distinct. The seed is made after the replay so that
+// nothing precedes it, and Finish relies on this to keep f as the prefix of
+// its gradient program.
+func adjoint(b *Builder, nodes []node, out Ref, xs []Ref) []Ref {
 	val := make([]Ref, len(nodes))
 	for i, n := range nodes {
 		switch n.op {
@@ -30,7 +36,7 @@ func adjoint(b *Builder, nodes []node, out Ref, xs []Ref, seed Ref) []Ref {
 	for i := range adj {
 		adj[i] = invalidRef
 	}
-	adj[out] = seed
+	adj[out] = b.Const(1)
 	// acc accumulates r, or −r when neg, into child c's adjoint. Constants
 	// need no adjoint.
 	acc := func(c, r Ref, neg bool) {
@@ -150,10 +156,10 @@ func (g *Graph) buildHVP() *program {
 	d := len(g.vars)
 	inner := NewBuilder(2 * d)
 	x, v := inner.Vars()[:d], inner.Vars()[d:]
-	s := inner.Dot(adjoint(inner, g.nodes, g.out, x, inner.Const(1)), v)
+	s := inner.Dot(adjoint(inner, g.nodes, g.out, x), v)
 
 	b := NewBuilder(2 * d)
-	hv := adjoint(b, inner.nodes, s, b.Vars(), b.Const(1))[:d]
+	hv := adjoint(b, inner.nodes, s, b.Vars())[:d]
 	return prune(b.nodes, b.vars, hv)
 }
 

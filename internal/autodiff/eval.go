@@ -197,8 +197,9 @@ func (n *node) partials(va, vb, vn float64) (pa, pb float64) {
 	return 0, 0
 }
 
-// Grad evaluates f(x) and stores ∇f(x) into grad, returning f(x).
-// grad must have length Dim.
+// Grad evaluates f(x) and stores ∇f(x) into grad, returning f(x): one
+// forward pass over the gradient program G, whose prefix is f's, so the
+// value is Value's bit for bit. grad must have length Dim.
 //
 //automon:hotpath
 func (g *Graph) Grad(x, grad []float64) float64 {
@@ -206,22 +207,20 @@ func (g *Graph) Grad(x, grad []float64) float64 {
 	if len(grad) != len(g.vars) {
 		panic("autodiff: grad buffer has wrong length")
 	}
-	valBuf, adjBuf := g.pool.get(), g.pool.getZeroed()
+	valBuf := g.pool.get()
 	defer g.pool.put(valBuf)
-	defer g.pool.put(adjBuf)
-	val, adj := *valBuf, *adjBuf
+	val := *valBuf
 	bind(val, g.vars, x)
-	forward(g.nodes, val)
-	adj[g.out] = 1
-	sweep(g.nodes, val, adj)
-	for i, vr := range g.vars {
-		grad[i] = adj[vr]
+	forward(g.grad, val)
+	for i, r := range g.dfdx {
+		grad[i] = val[r]
 	}
 	return val[g.out]
 }
 
 // sweep is the reverse pass: given the forward values val and the seeded
 // output adjoints in adj, it accumulates every node's adjoint into adj.
+// EigGrad runs it over P.
 func sweep(nodes []node, val, adj []float64) {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		a := adj[i]

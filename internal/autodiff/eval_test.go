@@ -351,44 +351,114 @@ func gradScale(g *Graph, x []float64) []float64 {
 	return scale
 }
 
-// TestAdjointMatchesGrad evaluates the reverse-mode transform's gradient
-// program and compares it with Grad: partials and adjoint are the only two
-// copies of the vjp rules, and nothing else checks one against the other.
-// The two may group operands differently (adjoint writes ā/x where partials
-// has ā·(1/x)), so they must agree within 4 ulps of the gradient's terms.
+// sweepGrad is the numeric reverse sweep over f's own nodes, the reference
+// Grad's gradient program is checked against. It returns f(x).
+func sweepGrad(g *Graph, x, grad []float64) float64 {
+	val := make([]float64, len(g.nodes))
+	adj := make([]float64, len(g.nodes))
+	bind(val, g.vars, x)
+	forward(g.nodes, val)
+	adj[g.out] = 1
+	sweep(g.nodes, val, adj)
+	for i, r := range g.vars {
+		grad[i] = adj[r]
+	}
+	return val[g.out]
+}
+
+// TestAdjointMatchesGrad compares Grad, which runs the reverse-mode
+// transform's gradient program, with the numeric sweep: partials and adjoint
+// are the only two copies of the vjp rules, and nothing else checks one
+// against the other. The two may group operands differently (adjoint writes
+// ā/x where partials has ā·(1/x)), so they must agree within 4 ulps of the
+// gradient's terms.
 func TestAdjointMatchesGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var entries, equal int
 	worst, worstUlps := 0.0, 0.0
 	for _, fn := range append(testFns(), oneOpFns()...) {
 		g := Compile(fn.dim, fn.program)
-		b := NewBuilder(fn.dim)
-		p := prune(b.nodes, b.vars, adjoint(b, g.nodes, g.out, b.Vars(), b.Const(1)))
-		val := make([]float64, len(p.nodes))
+		got := make([]float64, fn.dim)
 		want := make([]float64, fn.dim)
 		for trial := 0; trial < 20; trial++ {
 			x := samplePoint(rng, fn)
-			g.Grad(x, want)
+			g.Grad(x, got)
+			sweepGrad(g, x, want)
 			scale := gradScale(g, x)
-			bind(val, p.x, x)
-			forward(p.nodes, val)
-			for i, o := range p.outs {
-				got, ulp := val[o], math.Nextafter(scale[i], math.Inf(1))-scale[i]
-				if diff := math.Abs(got - want[i]); diff > 4*ulp {
-					t.Fatalf("%s: adjoint grad[%d] = %v, Grad %v: %.1f ulps of the terms' magnitude %v (x=%v)",
-						fn.name, i, got, want[i], diff/ulp, scale[i], x)
+			for i := range got {
+				ulp := math.Nextafter(scale[i], math.Inf(1)) - scale[i]
+				if diff := math.Abs(got[i] - want[i]); diff > 4*ulp {
+					t.Fatalf("%s: adjoint grad[%d] = %v, sweep %v: %.1f ulps of the terms' magnitude %v (x=%v)",
+						fn.name, i, got[i], want[i], diff/ulp, scale[i], x)
 				} else if diff > 0 {
 					worst = math.Max(worst, diff/math.Abs(want[i]))
 					worstUlps = math.Max(worstUlps, diff/ulp)
 				}
 				entries++
-				if got == want[i] {
+				if got[i] == want[i] {
 					equal++
 				}
 			}
 		}
 	}
 	t.Logf("%d of %d entries bit-equal; worst difference %.2g relative, %.1f ulps of the terms", equal, entries, worst, worstUlps)
+}
+
+// sameNode reports whether two nodes are equal, comparing constants by bits
+// so that a NaN constant equals itself.
+func sameNode(a, b node) bool {
+	return a.op == b.op && a.a == b.a && a.b == b.b && math.Float64bits(a.k) == math.Float64bits(b.k)
+}
+
+// TestGradPrefixIsF checks the layout Grad relies on: the gradient program's
+// first nodes are f's as the Builder made them, so Grad's value is Value's
+// bit for bit, also at NaN and ±Inf inputs. Where no op's rule regroups
+// operands (no Div, no Log), the gradient is the sweep's bit for bit too.
+func TestGradPrefixIsF(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	fns := append(testFns(), oneOpFns()...)
+	fns = append(fns,
+		testFn{name: "bench16", dim: 16, lo: -1, hi: 1, program: benchProgram(16)},
+		testFn{name: "ams-f2-4x64", dim: 256, lo: -1, hi: 1, program: f2Program(256)})
+	for _, fn := range fns {
+		b := NewBuilder(fn.dim)
+		g := b.Finish(fn.program(b, b.Vars()))
+		n := len(b.nodes)
+		if len(g.nodes) != n || cap(g.nodes) != n || &g.nodes[0] != &g.grad[0] {
+			t.Fatalf("%s: f's nodes are not the first %d of G's %d", fn.name, n, len(g.grad))
+		}
+		regroups := false
+		for i := range b.nodes {
+			if !sameNode(g.grad[i], b.nodes[i]) {
+				t.Fatalf("%s: G's node %d is %+v, f's is %+v", fn.name, i, g.grad[i], b.nodes[i])
+			}
+			regroups = regroups || b.nodes[i].op == OpDiv || b.nodes[i].op == OpLog
+		}
+
+		got := make([]float64, fn.dim)
+		want := make([]float64, fn.dim)
+		for trial := 0; trial < 10; trial++ {
+			x := samplePoint(rng, fn)
+			if v, w := g.Grad(x, got), sweepGrad(g, x, want); math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("%s: Grad value %v, sweep %v (x=%v)", fn.name, v, w, x)
+			}
+			for i := range got {
+				if !regroups && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: grad[%d] = %v, sweep %v (x=%v)", fn.name, i, got[i], want[i], x)
+				}
+			}
+			for _, s := range special {
+				i := rng.Intn(fn.dim)
+				old := x[i]
+				x[i] = s
+				if v, w := g.Grad(x, got), g.Value(x); math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%s: Grad value %v, Value %v (x=%v)", fn.name, v, w, x)
+				}
+				x[i] = old
+			}
+		}
+	}
 }
 
 // TestEigGradGivesThirdOrder checks ∇ₓ(vᵀH(x)v) against closed forms.

@@ -4,18 +4,20 @@
 // be evaluated and differentiated at arbitrary points:
 //
 //   - Value:    forward evaluation, O(|graph|)
-//   - Grad:     reverse-mode gradient, O(|graph|)
+//   - Grad:     reverse-mode gradient, one forward pass over the program
+//     G(x) = [f(x), ∇f(x)], whose first nodes are f's
 //   - HVP:      Hessian-vector product, one forward pass over the program
 //     P(x, v) = ∇ₓ⟨∇f(x), v⟩ = H(x)·v
 //   - Hessian:  d passes of P against the basis vectors
 //   - EigGrad:  ∇ₓ(vᵀH(x)v), one reverse sweep over P
 //
 // As in JAX, derivatives are program transforms: adjoint (adjoint.go) turns
-// a program into the program of its gradient, and P is that transform
-// applied twice, built once per graph on first use. Every evaluator, the
-// float64 one here and internal/interval's, interprets primal ops only, so
-// the per-op derivative rules live in two places: partials (numbers, for
-// Grad) and adjoint (graphs).
+// a program into the program of its gradient. G is that transform applied
+// once, built at Finish; P is it applied twice, built once per graph on
+// first use. Every evaluator, the float64 one here and internal/interval's,
+// interprets primal ops only, so the per-op derivative rules live in two
+// places: adjoint (graphs) and partials (numbers, for EigGrad's reverse
+// sweep over P only).
 //
 // The graph also carries a polynomial-degree analysis (degree.go) used to
 // detect constant Hessians, mirroring AutoMon's inspection of the Hessian
@@ -27,6 +29,7 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -86,10 +89,12 @@ type node struct {
 // Graph is an immutable compiled program computing a scalar function of Dim
 // variables. Nodes are stored in topological (construction) order.
 type Graph struct {
-	nodes []node
-	vars  []Ref // vars[i] is the node holding variable i
+	nodes []node // f's program: the first nodes of grad
+	vars  []Ref  // vars[i] is the node holding variable i
 	out   Ref
-	pool  bufferPool
+	grad  []node     // G(x) = [f(x), ∇f(x)], built at Finish
+	dfdx  []Ref      // dfdx[i] is G's node holding ∂f/∂xᵢ
+	pool  bufferPool // buffers sized to G, so Value and Grad share them
 
 	blocks [][]int // HessianBlocks, fixed at Finish
 
@@ -138,13 +143,20 @@ func NewBuilder(dim int) *Builder {
 // not be modified.
 func (b *Builder) Vars() []Ref { return b.vars }
 
-// Finish seals the builder into an immutable Graph with the given output.
+// Finish seals the builder into an immutable Graph with the given output,
+// and builds its gradient program G: adjoint's exact replay of f's nodes,
+// then the reverse sweep as nodes. f's program is G's prefix, so the graph
+// holds one node slice and Grad's value is Value's.
 func (b *Builder) Finish(out Ref) *Graph {
 	if out < 0 || int(out) >= len(b.nodes) {
 		panic("autodiff: Finish with invalid output ref")
 	}
-	g := &Graph{nodes: b.nodes, vars: b.vars, out: out}
-	g.pool.size = len(b.nodes)
+	gb := NewBuilder(len(b.vars))
+	dfdx := adjoint(gb, b.nodes, out, gb.vars)
+	grad := slices.Clone(gb.nodes)
+	n := len(b.nodes)
+	g := &Graph{nodes: grad[:n:n], vars: b.vars, out: out, grad: grad, dfdx: dfdx}
+	g.pool.size = len(grad)
 	g.blocks = g.hessianBlocks()
 	return g
 }

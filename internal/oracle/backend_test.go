@@ -4,7 +4,10 @@ package oracle_test
 // 3·ε bounds under the default L-BFGS engine is replayed with the certified
 // interval backend and with the hybrid, because switching the eigen-engine
 // must never change what the protocol guarantees — only how the curvature
-// bounds are obtained. For the interval runs the coordinator's own counters
+// bounds are obtained. Every interval run is held to 1·ε: its DC split holds
+// on all of the box the zone confines each node to, so the paper's guarantee
+// is a derivation there, not a search result; only the hybrid, whose bounds
+// may come from the search, keeps its spec's tolerance. For the interval runs the coordinator's own counters
 // double as the end-to-end "no optimizer work" proof: zero optimizer
 // eigensolves over entire replays. A final cross-check compares the two
 // engines at matching (x0, r): the certificate should enclose whatever the
@@ -25,6 +28,9 @@ func TestBackendSweep(t *testing.T) {
 		for _, sp := range specs(t) {
 			sp := sp
 			sp.Core.Decomp.Backend = backend
+			if backend == core.BackendInterval {
+				sp.Tolerance = 1
+			}
 			name := sp.Name + "/" + backend.String()
 			adcdX := sp.Core.R > 0
 			t.Run(name, func(t *testing.T) {
