@@ -25,7 +25,6 @@ func main() {
 	full := flag.Bool("full", false, "use full-size parameters (slow) instead of the quick defaults")
 	seed := flag.Int64("seed", 1, "master seed for data generation and optimizers")
 	latency := flag.Duration("latency", 0, "injected one-way latency for the figure-10 WAN runs (e.g. 28ms)")
-	telemetry := flag.String("telemetry", "", "write per-run metric snapshots as JSON to this file")
 	parallel := flag.Int("parallel", 0, "worker goroutines for a figure sweep's independent runs (0 = one per core, 1 = one at a time); tables are identical at any setting")
 	eigBackend := flag.String("eig-backend", "", `eigen-engine for ADCD-X zone builds: "lbfgs" (default), "interval" (certified), or "hybrid"`)
 	sketchRows := flag.Int("sketch-rows", 0, "AMS sketch rows for the ingestion experiments (0 = 4)")
@@ -41,9 +40,6 @@ func main() {
 		Quick: !*full, Seed: *seed, Workers: *parallel,
 		EigBackend: backend,
 		SketchRows: *sketchRows, SketchCols: *sketchCols,
-	}
-	if *telemetry != "" {
-		o.Telemetry = &experiments.Telemetry{}
 	}
 
 	type gen struct {
@@ -88,18 +84,5 @@ func main() {
 	if !ran {
 		fmt.Fprintf(os.Stderr, "automon-bench: unknown figure %q\n", *fig)
 		os.Exit(2)
-	}
-	if o.Telemetry != nil {
-		f, err := os.Create(*telemetry)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "automon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := o.Telemetry.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "automon-bench: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# telemetry: %d run snapshots -> %s\n", len(o.Telemetry.Runs()), *telemetry)
 	}
 }

@@ -11,8 +11,6 @@
 // Modes:
 //
 //	-list        print the analyzers and their invariants, then exit
-//	-sarif       emit findings as a SARIF 2.1.0 log on stdout (for CI
-//	             annotation and artifact upload) instead of plain lines
 //
 // Findings are always reported module-wide: the analyzers follow calls
 // across packages, so a change in one package can surface a finding in an
@@ -31,9 +29,8 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "print the analyzers and their invariants, then exit")
-	sarif := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: automon-lint [-list] [-sarif] [./...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: automon-lint [-list] [./...]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -74,18 +71,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *sarif {
-		out, err := analysis.SARIF(diags, analyzers, root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "automon-lint: %v\n", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(out)
-		fmt.Println()
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "automon-lint: %d finding(s)\n", len(diags))

@@ -576,13 +576,11 @@ var knobManifest = map[string]string{
 	"sim.Config.TreeFanout":  "the topology: -tree-fanout",
 	"sim.Config.ShardAbsorb": "selects shard.ModeAbsorb: -shard-absorb",
 	"sim.Config.Trace":       "output choice: the time-series figures (Fig. 4, 9)",
-	"sim.Config.Metrics":     "deployment setting: telemetry registry",
 
 	"automon-bench -fig":         "output choice: which figure",
 	"automon-bench -full":        "paper-size against quick parameters",
 	"automon-bench -seed":        "reproducibility",
 	"automon-bench -latency":     "paper §4.7 WAN latency for Fig. 10",
-	"automon-bench -telemetry":   "output choice: metric snapshots file",
 	"automon-bench -parallel":    "two live values: 0 and 1, the figure sweeps' width, both pinned byte-identical on Fig. 8 in CI",
 	"automon-bench -eig-backend": "three live values: results/adaptive.csv is recorded at interval",
 	"automon-bench -sketch-rows": "the sketch's shape: accuracy against size",
@@ -605,8 +603,7 @@ var knobManifest = map[string]string{
 	"automon-coordinator -adaptive-r":  "follows core.Config.AdaptiveR",
 	"automon-coordinator -r-max":       "follows core.Config.RMax",
 
-	"automon-lint -list":  "output choice",
-	"automon-lint -sarif": "output choice: CI annotation format",
+	"automon-lint -list": "output choice",
 
 	"automon-node -addr":               "deployment setting",
 	"automon-node -func":               "the user's input: the function",

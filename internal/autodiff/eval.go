@@ -221,6 +221,7 @@ func (g *Graph) Grad(x, grad []float64) float64 {
 // sweep is the reverse pass: given the forward values val and the seeded
 // output adjoints in adj, it accumulates every node's adjoint into adj.
 // EigGrad runs it over P.
+// It stays numeric: as a program, EigGrad is slower on KLD per call and per build (EXPERIMENTS.md).
 func sweep(nodes []node, val, adj []float64) {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		a := adj[i]

@@ -30,7 +30,6 @@ func IntrusionEntropyWorkload(o Options, nodes, rounds int) *Workload {
 	}
 	return &Workload{
 		Name:       "intrusion-entropy",
-		tel:        o.Telemetry,
 		F:          funcs.Entropy(stream.IntrusionFeatures, 0.01).WithDomain(lo, hi),
 		Data:       stream.NewIntrusion(nodes, o.rounds(rounds), o.Seed+10).Dataset,
 		TuneRounds: o.rounds(200),
@@ -46,7 +45,6 @@ func IntrusionEntropyWorkload(o Options, nodes, rounds int) *Workload {
 func RegimeShiftWorkload(o Options, nodes, rounds int) *Workload {
 	return &Workload{
 		Name:       "regime-rosenbrock",
-		tel:        o.Telemetry,
 		F:          funcs.Rosenbrock(),
 		Data:       stream.RegimeShift(2, nodes, o.rounds(rounds), 0, 0.2, 0.7, o.Seed+11),
 		TuneRounds: o.rounds(150),

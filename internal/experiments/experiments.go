@@ -20,7 +20,6 @@ import (
 	"automon/internal/core"
 	"automon/internal/funcs"
 	"automon/internal/nn"
-	"automon/internal/obs"
 	"automon/internal/sim"
 	"automon/internal/stream"
 )
@@ -33,10 +32,6 @@ type Options struct {
 	Quick bool
 	// Seed drives every generator and optimizer for reproducibility.
 	Seed int64
-	// Telemetry, when set, receives a RunSnapshot (result aggregates plus a
-	// per-run metric registry snapshot) for every simulated run the suite
-	// executes; automon-bench serializes it with -telemetry.
-	Telemetry *Telemetry
 	// Workers bounds the goroutines running independent runs inside each
 	// figure sweep: 0 means one worker per core (GOMAXPROCS), 1 runs them one
 	// at a time. The eigenvalue search's start pool and Tune's replay waves
@@ -137,38 +132,23 @@ type Workload struct {
 	FixedR     float64
 	TuneRounds int
 	Decomp     core.DecompOptions
-
-	// tel, when non-nil, records a RunSnapshot per run (set by the workload
-	// constructors from Options.Telemetry).
-	tel *Telemetry
 }
 
 // run executes one monitored configuration. cc carries the core settings a
 // sweep varies (the adaptive sweep's controller knobs); Epsilon, the pinned
 // or tuned radius and the eigen-engine options are stamped from the workload.
-// When telemetry is enabled the run gets a private metric registry whose
-// snapshot rides along with the result aggregates.
 func (w *Workload) run(alg sim.Algorithm, eps float64, period int, cc core.Config) (*sim.Result, error) {
-	var reg *obs.Registry
-	if w.tel != nil {
-		reg = obs.NewRegistry()
-	}
 	cc.Epsilon = eps
 	cc.R = w.FixedR
 	cc.Decomp = w.Decomp
-	res, err := sim.Run(sim.Config{
+	return sim.Run(sim.Config{
 		F:          w.F,
 		Data:       w.Data,
 		Algorithm:  alg,
 		Period:     period,
 		Core:       cc,
 		TuneRounds: w.TuneRounds,
-		Metrics:    reg,
 	})
-	if err == nil {
-		w.tel.record(w.Name, eps, res, reg)
-	}
-	return res, err
 }
 
 // InnerProductWorkload is the §4.2 inner-product setup (default d = 40,
@@ -177,7 +157,6 @@ func InnerProductWorkload(o Options, d, nodes int) *Workload {
 	half := d / 2
 	return &Workload{
 		Name:   "inner-product",
-		tel:    o.Telemetry,
 		F:      funcs.InnerProduct(half),
 		Data:   stream.InnerProductPhases(half, nodes, o.rounds(1000), o.Seed+1),
 		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed}),
@@ -189,7 +168,6 @@ func InnerProductWorkload(o Options, d, nodes int) *Workload {
 func QuadraticWorkload(o Options, d, nodes int) *Workload {
 	return &Workload{
 		Name:   "quadratic",
-		tel:    o.Telemetry,
 		F:      funcs.RandomQuadratic(d, o.Seed+2),
 		Data:   stream.QuadraticOutlier(d, nodes, o.rounds(1000), o.Seed+3),
 		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed}),
@@ -203,7 +181,6 @@ func KLDWorkload(o Options, d, nodes, rounds int) *Workload {
 	tau := 1.0 / float64(nodes*200)
 	return &Workload{
 		Name:       "kld",
-		tel:        o.Telemetry,
 		F:          funcs.KLD(bins, tau),
 		Data:       stream.NewAirQuality(nodes, bins, o.rounds(rounds), o.Seed+4),
 		TuneRounds: o.rounds(200),
@@ -219,7 +196,6 @@ func MLPWorkload(o Options, d, nodes int) (*Workload, error) {
 	}
 	return &Workload{
 		Name:       fmt.Sprintf("mlp-%d", d),
-		tel:        o.Telemetry,
 		F:          f,
 		Data:       stream.MLPDrift(d, nodes, o.rounds(1000), o.Seed+6),
 		TuneRounds: o.rounds(200),
@@ -263,7 +239,6 @@ func DNNWorkload(o Options) (*Workload, error) {
 	}
 	w := &Workload{
 		Name:   "dnn-intrusion",
-		tel:    o.Telemetry,
 		F:      funcs.Network("dnn-intrusion", net),
 		Data:   in.Dataset,
 		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed, OptStarts: 1, OptMaxIter: 8, OptMaxFunEvals: 40}),
@@ -280,7 +255,6 @@ func DNNWorkload(o Options) (*Workload, error) {
 func RosenbrockWorkload(o Options, nodes, rounds int) *Workload {
 	return &Workload{
 		Name:   "rosenbrock",
-		tel:    o.Telemetry,
 		F:      funcs.Rosenbrock(),
 		Data:   stream.GaussianNoise(2, nodes, o.rounds(rounds), 0, 0.2, o.Seed+9),
 		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed}),

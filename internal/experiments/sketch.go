@@ -29,7 +29,6 @@ func SketchF2Workload(o Options, nodes, rounds int) *Workload {
 	rows, cols := o.sketchShape()
 	return &Workload{
 		Name:   fmt.Sprintf("sketch-f2-%dx%d", rows, cols),
-		tel:    o.Telemetry,
 		F:      funcs.AMSF2(rows, cols),
 		Data:   stream.ZipfTurnstile(nodes, o.rounds(rounds), rows, cols, o.Seed+10),
 		Decomp: o.decomp(core.DecompOptions{Seed: o.Seed}),

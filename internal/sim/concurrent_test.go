@@ -48,8 +48,8 @@ func runConcurrently(t *testing.T, cfgs []Config) []*Result {
 	return results
 }
 
-// groupConfigs builds three tenants; with metrics, each run gets a private
-// registry (the Result's traffic fields are views over its counters).
+// groupConfigs builds three tenants; with metrics, each run's coordinator
+// gets a private registry.
 func groupConfigs(metrics bool) []Config {
 	cfgs := []Config{
 		{F: funcs.InnerProduct(4), Data: stream.InnerProductPhases(4, 5, 120, 1),
@@ -61,7 +61,7 @@ func groupConfigs(metrics bool) []Config {
 	}
 	if metrics {
 		for i := range cfgs {
-			cfgs[i].Metrics = obs.NewRegistry()
+			cfgs[i].Core.Metrics = obs.NewRegistry()
 		}
 	}
 	return cfgs

@@ -9,51 +9,36 @@ import (
 	"automon/internal/stream"
 )
 
-// TestSimMetricsMatchResult asserts the Result traffic fields are views over
-// the registry counters: a scrape and the returned aggregates cannot differ.
-func TestSimMetricsMatchResult(t *testing.T) {
+// TestMessagesByTypeSumToMessages asserts that the Result's per-type
+// breakdown accounts for every message it counts, for each algorithm's
+// counting path (fabric hook and direct baseline counts).
+func TestMessagesByTypeSumToMessages(t *testing.T) {
 	f := funcs.InnerProduct(4)
 	ds := stream.InnerProductPhases(4, 5, 150, 1)
 	for _, alg := range []Algorithm{AutoMon, Centralization, Periodic, Hybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
-			reg := obs.NewRegistry()
 			res, err := Run(Config{
 				F: f, Data: ds, Algorithm: alg, Period: 10,
-				Core:    core.Config{Epsilon: 0.2},
-				Metrics: reg,
+				Core: core.Config{Epsilon: 0.2},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := reg.Snapshot()
-			if got := snap["automon_sim_messages_total"]; int(got) != res.Messages {
-				t.Fatalf("messages metric %v != result %d", got, res.Messages)
-			}
-			if got := snap["automon_sim_payload_bytes_total"]; int(got) != res.PayloadBytes {
-				t.Fatalf("payload metric %v != result %d", got, res.PayloadBytes)
+			if res.Messages == 0 {
+				t.Fatal("run sent no messages; the check is vacuous")
 			}
 			byType := 0
-			for typ, n := range res.MessagesByType {
-				name := `automon_sim_messages_by_type_total{type="` + typ.String() + `"}`
-				if got := snap[name]; int(got) != n {
-					t.Fatalf("%s = %v, result says %d", name, got, n)
-				}
+			for _, n := range res.MessagesByType {
 				byType += n
 			}
 			if byType != res.Messages {
 				t.Fatalf("per-type sum %d != total %d", byType, res.Messages)
 			}
-			// The AutoMon-family runs also surface protocol counters.
-			if alg == AutoMon || alg == Hybrid {
-				if got := snap["automon_coordinator_full_syncs_total"]; int(got) != res.Stats.FullSyncs {
-					t.Fatalf("coordinator full syncs metric %v != stats %d", got, res.Stats.FullSyncs)
-				}
-			}
 		})
 	}
 }
 
-// fakeMsg is a protocol message of a type the counter was never told about.
+// fakeMsg is a protocol message of a type outside core's message types.
 type fakeMsg struct{}
 
 func (fakeMsg) Type() core.MsgType { return core.MsgType(250) }
@@ -62,13 +47,11 @@ func (fakeMsg) Encode() []byte     { return make([]byte, 7) }
 func (fakeMsg) AppendBinary(b []byte) []byte { return append(b, make([]byte, 7)...) }
 
 // TestCountingCommCountsUnknownMessageTypes guards against the fixed-list
-// trap: a message type outside the pre-registered six must still be counted
-// (in the Result and, when present, the registry) instead of incrementing a
-// nil counter and then zeroing the Result entry.
+// trap: a message type outside the known protocol types must still be
+// counted in the Result.
 func TestCountingCommCountsUnknownMessageTypes(t *testing.T) {
-	reg := obs.NewRegistry()
 	res := &Result{MessagesByType: make(map[core.MsgType]int)}
-	comm := newCounter(Config{Metrics: reg}, res)
+	comm := &counter{res: res}
 
 	comm.count(fakeMsg{})
 	comm.count(fakeMsg{})
@@ -77,10 +60,6 @@ func TestCountingCommCountsUnknownMessageTypes(t *testing.T) {
 	}
 	if res.Messages != 2 || res.PayloadBytes != 14 {
 		t.Fatalf("totals = %d msgs / %d bytes, want 2 / 14", res.Messages, res.PayloadBytes)
-	}
-	name := `automon_sim_messages_by_type_total{type="` + core.MsgType(250).String() + `"}`
-	if got := reg.Snapshot()[name]; int(got) != 2 {
-		t.Fatalf("%s = %v, want 2", name, got)
 	}
 }
 
@@ -96,8 +75,7 @@ func TestTunedRunSharedRegistryCoversFinalRunOnly(t *testing.T) {
 			F:         funcs.Rosenbrock(),
 			Data:      stream.GaussianNoise(2, 4, 260, 0, 0.2, 3),
 			Algorithm: AutoMon, TuneRounds: 60,
-			Core:    core.Config{Epsilon: 0.4, Decomp: core.DecompOptions{Seed: 1}},
-			Metrics: reg,
+			Core: core.Config{Epsilon: 0.4, Decomp: core.DecompOptions{Seed: 1}, Metrics: reg},
 		})
 		if err != nil {
 			t.Fatal(err)

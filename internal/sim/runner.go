@@ -13,7 +13,6 @@ import (
 
 	"automon/internal/core"
 	"automon/internal/linalg"
-	"automon/internal/obs"
 	"automon/internal/shard"
 	"automon/internal/stream"
 )
@@ -82,13 +81,6 @@ type Config struct {
 	// message count (used by the time-series figures).
 	Trace bool
 
-	// Metrics, when set, exposes the run's traffic counters under
-	// automon_sim_* names (and is handed to the core coordinator unless
-	// Core.Metrics is already set). The registry belongs to the run: the
-	// Result's traffic fields are views over its counters, so a second run
-	// on the same registry would accumulate into them.
-	Metrics *obs.Registry
-
 	// Test hooks, set by in-package tests only.
 	//
 	// elide enables safe-zone check elision for the AutoMon family
@@ -146,63 +138,17 @@ type Result struct {
 
 // counter accounts for every message and its encoded payload size. It hangs
 // on the group fabric's OnMessage hook; the baseline algorithms
-// (centralization, periodic, hybrid fallback) call count directly. The counts
-// live in obs counters and the Result fields are refreshed from them on every
-// count, so a registry scrape and the Result can never disagree.
+// (centralization, periodic, hybrid fallback) call count directly.
 type counter struct {
-	res *Result
-
-	reg     *obs.Registry
-	msgs    *obs.Counter
-	payload *obs.Counter
-	byType  map[core.MsgType]*obs.Counter
+	res     *Result
 	scratch []byte // reused encoding, measured and dropped
 }
 
-// newCounter wires the counters, registering them when the run has a
-// registry.
-func newCounter(cfg Config, res *Result) *counter {
-	c := &counter{
-		res:    res,
-		reg:    cfg.Metrics,
-		byType: make(map[core.MsgType]*obs.Counter),
-	}
-	c.msgs = cfg.Metrics.Counter("automon_sim_messages_total",
-		"Messages the simulated run would place on the network.")
-	c.payload = cfg.Metrics.Counter("automon_sim_payload_bytes_total",
-		"Encoded payload bytes of the simulated run.")
-	// Pre-register the known types so a scrape shows them at zero even
-	// before the first message; typeCounter creates any type not listed
-	// here on first sight, so new message types are never silently dropped.
-	for t := core.MsgViolation; t <= core.MsgSubtreeRejoin; t++ {
-		c.typeCounter(t)
-	}
-	return c
-}
-
-// typeCounter returns the per-message-type counter, creating (and, when the
-// run has a registry, registering) it on first use.
-func (c *counter) typeCounter(t core.MsgType) *obs.Counter {
-	if ctr, ok := c.byType[t]; ok {
-		return ctr
-	}
-	ctr := c.reg.Counter(fmt.Sprintf("automon_sim_messages_by_type_total{type=%q}", t),
-		"Simulated messages broken down by protocol message type.")
-	c.byType[t] = ctr
-	return ctr
-}
-
 func (c *counter) count(m core.Message) {
-	t := m.Type()
-	ctr := c.typeCounter(t)
-	c.msgs.Inc()
-	ctr.Inc()
+	c.res.Messages++
+	c.res.MessagesByType[m.Type()]++
 	c.scratch = m.AppendBinary(c.scratch[:0])
-	c.payload.Add(int64(len(c.scratch)))
-	// The Result fields are views: always re-read from the counters.
-	c.res.Messages = int(c.msgs.Load())
-	c.res.MessagesByType[t] = int(ctr.Load())
-	c.res.PayloadBytes = int(c.payload.Load())
+	c.res.PayloadBytes += len(c.scratch)
 }
 
 // Run executes one monitoring run and returns its statistics. It owns the
@@ -222,10 +168,6 @@ func Run(cfg Config) (*Result, error) {
 		Function:       cfg.F.Name,
 		MessagesByType: make(map[core.MsgType]int),
 	}
-
-	if cfg.Core.Metrics == nil {
-		cfg.Core.Metrics = cfg.Metrics
-	}
 	windows := cfg.Data.FilledWindows()
 	for i := range windows {
 		if !windows[i].Full() {
@@ -233,7 +175,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	comm := newCounter(cfg, res)
+	comm := &counter{res: res}
 	// truth is the function of the dataset-side global average x̄.
 	avg := make([]float64, cfg.F.Dim())
 	truth := func() float64 { return cfg.F.Value(linalg.Mean(avg, vectors(windows)...)) }

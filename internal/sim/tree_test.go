@@ -164,7 +164,7 @@ func TestTreeAbsorbMode(t *testing.T) {
 	}
 	absorb := routed
 	absorb.ShardAbsorb = true
-	absorb.Metrics = reg
+	absorb.Core.Metrics = reg
 	absorbRes, err := Run(absorb)
 	if err != nil {
 		t.Fatal(err)
@@ -233,13 +233,13 @@ func TestTreeChaosBitIdenticalSiblings(t *testing.T) {
 
 	// Solo baselines, each with private infrastructure.
 	soloVictim := victimBase
-	soloVictim.Metrics = obs.NewRegistry()
+	soloVictim.Core.Metrics = obs.NewRegistry()
 	wantVictim, err := Run(soloVictim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calmStorm := stormBase
-	calmStorm.Metrics = obs.NewRegistry()
+	calmStorm.Core.Metrics = obs.NewRegistry()
 	wantStorm, err := Run(calmStorm)
 	if err != nil {
 		t.Fatal(err)
