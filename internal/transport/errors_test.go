@@ -108,11 +108,12 @@ func TestBadRegistrationRejected(t *testing.T) {
 // sends whatever a test hands it, so a test can put a malformed message on a
 // registered connection. Storing nil in reply silences it; each data request
 // it then leaves unanswered is signalled on pulled. hungUp closes when the
-// coordinator closes the connection.
+// coordinator closes the connection, and syncs counts the Syncs it received.
 type rawNode struct {
 	id     int
 	conn   net.Conn
 	reply  atomic.Pointer[[]float64]
+	syncs  atomic.Int64
 	pulled chan struct{}
 	hungUp chan struct{}
 }
@@ -135,6 +136,9 @@ func dialRawNode(t *testing.T, addr string, id int, x []float64) *rawNode {
 				return
 			}
 			for _, m := range fb.msgs {
+				if _, ok := m.(*core.Sync); ok {
+					rn.syncs.Add(1)
+				}
 				if _, ok := m.(*core.DataRequest); !ok {
 					continue
 				}
@@ -174,6 +178,91 @@ func parkOnSilentNode(t *testing.T, loud, quiet *rawNode, x []float64) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the violation's full sync never pulled the silent node")
 	}
+}
+
+// sendAndRoute sends ms from rn and waits until the coordinator has routed
+// them: a reader routes a frame's messages before it decodes the next, so once
+// a trailing duplicate Rejoin (a no-op on a registered connection) is counted,
+// everything before it has reached the mailbox.
+func sendAndRoute(t *testing.T, coord *Coordinator, rn *rawNode, ms ...core.Message) {
+	t.Helper()
+	recv := coord.Stats.MessagesReceived.Load()
+	for _, m := range append(ms, &core.Rejoin{NodeID: rn.id, X: []float64{1, 1}}) {
+		rn.send(t, m)
+	}
+	waitFor(t, 5*time.Second, "the coordinator to read the sent messages", func() bool {
+		return coord.Stats.MessagesReceived.Load() == recv+int64(len(ms))+1
+	})
+}
+
+// TestFloodResolvesFreshestReport: while the dispatch loop is parked in a
+// pull, a node sends more violation reports than a 64·n queue would hold,
+// each with its own vector. The mailbox keeps only the node's newest report,
+// so once the pull returns exactly one resolution runs for the flood, and it
+// resolves the last report's vector.
+func TestFloodResolvesFreshestReport(t *testing.T) {
+	f := funcs.InnerProduct(1)
+	x := []float64{1, 1}
+	coord, nodes := startRawPair(t, f, x, Options{})
+	loud, quiet := nodes[0], nodes[1]
+	syncs := coord.CoordStats().FullSyncs
+	parkOnSilentNode(t, loud, quiet, x)
+
+	const flood = 64*2 + 72
+	reports := make([]core.Message, flood)
+	for k := range reports {
+		reports[k] = &core.Violation{NodeID: loud.id, Kind: core.ViolationFaulty, X: []float64{float64(k + 1), 1}}
+	}
+	sendAndRoute(t, coord, loud, reports...)
+
+	quiet.reply.Store(&x)
+	quiet.send(t, &core.DataResponse{NodeID: quiet.id, X: x})
+	// The full sync averages the last report with the silent node's x.
+	want := f.Value([]float64{(flood + 1) / 2.0, 1})
+	waitFor(t, 5*time.Second, "the full sync of the flood's last report", func() bool {
+		return coord.Estimate() == want
+	})
+
+	// A report of the other node queues behind whatever the flood left, so
+	// when its full sync is published every flood resolution has run.
+	quiet.send(t, &core.Violation{NodeID: quiet.id, Kind: core.ViolationFaulty, X: x})
+	waitFor(t, 5*time.Second, "the second node's full sync", func() bool {
+		return coord.Estimate() == f.Value(x)
+	})
+	if got := coord.CoordStats().FullSyncs; got != syncs+3 {
+		t.Fatalf("%d full syncs after the park, want 3: the parked one, one for the flood, one for the second node", got-syncs)
+	}
+	if err := coord.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBarrierFlushesResolutionSyncs: with batching on and no MaxDelay timer, a
+// resolution's syncs reach their nodes before the loop resolves a report that
+// arrived during that resolution. The violator is never pulled by the next
+// full sync, so no urgent request carries its buffered sync out; only the
+// barrier can.
+func TestBarrierFlushesResolutionSyncs(t *testing.T) {
+	x := []float64{1, 1}
+	coord, nodes := startRawPair(t, funcs.InnerProduct(1), x, Options{Batch: BatchOptions{MaxBytes: 64 << 10}})
+	loud, quiet := nodes[0], nodes[1]
+	waitFor(t, 5*time.Second, "the initial sync to reach the violator", func() bool {
+		return loud.syncs.Load() == 1
+	})
+	parkOnSilentNode(t, loud, quiet, x)
+	sendAndRoute(t, coord, loud, &core.Violation{NodeID: loud.id, Kind: core.ViolationFaulty, X: x})
+
+	// Answer the parked pull but stay silent: the second report's full sync
+	// then parks on the silent node's next pull.
+	quiet.send(t, &core.DataResponse{NodeID: quiet.id, X: x})
+	select {
+	case <-quiet.pulled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second report's full sync never pulled the silent node")
+	}
+	waitFor(t, 5*time.Second, "the first resolution's sync to reach the violator", func() bool {
+		return loud.syncs.Load() == 2
+	})
 }
 
 // startRawPair serves f to two raw nodes at x and waits for Ready.

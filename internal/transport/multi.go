@@ -156,30 +156,22 @@ func (mc *MultiCoordinator) addGroup(gid GroupID, f *core.Function, n int, cfg c
 		}
 	}
 	c := &Coordinator{
-		srv:   mc,
-		gid:   gid,
-		f:     f,
-		n:     n,
-		cfg:   cfg,
-		opts:  mc.opts,
-		conns: make([]*coordConn, n),
-		joins: make([][]float64, n),
-		ready: make(chan struct{}),
-		wake:  make(chan struct{}, 1),
-		// Nodes keep at most one violation report outstanding, and the
-		// dispatcher coalesces the queue per node, so the buffer only needs
-		// to absorb short bursts; it keeps connection readers from ever
-		// blocking on the dispatch loop (which would deadlock the
-		// data-request round-trips inside a resolution).
-		violCh: make(chan *core.Violation, 64*n),
-		deadCh: make(chan int, 4*n),
-		done:   make(chan struct{}),
+		srv:     mc,
+		gid:     gid,
+		f:       f,
+		n:       n,
+		cfg:     cfg,
+		opts:    mc.opts,
+		conns:   make([]*coordConn, n),
+		joins:   make([][]float64, n),
+		reports: make([]core.Violation, n),
+		ready:   make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	c.tracer = mc.opts.Tracer
 	c.deadlineHits = mc.opts.Metrics.Counter("automon_transport_request_timeouts_total"+lbl,
 		"Data-request round trips that exceeded RequestTimeout (node recycled).")
-	c.shedViolations = mc.opts.Metrics.Counter("automon_transport_shed_violations_total"+lbl,
-		"Violation reports dropped because a resolution storm filled the queue.")
 
 	mc.groupsMu.Lock()
 	if _, dup := mc.groups[gid]; dup {

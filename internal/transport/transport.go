@@ -273,7 +273,9 @@ func (o *Options) defaults() {
 // MultiCoordinator.AddGroup (one group of a multi-tenant process); wait for
 // Ready, and read Estimate while nodes stream updates. Node connections may
 // come and go: a lost node is marked dead and the estimate degrades to the
-// live-node average until it rejoins.
+// live-node average until it rejoins. One dispatch goroutine runs every
+// protocol transition; registrations and connection readers hand it their
+// inputs through a per-node mailbox.
 type Coordinator struct {
 	srv  *MultiCoordinator
 	gid  GroupID
@@ -287,9 +289,8 @@ type Coordinator struct {
 	// with registration reads accounted on MultiCoordinator.Stats.
 	Stats TrafficStats
 
-	deadlineHits   *obs.Counter // data-request round trips that timed out
-	shedViolations *obs.Counter // violation reports dropped on a full queue
-	tracer         *obs.Tracer
+	deadlineHits *obs.Counter // data-request round trips that timed out
+	tracer       *obs.Tracer
 
 	// The getters read these, so a reader does not wait out a resolution's
 	// pulls; publish stores them.
@@ -297,17 +298,26 @@ type Coordinator struct {
 	estimate  atomic.Uint64 // math.Float64bits of the estimate
 	liveNodes atomic.Int64
 
-	connsMu sync.Mutex // guards conns and joins
+	connsMu sync.Mutex // guards conns and the mailbox
 	conns   []*coordConn
-	// joins is the join mailbox: the vector each node registered with, until
-	// the dispatch loop takes it. A newer join of the same node replaces one
-	// not yet taken.
-	joins [][]float64
+	// The mailbox holds every input of the dispatch loop until the loop
+	// takes it: registrations and connection readers write it and then post
+	// on wake, so none of them ever blocks or drops an input. Each part
+	// holds at most n entries.
+	//
+	// joins holds the vector each node registered with; a newer join of the
+	// same node replaces one not yet taken. deaths lists, once each, the
+	// nodes whose current connection died. reports holds each node's newest
+	// violation report by value (Kind 0: none), and waiting lists the nodes
+	// with a report, oldest first: a newer report replaces a waiting one and
+	// keeps its place.
+	joins   [][]float64
+	deaths  []int
+	reports []core.Violation
+	waiting []int
 
 	ready  chan struct{}
-	wake   chan struct{} // cap 1: a join is waiting in the mailbox
-	violCh chan *core.Violation
-	deadCh chan int
+	wake   chan struct{} // cap 1: the mailbox may hold an input
 	done   chan struct{}
 	err    atomic.Value // first fatal error of this group
 	closed atomic.Bool
@@ -365,86 +375,77 @@ func ListenCoordinator(addr string, f *core.Function, n int, cfg core.Config, op
 
 // dispatch is the one goroutine that drives the group's machine, a local of
 // the loop: Init once the roster is complete, then every rejoin, violation
-// resolution and node-death full sync. Connection readers and registrations
-// only queue events, so none of them waits on a resolution; the first fatal
-// error ends the loop. Queued violations are coalesced per node: while a
-// resolution is running, every sync it fans out can prompt still-out-of-zone
-// nodes to re-report, so only each node's freshest report is worth resolving
-// — older ones carry stale vectors and would only multiply work.
+// resolution and node-death full sync. Registrations and connection readers
+// only write the mailbox, so none of them waits on a resolution; the first
+// fatal error ends the loop.
 //
-// The dispatch queue draining is also the batching sync barrier: once no
-// violation is waiting, every writer's pending batch is flushed so no node
-// blocks on a sync stranded in a buffer. While a resolution storm is in
-// flight, consecutive syncs to the same node coalesce into shared frames.
+// Each turn takes the whole mailbox under one lock and handles it in a fixed
+// order: joins in ascending id, then deaths, then the waiting reports, merged
+// into the loop's own per-node queue. A newer report of a node replaces its
+// queued one and keeps its turn: while a resolution runs, every sync it fans
+// out can prompt still-out-of-zone nodes to re-report, so only each node's
+// freshest report is worth resolving. The turn then resolves the oldest
+// report in the queue.
+//
+// The queue running empty is the batching sync barrier: a turn that starts
+// with it empty flushes every writer's pending batch before it takes the
+// mailbox, so a resolution's syncs leave before the loop resolves a report
+// that arrived during that resolution, and no node blocks on a sync stranded
+// in a buffer. While the queue holds reports, consecutive syncs to the same
+// node coalesce into shared frames.
 func (c *Coordinator) dispatch() {
 	defer c.wg.Done()
 	var m *core.Coordinator // nil until the roster is complete
-	spare := make([][]float64, c.n)
-	pending := make(map[int]*core.Violation)
-	var order []int
-	drain := func() {
-		for c.err.Load() == nil {
-			//automon:allow determinism violation/death/join arrival order is inherent event multiplexing; coalescing keeps only each node's freshest report and §4 resolution converges from any order
-			select {
-			case v := <-c.violCh:
-				if _, ok := pending[v.NodeID]; !ok {
-					order = append(order, v.NodeID)
-				}
-				pending[v.NodeID] = v
-			case id := <-c.deadCh:
-				c.handleDead(m, id)
-			case <-c.wake:
-				m, spare = c.admit(m, spare)
-			default:
-				return
-			}
-		}
-	}
+	joins := make([][]float64, c.n)
+	var deaths []int
+	queue := make([]core.Violation, c.n)
+	var order []int // nodes with a report in queue, oldest first
 	for c.err.Load() == nil {
 		if len(order) == 0 {
 			c.flushAll()
-			//automon:allow determinism idle wait races shutdown against live events by design; the protocol state a violation produces does not depend on which arm wakes the loop
+			//automon:allow determinism idle wait races shutdown against a posted mailbox by design; the mailbox fixes the order in which the loop takes its inputs
 			select {
 			case <-c.done:
 				return
-			case id := <-c.deadCh:
-				c.handleDead(m, id)
-				continue
 			case <-c.wake:
-				m, spare = c.admit(m, spare)
-				continue
-			case v := <-c.violCh:
-				pending[v.NodeID] = v
-				order = append(order, v.NodeID)
 			}
 		}
-		drain()
+		c.connsMu.Lock()
+		joins, c.joins = c.joins, joins
+		deaths, c.deaths = c.deaths, deaths[:0]
+		complete := !slices.Contains(c.conns, nil)
+		for _, id := range c.waiting {
+			if queue[id].Kind == 0 {
+				order = append(order, id)
+			}
+			queue[id], c.reports[id] = c.reports[id], core.Violation{}
+		}
+		c.waiting = c.waiting[:0]
+		c.connsMu.Unlock()
+
+		m = c.admit(m, joins, complete)
+		for _, id := range deaths {
+			c.handleDead(m, id)
+		}
 		if len(order) == 0 {
 			continue
 		}
 		id := order[0]
-		order = order[1:]
-		v := pending[id]
-		delete(pending, id)
+		order = slices.Delete(order, 0, 1)
 		if m != nil && c.err.Load() == nil {
-			c.settle(m, m.HandleViolation(v))
+			c.settle(m, m.HandleViolation(&queue[id]))
 		}
+		queue[id] = core.Violation{}
 	}
 }
 
-// admit takes the join mailbox, leaving spare (the loop's emptied previous
-// one) in its place. Until the roster is complete a join only installs its
-// connection; the first wake that finds it complete builds the machine and
-// runs Init, whose pulls read every node afresh, and closes Ready once the
-// initial syncs are flushed. After Init each join is one HandleRejoin with
-// the registered vector, in ascending id order, its syncs flushed before the
-// next.
-func (c *Coordinator) admit(m *core.Coordinator, spare [][]float64) (*core.Coordinator, [][]float64) {
-	c.connsMu.Lock()
-	joins := c.joins
-	c.joins = spare
-	complete := !slices.Contains(c.conns, nil)
-	c.connsMu.Unlock()
+// admit handles the joins one turn took from the mailbox and clears them.
+// Until the roster is complete a join only installs its connection; the first
+// turn that finds it complete builds the machine and runs Init, whose pulls
+// read every node afresh, and closes Ready once the initial syncs are
+// flushed. After Init each join is one HandleRejoin with the registered
+// vector, in ascending id order, its syncs flushed before the next.
+func (c *Coordinator) admit(m *core.Coordinator, joins [][]float64, complete bool) *core.Coordinator {
 	switch {
 	case m != nil:
 		for id, x := range joins {
@@ -464,7 +465,7 @@ func (c *Coordinator) admit(m *core.Coordinator, spare [][]float64) (*core.Coord
 		}
 	}
 	clear(joins)
-	return m, joins
+	return m
 }
 
 // flushAll drains every live connection's pending batch — the explicit
@@ -622,12 +623,18 @@ func (c *Coordinator) register(id int, conn net.Conn, rd *frameReader, x []float
 	if old != nil {
 		old.conn.Close() // retire the stale reader; its death event is ignored
 	}
-	// Woken first, the loop takes the join before the new conn's violations.
+	c.post()
+	go c.serveConn(cc, rd)
+}
+
+// post wakes the dispatch loop after an input was left in the mailbox. A
+// wake already pending covers this input too: the loop takes the whole
+// mailbox at once.
+func (c *Coordinator) post() {
 	select {
 	case c.wake <- struct{}{}:
 	default:
 	}
-	go c.serveConn(cc, rd)
 }
 
 // serveConn reads cc's frames with rd until the connection dies. Each message
@@ -644,15 +651,11 @@ func (c *Coordinator) serveConn(cc *coordConn, rd *frameReader) {
 				return
 			}
 			c.connsMu.Lock()
-			current := c.conns[cc.id] == cc
-			c.connsMu.Unlock()
-			if current {
-				//automon:allow determinism death report races shutdown by design; both arms retire the connection and no value leaves the select
-				select {
-				case c.deadCh <- cc.id:
-				case <-c.done:
-				}
+			if c.conns[cc.id] == cc && !slices.Contains(c.deaths, cc.id) {
+				c.deaths = append(c.deaths, cc.id)
 			}
+			c.connsMu.Unlock()
+			c.post()
 			return
 		}
 		if fb.group != c.gid {
@@ -670,9 +673,8 @@ func (c *Coordinator) serveConn(cc *coordConn, rd *frameReader) {
 
 // route handles one inbound message on a registered connection. The message
 // lives in the frame reader's structs, so what outlives the frame leaves as a
-// copy: a pull reply by value, a violation in a struct of its own. (By value,
-// the violation queue's 64·n slots would hold 40 bytes each instead of 8,
-// 16 KiB more live heap at n = 8 to save one small allocation per report.)
+// copy by value: a pull reply on dataCh, a violation into its node's mailbox
+// slot.
 func (c *Coordinator) route(cc *coordConn, m core.Message) {
 	switch msg := m.(type) {
 	case *core.DataResponse:
@@ -691,21 +693,19 @@ func (c *Coordinator) route(cc *coordConn, m core.Message) {
 		}
 	case *core.Violation:
 		// A report for another node, of an unknown kind or of the wrong
-		// dimension is a corrupt stream, not a protocol error: queued, it
+		// dimension is a corrupt stream, not a protocol error: resolved, it
 		// would fail its resolution and stop the dispatch loop.
 		if msg.NodeID != cc.id || msg.Check(c.f.Dim()) != nil {
 			cc.conn.Close()
 			return
 		}
-		// A full queue means a resolution storm is already in progress;
-		// its fan-out will make this node re-check and re-report, so the
-		// report is safe to shed.
-		v := *msg
-		select {
-		case c.violCh <- &v:
-		default:
-			c.shedViolations.Inc()
+		c.connsMu.Lock()
+		if c.reports[cc.id].Kind == 0 {
+			c.waiting = append(c.waiting, cc.id)
 		}
+		c.reports[cc.id] = *msg
+		c.connsMu.Unlock()
+		c.post()
 	case *core.Rejoin:
 		// A duplicated registration frame (the rejoin that opened this
 		// connection, delivered twice by a faulty link); already handled.
