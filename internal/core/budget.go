@@ -4,14 +4,15 @@
 // After every exact check that passes at the slacked point v = x + s, the
 // node computes a radius ρ such that *no* local constraint — neighborhood
 // box, ADCD safe zone, §3.7 admissible region — can fail at any point v'
-// with ‖v' − v‖₂ ≤ ρ. Each subsequent event spends a cheap upper bound on
-// its own ‖Δx‖₂ from the budget; while the budget stays positive the vector
-// provably cannot have left the safe set, so the exact check is elided. The
-// first event that exhausts the budget re-runs the exact check (and, on a
-// pass, refreshes the budget). Because elided events are *proven*
-// non-violations, the sequence of violations and syncs is bit-identical to
-// the per-event path — the first failing exact check lands on the same event
-// in both. DESIGN.md ("Check elision") carries the derivation; the
+// with ‖v' − v‖₂ ≤ ρ. A vector-backed step spends its exact displacement
+// ‖v' − v‖₂ from ρ; the sketch path spends a cheap upper bound on each
+// event's own ‖Δx‖₂, whose sum bounds the displacement by the triangle
+// inequality. While the budget stays positive the vector provably cannot
+// have left the safe set, so the exact check is elided. The first event that
+// exhausts the budget re-runs the exact check (and, on a pass, refreshes the
+// budget). Because elided events are *proven* non-violations, the sequence
+// of violations and syncs is bit-identical to the per-event path — the first
+// failing exact check lands on the same event in both. DESIGN.md ("Check elision") carries the derivation; the
 // differential and fuzz harnesses in internal/ingest enforce the invariant.
 package core
 
@@ -32,6 +33,7 @@ const budgetSafety = 0.999
 // so they share one word (see Node).
 type elision struct {
 	curv       float64 // bound on ‖∇²f‖₂ (see Function.CurvBound)
+	radius     float64 // ρ of the last refresh: the safe ball around n.v
 	budget     float64 // remaining movement radius (L2, on x)
 	grad       []float64
 	enabled    bool
@@ -63,8 +65,9 @@ func (n *Node) EnableElision() bool {
 func (n *Node) ElisionEnabled() bool { return n.el.enabled }
 
 // resetBudget invalidates the elision budget; the next SpendBudget forces an
-// exact check. Called whenever the zone, slack, or raw vector changes
-// outside the elided update path.
+// exact check. Called by every check (which may move the ball's centre n.v)
+// and whenever the zone, slack, or raw vector changes outside the elided
+// update path.
 func (n *Node) resetBudget() {
 	n.el.valid = false
 	n.el.budget = 0
@@ -94,22 +97,30 @@ func (n *Node) SpendBudget(norm float64) bool {
 
 // UpdateElided is the one elided node step, shared by every vector-backed
 // driver (Group.Update in process, transport.NodeClient over sockets): write
-// the offered vector straight into the node, spend its exact L2 movement from
-// the budget, and run the exact check only on exhaustion. skipped reports a
-// step whose check the budget proved unnecessary. The node's vector is
-// therefore always current — a data pull reads it as is, and needs no budget
-// reset: a budget depends only on zone, slack and cumulative movement since
-// the last exact check, none of which a pull changes. Without EnableElision
-// every step is UpdateData.
+// the offered vector straight into the node, spend its displacement from the
+// last checked point (the ball's centre n.v) from that check's radius, and
+// run the exact check only on exhaustion. Only a check moves n.v, and every
+// check invalidates the budget, so a valid budget always belongs to the
+// current n.v. A walk that wanders inside the ball stays elided however far
+// it walks. skipped reports a step whose check the budget proved
+// unnecessary. The node's vector is therefore always current — a data pull
+// reads it as is, and needs no budget reset: a budget depends only on zone,
+// slack and the checked point, none of which a pull changes. Without
+// EnableElision every step is UpdateData.
 //
 //automon:hotpath
 func (n *Node) UpdateElided(x []float64) (v *Violation, skipped bool) {
-	if !n.el.enabled {
+	e := &n.el
+	if !e.enabled {
 		return n.UpdateData(x), false
 	}
-	norm := math.Sqrt(linalg.SqDist(x, n.viol.X))
-	copy(n.viol.X, x)
-	if !n.SpendBudget(norm) {
+	if !e.valid {
+		return n.UpdateDataRefresh(x), false
+	}
+	// The budget left after this step is ρ less the displacement, so a
+	// later path-length spend (NodeIngestor) stays within the ball too.
+	e.budget = e.radius
+	if !n.SpendBudget(math.Sqrt(linalg.CopyShiftSqDist(n.viol.X, x, n.slack, n.v))) {
 		return nil, true
 	}
 	return n.checkRefresh(), false
@@ -129,12 +140,11 @@ func (n *Node) UpdateDataRefresh(x []float64) *Violation {
 	return n.checkRefresh()
 }
 
-// checkRefresh invalidates the budget, checks the current vector and, on a
-// pass, refreshes the budget from the check's own f(v) and ∇f(v). A
+// checkRefresh checks the current vector (which invalidates the budget) and,
+// on a pass, refreshes the budget from the check's own f(v) and ∇f(v). A
 // hand-crafted zone exposes no geometry to bound, so its check evaluates
 // f.Value alone and the budget stays invalid: such a node runs per-event.
 func (n *Node) checkRefresh() *Violation {
-	n.resetBudget()
 	var grad []float64
 	if z := &n.zone; n.el.enabled && n.haveZone && z.Custom == nil && z.Method != MethodCustom {
 		grad = n.el.grad
@@ -217,7 +227,7 @@ func (n *Node) refreshBudget(fv float64) {
 		return
 	}
 	e.valid = true
-	e.budget = budget
+	e.radius, e.budget = budget, budget
 }
 
 // solveRadius returns the largest t ≥ 0 with a·t + ½·b·t² ≤ c — the movement

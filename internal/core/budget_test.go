@@ -122,6 +122,120 @@ func TestBudgetSoundnessRandomWalk(t *testing.T) {
 	}
 }
 
+// kindOf is v's kind, 0 for no violation.
+func kindOf(v *Violation) ViolationKind {
+	if v == nil {
+		return 0
+	}
+	return v.Kind
+}
+
+// TestElidedSpendsDisplacement walks a node back and forth inside the ball
+// its first check proved safe, then out of it. The walk's path length grows
+// far past the radius while its displacement never reaches it, so
+// UpdateElided, which spends displacement, must skip every event of the first
+// phase and more events overall than a node spending path length; and on
+// every event both must give the kind UpdateData gives.
+func TestElidedSpendsDisplacement(t *testing.T) {
+	const d = 6
+	for _, method := range []Method{MethodX, MethodE, MethodNone} {
+		elided, ref, x0 := budgetTestZone(t, method, d, 0.4)
+		path, _, _ := budgetTestZone(t, method, d, 0.4)
+		if v, skipped := elided.UpdateElided(x0); v != nil || skipped {
+			t.Fatalf("%v: the first step must check x0 and pass, got (%v, skipped %v)", method, v, skipped)
+		}
+		rho := elided.el.radius
+		if !elided.el.valid || !(rho > 0) {
+			t.Fatalf("%v: no budget after a passing check (radius %v)", method, rho)
+		}
+		rng := rand.New(rand.NewSource(5))
+		x, prev, dir := linalg.Clone(x0), linalg.Clone(x0), make([]float64, d)
+		var walked float64
+		var skipsDisp, skipsPath, violations int
+		for ev := 0; ev < 2000; ev++ {
+			for i := range dir {
+				dir[i] = rng.NormFloat64()
+			}
+			if ev < 1000 {
+				// Oscillate: a fresh point of the ball of radius 0.45ρ
+				// around x0 on every event.
+				linalg.AXPY(x, 0.45*rho*rng.Float64()/linalg.Norm2(dir), dir, x0)
+			} else {
+				// Drift out of the zone, with occasional jumps.
+				scale := 0.004
+				if rng.Float64() < 0.02 {
+					scale = 0.15
+				}
+				linalg.AXPY(x, scale, dir, x)
+			}
+			step := math.Sqrt(linalg.SqDist(x, prev))
+			walked += step
+			copy(prev, x)
+
+			want := kindOf(ref.UpdateData(x))
+			vEl, skipped := elided.UpdateElided(x)
+			if skipped {
+				skipsDisp++
+			} else if ev < 1000 {
+				t.Fatalf("%v event %d: a point within 0.45ρ of the checked point was checked", method, ev)
+			}
+			var vPath *Violation
+			if path.SpendBudget(step) {
+				vPath = path.UpdateDataRefresh(x)
+			} else {
+				skipsPath++
+			}
+			if got := kindOf(vEl); got != want {
+				t.Fatalf("%v event %d: UpdateElided gives %v, UpdateData %v", method, ev, got, want)
+			}
+			if got := kindOf(vPath); got != want {
+				t.Fatalf("%v event %d: the path-length reference gives %v, UpdateData %v", method, ev, got, want)
+			}
+			if want != 0 {
+				violations++
+			}
+		}
+		if walked < 100*rho {
+			t.Errorf("%v: the walk covered %.3g, want far more than ρ = %.3g", method, walked, rho)
+		}
+		if skipsDisp <= skipsPath {
+			t.Errorf("%v: displacement skipped %d events, path length %d; want more", method, skipsDisp, skipsPath)
+		}
+		if violations == 0 {
+			t.Errorf("%v: no event violated; the comparison has no teeth", method)
+		}
+		t.Logf("%v: ρ %.3g, path %.3g, skipped %d by displacement, %d by path length, %d violations",
+			method, rho, walked, skipsDisp, skipsPath, violations)
+	}
+}
+
+// TestCheckInvalidatesElidedBudget: a bare Check rebuilds n.v, the centre of
+// the budget's ball, so the next UpdateElided must run the exact check even
+// when its displacement from the old centre is in budget.
+func TestCheckInvalidatesElidedBudget(t *testing.T) {
+	const d = 6
+	for _, method := range []Method{MethodX, MethodE, MethodNone} {
+		elided, _, x0 := budgetTestZone(t, method, d, 0.4)
+		if v, _ := elided.UpdateElided(x0); v != nil {
+			t.Fatalf("%v: x0 must pass its own zone: %v", method, v)
+		}
+		near := linalg.Clone(x0)
+		near[0] += 0.1 * elided.el.radius
+		if v, skipped := elided.UpdateElided(near); v != nil || !skipped {
+			t.Fatalf("%v: an in-budget move must be skipped, got (%v, skipped %v)", method, v, skipped)
+		}
+		if v := elided.Check(); v != nil {
+			t.Fatalf("%v: %v", method, v)
+		}
+		if v, skipped := elided.UpdateElided(x0); v != nil || skipped {
+			t.Fatalf("%v: the step after a Check must run the exact check, got (%v, skipped %v)", method, v, skipped)
+		}
+		if _, skipped := elided.UpdateElided(near); !skipped {
+			t.Fatalf("%v: that check must refresh the budget", method)
+		}
+	}
+}
+
 // TestBudgetSpendGuards locks in the failure-to-safety contract of
 // SpendBudget: NaN or negative norms invalidate the budget rather than
 // extending it, and invalid budgets always demand exact checks.

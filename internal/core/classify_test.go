@@ -276,7 +276,8 @@ func TestClassifyMatchesSeparateChecks(t *testing.T) {
 // with jumps and compares the one-Grad elided path with Check followed by the
 // separate budget refresh: the same violation kind on every event, and the
 // same budget bits and validity after it, through UpdateDataRefresh on every
-// event and through UpdateElided.
+// event and through UpdateElided, whose reference spends each event's
+// displacement from its own copy of the last checked point.
 func TestCheckRefreshMatchesCheckThenRefresh(t *testing.T) {
 	const d = 6
 	type pair struct{ refresh, elided, ref, refElided *Node }
@@ -313,18 +314,15 @@ func TestCheckRefreshMatchesCheckThenRefresh(t *testing.T) {
 	budgetsEqual := func(a, b *Node) bool {
 		return a.el.valid == b.el.valid && math.Float64bits(a.el.budget) == math.Float64bits(b.el.budget)
 	}
-	kindOf := func(v *Violation) ViolationKind {
-		if v == nil {
-			return 0
-		}
-		return v.Kind
-	}
 	for _, w := range walkers {
 		p := w.p
 		rng := rand.New(rand.NewSource(7))
 		x := linalg.Clone(w.x0)
 		step := make([]float64, d)
-		latest := linalg.Clone(w.x0)
+		// The reference's own copy of its last checked point and radius:
+		// each event spends its displacement from there.
+		checked, moved := make([]float64, d), make([]float64, d)
+		var radius float64
 		kinds := map[ViolationKind]int{}
 		refreshed := 0
 		for ev := 0; ev < 3000; ev++ {
@@ -356,14 +354,18 @@ func TestCheckRefreshMatchesCheckThenRefresh(t *testing.T) {
 			}
 
 			vEl, skipped := p.elided.UpdateElided(x)
-			norm := math.Sqrt(linalg.SqDist(x, latest))
-			copy(latest, x)
+			if p.refElided.el.valid {
+				p.refElided.el.budget = radius
+			}
+			disp := math.Sqrt(linalg.CopyShiftSqDist(moved, x, p.refElided.slack, checked))
 			var refEl *Violation
-			refSkipped := !p.refElided.SpendBudget(norm)
+			refSkipped := !p.refElided.SpendBudget(disp)
 			if !refSkipped {
 				p.refElided.SetData(x)
 				if refEl = p.refElided.Check(); refEl == nil {
 					refRefreshBudget(p.refElided)
+					radius = p.refElided.el.budget
+					linalg.Add(checked, x, p.refElided.slack)
 				}
 			}
 			if skipped != refSkipped || kindOf(vEl) != kindOf(refEl) || !budgetsEqual(p.elided, p.refElided) {

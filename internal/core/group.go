@@ -106,9 +106,9 @@ func NewGroup(f *Function, initial [][]float64) *Group {
 }
 
 // EnableElision switches Step to safe-zone check elision (Node.UpdateElided):
-// each step spends the node's cached distance-to-boundary budget by the
-// vector's exact movement and re-runs the check only once the budget is
-// exhausted. Returns false when the function carries no curvature bound.
+// each step measures the vector's displacement from the last checked point
+// against the node's cached distance-to-boundary radius and re-runs the check
+// only once the displacement reaches it. Returns false when the function carries no curvature bound.
 func (g *Group) EnableElision() bool {
 	for _, nd := range g.Nodes {
 		if !nd.EnableElision() {

@@ -90,7 +90,8 @@ func (n *Node) UpdateData(x []float64) *Violation {
 // It returns nil when all hold, and otherwise the node's one Violation, whose
 // X is the node's own vector. Both are lent until the node's next update,
 // SetData or check: a fabric encodes or resolves the violation before then,
-// and writes nothing in it.
+// and writes nothing in it. Like every check it invalidates the elision
+// budget, so the next UpdateElided checks exactly.
 //
 //automon:hotpath
 func (n *Node) Check() *Violation {
@@ -100,8 +101,11 @@ func (n *Node) Check() *Violation {
 
 // check is Check at the slacked point n.v = x + s, which it leaves built,
 // returning f(n.v) too (0 on a neighborhood violation); a non-nil grad
-// receives ∇f(n.v) from the same forward pass (see SafeZone.classify).
+// receives ∇f(n.v) from the same forward pass (see SafeZone.classify). It
+// invalidates the elision budget: n.v is the centre of the budget's ball, and
+// a check may move it.
 func (n *Node) check(grad []float64) (*Violation, float64) {
+	n.resetBudget()
 	if !n.haveZone {
 		return nil, 0
 	}

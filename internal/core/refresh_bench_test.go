@@ -108,3 +108,20 @@ func BenchmarkUpdateDataRefresh(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUpdateElided times the elided step an event takes while its
+// displacement stays in budget — copy the vector in, measure how far it is
+// from the last checked point, skip the check — on the F₂ 4×64 zone
+// (d = 256) the quiet socket benchmark runs.
+func BenchmarkUpdateElided(b *testing.B) {
+	c := refreshCases(b)[0]
+	near := linalg.Clone(c.pass)
+	near[0] += 1e-3
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, skipped := c.node.UpdateElided(near); v != nil || !skipped {
+			b.Fatalf("the step was not elided: %+v", v)
+		}
+	}
+}

@@ -59,6 +59,39 @@ func SqDist(a, b []float64) float64 {
 	return s
 }
 
+// CopyShiftSqDist copies src into dst and returns ‖(src + shift) − c‖₂²,
+// where each src[i] + shift[i] is rounded as Add rounds it: the squared
+// distance from c of the point Add(·, src, shift) would build. One pass over
+// four independent accumulators does both, so a caller that stores a vector
+// and measures how far it moved reads it once. dst must not alias shift or c;
+// it may alias src. It panics if the lengths differ.
+func CopyShiftSqDist(dst, src, shift, c []float64) float64 {
+	n := len(src)
+	if len(dst) != n || len(shift) != n || len(c) != n {
+		panic(fmt.Sprintf("linalg: CopyShiftSqDist length mismatch %d, %d, %d, %d", len(dst), n, len(shift), len(c)))
+	}
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		x, sh, cc, o := src[i:i+4:i+4], shift[i:i+4:i+4], c[i:i+4:i+4], dst[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = x[0], x[1], x[2], x[3]
+		d0 := x[0] + sh[0] - cc[0]
+		d1 := x[1] + sh[1] - cc[1]
+		d2 := x[2] + sh[2] - cc[2]
+		d3 := x[3] + sh[3] - cc[3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	for ; i < n; i++ {
+		d := src[i] + shift[i] - c[i]
+		dst[i] = src[i]
+		s0 += d * d
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 // Add stores a+b into dst and returns dst. dst may alias a or b.
 func Add(dst, a, b []float64) []float64 {
 	for i := range a {

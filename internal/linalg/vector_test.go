@@ -158,3 +158,65 @@ func TestClone(t *testing.T) {
 		t.Fatal("Clone must not share storage")
 	}
 }
+
+// TestCopyShiftSqDist checks the fused kernel at lengths on both sides of its
+// four-lane stride: dst holds src afterwards, the distance is that of the
+// point Add builds within 1e-13 relative of a plain ordered sum, and a NaN
+// anywhere reaches the result.
+func TestCopyShiftSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 3, 4, 5, 255, 256, 257} {
+		src, shift, c := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range src {
+			src[i] = rng.NormFloat64()
+			shift[i] = 0.1 * rng.NormFloat64()
+			c[i] = src[i] + shift[i] + 1e-3*rng.NormFloat64()
+		}
+		dst := make([]float64, n)
+		got := CopyShiftSqDist(dst, src, shift, c)
+		for i := range src {
+			if math.Float64bits(dst[i]) != math.Float64bits(src[i]) {
+				t.Fatalf("n=%d: dst[%d] = %v, want src's %v", n, i, dst[i], src[i])
+			}
+		}
+		v := Add(make([]float64, n), src, shift)
+		var want float64
+		for i := range v {
+			d := v[i] - c[i]
+			want += d * d
+		}
+		if math.Abs(got-want) > 1e-13*want {
+			t.Errorf("n=%d: CopyShiftSqDist = %v, ordered sum %v", n, got, want)
+		}
+		for _, in := range [][]float64{src, shift, c} {
+			if n == 0 {
+				break
+			}
+			k := rng.Intn(n)
+			old := in[k]
+			in[k] = math.NaN()
+			if got := CopyShiftSqDist(dst, src, shift, c); !math.IsNaN(got) {
+				t.Errorf("n=%d: a NaN at %d gives %v, want NaN", n, k, got)
+			}
+			in[k] = old
+		}
+	}
+}
+
+// BenchmarkCopyShiftSqDist times the fused copy and distance at d = 256, the
+// width of the F₂ sketch the elided node step measures on every event.
+func BenchmarkCopyShiftSqDist(b *testing.B) {
+	const d = 256
+	rng := rand.New(rand.NewSource(1))
+	src, shift, c, dst := make([]float64, d), make([]float64, d), make([]float64, d), make([]float64, d)
+	for i := range src {
+		src[i], shift[i], c[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+	}
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += CopyShiftSqDist(dst, src, shift, c)
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN distance")
+	}
+}

@@ -453,9 +453,10 @@ func (c *NodeClient) Update(x []float64) error {
 }
 
 // UpdateElided is Update on the elided fast path: it spends the vector's
-// exact movement from the elision budget and runs the full check (with
-// identical protocol behavior to Update) only when the budget no longer
-// proves the move safe. Requires a successful EnableElision.
+// displacement from the last checked point from the elision budget and runs
+// the full check (with identical protocol behavior to Update) only when the
+// budget no longer proves the move safe. Requires a successful
+// EnableElision.
 func (c *NodeClient) UpdateElided(x []float64) error {
 	return c.update(x, true)
 }
@@ -463,11 +464,6 @@ func (c *NodeClient) UpdateElided(x []float64) error {
 // update is the shared implementation behind Update and UpdateElided.
 func (c *NodeClient) update(x []float64, elide bool) error {
 	c.mu.Lock()
-	// Drain a stale resolution signal so we wait for a fresh one.
-	select {
-	case <-c.resolved:
-	default:
-	}
 	if elide && !c.node.ElisionEnabled() {
 		c.mu.Unlock()
 		return fmt.Errorf("transport: node %d: UpdateElided without EnableElision", c.ID)
@@ -488,6 +484,13 @@ func (c *NodeClient) update(x []float64, elide bool) error {
 	}
 	var deadline *time.Timer
 	if v != nil {
+		// Drain a stale resolution signal so the wait below takes a fresh
+		// one. Every sync it stood for was installed before this check
+		// (installs take c.mu), so the check above already saw it.
+		select {
+		case <-c.resolved:
+		default:
+		}
 		deadline, c.resolveTimer = c.resolveTimer, nil
 	}
 	c.mu.Unlock()
