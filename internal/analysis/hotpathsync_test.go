@@ -13,9 +13,9 @@ import (
 // eigen-engine's inner arithmetic (the per-node loops of the certified
 // Hessian enclosure — pooled scratch, no per-op allocation), plus the
 // ingestion layer's per-event step, whose static closure covers the sketch
-// apply, the update-norm bound and the materialization. Adding an
-// annotation anywhere in the module without extending this list — or
-// dropping one — is a deliberate decision this test forces into review.
+// apply and the node's sparse step. Adding an annotation anywhere in the
+// module without extending this list — or dropping one — is a deliberate
+// decision this test forces into review.
 var hotpathManifest = map[string]bool{
 	"core.Node.UpdateData":          true,
 	"core.Node.Check":               true,
@@ -24,6 +24,7 @@ var hotpathManifest = map[string]bool{
 	"core.Fabric.RequestData":       true,
 	"core.Node.UpdateDataRefresh":   true,
 	"core.Node.UpdateElided":        true,
+	"core.Node.UpdateSparse":        true,
 	"core.Node.SpendBudget":         true,
 	"core.SafeZone.ContainsScratch": true,
 	"ingest.NodeIngestor.Ingest":    true,

@@ -38,11 +38,12 @@ var (
 
 // The socket half (ISSUE 21): one elided node step, one wire.
 var (
-	// Functions that debit an elision budget: the one vector-backed step
-	// (Group.Update and transport.NodeClient both call it) and the
-	// sketch-backed ingestor, whose movement bound comes from the sketch. A
-	// third hand-written spend-or-check sequence fails here.
-	spendBudgetManifest = []string{"core.Node.UpdateElided", "ingest.NodeIngestor.Ingest"}
+	// Functions that debit an elision budget: the node's elided step in its
+	// whole-vector form (Group.Update and transport.NodeClient call it) and
+	// its sparse form (the sketch ingestor calls it). Both spend the
+	// displacement from the checked point. A hand-written spend-or-check
+	// sequence outside the node fails here.
+	spendBudgetManifest = []string{"core.Node.UpdateElided", "core.Node.UpdateSparse"}
 	// Functions in internal/transport that write a length word: the frame's
 	// tagged first word and the per-message sub-length inside a batch body.
 	// A second framing needs a second first-word writer.

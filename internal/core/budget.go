@@ -4,16 +4,15 @@
 // After every exact check that passes at the slacked point v = x + s, the
 // node computes a radius ρ such that *no* local constraint — neighborhood
 // box, ADCD safe zone, §3.7 admissible region — can fail at any point v'
-// with ‖v' − v‖₂ ≤ ρ. A vector-backed step spends its exact displacement
-// ‖v' − v‖₂ from ρ; the sketch path spends a cheap upper bound on each
-// event's own ‖Δx‖₂, whose sum bounds the displacement by the triangle
-// inequality. While the budget stays positive the vector provably cannot
-// have left the safe set, so the exact check is elided. The first event that
-// exhausts the budget re-runs the exact check (and, on a pass, refreshes the
-// budget). Because elided events are *proven* non-violations, the sequence
-// of violations and syncs is bit-identical to the per-event path — the first
-// failing exact check lands on the same event in both. DESIGN.md ("Check elision") carries the derivation; the
-// differential and fuzz harnesses in internal/ingest enforce the invariant.
+// with ‖v' − v‖₂ ≤ ρ. Every elided step spends an upper bound on its
+// displacement ‖v' − v‖₂ from ρ: UpdateElided measures it in the O(d) pass
+// that copies a whole vector in, UpdateSparse carries a bound on its square
+// across steps that move a few cells. While the budget stays positive the
+// exact check is elided; the event that exhausts it checks (and, on a pass,
+// refreshes the budget). Elided events are *proven* non-violations, so
+// violations and syncs are bit-identical to the per-event path. DESIGN.md
+// ("Check elision") carries the derivation; the differential and fuzz
+// harnesses in internal/ingest enforce the invariant.
 package core
 
 import (
@@ -95,17 +94,14 @@ func (n *Node) SpendBudget(norm float64) bool {
 	return !(e.budget > 0)
 }
 
-// UpdateElided is the one elided node step, shared by every vector-backed
-// driver (Group.Update in process, transport.NodeClient over sockets): write
-// the offered vector straight into the node, spend its displacement from the
-// last checked point (the ball's centre n.v) from that check's radius, and
-// run the exact check only on exhaustion. Only a check moves n.v, and every
-// check invalidates the budget, so a valid budget always belongs to the
-// current n.v. A walk that wanders inside the ball stays elided however far
-// it walks. skipped reports a step whose check the budget proved
-// unnecessary. The node's vector is therefore always current — a data pull
-// reads it as is, and needs no budget reset: a budget depends only on zone,
-// slack and the checked point, none of which a pull changes. Without
+// UpdateElided is the elided node step for a whole vector (UpdateSparse is
+// its sparse form), shared by Group.Update and transport.NodeClient: write
+// the vector into the node, spend its displacement from the last checked
+// point (the ball's centre n.v) from that check's radius, and check only on
+// exhaustion. Every check invalidates the budget, so a valid budget belongs
+// to the current n.v. skipped reports a step whose check the budget proved
+// unnecessary. A pull reads the node's vector as is and needs no budget
+// reset: a budget depends only on zone, slack and the checked point. Without
 // EnableElision every step is UpdateData.
 //
 //automon:hotpath
@@ -117,10 +113,38 @@ func (n *Node) UpdateElided(x []float64) (v *Violation, skipped bool) {
 	if !e.valid {
 		return n.UpdateDataRefresh(x), false
 	}
-	// The budget left after this step is ρ less the displacement, so a
-	// later path-length spend (NodeIngestor) stays within the ball too.
 	e.budget = e.radius
 	if !n.SpendBudget(math.Sqrt(linalg.CopyShiftSqDist(n.viol.X, x, n.slack, n.v))) {
+		return nil, true
+	}
+	return n.checkRefresh(), false
+}
+
+// UpdateSparse is UpdateElided for a step that moves a few cells: it sets
+// x[idx[k]] = vals[k] and spends the same displacement in O(len(idx)). The
+// budget carries the displacement's bound σ = ρ − budget: the step adds
+// δᵢ'² − δᵢ² to σ² for each cell, δᵢ = (xᵢ + sᵢ) − vᵢ before and after the
+// write, plus (2·len(idx) + 10)·u·(ρ² + Σ δᵢ'² + δᵢ²), u = 2⁻⁵³, which bounds
+// the step's rounding (DESIGN.md "Check elision"), and spends the root.
+//
+//automon:hotpath
+func (n *Node) UpdateSparse(idx []int, vals []float64) (v *Violation, skipped bool) {
+	e := &n.el
+	x, s, c := n.viol.X, n.slack, n.v
+	sigma := e.radius - e.budget
+	sq, mass := sigma*sigma, e.radius*e.radius
+	for k, i := range idx {
+		before := x[i] + s[i] - c[i]
+		x[i] = vals[k]
+		after := x[i] + s[i] - c[i]
+		sq += after*after - before*before
+		mass += after*after + before*before
+	}
+	if !e.enabled {
+		return n.Check(), false
+	}
+	e.budget = e.radius // an invalid budget stays invalid: the spend checks
+	if !n.SpendBudget(math.Sqrt(sq + float64(2*len(idx)+10)*0x1p-53*mass)) {
 		return nil, true
 	}
 	return n.checkRefresh(), false

@@ -377,3 +377,110 @@ func TestSolveRadius(t *testing.T) {
 		t.Fatal("NaN margin must give zero radius")
 	}
 }
+
+// TestSparseChurnElidesAfterFirstCheck churns two cells by +δ and back, the
+// way a sketch moves one counter per row for an item that comes and goes.
+// Each event walks 0.2ρ·√2, so a node spending path length runs out within
+// a few events, while the displacement from the checked point never exceeds
+// that one event's: UpdateSparse must skip every event after the first
+// check. The churn then drifts out of the zone, and on every event the
+// sparse step must give the kind UpdateData gives.
+func TestSparseChurnElidesAfterFirstCheck(t *testing.T) {
+	const d = 6
+	idx := []int{1, 4}
+	for _, method := range []Method{MethodX, MethodE, MethodNone} {
+		elided, ref, x0 := budgetTestZone(t, method, d, 0.4)
+		path, _, _ := budgetTestZone(t, method, d, 0.4)
+		elided.SetData(x0)
+		path.SetData(x0)
+		if v, skipped := elided.UpdateSparse(idx, []float64{x0[1], x0[4]}); v != nil || skipped {
+			t.Fatalf("%v: the first step must check x0 and pass, got (%v, skipped %v)", method, v, skipped)
+		}
+		rho := elided.el.radius
+		if !elided.el.valid || !(rho > 0) {
+			t.Fatalf("%v: no budget after a passing check (radius %v)", method, rho)
+		}
+		x := linalg.Clone(x0)
+		vals := make([]float64, len(idx))
+		var pathChecks, violations int
+		for ev := 0; ev < 4000; ev++ {
+			delta := 0.2 * rho
+			if ev%2 == 1 {
+				delta = -delta
+			}
+			if ev >= 2000 {
+				delta += 0.002 // the drift phase
+			}
+			for k, i := range idx {
+				x[i] += delta
+				vals[k] = x[i]
+			}
+			want := kindOf(ref.UpdateData(x))
+			vSp, skipped := elided.UpdateSparse(idx, vals)
+			if !skipped && ev < 2000 {
+				t.Fatalf("%v event %d: the churn was checked", method, ev)
+			}
+			if got := kindOf(vSp); got != want {
+				t.Fatalf("%v event %d: UpdateSparse gives %v, UpdateData %v", method, ev, got, want)
+			}
+			if path.SpendBudget(math.Abs(delta) * math.Sqrt(float64(len(idx)))) {
+				path.UpdateDataRefresh(x)
+				if ev < 2000 {
+					pathChecks++
+				}
+			}
+			if want != 0 {
+				violations++
+			}
+		}
+		if pathChecks < 100 {
+			t.Errorf("%v: the path-length rule checked the churn %d times; it must run out", method, pathChecks)
+		}
+		if violations == 0 {
+			t.Errorf("%v: no event violated; the comparison has no teeth", method)
+		}
+	}
+}
+
+// TestSparseBoundCoversDisplacement walks a node through 10⁶ sparse steps,
+// two cells each, that wander inside its ball and now and then jump out of
+// it. Whenever the budget is valid, the bound the node carries, (ρ − budget)²,
+// must cover the squared displacement from the checked point recomputed by
+// linalg.CopyShiftSqDist. Without the rounding term the carried sum falls
+// below it within the walk.
+func TestSparseBoundCoversDisplacement(t *testing.T) {
+	const d = 6
+	elided, _, x0 := budgetTestZone(t, MethodE, d, 0.4)
+	elided.SetData(x0)
+	elided.Check()
+	rng := rand.New(rand.NewSource(11))
+	idx, vals, moved := make([]int, 2), make([]float64, 2), make([]float64, d)
+	var skipped, checks int
+	for ev := 0; ev < 1_000_000; ev++ {
+		rho := elided.el.radius
+		idx[0] = rng.Intn(d)
+		idx[1] = (idx[0] + 1 + rng.Intn(d-1)) % d
+		for k, i := range idx {
+			scale := 0.15
+			if rng.Float64() < 0.001 {
+				scale = 3 // out of the ball: exhausts the budget
+			}
+			vals[k] = x0[i] + scale*rho*rng.NormFloat64()
+		}
+		if v, sk := elided.UpdateSparse(idx, vals); sk {
+			skipped++
+		} else if v == nil {
+			checks++
+		}
+		if !elided.el.valid {
+			continue
+		}
+		sigma := elided.el.radius - elided.el.budget
+		if exact := linalg.CopyShiftSqDist(moved, elided.viol.X, elided.slack, elided.v); exact > sigma*sigma {
+			t.Fatalf("event %d: carried bound %v below the displacement %v", ev, sigma*sigma, exact)
+		}
+	}
+	if skipped < 500_000 || checks < 100 {
+		t.Fatalf("the walk skipped %d and passed %d checks; it must do both often", skipped, checks)
+	}
+}

@@ -13,10 +13,6 @@ type Fabric struct {
 	// for the call only, as NodeComm lends them: an observer copies what it
 	// keeps.
 	OnMessage func(Message)
-	// BeforePull, when set, runs before node id's vector is read.
-	// Sketch-backed nodes (internal/ingest) leave their vector stale between
-	// exact checks and materialize the current one here.
-	BeforePull func(id int)
 	// RefusedSyncs counts syncs and slacks a node could not check and
 	// refused (see Node.ApplySync and Node.ApplySlack). The coordinator
 	// believes those installed, so anything but zero means the run's
@@ -34,9 +30,6 @@ type Fabric struct {
 //
 //automon:hotpath
 func (c *Fabric) RequestData(id int) []float64 {
-	if c.BeforePull != nil {
-		c.BeforePull(id) //automon:allow hotpath the run's own hook: ingest materializes a sketch into the node's vector in place
-	}
 	nd := c.Nodes[id]
 	if c.OnMessage != nil {
 		c.req.NodeID = id

@@ -125,3 +125,25 @@ func BenchmarkUpdateElided(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUpdateSparse times the sparse elided step a sketch event takes on
+// the same F₂ 4×64 zone: four cells, one per sketch row, move and move back,
+// the displacement stays in budget and the check is skipped.
+func BenchmarkUpdateSparse(b *testing.B) {
+	c := refreshCases(b)[0]
+	if v := c.node.UpdateDataRefresh(c.pass); v != nil {
+		b.Fatalf("the checked point violates: %+v", v)
+	}
+	idx := []int{3, 64 + 17, 128 + 40, 192 + 9}
+	vals := [2][]float64{make([]float64, len(idx)), make([]float64, len(idx))}
+	for k, i := range idx {
+		vals[0][k], vals[1][k] = c.pass[i]+1e-3, c.pass[i]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, skipped := c.node.UpdateSparse(idx, vals[i&1]); v != nil || !skipped {
+			b.Fatalf("the step was not elided: %+v", v)
+		}
+	}
+}

@@ -5,7 +5,8 @@
 // safe-zone machinery of internal/core decides — via the check-elision
 // budget — which events actually need an exact O(d) constraint check. On
 // drift-within-zone streams almost none do, so the amortized per-event cost
-// is one hash, one counter add, and one budget subtraction.
+// is one hash and one counter add per sketch row, and an O(rows) budget
+// spend (core.Node.UpdateSparse).
 //
 // Protocol outcomes are bit-identical to running Node.UpdateData per event:
 // elided events are *proven* in-zone by the budget (see core/budget.go and
@@ -22,14 +23,11 @@ import (
 )
 
 // AMSSource is a node's event-to-vector substrate: one AMS sketch, scaled by
-// a constant factor, that absorbs turnstile updates and materializes the
-// monitored vector on demand. Each event touches exactly one counter per row
-// by ±delta, so the scaled vector moves by exactly |delta|·scale·√rows — the
-// O(1) per-event norm the elision budget spends.
+// a constant factor. An event moves one counter per row, which the ingestor
+// writes into its node's vector (NodeIngestor.Ingest).
 type AMSSource struct {
-	sk          *sketch.AMS
-	scale       float64
-	normPerUnit float64 // scale·√rows
+	sk    *sketch.AMS
+	scale float64
 }
 
 // NewAMSSource builds an AMS-backed source. scale multiplies the raw
@@ -43,16 +41,11 @@ func NewAMSSource(rows, cols int, seed uint64, scale float64) (*AMSSource, error
 	if err != nil {
 		return nil, err
 	}
-	return &AMSSource{sk: sk, scale: scale, normPerUnit: scale * math.Sqrt(float64(rows))}, nil
+	return &AMSSource{sk: sk, scale: scale}, nil
 }
 
 // Apply folds one event into the sketch.
 func (s *AMSSource) Apply(u sketch.Update) { s.sk.Add(u.Item, u.Delta) }
-
-// UpdateNorm is the exact L2 movement of the scaled vector for applying u.
-func (s *AMSSource) UpdateNorm(u sketch.Update) float64 {
-	return math.Abs(u.Delta) * s.normPerUnit
-}
 
 // Dim is the monitored vector length.
 func (s *AMSSource) Dim() int { return s.sk.Dim() }
@@ -79,8 +72,8 @@ func (s *AMSSource) compatibleWith(t *AMSSource) error {
 // Options configures a node's ingestion path.
 type Options struct {
 	// Elide enables safe-zone check elision. Off, every event pays an exact
-	// Node.UpdateData — the per-event baseline the differential harness and
-	// the headline benchmark compare against.
+	// check — the per-event baseline the differential harness and the
+	// headline benchmark compare against.
 	Elide bool
 }
 
@@ -92,19 +85,19 @@ type Stats struct {
 }
 
 // NodeIngestor drives one node's monitoring loop from raw events: fold the
-// event into the sketch, spend its norm from the elision budget, and run the
-// exact check only when the budget demands one.
+// event into the sketch and hand the cells it moved to the node's sparse
+// step, so the node's vector is the materialized sketch, bit for bit.
 type NodeIngestor struct {
 	src   *AMSSource
 	node  *core.Node
-	vec   []float64 // materialization scratch
-	elide bool
+	vals  []float64 // the moved cells' scaled values, one per sketch row
 	stats Stats
 }
 
-// NewNodeIngestor wires a source to a fresh monitoring node for f. With
-// Options.Elide it fails when f exposes no curvature bound (see
-// Function.CurvBound) rather than silently running per-event.
+// NewNodeIngestor wires a source to a fresh monitoring node for f, loaded
+// with the source's current vector. With Options.Elide it fails when f
+// exposes no curvature bound (see Function.CurvBound) rather than silently
+// running per-event.
 func NewNodeIngestor(id int, f *core.Function, src *AMSSource, opts Options) (*NodeIngestor, error) {
 	if src.Dim() != f.Dim() {
 		return nil, fmt.Errorf("ingest: source dim %d, function %s dim %d", src.Dim(), f.Name, f.Dim())
@@ -113,7 +106,10 @@ func NewNodeIngestor(id int, f *core.Function, src *AMSSource, opts Options) (*N
 	if opts.Elide && !node.EnableElision() {
 		return nil, fmt.Errorf("ingest: function %s has no curvature bound; check elision unavailable (use WithCurvature or a constant-Hessian query)", f.Name)
 	}
-	return &NodeIngestor{src: src, node: node, vec: make([]float64, f.Dim()), elide: opts.Elide}, nil
+	x := make([]float64, f.Dim())
+	src.VectorInto(x)
+	node.SetData(x)
+	return &NodeIngestor{src: src, node: node, vals: make([]float64, src.sk.Rows)}, nil
 }
 
 // Ingest folds one event into the node's sketch and returns a Violation when
@@ -124,31 +120,17 @@ func NewNodeIngestor(id int, f *core.Function, src *AMSSource, opts Options) (*N
 func (in *NodeIngestor) Ingest(u sketch.Update) *core.Violation {
 	in.stats.Events++
 	in.src.Apply(u)
-	if in.elide && !in.node.SpendBudget(in.src.UpdateNorm(u)) {
+	idx, raw := in.src.sk.Touched(), in.src.sk.Vector()
+	for r, i := range idx {
+		in.vals[r] = raw[i] * in.src.scale
+	}
+	v, skipped := in.node.UpdateSparse(idx, in.vals)
+	if skipped {
 		in.stats.Elided++
-		return nil
+	} else {
+		in.stats.Checks++
 	}
-	return in.exactCheck()
-}
-
-// exactCheck materializes the vector and runs the full constraint check,
-// refreshing the elision budget on a pass.
-func (in *NodeIngestor) exactCheck() *core.Violation {
-	in.stats.Checks++
-	in.src.VectorInto(in.vec)
-	if in.elide {
-		return in.node.UpdateDataRefresh(in.vec)
-	}
-	return in.node.UpdateData(in.vec)
-}
-
-// materialize pushes the current sketch state into the node without a
-// constraint check — the coordinator is about to read the vector (data
-// pull), so the node's view must be current. Resets the budget: the next
-// event re-checks exactly.
-func (in *NodeIngestor) materialize() {
-	in.src.VectorInto(in.vec)
-	in.node.SetData(in.vec)
+	return v
 }
 
 // Node exposes the underlying monitoring node.

@@ -253,3 +253,72 @@ func TestPipelineAccessors(t *testing.T) {
 		t.Fatalf("Init produced no counted traffic: %+v", tr)
 	}
 }
+
+// TestNodeVectorIsTheSketch: after every event, in both modes and through
+// every resolution a chaos stream causes, each node's vector is the
+// materialized sketch bit for bit — the ingestor writes the cells an event
+// moved with the product VectorInto computes.
+func TestNodeVectorIsTheSketch(t *testing.T) {
+	spec := diffSpecs()[4] // f2-chaos
+	for _, opts := range []Options{{Elide: false}, {Elide: true}} {
+		sources := make([]*AMSSource, spec.events.Nodes)
+		for i := range sources {
+			sources[i] = newSource(t)
+			for _, u := range spec.events.Warm[i] {
+				sources[i].Apply(u)
+			}
+		}
+		p, err := NewPipeline(Config{F: spec.f, Core: spec.coreCfg, Sources: sources, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Init(); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, spec.f.Dim())
+		for k := 0; k < spec.events.EventsPerNode(); k++ {
+			for node, evs := range spec.events.PerNode {
+				if err := p.Ingest(node, evs[k]); err != nil {
+					t.Fatal(err)
+				}
+				sources[node].VectorInto(want)
+				for j, x := range p.ings[node].Node().LocalVector() {
+					if math.Float64bits(x) != math.Float64bits(want[j]) {
+						t.Fatalf("elide %v node %d event %d cell %d: node holds %v, the sketch %v", opts.Elide, node, k, j, x, want[j])
+					}
+				}
+			}
+		}
+		if len(p.Log) == 0 {
+			t.Fatalf("elide %v: the stream raised no violation", opts.Elide)
+		}
+	}
+}
+
+// TestPullReadsCurrentSketchKeepsBudget: a data pull in mid-stream reads the
+// node's current sketch and leaves its elision budget valid, so the next
+// in-budget event is still elided.
+func TestPullReadsCurrentSketchKeepsBudget(t *testing.T) {
+	p, churn := benchPipeline(t, true)
+	in := p.ings[0]
+	for _, u := range churn[:101] {
+		if v := in.Ingest(u); v != nil {
+			t.Fatalf("churn violated: %+v", v.Kind)
+		}
+	}
+	want := make([]float64, in.src.Dim())
+	in.src.VectorInto(want)
+	got := p.group.RequestData(0)
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("cell %d: the pull read %v, the sketch is %v", j, got[j], want[j])
+		}
+	}
+	if in.Node().SpendBudget(0) {
+		t.Fatal("the pull invalidated the budget")
+	}
+	before := in.Stats().Elided
+	if v := in.Ingest(churn[101]); v != nil || in.Stats().Elided != before+1 {
+		t.Fatalf("the event after the pull was not elided (violation %v)", v)
+	}
+}

@@ -64,7 +64,7 @@ func TestIngestZeroAllocsPerEvent(t *testing.T) {
 			k := 0
 			allocs := testing.AllocsPerRun(2000, func() {
 				if k%4 == 0 {
-					in.materialize() // resets the budget, as a data pull does
+					in.Node().SetData(in.Node().LocalVector()) // resets the budget
 				}
 				if v := in.Ingest(churn[k%len(churn)]); v != nil {
 					t.Fatalf("churn event %d violated: %+v", k, v.Kind)

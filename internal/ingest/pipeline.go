@@ -52,8 +52,8 @@ type Pipeline struct {
 }
 
 // NewPipeline validates the group (source/function shapes, mutual sketch
-// compatibility) and wires ingestors to a coordinator. Call Init after
-// warming the sources with their initial events.
+// compatibility) and wires ingestors to a coordinator. Warm the sources with
+// their initial events first: each node loads its source's vector here.
 func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.F == nil || len(cfg.Sources) == 0 {
 		return nil, fmt.Errorf("ingest: pipeline requires a function and at least one source")
@@ -77,10 +77,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		p.scratch = m.AppendBinary(p.scratch[:0])
 		p.traffic.PayloadBytes += len(p.scratch)
 	}
-	// A data pull materializes the node's current sketch state first: between
-	// exact checks the node's vector is stale by design, but the protocol
-	// must always read fresh data.
-	p.group.BeforePull = func(id int) { p.ings[id].materialize() }
 	p.coord = core.NewCoordinator(cfg.F, len(cfg.Sources), cfg.Core, p.group)
 	return p, nil
 }
