@@ -301,3 +301,39 @@ func TestRequestFailureDuringFullSyncMarksDead(t *testing.T) {
 	}
 	slackSumOverLive(t, coord)
 }
+
+// pullCounter is the in-process fabric, counting the pulls each node gets.
+type pullCounter struct {
+	Fabric
+	pulls []int
+}
+
+func (c *pullCounter) RequestData(id int) []float64 {
+	c.pulls[id]++
+	return c.Fabric.RequestData(id)
+}
+
+// TestInitPullsEachNodeOnce: the first full sync's gather is Init's only
+// pull, so each live node answers exactly one DataRequest.
+func TestInitPullsEachNodeOnce(t *testing.T) {
+	const n, d = 4, 6
+	f := benchBilinear(d)
+	comm := &pullCounter{pulls: make([]int, n)}
+	for i := 0; i < n; i++ {
+		nd := NewNode(i, f)
+		x := make([]float64, d)
+		for j := range x {
+			x[j] = 0.1 * float64(i+j)
+		}
+		nd.SetData(x)
+		comm.Nodes = append(comm.Nodes, nd)
+	}
+	if err := NewCoordinator(f, n, Config{Epsilon: 0.1}, comm).Init(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range comm.pulls {
+		if p != 1 {
+			t.Errorf("node %d was pulled %d times by Init, want 1", i, p)
+		}
+	}
+}
