@@ -82,8 +82,9 @@ func (a *AMS) cell(row int, item uint64) (col int, sign float64) {
 func (a *AMS) Add(item uint64, delta float64) {
 	for r := 0; r < a.Rows; r++ {
 		c, s := a.cell(r, item)
-		a.touched[r] = r*a.Cols + c
-		a.data[a.touched[r]] += s * delta
+		i := r*a.Cols + c
+		a.data[i] += s * delta
+		a.touched[r] = i
 	}
 }
 
