@@ -44,7 +44,7 @@ func NewAMSSource(rows, cols int, seed uint64, scale float64) (*AMSSource, error
 	return &AMSSource{sk: sk, scale: scale}, nil
 }
 
-// Apply folds one event into the sketch.
+// Apply folds one event into a sketch no NodeIngestor is wired to yet.
 func (s *AMSSource) Apply(u sketch.Update) { s.sk.Add(u.Item, u.Delta) }
 
 // Dim is the monitored vector length.
@@ -90,14 +90,15 @@ type Stats struct {
 type NodeIngestor struct {
 	src   *AMSSource
 	node  *core.Node
-	vals  []float64 // the moved cells' scaled values, one per sketch row
+	idx   []int     // the cells the last event moved, one per sketch row
+	vals  []float64 // their scaled values
 	stats Stats
 }
 
 // NewNodeIngestor wires a source to a fresh monitoring node for f, loaded
-// with the source's current vector. With Options.Elide it fails when f
-// exposes no curvature bound (see Function.CurvBound) rather than silently
-// running per-event.
+// with the source's current vector; from then on only Ingest may advance the
+// source. With Options.Elide it fails when f exposes no curvature bound (see
+// Function.CurvBound) rather than silently running per-event.
 func NewNodeIngestor(id int, f *core.Function, src *AMSSource, opts Options) (*NodeIngestor, error) {
 	if src.Dim() != f.Dim() {
 		return nil, fmt.Errorf("ingest: source dim %d, function %s dim %d", src.Dim(), f.Name, f.Dim())
@@ -109,7 +110,7 @@ func NewNodeIngestor(id int, f *core.Function, src *AMSSource, opts Options) (*N
 	x := make([]float64, f.Dim())
 	src.VectorInto(x)
 	node.SetData(x)
-	return &NodeIngestor{src: src, node: node, vals: make([]float64, src.sk.Rows)}, nil
+	return &NodeIngestor{src: src, node: node, idx: make([]int, src.sk.Rows), vals: make([]float64, src.sk.Rows)}, nil
 }
 
 // Ingest folds one event into the node's sketch and returns a Violation when
@@ -119,12 +120,12 @@ func NewNodeIngestor(id int, f *core.Function, src *AMSSource, opts Options) (*N
 //automon:hotpath
 func (in *NodeIngestor) Ingest(u sketch.Update) *core.Violation {
 	in.stats.Events++
-	in.src.Apply(u)
-	idx, raw := in.src.sk.Touched(), in.src.sk.Vector()
-	for r, i := range idx {
+	in.src.sk.AddTouched(u.Item, u.Delta, in.idx)
+	raw := in.src.sk.Vector()
+	for r, i := range in.idx {
 		in.vals[r] = raw[i] * in.src.scale
 	}
-	v, skipped := in.node.UpdateSparse(idx, in.vals)
+	v, skipped := in.node.UpdateSparse(in.idx, in.vals)
 	if skipped {
 		in.stats.Elided++
 	} else {

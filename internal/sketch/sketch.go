@@ -50,7 +50,6 @@ type AMS struct {
 	// bit-identical to hashing item ^ mix64(row + seed) on the fly.
 	rowSeed []uint64
 	data    []float64
-	touched []int // per row, the counter the last Add moved (see Touched)
 }
 
 // NewAMS creates an AMS sketch. Sketches with equal shapes and seeds are
@@ -64,7 +63,7 @@ func NewAMS(rows, cols int, seed uint64) (*AMS, error) {
 	for r := range rs {
 		rs[r] = mix64(uint64(r) + seed)
 	}
-	return &AMS{Rows: rows, Cols: cols, seed: seed, rowSeed: rs, data: make([]float64, rows*cols), touched: make([]int, rows)}, nil
+	return &AMS{Rows: rows, Cols: cols, seed: seed, rowSeed: rs, data: make([]float64, rows*cols)}, nil
 }
 
 // cell returns the (bucket, sign) of an item within a row.
@@ -82,14 +81,20 @@ func (a *AMS) cell(row int, item uint64) (col int, sign float64) {
 func (a *AMS) Add(item uint64, delta float64) {
 	for r := 0; r < a.Rows; r++ {
 		c, s := a.cell(r, item)
-		i := r*a.Cols + c
-		a.data[i] += s * delta
-		a.touched[r] = i
+		a.data[r*a.Cols+c] += s * delta
 	}
 }
 
-// Touched returns, per row, the flat index of the counter the last Add moved.
-func (a *AMS) Touched() []int { return a.touched }
+// AddTouched is Add that also writes, per row, the flat index of the counter
+// it moved into touched (len(touched) == Rows).
+func (a *AMS) AddTouched(item uint64, delta float64, touched []int) {
+	for r := range touched {
+		c, s := a.cell(r, item)
+		i := r*a.Cols + c
+		a.data[i] += s * delta
+		touched[r] = i
+	}
+}
 
 // Vector exposes the sketch as the flat local vector AutoMon monitors. The
 // returned slice aliases the sketch's storage; copy before mutating.
