@@ -50,7 +50,7 @@ func (s *AMSSource) Apply(u sketch.Update) { s.sk.Add(u.Item, u.Delta) }
 // Dim is the monitored vector length.
 func (s *AMSSource) Dim() int { return s.sk.Dim() }
 
-// VectorInto materializes the current monitored vector into dst
+// VectorInto writes the current monitored vector into dst
 // (len(dst) == Dim()).
 func (s *AMSSource) VectorInto(dst []float64) {
 	raw := s.sk.Vector()
@@ -86,7 +86,7 @@ type Stats struct {
 
 // NodeIngestor drives one node's monitoring loop from raw events: fold the
 // event into the sketch and hand the cells it moved to the node's sparse
-// step, so the node's vector is the materialized sketch, bit for bit.
+// step, so the node's vector equals VectorInto's output, bit for bit.
 type NodeIngestor struct {
 	src   *AMSSource
 	node  *core.Node

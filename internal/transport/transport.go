@@ -114,7 +114,7 @@ type TrafficStats struct {
 	peer   int // node id stamped on trace events; -1 on the coordinator side
 }
 
-// ensure materializes any counters still nil. Safe to race via sync.Once;
+// ensure creates any counters still nil. Safe to race via sync.Once;
 // after the first call the pointer fields never change again.
 func (s *TrafficStats) ensure() {
 	s.once.Do(func() {
